@@ -25,11 +25,21 @@
 //!   counting global allocator; see `peerback_bench::alloc_probe`).
 //!
 //! Both are execution telemetry — they vary with `--shards` and the
-//! host — so they are omitted from `--stable-json` output. The same
-//! applies to `bytes_per_peer`, the approximate per-slot heap footprint
-//! ([`BackupWorld::approx_bytes_per_peer`]): it depends on allocator
-//! growth policy, so it rides in the telemetry block and feeds the perf
-//! gate's non-blocking memory warning.
+//! host — so they are omitted from `--stable-json` output. The
+//! telemetry block also carries two exact, seed-determined figures
+//! that are kept out of the stable form only because they describe the
+//! execution rather than the simulated network:
+//!
+//! * `bytes_per_peer`, the per-slot heap footprint
+//!   ([`BackupWorld::approx_bytes_per_peer`]) with its per-component
+//!   layout. Every component is a fixed-size column or slab, so the
+//!   figure does not depend on the allocator; it feeds the perf gate's
+//!   **hard** memory budget (`perf_gate mem --fail-above 3330`).
+//! * `redundancy_passes` / `redundancy_host_evals` /
+//!   `redundancy_pairs_gathered`, the whole-run work counters of the
+//!   adaptive-redundancy scoring stage
+//!   ([`BackupWorld::redundancy_work`]; all zero without
+//!   `--adaptive-n`).
 
 use std::time::Instant;
 
@@ -72,6 +82,7 @@ fn main() {
         (world.stage_dispatches() - dispatches_before) as f64 / steady_rounds as f64;
     let mem = world.memory_breakdown();
     let bytes_per_peer = mem.total();
+    let redundancy = world.redundancy_work();
     let metrics = world.into_metrics();
     let elapsed = start.elapsed();
     if args.json {
@@ -100,12 +111,15 @@ fn main() {
                 .float("stage_dispatches_per_round", dispatches_per_round)
                 .float("bytes_per_peer", bytes_per_peer)
                 // The layout behind the total, so the perf gate's
-                // memory warning can name the collection that grew.
+                // memory budget can name the collection that grew.
                 .float("bytes_peer_table", mem.peer_table)
                 .float("bytes_online_index", mem.online_index)
                 .float("bytes_hosted_ledgers", mem.hosted_ledgers)
                 .float("bytes_archive_states", mem.archive_states)
-                .float("bytes_partner_lists", mem.partner_lists);
+                .float("bytes_partner_lists", mem.partner_lists)
+                .num("redundancy_passes", redundancy.passes)
+                .num("redundancy_host_evals", redundancy.host_evals)
+                .num("redundancy_pairs_gathered", redundancy.pairs_gathered);
             if alloc_probe::ENABLED {
                 report = report.float("allocs_per_round", allocs_per_round);
             }

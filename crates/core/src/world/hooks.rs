@@ -209,6 +209,15 @@ impl BackupWorld {
         self.exec.pool.dispatches()
     }
 
+    /// Exact work counters of the adaptive-redundancy scoring stage
+    /// (all zero unless `adaptive_n` is enabled). Execution-side
+    /// telemetry like [`stage_dispatches`](Self::stage_dispatches) —
+    /// kept out of [`Metrics`](crate::metrics::Metrics) — but unlike it
+    /// a pure function of the seed.
+    pub fn redundancy_work(&self) -> super::RedundancyWork {
+        self.redundancy.work
+    }
+
     /// Enables or disables cross-round arena recycling (on by
     /// default). Recycling is observationally invisible — this knob
     /// exists so tests can run the same seed both ways and assert
@@ -251,12 +260,14 @@ impl BackupWorld {
         self.exec.steal
     }
 
-    /// Approximate heap footprint per allocated peer slot, in bytes:
-    /// the peer table itself plus the capacities of every per-peer
-    /// collection that scales with `n` and quota — partner lists,
-    /// stale-partner lists and hosted ledgers. Memory telemetry for the
-    /// perf gate; varies with allocator growth policy and is never part
-    /// of the determinism contract.
+    /// Heap footprint per allocated peer slot, in bytes: the peer
+    /// table's scalar and per-archive columns plus the fixed-stride
+    /// slabs that scale with `n` and quota — partner/stale lists and
+    /// hosted ledgers — and the online index. Exact: every component
+    /// is a fixed-size column or slab sized by the configuration, so
+    /// the figure does not vary with the allocator. Memory telemetry
+    /// for the perf gate's hard budget (`perf_gate mem --fail-above`);
+    /// never part of the determinism contract.
     pub fn approx_bytes_per_peer(&self) -> f64 {
         self.memory_breakdown().total()
     }

@@ -86,6 +86,7 @@ use table::PeerTable;
 
 pub use hooks::{FabricObserver, MemoryBreakdown, WorldEvent};
 pub use peers::{ObserverState, PeerId, WorldSnapshot};
+pub use redundancy::RedundancyWork;
 
 /// Sub-seed stream offset for shard RNGs, so shard streams never
 /// collide with other derived streams of the same master seed.
@@ -172,10 +173,11 @@ pub struct BackupWorld {
     /// Per-shard death-observation buffers, filled by the parallel
     /// event phase and drained into the model in shard order.
     pub(in crate::world) obs: Vec<Vec<peerback_estimate::DeathRecord>>,
-    /// Per-shard decision buffers of the adaptive-redundancy stage
-    /// ([`redundancy`]): filled by the parallel scoring tasks, drained
-    /// in shard order, recycled across rounds. Empty between rounds.
-    pub(in crate::world) redundancy_bufs: Vec<Vec<redundancy::RedundancyDecision>>,
+    /// Recycled state of the adaptive-redundancy stage ([`redundancy`]):
+    /// the per-host survival column, the per-shard decision buffers and
+    /// the stage's work tally. Allocated on the first scoring pass, so
+    /// runs without `adaptive_n` carry nothing.
+    pub(in crate::world) redundancy: redundancy::RedundancyState,
     /// Per-worker pool-building scratch (execution-only state).
     pub(in crate::world) scratch: Vec<Scratch>,
     /// Per-shard tentative-quota scratch for the grant stages.
@@ -280,7 +282,7 @@ impl BackupWorld {
                 ))
             }),
             obs: (0..layout.count).map(|_| Vec::new()).collect(),
-            redundancy_bufs: (0..layout.count).map(|_| Vec::new()).collect(),
+            redundancy: redundancy::RedundancyState::default(),
             scratch: Vec::new(),
             grant_scratch: Vec::new(),
             arena: RoundArena::new(layout.count),

@@ -7,14 +7,25 @@
 //! horizon and moves the archive's `target_n` within `[n - max_trim, n]`
 //! (see [`AdaptiveRedundancy`](crate::config::AdaptiveRedundancy)):
 //!
-//! * **Scoring** runs as a parallel stage over the logical shards
-//!   against *frozen* world state: one stealable task per shard reads
-//!   the peer table shared and writes widen/narrow decisions into its
-//!   own per-shard buffer. Per-host survival comes from the learned
-//!   survival model when one is attached (`LearnedAge` runs) and from
-//!   the availability-class prior otherwise. The stage draws **no
-//!   randomness**, so enabling the loop leaves every RNG stream of the
-//!   run untouched.
+//! * **Scoring** runs against *frozen* world state in two parallel
+//!   stages over the logical shards, *fill, then gather*. A host's
+//!   predicted survival depends on the host and the round alone —
+//!   never on who stores a block there — so the fill stage evaluates
+//!   [`BackupWorld::host_survival`] exactly once per peer slot into
+//!   the world's recycled *survival column* (`p` and `est`, one entry
+//!   per slot; each shard task writes only its own slot range). The
+//!   gather stage then scores every archive by summing `p[h]` over its
+//!   partner list **in partner order** and picks the narrow victim as
+//!   the first strict minimum of `est[h]` in partner order — the same
+//!   `f64` additions in the same order a per-pair evaluation performs,
+//!   so the decisions are bit-identical to it (the per-pair loop
+//!   survives as the test oracle in `world/tests.rs`). A pass therefore
+//!   costs `O(slots)` model evaluations plus `O(Σ partners)` 16-byte
+//!   column reads, instead of `O(archives × partners)` evaluations.
+//!   Per-host survival comes from the learned survival model when one
+//!   is attached (`LearnedAge` runs) and from the availability-class
+//!   prior otherwise. Neither stage draws **randomness**, so enabling
+//!   the loop leaves every RNG stream of the run untouched.
 //! * **Apply** drains the buffers sequentially in shard order (slot
 //!   order within a shard, archive order within a slot), mutating the
 //!   world directly: a widen raises `target_n` and opens a preemptive
@@ -23,13 +34,18 @@
 //!   round); a narrow trims `target_n` by one and releases the
 //!   placement with the shortest predicted remaining lifetime.
 //!
-//! Nothing mutates the world between scoring and apply, so decisions
-//! never need re-validation; and because the buffers drain in shard
-//! order no matter which worker filled them, same-seed runs stay
+//! Nothing mutates the world between fill, gather and apply, so
+//! decisions never need re-validation; and because the buffers drain in
+//! shard order no matter which worker filled them, same-seed runs stay
 //! byte-identical at any `--shards`/steal setting — the same
 //! determinism contract every other parallel stage rides.
+//!
+//! The column is round scratch (16 B per slot, allocated on the first
+//! pass and reused afterwards), so like the pool-building mark arrays
+//! it stays outside [`BackupWorld::memory_breakdown`].
 
 use peerback_estimate::AvailabilityClass;
+use peerback_sim::arena::retype_empty;
 
 use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
@@ -60,6 +76,59 @@ pub(in crate::world) enum RedundancyDecision {
     },
 }
 
+/// Exact work done by the adaptive-redundancy scoring stage so far —
+/// execution-side telemetry read through
+/// [`BackupWorld::redundancy_work`], never part of `Metrics`. The
+/// counts are pure functions of the seed: identical at any
+/// `shards`/steal setting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RedundancyWork {
+    /// Scoring passes run (one per `check_interval` rounds).
+    pub passes: u64,
+    /// Survival-model evaluations: one per allocated peer slot per pass.
+    pub host_evals: u64,
+    /// Partner entries read from the survival column: the summed
+    /// partner-list lengths of every scored archive.
+    pub pairs_gathered: u64,
+}
+
+/// One logical shard's output of the gather stage.
+#[derive(Debug, Default)]
+pub(in crate::world) struct ShardScore {
+    /// Widen/narrow decisions in slot order, then archive order — the
+    /// order the sequential drain preserves.
+    pub(in crate::world) decisions: Vec<RedundancyDecision>,
+    /// Partner entries this shard gathered in the current pass.
+    pub(in crate::world) pairs: u64,
+}
+
+/// One shard's window of the survival column during the fill stage.
+struct FillTask<'a> {
+    p: &'a mut [f64],
+    est: &'a mut [u64],
+}
+
+/// Everything the stage keeps between passes: the per-shard decision
+/// buffers, the survival column and the work tally. All of it is
+/// recycled — a steady-state pass allocates nothing.
+#[derive(Default)]
+pub(in crate::world) struct RedundancyState {
+    /// Per-shard gather outputs: filled by the parallel scoring tasks,
+    /// drained in shard order. Empty between rounds.
+    scores: Vec<ShardScore>,
+    /// `p[h]`: probability that host `h` still holds its blocks one
+    /// horizon from now. One entry per peer slot of the configured
+    /// capacity; entries past the allocated slots are never read.
+    p: Vec<f64>,
+    /// `est[h]`: the remaining-lifetime estimate `p[h]` came from (the
+    /// narrow victim's ranking key).
+    est: Vec<u64>,
+    /// Parked capacity of the fill stage's task vector (see
+    /// [`peerback_sim::arena::retype_empty`]); always empty here.
+    fill_store: Vec<FillTask<'static>>,
+    pub(in crate::world) work: RedundancyWork,
+}
+
 /// Lifetime factors of the availability-class prior, indexed by
 /// [`AvailabilityClass`] — the cold-model fallback: a reliable host is
 /// credited with more remaining lifetime than its age alone, a flaky
@@ -76,32 +145,61 @@ impl BackupWorld {
             return;
         }
         let count = self.layout.count;
-        let mut bufs = core::mem::take(&mut self.redundancy_bufs);
-        if bufs.len() < count {
-            bufs.resize_with(count, Vec::new);
+        let slots = self.peers.len();
+        let mut st = core::mem::take(&mut self.redundancy);
+        if st.p.is_empty() {
+            // First pass: size everything for the configured capacity,
+            // so the growth ramp never reallocates it.
+            let capacity = self.cfg.n_peers + self.observer_count;
+            st.p = vec![0.0; capacity];
+            st.est = vec![0; capacity];
+            st.scores.resize_with(count, ShardScore::default);
         }
         {
             let world: &BackupWorld = self;
-            // Scoring is a cheap linear scan per peer; weight it like
-            // message traffic so small worlds stay on one worker.
-            let policy = world.exec.narrowed(count, world.peers.len());
-            policy.dispatch(round * 16 + 9, &mut bufs[..count], |s, out| {
-                score_shard(world, round, s, out);
+            // Both stages are cheap linear scans per peer; weight them
+            // like message traffic so small worlds stay on one worker.
+            let policy = world.exec.narrowed(count, slots);
+            let shard_size = world.layout.shard_size;
+            let mut tasks: Vec<FillTask<'_>> = retype_empty(core::mem::take(&mut st.fill_store));
+            let windows = st.p[..slots]
+                .chunks_mut(shard_size)
+                .zip(st.est[..slots].chunks_mut(shard_size));
+            tasks.extend(windows.map(|(p, est)| FillTask { p, est }));
+            policy.dispatch(round * 16 + 10, &mut tasks, |s, task| {
+                fill_shard(world, round, s, task);
+            });
+            st.fill_store = retype_empty(tasks);
+            let (p, est) = (&st.p[..slots], &st.est[..slots]);
+            policy.dispatch(round * 16 + 9, &mut st.scores, |s, out| {
+                score_shard(world, p, est, s, out);
             });
         }
-        for decisions in bufs.iter_mut().take(count) {
-            for d in decisions.drain(..) {
+        #[cfg(test)]
+        super::tests::check_scores_against_per_pair_oracle(self, round, &st.scores);
+        st.work.passes += 1;
+        st.work.host_evals += slots as u64;
+        for score in &mut st.scores {
+            st.work.pairs_gathered += core::mem::take(&mut score.pairs);
+            for d in score.decisions.drain(..) {
                 self.apply_redundancy_decision(d, round);
             }
         }
-        self.redundancy_bufs = bufs;
+        self.redundancy = st;
     }
 
     /// Predicted probability that host `id` still holds its block
     /// `horizon` rounds from now, plus the remaining-lifetime estimate
-    /// it was derived from (the narrow victim's ranking key). Pure
-    /// read-only: safe for the parallel scoring stage.
-    fn host_survival(&self, id: PeerId, round: u64, horizon: u64) -> (f64, u64) {
+    /// it was derived from (the narrow victim's ranking key). A function
+    /// of the host and the frozen round state only — never of the
+    /// archive asking — which is what lets the fill stage evaluate it
+    /// once per slot. Pure read-only: safe for the parallel stages.
+    pub(in crate::world) fn host_survival(
+        &self,
+        id: PeerId,
+        round: u64,
+        horizon: u64,
+    ) -> (f64, u64) {
         // The *reported* age — what the host claims during negotiation
         // (observers present their frozen age, misreporting peers
         // inflate): the policy sees the network the way the selection
@@ -219,11 +317,22 @@ impl BackupWorld {
     }
 }
 
-/// Scores one shard's archives against the frozen world, pushing the
-/// shard's decisions in slot order (then archive order) — the order the
-/// sequential drain preserves.
-fn score_shard(world: &BackupWorld, round: u64, s: usize, out: &mut Vec<RedundancyDecision>) {
-    debug_assert!(out.is_empty());
+/// Fill stage: evaluates every slot of shard `s` into the shard's
+/// window of the survival column.
+fn fill_shard(world: &BackupWorld, round: u64, s: usize, task: &mut FillTask<'_>) {
+    let horizon = world.cfg.adaptive_n.horizon;
+    let base = s * world.layout.shard_size;
+    for (i, (p, est)) in task.p.iter_mut().zip(task.est.iter_mut()).enumerate() {
+        (*p, *est) = world.host_survival((base + i) as PeerId, round, horizon);
+    }
+}
+
+/// Gather stage: scores one shard's archives against the frozen world
+/// and the filled survival column, pushing the shard's decisions in
+/// slot order (then archive order) — the order the sequential drain
+/// preserves.
+fn score_shard(world: &BackupWorld, p: &[f64], est: &[u64], s: usize, out: &mut ShardScore) {
+    debug_assert!(out.decisions.is_empty() && out.pairs == 0);
     let ar = world.cfg.adaptive_n;
     let n = world.n_blocks();
     let floor = n.saturating_sub(ar.max_trim as u32);
@@ -243,15 +352,19 @@ fn score_shard(world: &BackupWorld, round: u64, s: usize, out: &mut Vec<Redundan
             }
             debug_assert_eq!(world.peers.stale_len(id, a), 0);
             let target = world.peers.target(id, a);
+            let partners = world.peers.partners(id, a);
+            out.pairs += partners.len() as u64;
+            // Summed in partner order: the same additions in the same
+            // order as evaluating each pair in place.
             let mut predicted = 0.0f64;
             let mut victim: Option<(u64, PeerId)> = None;
-            for &h in world.peers.partners(id, a) {
-                let (p, est) = world.host_survival(h, round, ar.horizon);
-                predicted += p;
+            for &h in partners {
+                predicted += p[h as usize];
                 // Strict `<`: the first minimum in partner order wins,
                 // independent of float quirks and worker scheduling.
-                if victim.is_none_or(|(best, _)| est < best) {
-                    victim = Some((est, h));
+                let e = est[h as usize];
+                if victim.is_none_or(|(best, _)| e < best) {
+                    victim = Some((e, h));
                 }
             }
             let owner = id;
@@ -263,13 +376,14 @@ fn score_shard(world: &BackupWorld, round: u64, s: usize, out: &mut Vec<Redundan
                 // episodes for them would just duplicate that machinery
                 // at full-refresh prices.
                 if target < n {
-                    out.push(RedundancyDecision::Widen { owner, aidx });
+                    out.decisions
+                        .push(RedundancyDecision::Widen { owner, aidx });
                 }
             } else if target > floor && predicted >= target as f64 - ar.narrow_slack {
                 // Durable enough that even the trimmed width survives
                 // the horizon: shed the weakest placement.
                 if let Some((_, victim)) = victim {
-                    out.push(RedundancyDecision::Narrow {
+                    out.decisions.push(RedundancyDecision::Narrow {
                         owner,
                         aidx,
                         victim,

@@ -1564,6 +1564,236 @@ fn adaptive_redundancy_widen_opens_preemptive_episodes() {
     );
 }
 
+/// The per-pair scoring loop the survival column replaced, kept
+/// verbatim as the oracle: it evaluates
+/// [`BackupWorld::host_survival`] once per (archive, partner) pair
+/// instead of reading the column. Returns the pairs it evaluated.
+fn score_shard_reference(
+    world: &BackupWorld,
+    round: u64,
+    s: usize,
+    out: &mut Vec<redundancy::RedundancyDecision>,
+) -> u64 {
+    use redundancy::RedundancyDecision;
+    let ar = world.cfg.adaptive_n;
+    let n = world.n_blocks();
+    let floor = n.saturating_sub(ar.max_trim as u32);
+    let base = s * world.layout.shard_size;
+    let end = (base + world.layout.shard_size).min(world.peers.len());
+    let mut pairs = 0;
+    for id in base as PeerId..end as PeerId {
+        if world.peers.observer(id).is_some() || !world.peers.online(id) {
+            continue;
+        }
+        let trigger = world.k().max(world.peers.threshold(id) as u32) as f64;
+        for a in 0..world.peers.archives_per_peer() {
+            if !world.peers.joined(id, a) || world.peers.repairing(id, a) {
+                continue;
+            }
+            let target = world.peers.target(id, a);
+            let mut predicted = 0.0f64;
+            let mut victim: Option<(u64, PeerId)> = None;
+            for &h in world.peers.partners(id, a) {
+                let (p, est) = world.host_survival(h, round, ar.horizon);
+                pairs += 1;
+                predicted += p;
+                if victim.is_none_or(|(best, _)| est < best) {
+                    victim = Some((est, h));
+                }
+            }
+            let owner = id;
+            let aidx = a as ArchiveIdx;
+            if predicted < trigger + ar.widen_margin {
+                if target < n {
+                    out.push(RedundancyDecision::Widen { owner, aidx });
+                }
+            } else if target > floor && predicted >= target as f64 - ar.narrow_slack {
+                if let Some((_, victim)) = victim {
+                    out.push(RedundancyDecision::Narrow {
+                        owner,
+                        aidx,
+                        victim,
+                    });
+                }
+            }
+        }
+    }
+    pairs
+}
+
+thread_local! {
+    /// `(passes, pairs)` the oracle has checked on this thread — the
+    /// world's sequential driver runs on the test's own thread.
+    static ORACLE_TALLY: core::cell::Cell<(u64, u64)> = const { core::cell::Cell::new((0, 0)) };
+}
+
+/// Called by `run_redundancy` between scoring and apply in every test
+/// build: the column-scored buffers must equal the per-pair oracle's,
+/// shard by shard — variant, owner, archive, victim and order.
+pub(super) fn check_scores_against_per_pair_oracle(
+    world: &BackupWorld,
+    round: u64,
+    scores: &[redundancy::ShardScore],
+) {
+    let mut want = Vec::new();
+    let mut pairs = 0;
+    for (s, got) in scores.iter().enumerate() {
+        want.clear();
+        let shard_pairs = score_shard_reference(world, round, s, &mut want);
+        assert_eq!(
+            got.decisions, want,
+            "round {round} shard {s}: column scoring diverged from the per-pair oracle"
+        );
+        assert_eq!(
+            got.pairs, shard_pairs,
+            "round {round} shard {s}: pair count"
+        );
+        pairs += shard_pairs;
+    }
+    ORACLE_TALLY.set({
+        let (passes, total) = ORACLE_TALLY.get();
+        (passes + 1, total + pairs)
+    });
+}
+
+/// An adaptive world that reaches every branch of `host_survival`:
+/// observers (frozen ages), misreporting hosts (inflated ages), session
+/// churn under a nonzero offline timeout (the offline discount) and
+/// several logical shards.
+fn oracle_config(peers: usize, seed: u64, strategy: SelectionStrategy) -> SimConfig {
+    let mut cfg = churny_config(peers, 480, seed)
+        .with_paper_observers()
+        .with_misreport(0.25)
+        .with_strategy(strategy);
+    cfg.shard_slots = 16;
+    cfg.adaptive_n = crate::config::AdaptiveRedundancy::tuned(4);
+    cfg.adaptive_n.check_interval = 8;
+    cfg.adaptive_n.horizon = 48;
+    cfg.adaptive_n.narrow_slack = 4.0;
+    cfg.adaptive_n.widen_margin = 4.0;
+    assert!(cfg.offline_timeout > 0);
+    cfg
+}
+
+#[test]
+fn survival_column_scoring_matches_per_pair_oracle() {
+    // Both estimator arms: the learned model (LearnedAge attaches it)
+    // and the availability-class prior fallback.
+    for strategy in [SelectionStrategy::LearnedAge, SelectionStrategy::AgeBased] {
+        let mut reference = None;
+        // The last leg replays a seeded random task order per stage:
+        // at 200 peers every stage narrows to one inline worker.
+        for (shards, steal, fuzz) in [
+            (1, false, None),
+            (8, true, None),
+            (8, false, None),
+            (8, true, Some(0xf111)),
+        ] {
+            let cfg = oracle_config(200, 31, strategy)
+                .with_shards(shards)
+                .with_work_stealing(steal);
+            let rounds = cfg.rounds;
+            let interval = cfg.adaptive_n.check_interval;
+            let mut world = BackupWorld::new(cfg);
+            world.set_exec_fuzz(fuzz);
+            assert_eq!(
+                world.estimator.is_some(),
+                strategy == SelectionStrategy::LearnedAge
+            );
+            ORACLE_TALLY.set((0, 0));
+            // The comparison itself happens inside every scoring pass
+            // (`check_scores_against_per_pair_oracle`).
+            Engine::new(31).run(&mut world, rounds);
+            let (passes, pairs) = ORACLE_TALLY.get();
+            assert_eq!(
+                passes,
+                (rounds - 1) / interval,
+                "a scoring round went unchecked"
+            );
+            let work = world.redundancy_work();
+            assert_eq!((work.passes, work.pairs_gathered), (passes, pairs));
+            let m = world.into_metrics();
+            assert!(
+                m.diag.redundancy_narrowed > 0 && m.diag.redundancy_widened > 0,
+                "{strategy:?}: the compared buffers never held both decision kinds ({:?})",
+                m.diag
+            );
+            let reference = reference.get_or_insert((m.clone(), work));
+            assert_eq!(
+                *reference,
+                (m, work),
+                "{strategy:?} shards {shards} steal {steal} fuzz {fuzz:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn survival_column_matches_oracle_on_pool_workers() {
+    // Past 2048 slots both stages wake the pool: two workers fill
+    // disjoint column windows, then gather across all of them.
+    let run_at = |shards: usize, steal: bool| {
+        let mut cfg = oracle_config(2304, 32, SelectionStrategy::LearnedAge)
+            .with_shards(shards)
+            .with_work_stealing(steal);
+        cfg.rounds = 64;
+        let mut world = BackupWorld::new(cfg);
+        Engine::new(32).run(&mut world, 64);
+        let dispatches = world.stage_dispatches();
+        (world.redundancy_work(), world.into_metrics(), dispatches)
+    };
+    let (work1, m1, _) = run_at(1, false);
+    assert_eq!(work1.passes, 7);
+    for steal in [true, false] {
+        let (work, m, dispatches) = run_at(2, steal);
+        assert!(dispatches > 0, "the pool never woke");
+        assert_eq!((work, &m), (work1, &m1), "steal {steal}");
+    }
+}
+
+#[test]
+fn redundancy_work_counts_evaluations_exactly() {
+    // A growth ramp makes the slot count differ from pass to pass.
+    let mut cfg = adaptive_config(27);
+    cfg.growth_rounds = 100;
+    let rounds = cfg.rounds;
+    let interval = cfg.adaptive_n.check_interval;
+    let mut world = BackupWorld::new(cfg);
+    let mut engine = Engine::new(27);
+    ORACLE_TALLY.set((0, 0));
+    let mut slots_scored = 0u64;
+    let mut slot_counts = std::collections::BTreeSet::new();
+    for round in 0..rounds {
+        engine.step(&mut world);
+        if round > 0 && round % interval == 0 {
+            // Slots only appear at the top of a round, before scoring.
+            slots_scored += world.peer_slots() as u64;
+            slot_counts.insert(world.peer_slots());
+        }
+    }
+    assert!(
+        slot_counts.len() > 1,
+        "the ramp never changed the slot count"
+    );
+    let (passes, oracle_pairs) = ORACLE_TALLY.get();
+    let work = world.redundancy_work();
+    assert_eq!(work.passes, (rounds - 1) / interval);
+    assert_eq!(work.passes, passes);
+    assert_eq!(
+        work.host_evals, slots_scored,
+        "one evaluation per slot per pass"
+    );
+    assert_eq!(
+        work.pairs_gathered, oracle_pairs,
+        "one gather per scored partner entry"
+    );
+
+    // Off means off: no pass, no column, no counts.
+    let mut plain = BackupWorld::new(tiny_config(27));
+    Engine::new(27).run(&mut plain, 50);
+    assert_eq!(plain.redundancy_work(), RedundancyWork::default());
+}
+
 // ---------------------------------------------------------------------
 // SoA layout equivalence: the struct-of-arrays peer table vs a
 // reference array-of-structs model with the old per-peer `Vec`
