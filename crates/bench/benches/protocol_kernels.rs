@@ -2,7 +2,7 @@
 //! which run hundreds of times per repair episode.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use peerback_core::select::AgeOrderedIndex;
+use peerback_core::select::{AgeOrderedIndex, KeyedSample};
 use peerback_core::{acceptance_probability, accepts, Candidate, SelectionStrategy};
 use peerback_sim::{sim_rng, HierarchicalWheel, Round, TimingWheel};
 use rand::Rng;
@@ -61,13 +61,19 @@ fn selection(c: &mut Criterion) {
     group.finish();
 }
 
-/// The AgeBased pool-build kernel, before/after the maintained
-/// age-ordered index (the `acquire_partners` hot-path item): candidates
-/// stream in one at a time; the legacy path collects until full and
-/// shuffle-sorts at the end, the index path keeps a bounded ordered
-/// pool, pre-screens candidates that cannot improve it — skipping the
-/// acceptance draws they would otherwise cost — and stops after 32
-/// consecutive screen misses (mirroring `world::partners`).
+/// The AgeBased pool-build kernel, three ways: candidates stream in
+/// one at a time;
+///
+/// * `legacy_rank` collects full candidates until the pool is full and
+///   shuffle-sorts at the end;
+/// * `maintained_index` keeps a bounded ordered pool in an
+///   [`AgeOrderedIndex`], pre-screens candidates that cannot improve it
+///   — skipping the acceptance draws they would otherwise cost — and
+///   stops after 32 consecutive screen misses. (A streaming design the
+///   world no longer runs; the index is its ranking oracle now.)
+/// * `keyed_sample` is what `world::partners::build_pool` does today:
+///   stop at a full sample, push 16-byte `(key, tie, id)` entries into
+///   a recycled [`KeyedSample`], sort once, keep the ids.
 ///
 /// Two stream shapes: `converged` is the steady-state case (heavy-
 /// tailed lifetimes: most online peers young, a small old tail — where
@@ -144,6 +150,25 @@ fn age_pool_build(c: &mut Criterion) {
                 }
                 let mut pool = index.into_ranked();
                 pool.truncate(CAP);
+                black_box(pool.len())
+            })
+        });
+
+        group.bench_function(format!("keyed_sample_{shape}_1536_to_512"), |b| {
+            let mut rng = sim_rng(13);
+            let mut sample = KeyedSample::new();
+            let mut pool: Vec<u32> = Vec::with_capacity(2 * CAP);
+            b.iter(|| {
+                pool.clear();
+                for cand in &stream {
+                    if sample.len() >= 2 * CAP {
+                        break;
+                    }
+                    if accepts(&mut rng, 2000, cand.age, 2160) {
+                        sample.push(cand.age, cand.id);
+                    }
+                }
+                sample.drain_ranked_into(&mut pool);
                 black_box(pool.len())
             })
         });

@@ -325,24 +325,81 @@ fn print_mem_layout(samples: &[String], footprint: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// `mem [--warn-above N] [--fail-above N] SAMPLE.json...`: the memory
-/// budget gate over `perf_probe --json` samples.
+/// Prints the median `peak_rss_bytes / peers` of the samples that
+/// record it and compares it with the optional budget. Returns whether
+/// the gate passed.
+fn check_peak_rss(samples: &[String], budget: Option<f64>) -> Result<bool, String> {
+    let mut per_peer = Vec::new();
+    for p in samples {
+        let rss = read_optional_field(p, "peak_rss_bytes")?;
+        let peers = read_optional_field(p, "peers")?;
+        match (rss, peers) {
+            (Some(rss), Some(peers)) if peers > 0.0 => per_peer.push(rss / peers),
+            _ if budget.is_some() => {
+                return Err(format!(
+                    "{p} records no peak_rss_bytes (stale probe binary or --stable-json \
+                     sample?) — the peak-RSS budget cannot be checked"
+                ));
+            }
+            _ => return Ok(true), // nothing recorded, nothing armed
+        }
+    }
+    let rss = median(per_peer);
+    if rss == 0.0 {
+        if budget.is_some() {
+            println!("::warning::this host reports no VmHWM — skipping the peak-RSS budget");
+        }
+        return Ok(true);
+    }
+    println!(
+        "perf_gate: peak_rss_per_peer {rss:.0} bytes (median over {} sample(s)){}",
+        samples.len(),
+        budget.map_or(String::new(), |b| format!(", budget {b:.0}"))
+    );
+    if let Some(b) = budget.filter(|&b| rss > b) {
+        println!(
+            "::error::join-transient regression: the run peaked at {rss:.0} bytes of resident \
+             memory per peer, above the {b:.0}-byte budget — a round buffer (candidate pools, \
+             message inboxes, claim runs) grew or stopped being recycled."
+        );
+        return Ok(false);
+    }
+    Ok(true)
+}
+
+/// `mem [--warn-above N] [--fail-above N] [--rss-fail-above N]
+/// SAMPLE.json...`: the memory budget gate over `perf_probe --json`
+/// samples.
+///
+/// `--rss-fail-above` gates the run's *transient*: the median
+/// `peak_rss_bytes / peers` (printed as `peak_rss_per_peer` whenever
+/// the samples record it) above it fails the build. The table
+/// footprint below is exact; this one is the process high-water mark —
+/// join-wave pools, message buffers and allocator slack included — so
+/// its budget carries headroom. A sample without the field fails an
+/// armed gate; a host that cannot report it (the probe writes 0) skips
+/// it with a warning.
 ///
 /// `--fail-above` is the hard budget: the median `bytes_per_peer` above
 /// it fails the build (`::error::`) and prints the per-component layout
 /// so the collection that grew is named in the log. `--warn-above` is
 /// an optional earlier watchline that only annotates. At least one of
-/// the two is required. With a hard budget armed, a sample missing the
-/// `bytes_per_peer` field is an error (a misconfigured gate must not
+/// the three thresholds is required. With a hard budget armed, a sample
+/// missing the `bytes_per_peer` field is an error (a misconfigured gate must not
 /// pass silently); with only a watchline it warns and passes, matching
 /// the historical advisory behaviour.
 fn run_mem(args: &[String]) -> Result<ExitCode, String> {
     let mut warn_above: Option<f64> = None;
     let mut fail_above: Option<f64> = None;
+    let mut rss_fail_above: Option<f64> = None;
     let mut samples = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "--rss-fail-above" => {
+                let v = iter.next().ok_or("flag --rss-fail-above needs a value")?;
+                rss_fail_above = Some(v.parse().map_err(|e| format!("--rss-fail-above: {e}"))?);
+            }
             "--warn-above" => {
                 let v = iter.next().ok_or("flag --warn-above needs a value")?;
                 warn_above = Some(v.parse().map_err(|e| format!("--warn-above: {e}"))?);
@@ -354,11 +411,20 @@ fn run_mem(args: &[String]) -> Result<ExitCode, String> {
             other => samples.push(other.to_string()),
         }
     }
-    if warn_above.is_none() && fail_above.is_none() {
-        return Err("mem needs --fail-above N (hard budget) and/or --warn-above N".into());
+    if warn_above.is_none() && fail_above.is_none() && rss_fail_above.is_none() {
+        return Err(
+            "mem needs --fail-above N (hard budget), --warn-above N and/or --rss-fail-above N"
+                .into(),
+        );
     }
     if samples.is_empty() {
         return Err("mem needs at least one sample JSON".into());
+    }
+    if !check_peak_rss(&samples, rss_fail_above)? {
+        return Ok(ExitCode::FAILURE);
+    }
+    if warn_above.is_none() && fail_above.is_none() {
+        return Ok(ExitCode::SUCCESS);
     }
     let mut footprints = Vec::new();
     for p in &samples {
@@ -840,6 +906,79 @@ mod tests {
         );
         // No thresholds at all is a usage error.
         assert!(run_mem(&args(&[])).is_err());
+    }
+
+    #[test]
+    fn mem_gate_enforces_the_peak_rss_budget() {
+        let dir = std::env::temp_dir().join("perf_gate_rss_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let sample = dir.join("rss.json");
+        let args = |flags: &[&str]| -> Vec<String> {
+            flags
+                .iter()
+                .map(|s| s.to_string())
+                .chain([sample.to_str().unwrap().to_string()])
+                .collect()
+        };
+        // 14 KiB of peak RSS per peer.
+        std::fs::write(
+            &sample,
+            r#"{"peers":1000,"bytes_per_peer":2668.000000,"peak_rss_bytes":14336000}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            run_mem(&args(&["--rss-fail-above", "20000"])).unwrap(),
+            ExitCode::SUCCESS
+        );
+        assert_eq!(
+            run_mem(&args(&["--rss-fail-above", "14000"])).unwrap(),
+            ExitCode::FAILURE
+        );
+        // Both budgets armed: either one blocks.
+        assert_eq!(
+            run_mem(&args(&[
+                "--fail-above",
+                "3330",
+                "--rss-fail-above",
+                "14000"
+            ]))
+            .unwrap(),
+            ExitCode::FAILURE
+        );
+        assert_eq!(
+            run_mem(&args(&[
+                "--fail-above",
+                "2000",
+                "--rss-fail-above",
+                "20000"
+            ]))
+            .unwrap(),
+            ExitCode::FAILURE
+        );
+        assert_eq!(
+            run_mem(&args(&[
+                "--fail-above",
+                "3330",
+                "--rss-fail-above",
+                "20000"
+            ]))
+            .unwrap(),
+            ExitCode::SUCCESS
+        );
+        // A host without /proc writes 0: warn and pass.
+        std::fs::write(&sample, r#"{"peers":1000,"peak_rss_bytes":0}"#).unwrap();
+        assert_eq!(
+            run_mem(&args(&["--rss-fail-above", "14000"])).unwrap(),
+            ExitCode::SUCCESS
+        );
+        // A sample without the field cannot pass an armed gate, and is
+        // simply not reported when the gate is not armed.
+        std::fs::write(&sample, r#"{"peers":1000,"bytes_per_peer":2668.000000}"#).unwrap();
+        assert!(run_mem(&args(&["--rss-fail-above", "14000"])).is_err());
+        assert_eq!(
+            run_mem(&args(&["--fail-above", "3330"])).unwrap(),
+            ExitCode::SUCCESS
+        );
     }
 
     #[test]

@@ -25,10 +25,14 @@
 //!   counting global allocator; see `peerback_bench::alloc_probe`).
 //!
 //! Both are execution telemetry — they vary with `--shards` and the
-//! host — so they are omitted from `--stable-json` output. The
-//! telemetry block also carries two exact, seed-determined figures
-//! that are kept out of the stable form only because they describe the
-//! execution rather than the simulated network:
+//! host — so they are omitted from `--stable-json` output, as is
+//! `peak_rss_bytes`, the process's resident-set high-water mark
+//! (`VmHWM`; 0 where `/proc` is unavailable). Against `bytes_per_peer`
+//! it shows the join wave's transient: `perf_gate mem
+//! --rss-fail-above` gates it per peer. The telemetry block also
+//! carries exact, seed-determined figures that are kept out of the
+//! stable form only because they describe the execution rather than
+//! the simulated network:
 //!
 //! * `bytes_per_peer`, the per-slot heap footprint
 //!   ([`BackupWorld::approx_bytes_per_peer`]) with its per-component
@@ -40,6 +44,11 @@
 //!   adaptive-redundancy scoring stage
 //!   ([`BackupWorld::redundancy_work`]; all zero without
 //!   `--adaptive-n`).
+//! * `placement_*`, the whole-run work counters of the placement
+//!   pipeline ([`BackupWorld::placement_work`]: pools built, candidates
+//!   sampled and accepted, ranks claimed and granted, messages routed)
+//!   and `candidates_sampled_per_grant`, the measured number of
+//!   candidates scanned per granted partner.
 
 use std::time::Instant;
 
@@ -83,6 +92,7 @@ fn main() {
     let mem = world.memory_breakdown();
     let bytes_per_peer = mem.total();
     let redundancy = world.redundancy_work();
+    let placement = world.placement_work();
     let metrics = world.into_metrics();
     let elapsed = start.elapsed();
     if args.json {
@@ -119,7 +129,21 @@ fn main() {
                 .float("bytes_partner_lists", mem.partner_lists)
                 .num("redundancy_passes", redundancy.passes)
                 .num("redundancy_host_evals", redundancy.host_evals)
-                .num("redundancy_pairs_gathered", redundancy.pairs_gathered);
+                .num("redundancy_pairs_gathered", redundancy.pairs_gathered)
+                .num("placement_pool_builds", placement.pool_builds)
+                .num("placement_candidates_sampled", placement.candidates_sampled)
+                .num(
+                    "placement_candidates_accepted",
+                    placement.candidates_accepted,
+                )
+                .num("placement_claims", placement.claims)
+                .num("placement_grants", placement.grants)
+                .num("placement_msgs_routed", placement.msgs_routed)
+                .float(
+                    "candidates_sampled_per_grant",
+                    placement.candidates_sampled as f64 / placement.grants.max(1) as f64,
+                )
+                .num("peak_rss_bytes", peerback_bench::peak_rss_bytes());
             if alloc_probe::ENABLED {
                 report = report.float("allocs_per_round", allocs_per_round);
             }

@@ -521,6 +521,20 @@ usage: <binary> [options]
                     blocks jump the scheduler's priority queue
                     (default 0: off)";
 
+/// Peak resident set size of this process in bytes: `VmHWM` from
+/// `/proc/self/status`, 0 where that is unavailable. Execution
+/// telemetry for the perf reports — the join wave's transient buffers
+/// show here, not in the per-peer table footprint.
+pub fn peak_rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            line.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+        })
+        .map_or(0, |kib| kib * 1024)
+}
+
 /// Formats a float with sensible precision for tables.
 pub fn fmt_rate(v: Option<f64>) -> String {
     match v {
@@ -553,6 +567,13 @@ mod tests {
 
     fn parse(args: &[&str]) -> HarnessArgs {
         HarnessArgs::parse_from(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn peak_rss_is_read_from_proc() {
+        // The test binary alone is resident with more than a page.
+        assert!(peak_rss_bytes() > 4096);
     }
 
     #[test]

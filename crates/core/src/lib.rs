@@ -68,6 +68,6 @@ pub use restore::{RestoreError, RestorePipeline};
 pub use runner::{run_simulation, run_sweep, run_sweep_with_threads};
 pub use select::{Candidate, SelectionStrategy};
 pub use world::{
-    BackupWorld, FabricObserver, MemoryBreakdown, ObserverState, PeerId, RedundancyWork,
-    WorldEvent, WorldSnapshot,
+    BackupWorld, FabricObserver, MemoryBreakdown, ObserverState, PeerId, PlacementWork,
+    RedundancyWork, WorldEvent, WorldSnapshot,
 };

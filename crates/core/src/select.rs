@@ -160,8 +160,9 @@ impl SelectionStrategy {
     }
 
     /// The ranking key this strategy orders candidate pools by, when
-    /// the ordering is a descending integer key — the strategies the
-    /// maintained [`AgeOrderedIndex`] build path can serve.
+    /// the ordering is a descending integer key — the strategies a
+    /// [`KeyedSample`] (and its reference, [`AgeOrderedIndex`]) can
+    /// serve.
     #[inline]
     pub fn ranking_key(self, cand: &Candidate) -> Option<u64> {
         match self {
@@ -172,13 +173,77 @@ impl SelectionStrategy {
     }
 }
 
-/// The maintained ranked candidate index behind
+/// The accepted sample of one keyed pool build
+/// ([`SelectionStrategy::AgeBased`], [`SelectionStrategy::LearnedAge`]):
+/// 16-byte `(key, tie, id)` entries collected in sampling order and
+/// sorted once when the sample is complete. The ranking key is supplied
+/// by the caller per candidate — the reported age for the paper's
+/// strategy, the learned remaining-lifetime estimate for `LearnedAge`.
+///
+/// This is what the world's pool builder runs: its sample loop stops
+/// the moment the sample reaches its target size, so nothing is ever
+/// evicted, and one sort by `(key, sampling order)` yields exactly the
+/// ranking [`AgeOrderedIndex`] maintains incrementally — without heap
+/// sifts, and without carrying a 40-byte [`Candidate`] per entry when
+/// the commit only needs the ranked ids.
+///
+/// Determinism: `tie` is `u32::MAX − sampling position`, unique per
+/// entry, so the order is total and the ranked output is a pure
+/// function of the push sequence.
+#[derive(Debug, Clone, Default)]
+pub struct KeyedSample {
+    entries: Vec<(u64, u32, u32)>,
+}
+
+impl KeyedSample {
+    /// An empty sample.
+    pub fn new() -> Self {
+        KeyedSample::default()
+    }
+
+    /// Number of candidates currently held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the sample holds no candidates.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Appends candidate `id` under ranking key `key`.
+    #[inline]
+    pub fn push(&mut self, key: u64, id: u32) {
+        let tie = u32::MAX - self.entries.len() as u32;
+        self.entries.push((key, tie, id));
+    }
+
+    /// Drains the sample's ids into `out` ranked highest-key-first
+    /// (equal keys in sampling order), leaving the sample empty but
+    /// with its allocation.
+    pub fn drain_ranked_into(&mut self, out: &mut Vec<u32>) {
+        self.entries
+            .sort_unstable_by_key(|&(key, tie, _)| core::cmp::Reverse((key, tie)));
+        out.extend(self.entries.drain(..).map(|(_, _, id)| id));
+    }
+}
+
+/// A maintained ranked candidate index for
 /// [`SelectionStrategy::AgeBased`] and
-/// [`SelectionStrategy::LearnedAge`] pool building: a bounded
-/// top-`cap`-by-key structure over a binary min-heap. The ranking key
-/// is supplied by the caller per insertion — the candidate's age for
-/// the paper's strategy, its learned remaining-lifetime estimate for
-/// `LearnedAge` (see [`SelectionStrategy::ranking_key`]).
+/// [`SelectionStrategy::LearnedAge`] pools: a bounded top-`cap`-by-key
+/// structure over a binary min-heap. The ranking key is supplied by the
+/// caller per insertion — the candidate's age for the paper's strategy,
+/// its learned remaining-lifetime estimate for `LearnedAge` (see
+/// [`SelectionStrategy::ranking_key`]).
+///
+/// **No longer on the simulator's hot path.** The world's pool builder
+/// never fills a pool past its capacity, so it never needed the
+/// eviction this structure pays for on every insert; it collects a
+/// [`KeyedSample`] instead. The index is kept as the *reference
+/// implementation* of the ranking order — the oracle the sample is
+/// tested against, element for element, here and on every pool build
+/// of the world's own test suite — and for callers that do stream more
+/// candidates than they keep.
 ///
 /// Compared with the historical collect-shuffle-sort ranking, the
 /// index maintains order *while the pool is built*:
@@ -613,6 +678,50 @@ mod tests {
         reference.sort_by_key(|c| (core::cmp::Reverse(c.age), c.id));
         let want: Vec<u32> = reference[..64].iter().map(|c| c.id).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn keyed_sample_ranks_exactly_like_the_index() {
+        // The pool builder stops sampling at the pool's capacity, so
+        // the streams here never exceed it (the index never evicts).
+        // Narrow key spaces force long runs of ties.
+        const D: usize = 256;
+        let mut rng = sim_rng(77);
+        for strategy in [SelectionStrategy::AgeBased, SelectionStrategy::LearnedAge] {
+            for cap in [1, D, 2 * D] {
+                for len in [0, 1, cap / 2, cap] {
+                    for key_space in [1u64, 3, 40, u64::MAX] {
+                        let stream: Vec<Candidate> = (0..len)
+                            .map(|_| Candidate {
+                                id: rng.gen_range(0..1_000_000u32),
+                                age: rng.gen_range(0..key_space),
+                                uptime: 0.5,
+                                true_remaining: 0,
+                                estimated_remaining: rng.gen_range(0..key_space),
+                            })
+                            .collect();
+                        let mut index = AgeOrderedIndex::new(cap);
+                        let mut sample = KeyedSample::new();
+                        for c in &stream {
+                            let key = strategy.ranking_key(c).expect("keyed strategy");
+                            assert!(index.insert(key, *c), "the index evicted below capacity");
+                            sample.push(key, c.id);
+                        }
+                        assert_eq!(sample.len(), len);
+                        let want: Vec<u32> = index.into_ranked().iter().map(|c| c.id).collect();
+                        let mut got = Vec::new();
+                        sample.drain_ranked_into(&mut got);
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} cap {cap} len {len} keys < {key_space}",
+                            strategy.name()
+                        );
+                        assert!(sample.is_empty());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

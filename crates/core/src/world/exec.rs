@@ -33,17 +33,21 @@
 //!    one of its blocks, [`Msg::Drop`] to the owner of each block it
 //!    hosted.
 //! 2. **Deliver — teardown hop 2** (parallel by destination shard):
-//!    releases prune hosted entries; drops prune partner entries, count
-//!    losses, re-enqueue owners below threshold. A loss releases the
+//!    the driver routes the messages; each shard sorts its own inbox
+//!    by [`Msg::sort_key`] inside its task, then applies it. Releases
+//!    prune hosted entries; drops prune partner entries, count losses,
+//!    re-enqueue owners below threshold. A loss releases the
 //!    survivors — a third, release-only wave.
-//! 3. **Proposals** (parallel): frozen-state candidate pools, drawn
+//! 3. **Proposals** (parallel): frozen-state candidate pools — ranked
+//!    lists of host ids, all the commit needs of a candidate — drawn
 //!    from recycled per-shard pool buffers.
 //! 4. **Commit, two-phase** (parallel): wave-A [`ClaimRun`]s are staged
 //!    in commit order; host shards **grant** against shard-local
 //!    quota + tentative counters, emitting [`GrantRun`]s; denied owners
 //!    get one fallback claim wave; owner shards then run the protocol
-//!    step with exactly the granted partners; host shards apply the
-//!    resulting [`Msg::Attach`] / [`Msg::Release`] bookkeeping.
+//!    step with exactly the granted partners; host shards sort and
+//!    apply the resulting [`Msg::Attach`] / [`Msg::Release`]
+//!    bookkeeping.
 //!
 //! [`WorldEvent`]: super::hooks::WorldEvent
 
@@ -54,7 +58,6 @@ use peerback_sim::{derive_seed, BufPool, SimRng, WorkerPool};
 
 use crate::age::AgeCategory;
 use crate::metrics::Metrics;
-use crate::select::Candidate;
 
 use super::events::Event;
 use super::hooks::WorldEvent;
@@ -101,6 +104,47 @@ impl MetricsDelta {
         d.outage_disconnects += self.outage_disconnects;
         d.quarantine_evictions += self.quarantine_evictions;
         *self = MetricsDelta::default();
+    }
+}
+
+/// Exact work done by the placement pipeline so far — pool building,
+/// the claim/grant exchange and message routing. Execution-side
+/// telemetry read through [`BackupWorld::placement_work`], never part
+/// of [`Metrics`]; every count is a pure function of the seed,
+/// identical at any `shards`/steal setting.
+///
+/// `candidates_sampled / grants` is the measured "candidates scanned
+/// per granted partner" — the connection-efficiency ratio closed-form
+/// discovery models predict.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlacementWork {
+    /// Candidate pools built (one per proposal).
+    pub pool_builds: u64,
+    /// Sampling attempts: uniform draws from the online population,
+    /// before any screening.
+    pub candidates_sampled: u64,
+    /// Candidates that passed every screen and the acceptance test and
+    /// entered a pool.
+    pub candidates_accepted: u64,
+    /// Pool ranks claimed from host shards, both commit waves.
+    pub claims: u64,
+    /// Claimed ranks the host shards granted; every grant becomes one
+    /// placed block (`diag.blocks_uploaded`).
+    pub grants: u64,
+    /// Cross-shard messages routed (teardown releases/drops, commit
+    /// attaches/releases).
+    pub msgs_routed: u64,
+}
+
+impl PlacementWork {
+    /// Adds `other`'s counts to this tally.
+    pub(in crate::world) fn absorb(&mut self, other: PlacementWork) {
+        self.pool_builds += other.pool_builds;
+        self.candidates_sampled += other.candidates_sampled;
+        self.candidates_accepted += other.candidates_accepted;
+        self.claims += other.claims;
+        self.grants += other.grants;
+        self.msgs_routed += other.msgs_routed;
     }
 }
 
@@ -316,7 +360,7 @@ pub(in crate::world) struct RoundArena {
     pub(in crate::world) hosts_bufs: Vec<Vec<PeerId>>,
     /// Per-owner-shard candidate-pool free lists (proposal pools cycle
     /// propose → commit → free list).
-    pub(in crate::world) cand_pools: Vec<BufPool<Candidate>>,
+    pub(in crate::world) cand_pools: Vec<BufPool<PeerId>>,
     /// Per-worker wheel-fire scratch for the local-events stage.
     pub(in crate::world) fire_bufs: Vec<Vec<Event>>,
     /// Recycled backing storage for the per-stage task vectors. The
@@ -445,7 +489,8 @@ pub(in crate::world) struct WorkLane<'a> {
     pub(in crate::world) delta: MetricsDelta,
     /// Cross-shard effects for the next stage.
     pub(in crate::world) out: Vec<Msg>,
-    /// Messages addressed to this shard (sorted before the stage runs).
+    /// Messages addressed to this shard, in routing order; the stage
+    /// sorts them by [`Msg::sort_key`] before applying.
     pub(in crate::world) inbox: Vec<Msg>,
 }
 
@@ -523,7 +568,7 @@ pub(in crate::world) struct CommitTask<'a> {
     props: Vec<Proposal>,
     grants: Vec<GrantRun>,
     hosts: Vec<PeerId>,
-    cands: BufPool<Candidate>,
+    pools: BufPool<PeerId>,
 }
 
 /// A proposal-stage task: one owner shard's drained actor list and RNG
@@ -532,15 +577,15 @@ pub(in crate::world) struct ProposeTask<'a> {
     pub(in crate::world) rng: &'a mut SimRng,
     pub(in crate::world) actors: &'a [PeerId],
     pub(in crate::world) proposals: Vec<Proposal>,
-    pub(in crate::world) cands: BufPool<Candidate>,
+    pub(in crate::world) pools: BufPool<PeerId>,
 }
 
 impl BackupWorld {
     /// Drains every shard's outbox into the per-destination inboxes (in
-    /// shard order, preserving per-destination emission order), sorts
-    /// each inbox by the deterministic message key, and returns the
-    /// number of messages routed. All buffers are arena slots — no
-    /// allocation in the steady state.
+    /// shard order, preserving per-destination emission order) and
+    /// returns the number of messages routed. The inboxes are left
+    /// unsorted: each lane sorts its own inside the dispatched stage.
+    /// All buffers are arena slots — no allocation in the steady state.
     fn route_outboxes(&mut self) -> usize {
         let layout = self.layout;
         let RoundArena {
@@ -560,11 +605,7 @@ impl BackupWorld {
             }
             *slot = out;
         }
-        if total > 0 {
-            for inbox in msg_inboxes.iter_mut() {
-                inbox.sort_unstable_by_key(Msg::sort_key);
-            }
-        }
+        self.placement.msgs_routed += total as u64;
         total
     }
 
@@ -598,7 +639,11 @@ impl BackupWorld {
         let cfg: &crate::config::SimConfig = cfg;
         let mut lanes = build_work_lanes(layout, *record_events, peers, pendings, arena, true);
         policy.dispatch(salt, &mut lanes, |_, lane| {
-            let inbox = core::mem::take(&mut lane.inbox);
+            let mut inbox = core::mem::take(&mut lane.inbox);
+            // The deterministic in-shard application order. Sorting
+            // here, not while routing, puts the sort on the stage's
+            // workers instead of the driver thread.
+            inbox.sort_unstable_by_key(Msg::sort_key);
             for msg in &inbox {
                 match *msg {
                     Msg::Release {
@@ -759,6 +804,7 @@ impl BackupWorld {
             grant_scratch,
             arena,
             exec,
+            placement,
             ..
         } = self;
         let mut tasks: Vec<GrantTask<'_>> =
@@ -776,6 +822,7 @@ impl BackupWorld {
             .flat_map(|t| t.inbox.iter())
             .map(|run| run.len as usize)
             .sum();
+        placement.claims += work as u64;
         let policy = exec.narrowed(busy, work);
         let peers: &PeerTable = peers;
         let proposals = &arena.proposals;
@@ -788,7 +835,7 @@ impl BackupWorld {
                 // Contiguous granted ranks merge into one output run.
                 let mut open: Option<GrantRun> = None;
                 for rank in run.start..run.start + run.len {
-                    let host = prop.pool[rank as usize].id;
+                    let host = prop.pool[rank as usize];
                     debug_assert_eq!(layout.shard_of(host), shard, "misrouted claim run");
                     let local = (host as usize) - base;
                     debug_assert!(peers.online(host), "claims target frozen-online candidates");
@@ -881,14 +928,15 @@ impl BackupWorld {
             .count();
         // Owner steps are much heavier per item than bookkeeping
         // messages; weight them accordingly.
-        let work = self.arena.proposals.iter().map(Vec::len).sum::<usize>() * 64
-            + self
-                .arena
-                .grant_inboxes
-                .iter()
-                .flat_map(|g| g.iter())
-                .map(|g| g.len as usize)
-                .sum::<usize>();
+        let granted = self
+            .arena
+            .grant_inboxes
+            .iter()
+            .flat_map(|g| g.iter())
+            .map(|g| g.len as usize)
+            .sum::<usize>();
+        self.placement.grants += granted as u64;
+        let work = self.arena.proposals.iter().map(Vec::len).sum::<usize>() * 64 + granted;
         let policy = self.exec.narrowed(busy, work);
         let layout = self.layout;
         let recycle = self.arena.recycle;
@@ -912,7 +960,7 @@ impl BackupWorld {
                 props: core::mem::take(&mut arena.proposals[s]),
                 grants: core::mem::take(&mut arena.grant_inboxes[s]),
                 hosts: take_slot(&mut arena.hosts_bufs[s], recycle),
-                cands: core::mem::take(&mut arena.cand_pools[s]),
+                pools: core::mem::take(&mut arena.cand_pools[s]),
             });
         }
         arena.lane_store = retype_empty(lanes);
@@ -922,20 +970,19 @@ impl BackupWorld {
                 props,
                 grants,
                 hosts,
-                cands,
+                pools,
             } = task;
             let mut cursor = 0usize;
             for (pi, prop) in props.drain(..).enumerate() {
                 hosts.clear();
                 while cursor < grants.len() && grants[cursor].prop as usize == pi {
                     let g = grants[cursor];
-                    for rank in g.start..g.start + g.len {
-                        hosts.push(prop.pool[rank as usize].id);
-                    }
+                    let ranks = g.start as usize..(g.start + g.len) as usize;
+                    hosts.extend_from_slice(&prop.pool[ranks]);
                     cursor += 1;
                 }
                 lane.commit_step(cfg, &prop, hosts, round);
-                cands.put(prop.pool);
+                pools.put(prop.pool);
             }
             debug_assert_eq!(cursor, grants.len(), "grants without a proposal");
         });
@@ -946,14 +993,14 @@ impl BackupWorld {
                 props,
                 mut grants,
                 hosts,
-                cands,
+                pools,
             } = task;
             merge_lane_core(event_log, &mut delta, arena, s, lane);
             put_slot(&mut arena.proposals[s], props, recycle);
             grants.clear();
             put_slot(&mut arena.grant_inboxes[s], grants, recycle);
             put_slot(&mut arena.hosts_bufs[s], hosts, recycle);
-            arena.cand_pools[s] = cands;
+            arena.cand_pools[s] = pools;
         }
         arena.commit_task_store = retype_empty(tasks);
         delta.apply(metrics);
@@ -981,9 +1028,9 @@ fn push_claim_runs(
 ) {
     let mut run_start = start;
     while run_start < end {
-        let dest = layout.shard_of(prop.pool[run_start].id);
+        let dest = layout.shard_of(prop.pool[run_start]);
         let mut run_end = run_start + 1;
-        while run_end < end && layout.shard_of(prop.pool[run_end].id) == dest {
+        while run_end < end && layout.shard_of(prop.pool[run_end]) == dest {
             run_end += 1;
         }
         inboxes[dest].push(ClaimRun {

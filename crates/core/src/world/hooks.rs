@@ -218,6 +218,16 @@ impl BackupWorld {
         self.redundancy.work
     }
 
+    /// Exact work counters of the placement pipeline — pools built,
+    /// candidates sampled and accepted, ranks claimed and granted,
+    /// messages routed. Execution-side telemetry beside
+    /// [`redundancy_work`](Self::redundancy_work): kept out of
+    /// [`Metrics`](crate::metrics::Metrics), a pure function of the
+    /// seed.
+    pub fn placement_work(&self) -> super::PlacementWork {
+        self.placement
+    }
+
     /// Enables or disables cross-round arena recycling (on by
     /// default). Recycling is observationally invisible — this knob
     /// exists so tests can run the same seed both ways and assert

@@ -84,6 +84,7 @@ use peers::ArchiveIdx;
 use shard::{Proposal, Scratch, ShardLane, ShardLayout};
 use table::PeerTable;
 
+pub use exec::PlacementWork;
 pub use hooks::{FabricObserver, MemoryBreakdown, WorldEvent};
 pub use peers::{ObserverState, PeerId, WorldSnapshot};
 pub use redundancy::RedundancyWork;
@@ -184,9 +185,14 @@ pub struct BackupWorld {
     pub(in crate::world) grant_scratch: Vec<GrantScratch>,
     /// The recycled per-round buffers (see [`exec::RoundArena`]).
     pub(in crate::world) arena: RoundArena,
-    /// Frozen per-shard online-count prefix sums for the proposal
-    /// phase (recomputed once per round into the same buffer).
-    pub(in crate::world) prefix: Vec<usize>,
+    /// The per-shard online lists concatenated in shard order, frozen
+    /// for the proposal stage (rebuilt into the same buffer on every
+    /// round that has actors): uniform candidate sampling is one index
+    /// into it. Round scratch, outside `memory_breakdown()`.
+    pub(in crate::world) online_flat: Vec<PeerId>,
+    /// Exact work counters of the placement pipeline (see
+    /// [`PlacementWork`]); execution-side telemetry.
+    pub(in crate::world) placement: PlacementWork,
     /// Scratch for the direct (white-box / single-call) pool path.
     #[cfg(test)]
     pub(in crate::world) direct_scratch: Scratch,
@@ -286,7 +292,8 @@ impl BackupWorld {
             scratch: Vec::new(),
             grant_scratch: Vec::new(),
             arena: RoundArena::new(layout.count),
-            prefix: vec![0; layout.count + 1],
+            online_flat: Vec::new(),
+            placement: PlacementWork::default(),
             #[cfg(test)]
             direct_scratch: Scratch::default(),
             outages: vec![0; cfg.failure_domains.domains as usize],
@@ -567,6 +574,9 @@ impl BackupWorld {
     /// end-of-event-phase state, one stealable task per shard, into the
     /// arena's per-shard proposal lists.
     fn build_proposals(&mut self, round: u64) {
+        if self.arena.actors.iter().all(Vec::is_empty) {
+            return; // a quiet round: nothing to freeze, stage or dispatch
+        }
         let count = self.layout.count;
         let workers = self.exec.workers.min(count).max(1);
         if self.scratch.len() < workers {
@@ -574,9 +584,9 @@ impl BackupWorld {
         }
         let mut rngs = core::mem::take(&mut self.rngs);
         let mut scratch = core::mem::take(&mut self.scratch);
-        // The online lists are frozen for the whole phase: one
-        // prefix-sum pass into the world's persistent buffer.
-        self.compute_online_prefix();
+        // The online lists are frozen for the whole stage: one
+        // concatenation pass into the world's persistent buffer.
+        self.freeze_online_flat();
         let actors = core::mem::take(&mut self.arena.actors);
         let mut tasks: Vec<exec::ProposeTask<'_>> =
             peerback_sim::arena::retype_empty(core::mem::take(&mut self.arena.propose_task_store));
@@ -585,7 +595,7 @@ impl BackupWorld {
                 rng,
                 actors: ids,
                 proposals: core::mem::take(&mut self.arena.proposals[s]),
-                cands: core::mem::take(&mut self.arena.cand_pools[s]),
+                pools: core::mem::take(&mut self.arena.cand_pools[s]),
             });
         }
         {
@@ -604,7 +614,7 @@ impl BackupWorld {
                         task.actors,
                         task.rng,
                         scr,
-                        &mut task.cands,
+                        &mut task.pools,
                         &mut task.proposals,
                         round,
                     );
@@ -613,7 +623,7 @@ impl BackupWorld {
         }
         for (s, task) in tasks.drain(..).enumerate() {
             self.arena.proposals[s] = task.proposals;
-            self.arena.cand_pools[s] = task.cands;
+            self.arena.cand_pools[s] = task.pools;
         }
         self.arena.propose_task_store = peerback_sim::arena::retype_empty(tasks);
         let mut actors = actors;
@@ -622,6 +632,9 @@ impl BackupWorld {
         }
         self.arena.actors = actors;
         self.rngs = rngs;
+        for scr in &mut scratch {
+            self.placement.absorb(core::mem::take(&mut scr.work));
+        }
         self.scratch = scratch;
     }
 }
@@ -634,7 +647,7 @@ fn propose_shard(
     actors: &[PeerId],
     rng: &mut SimRng,
     scratch: &mut Scratch,
-    cands: &mut BufPool<crate::select::Candidate>,
+    pools: &mut BufPool<PeerId>,
     out: &mut Vec<Proposal>,
     round: u64,
 ) {
@@ -642,7 +655,7 @@ fn propose_shard(
         for aidx in 0..world.peers.archives_per_peer() {
             let aidx = aidx as ArchiveIdx;
             if let Some((kind, d)) = world.plan_archive(id, aidx) {
-                let pool = world.build_pool(scratch, cands, rng, id, aidx, d, round);
+                let pool = world.build_pool(scratch, pools, rng, id, aidx, d, round);
                 out.push(Proposal {
                     owner: id,
                     aidx,

@@ -7,20 +7,29 @@
 //! * [`BackupWorld::plan_archive`] decides — from owner-local state
 //!   only — whether an archive needs work this round and how many
 //!   partners `d` it wants.
-//! * [`BackupWorld::build_pool`] builds a **ranked** candidate pool
+//! * [`BackupWorld::build_pool`] builds a **ranked** pool of host ids
 //!   against frozen world state (`&self` + per-worker scratch + the
 //!   owner's shard RNG), so it can run in parallel across shards.
-//! * [`BackupWorld::attach_from_pool`] applies a ranked pool in the
-//!   sequential commit phase, re-checking each candidate's quota —
-//!   the one thing earlier same-round commits may have changed — and
-//!   attaching the first `d` still-valid entries.
+//! * [`WorkLane::attach_partners`](super::exec::WorkLane::attach_partners)
+//!   attaches the hosts the two-phase commit granted out of that pool,
+//!   in rank order.
 //!
-//! For [`SelectionStrategy::AgeBased`] and
-//! [`SelectionStrategy::LearnedAge`] the pool is built through the
-//! maintained key-ordered index ([`AgeOrderedIndex`]), keyed by the
-//! strategy's [`SelectionStrategy::ranking_key`] (reported age, or the
-//! survival model's remaining-lifetime estimate), which keeps the pool
-//! ranked as it fills and needs no final shuffle-and-sort.
+//! Downstream of the ranking nothing but the ordered list of peers is
+//! needed (§3.2: a peer ranks the candidates it has found, then
+//! negotiates in that order), so a pool is a `Vec<PeerId>`. For
+//! [`SelectionStrategy::AgeBased`] and [`SelectionStrategy::LearnedAge`]
+//! the accepted sample is collected as 16-byte `(key, tie, id)` entries
+//! ([`KeyedSample`](crate::select::KeyedSample)) — the key being the
+//! reported age, or the survival model's remaining-lifetime estimate —
+//! and sorted once; the other strategies rank full [`Candidate`]s in a
+//! recycled scratch vector through [`SelectionStrategy::choose`] and
+//! keep the ids. The maintained
+//! [`AgeOrderedIndex`](crate::select::AgeOrderedIndex) the keyed build
+//! used to run through is no longer on this path: the sample loop stops
+//! the moment it holds `target` entries, so the index never evicted and
+//! "collect, then sort by `(key, sampling order)`" is the same total
+//! order. The index stays the reference implementation the tests check
+//! this path against (`world/tests.rs`, `build_pool_reference`).
 //!
 //! Every strategy — keyed or not — ranks within a bounded *random
 //! sample* of accepted candidates, never the global online population.
@@ -113,49 +122,49 @@ impl BackupWorld {
         }
     }
 
-    /// Recomputes the prefix sums over the per-shard online lists into
-    /// the world's persistent buffer: uniform global sampling lands in
-    /// shard `s` at local index `j - prefix[s]`. The lists are frozen
-    /// during the proposal phase, so the driver computes this once per
-    /// round and every worker reads it shared.
-    pub(in crate::world) fn compute_online_prefix(&mut self) {
-        self.prefix.resize(self.layout.count + 1, 0);
-        self.prefix[0] = 0;
-        for (s, list) in self.online.iter().enumerate() {
-            self.prefix[s + 1] = self.prefix[s] + list.len();
+    /// Freezes the per-shard online lists into the world's flat list:
+    /// the lists concatenated in shard order, so a uniform draw `j` over
+    /// the online population resolves as `online_flat[j]`. The lists do
+    /// not change during the proposal stage, so the driver builds this
+    /// once per round (only on rounds that have actors) and every
+    /// worker reads it shared. Round scratch, 4 bytes per online peer.
+    pub(in crate::world) fn freeze_online_flat(&mut self) {
+        self.online_flat.clear();
+        for list in &self.online {
+            self.online_flat.extend_from_slice(list);
         }
     }
 
-    /// Builds a ranked, acceptance-gated candidate pool for
+    /// Builds a ranked, acceptance-gated pool of host ids for
     /// `(owner_id, aidx)` against the current (frozen) world state.
-    /// `self.prefix` must hold [`BackupWorld::compute_online_prefix`]
-    /// of that state; the pool vector comes from (and, after the
-    /// commit consumes it, returns to) the shard's recycled free list
-    /// `cands`.
+    /// `self.online_flat` must hold [`BackupWorld::freeze_online_flat`]
+    /// of that state; the pool vector comes from (and, after the commit
+    /// consumes it, returns to) the shard's recycled free list `pools`.
     ///
-    /// The pool holds up to `pool_target_factor · d` candidates so the
-    /// commit phase can skip entries whose quota filled in the
-    /// meantime without voiding the step. Ranking: AgeBased and
-    /// LearnedAge pools come out of the (recycled) maintained key index
-    /// already ordered — keyed by reported age and by the survival
-    /// model's estimate respectively; every other strategy ranks via
-    /// [`SelectionStrategy::choose`].
+    /// The pool holds up to `pool_target_factor · d` ids so the commit
+    /// can skip entries whose quota filled in the meantime without
+    /// voiding the step. Ranking happens *within* the random sample
+    /// (see the module doc for why chasing globally optimal keys
+    /// backfires at commit time): AgeBased and LearnedAge sort the
+    /// sample's `(key, tie, id)` entries once; every other strategy
+    /// ranks via [`SelectionStrategy::choose`].
     #[allow(clippy::too_many_arguments)] // the frozen-state contract wants everything explicit
     pub(in crate::world) fn build_pool(
         &self,
         scratch: &mut Scratch,
-        cands: &mut BufPool<Candidate>,
+        pools: &mut BufPool<PeerId>,
         rng: &mut SimRng,
         owner_id: PeerId,
         aidx: ArchiveIdx,
         d: u32,
         round: u64,
-    ) -> Vec<Candidate> {
-        let shard_count = self.layout.count;
-        let prefix = &self.prefix[..=shard_count];
-        let total_online = prefix[shard_count];
-        let mut pool = cands.take();
-        debug_assert!(pool.is_empty());
+    ) -> Vec<PeerId> {
+        #[cfg(test)]
+        let rng_before = rng.clone();
+        let total_online = self.online_flat.len();
+        let mut pool = pools.take();
+        debug_assert!(pool.is_empty() && scratch.keyed.is_empty() && scratch.cands.is_empty());
+        scratch.work.pool_builds += 1;
         if d == 0 || total_online == 0 {
             return pool;
         }
@@ -175,26 +184,14 @@ impl BackupWorld {
         let target = ((d as f64 * self.cfg.pool_target_factor).ceil() as usize).max(d as usize);
         let attempts = (d * self.cfg.pool_attempt_factor).max(16);
         let learned = self.cfg.strategy == SelectionStrategy::LearnedAge;
-        let mut index = if learned || self.cfg.strategy == SelectionStrategy::AgeBased {
-            scratch.age_index.reset(target);
-            Some(&mut scratch.age_index)
-        } else {
-            None
-        };
+        let keyed = learned || self.cfg.strategy == SelectionStrategy::AgeBased;
+        let mut sampled = 0u64;
         for _ in 0..attempts {
-            // Both paths stop once the sample is full: ranking happens
-            // *within* the random sample (see the module doc for why
-            // chasing globally optimal keys backfires at commit time).
-            let full = match &index {
-                Some(index) => index.len() >= target,
-                None => pool.len() >= target,
-            };
-            if full {
+            if scratch.keyed.len() + scratch.cands.len() >= target {
                 break;
             }
-            let j = rng.gen_range(0..total_online);
-            let shard = prefix.partition_point(|&p| p <= j) - 1;
-            let c = self.online[shard][j - prefix[shard]];
+            sampled += 1;
+            let c = self.online_flat[rng.gen_range(0..total_online)];
             if scratch.mark[c as usize] == tag {
                 continue;
             }
@@ -223,18 +220,6 @@ impl BackupWorld {
             } else {
                 true_age
             };
-            // The survival model's remaining-lifetime estimate, computed
-            // shard-locally against the frozen model state. Only the
-            // LearnedAge strategy pays for it.
-            let estimate = learned.then(|| match &self.estimator {
-                Some(model) => model.estimate(
-                    cand_age,
-                    self.peers.uptime_at(c, round),
-                    self.peers.session_seq(c),
-                ),
-                None => cand_age, // detached model: degrade to age rank
-            });
-            let rank_key = if learned { estimate } else { Some(cand_age) };
             if self.cfg.acceptance_enabled {
                 // Owner-side test: does the owner accept this candidate?
                 if !accepts(rng, owner_age, cand_age, clamp) {
@@ -246,35 +231,53 @@ impl BackupWorld {
                 }
             }
             scratch.mark[c as usize] = tag;
-            let candidate = Candidate {
-                id: c,
-                age: cand_age,
-                uptime: self.peers.uptime_at(c, round),
-                estimated_remaining: estimate.unwrap_or(0),
-                true_remaining: self.peers.death(c).saturating_sub(round),
-            };
-            match &mut index {
-                Some(index) => {
-                    let key = rank_key.expect("the index is armed only for keyed strategies");
-                    index.insert(key, candidate);
-                }
-                None => pool.push(candidate),
+            if keyed {
+                // The survival model's remaining-lifetime estimate,
+                // computed shard-locally against the frozen model
+                // state. Only the LearnedAge strategy pays for it.
+                let key = match &self.estimator {
+                    Some(model) if learned => model.estimate(
+                        cand_age,
+                        self.peers.uptime_at(c, round),
+                        self.peers.session_seq(c),
+                    ),
+                    _ => cand_age, // AgeBased, or a detached model: age rank
+                };
+                scratch.keyed.push(key, c);
+            } else {
+                scratch.cands.push(Candidate {
+                    id: c,
+                    age: cand_age,
+                    uptime: self.peers.uptime_at(c, round),
+                    estimated_remaining: 0,
+                    true_remaining: self.peers.death(c).saturating_sub(round),
+                });
             }
         }
-        match index {
-            Some(index) => {
-                // The ranked pool drains out of the recycled index.
-                index.drain_ranked_into(&mut pool);
-                pool
-            }
-            None => {
-                // Rank the whole pool (no truncation): the commit phase
-                // walks it in order and stops after `d` valid entries.
-                let len = pool.len();
-                self.cfg.strategy.choose(rng, &mut pool, len);
-                pool
-            }
+        // The sample never outgrows `target` — what makes one final
+        // sort equal to the evicting index it replaced.
+        debug_assert!(scratch.keyed.len() + scratch.cands.len() <= target);
+        scratch.work.candidates_sampled += sampled;
+        if keyed {
+            scratch.keyed.drain_ranked_into(&mut pool);
+        } else {
+            // Rank the whole sample (no truncation): the commit walks
+            // it in order and stops after `d` valid entries.
+            let len = scratch.cands.len();
+            self.cfg.strategy.choose(rng, &mut scratch.cands, len);
+            pool.extend(scratch.cands.drain(..).map(|c| c.id));
         }
+        scratch.work.candidates_accepted += pool.len() as u64;
+        #[cfg(test)]
+        super::tests::check_pool_against_reference(
+            self,
+            (&rng_before, rng),
+            (owner_id, aidx),
+            d,
+            round,
+            &pool,
+        );
+        pool
     }
 
     /// As [`BackupWorld::build_pool`], using the world's own scratch —
@@ -287,11 +290,11 @@ impl BackupWorld {
         aidx: ArchiveIdx,
         d: u32,
         round: u64,
-    ) -> Vec<Candidate> {
+    ) -> Vec<PeerId> {
         let mut scratch = core::mem::take(&mut self.direct_scratch);
-        self.compute_online_prefix();
-        let mut cands = BufPool::new();
-        let pool = self.build_pool(&mut scratch, &mut cands, rng, owner_id, aidx, d, round);
+        self.freeze_online_flat();
+        let mut pools = BufPool::new();
+        let pool = self.build_pool(&mut scratch, &mut pools, rng, owner_id, aidx, d, round);
         self.direct_scratch = scratch;
         pool
     }

@@ -21,25 +21,39 @@
 //!   in slot order, so every shard stream sees a fixed draw sequence no
 //!   matter how many threads raced through the parallel phases.
 //!
-//! ## The phased round
+//! ## The staged round
 //!
-//! [`BackupWorld`](super::BackupWorld) executes one round as:
+//! [`BackupWorld`](super::BackupWorld) executes one round as the staged
+//! pipeline [`super::exec`] documents stage by stage. The driver
+//! thread runs the population ramp, the routing and merges between
+//! stages, and the small control steps (failure-domain schedule,
+//! estimator refresh, applying adaptive-redundancy decisions); every
+//! stage that touches per-shard state is one dispatch of per-shard
+//! tasks on the persistent worker pool:
 //!
 //! 1. **Spawn** (sequential): population ramp; peer initialisation
 //!    draws from the owning shard's stream.
-//! 2. **Local events** (parallel): each shard advances its wheel
-//!    segment, sorts the due events by `(peer, kind)`, and handles the
-//!    strictly shard-local kinds — session toggles, age-category
-//!    advances, proactive ticks. Deaths and offline timeouts (the two
-//!    kinds that drop blocks on peers of *other* shards) are deferred.
-//! 3. **Cross-shard events** (sequential, shard order): deferred
-//!    deaths/timeouts run with full access to the world.
-//! 4. **Proposals** (parallel): pending owners build acceptance-gated
-//!    candidate pools against the *frozen* end-of-event-phase state,
-//!    drawing from their shard's stream.
-//! 5. **Commit** (sequential, peer-id order): proposals are re-validated
-//!    (quota may have filled) and applied; all [`WorldEvent`] emission
-//!    happens in the sequential phases, so the stream needs no merge.
+//! 2. **Local events + teardown hop 1** (parallel, [`ShardLane`]): each
+//!    shard advances its wheel segment, sorts the due events by
+//!    `(peer, kind)`, and handles *every* kind shard-locally. A death or
+//!    offline timeout tears down its own slot and addresses the
+//!    cross-shard half of the teardown as messages.
+//! 3. **Deliver — teardown hop 2** (parallel by destination shard):
+//!    each shard sorts its own inbox and applies the releases and drops
+//!    addressed to it; a loss releases the survivors in one more
+//!    release-only wave.
+//! 4. **Proposals** (parallel): pending owners build acceptance-gated,
+//!    ranked pools of host ids against the *frozen* post-teardown
+//!    state, drawing from their shard's stream.
+//! 5. **Commit, two-phase** (parallel): host shards grant the claimed
+//!    pool ranks against shard-local quota in global
+//!    `(owner, archive, rank)` order, owner shards run the protocol step
+//!    with exactly the granted hosts, host shards sort and apply the
+//!    resulting bookkeeping messages.
+//!
+//! [`WorldEvent`]s are buffered per lane in every stage and merged into
+//! the world's log in shard order, so the stream is independent of how
+//! the tasks were scheduled.
 //!
 //! [`Metrics`]: crate::metrics::Metrics
 //! [`WorldEvent`]: super::hooks::WorldEvent
@@ -50,7 +64,7 @@ use peerback_sim::{HierarchicalWheel, Round, SimRng};
 
 use crate::age::AgeCategory;
 use crate::config::SimConfig;
-use crate::select::Candidate;
+use crate::select::{Candidate, KeyedSample};
 
 use super::events::Event;
 use super::exec::{MetricsDelta, Msg};
@@ -107,8 +121,7 @@ impl ShardLayout {
 }
 
 /// One proposed partner-acquisition step, computed against frozen state
-/// in the parallel proposal phase and applied in the sequential commit
-/// phase.
+/// in the parallel proposal stage and applied by the two-phase commit.
 #[derive(Debug)]
 pub(in crate::world) struct Proposal {
     /// Owner of the archive needing work.
@@ -123,11 +136,12 @@ pub(in crate::world) struct Proposal {
     /// Whether the owner is an observer (observer placements are quota-
     /// exempt; carried so host shards need no cross-shard lookup).
     pub(in crate::world) owner_observer: bool,
-    /// Ranked candidate pool. The two-phase commit claims ranks `0..d`
-    /// first and falls back to the ranks beyond `d` for denied claims,
-    /// so earlier grants filling a candidate's quota degrade the pool
-    /// instead of voiding the step.
-    pub(in crate::world) pool: Vec<Candidate>,
+    /// Ranked candidate pool: host ids, best first — all the commit
+    /// needs of a candidate once it is ranked. The two-phase commit
+    /// claims ranks `0..d` first and falls back to the ranks beyond `d`
+    /// for denied claims, so earlier grants filling a candidate's quota
+    /// degrade the pool instead of voiding the step.
+    pub(in crate::world) pool: Vec<PeerId>,
 }
 
 /// The protocol step a [`Proposal`] belongs to. The commit phase
@@ -145,29 +159,26 @@ pub(in crate::world) enum ActionKind {
 
 /// Reusable per-worker scratch for pool building. Purely an execution
 /// buffer: its contents never influence results, so one instance per
-/// worker thread (not per logical shard) suffices. (The frozen online
-/// prefix sums live on the world itself — `BackupWorld::prefix` — and
-/// are shared read-only across workers.)
-#[derive(Debug)]
+/// worker thread (not per logical shard) suffices. (The frozen flat
+/// online list lives on the world itself — `BackupWorld::online_flat` —
+/// and is shared read-only across workers.)
+#[derive(Debug, Default)]
 pub(in crate::world) struct Scratch {
     /// Generation-counted exclusion set (`mark[p] == tag` ⇒ excluded).
     pub(in crate::world) mark: Vec<u32>,
     /// Current generation tag.
     pub(in crate::world) tag: u32,
-    /// Recycled AgeBased build index (re-armed per pool build; its
-    /// heap allocation is the only state that survives, and an empty
-    /// re-armed index is observationally a fresh one).
-    pub(in crate::world) age_index: crate::select::AgeOrderedIndex,
-}
-
-impl Default for Scratch {
-    fn default() -> Self {
-        Scratch {
-            mark: Vec::new(),
-            tag: 0,
-            age_index: crate::select::AgeOrderedIndex::new(1),
-        }
-    }
+    /// The accepted sample of a keyed (`AgeBased` / `LearnedAge`) build,
+    /// sorted once when the sample is complete. Empty between builds.
+    pub(in crate::world) keyed: KeyedSample,
+    /// The accepted sample of an unkeyed build, ranked through
+    /// [`SelectionStrategy::choose`](crate::select::SelectionStrategy::choose).
+    /// Empty between builds.
+    pub(in crate::world) cands: Vec<Candidate>,
+    /// Pool-building work done through this scratch since the driver
+    /// last folded it into the world's tally (sums, so the fold order
+    /// is immaterial; only the pool-building counters are ever set).
+    pub(in crate::world) work: super::PlacementWork,
 }
 
 impl Scratch {

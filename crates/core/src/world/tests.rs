@@ -1058,7 +1058,6 @@ fn contended_partner_slot_commits_to_the_lower_owner() {
     // order, i.e. the lower owner id — and the loser records a
     // shortfall instead of over-committing the host.
     use super::shard::{ActionKind, Proposal};
-    use crate::select::Candidate;
 
     let mut cfg = sharded_config(300, 120, 33);
     cfg.refresh_on_repair = false; // repairs top up only missing blocks
@@ -1132,13 +1131,7 @@ fn contended_partner_slot_commits_to_the_lower_owner() {
             kind,
             d,
             owner_observer: false,
-            pool: vec![Candidate {
-                id: c,
-                age: world.peers.age_at(c, round),
-                uptime: world.peers.uptime_at(c, round),
-                estimated_remaining: 0,
-                true_remaining: world.peers.death(c).saturating_sub(round),
-            }],
+            pool: vec![c],
         }
     };
     let shortfalls_before = world.metrics.diag.pool_shortfalls;
@@ -1794,6 +1787,238 @@ fn redundancy_work_counts_evaluations_exactly() {
     assert_eq!(plain.redundancy_work(), RedundancyWork::default());
 }
 
+/// The pool build the compact ranking replaced, kept as the oracle:
+/// every sampling attempt resolves its draw through a binary search
+/// over per-shard prefix sums, every accepted candidate becomes a full
+/// [`Candidate`](crate::select::Candidate), and the keyed strategies
+/// rank through the maintained
+/// [`AgeOrderedIndex`](crate::select::AgeOrderedIndex) (estimating
+/// before the acceptance test, as that build did). Same draws from
+/// `rng` in the same order as [`BackupWorld::build_pool`].
+fn build_pool_reference(
+    world: &BackupWorld,
+    rng: &mut peerback_sim::SimRng,
+    owner_id: PeerId,
+    aidx: ArchiveIdx,
+    d: u32,
+    round: u64,
+) -> Vec<crate::select::Candidate> {
+    use crate::accept::accepts;
+    use crate::select::{AgeOrderedIndex, Candidate};
+    use rand::Rng;
+
+    let mut prefix = vec![0usize];
+    for list in &world.online {
+        prefix.push(prefix[prefix.len() - 1] + list.len());
+    }
+    let total_online = prefix[prefix.len() - 1];
+    let mut pool = Vec::new();
+    if d == 0 || total_online == 0 {
+        return pool;
+    }
+    let mut excluded = vec![false; world.peers.len()];
+    excluded[owner_id as usize] = true;
+    for i in 0..world.peers.present(owner_id, aidx as usize) as usize {
+        excluded[world.peers.host_at(owner_id, aidx as usize, i) as usize] = true;
+    }
+    let cfg = &world.cfg;
+    let owner_age = world.negotiation_age(owner_id, round);
+    let target = ((d as f64 * cfg.pool_target_factor).ceil() as usize).max(d as usize);
+    let attempts = (d * cfg.pool_attempt_factor).max(16);
+    let learned = cfg.strategy == SelectionStrategy::LearnedAge;
+    let mut index = (learned || cfg.strategy == SelectionStrategy::AgeBased)
+        .then(|| AgeOrderedIndex::new(target));
+    for _ in 0..attempts {
+        let held = index.as_ref().map_or(pool.len(), AgeOrderedIndex::len);
+        if held >= target {
+            break;
+        }
+        let j = rng.gen_range(0..total_online);
+        let shard = prefix.partition_point(|&p| p <= j) - 1;
+        let c = world.online[shard][j - prefix[shard]];
+        if excluded[c as usize]
+            || world.peers.observer(c).is_some()
+            || world.peers.quota_used(c) >= cfg.quota
+            || world.peers.quarantined(c)
+            || (!world.partitions.is_empty()
+                && world.partitions[world.peers.domain(c) as usize] > round)
+        {
+            continue;
+        }
+        let true_age = world.peers.age_at(c, round);
+        let cand_age = if world.peers.misreports(c) {
+            true_age.saturating_mul(cfg.misreport_inflation)
+        } else {
+            true_age
+        };
+        let estimate = learned.then(|| match &world.estimator {
+            Some(model) => model.estimate(
+                cand_age,
+                world.peers.uptime_at(c, round),
+                world.peers.session_seq(c),
+            ),
+            None => cand_age,
+        });
+        if cfg.acceptance_enabled {
+            if !accepts(rng, owner_age, cand_age, cfg.acceptance_clamp) {
+                continue;
+            }
+            if cfg.mutual_acceptance && !accepts(rng, cand_age, owner_age, cfg.acceptance_clamp) {
+                continue;
+            }
+        }
+        excluded[c as usize] = true;
+        let candidate = Candidate {
+            id: c,
+            age: cand_age,
+            uptime: world.peers.uptime_at(c, round),
+            estimated_remaining: estimate.unwrap_or(0),
+            true_remaining: world.peers.death(c).saturating_sub(round),
+        };
+        match &mut index {
+            Some(index) => {
+                let key = cfg
+                    .strategy
+                    .ranking_key(&candidate)
+                    .expect("the index is armed only for keyed strategies");
+                assert!(
+                    index.insert(key, candidate),
+                    "the index turned a candidate away"
+                );
+            }
+            None => pool.push(candidate),
+        }
+    }
+    match index {
+        Some(index) => index.into_ranked(),
+        None => {
+            let len = pool.len();
+            cfg.strategy.choose(rng, &mut pool, len);
+            pool
+        }
+    }
+}
+
+/// Called by `build_pool` on every pool it returns, in every test
+/// build: replaying the build through [`build_pool_reference`] from the
+/// same RNG state must give the same ids in the same order and leave
+/// the RNG in the same state.
+pub(super) fn check_pool_against_reference(
+    world: &BackupWorld,
+    (rng_before, rng_after): (&peerback_sim::SimRng, &peerback_sim::SimRng),
+    (owner, aidx): (PeerId, ArchiveIdx),
+    d: u32,
+    round: u64,
+    got: &[PeerId],
+) {
+    let mut rng = rng_before.clone();
+    let want = build_pool_reference(world, &mut rng, owner, aidx, d, round);
+    assert!(
+        got.iter().eq(want.iter().map(|c| &c.id)),
+        "round {round} owner {owner} archive {aidx} d {d}: pool diverged from the reference build\n got {got:?}\nwant {:?}",
+        want.iter().map(|c| c.id).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        &rng, rng_after,
+        "round {round} owner {owner} archive {aidx} d {d}: RNG state diverged from the reference build"
+    );
+}
+
+/// A world that reaches every screen of `build_pool`: observers,
+/// misreporting candidates, quarantined hosts (struck on a fixed
+/// schedule), partitioned domains, session churn and several shards.
+fn run_every_screen(
+    strategy: SelectionStrategy,
+    shards: usize,
+    steal: bool,
+    fuzz: Option<u64>,
+) -> (Metrics, PlacementWork) {
+    let cfg = domained_config(400, 300, 61)
+        .with_paper_observers()
+        .with_misreport(0.25)
+        .with_quarantine_threshold(2)
+        .with_strategy(strategy)
+        .with_shards(shards)
+        .with_work_stealing(steal);
+    let rounds = cfg.rounds;
+    let mut world = BackupWorld::new(cfg);
+    world.set_exec_fuzz(fuzz);
+    let mut engine = Engine::new(61);
+    for r in 0..rounds {
+        engine.step(&mut world);
+        if r % 10 == 9 {
+            strike_lowest_online(&mut world, r);
+        }
+    }
+    let work = world.placement_work();
+    (world.into_metrics(), work)
+}
+
+#[test]
+fn compact_pools_match_the_reference_build_under_every_screen() {
+    // The comparison itself runs inside every `build_pool` call
+    // (`check_pool_against_reference`); this test makes sure the calls
+    // meet quarantined, partitioned and misreporting candidates, for
+    // the keyed builds and one that ranks full candidates.
+    for strategy in [
+        SelectionStrategy::AgeBased,
+        SelectionStrategy::LearnedAge,
+        SelectionStrategy::UptimeWeighted,
+    ] {
+        let (m1, w1) = run_every_screen(strategy, 1, false, None);
+        assert!(w1.pool_builds > 0 && w1.candidates_accepted > 0);
+        assert!(
+            m1.diag.hosts_quarantined > 0,
+            "{strategy:?}: nobody quarantined"
+        );
+        assert!(m1.diag.partitions_started > 0, "{strategy:?}: no partition");
+        assert!(
+            m1.repairs.iter().sum::<u64>() > 0,
+            "{strategy:?}: no repair pools"
+        );
+        for (shards, steal, fuzz) in [(8, true, None), (8, false, None), (8, true, Some(0xb001))] {
+            let (m, w) = run_every_screen(strategy, shards, steal, fuzz);
+            assert_eq!(
+                (&m, w),
+                (&m1, w1),
+                "{strategy:?} shards {shards} steal {steal}"
+            );
+        }
+    }
+}
+
+#[test]
+fn placement_work_is_exact_at_every_worker_count() {
+    // 2304 peers: the join wave's stages really wake the pool.
+    let run_at = |shards: usize, steal: bool| {
+        let mut cfg = churny_config(2304, 40, 83)
+            .with_shards(shards)
+            .with_work_stealing(steal);
+        cfg.shard_slots = 64;
+        let mut world = BackupWorld::new(cfg);
+        Engine::new(83).run(&mut world, 40);
+        let work = world.placement_work();
+        (work, world.into_metrics())
+    };
+    let (w1, m1) = run_at(1, false);
+    assert!(w1.pool_builds > 0);
+    assert!(w1.candidates_sampled >= w1.candidates_accepted);
+    assert!(
+        w1.candidates_accepted >= w1.claims,
+        "claims name pool ranks"
+    );
+    assert!(w1.claims >= w1.grants);
+    // Both commit waves together never grant a proposal more than the
+    // `d` placements it asked for, so every grant is used.
+    assert_eq!(w1.grants, m1.diag.blocks_uploaded);
+    // Every placed block was announced to its host by one message.
+    assert!(w1.msgs_routed >= w1.grants);
+    for (shards, steal) in [(8, true), (8, false)] {
+        let (w, m) = run_at(shards, steal);
+        assert_eq!((w, &m), (w1, &m1), "shards {shards} steal {steal}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // SoA layout equivalence: the struct-of-arrays peer table vs a
 // reference array-of-structs model with the old per-peer `Vec`
@@ -2208,11 +2433,22 @@ fn quarantine_evicts_hosted_blocks_and_bars_the_host_from_pools() {
             .expect("someone is online");
         let pool = world.build_pool_direct(&mut rng, owner, 0, 8, engine.current_round().index());
         assert!(
-            pool.iter().all(|c| c.id != victim),
+            !pool.contains(&victim),
             "quarantined host appeared in a candidate pool"
         );
         assert_eq!(world.peers.hosted_len(victim), 0, "host re-acquired blocks");
     }
+}
+
+/// One strike each against the three lowest online, not yet
+/// quarantined regular slots — a deterministic stand-in for the
+/// fabric's lane-ordered challenge detections.
+fn strike_lowest_online(world: &mut BackupWorld, round: u64) {
+    let strikes: Vec<PeerId> = (world.observer_count as PeerId..world.peers.len() as PeerId)
+        .filter(|&id| world.peers.online(id) && !world.peers.quarantined(id))
+        .take(3)
+        .collect();
+    world.report_integrity_failures(round, &strikes);
 }
 
 #[test]
@@ -2232,12 +2468,7 @@ fn quarantine_feedback_stays_bit_identical_across_shards_and_stealing() {
             engine.step(&mut world);
             let r = engine.current_round().index();
             if r.is_multiple_of(10) {
-                let strikes: Vec<PeerId> = (world.observer_count as PeerId
-                    ..world.peers.len() as PeerId)
-                    .filter(|&id| world.peers.online(id) && !world.peers.quarantined(id))
-                    .take(3)
-                    .collect();
-                world.report_integrity_failures(r, &strikes);
+                strike_lowest_online(&mut world, r);
             }
             events.extend(world.take_events());
         }

@@ -35,6 +35,12 @@
 //! wake-ups, which the bench layer reports as
 //! `stage_dispatches_per_round`.
 //!
+//! On its first stage each helper moves itself off the dispatcher's CPU
+//! once (see the crate-private `place` module): left to the kernel's
+//! wake-up placement, a small guest can run a whole pool on one CPU for
+//! the first second or two of a process, so how fast a run goes would
+//! depend on what the machine did before it.
+//!
 //! The free functions [`run_tasks`] / [`run_tasks_with`] remain as the
 //! pool-less (scoped-spawn) form for one-shot callers and tests.
 //!
@@ -205,6 +211,10 @@ struct PoolState {
     /// Participating helpers (`width − 1`) that have not yet checked
     /// in for this epoch.
     remaining: usize,
+    /// The CPU the dispatching caller published this epoch from, where
+    /// the platform tells: a helper's first stage hops away from it
+    /// (see [`crate::place`]).
+    caller_cpu: Option<usize>,
     /// First panic payload raised by a helper's share of the job
     /// (resumed on the dispatching caller).
     panic_payload: Option<Box<dyn std::any::Any + Send>>,
@@ -262,6 +272,7 @@ impl WorkerPool {
                 job: None,
                 width: 0,
                 remaining: 0,
+                caller_cpu: None,
                 panic_payload: None,
                 shutdown: false,
             }),
@@ -342,6 +353,7 @@ impl WorkerPool {
             // Only participating helpers (indices 1..width) check in;
             // the rest skip the epoch without touching the job.
             g.remaining = width - 1;
+            g.caller_cpu = crate::place::current_cpu();
             g.panic_payload = None;
             g.epoch += 1;
             self.shared.work.notify_all();
@@ -469,8 +481,11 @@ impl Drop for WorkerPool {
 /// guaranteed by the participating workers' barrier alone).
 fn helper_loop(shared: &PoolShared, index: usize) {
     let mut seen = 0u64;
+    // Whether this helper still sits where the kernel first queued it —
+    // as a rule the dispatcher's own CPU.
+    let mut unplaced = true;
     loop {
-        let job = {
+        let (job, caller_cpu) = {
             let mut g = shared.state.lock().expect("pool state poisoned");
             loop {
                 if g.shutdown {
@@ -491,8 +506,14 @@ fn helper_loop(shared: &PoolShared, index: usize) {
             }
             // A participant can always observe the job: the dispatcher
             // cannot clear it before this helper's check-in.
-            g.job.expect("job published with the epoch")
+            (g.job.expect("job published with the epoch"), g.caller_cpu)
         };
+        if unplaced {
+            unplaced = false;
+            if let Some(cpu) = caller_cpu {
+                crate::place::hop_from(cpu, index);
+            }
+        }
         let result = catch_unwind(AssertUnwindSafe(|| job(index)));
         let mut g = shared.state.lock().expect("pool state poisoned");
         if let Err(payload) = result {

@@ -20,6 +20,7 @@ pub mod arena;
 pub mod clock;
 pub mod engine;
 pub mod exec;
+mod place;
 pub mod rng;
 pub mod wheel;
 
