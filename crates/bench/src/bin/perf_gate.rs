@@ -1,28 +1,24 @@
-//! CI performance gate: compares fresh `perf_probe --json` samples
-//! against the committed baseline in `ci/perf-baseline.json`.
+//! CI gates over probe reports: four subcommands whose thresholds are
+//! exact counts or ratios between samples taken on one host, so they
+//! can fire on any runner.
 //!
-//! The blocking subcommands (`alloc`, `mem` and `rs` are documented on
-//! their functions; `rebase` rewrites a committed baseline from a run
-//! artifact so cross-host refusals can be re-armed in one step):
+//! * `speedup` — median single-worker `elapsed_secs` over median
+//!   sharded `elapsed_secs` (`perf_probe --json`) must reach a ratio.
+//! * `alloc` — steady-state `allocs_per_round` under a budget.
+//! * `mem` — `bytes_per_peer` (exact) and `peak_rss_bytes / peers`
+//!   under budgets.
+//! * `rs` — the best gf256 backend's encode speedup over scalar
+//!   (`rs_probe --json`) must reach a ratio.
 //!
-//! * `check --baseline FILE SAMPLE...` — takes the **median** of the
-//!   samples' `elapsed_secs` and compares it with the baseline's
-//!   `median_elapsed_secs`. Prints a GitHub `::warning::` annotation at
-//!   `+10%` and exits non-zero (with `::error::`) at `+25%`. Thresholds
-//!   are overridable with `--warn-pct` / `--fail-pct`.
-//! * `speedup --min-ratio R BASE SHARDED` — asserts that the sharded
-//!   run's elapsed time beats the single-worker run by at least `R`×
-//!   (the tentpole's ≥2× acceptance criterion). Exits non-zero below
-//!   the ratio; prints a `::warning::` when the host has too few CPUs
-//!   for the comparison to be meaningful.
+//! Each is documented on its function. Wall time against a stored
+//! number is judged by `benchmark compare` alone (see
+//! `benchmark/README.md`), never here.
 //!
 //! The workspace is offline (no serde); the reports are flat JSON
 //! objects written by `peerback_bench::json`, so a minimal key scanner
 //! is sufficient and keeps the gate dependency-free.
 
 use std::process::ExitCode;
-
-use peerback_bench::json;
 
 /// Extracts a top-level numeric field from a flat JSON object.
 fn extract_f64(json: &str, key: &str) -> Option<f64> {
@@ -41,9 +37,14 @@ fn extract_str(json: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-fn read_field(path: &str, key: &str) -> Result<f64, String> {
+/// Reads an optional numeric field (absent key is not an error).
+fn read_optional_field(path: &str, key: &str) -> Result<Option<f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    extract_f64(&text, key).ok_or_else(|| format!("{path}: no numeric field {key:?}"))
+    Ok(extract_f64(&text, key))
+}
+
+fn read_field(path: &str, key: &str) -> Result<f64, String> {
+    read_optional_field(path, key)?.ok_or_else(|| format!("{path}: no numeric field {key:?}"))
 }
 
 /// Median of a non-empty sample set.
@@ -57,186 +58,92 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-struct CheckArgs {
-    baseline: String,
-    samples: Vec<String>,
-    warn_pct: f64,
-    fail_pct: f64,
+/// Median of `key` across `paths`; a sample without it is an error.
+fn median_field(paths: &[String], key: &str) -> Result<f64, String> {
+    let values: Result<Vec<f64>, String> = paths.iter().map(|p| read_field(p, key)).collect();
+    values.map(median)
 }
 
-fn parse_check(args: &[String]) -> Result<CheckArgs, String> {
-    let mut baseline = None;
-    let mut samples = Vec::new();
-    let mut warn_pct = 10.0;
-    let mut fail_pct = 25.0;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
-        match arg.as_str() {
-            "--baseline" => baseline = Some(value("--baseline")?),
-            "--warn-pct" => {
-                warn_pct = value("--warn-pct")?
-                    .parse()
-                    .map_err(|e| format!("--warn-pct: {e}"))?;
-            }
-            "--fail-pct" => {
-                fail_pct = value("--fail-pct")?
-                    .parse()
-                    .map_err(|e| format!("--fail-pct: {e}"))?;
-            }
-            other => samples.push(other.to_string()),
-        }
-    }
-    let baseline = baseline.ok_or("check needs --baseline FILE")?;
-    if samples.is_empty() {
-        return Err("check needs at least one sample JSON".into());
-    }
-    Ok(CheckArgs {
-        baseline,
-        samples,
-        warn_pct,
-        fail_pct,
-    })
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The value following flag `name`.
+fn flag_value(iter: &mut Args, name: &str) -> Result<String, String> {
+    iter.next()
+        .cloned()
+        .ok_or_else(|| format!("flag {name} needs a value"))
 }
 
-/// Reads an optional numeric field (absent key is not an error).
-fn read_optional_field(path: &str, key: &str) -> Result<Option<f64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    Ok(extract_f64(&text, key))
+/// The value following flag `name`, as a number.
+fn flag_number(iter: &mut Args, name: &str) -> Result<f64, String> {
+    flag_value(iter, name)?
+        .parse()
+        .map_err(|e| format!("{name}: {e}"))
 }
 
-fn run_check(args: &[String]) -> Result<ExitCode, String> {
-    let args = parse_check(args)?;
-
-    // Elapsed-time comparisons across differing CPU counts are
-    // meaningless (the committed 1-CPU dev-container baseline once made
-    // the thresholds unreachable on CI runners): refuse them.
-    let base_cpus = read_optional_field(&args.baseline, "host_cpus")?;
-    let sample_cpus = read_optional_field(&args.samples[0], "host_cpus")?;
-    match (base_cpus, sample_cpus) {
-        (Some(b), Some(s)) if b != s => {
-            println!(
-                "::warning::perf baseline {base} was recorded on a {b:.0}-CPU host but this \
-                 runner has {s:.0} CPUs — refusing the comparison. Re-arm the gate with \
-                 `perf_gate rebase --baseline {base} {sample}` (run it from a checkout on this \
-                 runner, or locally on this job's downloaded artifact) and commit the result.",
-                base = args.baseline,
-                sample = args.samples[0],
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        (Some(b), None) => {
-            println!(
-                "::warning::perf samples record no host_cpus (stale probe binary?) but the \
-                 baseline was pinned to a {b:.0}-CPU host — refusing the comparison. Rebuild \
-                 the probes so samples carry host_cpus."
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        (None, _) => {
-            println!(
-                "::warning::perf baseline {} records no host_cpus field; comparing anyway — \
-                 refresh it to get the cross-host guard",
-                args.baseline
-            );
-        }
-        _ => {}
-    }
-
-    let base = read_field(&args.baseline, "median_elapsed_secs")?;
-    let timings: Vec<f64> = args
-        .samples
-        .iter()
-        .map(|p| read_field(p, "elapsed_secs"))
-        .collect::<Result<_, _>>()?;
-    let fresh = median(timings);
-    let delta_pct = (fresh / base - 1.0) * 100.0;
-    println!(
-        "perf_gate: median {fresh:.3}s over {} sample(s) vs baseline {base:.3}s ({delta_pct:+.1}%)",
-        args.samples.len()
-    );
-    if delta_pct >= args.fail_pct {
-        println!(
-            "::error::perf regression: median elapsed {fresh:.3}s is {delta_pct:+.1}% vs the \
-             committed baseline {base:.3}s (fail threshold +{:.0}%)",
-            args.fail_pct
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    if delta_pct >= args.warn_pct {
-        println!(
-            "::warning::perf drift: median elapsed {fresh:.3}s is {delta_pct:+.1}% vs the \
-             committed baseline {base:.3}s (warn threshold +{:.0}%)",
-            args.warn_pct
-        );
-    }
-    if delta_pct <= -50.0 {
-        // A run this far below the baseline means the baseline was
-        // recorded on much slower hardware (e.g. the original 1-CPU
-        // dev-container figure): the +10%/+25% thresholds cannot fire
-        // and the gate is not protecting anything.
-        println!(
-            "::warning::stale perf baseline: this runner is {:.0}% faster than the committed \
-             baseline ({base:.3}s, see its \"runner\" field) — the regression thresholds are \
-             unreachable. Refresh ci/perf-baseline.json from this run's artifact.",
-            -delta_pct
-        );
-    }
-    Ok(ExitCode::SUCCESS)
+fn unknown_argument(subcommand: &str, arg: &str) -> String {
+    format!("{subcommand}: unknown argument {arg:?}\n{USAGE}")
 }
 
+/// A positional argument is a sample path; anything else shaped like a
+/// flag is a usage error, not a file to open.
+fn sample_path(subcommand: &str, arg: &str) -> Result<String, String> {
+    if arg.starts_with('-') {
+        return Err(unknown_argument(subcommand, arg));
+    }
+    Ok(arg.to_string())
+}
+
+/// `speedup [--min-ratio R] --single FILE... --sharded FILE...`: the
+/// median `elapsed_secs` of the `--single` samples over that of the
+/// `--sharded` samples must reach `R` (default 2.0).
+///
+/// Both sets must come from one host: every sample's recorded
+/// `host_cpus` has to agree, and it — not the machine running the gate
+/// — decides what a miss means. Below 4 CPUs the host cannot express
+/// the parallelism, so a miss warns and passes; from 4 up it fails.
 fn run_speedup(args: &[String]) -> Result<ExitCode, String> {
     let mut min_ratio = 2.0;
     let mut singles = Vec::new();
     let mut shardeds = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
         match arg.as_str() {
-            "--min-ratio" => {
-                min_ratio = value("--min-ratio")?
-                    .parse()
-                    .map_err(|e| format!("--min-ratio: {e}"))?;
-            }
-            "--single" => singles.push(value("--single")?),
-            "--sharded" => shardeds.push(value("--sharded")?),
-            other => return Err(format!("speedup: unknown argument {other:?}")),
+            "--min-ratio" => min_ratio = flag_number(&mut iter, "--min-ratio")?,
+            "--single" => singles.push(flag_value(&mut iter, "--single")?),
+            "--sharded" => shardeds.push(flag_value(&mut iter, "--sharded")?),
+            other => return Err(unknown_argument("speedup", other)),
         }
     }
     if singles.is_empty() || shardeds.is_empty() {
         return Err("speedup needs --single FILE... and --sharded FILE...".into());
     }
-    let read_all = |paths: &[String]| -> Result<Vec<f64>, String> {
-        paths
-            .iter()
-            .map(|p| read_field(p, "elapsed_secs"))
-            .collect()
-    };
-    let base = median(read_all(&singles)?);
-    let fast = median(read_all(&shardeds)?);
+    let cpus = read_field(&singles[0], "host_cpus")?;
+    for p in singles.iter().chain(&shardeds) {
+        let here = read_field(p, "host_cpus")?;
+        if here != cpus {
+            return Err(format!(
+                "{p} was recorded on {here:.0} CPU(s) but {} on {cpus:.0} — samples from \
+                 different hosts have no speedup",
+                singles[0]
+            ));
+        }
+    }
+    let base = median_field(&singles, "elapsed_secs")?;
+    let fast = median_field(&shardeds, "elapsed_secs")?;
     let ratio = base / fast;
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "perf_gate: sharded speedup {ratio:.2}x (median {base:.3}s over {} -> median {fast:.3}s \
-         over {}) on {cpus} CPU(s), required {min_ratio:.2}x",
+         over {}) on {cpus:.0} CPU(s), required {min_ratio:.2}x",
         singles.len(),
         shardeds.len()
     );
     if ratio < min_ratio {
-        if cpus < 4 {
+        if cpus < 4.0 {
             // A 1–2 core host cannot express the parallelism; surface
             // the miss loudly but do not fail the build over hardware.
             println!(
                 "::warning::sharded speedup {ratio:.2}x below the {min_ratio:.2}x target, but \
-                 only {cpus} CPU(s) are available — rerun on a multi-core runner"
+                 the samples were taken on {cpus:.0} CPU(s) — rerun on a multi-core runner"
             );
             return Ok(ExitCode::SUCCESS);
         }
@@ -257,25 +164,16 @@ fn run_alloc(args: &[String]) -> Result<ExitCode, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--budget" => {
-                let v = iter.next().ok_or("flag --budget needs a value")?;
-                budget = Some(v.parse().map_err(|e| format!("--budget: {e}"))?);
-            }
-            other => samples.push(other.to_string()),
+            "--budget" => budget = Some(flag_number(&mut iter, "--budget")?),
+            other => samples.push(sample_path("alloc", other)?),
         }
     }
     let budget = budget.ok_or("alloc needs --budget N")?;
     if samples.is_empty() {
         return Err("alloc needs at least one sample JSON".into());
     }
-    let rates: Vec<f64> = samples
-        .iter()
-        .map(|p| {
-            read_field(p, "allocs_per_round")
-                .map_err(|e| format!("{e} (was the probe built with --features count-allocs?)"))
-        })
-        .collect::<Result<_, _>>()?;
-    let rate = median(rates);
+    let rate = median_field(&samples, "allocs_per_round")
+        .map_err(|e| format!("{e} (was the probe built with --features count-allocs?)"))?;
     println!(
         "perf_gate: steady-state median {rate:.1} allocs/round over {} sample(s), budget {budget:.1}",
         samples.len()
@@ -292,7 +190,7 @@ fn run_alloc(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Prints the median per-component peer-table layout across samples,
-/// so a memory warning or failure names the collection that grew.
+/// so a memory failure names the collection that grew.
 fn print_mem_layout(samples: &[String], footprint: f64) -> Result<(), String> {
     const COMPONENTS: [(&str, &str); 5] = [
         ("bytes_peer_table", "peer table"),
@@ -367,9 +265,9 @@ fn check_peak_rss(samples: &[String], budget: Option<f64>) -> Result<bool, Strin
     Ok(true)
 }
 
-/// `mem [--warn-above N] [--fail-above N] [--rss-fail-above N]
-/// SAMPLE.json...`: the memory budget gate over `perf_probe --json`
-/// samples.
+/// `mem [--fail-above N] [--rss-fail-above N] SAMPLE.json...`: the
+/// memory budget gate over `perf_probe --json` samples. At least one
+/// of the two budgets is required.
 ///
 /// `--rss-fail-above` gates the run's *transient*: the median
 /// `peak_rss_bytes / peers` (printed as `peak_rss_per_peer` whenever
@@ -382,40 +280,25 @@ fn check_peak_rss(samples: &[String], budget: Option<f64>) -> Result<bool, Strin
 ///
 /// `--fail-above` is the hard budget: the median `bytes_per_peer` above
 /// it fails the build (`::error::`) and prints the per-component layout
-/// so the collection that grew is named in the log. `--warn-above` is
-/// an optional earlier watchline that only annotates. At least one of
-/// the three thresholds is required. With a hard budget armed, a sample
-/// missing the `bytes_per_peer` field is an error (a misconfigured gate must not
-/// pass silently); with only a watchline it warns and passes, matching
-/// the historical advisory behaviour.
+/// so the collection that grew is named in the log. A sample missing
+/// `bytes_per_peer` is an error (a misconfigured gate must not pass
+/// silently).
 fn run_mem(args: &[String]) -> Result<ExitCode, String> {
-    let mut warn_above: Option<f64> = None;
     let mut fail_above: Option<f64> = None;
     let mut rss_fail_above: Option<f64> = None;
     let mut samples = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "--fail-above" => fail_above = Some(flag_number(&mut iter, "--fail-above")?),
             "--rss-fail-above" => {
-                let v = iter.next().ok_or("flag --rss-fail-above needs a value")?;
-                rss_fail_above = Some(v.parse().map_err(|e| format!("--rss-fail-above: {e}"))?);
+                rss_fail_above = Some(flag_number(&mut iter, "--rss-fail-above")?);
             }
-            "--warn-above" => {
-                let v = iter.next().ok_or("flag --warn-above needs a value")?;
-                warn_above = Some(v.parse().map_err(|e| format!("--warn-above: {e}"))?);
-            }
-            "--fail-above" => {
-                let v = iter.next().ok_or("flag --fail-above needs a value")?;
-                fail_above = Some(v.parse().map_err(|e| format!("--fail-above: {e}"))?);
-            }
-            other => samples.push(other.to_string()),
+            other => samples.push(sample_path("mem", other)?),
         }
     }
-    if warn_above.is_none() && fail_above.is_none() && rss_fail_above.is_none() {
-        return Err(
-            "mem needs --fail-above N (hard budget), --warn-above N and/or --rss-fail-above N"
-                .into(),
-        );
+    if fail_above.is_none() && rss_fail_above.is_none() {
+        return Err("mem needs --fail-above N and/or --rss-fail-above N".into());
     }
     if samples.is_empty() {
         return Err("mem needs at least one sample JSON".into());
@@ -423,216 +306,46 @@ fn run_mem(args: &[String]) -> Result<ExitCode, String> {
     if !check_peak_rss(&samples, rss_fail_above)? {
         return Ok(ExitCode::FAILURE);
     }
-    if warn_above.is_none() && fail_above.is_none() {
+    let Some(budget) = fail_above else {
         return Ok(ExitCode::SUCCESS);
-    }
-    let mut footprints = Vec::new();
-    for p in &samples {
-        match read_optional_field(p, "bytes_per_peer")? {
-            Some(v) => footprints.push(v),
-            None if fail_above.is_some() => {
-                return Err(format!(
-                    "{p} records no bytes_per_peer (stale probe binary or --stable-json \
-                     sample?) — the hard memory budget cannot be checked"
-                ));
-            }
-            None => {
-                println!(
-                    "::warning::{p} records no bytes_per_peer (stale probe binary or \
-                     --stable-json sample?) — skipping the memory check"
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-        }
-    }
-    let footprint = median(footprints);
-    match (fail_above, warn_above) {
-        (Some(f), Some(w)) => println!(
-            "perf_gate: median {footprint:.0} bytes/peer over {} sample(s), budget {f:.0} \
-             (watchline {w:.0})",
-            samples.len()
-        ),
-        (Some(f), None) => println!(
-            "perf_gate: median {footprint:.0} bytes/peer over {} sample(s), budget {f:.0}",
-            samples.len()
-        ),
-        (None, Some(w)) => println!(
-            "perf_gate: median {footprint:.0} bytes/peer over {} sample(s), warning threshold \
-             {w:.0}",
-            samples.len()
-        ),
-        (None, None) => unreachable!("at least one threshold is required"),
-    }
-    if let Some(budget) = fail_above {
-        if footprint > budget {
-            println!(
-                "::error::peer-table footprint regression: {footprint:.0} bytes per peer slot \
-                 is above the {budget:.0}-byte budget — a per-peer column or slab grew. The \
-                 layout below names the collection; if the growth is intentional, rebase the \
-                 budget in the committed baseline."
-            );
-            print_mem_layout(&samples, footprint)?;
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    if let Some(watchline) = warn_above {
-        if footprint > watchline {
-            println!(
-                "::warning::peer-table footprint grew: {footprint:.0} bytes per peer slot is \
-                 above the {watchline:.0}-byte watchline — check the per-peer columns and \
-                 slabs for stride growth before it hits the hard budget."
-            );
-            print_mem_layout(&samples, footprint)?;
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `rebase --baseline FILE [--runner NAME] ARTIFACT.json...`: rewrites
-/// a committed elapsed-time baseline from fresh run artifacts, so a
-/// cross-host refusal (`check` printing a `::warning::` about differing
-/// `host_cpus`) can be re-armed in one step instead of hand-editing the
-/// JSON.
-///
-/// Scenario identity (`probe`, `peers`, `rounds`, `seed`, `shards`) is
-/// copied from the first artifact; `median_elapsed_secs` is the median
-/// over every artifact; `host_cpus` must agree across artifacts. When
-/// the artifacts carry `bytes_per_peer`, its median and a +25% hard
-/// budget (`bytes_per_peer_budget`) are recorded too, keeping the
-/// memory gate's threshold alongside the timing baseline it was
-/// measured with. The previous baseline's `note` is preserved.
-fn run_rebase(args: &[String]) -> Result<ExitCode, String> {
-    let mut baseline = None;
-    let mut runner = None;
-    let mut artifacts = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
-        match arg.as_str() {
-            "--baseline" => baseline = Some(value("--baseline")?),
-            "--runner" => runner = Some(value("--runner")?),
-            other => artifacts.push(other.to_string()),
-        }
-    }
-    let baseline = baseline.ok_or("rebase needs --baseline FILE")?;
-    if artifacts.is_empty() {
-        return Err("rebase needs at least one run artifact JSON".into());
-    }
-
-    let first = std::fs::read_to_string(&artifacts[0])
-        .map_err(|e| format!("reading {}: {e}", artifacts[0]))?;
-    let probe = extract_str(&first, "probe")
-        .ok_or_else(|| format!("{}: no \"probe\" field — not a run artifact", artifacts[0]))?;
-    let host_cpus = extract_f64(&first, "host_cpus").ok_or_else(|| {
+    };
+    let footprint = median_field(&samples, "bytes_per_peer").map_err(|e| {
         format!(
-            "{}: no host_cpus field (stale probe binary or --stable-json artifact?) — a \
-             baseline without it cannot arm the cross-host guard",
-            artifacts[0]
+            "{e} (stale probe binary or --stable-json sample?) — the hard memory budget cannot \
+             be checked"
         )
     })?;
-    let mut timings = Vec::new();
-    let mut footprints = Vec::new();
-    for p in &artifacts {
-        timings.push(read_field(p, "elapsed_secs")?);
-        let cpus = read_optional_field(p, "host_cpus")?;
-        if cpus != Some(host_cpus) {
-            return Err(format!(
-                "{p}: host_cpus {:?} differs from {host_cpus} in {} — artifacts from \
-                 different hosts cannot form one baseline",
-                cpus, artifacts[0]
-            ));
-        }
-        if let Some(v) = read_optional_field(p, "bytes_per_peer")? {
-            footprints.push(v);
-        }
-    }
-
-    // Preserve the old baseline's note (the refresh rule and scenario
-    // rationale) when one exists; a missing or unreadable old baseline
-    // is fine — rebase can also mint a first baseline.
-    let old_note = std::fs::read_to_string(&baseline)
-        .ok()
-        .and_then(|text| extract_str(&text, "note"));
-    let runner = runner.unwrap_or_else(|| format!("{host_cpus:.0}-cpu-host"));
-
-    let mut report = json::Object::new().str("probe", &probe);
-    for key in ["peers", "rounds", "seed", "shards"] {
-        if let Some(v) = extract_f64(&first, key) {
-            report = report.num(key, v as u64);
-        }
-    }
-    report = report
-        .num("samples", artifacts.len() as u64)
-        .float("median_elapsed_secs", median(timings))
-        .num("host_cpus", host_cpus as u64)
-        .str("runner", &runner);
-    if !footprints.is_empty() {
-        let footprint = median(footprints);
-        report = report
-            .float("median_bytes_per_peer", footprint)
-            .num("bytes_per_peer_budget", (footprint * 1.25).ceil() as u64);
-    }
-    if let Some(note) = old_note {
-        report = report.str("note", &note);
-    }
-    let rendered = report.render();
-    std::fs::write(&baseline, format!("{rendered}\n"))
-        .map_err(|e| format!("writing {baseline}: {e}"))?;
     println!(
-        "perf_gate: rebased {baseline} from {} artifact(s) ({probe}, {host_cpus:.0} CPUs)",
-        artifacts.len()
+        "perf_gate: median {footprint:.0} bytes/peer over {} sample(s), budget {budget:.0}",
+        samples.len()
     );
+    if footprint > budget {
+        println!(
+            "::error::peer-table footprint regression: {footprint:.0} bytes per peer slot is \
+             above the {budget:.0}-byte budget — a per-peer column or slab grew. The layout \
+             below names the collection; if the growth is intentional, raise the budget where \
+             the gate is invoked and state the new measurement in the commit."
+        );
+        print_mem_layout(&samples, footprint)?;
+        return Ok(ExitCode::FAILURE);
+    }
     Ok(ExitCode::SUCCESS)
 }
 
-/// `rs --baseline FILE [--min-ratio R] SAMPLE.json...`: the SIMD
-/// Reed–Solomon throughput gate over `rs_probe --json` samples.
-///
-/// Two checks:
-/// 1. The best backend must beat scalar by at least `--min-ratio`
-///    (default 4.0) — the SIMD kernels' acceptance floor. Hosts whose
-///    best backend *is* scalar (no SIMD) warn and pass: hardware, not
-///    a regression.
-/// 2. The best backend's `best_mib_s` must stay within `--fail-pct`
-///    (default 25%) below the baseline's `median_encode_mib_s`, with a
-///    `::warning::` from `--warn-pct` (default 10%). Refuses the
-///    comparison when the baseline's `host_cpus` or `backend` differ
-///    from the sample's — cross-host throughputs don't compare.
+/// `rs [--min-ratio R] SAMPLE.json...`: the SIMD Reed–Solomon gate over
+/// `rs_probe --json` samples. The best backend's median `speedup` over
+/// scalar — two measurements from one run on one host — must reach
+/// `--min-ratio` (default 4.0), the SIMD kernels' acceptance floor.
+/// Hosts whose best backend *is* scalar (no SIMD) warn and pass:
+/// hardware, not a regression.
 fn run_rs(args: &[String]) -> Result<ExitCode, String> {
-    let mut baseline = None;
     let mut min_ratio = 4.0f64;
-    let mut warn_pct = 10.0f64;
-    let mut fail_pct = 25.0f64;
     let mut samples = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
         match arg.as_str() {
-            "--baseline" => baseline = Some(value("--baseline")?),
-            "--min-ratio" => {
-                min_ratio = value("--min-ratio")?
-                    .parse()
-                    .map_err(|e| format!("--min-ratio: {e}"))?;
-            }
-            "--warn-pct" => {
-                warn_pct = value("--warn-pct")?
-                    .parse()
-                    .map_err(|e| format!("--warn-pct: {e}"))?;
-            }
-            "--fail-pct" => {
-                fail_pct = value("--fail-pct")?
-                    .parse()
-                    .map_err(|e| format!("--fail-pct: {e}"))?;
-            }
-            other => samples.push(other.to_string()),
+            "--min-ratio" => min_ratio = flag_number(&mut iter, "--min-ratio")?,
+            other => samples.push(sample_path("rs", other)?),
         }
     }
     if samples.is_empty() {
@@ -643,11 +356,7 @@ fn run_rs(args: &[String]) -> Result<ExitCode, String> {
         std::fs::read_to_string(&samples[0]).map_err(|e| format!("reading {}: {e}", samples[0]))?;
     let best_backend =
         extract_str(&first, "best_backend").ok_or("sample has no best_backend field")?;
-    let speedups: Vec<f64> = samples
-        .iter()
-        .map(|p| read_field(p, "speedup"))
-        .collect::<Result<_, _>>()?;
-    let speedup = median(speedups);
+    let speedup = median_field(&samples, "speedup")?;
     println!(
         "perf_gate: rs encode best backend {best_backend}, median speedup {speedup:.2}x over \
          scalar (required {min_ratio:.2}x)"
@@ -666,100 +375,34 @@ fn run_rs(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::FAILURE);
     }
-
-    let Some(baseline) = baseline else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let base_text = match std::fs::read_to_string(&baseline) {
-        Ok(text) => text,
-        Err(e) => {
-            println!("::warning::rs baseline {baseline} unreadable ({e}) — speedup-only gate");
-            return Ok(ExitCode::SUCCESS);
-        }
-    };
-    let base_backend = extract_str(&base_text, "backend");
-    let base_cpus = extract_f64(&base_text, "host_cpus");
-    let sample_cpus = extract_f64(&first, "host_cpus");
-    if base_backend.as_deref() != Some(best_backend.as_str()) || base_cpus != sample_cpus {
-        println!(
-            "::warning::rs baseline {baseline} was recorded for backend {:?} on {:?} CPUs but \
-             this run uses {best_backend} on {:?} — refusing the throughput comparison. \
-             Refresh the baseline from this run's artifact.",
-            base_backend.as_deref().unwrap_or("?"),
-            base_cpus.unwrap_or(f64::NAN),
-            sample_cpus.unwrap_or(f64::NAN),
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let base = extract_f64(&base_text, "median_encode_mib_s")
-        .ok_or_else(|| format!("{baseline}: no numeric field \"median_encode_mib_s\""))?;
-    let throughputs: Vec<f64> = samples
-        .iter()
-        .map(|p| read_field(p, "best_mib_s"))
-        .collect::<Result<_, _>>()?;
-    let fresh = median(throughputs);
-    let delta_pct = (fresh / base - 1.0) * 100.0;
-    println!(
-        "perf_gate: rs encode {fresh:.1} MiB/s over {} sample(s) vs baseline {base:.1} MiB/s \
-         ({delta_pct:+.1}%)",
-        samples.len()
-    );
-    if delta_pct <= -fail_pct {
-        println!(
-            "::error::rs encode throughput regression: {fresh:.1} MiB/s is {delta_pct:+.1}% vs \
-             the committed baseline {base:.1} MiB/s (fail threshold -{fail_pct:.0}%)"
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    if delta_pct <= -warn_pct {
-        println!(
-            "::warning::rs encode throughput drift: {fresh:.1} MiB/s is {delta_pct:+.1}% vs the \
-             committed baseline {base:.1} MiB/s (warn threshold -{warn_pct:.0}%)"
-        );
-    }
     Ok(ExitCode::SUCCESS)
 }
 
 const USAGE: &str = "\
 usage: perf_gate <subcommand> [options]
-  check   --baseline FILE [--warn-pct P] [--fail-pct P] SAMPLE.json...
-          median(SAMPLE elapsed_secs) vs the baseline's median_elapsed_secs;
-          ::warning:: at +10%, non-zero exit (::error::) at +25%.
-          Refuses (exit 0 + ::warning::) when the baseline's host_cpus
-          differs from the samples' — cross-host timings don't compare.
   speedup [--min-ratio R] --single FILE... --sharded FILE...
-          require median(single elapsed) / median(sharded elapsed) >= R
-          (default 2.0); a warning instead of a failure on <4-CPU hosts
+          require median(single elapsed_secs) / median(sharded
+          elapsed_secs) >= R (default 2.0). All samples must record the
+          same host_cpus; below 4 a miss warns instead of failing
   alloc   --budget N SAMPLE.json...
           require median(allocs_per_round) <= N (samples must come from
           a probe built with --features count-allocs; a missing field
           fails the gate rather than passing silently)
-  mem     [--warn-above N] [--fail-above N] SAMPLE.json...
-          hard memory budget: non-zero exit (::error:: plus the
-          per-component layout) when median(bytes_per_peer) exceeds
-          --fail-above; --warn-above is an optional earlier watchline
-          that only annotates. At least one threshold is required.
-  rebase  --baseline FILE [--runner NAME] ARTIFACT.json...
-          rewrite FILE from fresh run artifacts: median elapsed_secs,
-          the artifacts' host_cpus (must agree), and — when recorded —
-          median bytes_per_peer plus a +25% bytes_per_peer_budget;
-          preserves the old baseline's note. Re-arms a cross-host
-          refusal in one step.
-  rs      --baseline FILE [--min-ratio R] [--warn-pct P] [--fail-pct P]
-          SAMPLE.json...
-          require median(rs_probe speedup) >= R (default 4.0) and the
-          best backend's median(best_mib_s) within -25% of the
-          baseline's median_encode_mib_s; scalar-only hosts and
-          backend/CPU mismatches warn instead of failing";
+  mem     [--fail-above N] [--rss-fail-above N] SAMPLE.json...
+          hard memory budgets, at least one required: non-zero exit
+          (::error:: plus the per-component layout) when
+          median(bytes_per_peer) exceeds --fail-above, or when
+          median(peak_rss_bytes / peers) exceeds --rss-fail-above
+  rs      [--min-ratio R] SAMPLE.json...
+          require median(rs_probe speedup) >= R (default 4.0), best
+          backend over scalar; scalar-only hosts warn instead of failing";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("check") => run_check(&args[1..]),
         Some("speedup") => run_speedup(&args[1..]),
         Some("alloc") => run_alloc(&args[1..]),
         Some("mem") => run_mem(&args[1..]),
-        Some("rebase") => run_rebase(&args[1..]),
         Some("rs") => run_rs(&args[1..]),
         Some("--help" | "-h") => {
             println!("{USAGE}");
@@ -779,6 +422,20 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writes `content` to `name` in this test's own temp directory
+    /// (tests run in parallel and must not share files).
+    fn sample(test: &str, name: &str, content: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("perf_gate_{test}_test"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, content).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn extracts_fields_from_flat_json() {
@@ -806,257 +463,138 @@ mod tests {
     }
 
     #[test]
-    fn cpu_count_mismatch_refuses_the_comparison() {
-        let dir = std::env::temp_dir().join("perf_gate_cpu_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let sample = dir.join("sample.json");
-        std::fs::write(
-            &base,
-            r#"{"median_elapsed_secs":10.0,"host_cpus":1,"runner":"a"}"#,
-        )
-        .unwrap();
-        // A sample 10x slower than baseline, but from a different host:
-        // the gate must refuse (exit SUCCESS) instead of failing.
-        std::fs::write(&sample, r#"{"elapsed_secs":100.0,"host_cpus":8}"#).unwrap();
-        let args: Vec<String> = [
-            "--baseline",
-            base.to_str().unwrap(),
-            sample.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        assert_eq!(run_check(&args).unwrap(), ExitCode::SUCCESS);
+    fn unknown_flags_are_usage_errors_not_sample_paths() {
+        for run in [run_speedup, run_alloc, run_mem, run_rs] {
+            let err = run(&strings(&["--baseline", "1", "f.json"])).unwrap_err();
+            assert!(err.contains("unknown argument \"--baseline\""), "{err}");
+            assert!(err.contains("usage: perf_gate"), "{err}");
+        }
+    }
 
-        // Sample without host_cpus (stale probe binary) against a
-        // pinned baseline: also refused, not compared.
-        std::fs::write(&sample, r#"{"elapsed_secs":100.0}"#).unwrap();
-        assert_eq!(run_check(&args).unwrap(), ExitCode::SUCCESS);
-
-        // Same CPU count: the regression fires.
-        std::fs::write(&sample, r#"{"elapsed_secs":100.0,"host_cpus":1}"#).unwrap();
-        assert_eq!(run_check(&args).unwrap(), ExitCode::FAILURE);
+    #[test]
+    fn speedup_gate_reads_the_cpu_count_from_the_samples() {
+        let write = |name: &str, secs: f64, cpus: Option<u32>| {
+            let cpus = cpus.map_or(String::new(), |n| format!(r#","host_cpus":{n}"#));
+            let body = format!(r#"{{"elapsed_secs":{secs}{cpus}}}"#);
+            sample("speedup", name, &body)
+        };
+        let single = write("single.json", 10.0, Some(8));
+        let run =
+            |sharded: &str| run_speedup(&strings(&["--single", &single, "--sharded", sharded]));
+        // 2.5x on 8 CPUs passes the default 2x; 1.25x fails there.
+        let fast = write("fast.json", 4.0, Some(8));
+        let slow = write("slow.json", 8.0, Some(8));
+        assert_eq!(run(&fast).unwrap(), ExitCode::SUCCESS);
+        assert_eq!(run(&slow).unwrap(), ExitCode::FAILURE);
+        // The same miss recorded on 2 CPUs warns and passes, whatever
+        // machine runs the gate.
+        let single2 = write("single2.json", 10.0, Some(2));
+        let slow2 = write("slow2.json", 8.0, Some(2));
+        let args = strings(&["--single", &single2, "--sharded", &slow2]);
+        assert_eq!(run_speedup(&args).unwrap(), ExitCode::SUCCESS);
+        // Samples from two hosts, or without host_cpus, have no speedup.
+        assert!(run(&slow2).unwrap_err().contains("different hosts"));
+        let bare = write("bare.json", 4.0, None);
+        assert!(run(&bare).unwrap_err().contains("host_cpus"));
+        // Both sets are required.
+        assert!(run_speedup(&strings(&["--single", &single])).is_err());
+        assert!(run_speedup(&strings(&["--sharded", &fast])).is_err());
     }
 
     #[test]
     fn alloc_gate_enforces_the_budget_and_the_field() {
-        let dir = std::env::temp_dir().join("perf_gate_alloc_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let sample = dir.join("alloc.json");
-        let args = |budget: &str| -> Vec<String> {
-            ["--budget", budget, sample.to_str().unwrap()]
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
-        };
-        std::fs::write(&sample, r#"{"allocs_per_round":12.500000}"#).unwrap();
-        assert_eq!(run_alloc(&args("64")).unwrap(), ExitCode::SUCCESS);
-        assert_eq!(run_alloc(&args("10")).unwrap(), ExitCode::FAILURE);
+        let args = |budget: &str, path: &str| strings(&["--budget", budget, path]);
+        let s = sample("alloc", "alloc.json", r#"{"allocs_per_round":12.500000}"#);
+        assert_eq!(run_alloc(&args("64", &s)).unwrap(), ExitCode::SUCCESS);
+        assert_eq!(run_alloc(&args("10", &s)).unwrap(), ExitCode::FAILURE);
         // A sample without the field (probe built without the counting
         // allocator) must fail loudly, not pass silently.
-        std::fs::write(&sample, r#"{"elapsed_secs":1.0}"#).unwrap();
-        assert!(run_alloc(&args("64")).is_err());
+        let s = sample("alloc", "plain.json", r#"{"elapsed_secs":1.0}"#);
+        assert!(run_alloc(&args("64", &s)).is_err());
     }
 
     #[test]
     fn mem_gate_enforces_the_hard_budget() {
-        let dir = std::env::temp_dir().join("perf_gate_mem_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let sample = dir.join("mem.json");
-        let args = |flags: &[&str]| -> Vec<String> {
-            flags
-                .iter()
-                .map(|s| s.to_string())
-                .chain([sample.to_str().unwrap().to_string()])
-                .collect()
-        };
-        std::fs::write(
-            &sample,
+        let s = sample(
+            "mem",
+            "mem.json",
             r#"{"bytes_per_peer":4096.000000,"bytes_peer_table":2048.000000,"bytes_partner_lists":2048.000000}"#,
-        )
-        .unwrap();
+        );
         // Under the budget: pass.
-        assert_eq!(
-            run_mem(&args(&["--fail-above", "8192"])).unwrap(),
-            ExitCode::SUCCESS
-        );
+        let args = strings(&["--fail-above", "8192", &s]);
+        assert_eq!(run_mem(&args).unwrap(), ExitCode::SUCCESS);
         // Over the hard budget: the gate blocks (and prints the layout).
-        assert_eq!(
-            run_mem(&args(&["--fail-above", "1024"])).unwrap(),
-            ExitCode::FAILURE
-        );
-        // Between the watchline and the budget: warn but pass.
-        assert_eq!(
-            run_mem(&args(&["--warn-above", "1024", "--fail-above", "8192"])).unwrap(),
-            ExitCode::SUCCESS
-        );
-        // Watchline-only mode keeps the historical advisory behaviour.
-        assert_eq!(
-            run_mem(&args(&["--warn-above", "1024"])).unwrap(),
-            ExitCode::SUCCESS
-        );
-        // Missing field: fatal when the hard budget is armed, skipped
-        // with a warning in advisory mode.
-        std::fs::write(&sample, r#"{"elapsed_secs":1.0}"#).unwrap();
-        assert!(run_mem(&args(&["--fail-above", "8192"])).is_err());
-        assert_eq!(
-            run_mem(&args(&["--warn-above", "1024"])).unwrap(),
-            ExitCode::SUCCESS
-        );
-        // No thresholds at all is a usage error.
-        assert!(run_mem(&args(&[])).is_err());
+        let args = strings(&["--fail-above", "1024", &s]);
+        assert_eq!(run_mem(&args).unwrap(), ExitCode::FAILURE);
+        // No budget at all is a usage error.
+        assert!(run_mem(&strings(&[&s])).is_err());
+        // A sample without the field cannot pass an armed budget.
+        let s = sample("mem", "plain.json", r#"{"elapsed_secs":1.0}"#);
+        assert!(run_mem(&strings(&["--fail-above", "8192", &s])).is_err());
     }
 
     #[test]
     fn mem_gate_enforces_the_peak_rss_budget() {
-        let dir = std::env::temp_dir().join("perf_gate_rss_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let sample = dir.join("rss.json");
-        let args = |flags: &[&str]| -> Vec<String> {
-            flags
-                .iter()
-                .map(|s| s.to_string())
-                .chain([sample.to_str().unwrap().to_string()])
-                .collect()
-        };
         // 14 KiB of peak RSS per peer.
-        std::fs::write(
-            &sample,
+        let s = sample(
+            "rss",
+            "rss.json",
             r#"{"peers":1000,"bytes_per_peer":2668.000000,"peak_rss_bytes":14336000}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            run_mem(&args(&["--rss-fail-above", "20000"])).unwrap(),
-            ExitCode::SUCCESS
         );
-        assert_eq!(
-            run_mem(&args(&["--rss-fail-above", "14000"])).unwrap(),
-            ExitCode::FAILURE
-        );
+        let run = |flags: &[&str], path: &str| {
+            let mut args = strings(flags);
+            args.push(path.to_string());
+            run_mem(&args)
+        };
+        let rss = |budget| run(&["--rss-fail-above", budget], &s).unwrap();
+        assert_eq!(rss("20000"), ExitCode::SUCCESS);
+        assert_eq!(rss("14000"), ExitCode::FAILURE);
         // Both budgets armed: either one blocks.
-        assert_eq!(
-            run_mem(&args(&[
-                "--fail-above",
-                "3330",
-                "--rss-fail-above",
-                "14000"
-            ]))
-            .unwrap(),
-            ExitCode::FAILURE
-        );
-        assert_eq!(
-            run_mem(&args(&[
-                "--fail-above",
-                "2000",
-                "--rss-fail-above",
-                "20000"
-            ]))
-            .unwrap(),
-            ExitCode::FAILURE
-        );
-        assert_eq!(
-            run_mem(&args(&[
-                "--fail-above",
-                "3330",
-                "--rss-fail-above",
-                "20000"
-            ]))
-            .unwrap(),
-            ExitCode::SUCCESS
-        );
+        let both = |table, rss| run(&["--fail-above", table, "--rss-fail-above", rss], &s).unwrap();
+        assert_eq!(both("3330", "14000"), ExitCode::FAILURE);
+        assert_eq!(both("2000", "20000"), ExitCode::FAILURE);
+        assert_eq!(both("3330", "20000"), ExitCode::SUCCESS);
         // A host without /proc writes 0: warn and pass.
-        std::fs::write(&sample, r#"{"peers":1000,"peak_rss_bytes":0}"#).unwrap();
+        let zero = sample("rss", "zero.json", r#"{"peers":1000,"peak_rss_bytes":0}"#);
         assert_eq!(
-            run_mem(&args(&["--rss-fail-above", "14000"])).unwrap(),
+            run(&["--rss-fail-above", "14000"], &zero).unwrap(),
             ExitCode::SUCCESS
         );
         // A sample without the field cannot pass an armed gate, and is
         // simply not reported when the gate is not armed.
-        std::fs::write(&sample, r#"{"peers":1000,"bytes_per_peer":2668.000000}"#).unwrap();
-        assert!(run_mem(&args(&["--rss-fail-above", "14000"])).is_err());
+        let bare = sample(
+            "rss",
+            "bare.json",
+            r#"{"peers":1000,"bytes_per_peer":2668.000000}"#,
+        );
+        assert!(run(&["--rss-fail-above", "14000"], &bare).is_err());
         assert_eq!(
-            run_mem(&args(&["--fail-above", "3330"])).unwrap(),
+            run(&["--fail-above", "3330"], &bare).unwrap(),
             ExitCode::SUCCESS
         );
     }
 
     #[test]
-    fn rebase_rewrites_a_baseline_from_artifacts() {
-        let dir = std::env::temp_dir().join("perf_gate_rebase_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let a = dir.join("a.json");
-        let b = dir.join("b.json");
-        std::fs::write(
-            &baseline,
-            r#"{"probe":"perf_probe","median_elapsed_secs":9.0,"host_cpus":1,"note":"refresh rule"}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &a,
-            r#"{"probe":"perf_probe","peers":4096,"rounds":2000,"seed":42,"shards":8,"host_cpus":8,"elapsed_secs":2.000000,"bytes_per_peer":2664.000000}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &b,
-            r#"{"probe":"perf_probe","peers":4096,"rounds":2000,"seed":42,"shards":8,"host_cpus":8,"elapsed_secs":3.000000,"bytes_per_peer":2664.000000}"#,
-        )
-        .unwrap();
-        let args: Vec<String> = [
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--runner",
-            "ci-8cpu",
-            a.to_str().unwrap(),
-            b.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        assert_eq!(run_rebase(&args).unwrap(), ExitCode::SUCCESS);
-        let text = std::fs::read_to_string(&baseline).unwrap();
-        assert_eq!(extract_f64(&text, "median_elapsed_secs"), Some(2.5));
-        assert_eq!(extract_f64(&text, "host_cpus"), Some(8.0));
-        assert_eq!(extract_f64(&text, "peers"), Some(4096.0));
-        assert_eq!(extract_f64(&text, "samples"), Some(2.0));
-        // +25% over the measured footprint, rounded up.
-        assert_eq!(extract_f64(&text, "bytes_per_peer_budget"), Some(3330.0));
-        assert_eq!(extract_str(&text, "runner").as_deref(), Some("ci-8cpu"));
-        // The old baseline's refresh-rule note survives the rewrite.
-        assert_eq!(extract_str(&text, "note").as_deref(), Some("refresh rule"));
-
-        // The rebased file immediately arms `check` on the same host.
-        std::fs::write(&a, r#"{"elapsed_secs":10.0,"host_cpus":8}"#).unwrap();
-        let check: Vec<String> = [
-            "--baseline",
-            baseline.to_str().unwrap(),
-            a.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        assert_eq!(run_check(&check).unwrap(), ExitCode::FAILURE);
-
-        // Artifacts from disagreeing hosts cannot form one baseline.
-        std::fs::write(
-            &b,
-            r#"{"probe":"perf_probe","host_cpus":4,"elapsed_secs":3.0}"#,
-        )
-        .unwrap();
-        assert!(run_rebase(&args).is_err());
-    }
-
-    #[test]
-    fn check_args_parse_with_defaults() {
-        let args: Vec<String> = ["--baseline", "b.json", "a.json", "c.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let parsed = parse_check(&args).unwrap();
-        assert_eq!(parsed.baseline, "b.json");
-        assert_eq!(parsed.samples, vec!["a.json", "c.json"]);
-        assert_eq!(parsed.warn_pct, 10.0);
-        assert_eq!(parsed.fail_pct, 25.0);
+    fn rs_gate_enforces_the_simd_speedup_floor() {
+        let write = |name: &str, backend: &str, speedup: Option<f64>| {
+            let speedup = speedup.map_or(String::new(), |x| format!(r#","speedup":{x}"#));
+            let body = format!(r#"{{"best_backend":"{backend}"{speedup}}}"#);
+            sample("rs", name, &body)
+        };
+        let run = |path: &str| run_rs(&strings(&[path]));
+        let fast = write("fast.json", "avx2", Some(9.69));
+        assert_eq!(run(&fast).unwrap(), ExitCode::SUCCESS);
+        let slow = write("slow.json", "avx2", Some(3.5));
+        assert_eq!(run(&slow).unwrap(), ExitCode::FAILURE);
+        assert_eq!(
+            run_rs(&strings(&["--min-ratio", "3", &slow])).unwrap(),
+            ExitCode::SUCCESS
+        );
+        // No SIMD on the host is hardware, not a regression.
+        let scalar = write("scalar.json", "scalar", Some(1.0));
+        assert_eq!(run(&scalar).unwrap(), ExitCode::SUCCESS);
+        // A sample without the ratio cannot pass.
+        let bare = write("bare.json", "avx2", None);
+        assert!(run(&bare).is_err());
     }
 }

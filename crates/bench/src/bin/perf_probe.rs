@@ -8,8 +8,10 @@
 //! ```
 //!
 //! With `--json` the probe emits one machine-readable object on stdout
-//! (timing, throughput, headline counters) so the perf trajectory can
-//! be tracked across PRs; `--stable-json` drops the timing fields so
+//! (timing, throughput, headline counters) for `perf_gate`, which
+//! gates only exact counts and ratios between samples from one host —
+//! speed across commits is the `benchmark/` package's job, not this
+//! probe's; `--stable-json` drops the timing fields so
 //! two same-seed runs (e.g. `--shards 1` vs `--shards 8`) must diff
 //! byte-for-byte — the CI determinism gate.
 //!

@@ -5,8 +5,8 @@
 //! throughput (MiB of source data per second) under every backend the
 //! host CPU can execute, forced via [`peerback_gf256::set_backend`].
 //! The report's `speedup` — best SIMD backend over scalar — is what
-//! the gate compares against the ≥4× acceptance floor, and
-//! `best_mib_s` is what it tracks against `ci/perf-baseline-rs.json`.
+//! the gate compares against the ≥4× acceptance floor; `best_mib_s`
+//! and the per-backend rows are for reading, not gated.
 //!
 //! ```text
 //! cargo run --release -p peerback-bench --bin rs_probe -- --json

@@ -419,8 +419,9 @@ impl HarnessArgs {
         })
     }
 
-    /// CPUs visible to this process (recorded in perf reports so the
-    /// gate refuses to compare timings across differing hosts).
+    /// CPUs visible to this process. Recorded in perf reports:
+    /// `perf_gate speedup` reads it from the samples to decide whether
+    /// the host that took them could express the parallelism.
     pub fn host_cpus() -> u64 {
         std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
     }
@@ -476,8 +477,8 @@ usage: <binary> [options]
   --shards N        intra-run worker threads (default 1; results are
                     bit-identical at every value)
   --json            emit a machine-readable JSON report on stdout
-                    (perf_probe and scenario_fabric; other binaries
-                    ignore the flag and print their usual tables)
+                    (the probes, scenario_fabric and knee_sweep; the
+                    figure and table binaries ignore the flag)
   --stable-json     with --json: omit timing/host fields so same-seed
                     runs diff byte-for-byte (the CI determinism gate)
   --no-steal        disable cross-shard work stealing (fixed ownership
