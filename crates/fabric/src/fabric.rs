@@ -31,8 +31,8 @@
 //! code-word cache, counters, audit ledger and retry queue of its
 //! owners, and the lanes replay their subsequences concurrently on the
 //! same work-stealing pool as the simulator
-//! ([`peerback_sim::exec::run_tasks`]). Departures fan out to every
-//! lane (any lane may store bytes *hosted* by the departed peer).
+//! ([`peerback_sim::WorkerPool::run_tasks`]). Departures fan out to
+//! every lane (any lane may store bytes *hosted* by the departed peer).
 //! Per-lane buffers merge in lane order once per round, and fault
 //! draws come from per-transfer RNGs derived from
 //! `(seed, lane, transfer sequence)` — so every counter, note and loss
@@ -1018,17 +1018,8 @@ impl PlaneLane {
             attempt,
             scrub,
         } = job;
-        let payload = {
-            let oa = self.owners.get(&(owner, archive)).expect("slot mirrored");
-            oa.codeword.shards[slot].clone()
-        };
-        let mut bytes = BlockFrame {
-            owner,
-            archive,
-            shard_index: slot as u32,
-            payload,
-        }
-        .to_bytes();
+        let oa = self.owners.get(&(owner, archive)).expect("slot mirrored");
+        let mut bytes = BlockFrame::encode(owner, archive, slot as u32, &oa.codeword.shards[slot]);
         let frame_len = bytes.len();
         self.stats.transfers_attempted += 1;
         if attempt > 0 {
@@ -1940,4 +1931,72 @@ pub fn restore_percentiles(durations: &[u64]) -> Option<(u64, u64, u64)> {
         sorted[idx.min(sorted.len() - 1)]
     };
     Some((rank(50), rank(95), rank(99)))
+}
+
+#[cfg(test)]
+mod tests {
+    use peerback_core::MaintenancePolicy;
+
+    use super::*;
+    use crate::frame::oracle;
+
+    /// The `combined_bytes` shape, small: every plane on, 2 KiB shards.
+    fn all_planes(shards: usize) -> (SimConfig, FabricConfig) {
+        let mut cfg = SimConfig::paper(256, 200, 42)
+            .with_shards(shards)
+            .with_quarantine_threshold(3);
+        cfg.k = 8;
+        cfg.m = 8;
+        cfg.quota = 48;
+        cfg.maintenance = MaintenancePolicy::Adaptive {
+            base: 12,
+            floor_margin: 1,
+            step: 1,
+        };
+        let fabric = FabricConfig {
+            payload_bytes: 16384,
+            faults: FaultProfile::uniform(0.05),
+            audit_interval: 8,
+            audit_sample_period: 4,
+            scrub_interval: 32,
+            schedule: Some(ScheduleConfig {
+                link_cap: Some(8192),
+                ..ScheduleConfig::default()
+            }),
+            adversary: AdversaryConfig {
+                free_rider_fraction: 0.05,
+                rot_fraction: 0.03,
+                challenge_interval: 8,
+                challenge_sample_period: 2,
+            },
+            ..FabricConfig::default()
+        };
+        (cfg, fabric)
+    }
+
+    #[test]
+    fn block_sum_classifies_every_frame_and_block_as_fnv1a_did() {
+        // The oracle switch is thread-local, so the FNV-1a arm replays
+        // on one worker (nothing leaves this thread); the arm under the
+        // real sum runs its lanes on the pool. Reports are identical at
+        // every worker count, so any difference is the sum's.
+        let (cfg, fcfg) = all_planes(1);
+        let old = oracle::with_fnv(|| run_fabric(cfg, fcfg).expect("valid configs"));
+        let (cfg, fcfg) = all_planes(2);
+        let new = run_fabric(cfg, fcfg).expect("valid configs");
+
+        assert_eq!(new.metrics, old.metrics);
+        assert_eq!(new.stats, old.stats);
+        assert_eq!(new.audit, old.audit);
+        assert_eq!(new.losses, old.losses);
+        assert_eq!(new.quarantined, old.quarantined);
+        assert_eq!(new.restore_durations, old.restore_durations);
+        assert_eq!(new.free_riders_targeted, old.free_riders_targeted);
+        // Not vacuous: each kind of check caught real damage.
+        let s = &new.stats;
+        assert!(s.transfers_corrupted > 0, "{s:?}");
+        assert!(s.scrub_detected > 0, "{s:?}");
+        assert!(s.challenge_failures > 0, "{s:?}");
+        assert!(new.audit.checks > 0 && !new.quarantined.is_empty());
+    }
 }

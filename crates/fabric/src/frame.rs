@@ -2,24 +2,39 @@
 //!
 //! A frame is what one peer actually ships to another when the
 //! simulator decides a placement: a fixed header naming the block,
-//! the shard payload, and a checksum over everything before it. The
-//! codec is built on [`peerback_core::wire`] and inherits its
+//! the shard payload, and a [`block_sum`] over everything before it.
+//! The codec is built on [`peerback_core::wire`] and inherits its
 //! strictness — truncation, hostile lengths and trailing bytes are
-//! typed errors, never panics — and the trailing checksum turns *any*
+//! typed errors, never panics — and the trailing sum turns *any*
 //! in-flight bit flip into a typed error as well, so a transfer can
 //! never succeed silently with damaged bytes.
+//!
+//! ## Two sums, two jobs
+//!
+//! * [`block_sum`] guards **integrity**: the frame trailer here and the
+//!   at-rest blocks of [`crate::store`]. It runs once or more per shard
+//!   per transfer, scrub, challenge and audit gather, so speed matters;
+//!   its value never leaves a run, so the algorithm may change (the
+//!   frame magic names it).
+//! * [`checksum`] (FNV-1a) fingerprints **reports**: the benchmark
+//!   digests its results with it and compares them across commits, so
+//!   stability matters and speed does not. Nothing in this crate calls
+//!   it.
 
 use core::fmt;
 
 use peerback_core::wire::{Reader, WireError, Writer};
 use peerback_core::PeerId;
 
-const MAGIC: &[u8; 4] = b"PBF1";
+/// `PBF2`: the trailer is a [`block_sum`] (`PBF1` carried FNV-1a).
+const MAGIC: &[u8; 4] = b"PBF2";
 
-/// FNV-1a over `bytes` — the frame and at-rest integrity checksum.
+/// FNV-1a over `bytes` — the report-digest function.
 ///
-/// Not cryptographic (the threat model is bitrot and transfer damage,
-/// not adversaries), but any single-bit flip changes the digest.
+/// The benchmark fingerprints every report with it (`digest`,
+/// `sim_digest`), and those fingerprints are compared between commits,
+/// so this function must stay bit-identical. It protects no frame and
+/// no stored block: that is [`block_sum`]'s job.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -29,17 +44,107 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Bytes per [`block_sum`] stripe: four 8-byte lanes.
+const STRIPE: usize = 32;
+
+/// Odd multipliers, one per lane (also the lanes' start values, so a
+/// run of zero bytes still moves every lane).
+const LANE_MUL: [u64; 4] = [
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
+
+/// Odd multiplier of the lane fold and the tail.
+const FOLD_MUL: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One step of [`block_sum`]: xor the input in, multiply by an odd
+/// constant, swap the halves. Each of the three is a bijection of the
+/// state for a fixed input (and of the input for a fixed state), so a
+/// change to one input word always changes the state after it. The
+/// swap carries the well-mixed high half back down: a product's low
+/// bits never depend on its operand's high bits, and without it a
+/// flipped top bit would stay a lone top bit that a second such flip
+/// further along the lane cancels.
+#[inline(always)]
+fn mix(state: u64, input: u64, mul: u64) -> u64 {
+    (state ^ input).wrapping_mul(mul).rotate_left(32)
+}
+
+/// The integrity sum of frames in flight and blocks at rest.
+///
+/// Reads 32-byte stripes as four little-endian words feeding four
+/// independent xor → multiply-by-odd → swap-halves chains — four
+/// multiplies in flight, eight bytes per step, where a bytewise sum
+/// has one and one — then folds the length, the lanes and the
+/// `< 32`-byte tail into one word through the same step. Every step is
+/// a bijection of the running state, so by construction every
+/// single-bit flip changes the sum; lanes are ordered and individually
+/// keyed, so moving words or stripes around does too, and the length
+/// makes zero-extension visible. Not cryptographic (the threat model
+/// is bitrot and transfer damage, not adversaries). Endian-fixed: the
+/// value is the same on every host.
+pub fn block_sum(bytes: &[u8]) -> u64 {
+    #[cfg(test)]
+    if oracle::active() {
+        return checksum(bytes);
+    }
+    let mut lanes = LANE_MUL;
+    let mut stripes = bytes.chunks_exact(STRIPE);
+    for stripe in &mut stripes {
+        for ((lane, word), mul) in lanes.iter_mut().zip(stripe.chunks_exact(8)).zip(LANE_MUL) {
+            let word = u64::from_le_bytes(word.try_into().expect("chunks of 8"));
+            *lane = mix(*lane, word, mul);
+        }
+    }
+    let mut sum = mix(FOLD_MUL, bytes.len() as u64, FOLD_MUL);
+    for lane in lanes {
+        sum = mix(sum, lane, FOLD_MUL);
+    }
+    for &byte in stripes.remainder() {
+        sum = mix(sum, u64::from(byte), FOLD_MUL);
+    }
+    sum
+}
+
+/// Test-only oracle switch: while active on a thread, [`block_sum`]
+/// *is* FNV-1a there, so one build can run a scenario under the sum
+/// this crate used to trust and under the one it trusts now.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::cell::Cell;
+
+    thread_local! {
+        static FNV: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn active() -> bool {
+        FNV.with(Cell::get)
+    }
+
+    /// Runs `f` with [`block_sum`](super::block_sum) delegating to
+    /// FNV-1a on the calling thread (only: work handed to pool helpers
+    /// does not see it, so run such scenarios on one worker).
+    pub(crate) fn with_fnv<T>(f: impl FnOnce() -> T) -> T {
+        FNV.with(|c| c.set(true));
+        let out = f();
+        FNV.with(|c| c.set(false));
+        out
+    }
+}
+
 /// Frame decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// Structural damage: truncation, bad magic, hostile lengths.
     Wire(WireError),
-    /// The frame parsed but its checksum does not match — in-flight
-    /// corruption of header or payload.
+    /// The frame parsed but its [`block_sum`] does not match —
+    /// in-flight corruption of header or payload.
     ChecksumMismatch {
-        /// Digest recorded in the frame.
+        /// Sum recorded in the frame.
         expected: u64,
-        /// Digest recomputed over the received bytes.
+        /// Sum recomputed over the received bytes.
         actual: u64,
     },
 }
@@ -85,19 +190,26 @@ impl BlockFrame {
     /// length prefix + trailing checksum). Useful for link budgeting.
     pub const OVERHEAD: usize = 4 + 4 + 1 + 4 + 4 + 8;
 
-    /// Encodes the frame: header, length-prefixed payload, then an
-    /// FNV-1a checksum over every preceding byte.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    /// Encodes a frame around a borrowed payload: header,
+    /// length-prefixed payload, then a [`block_sum`] over every
+    /// preceding byte — written into one buffer of exact capacity, so
+    /// shipping a shard costs one copy of it and one allocation.
+    pub fn encode(owner: PeerId, archive: u8, shard_index: u32, payload: &[u8]) -> Vec<u8> {
+        let mut w = Writer::with_capacity(payload.len() + Self::OVERHEAD);
         w.put_raw(MAGIC);
-        w.put_u32(self.owner);
-        w.put_u8(self.archive);
-        w.put_u32(self.shard_index);
-        w.put_bytes(&self.payload);
+        w.put_u32(owner);
+        w.put_u8(archive);
+        w.put_u32(shard_index);
+        w.put_bytes(payload);
         let mut bytes = w.into_bytes();
-        let digest = checksum(&bytes);
-        bytes.extend_from_slice(&digest.to_le_bytes());
+        let sum = block_sum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
+    }
+
+    /// Encodes this frame (see [`BlockFrame::encode`]).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        Self::encode(self.owner, self.archive, self.shard_index, &self.payload)
     }
 
     /// Decodes and verifies a frame.
@@ -119,7 +231,7 @@ impl BlockFrame {
         let payload = r.get_bytes()?.to_vec();
         let expected = r.get_u64()?;
         r.finish()?;
-        let actual = checksum(&bytes[..bytes.len() - 8]);
+        let actual = block_sum(&bytes[..bytes.len() - 8]);
         if actual != expected {
             return Err(FrameError::ChecksumMismatch { expected, actual });
         }
@@ -143,6 +255,121 @@ mod tests {
             shard_index: 9,
             payload: (0..=100u8).collect(),
         }
+    }
+
+    /// Position-dependent, non-repeating filler (no two words alike).
+    fn filler(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes()[5])
+            .collect()
+    }
+
+    #[test]
+    fn checksum_is_fnv1a_64() {
+        // The benchmark's `digest` / `sim_digest` are computed with
+        // `checksum` and compared across commits: these answers (the
+        // published FNV-1a 64 vectors) must never change.
+        assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn block_sum_known_answers() {
+        // Guards the byte order and the constants against accidental
+        // edits; a deliberate change of algorithm moves the magic too.
+        let ramp: Vec<u8> = (0..=255).collect();
+        assert_eq!(block_sum(b""), 0xc9d8_9268_7b2a_3317);
+        assert_eq!(block_sum(b"a"), 0x4fb3_3a80_6630_f6e7);
+        assert_eq!(block_sum(&ramp), 0x7178_aa82_b72c_6d35);
+    }
+
+    #[test]
+    fn block_sum_detects_every_single_bit_flip_at_every_length() {
+        // Empty, tail only, one stripe, stripe + tail, many stripes,
+        // and a whole 2 KiB-shard frame.
+        for len in (0..=97).chain([2048 + BlockFrame::OVERHEAD]) {
+            let bytes = filler(len);
+            let sum = block_sum(&bytes);
+            let mut damaged = bytes.clone();
+            for byte in 0..len {
+                for bit in 0..8 {
+                    damaged[byte] ^= 1 << bit;
+                    assert_ne!(block_sum(&damaged), sum, "len {len} byte {byte} bit {bit}");
+                    damaged[byte] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_sum_is_order_sensitive() {
+        // A plain xor or add of the words passes the bit-flip test and
+        // fails this one.
+        let bytes = filler(4 * STRIPE + 5);
+        let sum = block_sum(&bytes);
+        let swapped = |a: usize, b: usize, width: usize| {
+            let mut v = bytes.clone();
+            for i in 0..width {
+                v.swap(a * width + i, b * width + i);
+            }
+            block_sum(&v)
+        };
+        for stripe in 0..4 {
+            for a in 0..4 {
+                for b in a + 1..4 {
+                    let (a, b) = (stripe * 4 + a, stripe * 4 + b);
+                    assert_ne!(swapped(a, b, 8), sum, "words {a} and {b} swapped");
+                }
+            }
+        }
+        for a in 0..4 {
+            for b in a + 1..4 {
+                assert_ne!(swapped(a, b, STRIPE), sum, "stripes {a} and {b} swapped");
+            }
+        }
+    }
+
+    #[test]
+    fn block_sum_top_bit_flips_in_one_lane_do_not_cancel() {
+        // Bitrot and a rotting host can each flip a bit of one stored
+        // block. Under a bare xor-multiply lane a flipped top bit stays
+        // a lone top bit for ever, so a second one further along the
+        // lane would cancel it; the half swap in `mix` prevents that.
+        let bytes = filler(8 * STRIPE);
+        let sum = block_sum(&bytes);
+        for lane in 0..4 {
+            for a in 0..8 {
+                for b in a + 1..8 {
+                    let mut damaged = bytes.clone();
+                    damaged[a * STRIPE + lane * 8 + 7] ^= 0x80;
+                    damaged[b * STRIPE + lane * 8 + 7] ^= 0x80;
+                    assert_ne!(block_sum(&damaged), sum, "lane {lane} stripes {a}, {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_sum_sees_zero_extension() {
+        for len in 0..=97 {
+            let mut bytes = filler(len);
+            let sum = block_sum(&bytes);
+            bytes.push(0);
+            assert_ne!(block_sum(&bytes), sum, "len {len} + one zero byte");
+        }
+        // All-zero inputs differ by length alone.
+        let zeros = [0u8; 3 * STRIPE];
+        let sums: std::collections::BTreeSet<u64> =
+            (0..=zeros.len()).map(|n| block_sum(&zeros[..n])).collect();
+        assert_eq!(sums.len(), zeros.len() + 1);
+    }
+
+    #[test]
+    fn oracle_switch_turns_block_sum_into_fnv1a() {
+        let bytes = filler(100);
+        assert_ne!(block_sum(&bytes), checksum(&bytes));
+        oracle::with_fnv(|| assert_eq!(block_sum(&bytes), checksum(&bytes)));
+        assert_ne!(block_sum(&bytes), checksum(&bytes));
     }
 
     #[test]

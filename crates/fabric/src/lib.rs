@@ -12,9 +12,9 @@
 //! Three pieces compose the subsystem:
 //!
 //! * **The transfer path** ([`frame`], [`store`]): shards travel as
-//!   checksummed [`BlockFrame`]s over the strict wire codec and land
-//!   in per-host [`BlockStore`]s; damage of any kind surfaces as a
-//!   typed error, never a panic or a silent success.
+//!   [`BlockFrame`]s sealed with a [`block_sum`] over the strict wire
+//!   codec and land in per-host [`BlockStore`]s; damage of any kind
+//!   surfaces as a typed error, never a panic or a silent success.
 //! * **The fault plane** ([`faults`]): seeded, per-transfer corruption,
 //!   truncation, link flaps (scaled by the host's churn-profile
 //!   availability) and duplicate delivery, plus at-rest bitrot.
@@ -66,5 +66,5 @@ pub use fabric::{
     FabricReport, FabricStats, ScheduleConfig,
 };
 pub use faults::{FaultKind, FaultPlane, FaultProfile, Transit};
-pub use frame::{checksum, BlockFrame, FrameError};
+pub use frame::{block_sum, checksum, BlockFrame, FrameError};
 pub use store::{BlockStore, IngestError, StoredBlock};

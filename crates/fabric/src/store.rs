@@ -2,9 +2,12 @@
 //!
 //! Each simulated peer gets a real store; a block exists here only if
 //! its frame survived the fault plane and decoded cleanly. The store
-//! keeps the ingest-time checksum next to the bytes so at-rest damage
-//! (bitrot) is detectable later — an audit or repair that reads a
-//! rotten block sees it as *not intact* rather than decoding garbage.
+//! keeps the ingest-time [`block_sum`] of the payload next to the bytes
+//! so at-rest damage (bitrot) is detectable later — an audit or repair
+//! that reads a rotten block sees it as *not intact* rather than
+//! decoding garbage. Scrub sweeps, challenges and audit gathers all
+//! re-sum whole blocks through [`StoredBlock::intact`], which is why
+//! the sum is the fast one (see [`crate::frame`] for the two sums).
 //!
 //! `BTreeMap`s keep iteration deterministic; the whole fabric is a
 //! pure function of its seeds.
@@ -15,7 +18,7 @@ use core::fmt;
 
 use peerback_core::PeerId;
 
-use crate::frame::{checksum, BlockFrame, FrameError};
+use crate::frame::{block_sum, BlockFrame, FrameError};
 
 /// One stored shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,14 +27,15 @@ pub struct StoredBlock {
     pub shard_index: u32,
     /// The shard bytes as they sit on disk (bitrot mutates these).
     pub bytes: Vec<u8>,
-    /// Payload checksum recorded at ingest, before any at-rest damage.
+    /// Payload [`block_sum`] recorded at ingest, before any at-rest
+    /// damage.
     pub ingest_checksum: u64,
 }
 
 impl StoredBlock {
-    /// True if the bytes still match their ingest-time checksum.
+    /// True if the bytes still match their ingest-time sum.
     pub fn intact(&self) -> bool {
-        checksum(&self.bytes) == self.ingest_checksum
+        block_sum(&self.bytes) == self.ingest_checksum
     }
 }
 
@@ -108,7 +112,7 @@ impl BlockStore {
                 stored_shard: existing.shard_index,
             });
         }
-        let ingest_checksum = checksum(&frame.payload);
+        let ingest_checksum = block_sum(&frame.payload);
         shelf.insert(
             key,
             StoredBlock {
@@ -146,7 +150,7 @@ impl BlockStore {
             .and_then(|s| s.get_mut(&(owner, archive)))
     }
 
-    /// Scrubbing primitive: re-checksums every stored block, pushing
+    /// Scrubbing primitive: re-sums every stored block, pushing
     /// `(host, owner, archive)` of each rotten one onto `out` (in
     /// deterministic `BTreeMap` order). Returns how many blocks were
     /// checked.

@@ -25,24 +25,22 @@
 //!
 //! ## The persistent pool
 //!
-//! [`WorkerPool`] keeps its threads alive for the lifetime of the
-//! simulation, parked on a stage barrier. Dispatching a stage is an
-//! **epoch bump** — publish the job, wake the sleepers, participate as
-//! worker 0, wait for the barrier — not a `thread::scope` spawn, so a
-//! steady-state round performs *zero* thread spawns however many stages
-//! it runs. Single-worker stages bypass the pool entirely and run
-//! inline on the caller. [`WorkerPool::dispatches`] counts the real
-//! wake-ups, which the bench layer reports as
-//! `stage_dispatches_per_round`.
+//! [`WorkerPool`] spawns its helper threads on the first stage that
+//! needs them and keeps them alive for the lifetime of the simulation,
+//! parked on a stage barrier. Dispatching a stage is an **epoch bump**
+//! — publish the job, wake the sleepers, participate as worker 0, wait
+//! for the barrier — not a `thread::scope` spawn, so a steady-state
+//! round performs *zero* thread spawns however many stages it runs.
+//! Single-worker stages bypass the pool entirely and run inline on the
+//! caller, so a world that never runs a wide stage never owns a thread.
+//! [`WorkerPool::dispatches`] counts the real wake-ups, which the bench
+//! layer reports as `stage_dispatches_per_round`.
 //!
 //! On its first stage each helper moves itself off the dispatcher's CPU
 //! once (see the crate-private `place` module): left to the kernel's
 //! wake-up placement, a small guest can run a whole pool on one CPU for
 //! the first second or two of a process, so how fast a run goes would
 //! depend on what the machine did before it.
-//!
-//! The free functions [`run_tasks`] / [`run_tasks_with`] remain as the
-//! pool-less (scoped-spawn) form for one-shot callers and tests.
 //!
 //! ## Testing interleavings
 //!
@@ -55,7 +53,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use rand::Rng;
@@ -74,13 +72,6 @@ struct ClaimTable {
 }
 
 impl ClaimTable {
-    /// A fresh table of `len` unclaimed flags.
-    fn with_len(len: usize) -> Self {
-        let mut table = ClaimTable::default();
-        table.reset(len);
-        table
-    }
-
     /// Resets to `len` unclaimed flags, reusing the allocation.
     fn reset(&mut self, len: usize) {
         self.flags.clear();
@@ -230,24 +221,35 @@ struct PoolShared {
     done: Condvar,
 }
 
+/// What the dispatch gate guards: one stage in flight means one claim
+/// table suffices (resetting it in place keeps the steady-state
+/// dispatch path allocation-free), and the same lock makes the
+/// first-stage helper spawn happen exactly once.
+#[derive(Default)]
+struct Gate {
+    claims: ClaimTable,
+    /// The parked helpers; empty until the first wide stage.
+    handles: Vec<JoinHandle<()>>,
+}
+
 /// A persistent, parked worker pool for stage dispatch.
 ///
-/// `WorkerPool::new(w)` spawns `w − 1` helper threads (the dispatching
-/// caller itself acts as worker 0), so a pool of width 1 owns no
-/// threads at all and every dispatch runs inline. Threads park on a
+/// A pool of width `w` runs stages on `w − 1` helper threads plus the
+/// dispatching caller, which acts as worker 0. The helpers are spawned
+/// by the first stage that runs on two or more workers — never by
+/// [`WorkerPool::new`] — so a pool of width 1, or one that only ever
+/// sees single-worker stages, owns no threads at all. Threads park on a
 /// condition variable between stages and are joined on drop.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
+    /// Configured total width (helpers + the caller), at least 1.
+    width: usize,
     /// Serializes whole dispatches: the barrier protocol (epoch, job,
     /// remaining) supports exactly one stage in flight, and the erased
     /// job reference must stay alive until *its own* barrier clears —
     /// a second concurrent dispatcher would corrupt both. Held across
     /// the entire dispatch; a concurrent caller simply waits its turn.
-    /// The guarded value is the recycled claim table — one stage in
-    /// flight means one table suffices, and resetting it in place keeps
-    /// the steady-state dispatch path allocation-free.
-    gate: Mutex<ClaimTable>,
+    gate: Mutex<Gate>,
     /// Pool wake-ups performed (stages that actually used ≥2 workers).
     dispatches: AtomicU64,
 }
@@ -262,43 +264,32 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Builds a pool of total width `workers` (including the caller):
-    /// `workers.saturating_sub(1)` parked helper threads.
+    /// Builds a pool of total width `workers` (including the caller).
+    /// Spawns nothing: see the type docs.
     pub fn new(workers: usize) -> Self {
-        let helpers = workers.saturating_sub(1);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                width: 0,
-                remaining: 0,
-                caller_cpu: None,
-                panic_payload: None,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (0..helpers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("peerback-worker-{}", i + 1))
-                    .spawn(move || helper_loop(&shared, i + 1))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         WorkerPool {
-            shared,
-            handles,
-            gate: Mutex::new(ClaimTable::default()),
+            shared: Arc::new(PoolShared {
+                state: Mutex::new(PoolState {
+                    epoch: 0,
+                    job: None,
+                    width: 0,
+                    remaining: 0,
+                    caller_cpu: None,
+                    panic_payload: None,
+                    shutdown: false,
+                }),
+                work: Condvar::new(),
+                done: Condvar::new(),
+            }),
+            width: workers.max(1),
+            gate: Mutex::new(Gate::default()),
             dispatches: AtomicU64::new(0),
         }
     }
 
     /// Total parallel width (helper threads + the dispatching caller).
     pub fn width(&self) -> usize {
-        self.handles.len() + 1
+        self.width
     }
 
     /// Stage dispatches that woke the pool so far (inline single-worker
@@ -307,18 +298,29 @@ impl WorkerPool {
         self.dispatches.load(Ordering::Relaxed)
     }
 
-    /// Claims the dispatch gate (serializing whole stages) and hands
-    /// back the recycled claim table, reset to `len` unclaimed flags.
-    /// Poisoning is ignored: a panicked dispatch restores the barrier
-    /// invariants (remaining == 0, job cleared) before unwinding
-    /// through the guard, so the pool stays usable.
-    fn claim_gate(&self, len: usize) -> std::sync::MutexGuard<'_, ClaimTable> {
-        let mut table = self
-            .gate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        table.reset(len);
-        table
+    /// Claims the dispatch gate (serializing whole stages) for a stage
+    /// of two or more workers: resets the recycled claim table to `len`
+    /// unclaimed flags and, on the pool's first such stage, spawns the
+    /// helpers — at epoch 0, before the stage's job is published, so a
+    /// helper's start state is right whether it first looks before the
+    /// bump or after. Poisoning is ignored: a panicked dispatch restores the
+    /// barrier invariants (remaining == 0, job cleared) before
+    /// unwinding through the guard, so the pool stays usable.
+    fn claim_gate(&self, len: usize) -> MutexGuard<'_, Gate> {
+        let mut gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        gate.claims.reset(len);
+        if gate.handles.is_empty() {
+            gate.handles = (1..self.width)
+                .map(|index| {
+                    let shared = Arc::clone(&self.shared);
+                    std::thread::Builder::new()
+                        .name(format!("peerback-worker-{index}"))
+                        .spawn(move || helper_loop(&shared, index))
+                        .expect("spawn pool worker")
+                })
+                .collect();
+        }
+        gate
     }
 
     /// Publishes `f` as the current stage, wakes the helpers, runs the
@@ -400,8 +402,8 @@ impl WorkerPool {
             }
             return;
         }
-        let table = self.claim_gate(len);
-        let claims: &ClaimTable = &table;
+        let gate = self.claim_gate(len);
+        let claims = &gate.claims;
         let base = TaskBase::new(states);
         let base = &base;
         let f = &f;
@@ -441,8 +443,8 @@ impl WorkerPool {
             }
             return;
         }
-        let table = self.claim_gate(len);
-        let claims: &ClaimTable = &table;
+        let gate = self.claim_gate(len);
+        let claims = &gate.claims;
         let base = TaskBase::new(states);
         let base = &base;
         let wbase = TaskBase::new(worker_states);
@@ -465,11 +467,16 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut g = self.shared.state.lock().expect("pool state poisoned");
+            let mut g = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             g.shutdown = true;
             self.shared.work.notify_all();
         }
-        for handle in self.handles.drain(..) {
+        let gate = self.gate.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for handle in gate.handles.drain(..) {
             let _ = handle.join();
         }
     }
@@ -527,67 +534,6 @@ fn helper_loop(shared: &PoolShared, index: usize) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pool-less forms (one-shot callers and tests).
-
-/// Runs `f(i, &mut states[i])` exactly once for every `i`, distributing
-/// the tasks over `workers` **scoped threads** with work stealing
-/// (unless `steal` is false, in which case each worker only drains its
-/// own fixed range). Panics in `f` propagate.
-///
-/// This is the pool-less form: it spawns threads per call, so hot loops
-/// should dispatch through a [`WorkerPool`] instead.
-pub fn run_tasks<S, F>(workers: usize, steal: bool, states: &mut [S], f: F)
-where
-    S: Send,
-    F: Fn(usize, &mut S) + Sync,
-{
-    let mut worker_states = vec![(); workers.max(1)];
-    run_tasks_with(steal, &mut worker_states, states, |_, i, s| f(i, s));
-}
-
-/// As [`run_tasks`], with one mutable **worker-local** state per worker
-/// thread (`worker_states.len()` sets the worker count): each call of
-/// `f` receives the state of the worker executing it alongside the
-/// claimed task. Worker state is for reusable scratch only — anything
-/// whose contents influence results belongs in the per-task state, or
-/// the execution schedule becomes observable.
-pub fn run_tasks_with<W, S, F>(steal: bool, worker_states: &mut [W], states: &mut [S], f: F)
-where
-    W: Send,
-    S: Send,
-    F: Fn(&mut W, usize, &mut S) + Sync,
-{
-    let len = states.len();
-    if len == 0 {
-        return;
-    }
-    let workers = worker_states.len().min(len).max(1);
-    if workers == 1 {
-        let scratch = worker_states
-            .first_mut()
-            .expect("at least one worker state");
-        for (i, state) in states.iter_mut().enumerate() {
-            f(scratch, i, state);
-        }
-        return;
-    }
-    let claims = ClaimTable::with_len(len);
-    let claims = &claims;
-    let base = TaskBase::new(states);
-    let base = &base;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (w, scratch) in worker_states.iter_mut().take(workers).enumerate() {
-            scope.spawn(move || {
-                drain_worker(claims, base, len, workers, w, steal, |i, s: &mut S| {
-                    f(scratch, i, s);
-                });
-            });
-        }
-    });
-}
-
 /// Executes the same task set sequentially in a seeded random order — a
 /// deterministic stand-in for an arbitrary steal interleaving (see the
 /// module docs). Intended for tests.
@@ -616,9 +562,10 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         for workers in [1, 2, 3, 8, 17] {
+            let pool = WorkerPool::new(workers);
             for steal in [false, true] {
                 let mut states = vec![0u32; 37];
-                run_tasks(workers, steal, &mut states, |i, s| {
+                pool.run_tasks(workers, steal, &mut states, |i, s| {
                     *s += 1 + i as u32;
                 });
                 for (i, s) in states.iter().enumerate() {
@@ -632,7 +579,7 @@ mod tests {
     fn results_are_independent_of_worker_count() {
         let compute = |workers: usize, steal: bool| {
             let mut states = vec![0u64; 64];
-            run_tasks(workers, steal, &mut states, |i, s| {
+            WorkerPool::new(workers).run_tasks(workers, steal, &mut states, |i, s| {
                 // A tiny per-task computation with no shared state.
                 let mut acc = i as u64;
                 for k in 0..100u64 {
@@ -656,7 +603,7 @@ mod tests {
         // (we only assert completion + exactly-once here).
         let counter = AtomicUsize::new(0);
         let mut states = vec![(); 16];
-        run_tasks(4, true, &mut states, |i, _| {
+        WorkerPool::new(4).run_tasks(4, true, &mut states, |i, _| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -687,28 +634,20 @@ mod tests {
 
     #[test]
     fn pool_matches_the_scoped_executor_bit_for_bit() {
-        let compute_pool = |pool: &WorkerPool, workers: usize| {
-            let mut states = vec![0u64; 64];
-            pool.run_tasks(workers, true, &mut states, |i, s| {
-                let mut acc = i as u64;
-                for k in 0..100u64 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-                }
-                *s = acc;
-            });
-            states
-        };
-        let mut base = vec![0u64; 64];
-        run_tasks(1, false, &mut base, |i, s| {
+        // The reference is the same computation as a plain loop.
+        let task = |i: usize| {
             let mut acc = i as u64;
             for k in 0..100u64 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
             }
-            *s = acc;
-        });
+            acc
+        };
+        let base: Vec<u64> = (0..64).map(task).collect();
         let pool = WorkerPool::new(8);
         for workers in [1, 2, 4, 8] {
-            assert_eq!(compute_pool(&pool, workers), base);
+            let mut states = vec![0u64; 64];
+            pool.run_tasks(workers, true, &mut states, |i, s| *s = task(i));
+            assert_eq!(states, base);
         }
     }
 
@@ -745,6 +684,46 @@ mod tests {
         pool.run_tasks(8, true, &mut states, |_, s| *s += 1);
         assert!(states.iter().all(|&s| s == 1));
         assert_eq!(pool.dispatches(), 0);
+    }
+
+    /// Helper threads the pool owns right now.
+    fn spawned(pool: &WorkerPool) -> usize {
+        pool.gate.lock().expect("gate").handles.len()
+    }
+
+    #[test]
+    fn pool_without_a_parallel_dispatch_spawns_nothing() {
+        let pool = WorkerPool::new(4);
+        assert_eq!(pool.width(), 4, "width is the configured one");
+        assert_eq!(spawned(&pool), 0);
+        // Inline stages — one worker asked for, one task, no tasks —
+        // never reach the gate.
+        pool.run_tasks(1, true, &mut [0u8; 8], |_, s| *s += 1);
+        pool.run_tasks(4, true, &mut [0u8; 1], |_, s| *s += 1);
+        pool.run_tasks(4, true, &mut [0u8; 0], |_, s| *s += 1);
+        pool.run_tasks_with(true, &mut [(); 1], &mut [0u8; 8], |_, _, s| *s += 1);
+        assert_eq!(spawned(&pool), 0);
+        assert_eq!(pool.dispatches(), 0);
+    }
+
+    #[test]
+    fn first_wide_stage_runs_on_every_worker() {
+        let pool = WorkerPool::new(4);
+        // Each task waits for the other three, so the stage can only
+        // finish if four distinct threads hold one task each — the
+        // helpers spawned by this very dispatch included.
+        let rendezvous = std::sync::Barrier::new(4);
+        let mut ran_on = vec![None; 4];
+        pool.run_tasks(4, true, &mut ran_on, |_, slot| {
+            rendezvous.wait();
+            *slot = Some(std::thread::current().id());
+        });
+        let distinct: std::collections::HashSet<_> = ran_on.iter().flatten().collect();
+        assert_eq!(distinct.len(), 4);
+        assert_eq!(spawned(&pool), 3);
+        // A second stage reuses them.
+        pool.run_tasks(2, true, &mut [0u8; 8], |_, s| *s += 1);
+        assert_eq!(spawned(&pool), 3);
     }
 
     #[test]

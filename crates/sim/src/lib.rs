@@ -27,6 +27,6 @@ pub mod wheel;
 pub use arena::BufPool;
 pub use clock::Round;
 pub use engine::{Engine, RoundReport, World};
-pub use exec::{run_tasks, run_tasks_fuzzed, run_tasks_with, WorkerPool};
+pub use exec::{run_tasks_fuzzed, WorkerPool};
 pub use rng::{derive_seed, sim_rng, SimRng};
 pub use wheel::{HierarchicalWheel, TimingWheel};
