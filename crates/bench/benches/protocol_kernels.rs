@@ -1,9 +1,12 @@
 //! Protocol hot-path kernels: the acceptance test and partner ranking,
-//! which run hundreds of times per repair episode.
+//! which run hundreds of times per repair episode — and the stand-in
+//! cipher's keystream pass, which every backup and restore crosses.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use peerback_core::select::{AgeOrderedIndex, KeyedSample};
-use peerback_core::{acceptance_probability, accepts, Candidate, SelectionStrategy};
+use peerback_core::{
+    acceptance_probability, accepts, Candidate, Cipher, SelectionStrategy, XorKeystream,
+};
 use peerback_sim::{sim_rng, HierarchicalWheel, Round, TimingWheel};
 use rand::Rng;
 
@@ -290,12 +293,27 @@ fn round_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The stand-in cipher's keystream pass at the two sizes the byte
+/// pipelines feed it: a fabric archive (16 KiB payload) and a
+/// `byte_plane` archive (8 MiB).
+fn xor_keystream(c: &mut Criterion) {
+    let mut group = c.benchmark_group("xor_keystream");
+    let cipher = XorKeystream::new(0xdead_beef);
+    for (name, len) in [("16k", 16 << 10), ("8m", 8 << 20)] {
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| b.iter(|| cipher.encrypt(black_box(&data))));
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     acceptance,
     selection,
     age_pool_build,
     wheel_touches,
-    round_overhead
+    round_overhead,
+    xor_keystream
 );
 criterion_main!(benches);

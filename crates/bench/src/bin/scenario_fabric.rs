@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use peerback_bench::{json, rs_bench, HarnessArgs};
 use peerback_core::{MaintenancePolicy, SimConfig};
-use peerback_fabric::{run_fabric, FabricConfig, FabricReport, FaultProfile};
+use peerback_fabric::{Fabric, FabricConfig, FabricReport, FaultProfile, ReplayWork};
 
 /// In-flight fault rates swept (0 = the cross-check column).
 const FAULT_RATES: [f64; 3] = [0.0, 0.02, 0.08];
@@ -64,6 +64,28 @@ struct Cell {
     policy: &'static str,
     fault_rate: f64,
     report: FabricReport,
+    work: ReplayWork,
+}
+
+/// The `replay_work` object of the unstable header: how the rounds
+/// replayed and what the decodes read, summed over `runs`. Execution
+/// telemetry — the round split depends on `--shards`.
+fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> String {
+    let mut total = ReplayWork::default();
+    for w in runs {
+        total.rounds_skipped += w.rounds_skipped;
+        total.rounds_inline += w.rounds_inline;
+        total.rounds_wide += w.rounds_wide;
+        total.decodes += w.decodes;
+        total.survivor_blocks_gathered += w.survivor_blocks_gathered;
+    }
+    json::Object::new()
+        .num("rounds_skipped", total.rounds_skipped)
+        .num("rounds_inline", total.rounds_inline)
+        .num("rounds_wide", total.rounds_wide)
+        .num("decodes", total.decodes)
+        .num("survivor_blocks_gathered", total.survivor_blocks_gathered)
+        .render()
 }
 
 fn run_cell(
@@ -86,12 +108,14 @@ fn run_cell(
         adversary: args.adversary,
         ..FabricConfig::default()
     };
-    let report = run_fabric(cell_config(args, maintenance), fabric_cfg)
-        .expect("scenario configuration is valid");
+    let (report, work) = Fabric::new(cell_config(args, maintenance), fabric_cfg)
+        .expect("scenario configuration is valid")
+        .run_with_work();
     Cell {
         policy,
         fault_rate: rate,
         report,
+        work,
     }
 }
 
@@ -180,8 +204,9 @@ fn run_paper_scale(args: &HarnessArgs) {
             args.peers, args.rounds
         );
     }
-    let report = run_fabric(cell_config(args, maintenance), fabric_cfg)
-        .expect("paper-scale configuration is valid");
+    let (report, work) = Fabric::new(cell_config(args, maintenance), fabric_cfg)
+        .expect("paper-scale configuration is valid")
+        .run_with_work();
     let elapsed = start.elapsed();
     let encode_mib_s = rs_bench::encode_mib_s();
 
@@ -209,7 +234,8 @@ fn run_paper_scale(args: &HarnessArgs) {
                 .num("host_cpus", HarnessArgs::host_cpus())
                 .str("gf256_backend", peerback_gf256::active_backend().name())
                 .float("encode_mib_s", encode_mib_s)
-                .float("elapsed_secs", elapsed.as_secs_f64());
+                .float("elapsed_secs", elapsed.as_secs_f64())
+                .raw("replay_work", replay_work_json([&work]));
         }
         let out = out
             .num("transfers_attempted", stats.transfers_attempted)
@@ -326,7 +352,11 @@ fn main() {
                 .num("shards", args.shards as u64)
                 .num("work_stealing", u64::from(!args.no_steal))
                 .num("host_cpus", HarnessArgs::host_cpus())
-                .float("elapsed_secs", elapsed.as_secs_f64());
+                .float("elapsed_secs", elapsed.as_secs_f64())
+                .raw(
+                    "replay_work",
+                    replay_work_json(cells.iter().map(|c| &c.work)),
+                );
         }
         let report = report
             .raw("cells", json::array(cells.iter().map(cell_json)))

@@ -69,30 +69,57 @@ impl XorKeystream {
         }
     }
 
-    fn keystream(&self, len: usize) -> impl Iterator<Item = u8> + '_ {
-        // xoshiro256** over the derived lanes.
+    /// The transform, a keystream word at a time: xoshiro256** steps
+    /// once per 8 input bytes and xors little-endian, so byte `i` meets
+    /// keystream byte `i` on any host.
+    ///
+    /// The output is grown by appending to an empty `Vec`, not
+    /// pre-sized: that reproduces the doubling capacities `collect()`
+    /// gave the byte iterator this replaced, and `byte_plane/setup_s`
+    /// depends on the sizes this path frees staying the same (ROADMAP
+    /// 1B; `with_capacity` here doubles that set-up time).
+    fn apply(&self, data: &[u8]) -> Vec<u8> {
         let mut s = self.key;
-        core::iter::from_fn(move || {
-            let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-            let t = s[1] << 17;
-            s[2] ^= s[0];
-            s[3] ^= s[1];
-            s[1] ^= s[2];
-            s[0] ^= s[3];
-            s[2] ^= t;
-            s[3] = s[3].rotate_left(45);
-            Some(result.to_le_bytes())
-        })
-        .flatten()
-        .take(len)
+        let mut out = Vec::new();
+        let mut words = data.chunks_exact(8);
+        for chunk in &mut words {
+            let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+            out.extend_from_slice(&(word ^ next_word(&mut s)).to_le_bytes());
+        }
+        // The tail meets the leading bytes of one more keystream word.
+        let tail = words.remainder();
+        let mut last = next_word(&mut s).to_le_bytes();
+        for (k, &b) in last.iter_mut().zip(tail) {
+            *k ^= b;
+        }
+        out.extend_from_slice(&last[..tail.len()]);
+        out
     }
 
-    fn apply(&self, data: &[u8]) -> Vec<u8> {
-        data.iter()
-            .zip(self.keystream(data.len()))
-            .map(|(&b, k)| b ^ k)
-            .collect()
+    /// The byte-at-a-time transform [`XorKeystream::apply`] replaced,
+    /// kept as the oracle its tests compare against.
+    #[cfg(test)]
+    fn apply_reference(&self, data: &[u8]) -> Vec<u8> {
+        let mut s = self.key;
+        let keystream = core::iter::from_fn(move || Some(next_word(&mut s).to_le_bytes()))
+            .flatten()
+            .take(data.len());
+        data.iter().zip(keystream).map(|(&b, k)| b ^ k).collect()
     }
+}
+
+/// One xoshiro256** step over the derived lanes.
+#[inline]
+fn next_word(s: &mut [u64; 4]) -> u64 {
+    let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    result
 }
 
 impl Cipher for XorKeystream {
@@ -155,6 +182,38 @@ mod tests {
         // The stream must have high byte diversity even for key 0.
         let distinct: std::collections::HashSet<u8> = ct.iter().copied().collect();
         assert!(distinct.len() > 64, "keystream too regular: {distinct:?}");
+    }
+
+    #[test]
+    fn word_wise_apply_matches_the_byte_iterator_in_bytes_and_capacity() {
+        let lengths = (0..=4104).chain([(1 << 20) + 3]);
+        let data: Vec<u8> = (0..(1 << 20) + 3).map(|i| (i * 31 % 251) as u8).collect();
+        for len in lengths {
+            for key in [0, 1, 0xdead_beef, u64::MAX] {
+                let c = XorKeystream::new(key);
+                let (new, old) = (c.apply(&data[..len]), c.apply_reference(&data[..len]));
+                assert_eq!(new, old, "key {key:#x}, len {len}");
+                // Allocation parity, relative to the old path: the
+                // benchmark's `byte_plane/setup_s` doubles when the
+                // ciphertext buffer changes size class (ROADMAP 1B), so
+                // pre-sizing `apply` must fail here first.
+                assert_eq!(new.capacity(), old.capacity(), "key {key:#x}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn known_answer_pins_endianness_and_the_tail_rule() {
+        // 19 zero bytes: two whole little-endian keystream words, then
+        // the three leading bytes of the third.
+        let ct = XorKeystream::new(0xdead_beef).encrypt(&[0u8; 19]);
+        assert_eq!(
+            ct,
+            [
+                0x83, 0x7e, 0x4d, 0xa7, 0x44, 0x54, 0x55, 0xc5, 0x38, 0x6e, 0xb1, 0xb4, 0x37, 0x0d,
+                0xc3, 0x65, 0x23, 0xfa, 0x4e
+            ]
+        );
     }
 
     #[test]

@@ -157,10 +157,9 @@ impl PlaneLane {
         // Prediction vs byte truth.
         let k = shared.k as u32;
         let predicted = world.archive_online_present(owner, archive) >= k;
-        let blocks = self.surviving_blocks(world, owner, archive, true);
-        let intact = blocks.len() as u32;
-        let restorable = intact >= k && self.try_restore(shared, owner, archive, &blocks);
-        self.release_blocks(blocks);
+        // Fewer than k intact shards cannot decode, so none is tried.
+        let found = self.restore_survivors(shared, world, owner, archive, true, shared.k);
+        let (intact, restorable) = (found.intact, found.restored);
 
         match (predicted, restorable) {
             (true, true) | (false, false) => {

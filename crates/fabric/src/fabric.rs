@@ -52,7 +52,6 @@ use peerback_core::{
 };
 use peerback_erasure::ReedSolomon;
 use peerback_net::LinkModel;
-use peerback_sim::arena::BufPool;
 use peerback_sim::{derive_seed, sim_rng, Engine, Round, SimRng, World};
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -188,8 +187,12 @@ pub enum AdversaryRole {
     Rotter,
 }
 
-/// Below this many queued events the replay runs on one worker.
-const PARALLEL_EVENT_MIN: usize = 2048;
+/// Below this many work items — queued events, transfers pending in
+/// the lanes' scheduler queues, retries due — a round with no sweep due
+/// replays on one worker: a wide dispatch costs ≈ 47 µs
+/// (`sim.exec.dispatch.us`) and an item ≈ 1–2 µs, so fewer items than
+/// this cannot pay for the barrier.
+const PARALLEL_WORK_MIN: usize = 128;
 
 /// Configuration of the byte-level half.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -537,6 +540,17 @@ impl PlaneShared {
     }
 }
 
+/// What [`PlaneLane::restore_survivors`] found in the stores.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Survivors {
+    /// Intact blocks gathered.
+    pub(crate) intact: u32,
+    /// Bytes of the first `k` of them — the paper's k-block download.
+    pub(crate) download_bytes: usize,
+    /// Whether a decode ran and reproduced the archive bit for bit.
+    pub(crate) restored: bool,
+}
+
 /// One shard transfer to execute: which block, to whom, which slot of
 /// the code word, and how many attempts preceded it.
 #[derive(Debug, Clone, Copy)]
@@ -629,14 +643,12 @@ pub(crate) struct PlaneLane {
     /// This round's events whose owner lives in this lane (plus every
     /// departure). Drained-and-reused every round.
     inbox: Vec<WorldEvent>,
-    /// Arena feeding the shard buffers of [`PlaneLane::surviving_blocks`]
-    /// — decode inputs reuse yesterday's capacity instead of cloning
-    /// into fresh vectors.
-    block_arena: BufPool<u8>,
-    /// Recycled spine of the `(shard_index, bytes)` survivor list.
-    blocks_scratch: Vec<(usize, Vec<u8>)>,
     /// Recycled data-shard output buffers for restore decodes.
     data_scratch: Vec<Vec<u8>>,
+    /// Blocks [`PlaneLane::restore_survivors`] gathered over the whole
+    /// run (execution telemetry for [`ReplayWork`]; never merged into
+    /// the report).
+    survivors_gathered: u64,
     /// Recycled `(host, owner, archive)` list of rotten blocks found by
     /// a scrubbing sweep.
     scrub_scratch: Vec<(PeerId, PeerId, u8)>,
@@ -687,9 +699,8 @@ impl PlaneLane {
             retries: Vec::new(),
             due_scratch: Vec::new(),
             inbox: Vec::new(),
-            block_arena: BufPool::new(),
-            blocks_scratch: Vec::new(),
             data_scratch: Vec::new(),
+            survivors_gathered: 0,
             scrub_scratch: Vec::new(),
             queue: Vec::new(),
             queue_scratch: Vec::new(),
@@ -831,12 +842,9 @@ impl PlaneLane {
             // user-visible rounds-to-restore this percentile series
             // reports on.
             self.restore_durations.push(round - t.deadline);
-            let blocks = self.surviving_blocks(world, t.owner, t.archive, true);
-            let bytes: usize = blocks.iter().take(shared.k).map(|(_, b)| b.len()).sum();
-            self.stats.download_secs += shared.link.download_secs(bytes as f64);
-            let ok = self.try_restore(shared, t.owner, t.archive, &blocks);
-            self.release_blocks(blocks);
-            if !ok {
+            let found = self.restore_survivors(shared, world, t.owner, t.archive, true, 0);
+            self.stats.download_secs += shared.link.download_secs(found.download_bytes as f64);
+            if !found.restored {
                 self.stats.flash_restore_failures += 1;
             }
             return;
@@ -883,75 +891,56 @@ impl PlaneLane {
     }
 
     /// Gathers the archive's stored blocks as `(shard_index, bytes)`
-    /// pairs, skipping non-intact (rotten) ones. `online_only`
-    /// restricts to hosts currently online per the simulator.
-    ///
-    /// The spine and the per-shard byte buffers come from recycled
-    /// lane arenas; hand the list back with
-    /// [`PlaneLane::release_blocks`] when done.
-    pub(crate) fn surviving_blocks(
-        &mut self,
+    /// pairs borrowed in place from `store`, skipping non-intact
+    /// (rotten) ones. `online_only` restricts to hosts currently online
+    /// per the simulator.
+    fn surviving_blocks<'s>(
+        oa: &OwnerArchive,
+        store: &'s BlockStore,
         world: &BackupWorld,
         owner: PeerId,
         archive: u8,
         online_only: bool,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let mut blocks = core::mem::take(&mut self.blocks_scratch);
-        debug_assert!(blocks.is_empty(), "survivor scratch returned dirty");
-        let Some(oa) = self.owners.get(&(owner, archive)) else {
-            return blocks;
-        };
-        for (_, host) in oa.hosts() {
-            if online_only && !world.peer_online(host) {
-                continue;
-            }
-            if let Some(b) = self.store.block(host, owner, archive) {
-                if b.intact() {
-                    let mut buf = self.block_arena.take();
-                    buf.extend_from_slice(&b.bytes);
-                    blocks.push((b.shard_index as usize, buf));
-                }
-            }
-        }
-        blocks
+    ) -> Vec<(usize, &'s [u8])> {
+        oa.hosts()
+            .filter(|&(_, host)| !online_only || world.peer_online(host))
+            .filter_map(|(_, host)| store.block(host, owner, archive))
+            .filter(|b| b.intact())
+            .map(|b| (b.shard_index as usize, b.bytes.as_slice()))
+            .collect()
     }
 
-    /// Returns a survivor list from [`PlaneLane::surviving_blocks`] to
-    /// the lane arenas.
-    pub(crate) fn release_blocks(&mut self, mut blocks: Vec<(usize, Vec<u8>)>) {
-        for (_, buf) in blocks.drain(..) {
-            self.block_arena.put(buf);
-        }
-        self.blocks_scratch = blocks;
-    }
-
-    /// Attempts a real restore of `(owner, archive)` from the given
-    /// blocks; returns whether the decoded bytes reproduce the archive.
-    /// Decodes through the run's shared codec into recycled data-shard
-    /// scratch — no per-decode matrix rebuild, no fresh output buffers.
-    pub(crate) fn try_restore(
+    /// Gathers the surviving blocks of `(owner, archive)` and, given at
+    /// least `need` of them, attempts a real restore straight out of
+    /// the store: through the run's shared codec into recycled
+    /// data-shard scratch — no copy of the inputs, no per-decode matrix
+    /// rebuild, no fresh output buffers.
+    pub(crate) fn restore_survivors(
         &mut self,
         shared: &PlaneShared,
+        world: &BackupWorld,
         owner: PeerId,
         archive: u8,
-        blocks: &[(usize, Vec<u8>)],
-    ) -> bool {
+        online_only: bool,
+        need: usize,
+    ) -> Survivors {
+        let mut found = Survivors::default();
         let Some(oa) = self.owners.get(&(owner, archive)) else {
-            return false;
+            return found;
         };
-        self.audit.decode_attempts += 1;
-        let mut data = core::mem::take(&mut self.data_scratch);
-        let restore = RestorePipeline::new(XorKeystream::new(oa.codeword.cipher_key));
-        let ok =
-            match restore.restore_with(&shared.codec, &oa.codeword.descriptor, blocks, &mut data) {
-                Ok(decoded) if decoded == oa.codeword.archive => true,
-                Ok(_) | Err(_) => false,
-            };
-        self.data_scratch = data;
-        if ok {
-            self.audit.decode_successes += 1;
+        let blocks = Self::surviving_blocks(oa, &self.store, world, owner, archive, online_only);
+        self.survivors_gathered += blocks.len() as u64;
+        found.intact = blocks.len() as u32;
+        found.download_bytes = blocks.iter().take(shared.k).map(|(_, b)| b.len()).sum();
+        if blocks.len() >= need {
+            self.audit.decode_attempts += 1;
+            let restore = RestorePipeline::new(XorKeystream::new(oa.codeword.cipher_key));
+            let (descriptor, scratch) = (&oa.codeword.descriptor, &mut self.data_scratch);
+            let decoded = restore.restore_with(&shared.codec, descriptor, &blocks, scratch);
+            found.restored = decoded.is_ok_and(|decoded| decoded == oa.codeword.archive);
+            self.audit.decode_successes += u64::from(found.restored);
         }
-        ok
+        found
     }
 
     pub(crate) fn note(&mut self, message: String) {
@@ -1269,12 +1258,9 @@ impl PlaneLane {
         }
         // The paper's k-block download, replayed for real: reconstruct
         // the archive from the shards that actually survive on disk.
-        let blocks = self.surviving_blocks(world, owner, archive, false);
-        let shard_bytes: usize = blocks.iter().take(shared.k).map(|(_, b)| b.len()).sum();
-        self.stats.download_secs += shared.link.download_secs(shard_bytes as f64);
-        let restored = self.try_restore(shared, owner, archive, &blocks);
-        self.release_blocks(blocks);
-        if restored {
+        let found = self.restore_survivors(shared, world, owner, archive, false, 0);
+        self.stats.download_secs += shared.link.download_secs(found.download_bytes as f64);
+        if found.restored {
             self.stats.repair_decodes += 1;
         } else {
             // Fewer than k intact shards survive (possible only under
@@ -1307,11 +1293,9 @@ impl PlaneLane {
         self.stats.losses_observed += 1;
         // Replay the failing restore with the blocks present at loss
         // time (the event fires before the survivors are dropped).
-        let blocks = self.surviving_blocks(world, owner, archive, false);
-        let intact = blocks.len() as u32;
-        let restored = self.try_restore(shared, owner, archive, &blocks);
-        self.release_blocks(blocks);
-        if restored {
+        let found = self.restore_survivors(shared, world, owner, archive, false, 0);
+        let intact = found.intact;
+        if found.restored {
             self.note(format!(
                 "simulator lost {owner}/{archive} but bytes decoded from {intact} shards"
             ));
@@ -1589,6 +1573,30 @@ pub struct Fabric {
     /// round (in lane order) before the world's reputation ledger sees
     /// them.
     suspect_scratch: Vec<PeerId>,
+    /// How each round replayed: the round counters of [`ReplayWork`]
+    /// (its other fields are filled in by [`Fabric::replay_work`]).
+    replay: ReplayWork,
+}
+
+/// Exact execution-side counters of the lane replay, read through
+/// [`Fabric::replay_work`] beside the world's `redundancy_work()` /
+/// `placement_work()`. Telemetry: the round counts depend on the worker
+/// count, so none of this is part of [`FabricStats`] or
+/// [`FabricReport`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplayWork {
+    /// Rounds with nothing to replay and no sweep due.
+    pub rounds_skipped: u64,
+    /// Rounds replayed on the calling thread alone.
+    pub rounds_inline: u64,
+    /// Rounds replayed on two or more workers.
+    pub rounds_wide: u64,
+    /// Restore decodes attempted (audits, episode starts, loss
+    /// verifications, flash restores).
+    pub decodes: u64,
+    /// Intact blocks gathered from the stores as decode inputs, each
+    /// borrowed in place.
+    pub survivor_blocks_gathered: u64,
 }
 
 impl Fabric {
@@ -1670,6 +1678,7 @@ impl Fabric {
             rounds,
             event_scratch: Vec::new(),
             suspect_scratch: Vec::new(),
+            replay: ReplayWork::default(),
         })
     }
 
@@ -1705,14 +1714,30 @@ impl Fabric {
             .sum()
     }
 
+    /// Replay work so far (through the last completed round).
+    pub fn replay_work(&self) -> ReplayWork {
+        ReplayWork {
+            decodes: self.plane.audit.decode_attempts,
+            survivor_blocks_gathered: self.plane.lanes.iter().map(|l| l.survivors_gathered).sum(),
+            ..self.replay
+        }
+    }
+
     /// Runs the configured number of rounds and returns the report.
-    pub fn run(mut self) -> FabricReport {
+    pub fn run(self) -> FabricReport {
+        self.run_with_work().0
+    }
+
+    /// [`Fabric::run`], also returning the run's [`ReplayWork`] (which
+    /// the report deliberately does not carry).
+    pub fn run_with_work(mut self) -> (FabricReport, ReplayWork) {
         let seed = self.world.config().seed;
         let rounds = self.rounds;
         let mut engine = Engine::new(seed);
         engine.run(&mut self, rounds);
         self.drain_retries();
-        self.finish()
+        let work = self.replay_work();
+        (self.finish(), work)
     }
 
     /// Overtime: re-ships and scheduled transfers still pending when
@@ -1816,41 +1841,43 @@ impl World for Fabric {
         }
         self.event_scratch = events;
 
-        // Replay on the simulator's worker pool. Light rounds run
-        // inline (scheduling only; results are identical either way).
-        let retries_due = self
-            .plane
-            .lanes
-            .iter()
-            .any(|l| l.retries.iter().any(|x| x.due <= r));
-        let scrub_due = self.plane.shared.scrub_due(r);
-        // Carried transfers stream bytes every round even when no new
-        // events arrive; a flash-restore wave fires on its round too.
-        let transfers_pending = self.plane.lanes.iter().any(|l| !l.queue.is_empty())
-            || self
-                .plane
-                .shared
+        // Replay on the simulator's worker pool, as wide as the round
+        // has work for (scheduling only; results are identical either
+        // way). Carried transfers stream bytes every round even when no
+        // new events arrive, so they count beside the events and the
+        // retries due; a sweep over everything at rest (audit, scrub,
+        // challenge) or a flash-restore wave is wide by rule.
+        let shared = &self.plane.shared;
+        let sweep_due = audit_due
+            || shared.scrub_due(r)
+            || shared.challenge_due(r)
+            || shared
                 .schedule
                 .as_ref()
                 .is_some_and(|s| s.flash_restore == Some(r));
-        let challenge_due = self.plane.shared.challenge_due(r);
-        if queued == 0
-            && !audit_due
-            && !retries_due
-            && !scrub_due
-            && !challenge_due
-            && !transfers_pending
-        {
+        let work = queued
+            + self
+                .plane
+                .lanes
+                .iter()
+                .map(|l| l.queue.len() + l.retries.iter().filter(|x| x.due <= r).count())
+                .sum::<usize>();
+        if work == 0 && !sweep_due {
+            self.replay.rounds_skipped += 1;
             return;
         }
-        let workers = if audit_due || queued >= PARALLEL_EVENT_MIN {
+        let workers = if sweep_due || work >= PARALLEL_WORK_MIN {
             self.world.worker_threads()
         } else {
             1
         };
+        if workers > 1 {
+            self.replay.rounds_wide += 1;
+        } else {
+            self.replay.rounds_inline += 1;
+        }
         let steal = self.world.work_stealing();
         let world = &self.world;
-        let shared = &self.plane.shared;
         // The replay rides the simulator's persistent pool: an epoch
         // bump on its barrier, never a thread spawn.
         world
@@ -1972,6 +1999,77 @@ mod tests {
             ..FabricConfig::default()
         };
         (cfg, fabric)
+    }
+
+    #[test]
+    fn replay_width_is_unobservable_in_the_report() {
+        let run = |shards: usize, steal: bool| {
+            let (cfg, fcfg) = all_planes(shards);
+            Fabric::new(cfg.with_work_stealing(steal), fcfg)
+                .expect("valid configs")
+                .run_with_work()
+        };
+        let (base, _) = run(1, true);
+        for (shards, steal) in [(1, false), (2, true), (2, false), (3, true), (3, false)] {
+            let (report, work) = run(shards, steal);
+            assert_eq!(
+                report.metrics, base.metrics,
+                "{shards} workers, steal {steal}"
+            );
+            assert_eq!(report.stats, base.stats, "{shards} workers, steal {steal}");
+            assert_eq!(report.audit, base.audit, "{shards} workers, steal {steal}");
+            assert_eq!(report.losses, base.losses);
+            assert_eq!(report.quarantined, base.quarantined);
+            assert_eq!(report.restore_durations, base.restore_durations);
+            assert_eq!(report.free_riders_targeted, base.free_riders_targeted);
+            // Not vacuous: the rule sent rounds both ways, and more of
+            // them wide than the 25 audit rounds alone.
+            assert!(work.rounds_inline > 0, "{work:?}");
+            assert!(shards == 1 || work.rounds_wide > 200 / 8, "{work:?}");
+            assert_eq!(work.decodes, report.audit.decode_attempts);
+            assert!(
+                work.survivor_blocks_gathered >= work.decodes * 8,
+                "{work:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_sweep_round_replays_wide_whatever_its_interval() {
+        // Intervals that are not multiples of one another: before the
+        // width rule counted them, a scrub or challenge round that was
+        // not also an audit round ran on one worker.
+        let mut cfg = SimConfig::paper(256, 49, 7).with_shards(2);
+        cfg.k = 4;
+        cfg.m = 4;
+        cfg.quota = 24;
+        cfg.maintenance = MaintenancePolicy::Reactive { threshold: 5 };
+        let fcfg = FabricConfig {
+            audit_interval: 8,
+            scrub_interval: 12,
+            adversary: AdversaryConfig {
+                challenge_interval: 6,
+                ..AdversaryConfig::default()
+            },
+            ..FabricConfig::default()
+        };
+        let mut fabric = Fabric::new(cfg, fcfg).expect("valid configs");
+        let mut engine = Engine::new(7);
+        for r in 0..49u64 {
+            let before = fabric.replay_work();
+            engine.step(&mut fabric);
+            let after = fabric.replay_work();
+            if r % 8 == 0 || r % 12 == 0 || r % 6 == 0 {
+                assert_eq!(after.rounds_wide, before.rounds_wide + 1, "round {r}");
+            }
+            assert_eq!(
+                after.rounds_skipped + after.rounds_inline + after.rounds_wide,
+                r + 1
+            );
+        }
+        // The rule is not simply "always wide" at this scale.
+        let work = fabric.replay_work();
+        assert!(work.rounds_inline + work.rounds_skipped > 0, "{work:?}");
     }
 
     #[test]

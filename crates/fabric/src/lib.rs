@@ -63,7 +63,7 @@ pub mod store;
 pub use audit::{AuditReport, LossRecord};
 pub use fabric::{
     restore_percentiles, run_fabric, AdversaryConfig, AdversaryRole, Fabric, FabricConfig,
-    FabricReport, FabricStats, ScheduleConfig,
+    FabricReport, FabricStats, ReplayWork, ScheduleConfig,
 };
 pub use faults::{FaultKind, FaultPlane, FaultProfile, Transit};
 pub use frame::{block_sum, checksum, BlockFrame, FrameError};
