@@ -21,4 +21,4 @@ pub mod table;
 pub use costs::{ObservedTraffic, PricedTraffic};
 pub use plot::{AsciiChart, Scale, Series};
 pub use stats::Summary;
-pub use table::{render_table, write_tsv, TableBuilder};
+pub use table::{render_table, tsv_text, write_tsv, TableBuilder};

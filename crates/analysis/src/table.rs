@@ -1,8 +1,6 @@
 //! Text tables and TSV output.
 
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Builds fixed-width text tables for terminal reports.
@@ -101,9 +99,32 @@ pub fn render_table<S: Into<String>, R: IntoIterator<Item = S>>(
     t.render()
 }
 
-/// Writes rows as tab-separated values (gnuplot-friendly). Cells must
-/// not contain tabs or newlines — enforced, since silently corrupting a
-/// data file is worse than failing.
+/// Renders rows as tab-separated values (gnuplot-friendly): a `# `
+/// header line, then one line per row. Cells must not contain tabs or
+/// newlines — enforced, since silently corrupting a data file is worse
+/// than failing.
+///
+/// # Panics
+///
+/// Panics if a cell contains a tab or newline.
+pub fn tsv_text(header: &[&str], rows: &[Vec<String>]) -> String {
+    let check = |cell: &str| {
+        assert!(
+            !cell.contains('\t') && !cell.contains('\n'),
+            "TSV cell contains separator: {cell:?}"
+        );
+    };
+    header.iter().for_each(|c| check(c));
+    let mut out = format!("# {}\n", header.join("\t"));
+    for row in rows {
+        row.iter().for_each(|c| check(c));
+        out.push_str(&row.join("\t"));
+        out.push('\n');
+    }
+    out
+}
+
+/// Writes [`tsv_text`] to `path`.
 ///
 /// # Errors
 ///
@@ -117,20 +138,7 @@ pub fn write_tsv<P: AsRef<Path>>(
     header: &[&str],
     rows: &[Vec<String>],
 ) -> std::io::Result<()> {
-    let check = |cell: &str| {
-        assert!(
-            !cell.contains('\t') && !cell.contains('\n'),
-            "TSV cell contains separator: {cell:?}"
-        );
-    };
-    let mut file = BufWriter::new(File::create(path)?);
-    header.iter().for_each(|c| check(c));
-    writeln!(file, "# {}", header.join("\t"))?;
-    for row in rows {
-        row.iter().for_each(|c| check(c));
-        writeln!(file, "{}", row.join("\t"))?;
-    }
-    file.flush()
+    std::fs::write(path, tsv_text(header, rows))
 }
 
 #[cfg(test)]

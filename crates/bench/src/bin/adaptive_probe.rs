@@ -37,71 +37,43 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use peerback_analysis::ObservedTraffic;
-use peerback_bench::{json, HarnessArgs};
-use peerback_churn::{LifetimeSpec, Profile, ProfileMix};
+use peerback_analysis::{ObservedTraffic, PricedTraffic};
+use peerback_bench::{gated_churn_config, json, Cli, HarnessArgs};
 use peerback_core::{
     run_sweep_with_threads, AdaptiveRedundancy, Metrics, SelectionStrategy, SimConfig,
 };
 use peerback_net::{ArchiveGeometry, LinkModel, RepairCostModel};
+
+const CLI: Cli = Cli {
+    binary: "adaptive_probe",
+    synopsis: "[options]",
+    groups: &[
+        "scale",
+        "sweep",
+        "execution",
+        "json",
+        "stable-json",
+        "world",
+        "adaptive-gates",
+    ],
+};
 
 /// Width the adaptive arm may trim: 8 blocks off a 16+16 code leaves a
 /// floor of 24 placements, comfortably above the reactive threshold of
 /// 18 so a freshly narrowed archive is never already due for repair.
 const MAX_TRIM: u16 = 8;
 
-/// The gated scenario, shared by both arms: `estimate_probe`'s
-/// churn-rich 16+16 geometry (all-Pareto lifetime mix, reactive
-/// threshold two blocks above `k`) with `LearnedAge` selection, so the
-/// lifetime model that feeds the redundancy policy is trained by the
-/// run itself.
+/// One arm of the gated scenario: [`gated_churn_config`] (the
+/// churn-rich 16+16 world `estimate_probe` also runs in) with
+/// `LearnedAge` selection, so the lifetime model that feeds the
+/// redundancy policy is trained by the run itself.
 fn gated_config(args: &HarnessArgs, adaptive: bool) -> SimConfig {
-    let mut cfg = args
-        .base_config()
-        .with_strategy(SelectionStrategy::LearnedAge);
-    cfg.k = 16;
-    cfg.m = 16;
-    cfg.quota = 72;
-    cfg.maintenance = peerback_core::MaintenancePolicy::Reactive { threshold: 18 };
-    cfg.profiles = ProfileMix::new(vec![
-        (
-            Profile::new(
-                "Flash",
-                LifetimeSpec::Pareto {
-                    x_min: 30.0,
-                    alpha: 1.5,
-                },
-                0.33,
-            ),
-            0.5,
-        ),
-        (
-            Profile::new(
-                "Transient",
-                LifetimeSpec::Pareto {
-                    x_min: 120.0,
-                    alpha: 1.9,
-                },
-                0.75,
-            ),
-            0.3,
-        ),
-        (
-            Profile::new(
-                "Seasonal",
-                LifetimeSpec::Pareto {
-                    x_min: 400.0,
-                    alpha: 2.4,
-                },
-                0.9,
-            ),
-            0.2,
-        ),
-    ]);
+    let cfg = gated_churn_config(args, SelectionStrategy::LearnedAge);
     if adaptive {
-        cfg = cfg.with_adaptive_n(AdaptiveRedundancy::tuned(MAX_TRIM));
+        cfg.with_adaptive_n(AdaptiveRedundancy::tuned(MAX_TRIM))
+    } else {
+        cfg
     }
-    cfg
 }
 
 /// The §2.2.4 pricing model for this scenario: the gated 16+16
@@ -113,50 +85,19 @@ fn cost_model() -> RepairCostModel {
     )
 }
 
-/// Flags specific to this probe, split off before the shared parse
-/// (which rejects unknown flags).
-struct GateArgs {
-    max_upload_ratio: Option<f64>,
-    require_no_extra_loss: bool,
-    rest: Vec<String>,
-}
-
-fn split_gate_args(args: impl IntoIterator<Item = String>) -> GateArgs {
-    let mut max_upload_ratio = None;
-    let mut require_no_extra_loss = false;
-    let mut rest = Vec::new();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--max-upload-ratio" => {
-                let v = iter
-                    .next()
-                    .unwrap_or_else(|| panic!("flag --max-upload-ratio needs a value"));
-                let f: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--max-upload-ratio expects a number, got {v:?}"));
-                assert!(f > 0.0, "--max-upload-ratio must be positive, got {f}");
-                max_upload_ratio = Some(f);
-            }
-            "--require-no-extra-loss" => require_no_extra_loss = true,
-            other => rest.push(other.to_string()),
-        }
-    }
-    GateArgs {
-        max_upload_ratio,
-        require_no_extra_loss,
-        rest,
-    }
-}
-
-fn arm_json(name: &str, args: &HarnessArgs, m: &Metrics) -> String {
+/// An arm's block traffic priced through [`cost_model`].
+fn priced(args: &HarnessArgs, m: &Metrics) -> PricedTraffic {
     let traffic = ObservedTraffic {
         blocks_uploaded: m.diag.blocks_uploaded,
         blocks_downloaded: m.diag.blocks_downloaded,
         peers: args.peers as u64,
         rounds: args.rounds,
     };
-    let priced = traffic.price(&cost_model());
+    traffic.price(&cost_model())
+}
+
+fn arm_json(name: &str, args: &HarnessArgs, m: &Metrics) -> String {
+    let priced = priced(args, m);
     json::Object::new()
         .str("policy", name)
         .num("losses", m.total_losses())
@@ -180,8 +121,7 @@ fn arm_json(name: &str, args: &HarnessArgs, m: &Metrics) -> String {
 }
 
 fn main() -> ExitCode {
-    let gate = split_gate_args(std::env::args().skip(1));
-    let args = HarnessArgs::parse_from(gate.rest.clone());
+    let args = HarnessArgs::parse(&CLI);
     if !args.json {
         eprintln!(
             "adaptive ablation: static/adaptive width at {} peers x {} rounds (seed {}) ...",
@@ -199,19 +139,9 @@ fn main() -> ExitCode {
     let adaptive_losses = adap.total_losses();
 
     if args.json {
-        let mut report = json::Object::new()
-            .str("probe", "adaptive_probe")
-            .num("peers", args.peers as u64)
-            .num("rounds", args.rounds)
-            .num("seed", args.seed)
-            .num("max_trim", MAX_TRIM as u64);
-        if !args.stable_json {
-            report = report
-                .num("shards", args.shards as u64)
-                .num("host_cpus", HarnessArgs::host_cpus())
-                .float("elapsed_secs", elapsed.as_secs_f64());
-        }
-        let report = report
+        let report = args
+            .report_head("probe", "adaptive_probe", elapsed, |telemetry| telemetry)
+            .num("max_trim", MAX_TRIM as u64)
             .raw(
                 "policies",
                 json::array(
@@ -233,13 +163,6 @@ fn main() -> ExitCode {
             "policy", "losses", "repairs", "uploads", "downloads", "restor", "secs/peer/d"
         );
         for (name, m) in [("static", stat), ("adaptive", adap)] {
-            let traffic = ObservedTraffic {
-                blocks_uploaded: m.diag.blocks_uploaded,
-                blocks_downloaded: m.diag.blocks_downloaded,
-                peers: args.peers as u64,
-                rounds: args.rounds,
-            };
-            let priced = traffic.price(&cost_model());
             println!(
                 "{:<9} {:>8} {:>8} {:>10} {:>12} {:>8.4} {:>12.1}",
                 name,
@@ -248,7 +171,7 @@ fn main() -> ExitCode {
                 m.diag.blocks_uploaded,
                 m.diag.blocks_downloaded,
                 m.mean_restorability().unwrap_or(f64::NAN),
-                priced.secs_per_peer_day,
+                priced(&args, m).secs_per_peer_day,
             );
         }
         println!(
@@ -267,7 +190,7 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if let Some(max) = gate.max_upload_ratio {
+    if let Some(max) = args.max_upload_ratio {
         if upload_ratio > max {
             eprintln!(
                 "FAIL: adaptive uploads ({}) exceed {max:.2}x static uploads ({}) — ratio \
@@ -277,7 +200,7 @@ fn main() -> ExitCode {
             failed = true;
         }
     }
-    if gate.require_no_extra_loss && adaptive_losses > static_losses {
+    if args.require_no_extra_loss && adaptive_losses > static_losses {
         eprintln!(
             "FAIL: adaptive losses ({adaptive_losses}) exceed the static baseline \
              ({static_losses})"
@@ -295,9 +218,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> HarnessArgs {
+        HarnessArgs::parse_from(&CLI, args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
-    fn gate_flags_are_split_from_the_shared_args() {
-        let args: Vec<String> = [
+    fn gate_flags_parse_beside_the_shared_ones() {
+        let args = parse(&[
             "--peers",
             "100",
             "--max-upload-ratio",
@@ -305,22 +232,15 @@ mod tests {
             "--require-no-extra-loss",
             "--seed",
             "7",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let gate = split_gate_args(args);
-        assert_eq!(gate.max_upload_ratio, Some(0.9));
-        assert!(gate.require_no_extra_loss);
-        assert_eq!(gate.rest, vec!["--peers", "100", "--seed", "7"]);
-        let parsed = HarnessArgs::parse_from(gate.rest);
-        assert_eq!(parsed.peers, 100);
-        assert_eq!(parsed.seed, 7);
+        ]);
+        assert_eq!(args.max_upload_ratio, Some(0.9));
+        assert!(args.require_no_extra_loss);
+        assert_eq!((args.peers, args.seed), (100, 7));
     }
 
     #[test]
     fn gated_scenario_is_valid_and_arm_specific() {
-        let args = HarnessArgs::parse_from(Vec::<String>::new());
+        let args = parse(&[]);
         let stat = gated_config(&args, false);
         assert!(stat.validate().is_ok());
         assert!(!stat.adaptive_n.enabled);

@@ -44,55 +44,23 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use peerback_bench::{json, HarnessArgs};
+use peerback_bench::{Cli, HarnessArgs};
 use peerback_core::{FailureDomainConfig, MaintenancePolicy, SimConfig};
 use peerback_fabric::{run_fabric, AdversaryConfig, FabricConfig, FabricReport};
 
-/// Flags specific to this probe, split off before the shared parse
-/// (which rejects unknown flags).
-struct GateArgs {
-    min_quarantine_rate: f64,
-    max_loss_factor: f64,
-    rest: Vec<String>,
-}
-
-fn split_gate_args(args: impl IntoIterator<Item = String>) -> GateArgs {
-    let mut min_quarantine_rate = 0.9;
-    let mut max_loss_factor = 2.0;
-    let mut rest = Vec::new();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            let v = iter
-                .next()
-                .unwrap_or_else(|| panic!("flag {flag} needs a value"));
-            v.parse::<f64>()
-                .unwrap_or_else(|_| panic!("{flag} expects a number, got {v:?}"))
-        };
-        match arg.as_str() {
-            "--min-quarantine-rate" => {
-                min_quarantine_rate = value("--min-quarantine-rate");
-                assert!(
-                    (0.0..=1.0).contains(&min_quarantine_rate),
-                    "--min-quarantine-rate must be a fraction in [0, 1]"
-                );
-            }
-            "--max-loss-factor" => {
-                max_loss_factor = value("--max-loss-factor");
-                assert!(
-                    max_loss_factor >= 1.0,
-                    "--max-loss-factor must be at least 1"
-                );
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    GateArgs {
-        min_quarantine_rate,
-        max_loss_factor,
-        rest,
-    }
-}
+const CLI: Cli = Cli {
+    binary: "adversary_probe",
+    synopsis: "[options]",
+    groups: &[
+        "scale",
+        "execution",
+        "json",
+        "stable-json",
+        "world",
+        "fabric",
+        "adversary-gates",
+    ],
+};
 
 /// The shared world both arms run in: the fabric integration tests'
 /// churn-rich 4+4 geometry, tight reactive threshold.
@@ -179,8 +147,9 @@ fn quarantined_by(report: &FabricReport, deadline: u64) -> usize {
 }
 
 fn main() -> ExitCode {
-    let gate = split_gate_args(std::env::args().skip(1));
-    let args = HarnessArgs::parse_from(gate.rest.clone());
+    let args = HarnessArgs::parse(&CLI);
+    let min_quarantine_rate = args.min_quarantine_rate.unwrap_or(0.9);
+    let max_loss_factor = args.max_loss_factor.unwrap_or(2.0);
     if !args.json {
         eprintln!(
             "adversary probe: clean vs attacked at {} peers x {} rounds (seed {}) ...",
@@ -210,19 +179,10 @@ fn main() -> ExitCode {
     let stats = &attacked.stats;
 
     if args.json {
-        let mut report = json::Object::new()
-            .str("probe", "adversary_probe")
-            .num("peers", args.peers as u64)
-            .num("rounds", args.rounds)
-            .num("seed", args.seed);
-        if !args.stable_json {
-            report = report
-                .num("shards", args.shards as u64)
-                .num("work_stealing", u64::from(!args.no_steal))
-                .num("host_cpus", HarnessArgs::host_cpus())
-                .float("elapsed_secs", elapsed.as_secs_f64());
-        }
-        let report = report
+        let report = args
+            .report_head("probe", "adversary_probe", elapsed, |telemetry| {
+                telemetry.num("work_stealing", u64::from(!args.no_steal))
+            })
             .num("clean_losses", clean_losses)
             .num("attacked_losses", attacked_losses)
             .float("loss_factor", loss_factor)
@@ -272,20 +232,20 @@ fn main() -> ExitCode {
         );
         failed = true;
     }
-    if quarantine_rate < gate.min_quarantine_rate {
+    if quarantine_rate < min_quarantine_rate {
         eprintln!(
             "FAIL: only {caught_by_half} of {targeted} targeted free riders quarantined before \
              round {half} ({:.0}% < {:.0}%)",
             quarantine_rate * 100.0,
-            gate.min_quarantine_rate * 100.0
+            min_quarantine_rate * 100.0
         );
         failed = true;
     }
-    if loss_factor > gate.max_loss_factor {
+    if loss_factor > max_loss_factor {
         eprintln!(
             "FAIL: attacked losses ({attacked_losses}) exceed {:.1}x the clean baseline \
              ({clean_losses})",
-            gate.max_loss_factor
+            max_loss_factor
         );
         failed = true;
     }
@@ -300,30 +260,30 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(extra: &[&str]) -> (GateArgs, HarnessArgs) {
-        let gate = split_gate_args(extra.iter().map(|s| s.to_string()));
-        let args = HarnessArgs::parse_from(gate.rest.clone());
-        (gate, args)
+    fn parse(extra: &[&str]) -> HarnessArgs {
+        HarnessArgs::parse_from(&CLI, extra.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn gate_flags_are_split_from_the_shared_args() {
-        let (gate, args) = parse(&[
+    fn gate_flags_parse_beside_the_shared_ones() {
+        let args = parse(&[
             "--peers",
             "128",
             "--min-quarantine-rate",
             "0.8",
             "--max-loss-factor",
             "3",
+            "--escalate-margin",
+            "1",
         ]);
-        assert_eq!(gate.min_quarantine_rate, 0.8);
-        assert_eq!(gate.max_loss_factor, 3.0);
-        assert_eq!(args.peers, 128);
+        assert_eq!(args.min_quarantine_rate, Some(0.8));
+        assert_eq!(args.max_loss_factor, Some(3.0));
+        assert_eq!((args.peers, args.escalate_margin), (128, 1));
     }
 
     #[test]
     fn canonical_scenario_is_valid_and_hostile() {
-        let (_, args) = parse(&["--peers", "256", "--rounds", "400"]);
+        let args = parse(&["--peers", "256", "--rounds", "400"]);
         let cfg = scenario_config(&args);
         assert!(cfg.validate().is_ok());
         assert!(adversary_of(&args).any_hostile());
@@ -334,7 +294,7 @@ mod tests {
 
     #[test]
     fn shared_flags_override_the_canonical_attack() {
-        let (_, args) = parse(&[
+        let args = parse(&[
             "--adversary",
             "rot=0.05,challenge=4,sample=1",
             "--domains",

@@ -36,108 +36,30 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use peerback_bench::{json, HarnessArgs};
-use peerback_churn::{LifetimeSpec, Profile, ProfileMix};
+use peerback_bench::{gated_churn_config, json, Cli, HarnessArgs};
 use peerback_core::{run_sweep_with_threads, Metrics, SelectionStrategy, SimConfig};
 
-/// The three ablation arms, in report order.
+const CLI: Cli = Cli {
+    binary: "estimate_probe",
+    synopsis: "[options]",
+    groups: &[
+        "scale",
+        "sweep",
+        "execution",
+        "json",
+        "stable-json",
+        "world",
+        "estimate-gates",
+    ],
+};
+
+/// The three ablation arms, in report order. All run in
+/// [`gated_churn_config`], the churn-rich scenario.
 const ARMS: [(&str, SelectionStrategy); 3] = [
     ("oracle", SelectionStrategy::OracleLifetime),
     ("learned", SelectionStrategy::LearnedAge),
     ("uniform", SelectionStrategy::Random),
 ];
-
-/// The gated scenario: the paper's geometry scaled to a 16+16 code
-/// with a heavy-tailed short-lifetime mix, so deaths (the model's
-/// training signal) and losses (the metric under test) both occur by
-/// the hundreds within a 2,000-round run. The reactive threshold sits
-/// two blocks above `k`: that thin repair margin is what makes partner
-/// *survival* — the quantity estimation improves — decide the loss
-/// count, rather than raw repair throughput.
-fn gated_config(args: &HarnessArgs, strategy: SelectionStrategy) -> SimConfig {
-    let mut cfg = args.base_config().with_strategy(strategy);
-    cfg.k = 16;
-    cfg.m = 16;
-    cfg.quota = 72;
-    cfg.maintenance = peerback_core::MaintenancePolicy::Reactive { threshold: 18 };
-    // All three laws are Pareto — the paper's measured reality, and the
-    // regime where its core claim (age predicts remaining lifetime)
-    // actually holds. A bounded law in the mix would make old peers of
-    // that class the *worst* partners and punish any age-trusting
-    // strategy for reasons unrelated to estimation quality.
-    cfg.profiles = ProfileMix::new(vec![
-        (
-            Profile::new(
-                "Flash",
-                LifetimeSpec::Pareto {
-                    x_min: 30.0,
-                    alpha: 1.5,
-                },
-                0.33,
-            ),
-            0.5,
-        ),
-        (
-            Profile::new(
-                "Transient",
-                LifetimeSpec::Pareto {
-                    x_min: 120.0,
-                    alpha: 1.9,
-                },
-                0.75,
-            ),
-            0.3,
-        ),
-        (
-            Profile::new(
-                "Seasonal",
-                LifetimeSpec::Pareto {
-                    x_min: 400.0,
-                    alpha: 2.4,
-                },
-                0.9,
-            ),
-            0.2,
-        ),
-    ]);
-    cfg
-}
-
-/// Flags specific to this probe, split off before the shared parse
-/// (which rejects unknown flags).
-struct GateArgs {
-    max_loss_factor: Option<f64>,
-    require_beat_uniform: bool,
-    rest: Vec<String>,
-}
-
-fn split_gate_args(args: impl IntoIterator<Item = String>) -> GateArgs {
-    let mut max_loss_factor = None;
-    let mut require_beat_uniform = false;
-    let mut rest = Vec::new();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--max-loss-factor" => {
-                let v = iter
-                    .next()
-                    .unwrap_or_else(|| panic!("flag --max-loss-factor needs a value"));
-                let f: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--max-loss-factor expects a number, got {v:?}"));
-                assert!(f >= 1.0, "--max-loss-factor must be at least 1, got {f}");
-                max_loss_factor = Some(f);
-            }
-            "--require-beat-uniform" => require_beat_uniform = true,
-            other => rest.push(other.to_string()),
-        }
-    }
-    GateArgs {
-        max_loss_factor,
-        require_beat_uniform,
-        rest,
-    }
-}
 
 fn arm_json(name: &str, metrics: &Metrics) -> String {
     let mut obj = json::Object::new()
@@ -174,8 +96,7 @@ fn arm_json(name: &str, metrics: &Metrics) -> String {
 }
 
 fn main() -> ExitCode {
-    let gate = split_gate_args(std::env::args().skip(1));
-    let args = HarnessArgs::parse_from(gate.rest.clone());
+    let args = HarnessArgs::parse(&CLI);
     if !args.json {
         eprintln!(
             "estimate ablation: oracle/learned/uniform at {} peers x {} rounds (seed {}) ...",
@@ -183,7 +104,10 @@ fn main() -> ExitCode {
         );
     }
     let start = Instant::now();
-    let configs: Vec<SimConfig> = ARMS.iter().map(|&(_, s)| gated_config(&args, s)).collect();
+    let configs: Vec<SimConfig> = ARMS
+        .iter()
+        .map(|&(_, s)| gated_churn_config(&args, s))
+        .collect();
     let results = run_sweep_with_threads(configs, args.thread_count());
     let elapsed = start.elapsed();
 
@@ -202,18 +126,8 @@ fn main() -> ExitCode {
     let loss_factor = learned_losses as f64 / oracle_losses.max(1) as f64;
 
     if args.json {
-        let mut report = json::Object::new()
-            .str("probe", "estimate_probe")
-            .num("peers", args.peers as u64)
-            .num("rounds", args.rounds)
-            .num("seed", args.seed);
-        if !args.stable_json {
-            report = report
-                .num("shards", args.shards as u64)
-                .num("host_cpus", HarnessArgs::host_cpus())
-                .float("elapsed_secs", elapsed.as_secs_f64());
-        }
-        let report = report
+        let report = args
+            .report_head("probe", "estimate_probe", elapsed, |telemetry| telemetry)
             .raw(
                 "strategies",
                 json::array(
@@ -284,7 +198,7 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if let Some(max) = gate.max_loss_factor {
+    if let Some(max) = args.max_loss_factor {
         if loss_factor > max {
             eprintln!(
                 "FAIL: learned losses ({learned_losses}) exceed {max:.1}x oracle losses \
@@ -293,7 +207,7 @@ fn main() -> ExitCode {
             failed = true;
         }
     }
-    if gate.require_beat_uniform && learned_losses >= uniform_losses {
+    if args.require_beat_uniform && learned_losses >= uniform_losses {
         eprintln!(
             "FAIL: learned losses ({learned_losses}) do not beat uniform selection \
              ({uniform_losses})"
@@ -311,9 +225,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> HarnessArgs {
+        HarnessArgs::parse_from(&CLI, args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
-    fn gate_flags_are_split_from_the_shared_args() {
-        let args: Vec<String> = [
+    fn gate_flags_parse_beside_the_shared_ones() {
+        let args = parse(&[
             "--peers",
             "100",
             "--max-loss-factor",
@@ -321,24 +239,20 @@ mod tests {
             "--require-beat-uniform",
             "--seed",
             "7",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let gate = split_gate_args(args);
-        assert_eq!(gate.max_loss_factor, Some(3.0));
-        assert!(gate.require_beat_uniform);
-        assert_eq!(gate.rest, vec!["--peers", "100", "--seed", "7"]);
-        let parsed = HarnessArgs::parse_from(gate.rest);
-        assert_eq!(parsed.peers, 100);
-        assert_eq!(parsed.seed, 7);
+        ]);
+        assert_eq!(args.max_loss_factor, Some(3.0));
+        assert!(args.require_beat_uniform);
+        assert_eq!((args.peers, args.seed), (100, 7));
+        let ungated = parse(&[]);
+        assert_eq!(ungated.max_loss_factor, None);
+        assert!(!ungated.require_beat_uniform);
     }
 
     #[test]
     fn gated_scenario_is_valid_and_strategy_specific() {
-        let args = HarnessArgs::parse_from(Vec::<String>::new());
+        let args = parse(&[]);
         for (_, strategy) in ARMS {
-            let cfg = gated_config(&args, strategy);
+            let cfg = gated_churn_config(&args, strategy);
             assert_eq!(cfg.strategy, strategy);
             assert!(cfg.validate().is_ok());
         }

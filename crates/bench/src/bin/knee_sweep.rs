@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use peerback_bench::{json, HarnessArgs};
+use peerback_bench::{json, Cli, HarnessArgs};
 use peerback_core::BackupWorld;
 use peerback_sim::Engine;
 
@@ -35,8 +35,17 @@ struct Cell {
     elapsed: f64,
 }
 
+/// The grid owns `--shards`, `--shard-slots` and `--no-steal` (it
+/// sweeps them), and its JSON Lines carry timings by design, so there
+/// is no `--stable-json`.
+const CLI: Cli = Cli {
+    binary: "knee_sweep",
+    synopsis: "[options]",
+    groups: &["scale", "json", "world"],
+};
+
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&CLI);
     let host_cpus = HarnessArgs::host_cpus() as usize;
 
     let mut shard_axis = vec![1usize];

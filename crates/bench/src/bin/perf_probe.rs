@@ -54,12 +54,19 @@
 
 use std::time::Instant;
 
-use peerback_bench::{alloc_probe, json, HarnessArgs};
+use peerback_bench::{alloc_probe, Cli, HarnessArgs};
 use peerback_core::BackupWorld;
 use peerback_sim::Engine;
 
+/// One run, no sweep, no files, no fabric.
+const CLI: Cli = Cli {
+    binary: "perf_probe",
+    synopsis: "[options]",
+    groups: &["scale", "execution", "json", "stable-json", "world"],
+};
+
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&CLI);
     let cfg = args.base_config().with_paper_observers();
     if !args.json {
         println!(
@@ -98,59 +105,52 @@ fn main() {
     let metrics = world.into_metrics();
     let elapsed = start.elapsed();
     if args.json {
-        let mut report = json::Object::new()
-            .str("probe", "perf_probe")
-            .num("peers", args.peers as u64)
-            .num("rounds", args.rounds)
-            .num("seed", args.seed);
-        if !args.stable_json {
-            // Timing, host facts (worker count, stealing, CPU count)
-            // and execution telemetry (dispatch/alloc rates) are
-            // excluded from the stable form so shard counts diff
-            // byte-for-byte.
-            report = report
-                .num("shards", args.shards as u64)
-                .num("work_stealing", u64::from(!args.no_steal))
-                .num("skewed_churn", u64::from(args.skewed))
-                .num("shard_slots", args.shard_slots as u64)
-                .num("host_cpus", HarnessArgs::host_cpus())
-                .str("gf256_backend", peerback_gf256::active_backend().name())
-                .float("elapsed_secs", elapsed.as_secs_f64())
-                .float(
-                    "peer_rounds_per_sec",
-                    (args.peers as f64 * args.rounds as f64) / elapsed.as_secs_f64(),
-                )
-                .float("stage_dispatches_per_round", dispatches_per_round)
-                .float("bytes_per_peer", bytes_per_peer)
-                // The layout behind the total, so the perf gate's
-                // memory budget can name the collection that grew.
-                .float("bytes_peer_table", mem.peer_table)
-                .float("bytes_online_index", mem.online_index)
-                .float("bytes_hosted_ledgers", mem.hosted_ledgers)
-                .float("bytes_archive_states", mem.archive_states)
-                .float("bytes_partner_lists", mem.partner_lists)
-                .num("redundancy_passes", redundancy.passes)
-                .num("redundancy_host_evals", redundancy.host_evals)
-                .num("redundancy_pairs_gathered", redundancy.pairs_gathered)
-                .num("placement_pool_builds", placement.pool_builds)
-                .num("placement_candidates_sampled", placement.candidates_sampled)
-                .num(
-                    "placement_candidates_accepted",
-                    placement.candidates_accepted,
-                )
-                .num("placement_claims", placement.claims)
-                .num("placement_grants", placement.grants)
-                .num("placement_msgs_routed", placement.msgs_routed)
-                .float(
-                    "candidates_sampled_per_grant",
-                    placement.candidates_sampled as f64 / placement.grants.max(1) as f64,
-                )
-                .num("peak_rss_bytes", peerback_bench::peak_rss_bytes());
-            if alloc_probe::ENABLED {
-                report = report.float("allocs_per_round", allocs_per_round);
-            }
-        }
-        let report = report
+        // Worker knobs, throughput and the exact work counters describe
+        // the execution, not the simulated network, so they ride in the
+        // telemetry block and shard counts diff byte-for-byte without it.
+        let report = args
+            .report_head("probe", "perf_probe", elapsed, |telemetry| {
+                let telemetry = telemetry
+                    .num("work_stealing", u64::from(!args.no_steal))
+                    .num("skewed_churn", u64::from(args.skewed))
+                    .num("shard_slots", args.shard_slots as u64)
+                    .str("gf256_backend", peerback_gf256::active_backend().name())
+                    .float(
+                        "peer_rounds_per_sec",
+                        (args.peers as f64 * args.rounds as f64) / elapsed.as_secs_f64(),
+                    )
+                    .float("stage_dispatches_per_round", dispatches_per_round)
+                    .float("bytes_per_peer", bytes_per_peer)
+                    // The layout behind the total, so the perf gate's
+                    // memory budget can name the collection that grew.
+                    .float("bytes_peer_table", mem.peer_table)
+                    .float("bytes_online_index", mem.online_index)
+                    .float("bytes_hosted_ledgers", mem.hosted_ledgers)
+                    .float("bytes_archive_states", mem.archive_states)
+                    .float("bytes_partner_lists", mem.partner_lists)
+                    .num("redundancy_passes", redundancy.passes)
+                    .num("redundancy_host_evals", redundancy.host_evals)
+                    .num("redundancy_pairs_gathered", redundancy.pairs_gathered)
+                    .num("placement_pool_builds", placement.pool_builds)
+                    .num("placement_candidates_sampled", placement.candidates_sampled)
+                    .num(
+                        "placement_candidates_accepted",
+                        placement.candidates_accepted,
+                    )
+                    .num("placement_claims", placement.claims)
+                    .num("placement_grants", placement.grants)
+                    .num("placement_msgs_routed", placement.msgs_routed)
+                    .float(
+                        "candidates_sampled_per_grant",
+                        placement.candidates_sampled as f64 / placement.grants.max(1) as f64,
+                    )
+                    .num("peak_rss_bytes", peerback_bench::peak_rss_bytes());
+                if alloc_probe::ENABLED {
+                    telemetry.float("allocs_per_round", allocs_per_round)
+                } else {
+                    telemetry
+                }
+            })
             .nums("repairs", metrics.repairs)
             .nums("losses", metrics.losses)
             .nums("peer_rounds", metrics.peer_rounds)

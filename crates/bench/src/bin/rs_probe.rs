@@ -12,11 +12,19 @@
 //! cargo run --release -p peerback-bench --bin rs_probe -- --json
 //! ```
 
-use peerback_bench::{json, rs_bench, HarnessArgs};
+use peerback_bench::{json, rs_bench, Cli, HarnessArgs};
 use peerback_gf256::Backend;
 
+/// The probe measures the codec on this host; no simulated world, so
+/// nothing but the output mode is configurable.
+const CLI: Cli = Cli {
+    binary: "rs_probe",
+    synopsis: "[--json]",
+    groups: &["json"],
+};
+
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&CLI);
 
     let mut rows = Vec::new();
     let mut scalar_mib_s = 0.0f64;

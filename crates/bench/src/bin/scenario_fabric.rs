@@ -25,9 +25,22 @@
 
 use std::time::Instant;
 
-use peerback_bench::{json, rs_bench, HarnessArgs};
+use peerback_bench::{json, rs_bench, Cli, HarnessArgs};
 use peerback_core::{MaintenancePolicy, SimConfig};
 use peerback_fabric::{Fabric, FabricConfig, FabricReport, FaultProfile, ReplayWork};
+
+const CLI: Cli = Cli {
+    binary: "scenario_fabric",
+    synopsis: "[options]",
+    groups: &[
+        "scale",
+        "execution",
+        "json",
+        "stable-json",
+        "world",
+        "fabric",
+    ],
+};
 
 /// In-flight fault rates swept (0 = the cross-check column).
 const FAULT_RATES: [f64; 3] = [0.0, 0.02, 0.08];
@@ -119,15 +132,39 @@ fn run_cell(
     }
 }
 
-fn cell_json(cell: &Cell) -> String {
-    let stats = &cell.report.stats;
-    let audit = &cell.report.audit;
-    let failed = stats.transfers_corrupted + stats.transfers_truncated + stats.transfers_flapped;
+/// The fields both modes report alike, in the order both report them:
+/// the scheduler's queueing and restore percentiles, then the audit
+/// ledger.
+fn scheduler_and_audit(out: json::Object, report: &FabricReport) -> json::Object {
+    let (stats, audit) = (&report.stats, &report.audit);
     // Rounds-to-restore percentiles over every scheduler-tracked restore
     // (all zero when no flash wave / restores ran).
     let (p50, p95, p99) =
-        peerback_fabric::restore_percentiles(&cell.report.restore_durations).unwrap_or((0, 0, 0));
-    json::Object::new()
+        peerback_fabric::restore_percentiles(&report.restore_durations).unwrap_or((0, 0, 0));
+    out.num("transfers_queued", stats.transfers_queued)
+        .num("transfers_carried", stats.transfers_carried)
+        .num("transfers_cancelled", stats.transfers_cancelled)
+        .num("flash_restores", stats.flash_restores)
+        .num("flash_restore_failures", stats.flash_restore_failures)
+        .num("restores_completed", report.restore_durations.len() as u64)
+        .num("restore_p50_rounds", p50)
+        .num("restore_p95_rounds", p95)
+        .num("restore_p99_rounds", p99)
+        .num("audit_skipped_in_flight", audit.skipped_in_flight)
+        .num("sim_losses", report.metrics.total_losses())
+        .num("verified_losses", report.losses.len() as u64)
+        .num("audit_checks", audit.checks)
+        .num("audit_consistent", audit.consistent)
+        .num("fault_induced_losses", audit.fault_induced_losses)
+        .num("audit_mismatches", audit.mismatches)
+        .num("decode_attempts", audit.decode_attempts)
+        .num("decode_successes", audit.decode_successes)
+}
+
+fn cell_json(cell: &Cell) -> String {
+    let stats = &cell.report.stats;
+    let failed = stats.transfers_corrupted + stats.transfers_truncated + stats.transfers_flapped;
+    let cell_stats = json::Object::new()
         .str("policy", cell.policy)
         .float("fault_rate", cell.fault_rate)
         .num("transfers_attempted", stats.transfers_attempted)
@@ -148,29 +185,8 @@ fn cell_json(cell: &Cell) -> String {
         .num("scrub_checked", stats.scrub_checked)
         .num("scrub_detected", stats.scrub_detected)
         .num("scrub_repaired", stats.scrub_repaired)
-        .num("scrub_obsolete", stats.scrub_obsolete)
-        .num("transfers_queued", stats.transfers_queued)
-        .num("transfers_carried", stats.transfers_carried)
-        .num("transfers_cancelled", stats.transfers_cancelled)
-        .num("flash_restores", stats.flash_restores)
-        .num("flash_restore_failures", stats.flash_restore_failures)
-        .num(
-            "restores_completed",
-            cell.report.restore_durations.len() as u64,
-        )
-        .num("restore_p50_rounds", p50)
-        .num("restore_p95_rounds", p95)
-        .num("restore_p99_rounds", p99)
-        .num("audit_skipped_in_flight", audit.skipped_in_flight)
-        .num("sim_losses", cell.report.metrics.total_losses())
-        .num("verified_losses", cell.report.losses.len() as u64)
-        .num("audit_checks", audit.checks)
-        .num("audit_consistent", audit.consistent)
-        .num("fault_induced_losses", audit.fault_induced_losses)
-        .num("audit_mismatches", audit.mismatches)
-        .num("decode_attempts", audit.decode_attempts)
-        .num("decode_successes", audit.decode_successes)
-        .render()
+        .num("scrub_obsolete", stats.scrub_obsolete);
+    scheduler_and_audit(cell_stats, &cell.report).render()
 }
 
 /// The `--paper-scale` single-run mode: combined mode at the paper's
@@ -223,21 +239,13 @@ fn run_paper_scale(args: &HarnessArgs) {
         peerback_fabric::restore_percentiles(&report.restore_durations).unwrap_or((0, 0, 0));
 
     if args.json {
-        let mut out = json::Object::new()
-            .str("scenario", "fabric-paper-scale")
-            .num("peers", args.peers as u64)
-            .num("rounds", args.rounds)
-            .num("seed", args.seed);
-        if !args.stable_json {
-            out = out
-                .num("shards", args.shards as u64)
-                .num("host_cpus", HarnessArgs::host_cpus())
-                .str("gf256_backend", peerback_gf256::active_backend().name())
-                .float("encode_mib_s", encode_mib_s)
-                .float("elapsed_secs", elapsed.as_secs_f64())
-                .raw("replay_work", replay_work_json([&work]));
-        }
-        let out = out
+        let out = args
+            .report_head("scenario", "fabric-paper-scale", elapsed, |telemetry| {
+                telemetry
+                    .str("gf256_backend", peerback_gf256::active_backend().name())
+                    .float("encode_mib_s", encode_mib_s)
+                    .raw("replay_work", replay_work_json([&work]))
+            })
             .num("transfers_attempted", stats.transfers_attempted)
             .num("transfers_delivered", stats.transfers_delivered)
             .num("transfers_failed", failed)
@@ -247,25 +255,8 @@ fn run_paper_scale(args: &HarnessArgs) {
             .num("scrub_detected", stats.scrub_detected)
             .num("scrub_repaired", stats.scrub_repaired)
             .num("scrub_obsolete", stats.scrub_obsolete)
-            .num("scrub_unrepaired", scrub_unrepaired)
-            .num("transfers_queued", stats.transfers_queued)
-            .num("transfers_carried", stats.transfers_carried)
-            .num("transfers_cancelled", stats.transfers_cancelled)
-            .num("flash_restores", stats.flash_restores)
-            .num("flash_restore_failures", stats.flash_restore_failures)
-            .num("restores_completed", report.restore_durations.len() as u64)
-            .num("restore_p50_rounds", p50)
-            .num("restore_p95_rounds", p95)
-            .num("restore_p99_rounds", p99)
-            .num("audit_skipped_in_flight", audit.skipped_in_flight)
-            .num("sim_losses", report.metrics.total_losses())
-            .num("verified_losses", report.losses.len() as u64)
-            .num("audit_checks", audit.checks)
-            .num("audit_consistent", audit.consistent)
-            .num("fault_induced_losses", audit.fault_induced_losses)
-            .num("audit_mismatches", audit.mismatches)
-            .num("decode_attempts", audit.decode_attempts)
-            .num("decode_successes", audit.decode_successes)
+            .num("scrub_unrepaired", scrub_unrepaired);
+        let out = scheduler_and_audit(out, &report)
             .num("unverified_losses", unverified_losses as u64)
             .render();
         println!("{out}");
@@ -310,7 +301,7 @@ fn run_paper_scale(args: &HarnessArgs) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&CLI);
     if args.paper_scale {
         run_paper_scale(&args);
         return;
@@ -338,27 +329,18 @@ fn main() {
         .sum();
 
     if args.json {
-        let elapsed = start.elapsed();
-        let mut report = json::Object::new()
-            .str("scenario", "fabric")
-            .num("peers", args.peers as u64)
-            .num("rounds", args.rounds)
-            .num("seed", args.seed);
-        if !args.stable_json {
-            // Timing and host facts are excluded from the stable form
-            // so shard counts diff byte-for-byte (the CI combined-mode
-            // determinism gate).
-            report = report
-                .num("shards", args.shards as u64)
-                .num("work_stealing", u64::from(!args.no_steal))
-                .num("host_cpus", HarnessArgs::host_cpus())
-                .float("elapsed_secs", elapsed.as_secs_f64())
-                .raw(
-                    "replay_work",
-                    replay_work_json(cells.iter().map(|c| &c.work)),
-                );
-        }
-        let report = report
+        // Timing and host facts stay out of the stable form so shard
+        // counts diff byte-for-byte (the CI combined-mode determinism
+        // gate).
+        let report = args
+            .report_head("scenario", "fabric", start.elapsed(), |telemetry| {
+                telemetry
+                    .num("work_stealing", u64::from(!args.no_steal))
+                    .raw(
+                        "replay_work",
+                        replay_work_json(cells.iter().map(|c| &c.work)),
+                    )
+            })
             .raw("cells", json::array(cells.iter().map(cell_json)))
             .num("audit_mismatches", mismatches)
             .num("unverified_losses", unverified_losses as u64)

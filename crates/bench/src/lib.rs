@@ -1,16 +1,29 @@
-//! Shared harness code for the figure/table regeneration binaries.
+//! The evaluation harness: one command line, one report runner, and the
+//! pieces the probes share.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §3 for the index). They share:
-//!
-//! * [`HarnessArgs`] — the common command line (`--paper-scale`,
-//!   `--peers`, `--rounds`, `--seed`, `--out-dir`, `--threads`);
-//! * [`Scale`] — the population/duration presets;
-//! * [`HarnessArgs::out_dir`] — where TSVs land (`results/` by default).
+//! * [`reports`] — every figure, table and ablation of the evaluation
+//!   as data (slug, variants, renderer), run by the one `paper_report`
+//!   binary; README "Reproducing the paper's figures and tables" is the
+//!   index.
+//! * [`HarnessArgs`] — the only flag parser. Its usage text lists every
+//!   flag under a group name; each binary declares, in a [`Cli`], which
+//!   groups it reads, and anything else on its command line is an error
+//!   naming the flag and the binary.
+//! * [`Scale`] — the population/duration presets.
+//! * [`gated_churn_config`] — the churn-rich scenario both headline
+//!   gates (`estimate_probe`, `adaptive_probe`) run in.
+//! * [`HarnessArgs::report_head`] — the opening of every `--json`
+//!   report, and the one place that decides what `--stable-json` omits.
+//! * [`json`], [`rs_bench`], [`alloc_probe`], [`peak_rss_bytes`] — the
+//!   probes' report writer and measurements.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
+use peerback_churn::{LifetimeSpec, Profile, ProfileMix};
 use peerback_core::{SelectionStrategy, SimConfig};
+
+pub mod reports;
 
 /// Allocation counting for the zero-allocation steady-state gate.
 ///
@@ -122,7 +135,140 @@ impl Scale {
     }
 }
 
-/// Parsed command-line arguments shared by all harness binaries.
+/// Every flag, under the name of its group: the usage text and, through
+/// [`groups_listing`], the table of which flag belongs to which group.
+/// A binary's [`Cli`] names the groups it reads; the `*-gates` groups
+/// are the acceptance gates of the one probe they are named after.
+/// (`tests/command_lines.rs` pins the two scale lines to [`Scale`].)
+const USAGE: &str = "\
+scale
+  --smoke           2,000 peers, 6,000 rounds (fast sanity check)
+  --paper-scale     25,000 peers, 50,000 rounds (the paper's §4.1 scale)
+  --peers N         population override
+  --rounds N        duration override
+  --seed N          master seed (default 42)
+sweep
+  --threads N       sweep workers (default: all cores)
+output
+  --out-dir DIR     where TSV output lands (default: results/)
+execution
+  --shards N        intra-run worker threads (default 1; results are
+                    bit-identical at every value)
+  --no-steal        disable cross-shard work stealing (fixed ownership
+                    baseline; results are bit-identical either way)
+  --shard-slots N   minimum peer slots per logical shard (default 64;
+                    semantic: changes the logical partition and the
+                    per-shard RNG streams)
+json
+  --json            emit a machine-readable JSON report on stdout
+stable-json
+  --stable-json     with --json: omit timing/host fields so same-seed
+                    runs diff byte-for-byte (the CI determinism gate)
+world
+  --skewed          slot-range-skewed churn: the first quarter of the
+                    slot space gets the churniest profile (the
+                    work-stealing benchmark scenario)
+  --strategy NAME   partner-selection strategy override (age-based,
+                    random, youngest, uptime-weighted, oracle-lifetime,
+                    learned-age; default: the config's age-based rule)
+  --misreport F     fraction of peers that inflate their claimed age
+                    during negotiation (default 0: off)
+  --shift-round N   from round N on, newly spawned peers draw from the
+                    mirrored churn-profile mix (default 0: off)
+  --adaptive-n N    adaptive per-archive redundancy, trimming targets
+                    up to N blocks below n (default 0: static widths)
+  --domains N       hash peers into N correlated failure domains
+                    (default 0: axis off)
+  --outage-rate F   per-domain per-round regional outage probability
+  --outage-rounds N rounds an outage keeps its domain offline
+  --outage-at N     force one outage of domain 0 at round N
+  --partition-rate F per-domain per-round partition probability
+  --partition-rounds N rounds a partition blocks new placements
+  --quarantine-threshold N integrity strikes before a host is
+                    quarantined and its hosted blocks written off
+                    (default 0: never)
+fabric
+  --link-cap N      per-peer per-round transfer budget in bytes for the
+                    fabric's bandwidth-aware scheduler (default 0:
+                    instant shipping)
+  --flash-restore N at round N every joined archive's owner starts a
+                    full restore through the scheduler (default 0: off)
+  --escalate-margin N repair transfers of archives under k+N placed
+                    blocks jump the scheduler's priority queue
+                    (default 0: off)
+  --adversary SPEC  adversarial fabric hosts, e.g.
+                    free=0.1,rot=0.02,challenge=16,sample=4
+                    (free-rider fraction, rotter fraction, challenge
+                    sweep interval, challenge coverage divisor;
+                    default: all off)
+estimate-gates
+  --max-loss-factor F
+                    fail if learned losses exceed F x oracle losses
+                    (oracle floored at one loss)
+  --require-beat-uniform
+                    fail unless learned losses are strictly below
+                    uniform selection's
+adaptive-gates
+  --max-upload-ratio F
+                    fail if adaptive uploads exceed F x static uploads
+  --require-no-extra-loss
+                    fail if adaptive losses exceed static losses
+adversary-gates
+  --min-quarantine-rate F
+                    fail unless this share of the targeted free riders
+                    is quarantined before half the run (default 0.9)
+  --max-loss-factor F
+                    fail if attacked losses exceed F x the clean run's
+                    (floored at one loss; default 2)";
+
+/// The groups of [`USAGE`] that list `flag`.
+fn groups_listing(flag: &str) -> impl Iterator<Item = &'static str> + '_ {
+    let mut group = "";
+    USAGE.lines().filter_map(move |line| {
+        if !line.starts_with(' ') {
+            group = line;
+        }
+        let entry = line.strip_prefix("  ")?;
+        (entry.split(' ').next() == Some(flag)).then_some(group)
+    })
+}
+
+/// What one binary's command line reads. Any other flag is an error
+/// naming the flag and the binary — including the flags of a group the
+/// binary does not consume, which would otherwise parse and then
+/// change nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Cli {
+    /// The binary's name, for usage and errors.
+    pub binary: &'static str,
+    /// What follows the name on the usage line, e.g. `"[options]"`.
+    pub synopsis: &'static str,
+    /// The groups of flags it reads: `"scale"`, `"sweep"` (`--threads`),
+    /// `"output"` (`--out-dir`), `"execution"`, `"json"`,
+    /// `"stable-json"`, `"world"`, `"fabric"`, and a probe's own
+    /// `"…-gates"`.
+    pub groups: &'static [&'static str],
+}
+
+impl Cli {
+    /// The usage text: only what this binary reads.
+    pub fn usage(&self) -> String {
+        let mut out = format!("usage: {} {}", self.binary, self.synopsis);
+        let mut reading = false;
+        for line in USAGE.lines() {
+            if !line.starts_with(' ') {
+                reading = self.groups.contains(&line);
+            } else if reading {
+                out.push('\n');
+                out.push_str(line);
+            }
+        }
+        out
+    }
+}
+
+/// Parsed command line of a harness binary: the flags its [`Cli`] reads;
+/// the rest stay at their defaults.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Population (overrides the scale preset when set).
@@ -179,7 +325,7 @@ pub struct HarnessArgs {
     pub adaptive_n: u16,
     /// Per-peer per-round transfer byte budget for the fabric's
     /// bandwidth-aware scheduler (`0` = instant shipping, the classic
-    /// path). Consumed by the combined-mode binaries.
+    /// path).
     pub link_cap: u64,
     /// Round at which every joined archive's owner starts a full
     /// restore through the scheduler (`0` = no wave). Implies nothing
@@ -187,7 +333,7 @@ pub struct HarnessArgs {
     pub flash_restore: u64,
     /// Adversarial host behaviour for the fabric (`--adversary SPEC`,
     /// e.g. `free=0.1,rot=0.02,challenge=16,sample=4`). Inert by
-    /// default. Consumed by the combined-mode binaries.
+    /// default.
     pub adversary: peerback_fabric::AdversaryConfig,
     /// Correlated failure domains (`--domains` plus the `--outage-*` /
     /// `--partition-*` knobs). `domains == 0` disables the axis.
@@ -198,181 +344,168 @@ pub struct HarnessArgs {
     /// repair transfers of archives under `k + margin` placed blocks
     /// jump the class-priority queue (`0` = off).
     pub escalate_margin: u32,
+    /// `estimate_probe` / `adversary_probe` gate: the loss factor the
+    /// arm under test may reach over its baseline (at least 1).
+    pub max_loss_factor: Option<f64>,
+    /// `estimate_probe` gate: learned must strictly beat uniform.
+    pub require_beat_uniform: bool,
+    /// `adaptive_probe` gate: adaptive over static uploads (positive).
+    pub max_upload_ratio: Option<f64>,
+    /// `adaptive_probe` gate: adaptive losses must not exceed static.
+    pub require_no_extra_loss: bool,
+    /// `adversary_probe` gate: the share of targeted free riders to be
+    /// quarantined before half the run (a fraction).
+    pub min_quarantine_rate: Option<f64>,
 }
 
 /// Parses an `--adversary` spec: comma-separated `key=value` pairs with
 /// keys `free` (free-rider fraction), `rot` (rotter fraction),
 /// `challenge` (challenge-sweep interval in rounds), `sample`
-/// (challenge coverage divisor, 1 = every placement).
-///
-/// # Panics
-///
-/// Panics with a usage message on malformed or unknown keys, and on
-/// values [`peerback_fabric::AdversaryConfig::validate`] rejects.
-pub fn parse_adversary_spec(spec: &str) -> peerback_fabric::AdversaryConfig {
+/// (challenge coverage divisor, 1 = every placement). Panics on
+/// malformed or unknown keys, and on values
+/// [`peerback_fabric::AdversaryConfig::validate`] rejects.
+fn parse_adversary_spec(spec: &str, usage: &str) -> peerback_fabric::AdversaryConfig {
     let mut cfg = peerback_fabric::AdversaryConfig::default();
     for pair in spec.split(',').filter(|p| !p.is_empty()) {
         let (key, value) = pair.split_once('=').unwrap_or_else(|| {
-            panic!("--adversary expects key=value pairs, got {pair:?}\n{USAGE}")
+            panic!("--adversary expects key=value pairs, got {pair:?}\n{usage}")
         });
         match key {
-            "free" => cfg.free_rider_fraction = parse_float(value, "--adversary free"),
-            "rot" => cfg.rot_fraction = parse_float(value, "--adversary rot"),
-            "challenge" => cfg.challenge_interval = parse_num(value, "--adversary challenge"),
-            "sample" => cfg.challenge_sample_period = parse_num(value, "--adversary sample"),
-            other => panic!("unknown --adversary key {other:?} in {spec:?}\n{USAGE}"),
+            "free" => {
+                cfg.free_rider_fraction = parse_float(value, "--adversary free", FRACTION, usage)
+            }
+            "rot" => cfg.rot_fraction = parse_float(value, "--adversary rot", FRACTION, usage),
+            "challenge" => {
+                cfg.challenge_interval = parse_num(value, "--adversary challenge", usage);
+            }
+            "sample" => {
+                cfg.challenge_sample_period = parse_num(value, "--adversary sample", usage);
+            }
+            other => panic!("unknown --adversary key {other:?} in {spec:?}\n{usage}"),
         }
     }
     if let Err(e) = cfg.validate() {
-        panic!("invalid --adversary spec {spec:?}: {e}\n{USAGE}");
+        panic!("invalid --adversary spec {spec:?}: {e}\n{usage}");
     }
     cfg
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args`. Unknown flags abort with usage help.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+    /// Parses `std::env::args` as `cli` allows.
+    pub fn parse(cli: &Cli) -> Self {
+        Self::parse_from(cli, std::env::args().skip(1))
     }
 
     /// Parses from an explicit iterator (testable).
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    /// Panics with a message and `cli`'s usage on malformed arguments,
+    /// on a flag nobody knows, and on a shared flag `cli` does not read.
+    pub fn parse_from(cli: &Cli, args: impl IntoIterator<Item = String>) -> Self {
+        let usage = cli.usage();
         let mut scale = Scale::Default;
-        let mut peers = None;
-        let mut rounds = None;
-        let mut seed = 42;
-        let mut out_dir = PathBuf::from("results");
-        let mut threads = 0;
-        let mut json = false;
-        let mut shards = 1;
-        let mut stable_json = false;
-        let mut no_steal = false;
-        let mut skewed = false;
-        let mut shard_slots = 64usize;
-        let mut strategy = None;
-        let mut misreport = 0.0f64;
-        let mut shift_round = 0u64;
-        let mut adaptive_n = 0u16;
-        let mut link_cap = 0u64;
-        let mut flash_restore = 0u64;
-        let mut adversary = peerback_fabric::AdversaryConfig::default();
-        let mut failure_domains = peerback_core::FailureDomainConfig::default();
-        let mut quarantine_threshold = 0u8;
-        let mut escalate_margin = 0u32;
+        let (mut peers, mut rounds) = (None, None);
+        let mut a = HarnessArgs {
+            peers: 0,
+            rounds: 0,
+            seed: 42,
+            out_dir: PathBuf::from("results"),
+            threads: 0,
+            json: false,
+            shards: 1,
+            stable_json: false,
+            no_steal: false,
+            skewed: false,
+            shard_slots: 64,
+            paper_scale: false,
+            strategy: None,
+            misreport: 0.0,
+            shift_round: 0,
+            adaptive_n: 0,
+            link_cap: 0,
+            flash_restore: 0,
+            adversary: peerback_fabric::AdversaryConfig::default(),
+            failure_domains: peerback_core::FailureDomainConfig::default(),
+            quarantine_threshold: 0,
+            escalate_margin: 0,
+            max_loss_factor: None,
+            require_beat_uniform: false,
+            max_upload_ratio: None,
+            require_no_extra_loss: false,
+            min_quarantine_rate: None,
+        };
 
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            let mut value_for = |name: &str| {
+            let flag = arg.as_str();
+            if flag == "--help" || flag == "-h" {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            let mut value = || {
                 iter.next()
-                    .unwrap_or_else(|| panic!("flag {name} needs a value\n{USAGE}"))
+                    .unwrap_or_else(|| panic!("flag {flag} needs a value\n{usage}"))
             };
-            match arg.as_str() {
+            if !groups_listing(flag).any(|group| cli.groups.contains(&group)) {
+                match groups_listing(flag).next() {
+                    Some(_) => panic!("flag {flag} is not read by {}\n{usage}", cli.binary),
+                    None => panic!("unknown flag {flag:?} for {}\n{usage}", cli.binary),
+                }
+            }
+            let num = |s: String| parse_num(&s, flag, &usage);
+            let number = |s: String, range| parse_float(&s, flag, range, &usage);
+            match flag {
                 "--smoke" => scale = Scale::Smoke,
                 "--paper-scale" => scale = Scale::Paper,
-                "--peers" => peers = Some(parse_num(&value_for("--peers"), "--peers")),
-                "--rounds" => rounds = Some(parse_num(&value_for("--rounds"), "--rounds")),
-                "--seed" => seed = parse_num(&value_for("--seed"), "--seed"),
-                "--out-dir" => out_dir = PathBuf::from(value_for("--out-dir")),
-                "--threads" => threads = parse_num(&value_for("--threads"), "--threads") as usize,
-                "--shards" => shards = parse_num(&value_for("--shards"), "--shards") as usize,
-                "--json" => json = true,
-                "--stable-json" => stable_json = true,
-                "--no-steal" => no_steal = true,
-                "--skewed" => skewed = true,
-                "--shard-slots" => {
-                    shard_slots = parse_num(&value_for("--shard-slots"), "--shard-slots") as usize;
-                }
+                "--peers" => peers = Some(num(value()) as usize),
+                "--rounds" => rounds = Some(num(value())),
+                "--seed" => a.seed = num(value()),
+                "--out-dir" => a.out_dir = PathBuf::from(value()),
+                "--threads" => a.threads = num(value()) as usize,
+                "--shards" => a.shards = num(value()) as usize,
+                "--json" => a.json = true,
+                "--stable-json" => a.stable_json = true,
+                "--no-steal" => a.no_steal = true,
+                "--skewed" => a.skewed = true,
+                "--shard-slots" => a.shard_slots = num(value()) as usize,
                 "--strategy" => {
-                    let name = value_for("--strategy");
-                    strategy = Some(SelectionStrategy::from_name(&name).unwrap_or_else(|| {
+                    let name = value();
+                    a.strategy = Some(SelectionStrategy::from_name(&name).unwrap_or_else(|| {
                         let known: Vec<&str> =
                             SelectionStrategy::ALL.iter().map(|s| s.name()).collect();
                         panic!(
-                            "unknown strategy {name:?}; expected one of {}\n{USAGE}",
+                            "unknown strategy {name:?}; expected one of {}\n{usage}",
                             known.join(", ")
                         )
                     }));
                 }
-                "--misreport" => misreport = parse_float(&value_for("--misreport"), "--misreport"),
-                "--shift-round" => {
-                    shift_round = parse_num(&value_for("--shift-round"), "--shift-round");
-                }
-                "--adaptive-n" => {
-                    adaptive_n = parse_num(&value_for("--adaptive-n"), "--adaptive-n") as u16;
-                }
-                "--link-cap" => link_cap = parse_num(&value_for("--link-cap"), "--link-cap"),
-                "--flash-restore" => {
-                    flash_restore = parse_num(&value_for("--flash-restore"), "--flash-restore");
-                }
-                "--adversary" => adversary = parse_adversary_spec(&value_for("--adversary")),
-                "--domains" => {
-                    failure_domains.domains =
-                        parse_num(&value_for("--domains"), "--domains") as u32;
-                }
-                "--outage-rate" => {
-                    failure_domains.outage_rate =
-                        parse_float(&value_for("--outage-rate"), "--outage-rate");
-                }
-                "--outage-rounds" => {
-                    failure_domains.outage_rounds =
-                        parse_num(&value_for("--outage-rounds"), "--outage-rounds");
-                }
-                "--outage-at" => {
-                    failure_domains.outage_at = parse_num(&value_for("--outage-at"), "--outage-at");
-                }
-                "--partition-rate" => {
-                    failure_domains.partition_rate =
-                        parse_float(&value_for("--partition-rate"), "--partition-rate");
-                }
-                "--partition-rounds" => {
-                    failure_domains.partition_rounds =
-                        parse_num(&value_for("--partition-rounds"), "--partition-rounds");
-                }
-                "--quarantine-threshold" => {
-                    quarantine_threshold = parse_num(
-                        &value_for("--quarantine-threshold"),
-                        "--quarantine-threshold",
-                    ) as u8;
-                }
-                "--escalate-margin" => {
-                    escalate_margin =
-                        parse_num(&value_for("--escalate-margin"), "--escalate-margin") as u32;
-                }
-                "--help" | "-h" => {
-                    println!("{USAGE}");
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other:?}\n{USAGE}"),
+                "--misreport" => a.misreport = number(value(), FRACTION),
+                "--shift-round" => a.shift_round = num(value()),
+                "--adaptive-n" => a.adaptive_n = num(value()) as u16,
+                "--link-cap" => a.link_cap = num(value()),
+                "--flash-restore" => a.flash_restore = num(value()),
+                "--adversary" => a.adversary = parse_adversary_spec(&value(), &usage),
+                "--domains" => a.failure_domains.domains = num(value()) as u32,
+                "--outage-rate" => a.failure_domains.outage_rate = number(value(), FRACTION),
+                "--outage-rounds" => a.failure_domains.outage_rounds = num(value()),
+                "--outage-at" => a.failure_domains.outage_at = num(value()),
+                "--partition-rate" => a.failure_domains.partition_rate = number(value(), FRACTION),
+                "--partition-rounds" => a.failure_domains.partition_rounds = num(value()),
+                "--quarantine-threshold" => a.quarantine_threshold = num(value()) as u8,
+                "--escalate-margin" => a.escalate_margin = num(value()) as u32,
+                "--max-loss-factor" => a.max_loss_factor = Some(number(value(), AT_LEAST_ONE)),
+                "--require-beat-uniform" => a.require_beat_uniform = true,
+                "--max-upload-ratio" => a.max_upload_ratio = Some(number(value(), POSITIVE)),
+                "--require-no-extra-loss" => a.require_no_extra_loss = true,
+                "--min-quarantine-rate" => a.min_quarantine_rate = Some(number(value(), FRACTION)),
+                other => unreachable!("{other} is in the usage table but not parsed"),
             }
         }
-        HarnessArgs {
-            peers: peers.unwrap_or(scale.peers() as u64) as usize,
-            rounds: rounds.unwrap_or(scale.rounds()),
-            seed,
-            out_dir,
-            threads,
-            json,
-            shards,
-            stable_json,
-            no_steal,
-            skewed,
-            shard_slots,
-            paper_scale: scale == Scale::Paper,
-            strategy,
-            misreport,
-            shift_round,
-            adaptive_n,
-            link_cap,
-            flash_restore,
-            adversary,
-            failure_domains,
-            quarantine_threshold,
-            escalate_margin,
-        }
+        a.peers = peers.unwrap_or(scale.peers());
+        a.rounds = rounds.unwrap_or(scale.rounds());
+        a.paper_scale = scale == Scale::Paper;
+        a
     }
 
     /// Base paper configuration at this scale.
@@ -428,12 +561,9 @@ impl HarnessArgs {
 
     /// Resolved worker-thread count.
     pub fn thread_count(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
+        match self.threads {
+            0 => Self::host_cpus() as usize,
+            n => n,
         }
     }
 
@@ -446,81 +576,87 @@ impl HarnessArgs {
         std::fs::create_dir_all(&self.out_dir).expect("create output directory");
         self.out_dir.join(name)
     }
+
+    /// Opens a `--json` report: `key` (`"probe"` or `"scenario"`)
+    /// naming the binary's report, then `peers` / `rounds` / `seed`.
+    /// Unless `--stable-json` was given, `shards`, `host_cpus` and
+    /// `elapsed_secs` follow, then whatever `telemetry` appends — the
+    /// one place that decides what the stable form leaves out, so
+    /// anything that varies with the host or the execution knobs
+    /// (timings, worker counts, work counters) belongs in `telemetry`
+    /// and everything the caller chains on afterwards must be a pure
+    /// function of the seed.
+    pub fn report_head(
+        &self,
+        key: &str,
+        name: &str,
+        elapsed: Duration,
+        telemetry: impl FnOnce(json::Object) -> json::Object,
+    ) -> json::Object {
+        let head = json::Object::new()
+            .str(key, name)
+            .num("peers", self.peers as u64)
+            .num("rounds", self.rounds)
+            .num("seed", self.seed);
+        if self.stable_json {
+            return head;
+        }
+        telemetry(
+            head.num("shards", self.shards as u64)
+                .num("host_cpus", Self::host_cpus())
+                .float("elapsed_secs", elapsed.as_secs_f64()),
+        )
+    }
 }
 
-fn parse_num(s: &str, flag: &str) -> u64 {
+fn parse_num(s: &str, flag: &str, usage: &str) -> u64 {
     s.replace('_', "")
         .parse()
-        .unwrap_or_else(|_| panic!("flag {flag} expects a number, got {s:?}\n{USAGE}"))
+        .unwrap_or_else(|_| panic!("flag {flag} expects a number, got {s:?}\n{usage}"))
 }
 
-fn parse_float(s: &str, flag: &str) -> f64 {
-    let v: f64 = s
-        .parse()
-        .unwrap_or_else(|_| panic!("flag {flag} expects a number, got {s:?}\n{USAGE}"));
-    assert!(
-        v.is_finite() && (0.0..=1.0).contains(&v),
-        "flag {flag} expects a fraction in [0, 1], got {s:?}\n{USAGE}"
-    );
-    v
+/// What a flag's number must satisfy: the wording for errors, and the
+/// check.
+type Range = (&'static str, fn(f64) -> bool);
+
+const FRACTION: Range = ("a fraction in [0, 1]", |f| (0.0..=1.0).contains(&f));
+const AT_LEAST_ONE: Range = ("a number of at least 1", |f| f >= 1.0);
+const POSITIVE: Range = ("a positive number", |f| f > 0.0);
+
+fn parse_float(s: &str, flag: &str, (expects, accepts): Range, usage: &str) -> f64 {
+    let valid = s.parse().ok().filter(|&v| accepts(v));
+    valid.unwrap_or_else(|| panic!("flag {flag} expects {expects}, got {s:?}\n{usage}"))
 }
 
-const USAGE: &str = "\
-usage: <binary> [options]
-  --smoke           800 peers, 8k rounds (fast sanity check)
-  --paper-scale     25,000 peers, 50,000 rounds (the paper's §4.1 scale)
-  --peers N         population override
-  --rounds N        duration override
-  --seed N          master seed (default 42)
-  --out-dir DIR     where TSV output lands (default: results/)
-  --threads N       sweep workers (default: all cores)
-  --shards N        intra-run worker threads (default 1; results are
-                    bit-identical at every value)
-  --json            emit a machine-readable JSON report on stdout
-                    (the probes, scenario_fabric and knee_sweep; the
-                    figure and table binaries ignore the flag)
-  --stable-json     with --json: omit timing/host fields so same-seed
-                    runs diff byte-for-byte (the CI determinism gate)
-  --no-steal        disable cross-shard work stealing (fixed ownership
-                    baseline; results are bit-identical either way)
-  --skewed          slot-range-skewed churn: the first quarter of the
-                    slot space gets the churniest profile (the
-                    work-stealing benchmark scenario)
-  --shard-slots N   minimum peer slots per logical shard (default 64;
-                    semantic: changes the logical partition and the
-                    per-shard RNG streams)
-  --strategy NAME   partner-selection strategy override (age-based,
-                    random, youngest, uptime-weighted, oracle-lifetime,
-                    learned-age; default: the config's age-based rule)
-  --misreport F     fraction of peers that inflate their claimed age
-                    during negotiation (default 0: off)
-  --shift-round N   from round N on, newly spawned peers draw from the
-                    mirrored churn-profile mix (default 0: off)
-  --adaptive-n N    adaptive per-archive redundancy, trimming targets
-                    up to N blocks below n (default 0: static widths)
-  --link-cap N      per-peer per-round transfer budget in bytes for the
-                    fabric's bandwidth-aware scheduler (default 0:
-                    instant shipping; combined-mode binaries only)
-  --flash-restore N at round N every joined archive's owner starts a
-                    full restore through the scheduler (default 0: off)
-  --adversary SPEC  adversarial fabric hosts, e.g.
-                    free=0.1,rot=0.02,challenge=16,sample=4
-                    (free-rider fraction, rotter fraction, challenge
-                    sweep interval, challenge coverage divisor;
-                    default: all off)
-  --domains N       hash peers into N correlated failure domains
-                    (default 0: axis off)
-  --outage-rate F   per-domain per-round regional outage probability
-  --outage-rounds N rounds an outage keeps its domain offline
-  --outage-at N     force one outage of domain 0 at round N
-  --partition-rate F per-domain per-round partition probability
-  --partition-rounds N rounds a partition blocks new placements
-  --quarantine-threshold N integrity strikes before a host is
-                    quarantined and its hosted blocks written off
-                    (default 0: never)
-  --escalate-margin N repair transfers of archives under k+N placed
-                    blocks jump the scheduler's priority queue
-                    (default 0: off)";
+/// The churn-rich scenario both headline gates run in (`estimate_probe`
+/// and `adaptive_probe`): the paper's geometry scaled to a 16+16 code
+/// with a heavy-tailed short-lifetime mix, so deaths (the survival
+/// model's training signal) and losses (the metric under test) both
+/// occur by the hundreds within a 2,000-round run; at the paper's real
+/// lifetime laws such a window is shorter than almost every peer's
+/// life. The reactive threshold sits two blocks above `k`: that thin
+/// repair margin is what makes partner *survival* — the quantity
+/// estimation improves — decide the loss count, rather than raw repair
+/// throughput.
+pub fn gated_churn_config(args: &HarnessArgs, strategy: SelectionStrategy) -> SimConfig {
+    let mut cfg = args.base_config().with_strategy(strategy);
+    cfg.k = 16;
+    cfg.m = 16;
+    cfg.quota = 72;
+    cfg.maintenance = peerback_core::MaintenancePolicy::Reactive { threshold: 18 };
+    // All three laws are Pareto — the paper's measured reality, and the
+    // regime where its core claim (age predicts remaining lifetime)
+    // actually holds. A bounded law in the mix would make old peers of
+    // that class the *worst* partners and punish any age-trusting
+    // strategy for reasons unrelated to estimation quality.
+    let pareto = |x_min, alpha| LifetimeSpec::Pareto { x_min, alpha };
+    cfg.profiles = ProfileMix::new(vec![
+        (Profile::new("Flash", pareto(30.0, 1.5), 0.33), 0.5),
+        (Profile::new("Transient", pareto(120.0, 1.9), 0.75), 0.3),
+        (Profile::new("Seasonal", pareto(400.0, 2.4), 0.9), 0.2),
+    ]);
+    cfg
+}
 
 /// Peak resident set size of this process in bytes: `VmHWM` from
 /// `/proc/self/status`, 0 where that is unavailable. Execution
@@ -545,29 +681,28 @@ pub fn fmt_rate(v: Option<f64>) -> String {
     }
 }
 
-/// The thresholds of the paper's §4.2.1 sweep: 132 to 180.
-pub const PAPER_THRESHOLDS: [u16; 13] = [
-    132, 136, 140, 144, 148, 152, 156, 160, 164, 168, 172, 176, 180,
-];
-
-/// Runs the Figure 1/2 threshold sweep: one simulation per threshold,
-/// identical parameters otherwise (paper §4.2.1). Returns
-/// `(threshold, metrics)` pairs in threshold order.
-pub fn threshold_sweep(args: &HarnessArgs) -> Vec<(u16, peerback_core::Metrics)> {
-    let configs: Vec<SimConfig> = PAPER_THRESHOLDS
-        .iter()
-        .map(|&t| args.base_config().with_threshold(t))
-        .collect();
-    let results = peerback_core::run_sweep_with_threads(configs, args.thread_count());
-    PAPER_THRESHOLDS.iter().copied().zip(results).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A binary that reads every shared flag.
+    const EVERYTHING: Cli = Cli {
+        binary: "everything",
+        synopsis: "[options]",
+        groups: &[
+            "scale",
+            "sweep",
+            "output",
+            "execution",
+            "json",
+            "stable-json",
+            "world",
+            "fabric",
+        ],
+    };
+
     fn parse(args: &[&str]) -> HarnessArgs {
-        HarnessArgs::parse_from(args.iter().map(|s| s.to_string()))
+        HarnessArgs::parse_from(&EVERYTHING, args.iter().map(|s| s.to_string()))
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! session lengths: mean online run `a * cycle` rounds and mean offline
 //! run `(1 - a) * cycle` rounds, which yields exactly `a` in the long run
 //! for any `cycle`. The default cycle of 24 hours models the daily
-//! connect/disconnect rhythm of home machines (DESIGN.md, deviation 1).
+//! connect/disconnect rhythm of home machines.
 
 use rand::Rng;
 

@@ -208,7 +208,7 @@ impl Default for FailureDomainConfig {
 /// Defaults (via [`SimConfig::paper`]) reproduce §4.1: 25,000 peers is
 /// the paper scale, but the constructor takes the population explicitly
 /// because most experiments run reduced populations with normalised
-/// metrics (DESIGN.md deviation 5).
+/// metrics (`tests/scale_invariance.rs` checks that they may).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Steady-state population (the paper uses 25,000).

@@ -5,7 +5,7 @@
 //! Because this stability cannot be guessed, the protocol uses the ages
 //! of the peers in the system to sort them" (§3.2) — that is
 //! [`SelectionStrategy::AgeBased`]. The other strategies are baselines
-//! and bounds for the ablation study (experiment A1 in DESIGN.md):
+//! and bounds for the ablation study (`paper_report ablation_strategies`):
 //!
 //! * [`Random`](SelectionStrategy::Random) — uniform choice from the
 //!   pool; what a system without lifetime estimation does.

@@ -1,11 +1,11 @@
 //! Minimal length-prefixed binary wire format.
 //!
 //! The master block must be serialised to survive on the network, but no
-//! serialisation-format crate is in the approved offline dependency set
-//! (DESIGN.md §5), so this module provides a small, explicit
-//! little-endian codec: fixed-width integers and `u32`-length-prefixed
-//! byte strings. Decoding is strict — trailing bytes, truncation and
-//! out-of-range lengths are errors, never panics.
+//! serialisation-format crate is in the offline dependency set
+//! (ARCHITECTURE.md "Layer map", Shims), so this module provides a
+//! small, explicit little-endian codec: fixed-width integers and
+//! `u32`-length-prefixed byte strings. Decoding is strict — trailing
+//! bytes, truncation and out-of-range lengths are errors, never panics.
 
 use core::fmt;
 

@@ -7,7 +7,7 @@
 //! — true departures, availability transitions, and offline timeouts —
 //! so a round costs O(events), not O(peers × partners).
 //!
-//! ## Protocol summary (DESIGN.md §6.3 has the full interpretation)
+//! ## Protocol summary (ARCHITECTURE.md "The round" has the staged pipeline)
 //!
 //! * Blocks **disappear** when their host departs (known immediately,
 //!   §4.1) or stays offline past the monitoring timeout (§2.2.3's

@@ -1,7 +1,7 @@
 //! Normalised metrics must be stable across population scales — the
 //! property that justifies running the paper's experiments on reduced
-//! populations (DESIGN.md deviation 5, and the paper's own §4.1 claim
-//! that "results should [be] the same for bigger systems").
+//! populations (the paper's own §4.1 claim that "results should [be]
+//! the same for bigger systems").
 
 use peerback::{run_simulation, AgeCategory, SimConfig};
 
