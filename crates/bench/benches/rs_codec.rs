@@ -58,6 +58,23 @@ fn reconstruct(c: &mut Criterion) {
     group.finish();
 }
 
+/// The matrix kernel alone, at the two workload geometries: every
+/// codec product is one of these calls (dense coefficients, so every
+/// row takes the register-blocked path).
+fn matrix_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mul_matrix");
+    for (k, shard) in [(8usize, 2 * 1024), (128, 64 * 1024)] {
+        let srcs = data(k, shard);
+        let coeffs: Vec<u8> = (0..k * k).map(|i| (i * 7 + 3) as u8 | 1).collect();
+        let mut outs = vec![vec![0u8; shard]; k];
+        group.throughput(Throughput::Bytes((k * shard) as u64));
+        group.bench_function(format!("{k}x{k}_{}k", shard / 1024), |b| {
+            b.iter(|| peerback_gf256::mul_matrix(black_box(&coeffs), black_box(&srcs), &mut outs))
+        });
+    }
+    group.finish();
+}
+
 fn matrix_inversion(c: &mut Criterion) {
     use peerback_erasure::Matrix;
     let mut group = c.benchmark_group("rs_matrix");
@@ -70,5 +87,11 @@ fn matrix_inversion(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, encode, reconstruct, matrix_inversion);
+criterion_group!(
+    benches,
+    encode,
+    reconstruct,
+    matrix_kernel,
+    matrix_inversion
+);
 criterion_main!(benches);

@@ -931,26 +931,40 @@ mod tests {
     }
 }
 
-/// Reed–Solomon encode throughput measurement, shared by `rs_probe`
-/// (the per-backend CI gate sample) and `scenario_fabric --paper-scale`
-/// (the `encode_mib_s` report field).
+/// Reed–Solomon throughput measurements at the paper geometry, shared
+/// by `rs_probe` (the per-backend CI gate sample) and `scenario_fabric
+/// --paper-scale` (the `encode_mib_s` report field).
 pub mod rs_bench {
     use std::time::{Duration, Instant};
+
+    use peerback_erasure::ReedSolomon;
 
     /// Data-shard payload used for throughput runs: large enough that
     /// table setup and loop overhead vanish, small enough to stay in
     /// cache-friendly territory.
     pub const SHARD_BYTES: usize = 64 * 1024;
 
-    /// Measures streaming encode throughput of the paper-default RS
-    /// geometry with the **currently active** gf256 backend, in MiB of
-    /// source data per second. Deterministic input; the measured region
-    /// reuses one parity arena, so steady-state encode speed is what is
-    /// timed, not allocation.
-    pub fn encode_mib_s() -> f64 {
-        let rs = peerback_erasure::ReedSolomon::paper_default();
-        let k = rs.data_shards();
-        let data: Vec<Vec<u8>> = (0..k)
+    /// Seconds per call of `op`, over a ≈300 ms window after one
+    /// warm-up call (which also sizes any recycled buffers).
+    fn seconds_per_call(mut op: impl FnMut()) -> f64 {
+        op();
+        let target = Duration::from_millis(300);
+        let mut iters: u64 = 0;
+        let start = Instant::now();
+        loop {
+            op();
+            iters += 1;
+            if start.elapsed() >= target {
+                break;
+            }
+        }
+        start.elapsed().as_secs_f64() / iters as f64
+    }
+
+    /// The paper-default codec and `k` deterministic data shards.
+    fn codec_and_data() -> (ReedSolomon, Vec<Vec<u8>>) {
+        let rs = ReedSolomon::paper_default();
+        let data = (0..rs.data_shards())
             .map(|s| {
                 (0..SHARD_BYTES)
                     .map(|i| {
@@ -960,23 +974,54 @@ pub mod rs_bench {
                     .collect()
             })
             .collect();
-        let mut parity: Vec<Vec<u8>> = vec![Vec::new(); rs.parity_shards()];
-        // Warm-up pass sizes the parity arena and faults the tables in.
-        rs.encode_into(&data, &mut parity).expect("valid geometry");
+        (rs, data)
+    }
 
-        let target = Duration::from_millis(300);
-        let mut iters: u64 = 0;
-        let start = Instant::now();
-        loop {
+    /// MiB of source data per second over `seconds` for one code word.
+    fn mib_s(rs: &ReedSolomon, seconds: f64) -> f64 {
+        (rs.data_shards() * SHARD_BYTES) as f64 / seconds / (1024.0 * 1024.0)
+    }
+
+    /// Measures streaming encode throughput of the paper-default RS
+    /// geometry with the **currently active** gf256 backend, in MiB of
+    /// source data per second. Deterministic input; the measured region
+    /// reuses one parity arena, so steady-state encode speed is what is
+    /// timed, not allocation.
+    pub fn encode_mib_s() -> f64 {
+        let (rs, data) = codec_and_data();
+        let mut parity: Vec<Vec<u8>> = vec![Vec::new(); rs.parity_shards()];
+        let seconds = seconds_per_call(|| {
             rs.encode_into(&data, &mut parity).expect("valid geometry");
-            iters += 1;
-            if start.elapsed() >= target {
-                break;
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let bytes = iters as f64 * (k * SHARD_BYTES) as f64;
-        bytes / elapsed / (1024.0 * 1024.0)
+        });
+        mib_s(&rs, seconds)
+    }
+
+    /// Reconstruction at the paper geometry with the active backend: the
+    /// `byte_plane` survivor pattern (every other data shard and every
+    /// other parity shard, 128 in all) decoded into a recycled arena,
+    /// plan included. Returns (MiB of data per second, µs per decode
+    /// plan alone).
+    pub fn reconstruct_mib_s_and_plan_us() -> (f64, f64) {
+        let (rs, data) = codec_and_data();
+        let (k, n) = (rs.data_shards(), rs.total_shards());
+        let mut all = data.clone();
+        all.extend(rs.encode(&data).expect("valid geometry"));
+        let survivors: Vec<(usize, &[u8])> = (0..k)
+            .step_by(2)
+            .chain((k..n).step_by(2))
+            .map(|i| (i, all[i].as_slice()))
+            .collect();
+        let indices: Vec<usize> = survivors.iter().map(|(i, _)| *i).collect();
+        let mut out = Vec::new();
+        let decode = seconds_per_call(|| {
+            rs.reconstruct_data_into(&survivors, SHARD_BYTES, &mut out)
+                .expect("k survivors");
+        });
+        assert_eq!(out, data, "reconstruction returns the data shards");
+        let plan = seconds_per_call(|| {
+            std::hint::black_box(rs.decode_plan(&indices).expect("valid survivors"));
+        });
+        (mib_s(&rs, decode), plan * 1e6)
     }
 }
 

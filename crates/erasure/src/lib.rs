@@ -8,10 +8,15 @@
 //! * [`ReedSolomon`] — a reusable encoder/decoder for a fixed `(k, m)`
 //!   geometry. The code is *systematic*: the first `k` shards are the
 //!   original data blocks, matching the paper's description of
-//!   Reed–Solomon ("the k first blocks are the original ones").
+//!   Reed–Solomon ("the k first blocks are the original ones"). Every
+//!   product it computes — encode, [`DecodePlan`] application, single
+//!   shards, and repair (wanted rows × decode rows, so only the missing
+//!   shards are ever computed) — is one `peerback_gf256::mul_matrix`
+//!   call.
 //! * [`Matrix`] — dense matrix algebra over GF(2^8) (construction,
-//!   multiplication, Gaussian inversion) used to build the encoding matrix
-//!   and to invert shard subsets during reconstruction.
+//!   multiplication, Gauss–Jordan inversion with SIMD row operations)
+//!   used to build the encoding matrix and to invert shard subsets
+//!   during reconstruction.
 //! * [`ShardSet`] — a container tracking which shards of an encoded block
 //!   set are present, with helpers used by the repair path.
 //!

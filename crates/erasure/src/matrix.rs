@@ -1,11 +1,13 @@
 //! Dense matrices over GF(2^8).
 //!
 //! Row-major storage; dimensions here are at most 256×256 (bounded by the
-//! field size), so simple dense algorithms are the right tool.
+//! field size), so simple dense algorithms are the right tool — run on
+//! the gf256 bulk kernels: products are one [`mul_matrix`] call and
+//! inversion is Gauss–Jordan with SIMD row operations.
 
 use core::fmt;
 
-use peerback_gf256::Gf256;
+use peerback_gf256::{mul_add_slice, mul_matrix, mul_slice_in_place, Gf256};
 
 use crate::ErasureError;
 
@@ -99,30 +101,38 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Matrix product `self × rhs`.
+    /// Matrix product `self × rhs`: row `r` of the result is
+    /// `Σ_j self[r][j] · rhs.row(j)`, one [`mul_matrix`] call.
     ///
     /// # Panics
     ///
-    /// Panics if the inner dimensions disagree.
+    /// Panics if the inner dimensions disagree, or if `self` has more
+    /// than 256 rows or columns (the matrix kernel's limit; no matrix
+    /// over GF(2^8) the codec builds comes near it).
     pub fn multiply(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions must agree for multiplication"
         );
-        let mut out = Matrix::zero(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for inner in 0..self.cols {
-                let a = self.get(r, inner);
-                if a.is_zero() {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    let add = a * rhs.get(inner, c);
-                    out.set(r, c, out.get(r, c) + add);
-                }
-            }
-        }
-        out
+        let rhs_bytes = rhs.to_bytes();
+        let rhs_rows: Vec<&[u8]> = rhs_bytes.chunks_exact(rhs.cols).collect();
+        let mut out = vec![0u8; self.rows * rhs.cols];
+        let mut out_rows: Vec<&mut [u8]> = out.chunks_exact_mut(rhs.cols).collect();
+        mul_matrix(&self.to_bytes(), &rhs_rows, &mut out_rows);
+        Matrix::from_bytes(self.rows, rhs.cols, out)
+    }
+
+    /// The entries as raw bytes, row-major — the form the gf256 kernels
+    /// take.
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        self.data.iter().map(|g| g.value()).collect()
+    }
+
+    /// Wraps row-major bytes.
+    fn from_bytes(rows: usize, cols: usize, bytes: impl IntoIterator<Item = u8>) -> Matrix {
+        let data: Vec<Gf256> = bytes.into_iter().map(Gf256).collect();
+        assert_eq!(data.len(), rows * cols);
+        Matrix { rows, cols, data }
     }
 
     /// Returns a new matrix made of the given rows of `self`, in order.
@@ -155,7 +165,13 @@ impl Matrix {
 
     /// Inverts the matrix by Gauss–Jordan elimination with partial
     /// pivoting (pivot search only needs a nonzero element in an exact
-    /// field).
+    /// field), on an augmented `[A | I]` byte buffer whose row operations
+    /// are the gf256 slice kernels. When column `col` is eliminated the
+    /// pivot row is zero left of it, so each operation starts at the last
+    /// 32-byte vector boundary at or before `col`; with rows padded to
+    /// whole vectors, none ends in a scalar tail. The inverse is unique
+    /// and the arithmetic exact, so this is the same matrix any
+    /// elimination order yields.
     ///
     /// # Errors
     ///
@@ -166,62 +182,48 @@ impl Matrix {
     /// Panics if the matrix is not square.
     pub fn inverse(&self) -> Result<Matrix, ErasureError> {
         assert_eq!(self.rows, self.cols, "only square matrices can be inverted");
+        const VECTOR: usize = 32;
         let n = self.rows;
-        let mut work = self.clone();
-        let mut inv = Matrix::identity(n);
+        let width = (2 * n).next_multiple_of(VECTOR);
+        let mut aug = vec![0u8; n * width];
+        for (r, row) in aug.chunks_exact_mut(width).enumerate() {
+            for (dst, src) in row.iter_mut().zip(self.row(r)) {
+                *dst = src.value();
+            }
+            row[n + r] = 1;
+        }
 
         for col in 0..n {
             // Find a pivot row at or below `col`.
             let pivot = (col..n)
-                .find(|&r| !work.get(r, col).is_zero())
+                .find(|&r| aug[r * width + col] != 0)
                 .ok_or(ErasureError::SingularMatrix)?;
             if pivot != col {
-                work.swap_rows(pivot, col);
-                inv.swap_rows(pivot, col);
+                let (head, tail) = aug.split_at_mut(pivot * width);
+                head[col * width..(col + 1) * width].swap_with_slice(&mut tail[..width]);
             }
-            // Normalise the pivot row.
-            let scale = work.get(col, col).inv();
-            work.scale_row(col, scale);
-            inv.scale_row(col, scale);
-            // Eliminate the column everywhere else.
-            for r in 0..n {
-                if r == col {
-                    continue;
+            // Normalise the pivot row, then eliminate the column
+            // everywhere else (`-=` is `+=` in characteristic 2).
+            let from = col / VECTOR * VECTOR;
+            let (above, rest) = aug.split_at_mut(col * width);
+            let (pivot_row, below) = rest.split_at_mut(width);
+            let scale = Gf256(pivot_row[col]).inv().value();
+            let pivot_row = &mut pivot_row[from..];
+            mul_slice_in_place(pivot_row, scale);
+            for row in above
+                .chunks_exact_mut(width)
+                .chain(below.chunks_exact_mut(width))
+            {
+                let factor = row[col];
+                if factor != 0 {
+                    mul_add_slice(&mut row[from..], pivot_row, factor);
                 }
-                let factor = work.get(r, col);
-                if factor.is_zero() {
-                    continue;
-                }
-                work.add_scaled_row(r, col, factor);
-                inv.add_scaled_row(r, col, factor);
             }
         }
-        Ok(inv)
-    }
-
-    fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let (a, b) = (a.min(b), a.max(b));
-        let (head, tail) = self.data.split_at_mut(b * self.cols);
-        head[a * self.cols..(a + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
-    }
-
-    fn scale_row(&mut self, row: usize, factor: Gf256) {
-        for c in 0..self.cols {
-            let v = self.get(row, c);
-            self.set(row, c, v * factor);
-        }
-    }
-
-    /// `row_dst -= factor * row_src` (== `+=` in characteristic 2).
-    fn add_scaled_row(&mut self, dst: usize, src: usize, factor: Gf256) {
-        for c in 0..self.cols {
-            let add = self.get(src, c) * factor;
-            let v = self.get(dst, c);
-            self.set(dst, c, v + add);
-        }
+        let inverse = aug
+            .chunks_exact(width)
+            .flat_map(|row| row[n..2 * n].iter().copied());
+        Ok(Matrix::from_bytes(n, n, inverse))
     }
 }
 
@@ -240,8 +242,109 @@ impl fmt::Debug for Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The scalar Gauss–Jordan `Matrix::inverse` ran before it moved to
+    /// the byte kernels: the oracle for inverses and for singularity.
+    pub(crate) fn inverse_reference(m: &Matrix) -> Result<Matrix, ErasureError> {
+        let n = m.rows;
+        let mut work = m.clone();
+        let mut inv = Matrix::identity(n);
+        let swap = |m: &mut Matrix, a: usize, b: usize| {
+            for c in 0..n {
+                let (x, y) = (m.get(a, c), m.get(b, c));
+                m.set(a, c, y);
+                m.set(b, c, x);
+            }
+        };
+        let add_scaled = |m: &mut Matrix, dst: usize, src: usize, factor: Gf256| {
+            for c in 0..n {
+                let v = m.get(dst, c) + m.get(src, c) * factor;
+                m.set(dst, c, v);
+            }
+        };
+        for col in 0..n {
+            let pivot = (col..n)
+                .find(|&r| !work.get(r, col).is_zero())
+                .ok_or(ErasureError::SingularMatrix)?;
+            swap(&mut work, pivot, col);
+            swap(&mut inv, pivot, col);
+            let scale = work.get(col, col).inv();
+            for c in 0..n {
+                work.set(col, c, work.get(col, c) * scale);
+                inv.set(col, c, inv.get(col, c) * scale);
+            }
+            for r in (0..n).filter(|&r| r != col) {
+                let factor = work.get(r, col);
+                add_scaled(&mut work, r, col, factor);
+                add_scaled(&mut inv, r, col, factor);
+            }
+        }
+        Ok(inv)
+    }
+
+    /// The schoolbook product `Matrix::multiply` replaced.
+    fn multiply_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows, b.cols, |r, c| {
+            (0..a.cols).fold(Gf256::ZERO, |acc, j| acc + a.get(r, j) * b.get(j, c))
+        })
+    }
+
+    /// A seeded pseudo-random matrix with roughly `zero_per_256 / 256`
+    /// zero entries.
+    fn random_matrix(n: usize, seed: u64, zero_per_256: u64) -> Matrix {
+        let mut state = seed | 1;
+        Matrix::from_fn(n, n, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let x = state >> 33;
+            if x % 256 < zero_per_256 {
+                Gf256::ZERO
+            } else {
+                Gf256((x >> 8) as u8)
+            }
+        })
+    }
+
+    #[test]
+    fn inverse_matches_the_scalar_reference_including_singularity() {
+        let mut singular = 0;
+        for (i, n) in [1usize, 2, 3, 5, 8, 17, 33, 64, 128]
+            .into_iter()
+            .enumerate()
+        {
+            for (trial, zeros) in [0u64, 128, 230, 250].into_iter().enumerate() {
+                let m = random_matrix(n, (i * 10 + trial) as u64, zeros);
+                let expect = inverse_reference(&m);
+                singular += usize::from(expect.is_err());
+                assert_eq!(m.inverse(), expect, "n={n} zeros={zeros}");
+            }
+            // Duplicate rows: singular with a pivot that is nonzero
+            // until late in the elimination.
+            if n > 1 {
+                let mut m = random_matrix(n, i as u64, 0);
+                for c in 0..n {
+                    let v = m.get(0, c);
+                    m.set(n - 1, c, v);
+                }
+                assert_eq!(m.inverse(), Err(ErasureError::SingularMatrix), "n={n}");
+                assert_eq!(inverse_reference(&m), Err(ErasureError::SingularMatrix));
+            }
+        }
+        assert!(
+            singular > 0,
+            "the sparse trials must include singular matrices"
+        );
+    }
+
+    #[test]
+    fn multiply_matches_the_schoolbook_product() {
+        let a = Matrix::vandermonde(40, 17);
+        let b = Matrix::from_fn(17, 9, |r, c| Gf256((r * 9 + c * 31) as u8));
+        assert_eq!(a.multiply(&b), multiply_reference(&a, &b));
+    }
 
     #[test]
     fn identity_multiplication_is_neutral() {

@@ -1,8 +1,12 @@
 //! The systematic Reed–Solomon encoder/decoder.
+//!
+//! Every product here — encode, decode, single-shard and repair — is one
+//! [`mul_matrix`] call: a coefficient matrix (parity rows, a decode
+//! plan, or wanted rows × decode rows) applied to the shards at once.
 
 use std::sync::Arc;
 
-use peerback_gf256::{mul_add_slice, Gf256};
+use peerback_gf256::{mul_matrix, Gf256};
 
 use crate::{ErasureError, Matrix};
 
@@ -14,7 +18,7 @@ use crate::{ErasureError, Matrix};
 /// `k × k` block, so rows `0..k` form the identity (data shards pass
 /// through unchanged) and any `k` rows remain linearly independent.
 ///
-/// The matrix and the flattened parity coefficient rows live behind an
+/// The matrix and its flattened coefficient bytes live behind an
 /// `Arc`, so cloning a codec is two reference-count bumps — cheap enough
 /// to hand one to every worker or pipeline instead of rebuilding the
 /// Vandermonde construction per code word. The type is immutable after
@@ -25,10 +29,9 @@ pub struct ReedSolomon {
     parity_shards: usize,
     /// Full `n × k` encoding matrix (top block = identity).
     encode_matrix: Arc<Matrix>,
-    /// The parity rows of `encode_matrix` as raw bytes (`m × k`,
-    /// row-major) — the form the streaming encoder consumes without
-    /// per-call conversion.
-    parity_rows: Arc<[u8]>,
+    /// `encode_matrix` as raw bytes (`n × k`, row-major) — the form the
+    /// matrix kernel consumes without per-call conversion.
+    rows: Arc<[u8]>,
 }
 
 impl ReedSolomon {
@@ -52,14 +55,12 @@ impl ReedSolomon {
             .inverse()
             .expect("top Vandermonde block is always invertible");
         let encode_matrix = vandermonde.multiply(&top_inv);
-        let parity_rows: Arc<[u8]> = (data_shards..total)
-            .flat_map(|r| encode_matrix.row(r).iter().map(|g| g.value()))
-            .collect();
+        let rows = encode_matrix.to_bytes().into();
         Ok(ReedSolomon {
             data_shards,
             parity_shards,
             encode_matrix: Arc::new(encode_matrix),
-            parity_rows,
+            rows,
         })
     }
 
@@ -90,6 +91,11 @@ impl ReedSolomon {
     /// Panics if `index >= n`.
     pub fn coefficients(&self, index: usize) -> &[Gf256] {
         self.encode_matrix.row(index)
+    }
+
+    /// [`coefficients`](Self::coefficients) as raw bytes.
+    fn row(&self, index: usize) -> &[u8] {
+        &self.rows[index * self.data_shards..(index + 1) * self.data_shards]
     }
 
     fn check_data(&self, data: &[impl AsRef<[u8]>]) -> Result<usize, ErasureError> {
@@ -123,12 +129,11 @@ impl ReedSolomon {
 
     /// Streaming encode into caller-supplied parity buffers.
     ///
-    /// Each buffer in `parity` (one per parity shard) is cleared and
-    /// resized to the shard length, reusing its existing capacity — a
-    /// steady-state caller recycling the same buffers allocates nothing.
-    /// The precomputed coefficient rows are applied *shard-major*: each
-    /// data shard is read exactly once and folded into every parity
-    /// buffer while it is hot in cache.
+    /// Each buffer in `parity` (one per parity shard) is resized to the
+    /// shard length, reusing its existing capacity — a steady-state
+    /// caller recycling the same buffers allocates nothing — and
+    /// overwritten with one [`mul_matrix`] call over the precomputed
+    /// parity rows.
     ///
     /// # Errors
     ///
@@ -147,16 +152,10 @@ impl ReedSolomon {
             });
         }
         for out in parity.iter_mut() {
-            out.clear();
             out.resize(len, 0);
         }
         let k = self.data_shards;
-        for (c, shard) in data.iter().enumerate() {
-            let src = shard.as_ref();
-            for (p, out) in parity.iter_mut().enumerate() {
-                mul_add_slice(out, src, self.parity_rows[p * k + c]);
-            }
-        }
+        mul_matrix(&self.rows[k * k..], data, parity);
         Ok(())
     }
 
@@ -179,11 +178,8 @@ impl ReedSolomon {
                 total: self.total_shards(),
             });
         }
-        let row = self.encode_matrix.row(index);
         let mut out = vec![0u8; len];
-        for (c, shard) in data.iter().enumerate() {
-            mul_add_slice(&mut out, shard.as_ref(), row[c].value());
-        }
+        mul_matrix(self.row(index), data, std::slice::from_mut(&mut out));
         Ok(out)
     }
 
@@ -314,15 +310,14 @@ impl ReedSolomon {
                 passthrough: true,
             });
         }
-        let decode = self.encode_matrix.select_rows(sources).inverse()?;
-        let mut rows = Vec::with_capacity(k * k);
-        for r in 0..k {
-            rows.extend(decode.row(r).iter().map(|g| g.value()));
-        }
         Ok(DecodePlan {
             data_shards: k,
             sources: sources.to_vec(),
-            rows,
+            rows: self
+                .encode_matrix
+                .select_rows(sources)
+                .inverse()?
+                .to_bytes(),
             passthrough: false,
         })
     }
@@ -330,6 +325,11 @@ impl ReedSolomon {
     /// Regenerates the shards at `wanted` indices from any `k` survivors:
     /// the repair operation of the paper's §2.2.3 (download `k` blocks,
     /// decode, re-encode the `d` missing blocks).
+    ///
+    /// Decode and re-encode fold into one product: the wanted encode rows
+    /// times the survivors' decode rows (a `|wanted| × k` matrix, built
+    /// once per call) applied to the survivors, so only the wanted shards
+    /// are computed — never the `k` data shards in between.
     ///
     /// # Errors
     ///
@@ -349,8 +349,34 @@ impl ReedSolomon {
                 });
             }
         }
-        let data = self.reconstruct_data(shards, shard_len)?;
-        wanted.iter().map(|&w| self.shard_at(&data, w)).collect()
+        self.validate_survivors(shards, shard_len)?;
+        let plan = self.decode_plan_validated(shards)?;
+        let coeffs = self.rows_from_sources(&plan, wanted);
+        let mut out = vec![vec![0u8; shard_len]; wanted.len()];
+        mul_matrix(&coeffs, &source_table(shards)[..self.data_shards], &mut out);
+        Ok(out)
+    }
+
+    /// The coefficient rows producing the `wanted` shards straight from
+    /// `plan`'s sources: `row(w) × decode`, where the decode matrix of a
+    /// passthrough plan is the permutation its sources spell.
+    fn rows_from_sources(&self, plan: &DecodePlan, wanted: &[usize]) -> Vec<u8> {
+        let k = self.data_shards;
+        let mut coeffs = vec![0u8; wanted.len() * k];
+        if plan.passthrough {
+            for (out, &w) in coeffs.chunks_exact_mut(k).zip(wanted) {
+                let row = self.row(w);
+                for (c, &source) in out.iter_mut().zip(&plan.sources) {
+                    *c = row[source];
+                }
+            }
+        } else {
+            let wanted_rows: Vec<u8> = wanted.iter().flat_map(|&w| self.row(w)).copied().collect();
+            let decode_rows: Vec<&[u8]> = plan.rows.chunks_exact(k).collect();
+            let mut outs: Vec<&mut [u8]> = coeffs.chunks_exact_mut(k).collect();
+            mul_matrix(&wanted_rows, &decode_rows, &mut outs);
+        }
+        coeffs
     }
 
     /// Verifies that a complete shard set (`n` shards, index order) is
@@ -379,9 +405,11 @@ impl ReedSolomon {
 /// for one fixed survivor set, flattened to raw coefficient bytes.
 ///
 /// Built once by [`ReedSolomon::decode_plan`] (or internally per call by
-/// [`ReedSolomon::reconstruct_data_into`]); applying it is pure
-/// shard-major streaming over the supplied shards — no matrix algebra,
-/// no temporaries, and with recycled output buffers no allocation.
+/// [`ReedSolomon::reconstruct_data_into`]); applying it is one
+/// [`mul_matrix`] call over the supplied shards — no matrix algebra, no
+/// temporaries, and with recycled output buffers no allocation. Rows for
+/// surviving data shards are unit rows, which the kernel turns into
+/// copies.
 #[derive(Debug, Clone)]
 pub struct DecodePlan {
     data_shards: usize,
@@ -461,21 +489,302 @@ impl DecodePlan {
             return;
         }
         for buf in out.iter_mut() {
-            buf.clear();
             buf.resize(shard_len, 0);
         }
-        for (c, (_, shard)) in shards[..k].iter().enumerate() {
-            let src = shard.as_ref();
-            for (r, buf) in out.iter_mut().enumerate() {
-                mul_add_slice(buf, src, self.rows[r * k + c]);
-            }
-        }
+        mul_matrix(&self.rows, &source_table(shards)[..k], out);
     }
+}
+
+/// The supplied shards' bytes in supply order, as the matrix kernel's
+/// source table — on the stack, since a code word has at most 256.
+fn source_table<T: AsRef<[u8]>>(shards: &[(usize, T)]) -> [&[u8]; 256] {
+    let mut table: [&[u8]; 256] = [&[]; 256];
+    for (slot, (_, shard)) in table.iter_mut().zip(shards) {
+        *slot = shard.as_ref();
+    }
+    table
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
+    use peerback_gf256::{mul_add_slice, set_backend, Backend};
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::matrix::tests::inverse_reference;
+
+    /// The per-pair `encode_into` that `mul_matrix` replaced: one
+    /// `mul_add_slice` per (data shard, parity shard).
+    fn encode_reference(rs: &ReedSolomon, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let k = rs.data_shards();
+        let mut parity = vec![vec![0u8; data[0].len()]; rs.parity_shards()];
+        for (c, src) in data.iter().enumerate() {
+            for (p, out) in parity.iter_mut().enumerate() {
+                mul_add_slice(out, src, rs.row(k + p)[c]);
+            }
+        }
+        parity
+    }
+
+    /// The per-pair `shard_at`.
+    fn shard_at_reference(rs: &ReedSolomon, data: &[Vec<u8>], index: usize) -> Vec<u8> {
+        let mut out = vec![0u8; data[0].len()];
+        for (c, src) in data.iter().enumerate() {
+            mul_add_slice(&mut out, src, rs.row(index)[c]);
+        }
+        out
+    }
+
+    /// `build_plan` on the scalar reference inverse.
+    fn plan_reference(rs: &ReedSolomon, sources: &[usize]) -> Result<DecodePlan, ErasureError> {
+        let k = rs.data_shards();
+        let passthrough = sources.iter().all(|&i| i < k);
+        let rows = if passthrough {
+            Vec::new()
+        } else {
+            inverse_reference(&rs.encode_matrix.select_rows(sources))?.to_bytes()
+        };
+        Ok(DecodePlan {
+            data_shards: k,
+            sources: sources.to_vec(),
+            rows,
+            passthrough,
+        })
+    }
+
+    /// The per-pair `DecodePlan::apply`.
+    fn apply_reference(plan: &DecodePlan, shards: &[(usize, Vec<u8>)], len: usize) -> Vec<Vec<u8>> {
+        let k = plan.data_shards;
+        let mut out = vec![vec![0u8; len]; k];
+        for (c, (index, src)) in shards[..k].iter().enumerate() {
+            if plan.passthrough {
+                out[*index].clone_from(src);
+                continue;
+            }
+            for (r, buf) in out.iter_mut().enumerate() {
+                mul_add_slice(buf, src, plan.rows[r * k + c]);
+            }
+        }
+        out
+    }
+
+    /// The decode-everything-then-`shard_at` repair.
+    fn reconstruct_shards_reference(
+        rs: &ReedSolomon,
+        plan: &DecodePlan,
+        shards: &[(usize, Vec<u8>)],
+        len: usize,
+        wanted: &[usize],
+    ) -> Vec<Vec<u8>> {
+        let data = apply_reference(plan, shards, len);
+        wanted
+            .iter()
+            .map(|&w| shard_at_reference(rs, &data, w))
+            .collect()
+    }
+
+    /// Serialises the tests that repoint the process-wide gf256 backend,
+    /// so each comparison runs on the backend it names.
+    static BACKEND: Mutex<()> = Mutex::new(());
+
+    /// Geometries and shard lengths the oracle comparison draws from:
+    /// every length straddles a vector width, a 2 KiB column tile, or a
+    /// register block.
+    const GEOMETRIES: [(usize, usize); 6] =
+        [(1, 1), (1, 255), (3, 2), (8, 8), (16, 16), (128, 128)];
+    const LENGTHS: [usize; 11] = [0, 1, 31, 32, 33, 63, 64, 65, 2048, 2048 + 17, 65536];
+    /// Cap on `n · k · len` per case, so the debug-build oracles stay
+    /// fast: the wide geometries get the short lengths.
+    const PAIR_BYTES: usize = 1 << 21;
+
+    /// One seeded codec exercise: the data, the survivors (shuffled, with
+    /// extras past `k`), the wanted shards and one `shard_at` index.
+    struct Case {
+        rs: ReedSolomon,
+        len: usize,
+        data: Vec<Vec<u8>>,
+        all: Vec<Vec<u8>>,
+        survivors: Vec<(usize, Vec<u8>)>,
+        wanted: Vec<usize>,
+        index: usize,
+    }
+
+    /// What every entry point returns for a [`Case`].
+    #[derive(Debug, PartialEq)]
+    struct Results {
+        parity: Vec<Vec<u8>>,
+        shard: Vec<u8>,
+        plan_rows: Vec<u8>,
+        decoded: Vec<Vec<u8>>,
+        repaired: Vec<Vec<u8>>,
+    }
+
+    impl Case {
+        fn new(k: usize, m: usize, len: usize, seed: u64) -> Case {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            let n = k + m;
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize
+            };
+            let data: Vec<Vec<u8>> = (0..k)
+                .map(|_| (0..len).map(|_| next() as u8).collect())
+                .collect();
+            let mut all = data.clone();
+            all.extend(encode_reference(&rs, &data));
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, next() % (i + 1));
+            }
+            let supplied = k + next() % (m + 1);
+            let survivors = order[..supplied]
+                .iter()
+                .map(|&i| (i, all[i].clone()))
+                .collect();
+            let wanted = (0..next() % 9).map(|_| next() % n).collect();
+            let index = next() % n;
+            Case {
+                rs,
+                len,
+                data,
+                all,
+                survivors,
+                wanted,
+                index,
+            }
+        }
+
+        fn sources(&self) -> Vec<usize> {
+            self.survivors.iter().map(|(i, _)| *i).collect()
+        }
+
+        /// The per-pair oracles (the scalar reference inverse included).
+        fn expected(&self) -> Results {
+            let plan = plan_reference(&self.rs, &self.sources()[..self.rs.data_shards()]).unwrap();
+            Results {
+                parity: self.all[self.rs.data_shards()..].to_vec(),
+                shard: shard_at_reference(&self.rs, &self.data, self.index),
+                decoded: apply_reference(&plan, &self.survivors, self.len),
+                repaired: reconstruct_shards_reference(
+                    &self.rs,
+                    &plan,
+                    &self.survivors,
+                    self.len,
+                    &self.wanted,
+                ),
+                plan_rows: plan.rows,
+            }
+        }
+
+        /// The entry points on the active backend, into recycled buffers
+        /// of the wrong shape where they take any.
+        fn actual(&self) -> Results {
+            let (rs, len) = (&self.rs, self.len);
+            let mut parity: Vec<Vec<u8>> = (0..rs.parity_shards())
+                .map(|p| vec![0xA5; p % 3 * len / 2])
+                .collect();
+            rs.encode_into(&self.data, &mut parity).unwrap();
+            assert_eq!(
+                parity,
+                rs.encode(&self.data).unwrap(),
+                "encode vs encode_into"
+            );
+            let plan = rs.decode_plan(&self.sources()).unwrap();
+            let mut decoded = vec![vec![0x5A; len / 3]; self.wanted.len() + 1];
+            plan.reconstruct_into(&self.survivors, len, &mut decoded)
+                .unwrap();
+            assert!(rs.verify(&self.all).unwrap());
+            Results {
+                parity,
+                shard: rs.shard_at(&self.data, self.index).unwrap(),
+                plan_rows: plan.rows,
+                decoded,
+                repaired: rs
+                    .reconstruct_shards(&self.survivors, len, &self.wanted)
+                    .unwrap(),
+            }
+        }
+    }
+
+    /// Every codec entry point against its per-pair oracle under every
+    /// available backend; also checks the oracles decode the data.
+    fn check_on_every_backend(
+        k: usize,
+        m: usize,
+        len: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let _serial = BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+        let case = Case::new(k, m, len, seed);
+        let expect = case.expected();
+        prop_assert_eq!(&expect.decoded, &case.data);
+        for (shard, &w) in expect.repaired.iter().zip(&case.wanted) {
+            prop_assert_eq!(shard, &case.all[w]);
+        }
+        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+            let previous = set_backend(backend);
+            let got = case.actual();
+            set_backend(previous);
+            prop_assert_eq!(
+                &got,
+                &expect,
+                "({}, {}) len {} on {}",
+                k,
+                m,
+                len,
+                backend.name()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn entry_points_match_per_pair_oracles_on_every_backend(
+            geometry in 0..GEOMETRIES.len(),
+            length in 0..LENGTHS.len(),
+            seed in any::<u64>(),
+        ) {
+            let (k, m) = GEOMETRIES[geometry];
+            prop_assume!((k + m) * k * LENGTHS[length] <= PAIR_BYTES);
+            check_on_every_backend(k, m, LENGTHS[length], seed)?;
+        }
+    }
+
+    /// The grid the property test samples, walked exhaustively: every
+    /// geometry at every length within the cost cap.
+    #[test]
+    fn entry_points_match_per_pair_oracles_across_the_grid() {
+        for (k, m) in GEOMETRIES {
+            for len in LENGTHS
+                .into_iter()
+                .filter(|len| (k + m) * k * len <= PAIR_BYTES)
+            {
+                check_on_every_backend(k, m, len, (k * 1000 + len) as u64).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn paper_survivor_sets_plan_like_the_reference_inverse() {
+        // The byte_plane pattern (half data, half parity survivors) and
+        // all-parity survivors, at the paper geometry.
+        let rs = ReedSolomon::paper_default();
+        let half: Vec<usize> = (0..128).step_by(2).chain((128..256).step_by(2)).collect();
+        let parity: Vec<usize> = (128..256).rev().collect();
+        for sources in [half, parity] {
+            let plan = rs.decode_plan(&sources).unwrap();
+            let expect = plan_reference(&rs, &sources).unwrap();
+            assert_eq!(plan.rows, expect.rows);
+        }
+    }
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)

@@ -10,6 +10,15 @@
 //! tables are computed at compile time, so multiplication and division are
 //! two table lookups and an addition.
 //!
+//! Bulk work has two entry points. The slice kernels (`mul_add_slice`
+//! and friends) run one constant over one buffer; [`mul_matrix`] runs a
+//! whole coefficient matrix over a set of shards — column-tiled,
+//! register-blocked, with zero and unit rows short-cut — and is what
+//! every Reed–Solomon product in `peerback-erasure` goes through. Both
+//! dispatch at runtime to the fastest [`Backend`] the CPU has (scalar,
+//! SSSE3, AVX2, or AVX-512 + GFNI) and produce identical bytes on all
+//! of them.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -23,12 +32,14 @@
 //! ```
 
 mod field;
+mod matrix;
 mod poly;
 pub mod simd;
 mod slice;
 mod tables;
 
 pub use field::Gf256;
+pub use matrix::mul_matrix;
 pub use poly::Poly;
 pub use simd::{active_backend, set_backend, Backend, BACKEND_ENV};
 pub use slice::{add_assign_slice, mul_add_slice, mul_slice, mul_slice_in_place};

@@ -73,7 +73,8 @@ fn main() {
     }
     println!("{}", table.render());
     println!(
-        "takeaways (details in EXPERIMENTS.md):\n\
+        "takeaways (each has its own sweep: `paper_report ablation_strategies \
+         ablation_adaptive ablation_proactive ablation_archives`):\n\
          - uptime-weighted selection cuts maintenance below the paper's age ranking;\n\
          - the adaptive threshold only matters when partners are scarce;\n\
          - proactive top-up buys restorability with far more download traffic;\n\
