@@ -51,10 +51,15 @@
 //!   sampled and accepted, ranks claimed and granted, messages routed)
 //!   and `candidates_sampled_per_grant`, the measured number of
 //!   candidates scanned per granted partner.
+//!
+//! Last in the telemetry block, `stages` is the round profile
+//! ([`BackupWorld::round_profile`]): seconds of wall time per stage of
+//! the staged round over the whole run, in pipeline order, with the
+//! `commit.*` rows breaking down `commit`.
 
 use std::time::Instant;
 
-use peerback_bench::{alloc_probe, Cli, HarnessArgs};
+use peerback_bench::{alloc_probe, json, Cli, HarnessArgs};
 use peerback_core::BackupWorld;
 use peerback_sim::Engine;
 
@@ -102,6 +107,7 @@ fn main() {
     let bytes_per_peer = mem.total();
     let redundancy = world.redundancy_work();
     let placement = world.placement_work();
+    let profile = world.round_profile();
     let metrics = world.into_metrics();
     let elapsed = start.elapsed();
     if args.json {
@@ -145,11 +151,18 @@ fn main() {
                         placement.candidates_sampled as f64 / placement.grants.max(1) as f64,
                     )
                     .num("peak_rss_bytes", peerback_bench::peak_rss_bytes());
-                if alloc_probe::ENABLED {
+                let telemetry = if alloc_probe::ENABLED {
                     telemetry.float("allocs_per_round", allocs_per_round)
                 } else {
                     telemetry
-                }
+                };
+                let stages = profile
+                    .rows()
+                    .into_iter()
+                    .fold(json::Object::new(), |obj, (name, secs)| {
+                        obj.float(name, secs)
+                    });
+                telemetry.raw("stages", stages.render())
             })
             .nums("repairs", metrics.repairs)
             .nums("losses", metrics.losses)

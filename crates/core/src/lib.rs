@@ -69,5 +69,5 @@ pub use runner::{run_simulation, run_sweep, run_sweep_with_threads};
 pub use select::{Candidate, SelectionStrategy};
 pub use world::{
     BackupWorld, FabricObserver, MemoryBreakdown, ObserverState, PeerId, PlacementWork,
-    RedundancyWork, WorldEvent, WorldSnapshot,
+    RedundancyWork, RoundProfile, WorldEvent, WorldSnapshot,
 };

@@ -43,15 +43,17 @@
 //!    from recycled per-shard pool buffers.
 //! 4. **Commit, two-phase** (parallel): wave-A [`ClaimRun`]s are staged
 //!    in commit order; host shards **grant** against shard-local
-//!    quota + tentative counters, emitting [`GrantRun`]s; denied owners
-//!    get one fallback claim wave; owner shards then run the protocol
-//!    step with exactly the granted partners; host shards sort and
-//!    apply the resulting [`Msg::Attach`] / [`Msg::Release`]
-//!    bookkeeping.
+//!    quota, and each grant records its hosted entry and charges the
+//!    quota on the spot (every grant is used), emitting [`GrantRun`]s;
+//!    denied owners get one fallback claim wave; owner shards then run
+//!    the protocol step with exactly the granted partners, writing
+//!    partner entries and events; host shards sort and apply the
+//!    [`Msg::Release`]s of the partners that step displaced.
 //!
 //! [`WorldEvent`]: super::hooks::WorldEvent
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use peerback_sim::arena::{put_slot, retype_empty, take_slot};
 use peerback_sim::{derive_seed, BufPool, SimRng, WorkerPool};
@@ -62,6 +64,7 @@ use crate::metrics::Metrics;
 use super::events::Event;
 use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
+use super::profile::lap;
 use super::shard::{Proposal, ShardLane, ShardLayout};
 use super::table::{PeerTable, PeerView};
 use super::BackupWorld;
@@ -131,8 +134,9 @@ pub struct PlacementWork {
     /// Claimed ranks the host shards granted; every grant becomes one
     /// placed block (`diag.blocks_uploaded`).
     pub grants: u64,
-    /// Cross-shard messages routed (teardown releases/drops, commit
-    /// attaches/releases).
+    /// Cross-shard messages routed: teardown releases and drops, and
+    /// the releases of partners a commit step displaced. Placements
+    /// route none — the grant records the hosted entry itself.
     pub msgs_routed: u64,
 }
 
@@ -151,9 +155,10 @@ impl PlacementWork {
 /// A cross-shard effect, addressed to the logical shard that owns the
 /// state it touches. All block-drop *events* are emitted on the owner
 /// side at the moment the partner entry leaves the owner's archive;
-/// `Release`/`Attach` are pure host-side bookkeeping. (Claim and grant
-/// traffic travels run-length-encoded as [`ClaimRun`]/[`GrantRun`]
-/// instead of one message per rank.)
+/// `Release` is pure host-side bookkeeping. (Claim and grant traffic
+/// travels run-length-encoded as [`ClaimRun`]/[`GrantRun`], and a
+/// grant writes its hosted entry in place, so placements send no
+/// message at all.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(in crate::world) enum Msg {
     /// → `shard_of(host)`: forget the hosted entry for `(owner, aidx)`
@@ -173,37 +178,25 @@ pub(in crate::world) enum Msg {
         aidx: ArchiveIdx,
         host: PeerId,
     },
-    /// → `shard_of(host)`: the granted placement was used; record the
-    /// hosted entry and charge quota.
-    Attach {
-        host: PeerId,
-        owner: PeerId,
-        aidx: ArchiveIdx,
-        owner_observer: bool,
-    },
 }
 
 impl Msg {
     /// The logical shard whose state this message touches.
     fn dest(&self, layout: &ShardLayout) -> usize {
         match *self {
-            Msg::Release { host, .. } | Msg::Attach { host, .. } => layout.shard_of(host),
+            Msg::Release { host, .. } => layout.shard_of(host),
             Msg::Drop { owner, .. } => layout.shard_of(owner),
         }
     }
 
     /// Total order for deterministic in-shard application. Releases
-    /// apply before drops (disjoint state, fixed for definiteness);
-    /// attaches apply after releases in the commit's bookkeeping stage.
+    /// apply before drops (disjoint state, fixed for definiteness).
     fn sort_key(&self) -> (u8, u64, u64, u64) {
         match *self {
             Msg::Release {
                 host, owner, aidx, ..
             } => (0, host as u64, owner as u64, aidx as u64),
             Msg::Drop { owner, aidx, host } => (1, owner as u64, aidx as u64, host as u64),
-            Msg::Attach {
-                host, owner, aidx, ..
-            } => (2, host as u64, owner as u64, aidx as u64),
         }
     }
 }
@@ -336,7 +329,7 @@ impl ExecPolicy {
 /// — the knob the determinism tests flip.
 pub(in crate::world) struct RoundArena {
     pub(in crate::world) recycle: bool,
-    /// Routed per-shard [`Msg`] inboxes (deliver + commit-apply).
+    /// Routed per-shard [`Msg`] inboxes (deliver + commit apply).
     pub(in crate::world) msg_inboxes: Vec<Vec<Msg>>,
     /// Per-shard lane outboxes (the next wave's input).
     pub(in crate::world) outboxes: Vec<Vec<Msg>>,
@@ -529,34 +522,11 @@ impl WorkLane<'_> {
     }
 }
 
-/// Per-shard scratch for the grant stages: tentative quota charges and
-/// the slots to wipe afterwards. Execution-only state.
-#[derive(Debug, Default)]
-pub(in crate::world) struct GrantScratch {
-    /// Tentative same-round grants per local slot.
-    tent: Vec<u32>,
-    /// Local slots with a non-zero tentative count.
-    touched: Vec<u32>,
-}
-
-impl GrantScratch {
-    fn ensure(&mut self, slots: usize) {
-        if self.tent.len() < slots {
-            self.tent.resize(slots, 0);
-        }
-    }
-
-    fn reset(&mut self) {
-        for &i in &self.touched {
-            self.tent[i as usize] = 0;
-        }
-        self.touched.clear();
-    }
-}
-
-/// A grant-stage task: one host shard's claim runs in, grant runs out.
+/// A grant-stage task: one host shard's columns of the peer table (its
+/// hosted ledgers and quota counters), its claim runs in, grant runs
+/// out.
 pub(in crate::world) struct GrantTask<'a> {
-    scratch: &'a mut GrantScratch,
+    peers: PeerView<'a>,
     inbox: Vec<ClaimRun>,
     out: Vec<(u32, GrantRun)>,
 }
@@ -610,10 +580,10 @@ impl BackupWorld {
     }
 
     /// Routes the pending outboxes and runs one message-apply stage
-    /// over them. `commit` selects the commit bookkeeping stage
-    /// (release/attach) over the deliver stage (release/drop). Returns
-    /// how many messages were applied (0 = the stage was skipped).
-    fn run_msg_stage(&mut self, salt: u64, round: u64, commit: bool) -> usize {
+    /// over them: a deliver wave (releases and drops) or the commit's
+    /// apply stage (releases only). Returns how many messages were
+    /// applied (0 = the stage was skipped).
+    fn run_msg_stage(&mut self, salt: u64, round: u64) -> usize {
         let total = self.route_outboxes();
         if total == 0 {
             return 0;
@@ -653,21 +623,7 @@ impl BackupWorld {
                         owner_observer,
                     } => lane.apply_release(host, owner, aidx, owner_observer),
                     Msg::Drop { owner, aidx, host } => {
-                        if commit {
-                            unreachable!("drop message in the commit apply stage");
-                        }
                         lane.apply_drop(cfg, owner, aidx, host, round);
-                    }
-                    Msg::Attach {
-                        host,
-                        owner,
-                        aidx,
-                        owner_observer,
-                    } => {
-                        if !commit {
-                            unreachable!("attach message in the deliver stage");
-                        }
-                        lane.apply_attach(host, owner, aidx, owner_observer);
                     }
                 }
             }
@@ -684,7 +640,7 @@ impl BackupWorld {
     /// accounting).
     pub(in crate::world) fn run_deliver(&mut self, round: u64) {
         for salt in 0..2u64 {
-            if self.run_msg_stage(round * 16 + 2 + salt, round, false) == 0 {
+            if self.run_msg_stage(round * 16 + 2 + salt, round) == 0 {
                 return;
             }
         }
@@ -704,18 +660,24 @@ impl BackupWorld {
         // Phase 1 (propose): stage the wave-A claim runs in commit
         // order, let host shards grant them, and top denied owners up
         // with one fallback wave.
+        let mut clock = Instant::now();
         self.stage_wave_a_claims();
+        self.profile.commit_wave_a += lap(&mut clock);
         self.grant_stage(round * 16 + 4, false);
+        self.profile.commit_grant += lap(&mut clock);
         if self.stage_wave_b_claims() {
             self.grant_stage(round * 16 + 5, true);
             self.merge_wave_b_grants();
         }
+        self.profile.commit_wave_b += lap(&mut clock);
 
         // Phase 2 (ack/apply): owner shards run the protocol step with
-        // exactly the granted partners, then host shards record the
-        // resulting attachments/releases.
+        // exactly the granted partners, then host shards apply the
+        // releases of the partners those steps displaced.
         self.commit_owner_stage(round);
-        self.run_msg_stage(round * 16 + 7, round, true);
+        self.profile.commit_owner += lap(&mut clock);
+        self.run_msg_stage(round * 16 + 7, round);
+        self.profile.commit_apply += lap(&mut clock);
         debug_assert!(
             self.arena.outboxes.iter().all(Vec::is_empty),
             "apply stage generated messages"
@@ -786,32 +748,31 @@ impl BackupWorld {
     }
 
     /// One grant stage over the staged claim runs: each host shard
-    /// grants in commit order against live quota plus the round's
-    /// tentative charges, producing grant runs routed back per owner
-    /// shard (into `grant_inboxes` for wave A, `grants_b` for wave B).
-    /// The tentative counters persist across the two waves of one round
-    /// and are wiped by [`BackupWorld::reset_grant_scratch`].
+    /// grants in commit order against its live quota. Every grant is
+    /// used (a proposal is never granted more than its `d`), so the
+    /// grant itself is the host-side half of the placement: it records
+    /// the hosted entry and charges the quota (observer-owned blocks
+    /// are exempt, §4.2.2) — the charge is what later claims of the
+    /// same round, wave B included, are checked against. Grant runs are
+    /// routed back per owner shard (into `grant_inboxes` for wave A,
+    /// `grants_b` for wave B).
     fn grant_stage(&mut self, salt: u64, wave_b: bool) {
         let layout = self.layout;
         let quota = self.cfg.quota;
-        let recycle = self.arena.recycle;
-        if self.grant_scratch.len() < layout.count {
-            self.grant_scratch
-                .resize_with(layout.count, GrantScratch::default);
-        }
         let BackupWorld {
             peers,
-            grant_scratch,
             arena,
             exec,
             placement,
             ..
         } = self;
+        let recycle = arena.recycle;
         let mut tasks: Vec<GrantTask<'_>> =
             retype_empty(core::mem::take(&mut arena.grant_task_store));
-        for (s, scratch) in grant_scratch.iter_mut().take(layout.count).enumerate() {
+        let mut split = peers.splitter();
+        for s in 0..layout.count {
             tasks.push(GrantTask {
-                scratch,
+                peers: split.take(layout.shard_size),
                 inbox: core::mem::take(&mut arena.claim_inboxes[s]),
                 out: take_slot(&mut arena.grant_outs[s], recycle),
             });
@@ -824,12 +785,8 @@ impl BackupWorld {
             .sum();
         placement.claims += work as u64;
         let policy = exec.narrowed(busy, work);
-        let peers: &PeerTable = peers;
         let proposals = &arena.proposals;
         policy.dispatch(salt, &mut tasks, |shard, task| {
-            let base = shard * layout.shard_size;
-            let slots = layout.shard_size.min(peers.len().saturating_sub(base));
-            task.scratch.ensure(slots);
             for run in &task.inbox {
                 let prop = &proposals[run.oshard as usize][run.prop as usize];
                 // Contiguous granted ranks merge into one output run.
@@ -837,20 +794,21 @@ impl BackupWorld {
                 for rank in run.start..run.start + run.len {
                     let host = prop.pool[rank as usize];
                     debug_assert_eq!(layout.shard_of(host), shard, "misrouted claim run");
-                    let local = (host as usize) - base;
-                    debug_assert!(peers.online(host), "claims target frozen-online candidates");
-                    if peers.quota_used(host) + task.scratch.tent[local] >= quota {
+                    debug_assert!(
+                        task.peers.online(host),
+                        "claims target frozen-online candidates"
+                    );
+                    let used = task.peers.quota_used(host);
+                    if used >= quota {
                         // Full, counting this round's earlier grants.
                         if let Some(done) = open.take() {
                             task.out.push((run.oshard, done));
                         }
                         continue;
                     }
+                    task.peers.push_hosted(host, prop.owner, prop.aidx);
                     if !prop.owner_observer {
-                        if task.scratch.tent[local] == 0 {
-                            task.scratch.touched.push(local as u32);
-                        }
-                        task.scratch.tent[local] += 1;
+                        task.peers.set_quota_used(host, used + 1);
                     }
                     match &mut open {
                         // An open run always ends right before `rank`:
@@ -917,8 +875,8 @@ impl BackupWorld {
     /// The owner half of phase 2: each owner shard walks its proposals
     /// with a cursor over the sorted grant runs, resolves the granted
     /// hosts from the proposal pool, and runs the protocol step. Pool
-    /// buffers return to the shard's free list; attach/release
-    /// bookkeeping lands in the outboxes for the apply stage.
+    /// buffers return to the shard's free list; releases of displaced
+    /// partners land in the outboxes for the apply stage.
     fn commit_owner_stage(&mut self, round: u64) {
         let busy = self
             .arena
@@ -1004,13 +962,6 @@ impl BackupWorld {
         }
         arena.commit_task_store = retype_empty(tasks);
         delta.apply(metrics);
-    }
-
-    /// Wipes the grant stages' tentative counters (end of commit).
-    pub(in crate::world) fn reset_grant_scratch(&mut self) {
-        for scratch in &mut self.grant_scratch {
-            scratch.reset();
-        }
     }
 }
 

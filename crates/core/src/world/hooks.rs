@@ -228,6 +228,15 @@ impl BackupWorld {
         self.placement
     }
 
+    /// Accumulated wall time of every round stage so far (see
+    /// [`RoundProfile`](super::RoundProfile)) — where the rounds' time
+    /// went. Always on; execution-side telemetry like
+    /// [`stage_dispatches`](Self::stage_dispatches), varying from run
+    /// to run, so never part of [`Metrics`](crate::metrics::Metrics).
+    pub fn round_profile(&self) -> super::RoundProfile {
+        self.profile
+    }
+
     /// Enables or disables cross-round arena recycling (on by
     /// default). Recycling is observationally invisible — this knob
     /// exists so tests can run the same seed both ways and assert

@@ -53,12 +53,14 @@
 //!   shard-local event handlers.
 //! * `exec` — the staged executor: pool dispatch, the round arena,
 //!   shard-addressed messages, and the two-phase parallel commit.
+//! * `profile` — the round profile: accumulated wall time per stage.
 
 mod events;
 mod exec;
 mod hooks;
 mod partners;
 mod peers;
+mod profile;
 mod redundancy;
 mod repair;
 mod shard;
@@ -68,6 +70,7 @@ mod table;
 mod tests;
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use peerback_churn::SessionSampler;
 use peerback_sim::{derive_seed, HierarchicalWheel, Round, SimRng, WorkerPool, World};
@@ -78,15 +81,17 @@ use crate::config::SimConfig;
 use crate::metrics::{CategorySample, Metrics, ObserverSeries};
 
 use events::Event;
-use exec::{ExecPolicy, GrantScratch, MetricsDelta, RoundArena};
+use exec::{ExecPolicy, MetricsDelta, RoundArena};
 use peerback_sim::BufPool;
 use peers::ArchiveIdx;
+use profile::lap;
 use shard::{Proposal, Scratch, ShardLane, ShardLayout};
 use table::PeerTable;
 
 pub use exec::PlacementWork;
 pub use hooks::{FabricObserver, MemoryBreakdown, WorldEvent};
 pub use peers::{ObserverState, PeerId, WorldSnapshot};
+pub use profile::RoundProfile;
 pub use redundancy::RedundancyWork;
 
 /// Sub-seed stream offset for shard RNGs, so shard streams never
@@ -181,8 +186,6 @@ pub struct BackupWorld {
     pub(in crate::world) redundancy: redundancy::RedundancyState,
     /// Per-worker pool-building scratch (execution-only state).
     pub(in crate::world) scratch: Vec<Scratch>,
-    /// Per-shard tentative-quota scratch for the grant stages.
-    pub(in crate::world) grant_scratch: Vec<GrantScratch>,
     /// The recycled per-round buffers (see [`exec::RoundArena`]).
     pub(in crate::world) arena: RoundArena,
     /// The per-shard online lists concatenated in shard order, frozen
@@ -193,6 +196,9 @@ pub struct BackupWorld {
     /// Exact work counters of the placement pipeline (see
     /// [`PlacementWork`]); execution-side telemetry.
     pub(in crate::world) placement: PlacementWork,
+    /// Accumulated wall time per round stage; execution-side
+    /// telemetry.
+    pub(in crate::world) profile: RoundProfile,
     /// Scratch for the direct (white-box / single-call) pool path.
     #[cfg(test)]
     pub(in crate::world) direct_scratch: Scratch,
@@ -290,10 +296,10 @@ impl BackupWorld {
             obs: (0..layout.count).map(|_| Vec::new()).collect(),
             redundancy: redundancy::RedundancyState::default(),
             scratch: Vec::new(),
-            grant_scratch: Vec::new(),
             arena: RoundArena::new(layout.count),
             online_flat: Vec::new(),
             placement: PlacementWork::default(),
+            profile: RoundProfile::default(),
             #[cfg(test)]
             direct_scratch: Scratch::default(),
             outages: vec![0; cfg.failure_domains.domains as usize],
@@ -672,22 +678,36 @@ fn propose_shard(
 impl World for BackupWorld {
     fn round_start(&mut self, round: Round, _rng: &mut SimRng) {
         let r = round.index();
+        let mut clock = Instant::now();
         self.advance_failure_domains(r);
         self.ensure_population(r);
+        self.profile.ramp += lap(&mut clock);
         self.run_local_events(r);
+        self.profile.local_events += lap(&mut clock);
         self.run_deliver(r);
+        self.profile.deliver += lap(&mut clock);
         // Every drop of the round's teardowns has now been delivered;
         // announce the slot recycles (hooks.rs observer contract).
         self.flush_departed();
+        self.profile.flush_departed += lap(&mut clock);
         // Adaptive redundancy scores the settled post-teardown state;
         // widen-enqueued owners are drained and propose this round.
         self.run_redundancy(r);
+        self.profile.redundancy += lap(&mut clock);
         self.drain_actors();
+        self.profile.drain_actors += lap(&mut clock);
         self.refresh_estimator(r);
+        self.profile.estimator_refresh += lap(&mut clock);
         self.build_proposals(r);
+        self.profile.proposals += lap(&mut clock);
         self.commit_proposals(r);
-        self.reset_grant_scratch();
         self.arena.end_round();
+        self.profile.commit += lap(&mut clock);
+        self.profile.rounds += 1;
+        #[cfg(test)]
+        if r % 16 == 15 {
+            self.check_ledgers();
+        }
     }
 
     fn collect_actors(&mut self, _round: Round, _buf: &mut Vec<usize>) {

@@ -10,9 +10,11 @@
 //! * [`BackupWorld::build_pool`] builds a **ranked** pool of host ids
 //!   against frozen world state (`&self` + per-worker scratch + the
 //!   owner's shard RNG), so it can run in parallel across shards.
-//! * [`WorkLane::attach_partners`](super::exec::WorkLane::attach_partners)
-//!   attaches the hosts the two-phase commit granted out of that pool,
-//!   in rank order.
+//! * The two-phase commit grants ranks of that pool against host quota;
+//!   each grant records the hosted entry on the host's side, and
+//!   [`WorkLane::attach_partners`](super::exec::WorkLane::attach_partners)
+//!   then appends the granted hosts, in rank order, to the owner's
+//!   partner list.
 //!
 //! Downstream of the ranking nothing but the ordered list of peers is
 //! needed (§3.2: a peer ranks the candidates it has found, then
@@ -301,28 +303,6 @@ impl BackupWorld {
 }
 
 impl super::exec::WorkLane<'_> {
-    /// Host-side bookkeeping of a granted-and-used placement: record
-    /// the hosted entry and charge quota (observer-owned blocks are
-    /// exempt, §4.2.2). The matching partner entry and the
-    /// `BlocksPlaced` event were written on the owner side.
-    pub(in crate::world) fn apply_attach(
-        &mut self,
-        host: PeerId,
-        owner: PeerId,
-        aidx: ArchiveIdx,
-        owner_observer: bool,
-    ) {
-        debug_assert!(
-            self.peers.online(host),
-            "granted hosts cannot toggle mid-round"
-        );
-        self.peers.push_hosted(host, owner, aidx);
-        if !owner_observer {
-            let q = self.peers.quota_used(host);
-            self.peers.set_quota_used(host, q + 1);
-        }
-    }
-
     /// Host-side bookkeeping of a released block: forget the hosted
     /// entry and refund quota. Skips silently when the host's own
     /// teardown already cleared its ledger this round — the owner-side
@@ -346,8 +326,9 @@ impl super::exec::WorkLane<'_> {
     }
 
     /// Owner-side half of attachment: appends the granted `hosts` (in
-    /// rank order, at most `d`) to the archive's partner list and
-    /// addresses the host-side bookkeeping. Returns how many attached.
+    /// rank order, at most `d`) to the archive's partner list. The
+    /// grant already wrote each host's ledger entry, so every host
+    /// passed here must attach. Returns how many attached.
     pub(in crate::world) fn attach_partners(
         &mut self,
         owner: PeerId,
@@ -355,19 +336,12 @@ impl super::exec::WorkLane<'_> {
         d: u32,
         hosts: &[PeerId],
     ) -> u32 {
-        let owner_observer = self.peers.observer(owner).is_some();
         let mut attached = 0u32;
         for &host in hosts {
             if attached == d {
                 break;
             }
             self.peers.push_partner(owner, aidx as usize, host);
-            self.out.push(super::exec::Msg::Attach {
-                host,
-                owner,
-                aidx,
-                owner_observer,
-            });
             attached += 1;
         }
         self.delta.blocks_uploaded += attached as u64;

@@ -12,7 +12,9 @@
 //! Every function here runs on a [`WorkLane`] during the owner-side
 //! half of the parallel commit: it may mutate the **owner's** state,
 //! buffer events and metric deltas, and address host-side bookkeeping
-//! as [`Msg`]s — never touch another shard directly. The trigger logic
+//! as [`Msg`]s — never touch another shard directly. The hosts it is
+//! handed already hold their ledger entries (the grant wrote them), so
+//! a step must attach every one of them. The trigger logic
 //! re-derives its decision from live owner state (unchanged since the
 //! proposal froze it mid-round); each step asserts the proposal's `d`
 //! still matches.
@@ -40,6 +42,8 @@ impl WorkLane<'_> {
                 let k_prime = self.peers.threshold(prop.owner) as u32;
                 if self.open_episode_if_triggered(cfg, prop.owner, prop.aidx, k_prime, round) {
                     self.continue_episode(cfg, prop.owner, prop.aidx, hosts, prop.d);
+                } else {
+                    debug_assert!(hosts.is_empty(), "grants for a step that did not run");
                 }
             }
             ActionKind::Proactive => {
@@ -107,6 +111,11 @@ impl WorkLane<'_> {
         debug_assert_eq!(built_for, d, "join plan diverged from commit-time state");
         let before = self.peers.partners_len(id, a);
         let attached = self.attach_partners(id, aidx, d, hosts);
+        debug_assert_eq!(
+            attached as usize,
+            hosts.len(),
+            "a granted host did not attach"
+        );
         self.emit_placements(id, aidx, before);
         if self.peers.present(id, a) >= target {
             self.peers.set_joined(id, a, true);
@@ -224,7 +233,11 @@ impl WorkLane<'_> {
             });
         }
         let attached = self.attach_partners(id, aidx, d, hosts);
-        debug_assert_eq!(attached, attaching);
+        debug_assert_eq!(
+            attached as usize,
+            hosts.len(),
+            "a granted host did not attach"
+        );
         self.emit_placements(id, aidx, before);
         if self.peers.partners_len(id, a) as u32 >= target {
             debug_assert_eq!(self.peers.stale_len(id, a), 0);
@@ -283,6 +296,7 @@ impl WorkLane<'_> {
         let a = aidx as usize;
         if !self.peers.repairing(id, a) {
             if self.peers.present(id, a) >= self.peers.target(id, a) {
+                debug_assert!(hosts.is_empty(), "grants for a step that did not run");
                 return; // nothing disappeared since the last tick
             }
             // Proactive ticks top up missing blocks only; no refresh.
@@ -326,7 +340,6 @@ impl super::BackupWorld {
         let shard = self.layout.shard_of(id);
         self.arena.proposals[shard].push(prop);
         self.commit_proposals(round);
-        self.reset_grant_scratch();
         self.arena.end_round();
     }
 }

@@ -47,9 +47,10 @@
 //!    state, drawing from their shard's stream.
 //! 5. **Commit, two-phase** (parallel): host shards grant the claimed
 //!    pool ranks against shard-local quota in global
-//!    `(owner, archive, rank)` order, owner shards run the protocol step
-//!    with exactly the granted hosts, host shards sort and apply the
-//!    resulting bookkeeping messages.
+//!    `(owner, archive, rank)` order, each grant recording its hosted
+//!    entry in place; owner shards run the protocol step with exactly
+//!    the granted hosts; host shards sort and apply the releases of
+//!    the partners those steps displaced.
 //!
 //! [`WorldEvent`]s are buffered per lane in every stage and merged into
 //! the world's log in shard order, so the stream is independent of how

@@ -47,6 +47,52 @@ use super::peers::{ArchiveIdx, PeerId, OFFLINE};
 /// Sentinel in the `observer` column for regular peers.
 const NO_OBSERVER: u8 = u8::MAX;
 
+/// Entries compared per step of the partner and ledger scans.
+const SCAN_LANES: usize = 16;
+
+/// `hay.iter().position(|&e| e == needle)`, sixteen entries per step:
+/// a chunk's comparisons are OR-ed into one bit mask (a vector compare
+/// once optimised), so the common miss costs one branch per chunk and
+/// a hit is the mask's lowest set bit. Teardown and release scans of
+/// partner lists and hosted ledgers go through here.
+#[inline]
+pub(in crate::world) fn first_match(hay: &[u32], needle: u32) -> Option<usize> {
+    let (chunks, tail) = hay.as_chunks::<SCAN_LANES>();
+    for (c, chunk) in chunks.iter().enumerate() {
+        let mask = match_mask(chunk, needle);
+        if mask != 0 {
+            return Some(c * SCAN_LANES + mask.trailing_zeros() as usize);
+        }
+    }
+    let base = chunks.len() * SCAN_LANES;
+    tail.iter().position(|&e| e == needle).map(|i| base + i)
+}
+
+/// `hay.iter().rposition(|&e| e == needle)`: [`first_match`] run from
+/// the back, a hit being the mask's highest set bit.
+#[inline]
+pub(in crate::world) fn last_match(hay: &[u32], needle: u32) -> Option<usize> {
+    let (head, chunks) = hay.as_rchunks::<SCAN_LANES>();
+    for (c, chunk) in chunks.iter().enumerate().rev() {
+        let mask = match_mask(chunk, needle);
+        if mask != 0 {
+            let top = u32::BITS - 1 - mask.leading_zeros();
+            return Some(head.len() + c * SCAN_LANES + top as usize);
+        }
+    }
+    head.iter().rposition(|&e| e == needle)
+}
+
+/// Bit `i` set iff `chunk[i] == needle`.
+#[inline]
+fn match_mask(chunk: &[u32; SCAN_LANES], needle: u32) -> u32 {
+    let mut mask = 0;
+    for (i, &e) in chunk.iter().enumerate() {
+        mask |= u32::from(e == needle) << i;
+    }
+    mask
+}
+
 /// `arch_flags` bit: the archive finished its initial upload.
 const JOINED: u8 = 1;
 /// `arch_flags` bit: a repair episode is open.
@@ -436,7 +482,7 @@ macro_rules! peer_columns_api {
             aidx: usize,
             host: PeerId,
         ) -> Option<usize> {
-            self.partners(id, aidx).iter().position(|&p| p == host)
+            first_match(self.partners(id, aidx), host)
         }
 
         pub(in crate::world) fn swap_remove_partner(
@@ -469,9 +515,11 @@ macro_rules! peer_columns_api {
             aidx: usize,
             host: PeerId,
         ) -> Option<usize> {
+            // The stale list is stored reversed, so its first logical
+            // match is the region's last physical one.
             let s = self.stale_len(id, aidx);
-            let off = self.poff(id, aidx);
-            (0..s).find(|&i| self.partner_slab[off + self.slab_n - 1 - i] == host)
+            let end = self.poff(id, aidx) + self.slab_n;
+            last_match(&self.partner_slab[end - s..end], host).map(|p| s - 1 - p)
         }
 
         pub(in crate::world) fn swap_remove_stale(&mut self, id: PeerId, aidx: usize, pos: usize) {
@@ -574,9 +622,7 @@ macro_rules! peer_columns_api {
             let needle = self.pack_hosted(owner, aidx);
             let off = self.hoff(id);
             let len = self.hosted_len(id);
-            self.hosted_slab[off..off + len]
-                .iter()
-                .position(|&e| e == needle)
+            first_match(&self.hosted_slab[off..off + len], needle)
         }
 
         pub(in crate::world) fn swap_remove_hosted(&mut self, id: PeerId, pos: usize) {
