@@ -33,8 +33,8 @@
 //! quarantine threshold.
 //!
 //! `--stable-json` drops host facts and timings so same-seed runs at
-//! different `--shards` / `--no-steal` settings must diff byte-for-byte
-//! (the CI determinism gate).
+//! different `--shards` settings must diff byte-for-byte (the CI
+//! determinism gate).
 //!
 //! ```text
 //! cargo run --release -p peerback-bench --bin adversary_probe -- \
@@ -180,9 +180,7 @@ fn main() -> ExitCode {
 
     if args.json {
         let report = args
-            .report_head("probe", "adversary_probe", elapsed, |telemetry| {
-                telemetry.num("work_stealing", u64::from(!args.no_steal))
-            })
+            .report_head("probe", "adversary_probe", elapsed, |telemetry| telemetry)
             .num("clean_losses", clean_losses)
             .num("attacked_losses", attacked_losses)
             .float("loss_factor", loss_factor)

@@ -75,13 +75,8 @@ fn main() {
     let cfg = args.base_config().with_paper_observers();
     if !args.json {
         println!(
-            "running {} peers x {} rounds (seed {}, {} shard workers, stealing {}{}) ...",
-            args.peers,
-            args.rounds,
-            args.seed,
-            args.shards,
-            if args.no_steal { "off" } else { "on" },
-            if args.skewed { ", skewed churn" } else { "" },
+            "running {} peers x {} rounds (seed {}, {} shard workers) ...",
+            args.peers, args.rounds, args.seed, args.shards,
         );
     }
     let seed = cfg.seed;
@@ -117,9 +112,6 @@ fn main() {
         let report = args
             .report_head("probe", "perf_probe", elapsed, |telemetry| {
                 let telemetry = telemetry
-                    .num("work_stealing", u64::from(!args.no_steal))
-                    .num("skewed_churn", u64::from(args.skewed))
-                    .num("shard_slots", args.shard_slots as u64)
                     .str("gf256_backend", peerback_gf256::active_backend().name())
                     .float(
                         "peer_rounds_per_sec",

@@ -334,12 +334,10 @@ fn main() {
         // gate).
         let report = args
             .report_head("scenario", "fabric", start.elapsed(), |telemetry| {
-                telemetry
-                    .num("work_stealing", u64::from(!args.no_steal))
-                    .raw(
-                        "replay_work",
-                        replay_work_json(cells.iter().map(|c| &c.work)),
-                    )
+                telemetry.raw(
+                    "replay_work",
+                    replay_work_json(cells.iter().map(|c| &c.work)),
+                )
             })
             .raw("cells", json::array(cells.iter().map(cell_json)))
             .num("audit_mismatches", mismatches)

@@ -154,20 +154,12 @@ output
 execution
   --shards N        intra-run worker threads (default 1; results are
                     bit-identical at every value)
-  --no-steal        disable cross-shard work stealing (fixed ownership
-                    baseline; results are bit-identical either way)
-  --shard-slots N   minimum peer slots per logical shard (default 64;
-                    semantic: changes the logical partition and the
-                    per-shard RNG streams)
 json
   --json            emit a machine-readable JSON report on stdout
 stable-json
   --stable-json     with --json: omit timing/host fields so same-seed
                     runs diff byte-for-byte (the CI determinism gate)
 world
-  --skewed          slot-range-skewed churn: the first quarter of the
-                    slot space gets the churniest profile (the
-                    work-stealing benchmark scenario)
   --strategy NAME   partner-selection strategy override (age-based,
                     random, youngest, uptime-weighted, oracle-lifetime,
                     learned-age; default: the config's age-based rule)
@@ -294,17 +286,6 @@ pub struct HarnessArgs {
     /// seed diff byte-for-byte — the CI determinism gate compares
     /// `--shards 1` against `--shards 8` this way.
     pub stable_json: bool,
-    /// Disable cross-shard work stealing (fixed shard ownership — the
-    /// measurable baseline for the steal-speedup gate). Results are
-    /// bit-identical either way.
-    pub no_steal: bool,
-    /// Assign churn profiles by slot range (hot first quarter) instead
-    /// of sampling the mix — the work-stealing benchmark scenario.
-    pub skewed: bool,
-    /// Minimum peer slots per logical shard (`SimConfig::shard_slots`).
-    /// Semantic — changes the logical partition and the RNG streams;
-    /// two runs only compare at the same value. Default 64.
-    pub shard_slots: usize,
     /// Whether `--paper-scale` was passed. Binaries with a dedicated
     /// paper-scale mode (scenario_fabric's single combined-mode run
     /// with sampled audit + scrubbing) switch on this rather than
@@ -415,9 +396,6 @@ impl HarnessArgs {
             json: false,
             shards: 1,
             stable_json: false,
-            no_steal: false,
-            skewed: false,
-            shard_slots: 64,
             paper_scale: false,
             strategy: None,
             misreport: 0.0,
@@ -453,22 +431,18 @@ impl HarnessArgs {
                     None => panic!("unknown flag {flag:?} for {}\n{usage}", cli.binary),
                 }
             }
-            let num = |s: String| parse_num(&s, flag, &usage);
             let number = |s: String, range| parse_float(&s, flag, range, &usage);
             match flag {
                 "--smoke" => scale = Scale::Smoke,
                 "--paper-scale" => scale = Scale::Paper,
-                "--peers" => peers = Some(num(value()) as usize),
-                "--rounds" => rounds = Some(num(value())),
-                "--seed" => a.seed = num(value()),
+                "--peers" => peers = Some(parse_num(&value(), flag, &usage)),
+                "--rounds" => rounds = Some(parse_num(&value(), flag, &usage)),
+                "--seed" => a.seed = parse_num(&value(), flag, &usage),
                 "--out-dir" => a.out_dir = PathBuf::from(value()),
-                "--threads" => a.threads = num(value()) as usize,
-                "--shards" => a.shards = num(value()) as usize,
+                "--threads" => a.threads = parse_num(&value(), flag, &usage),
+                "--shards" => a.shards = parse_num(&value(), flag, &usage),
                 "--json" => a.json = true,
                 "--stable-json" => a.stable_json = true,
-                "--no-steal" => a.no_steal = true,
-                "--skewed" => a.skewed = true,
-                "--shard-slots" => a.shard_slots = num(value()) as usize,
                 "--strategy" => {
                     let name = value();
                     a.strategy = Some(SelectionStrategy::from_name(&name).unwrap_or_else(|| {
@@ -481,19 +455,25 @@ impl HarnessArgs {
                     }));
                 }
                 "--misreport" => a.misreport = number(value(), FRACTION),
-                "--shift-round" => a.shift_round = num(value()),
-                "--adaptive-n" => a.adaptive_n = num(value()) as u16,
-                "--link-cap" => a.link_cap = num(value()),
-                "--flash-restore" => a.flash_restore = num(value()),
+                "--shift-round" => a.shift_round = parse_num(&value(), flag, &usage),
+                "--adaptive-n" => a.adaptive_n = parse_num(&value(), flag, &usage),
+                "--link-cap" => a.link_cap = parse_num(&value(), flag, &usage),
+                "--flash-restore" => a.flash_restore = parse_num(&value(), flag, &usage),
                 "--adversary" => a.adversary = parse_adversary_spec(&value(), &usage),
-                "--domains" => a.failure_domains.domains = num(value()) as u32,
+                "--domains" => a.failure_domains.domains = parse_num(&value(), flag, &usage),
                 "--outage-rate" => a.failure_domains.outage_rate = number(value(), FRACTION),
-                "--outage-rounds" => a.failure_domains.outage_rounds = num(value()),
-                "--outage-at" => a.failure_domains.outage_at = num(value()),
+                "--outage-rounds" => {
+                    a.failure_domains.outage_rounds = parse_num(&value(), flag, &usage)
+                }
+                "--outage-at" => a.failure_domains.outage_at = parse_num(&value(), flag, &usage),
                 "--partition-rate" => a.failure_domains.partition_rate = number(value(), FRACTION),
-                "--partition-rounds" => a.failure_domains.partition_rounds = num(value()),
-                "--quarantine-threshold" => a.quarantine_threshold = num(value()) as u8,
-                "--escalate-margin" => a.escalate_margin = num(value()) as u32,
+                "--partition-rounds" => {
+                    a.failure_domains.partition_rounds = parse_num(&value(), flag, &usage)
+                }
+                "--quarantine-threshold" => {
+                    a.quarantine_threshold = parse_num(&value(), flag, &usage)
+                }
+                "--escalate-margin" => a.escalate_margin = parse_num(&value(), flag, &usage),
                 "--max-loss-factor" => a.max_loss_factor = Some(number(value(), AT_LEAST_ONE)),
                 "--require-beat-uniform" => a.require_beat_uniform = true,
                 "--max-upload-ratio" => a.max_upload_ratio = Some(number(value(), POSITIVE)),
@@ -510,13 +490,7 @@ impl HarnessArgs {
 
     /// Base paper configuration at this scale.
     pub fn base_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::paper(self.peers, self.rounds, self.seed)
-            .with_shards(self.shards)
-            .with_work_stealing(!self.no_steal)
-            .with_shard_slots(self.shard_slots);
-        if self.skewed {
-            cfg = cfg.with_skewed_churn();
-        }
+        let mut cfg = SimConfig::paper(self.peers, self.rounds, self.seed).with_shards(self.shards);
         if let Some(strategy) = self.strategy {
             cfg = cfg.with_strategy(strategy);
         }
@@ -609,10 +583,35 @@ impl HarnessArgs {
     }
 }
 
-fn parse_num(s: &str, flag: &str, usage: &str) -> u64 {
-    s.replace('_', "")
+/// The unsigned integer types a numeric flag sets.
+trait FlagInt: TryFrom<u64> {
+    const MAX: u64;
+}
+
+macro_rules! flag_int {
+    ($($t:ty),*) => {$(
+        impl FlagInt for $t {
+            const MAX: u64 = <$t>::MAX as u64;
+        }
+    )*};
+}
+
+flag_int!(u8, u16, u32, u64, usize);
+
+/// Parses a numeric flag value (`_` separators allowed) into the type
+/// of the field it sets, refusing a value that type cannot hold rather
+/// than wrapping it.
+fn parse_num<T: FlagInt>(s: &str, flag: &str, usage: &str) -> T {
+    let n: u64 = s
+        .replace('_', "")
         .parse()
-        .unwrap_or_else(|_| panic!("flag {flag} expects a number, got {s:?}\n{usage}"))
+        .unwrap_or_else(|_| panic!("flag {flag} expects a number, got {s:?}\n{usage}"));
+    T::try_from(n).unwrap_or_else(|_| {
+        panic!(
+            "flag {flag} expects a number of at most {}, got {s:?}\n{usage}",
+            T::MAX
+        )
+    })
 }
 
 /// What a flag's number must satisfy: the wording for errors, and the
@@ -746,17 +745,6 @@ mod tests {
     fn stable_json_flag() {
         assert!(!parse(&[]).stable_json);
         assert!(parse(&["--stable-json"]).stable_json);
-    }
-
-    #[test]
-    fn steal_and_skew_flags_reach_the_config() {
-        let a = parse(&[]);
-        assert!(!a.no_steal && !a.skewed);
-        assert!(a.base_config().work_stealing);
-        assert!(!a.base_config().skewed_churn);
-        let a = parse(&["--no-steal", "--skewed"]);
-        assert!(!a.base_config().work_stealing);
-        assert!(a.base_config().skewed_churn);
     }
 
     #[test]

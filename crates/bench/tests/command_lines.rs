@@ -1,4 +1,4 @@
-//! The command lines of the nine binaries: `HarnessArgs` is the only
+//! The command lines of the eight binaries: `HarnessArgs` is the only
 //! flag parser, every binary declares what it reads, and anything else
 //! is refused by name. The parser is tested through the public API; the
 //! binaries' own declarations by running them — a refused command line
@@ -58,8 +58,8 @@ fn listed_flags(usage: &str) -> Vec<(&str, bool)> {
 fn every_flag_the_usage_lists_parses() {
     let usage = EVERYTHING.usage();
     let flags = listed_flags(&usage);
-    // 28 shared flags, 6 gate entries (`--max-loss-factor` twice).
-    assert_eq!(flags.len(), 28 + 6, "{usage}");
+    // 25 shared flags, 6 gate entries (`--max-loss-factor` twice).
+    assert_eq!(flags.len(), 25 + 6, "{usage}");
     for (flag, takes_value) in flags {
         // An entry of the usage table without a parser arm would panic.
         let sample = match flag {
@@ -202,9 +202,38 @@ fn gate_value_must_be_present() {
 }
 
 #[test]
+#[should_panic(expected = "flag --adaptive-n expects a number of at most 65535, got \"65536\"")]
+fn a_number_too_wide_for_its_field_is_refused() {
+    parse(&EVERYTHING, &["--adaptive-n", "65536"]);
+}
+
+#[test]
+fn numbers_parse_up_to_the_width_of_their_field() {
+    let a = parse(
+        &EVERYTHING,
+        &[
+            "--adaptive-n",
+            "65535",
+            "--quarantine-threshold",
+            "255",
+            "--domains",
+            "4294967295",
+        ],
+    );
+    assert_eq!(
+        (
+            a.adaptive_n,
+            a.quarantine_threshold,
+            a.failure_domains.domains
+        ),
+        (u16::MAX, u8::MAX, u32::MAX)
+    );
+}
+
+#[test]
 fn report_head_decides_what_the_stable_form_omits() {
     let elapsed = std::time::Duration::from_millis(1500);
-    let telemetry = |o: peerback_bench::json::Object| o.num("work_stealing", 1u64);
+    let telemetry = |o: peerback_bench::json::Object| o.num("dispatches", 1u64);
     let scale = ["--peers", "64", "--rounds", "50"];
     let stable = parse(&EVERYTHING, &[&scale[..], &["--stable-json"]].concat())
         .report_head("probe", "p", elapsed, telemetry)
@@ -220,7 +249,7 @@ fn report_head_decides_what_the_stable_form_omits() {
         .render();
     let cpus = HarnessArgs::host_cpus();
     let head = r#"{"scenario":"s","peers":64,"rounds":50,"seed":42,"shards":8,"#;
-    let tail = r#""elapsed_secs":1.500000,"work_stealing":1,"losses":3}"#;
+    let tail = r#""elapsed_secs":1.500000,"dispatches":1,"losses":3}"#;
     assert_eq!(full, format!(r#"{head}"host_cpus":{cpus},{tail}"#));
 }
 
@@ -281,16 +310,6 @@ fn each_binary_refuses_the_shared_flags_it_would_ignore() {
             env!("CARGO_BIN_EXE_rs_probe"),
             "rs_probe",
             &["--json", "--stable-json"],
-        ),
-        (
-            env!("CARGO_BIN_EXE_knee_sweep"),
-            "knee_sweep",
-            &["--shards", "4"],
-        ),
-        (
-            env!("CARGO_BIN_EXE_knee_sweep"),
-            "knee_sweep",
-            &["--stable-json"],
         ),
         (
             env!("CARGO_BIN_EXE_scenario_fabric"),
@@ -362,6 +381,30 @@ fn the_probes_gate_flags_keep_their_range_checks() {
     for (binary, flag, value, expects) in refused {
         let (ok, text) = run(binary, &[flag, value]);
         let message = format!("flag {flag} expects {expects}, got {value:?}");
+        assert!(!ok && text.contains(&message), "{flag} {value}: {text}");
+    }
+}
+
+#[test]
+fn the_binaries_refuse_numbers_their_fields_would_wrap() {
+    let refused = [
+        ("--adaptive-n", "65536", "65535"),
+        ("--quarantine-threshold", "256", "255"),
+        ("--domains", "4294967297", "4294967295"),
+    ];
+    for (flag, value, max) in refused {
+        let args = [
+            "--peers",
+            "200",
+            "--rounds",
+            "20",
+            flag,
+            value,
+            "--json",
+            "--stable-json",
+        ];
+        let (ok, text) = run(env!("CARGO_BIN_EXE_perf_probe"), &args);
+        let message = format!("flag {flag} expects a number of at most {max}, got {value:?}");
         assert!(!ok && text.contains(&message), "{flag} {value}: {text}");
     }
 }

@@ -20,18 +20,18 @@
 //!   (Durable/Stable/Unstable/Erratic) and weighted profile mixes.
 //! * [`session`] — the on/off availability renewal process realising a
 //!   profile's long-run availability.
-//! * [`estimate`] — lifetime estimators, including the paper's
-//!   age-as-stability criterion and the Pareto conditional-expectation
-//!   estimator that justifies it.
+//!
+//! Estimating a peer's remaining lifetime from these observations is the
+//! simulator's job: `peerback-core` ranks candidates through its
+//! `SelectionStrategy` (the paper's age rule and its variants), backed by
+//! the online survival model in `peerback-estimate`.
 
 pub mod dist;
-pub mod estimate;
 pub mod profile;
 pub mod session;
 
 pub use dist::{
     BoundedPareto, Exponential, LifetimeDist, LogNormal, Pareto, PointMass, UniformRange, Weibull,
 };
-pub use estimate::{AgeRank, EmpiricalUptime, LifetimeEstimator, ParetoConditional};
 pub use profile::{paper_profiles, LifetimeSpec, Profile, ProfileId, ProfileMix};
 pub use session::SessionSampler;

@@ -157,8 +157,8 @@ impl AdaptiveRedundancy {
 /// Correlated failure domains: peers are hashed into seeded
 /// regions/domains, and region-wide outages and network partitions are
 /// injected as a pure function of `(seed, domain, round)` — so the same
-/// seed produces byte-identical incident schedules at every
-/// `shards`/steal configuration.
+/// seed produces byte-identical incident schedules at every `shards`
+/// value.
 ///
 /// * An **outage** forces every peer of the domain offline for
 ///   `outage_rounds`; peers whose session process would bring them
@@ -283,20 +283,6 @@ pub struct SimConfig {
     /// `1` (the default) runs single-threaded; values beyond the
     /// logical shard count are clamped.
     pub shards: usize,
-    /// Whether workers that finish their own shard range steal
-    /// unstarted shards from the stragglers. Another pure execution
-    /// knob (results are bit-identical either way); disabling it
-    /// restores the fixed-ownership scheduling of the earlier executor,
-    /// kept as a measurable baseline for the steal-speedup gate.
-    pub work_stealing: bool,
-    /// Benchmark scenario: assign churn profiles by **slot range**
-    /// (first quarter of the slot space gets the churniest profile, the
-    /// rest the calmest) instead of sampling the mix, concentrating
-    /// nearly all deaths, timeouts and repair work in one contiguous
-    /// run of logical shards. This is the workload where fixed
-    /// ownership collapses to one busy worker and stealing shines. Not
-    /// a paper configuration.
-    pub skewed_churn: bool,
     /// Minimum peer slots per **logical** shard (default 64). The peer
     /// table splits into `clamp(capacity / shard_slots, 1, 512)`
     /// contiguous shards; unlike `shards` (a worker-thread knob) this
@@ -366,8 +352,6 @@ impl SimConfig {
             sample_interval: 24,
             measure_restorability: true,
             shards: 1,
-            work_stealing: true,
-            skewed_churn: false,
             shard_slots: 64,
             estimator: EstimateParams::default(),
             shift_profiles_at: 0,
@@ -400,19 +384,6 @@ impl SimConfig {
     /// Results are identical at every value (see the `shards` field).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Enables or disables cross-shard work stealing (execution knob;
-    /// results are identical either way).
-    pub fn with_work_stealing(mut self, steal: bool) -> Self {
-        self.work_stealing = steal;
-        self
-    }
-
-    /// Enables the slot-range-skewed churn benchmark scenario.
-    pub fn with_skewed_churn(mut self) -> Self {
-        self.skewed_churn = true;
         self
     }
 

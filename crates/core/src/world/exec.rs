@@ -114,7 +114,7 @@ impl MetricsDelta {
 /// the claim/grant exchange and message routing. Execution-side
 /// telemetry read through [`BackupWorld::placement_work`], never part
 /// of [`Metrics`]; every count is a pure function of the seed,
-/// identical at any `shards`/steal setting.
+/// identical at any `shards` setting.
 ///
 /// `candidates_sampled / grants` is the measured "candidates scanned
 /// per granted partner" — the connection-efficiency ratio closed-form
@@ -236,14 +236,13 @@ pub(in crate::world) struct GrantRun {
     pub(in crate::world) len: u16,
 }
 
-/// How the stages are dispatched: worker count, whether finished
-/// workers steal, the persistent pool dispatch runs on, and (under
-/// test) a seed forcing a random sequential interleaving instead of
-/// real threads.
+/// How the stages are dispatched: worker count, the persistent pool
+/// dispatch runs on, and (under test) a seed forcing a random
+/// sequential interleaving instead of real threads. Workers that finish
+/// their own shard range always steal from the stragglers.
 #[derive(Debug, Clone)]
 pub(in crate::world) struct ExecPolicy {
     pub(in crate::world) workers: usize,
-    pub(in crate::world) steal: bool,
     /// Test hook: execute stage tasks sequentially in a seeded random
     /// order (a deterministic stand-in for an arbitrary steal
     /// interleaving). `None` in production.
@@ -260,17 +259,13 @@ const PARALLEL_MSG_MIN: usize = 2048;
 
 impl ExecPolicy {
     /// Narrows the worker count for a stage with `busy` non-empty tasks
-    /// and `work` total queued messages: light stages run inline. With
-    /// stealing off the full width is kept even when few tasks are
-    /// non-empty — worker `w` always owns the same shard range, so its
-    /// table columns stay in that core's cache across stages.
+    /// and `work` total queued messages: light stages run inline, and no
+    /// stage is wider than its non-empty tasks.
     pub(in crate::world) fn narrowed(&self, busy: usize, work: usize) -> ExecPolicy {
         let workers = if work < PARALLEL_MSG_MIN {
             1
-        } else if self.steal {
-            self.workers.min(busy.max(1))
         } else {
-            self.workers
+            self.workers.min(busy.max(1))
         };
         ExecPolicy {
             workers,
@@ -287,7 +282,7 @@ impl ExecPolicy {
     {
         match self.fuzz {
             Some(seed) => peerback_sim::exec::run_tasks_fuzzed(derive_seed(seed, salt), states, f),
-            None => self.pool.run_tasks(self.workers, self.steal, states, f),
+            None => self.pool.run_tasks(self.workers, true, states, f),
         }
     }
 
@@ -315,7 +310,7 @@ impl ExecPolicy {
                 // derives the stage width from the scratch slice.
                 let take = self.workers.clamp(1, worker_states.len());
                 self.pool
-                    .run_tasks_with(self.steal, &mut worker_states[..take], states, f);
+                    .run_tasks_with(true, &mut worker_states[..take], states, f);
             }
         }
     }

@@ -274,11 +274,6 @@ impl BackupWorld {
         self.exec.workers
     }
 
-    /// Whether cross-shard work stealing is enabled.
-    pub fn work_stealing(&self) -> bool {
-        self.exec.steal
-    }
-
     /// Heap footprint per allocated peer slot, in bytes: the peer
     /// table's scalar and per-archive columns plus the fixed-stride
     /// slabs that scale with `n` and quota — partner/stale lists and

@@ -107,8 +107,7 @@ const PARTITION_STREAM: u64 = 0x9a_7117;
 
 /// The failure domain of peer slot `id`: a pure hash of the slot under
 /// the run seed (no RNG draw — replacements inherit their slot's
-/// domain, and the assignment is identical at every shard/steal
-/// configuration).
+/// domain, and the assignment is identical at every worker count).
 pub(in crate::world) fn domain_of(seed: u64, domains: u32, id: PeerId) -> u16 {
     (derive_seed(derive_seed(seed, DOMAIN_STREAM), id as u64) % domains as u64) as u16
 }
@@ -154,8 +153,7 @@ pub struct BackupWorld {
     /// The fixed logical partition of the slot space.
     pub(in crate::world) layout: ShardLayout,
     /// How the parallel stages are dispatched (worker threads from
-    /// `cfg.shards`, stealing from `cfg.work_stealing`, the persistent
-    /// pool the stages run on).
+    /// `cfg.shards`, the persistent pool the stages run on).
     pub(in crate::world) exec: ExecPolicy,
     /// Per-shard online peers, for O(1) uniform candidate sampling.
     pub(in crate::world) online: Vec<Vec<PeerId>>,
@@ -257,7 +255,6 @@ impl BackupWorld {
         let workers = cfg.shards.clamp(1, layout.count);
         let exec = ExecPolicy {
             workers,
-            steal: cfg.work_stealing,
             fuzz: None,
             pool: Arc::new(WorkerPool::new(workers)),
         };
@@ -379,8 +376,7 @@ impl BackupWorld {
     /// an outage or partition this round is a pure function of
     /// `(seed, domain, round)` — no RNG stream is touched, so runs with
     /// domains disabled draw exactly the sequences they always did, and
-    /// runs with domains enabled are identical at every `shards`/steal
-    /// configuration.
+    /// runs with domains enabled are identical at every `shards` value.
     fn advance_failure_domains(&mut self, round: u64) {
         let fd = &self.cfg.failure_domains;
         if fd.domains == 0 {

@@ -308,51 +308,20 @@ impl BackupWorld {
     }
 }
 
-/// The profile id a fresh peer in `slot` receives at `round`. Normally
-/// a draw from the configured mix; under `SimConfig::skewed_churn` the
-/// **slot range** decides instead — the first quarter of the slot space
-/// gets the churniest profile, the rest the calmest — so one contiguous
-/// shard range concentrates nearly all deaths, timeouts and repairs
-/// (the work-stealing benchmark scenario). The RNG draw happens either
-/// way, keeping the shard streams aligned with the uniform mix.
+/// The profile id a fresh peer receives at `round`: a draw from the
+/// configured mix.
 ///
 /// From `SimConfig::shift_profiles_at` on (when non-zero), the sampled
 /// index is **mirrored** (`len − 1 − index`): the population's churn
 /// behaviour flips mid-run without touching the draw sequence, which is
 /// what makes the behaviour-shift scenario seed-comparable against the
 /// stationary one.
-fn assign_profile(
-    cfg: &SimConfig,
-    slot: PeerId,
-    round: u64,
-    rng: &mut peerback_sim::SimRng,
-) -> usize {
-    let mut sampled = cfg.profiles.sample(rng);
+fn assign_profile(cfg: &SimConfig, round: u64, rng: &mut peerback_sim::SimRng) -> usize {
+    let sampled = cfg.profiles.sample(rng);
     if cfg.shift_profiles_at > 0 && round >= cfg.shift_profiles_at {
-        sampled = cfg.profiles.len() - 1 - sampled;
-    }
-    if !cfg.skewed_churn {
-        return sampled;
-    }
-    let by_availability = |a: &usize, b: &usize| {
-        let av = cfg.profiles.profile(*a).availability;
-        let bv = cfg.profiles.profile(*b).availability;
-        av.partial_cmp(&bv).expect("availability is finite")
-    };
-    let ids: Vec<usize> = (0..cfg.profiles.len()).collect();
-    let churniest = *ids
-        .iter()
-        .min_by(|a, b| by_availability(a, b))
-        .expect("mix");
-    let calmest = *ids
-        .iter()
-        .max_by(|a, b| by_availability(a, b))
-        .expect("mix");
-    let capacity = cfg.n_peers + cfg.observers.len();
-    if (slot as usize) < capacity / 4 {
-        churniest
+        cfg.profiles.len() - 1 - sampled
     } else {
-        calmest
+        sampled
     }
 }
 
@@ -369,7 +338,7 @@ impl ShardLane<'_> {
         cfg: &SimConfig,
         samplers: &[SessionSampler],
     ) {
-        let profile_id = assign_profile(cfg, id, round, self.rng);
+        let profile_id = assign_profile(cfg, round, self.rng);
         let lifetime = cfg.profiles.profile(profile_id).lifetime.sample(self.rng);
         let sampler = samplers[profile_id];
         let online = sampler.initial_online(self.rng);

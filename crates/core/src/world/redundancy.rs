@@ -37,7 +37,7 @@
 //! Nothing mutates the world between fill, gather and apply, so
 //! decisions never need re-validation; and because the buffers drain in
 //! shard order no matter which worker filled them, same-seed runs stay
-//! byte-identical at any `--shards`/steal setting — the same
+//! byte-identical at any `--shards` setting — the same
 //! determinism contract every other parallel stage rides.
 //!
 //! The column is round scratch (16 B per slot, allocated on the first
@@ -79,8 +79,8 @@ pub(in crate::world) enum RedundancyDecision {
 /// Exact work done by the adaptive-redundancy scoring stage so far —
 /// execution-side telemetry read through
 /// [`BackupWorld::redundancy_work`], never part of `Metrics`. The
-/// counts are pure functions of the seed: identical at any
-/// `shards`/steal setting.
+/// counts are pure functions of the seed: identical at any `shards`
+/// setting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RedundancyWork {
     /// Scoring passes run (one per `check_interval` rounds).

@@ -426,7 +426,7 @@ impl ShardLane<'_> {
                 // the outage's end, same sequence (the flip is delayed,
                 // not superseded). No draws — the outage schedule is a
                 // pure function of the seed, so this stays identical at
-                // every shard/steal configuration.
+                // every worker count.
                 let (epoch, seq) = (self.peers.epoch(id), self.peers.session_seq(id));
                 self.wheel.schedule(
                     Round(end),

@@ -1344,21 +1344,6 @@ proptest::proptest! {
     }
 }
 
-#[test]
-fn skewed_churn_stays_bit_identical_across_shard_counts() {
-    // The work-stealing benchmark scenario (hot shard range) obeys the
-    // same determinism contract as the uniform mix.
-    let base = sharded_config(600, 300, 17).with_skewed_churn();
-    let (m1, e1) = run_recorded(base.clone().with_shards(1));
-    let (m8, e8) = run_recorded(base.with_shards(8));
-    assert!(
-        m1.diag.partner_timeouts > 0,
-        "skewed scenario produced no churn to skew"
-    );
-    assert_eq!(m1, m8);
-    assert_eq!(e1, e8);
-}
-
 /// A churny mix with short heavy-tailed lifetimes: enough deaths in a
 /// few hundred rounds to warm the survival model (the paper mix spans
 /// years and would leave it on the cold-start prior).
@@ -1397,12 +1382,12 @@ fn churny_config(peers: usize, rounds: u64, seed: u64) -> SimConfig {
 }
 
 #[test]
-fn learned_age_stays_bit_identical_across_shards_and_stealing() {
+fn learned_age_stays_bit_identical_across_shards() {
     // The estimator rides the determinism contract: deaths are merged
     // into the model in shard order and the model refreshes
     // sequentially, so LearnedAge runs — estimator state included, via
     // `Metrics::estimator` — must be byte-identical at any worker
-    // count and steal setting. shard_slots 8 gives 640 slots ≈ 80
+    // count and task interleaving. shard_slots 8 gives 640 slots ≈ 80
     // logical shards, so shards=64 really runs 64 workers unclamped.
     let base = churny_config(640, 300, 33)
         .with_shard_slots(8)
@@ -1415,11 +1400,14 @@ fn learned_age_stays_bit_identical_across_shards_and_stealing() {
     let report = m1.estimator.as_ref().expect("LearnedAge attaches a model");
     assert!(report.deaths_observed > 0, "run too quiet: no deaths fed");
     assert!(report.refreshes > 0, "model never refreshed");
-    for (shards, steal) in [(8, true), (64, true), (8, false), (64, false)] {
-        let (m, e) = run_recorded(base.clone().with_shards(shards).with_work_stealing(steal));
-        assert_eq!(m1, m, "metrics diverged at shards={shards} steal={steal}");
-        assert_eq!(e1, e, "events diverged at shards={shards} steal={steal}");
+    for shards in [8, 64] {
+        let (m, e) = run_recorded(base.clone().with_shards(shards));
+        assert_eq!(m1, m, "metrics diverged at shards={shards}");
+        assert_eq!(e1, e, "events diverged at shards={shards}");
     }
+    let (m, e) = run_recorded_fuzzed(base.with_shards(8), 0x1ea7);
+    assert_eq!(m1, m, "metrics diverged under a fuzzed schedule");
+    assert_eq!(e1, e, "events diverged under a fuzzed schedule");
 }
 
 #[test]
@@ -1597,10 +1585,10 @@ fn adaptive_redundancy_is_deterministic_across_shards() {
     let mut base = adaptive_config(23);
     base.shard_slots = 8; // several logical shards even at 60 peers
     let one = run(base.clone().with_shards(1));
-    let four = run(base.clone().with_shards(4).with_work_stealing(true));
-    let fixed = run(base.with_shards(4).with_work_stealing(false));
+    let four = run(base.clone().with_shards(4));
+    let (fuzzed, _) = run_recorded_fuzzed(base.with_shards(4), 0xada7);
     assert_eq!(one, four, "worker count changed an adaptive run");
-    assert_eq!(one, fixed, "steal mode changed an adaptive run");
+    assert_eq!(one, fuzzed, "task order changed an adaptive run");
 }
 
 #[test]
@@ -1756,15 +1744,8 @@ fn survival_column_scoring_matches_per_pair_oracle() {
         let mut reference = None;
         // The last leg replays a seeded random task order per stage:
         // at 200 peers every stage narrows to one inline worker.
-        for (shards, steal, fuzz) in [
-            (1, false, None),
-            (8, true, None),
-            (8, false, None),
-            (8, true, Some(0xf111)),
-        ] {
-            let cfg = oracle_config(200, 31, strategy)
-                .with_shards(shards)
-                .with_work_stealing(steal);
+        for (shards, fuzz) in [(1, None), (8, None), (8, Some(0xf111))] {
+            let cfg = oracle_config(200, 31, strategy).with_shards(shards);
             let rounds = cfg.rounds;
             let interval = cfg.adaptive_n.check_interval;
             let mut world = BackupWorld::new(cfg);
@@ -1795,7 +1776,7 @@ fn survival_column_scoring_matches_per_pair_oracle() {
             assert_eq!(
                 *reference,
                 (m, work),
-                "{strategy:?} shards {shards} steal {steal} fuzz {fuzz:?}"
+                "{strategy:?} shards {shards} fuzz {fuzz:?}"
             );
         }
     }
@@ -1805,23 +1786,22 @@ fn survival_column_scoring_matches_per_pair_oracle() {
 fn survival_column_matches_oracle_on_pool_workers() {
     // Past 2048 slots both stages wake the pool: two workers fill
     // disjoint column windows, then gather across all of them.
-    let run_at = |shards: usize, steal: bool| {
-        let mut cfg = oracle_config(2304, 32, SelectionStrategy::LearnedAge)
-            .with_shards(shards)
-            .with_work_stealing(steal);
+    let run_at = |shards: usize, fuzz: Option<u64>| {
+        let mut cfg = oracle_config(2304, 32, SelectionStrategy::LearnedAge).with_shards(shards);
         cfg.rounds = 64;
         let mut world = BackupWorld::new(cfg);
+        world.set_exec_fuzz(fuzz);
         Engine::new(32).run(&mut world, 64);
         let dispatches = world.stage_dispatches();
         (world.redundancy_work(), world.into_metrics(), dispatches)
     };
-    let (work1, m1, _) = run_at(1, false);
+    let (work1, m1, _) = run_at(1, None);
     assert_eq!(work1.passes, 7);
-    for steal in [true, false] {
-        let (work, m, dispatches) = run_at(2, steal);
-        assert!(dispatches > 0, "the pool never woke");
-        assert_eq!((work, &m), (work1, &m1), "steal {steal}");
-    }
+    let (work, m, dispatches) = run_at(2, None);
+    assert!(dispatches > 0, "the pool never woke");
+    assert_eq!((work, &m), (work1, &m1), "2 workers");
+    let (work, m, _) = run_at(2, Some(0x5eed));
+    assert_eq!((work, &m), (work1, &m1), "fuzzed schedule");
 }
 
 #[test]
@@ -2010,7 +1990,6 @@ pub(super) fn check_pool_against_reference(
 fn run_every_screen(
     strategy: SelectionStrategy,
     shards: usize,
-    steal: bool,
     fuzz: Option<u64>,
 ) -> (Metrics, PlacementWork) {
     let cfg = domained_config(400, 300, 61)
@@ -2018,8 +1997,7 @@ fn run_every_screen(
         .with_misreport(0.25)
         .with_quarantine_threshold(2)
         .with_strategy(strategy)
-        .with_shards(shards)
-        .with_work_stealing(steal);
+        .with_shards(shards);
     let rounds = cfg.rounds;
     let mut world = BackupWorld::new(cfg);
     world.set_exec_fuzz(fuzz);
@@ -2045,7 +2023,7 @@ fn compact_pools_match_the_reference_build_under_every_screen() {
         SelectionStrategy::LearnedAge,
         SelectionStrategy::UptimeWeighted,
     ] {
-        let (m1, w1) = run_every_screen(strategy, 1, false, None);
+        let (m1, w1) = run_every_screen(strategy, 1, None);
         assert!(w1.pool_builds > 0 && w1.candidates_accepted > 0);
         assert!(
             m1.diag.hosts_quarantined > 0,
@@ -2056,13 +2034,9 @@ fn compact_pools_match_the_reference_build_under_every_screen() {
             m1.repairs.iter().sum::<u64>() > 0,
             "{strategy:?}: no repair pools"
         );
-        for (shards, steal, fuzz) in [(8, true, None), (8, false, None), (8, true, Some(0xb001))] {
-            let (m, w) = run_every_screen(strategy, shards, steal, fuzz);
-            assert_eq!(
-                (&m, w),
-                (&m1, w1),
-                "{strategy:?} shards {shards} steal {steal}"
-            );
+        for fuzz in [None, Some(0xb001)] {
+            let (m, w) = run_every_screen(strategy, 8, fuzz);
+            assert_eq!((&m, w), (&m1, w1), "{strategy:?} shards 8 fuzz {fuzz:?}");
         }
     }
 }
@@ -2070,12 +2044,11 @@ fn compact_pools_match_the_reference_build_under_every_screen() {
 #[test]
 fn placement_work_is_exact_at_every_worker_count() {
     // 2304 peers: the join wave's stages really wake the pool.
-    let run_at = |shards: usize, steal: bool| {
-        let mut cfg = churny_config(2304, 40, 83)
-            .with_shards(shards)
-            .with_work_stealing(steal);
+    let run_at = |shards: usize, fuzz: Option<u64>| {
+        let mut cfg = churny_config(2304, 40, 83).with_shards(shards);
         cfg.shard_slots = 64;
         let mut world = BackupWorld::new(cfg);
+        world.set_exec_fuzz(fuzz);
         let mut engine = Engine::new(83);
         // Round 0 is join-only: nobody has left yet, so no step
         // displaces a partner, and a grant writes its hosted entry in
@@ -2089,7 +2062,7 @@ fn placement_work_is_exact_at_every_worker_count() {
         let work = world.placement_work();
         (work, world.into_metrics())
     };
-    let (w1, m1) = run_at(1, false);
+    let (w1, m1) = run_at(1, None);
     assert!(w1.pool_builds > 0);
     assert!(w1.candidates_sampled >= w1.candidates_accepted);
     assert!(
@@ -2101,9 +2074,9 @@ fn placement_work_is_exact_at_every_worker_count() {
     // `d` placements it asked for, so every grant is used.
     assert_eq!(w1.grants, m1.diag.blocks_uploaded);
     assert!(w1.msgs_routed > 0, "40 churny rounds tore nothing down");
-    for (shards, steal) in [(8, true), (8, false)] {
-        let (w, m) = run_at(shards, steal);
-        assert_eq!((w, &m), (w1, &m1), "shards {shards} steal {steal}");
+    for fuzz in [None, Some(0x3a7c)] {
+        let (w, m) = run_at(8, fuzz);
+        assert_eq!((w, &m), (w1, &m1), "shards 8 fuzz {fuzz:?}");
     }
 }
 
@@ -2455,7 +2428,7 @@ fn failure_domains_off_is_bit_identical_to_the_seed_behaviour() {
 }
 
 #[test]
-fn regional_outages_fire_and_stay_bit_identical_across_shards_and_stealing() {
+fn regional_outages_fire_and_stay_bit_identical_across_shards() {
     let base = domained_config(640, 300, 61).with_shard_slots(8);
     let (m1, e1) = run_recorded(base.clone().with_shards(1));
     assert!(m1.diag.outages_started > 0, "no outage ever started");
@@ -2464,11 +2437,14 @@ fn regional_outages_fire_and_stay_bit_identical_across_shards_and_stealing() {
         "outages disconnected nobody"
     );
     assert!(m1.diag.partitions_started > 0, "no partition ever started");
-    for (shards, steal) in [(8, true), (64, true), (8, false), (64, false)] {
-        let (m, e) = run_recorded(base.clone().with_shards(shards).with_work_stealing(steal));
-        assert_eq!(m1, m, "metrics diverged at shards={shards} steal={steal}");
-        assert_eq!(e1, e, "events diverged at shards={shards} steal={steal}");
+    for shards in [8, 64] {
+        let (m, e) = run_recorded(base.clone().with_shards(shards));
+        assert_eq!(m1, m, "metrics diverged at shards={shards}");
+        assert_eq!(e1, e, "events diverged at shards={shards}");
     }
+    let (m, e) = run_recorded_fuzzed(base.with_shards(8), 0x0a7a);
+    assert_eq!(m1, m, "metrics diverged under a fuzzed schedule");
+    assert_eq!(e1, e, "events diverged under a fuzzed schedule");
 }
 
 #[test]
@@ -2599,16 +2575,20 @@ fn strike_lowest_online(world: &mut BackupWorld, round: u64) {
 }
 
 #[test]
-fn quarantine_feedback_stays_bit_identical_across_shards_and_stealing() {
+fn quarantine_feedback_stays_bit_identical_across_shards() {
     // Deterministic strike schedule (a stand-in for the fabric's
     // lane-ordered challenge detections): every 10 rounds, strike the
     // three lowest online non-observer slots. Same metrics and event
-    // stream at every worker count.
-    fn run_with(cfg: SimConfig) -> (Metrics, Vec<WorldEvent>, Vec<(PeerId, u64)>) {
+    // stream at every worker count and task interleaving.
+    fn run_with(
+        cfg: SimConfig,
+        fuzz: Option<u64>,
+    ) -> (Metrics, Vec<WorldEvent>, Vec<(PeerId, u64)>) {
         let rounds = cfg.rounds;
         let seed = cfg.seed;
         let mut world = BackupWorld::new(cfg);
         world.set_event_recording(true);
+        world.set_exec_fuzz(fuzz);
         let mut engine = Engine::new(seed);
         let mut events = Vec::new();
         for _ in 0..rounds {
@@ -2623,16 +2603,16 @@ fn quarantine_feedback_stays_bit_identical_across_shards_and_stealing() {
         (world.into_metrics(), events, log)
     }
     let base = churny_config(600, 300, 97).with_quarantine_threshold(3);
-    let (m1, e1, q1) = run_with(base.clone().with_shards(1));
+    let (m1, e1, q1) = run_with(base.clone().with_shards(1), None);
     assert!(
         m1.diag.hosts_quarantined > 0,
         "strike schedule never quarantined anyone"
     );
     assert!(m1.diag.quarantine_evictions > 0);
-    for (shards, steal) in [(8, true), (8, false)] {
-        let (m, e, q) = run_with(base.clone().with_shards(shards).with_work_stealing(steal));
-        assert_eq!(m1, m, "metrics diverged at shards={shards} steal={steal}");
-        assert_eq!(e1, e, "events diverged at shards={shards} steal={steal}");
-        assert_eq!(q1, q, "quarantine log diverged at shards={shards}");
+    for fuzz in [None, Some(0x9a7d)] {
+        let (m, e, q) = run_with(base.clone().with_shards(8), fuzz);
+        assert_eq!(m1, m, "metrics diverged at shards=8 fuzz={fuzz:?}");
+        assert_eq!(e1, e, "events diverged at shards=8 fuzz={fuzz:?}");
+        assert_eq!(q1, q, "quarantine log diverged at shards=8 fuzz={fuzz:?}");
     }
 }

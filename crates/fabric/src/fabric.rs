@@ -88,7 +88,7 @@ fn unit_draw(h: u64) -> f64 {
 ///
 /// Roles are assigned per peer *slot* as a pure hash of the run seed —
 /// a replacement peer in a recycled slot inherits the slot's role, the
-/// assignment is identical at every `shards`/steal configuration, and
+/// assignment is identical at every `shards` value, and
 /// observers are always honest. Every knob defaults to off; a default
 /// `AdversaryConfig` leaves the fabric byte-identical to a run without
 /// one.
@@ -1576,6 +1576,10 @@ pub struct Fabric {
     /// How each round replayed: the round counters of [`ReplayWork`]
     /// (its other fields are filled in by [`Fabric::replay_work`]).
     replay: ReplayWork,
+    /// Test hook: replay the lanes sequentially in a seeded random order
+    /// (a deterministic stand-in for an arbitrary steal interleaving).
+    #[cfg(test)]
+    replay_fuzz: Option<u64>,
 }
 
 /// Exact execution-side counters of the lane replay, read through
@@ -1679,6 +1683,8 @@ impl Fabric {
             event_scratch: Vec::new(),
             suspect_scratch: Vec::new(),
             replay: ReplayWork::default(),
+            #[cfg(test)]
+            replay_fuzz: None,
         })
     }
 
@@ -1876,19 +1882,28 @@ impl World for Fabric {
         } else {
             self.replay.rounds_inline += 1;
         }
-        let steal = self.world.work_stealing();
         let world = &self.world;
-        // The replay rides the simulator's persistent pool: an epoch
-        // bump on its barrier, never a thread spawn.
-        world
-            .worker_pool()
-            .run_tasks(workers, steal, &mut self.plane.lanes, |i, lane| {
-                lane.run_round(shared, world, r);
-                if audit_due {
-                    let range = world.shard_slot_range(i);
-                    lane.run_audit(shared, world, r, range);
-                }
-            });
+        let replay = |i: usize, lane: &mut PlaneLane| {
+            lane.run_round(shared, world, r);
+            if audit_due {
+                let range = world.shard_slot_range(i);
+                lane.run_audit(shared, world, r, range);
+            }
+        };
+        #[cfg(test)]
+        let fuzz = self.replay_fuzz;
+        #[cfg(not(test))]
+        let fuzz: Option<u64> = None;
+        match fuzz {
+            Some(seed) => {
+                peerback_sim::run_tasks_fuzzed(derive_seed(seed, r), &mut self.plane.lanes, replay)
+            }
+            // The replay rides the simulator's persistent pool: an epoch
+            // bump on its barrier, never a thread spawn.
+            None => world
+                .worker_pool()
+                .run_tasks(workers, true, &mut self.plane.lanes, replay),
+        }
         self.plane.merge_round();
 
         // Feed this round's integrity failures (challenge misses and
@@ -2003,21 +2018,19 @@ mod tests {
 
     #[test]
     fn replay_width_is_unobservable_in_the_report() {
-        let run = |shards: usize, steal: bool| {
+        let run = |shards: usize, fuzz: Option<u64>| {
             let (cfg, fcfg) = all_planes(shards);
-            Fabric::new(cfg.with_work_stealing(steal), fcfg)
-                .expect("valid configs")
-                .run_with_work()
+            let mut fabric = Fabric::new(cfg, fcfg).expect("valid configs");
+            fabric.replay_fuzz = fuzz;
+            fabric.run_with_work()
         };
-        let (base, _) = run(1, true);
-        for (shards, steal) in [(1, false), (2, true), (2, false), (3, true), (3, false)] {
-            let (report, work) = run(shards, steal);
-            assert_eq!(
-                report.metrics, base.metrics,
-                "{shards} workers, steal {steal}"
-            );
-            assert_eq!(report.stats, base.stats, "{shards} workers, steal {steal}");
-            assert_eq!(report.audit, base.audit, "{shards} workers, steal {steal}");
+        let (base, _) = run(1, None);
+        for (shards, fuzz) in [(2, None), (3, None), (1, Some(0x1a7e))] {
+            let (report, work) = run(shards, fuzz);
+            let tag = format!("{shards} workers, fuzz {fuzz:?}");
+            assert_eq!(report.metrics, base.metrics, "{tag}");
+            assert_eq!(report.stats, base.stats, "{tag}");
+            assert_eq!(report.audit, base.audit, "{tag}");
             assert_eq!(report.losses, base.losses);
             assert_eq!(report.quarantined, base.quarantined);
             assert_eq!(report.restore_durations, base.restore_durations);

@@ -12,7 +12,7 @@
 //!   vanishes mid-partition, duplicate delivery inside a retry window,
 //!   backoff jitter — stay deterministic at every worker count;
 //! * the whole adversarial combined mode is byte-identical across
-//!   worker counts and stealing modes.
+//!   worker counts.
 
 use peerback_core::{FailureDomainConfig, MaintenancePolicy, SimConfig};
 use peerback_fabric::{
@@ -236,11 +236,11 @@ fn backoff_jitter_is_deterministic_across_shard_counts() {
 }
 
 #[test]
-fn adversarial_combined_mode_is_byte_identical_across_shards_and_stealing() {
+fn adversarial_combined_mode_is_byte_identical_across_shards() {
     // Everything at once: free riders, rotters, challenges, quarantine,
     // a scheduled regional outage, partitions, faults, scrubbing, a
     // capped scheduler with escalation and a flash wave.
-    let mk = |shards: usize, steal: bool| -> FabricReport {
+    let mk = |shards: usize| -> FabricReport {
         let fd = FailureDomainConfig {
             domains: 6,
             outage_at: 80,
@@ -251,8 +251,7 @@ fn adversarial_combined_mode_is_byte_identical_across_shards_and_stealing() {
         };
         let mut cfg = sim_config(240, 21, 160)
             .with_failure_domains(fd)
-            .with_quarantine_threshold(2)
-            .with_work_stealing(steal);
+            .with_quarantine_threshold(2);
         cfg.shards = shards;
         let fabric_cfg = FabricConfig {
             faults: FaultProfile::uniform(0.03),
@@ -273,7 +272,7 @@ fn adversarial_combined_mode_is_byte_identical_across_shards_and_stealing() {
         };
         run_fabric(cfg, fabric_cfg).expect("valid configs")
     };
-    let reference = mk(1, false);
+    let reference = mk(1);
     assert!(reference.stats.adversary_drops > 0, "{:?}", reference.stats);
     assert!(
         reference.stats.challenge_failures > 0,
@@ -286,9 +285,9 @@ fn adversarial_combined_mode_is_byte_identical_across_shards_and_stealing() {
         "{:?}",
         reference.metrics.diag
     );
-    for (shards, steal) in [(1, true), (4, false), (4, true), (8, true)] {
-        let run = mk(shards, steal);
-        let tag = format!("shards={shards} steal={steal}");
+    for shards in [2, 4, 8] {
+        let run = mk(shards);
+        let tag = format!("shards={shards}");
         assert_eq!(reference.metrics, run.metrics, "{tag}");
         assert_eq!(reference.stats, run.stats, "{tag}");
         assert_eq!(reference.audit, run.audit, "{tag}");

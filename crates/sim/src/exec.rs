@@ -18,10 +18,14 @@
 //! scans the other ranges and claims unstarted tasks from their tails.
 //! Claiming is one atomic flag swap per task — a unique winner however
 //! many workers race for it — against a claim table the pool recycles
-//! across stages (no per-dispatch slot vector). With `steal` disabled
-//! the executor degrades to the fixed ownership model (a hot range then
-//! idles the other workers — kept as a measurable baseline and a
-//! fallback).
+//! across stages (no per-dispatch slot vector).
+//!
+//! The world and the fabric always pass `steal = true`. The parameter
+//! stays on [`WorkerPool::run_tasks`] and [`WorkerPool::run_tasks_with`]
+//! because the repository's benchmark harness (`benchmark/`) calls
+//! `run_tasks` with it; with `steal` disabled the executor degrades to
+//! the fixed ownership model, where a hot range idles the other
+//! workers.
 //!
 //! ## The persistent pool
 //!

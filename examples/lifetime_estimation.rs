@@ -3,19 +3,14 @@
 //!
 //! 1. Samples Pareto lifetimes and shows mean residual life growing
 //!    with age (the "fidelity" property measured by Bustamante & Qiao).
-//! 2. Compares the estimators: the paper's clamped age rank, the Pareto
-//!    conditional expectation, and the uptime-weighted extension.
-//! 3. Prints acceptance probabilities between peers of different ages.
+//! 2. Prints acceptance probabilities between peers of different ages.
 //!
 //! ```text
 //! cargo run --release --example lifetime_estimation
 //! ```
 
 use peerback::analysis::TableBuilder;
-use peerback::churn::estimate::PeerObservation;
-use peerback::churn::{
-    AgeRank, EmpiricalUptime, LifetimeDist, LifetimeEstimator, Pareto, ParetoConditional,
-};
+use peerback::churn::{LifetimeDist, Pareto};
 use peerback::core::{acceptance_probability, PAPER_CLAMP_ROUNDS};
 use peerback::sim::sim_rng;
 
@@ -49,43 +44,7 @@ fn main() {
     println!("{}", table.render());
     println!("older peers really are better bets — the basis for age-based selection.\n");
 
-    // 2. The estimators rank candidates identically where it matters.
-    type Scorer = Box<dyn Fn(&PeerObservation) -> f64>;
-    let estimators: Vec<(&str, Scorer)> = vec![
-        ("age-rank (paper)", {
-            let e = AgeRank::paper_default();
-            Box::new(move |o: &PeerObservation| e.score(o))
-        }),
-        ("pareto-conditional", {
-            let e = ParetoConditional::new(law);
-            Box::new(move |o: &PeerObservation| e.score(o))
-        }),
-        ("empirical-uptime", {
-            let e = EmpiricalUptime::paper_default();
-            Box::new(move |o: &PeerObservation| e.score(o))
-        }),
-    ];
-    println!("estimator scores for candidates of increasing age (uptime 80%):\n");
-    let mut table = TableBuilder::new().header([
-        "candidate age",
-        "age-rank (paper)",
-        "pareto-conditional",
-        "empirical-uptime",
-    ]);
-    for age_days in [0.5f64, 2.0, 14.0, 60.0, 90.0, 400.0] {
-        let obs = PeerObservation {
-            age_rounds: age_days * 24.0,
-            uptime_fraction: Some(0.8),
-        };
-        let mut row = vec![format!("{age_days} d")];
-        for (_, score) in &estimators {
-            row.push(format!("{:.0}", score(&obs)));
-        }
-        table.row(row);
-    }
-    println!("{}", table.render());
-
-    // 3. The acceptance function in action.
+    // 2. The acceptance function in action.
     println!("acceptance probability f(evaluator, candidate), L = 90 days:\n");
     let ages = [(1u64, "1 h"), (24, "1 d"), (720, "1 mo"), (2160, "90 d")];
     let mut table = TableBuilder::new().header(

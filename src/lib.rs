@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`gf256`] | `peerback-gf256` | GF(2^8) field arithmetic |
 //! | [`erasure`] | `peerback-erasure` | systematic Reed–Solomon codec |
-//! | [`churn`] | `peerback-churn` | lifetime distributions, profiles, estimators |
+//! | [`churn`] | `peerback-churn` | lifetime distributions, profiles, availability sessions |
 //! | [`sim`] | `peerback-sim` | deterministic round-based engine |
 //! | [`net`] | `peerback-net` | §2.2.4 bandwidth/repair-cost model |
 //! | [`core`] | `peerback-core` | the backup protocol + simulator + data plane |
