@@ -27,7 +27,9 @@ use std::time::Instant;
 
 use peerback_bench::{json, rs_bench, Cli, HarnessArgs};
 use peerback_core::{MaintenancePolicy, SimConfig};
-use peerback_fabric::{Fabric, FabricConfig, FabricReport, FaultProfile, ReplayWork};
+use peerback_fabric::{
+    Fabric, FabricConfig, FabricReport, FaultProfile, ReplayProfile, ReplayWork,
+};
 
 const CLI: Cli = Cli {
     binary: "scenario_fabric",
@@ -78,6 +80,7 @@ struct Cell {
     fault_rate: f64,
     report: FabricReport,
     work: ReplayWork,
+    profile: ReplayProfile,
 }
 
 /// The `replay_work` object of the unstable header: how the rounds
@@ -101,6 +104,23 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
         .render()
 }
 
+/// The `stages` object of the unstable header: seconds of replay wall
+/// time per lane stage and driver step ([`Fabric::replay_profile`]),
+/// summed over `runs`.
+fn stages_json<'a>(runs: impl IntoIterator<Item = &'a ReplayProfile>) -> String {
+    let mut total = ReplayProfile::default();
+    for profile in runs {
+        total.accumulate(profile);
+    }
+    total
+        .rows()
+        .into_iter()
+        .fold(json::Object::new(), |obj, (name, secs)| {
+            obj.float(name, secs)
+        })
+        .render()
+}
+
 fn run_cell(
     args: &HarnessArgs,
     policy: &'static str,
@@ -121,14 +141,15 @@ fn run_cell(
         adversary: args.adversary,
         ..FabricConfig::default()
     };
-    let (report, work) = Fabric::new(cell_config(args, maintenance), fabric_cfg)
+    let (report, work, profile) = Fabric::new(cell_config(args, maintenance), fabric_cfg)
         .expect("scenario configuration is valid")
-        .run_with_work();
+        .run_with_telemetry();
     Cell {
         policy,
         fault_rate: rate,
         report,
         work,
+        profile,
     }
 }
 
@@ -220,9 +241,9 @@ fn run_paper_scale(args: &HarnessArgs) {
             args.peers, args.rounds
         );
     }
-    let (report, work) = Fabric::new(cell_config(args, maintenance), fabric_cfg)
+    let (report, work, profile) = Fabric::new(cell_config(args, maintenance), fabric_cfg)
         .expect("paper-scale configuration is valid")
-        .run_with_work();
+        .run_with_telemetry();
     let elapsed = start.elapsed();
     let encode_mib_s = rs_bench::encode_mib_s();
 
@@ -245,6 +266,7 @@ fn run_paper_scale(args: &HarnessArgs) {
                     .str("gf256_backend", peerback_gf256::active_backend().name())
                     .float("encode_mib_s", encode_mib_s)
                     .raw("replay_work", replay_work_json([&work]))
+                    .raw("stages", stages_json([&profile]))
             })
             .num("transfers_attempted", stats.transfers_attempted)
             .num("transfers_delivered", stats.transfers_delivered)
@@ -334,10 +356,12 @@ fn main() {
         // gate).
         let report = args
             .report_head("scenario", "fabric", start.elapsed(), |telemetry| {
-                telemetry.raw(
-                    "replay_work",
-                    replay_work_json(cells.iter().map(|c| &c.work)),
-                )
+                telemetry
+                    .raw(
+                        "replay_work",
+                        replay_work_json(cells.iter().map(|c| &c.work)),
+                    )
+                    .raw("stages", stages_json(cells.iter().map(|c| &c.profile)))
             })
             .raw("cells", json::array(cells.iter().map(cell_json)))
             .num("audit_mismatches", mismatches)

@@ -43,6 +43,7 @@
 //! simulator's prediction, each lane auditing its own owners.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 use bytes::Bytes;
 use peerback_core::archive::Entry;
@@ -58,6 +59,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::audit::{AuditReport, LossRecord};
 use crate::faults::{FaultKind, FaultPlane, FaultProfile};
 use crate::frame::BlockFrame;
+use crate::profile::{lap, ReplayProfile};
 use crate::store::{BlockStore, IngestError};
 
 /// Sub-seed stream id for the fault plane (any fixed constant); each
@@ -681,6 +683,9 @@ pub(crate) struct PlaneLane {
     /// in completion order. Merged in lane order; percentiles come out
     /// in the report.
     restore_durations: Vec<u64>,
+    /// Wall time of this lane's stages over the whole run (execution
+    /// telemetry for [`ReplayProfile`]; never merged into the report).
+    profile: ReplayProfile,
 }
 
 impl PlaneLane {
@@ -712,6 +717,7 @@ impl PlaneLane {
             challenge_scratch: Vec::new(),
             riders_hit: BTreeSet::new(),
             restore_durations: Vec::new(),
+            profile: ReplayProfile::default(),
         }
     }
 
@@ -878,7 +884,9 @@ impl PlaneLane {
             attempt: t.attempt,
             scrub: t.scrub,
         };
+        let clock = Instant::now();
         self.ship_slot(shared, world, job, round);
+        self.profile.drain_ship += clock.elapsed();
     }
 
     /// The RNG for the next transfer on this lane. Deterministic: the
@@ -928,6 +936,7 @@ impl PlaneLane {
         let Some(oa) = self.owners.get(&(owner, archive)) else {
             return found;
         };
+        let clock = Instant::now();
         let blocks = Self::surviving_blocks(oa, &self.store, world, owner, archive, online_only);
         self.survivors_gathered += blocks.len() as u64;
         found.intact = blocks.len() as u32;
@@ -940,6 +949,7 @@ impl PlaneLane {
             found.restored = decoded.is_ok_and(|decoded| decoded == oa.codeword.archive);
             self.audit.decode_successes += u64::from(found.restored);
         }
+        self.profile.decode += clock.elapsed();
         found
     }
 
@@ -1385,7 +1395,9 @@ impl PlaneLane {
     /// scrubbing sweep over everything the round left at rest. The
     /// inbox buffer is cleared and reused round over round.
     fn run_round(&mut self, shared: &PlaneShared, world: &BackupWorld, round: u64) {
+        let mut clock = Instant::now();
         self.process_due_retries(shared, world, round);
+        self.profile.retries += lap(&mut clock);
         let mut inbox = core::mem::take(&mut self.inbox);
         for event in &inbox {
             match event {
@@ -1435,13 +1447,27 @@ impl PlaneLane {
                 self.enqueue_flash_restores(shared, round);
             }
         }
+        self.profile.events += lap(&mut clock);
         self.drain_transfers(shared, world, round);
+        self.profile.drain += lap(&mut clock);
         if shared.scrub_due(round) {
             self.scrub_sweep(round);
+            self.profile.scrub += lap(&mut clock);
         }
         if shared.challenge_due(round) {
             self.challenge_sweep(shared, round);
+            self.profile.challenge += lap(&mut clock);
         }
+    }
+
+    /// One overtime round (see [`Fabric::drain_retries`]): due retries,
+    /// then the scheduler's drain.
+    fn run_overtime_round(&mut self, shared: &PlaneShared, world: &BackupWorld, round: u64) {
+        let mut clock = Instant::now();
+        self.process_due_retries(shared, world, round);
+        self.profile.retries += lap(&mut clock);
+        self.drain_transfers(shared, world, round);
+        self.profile.drain += lap(&mut clock);
     }
 
     /// Challenge-response integrity sweep: every sampled placement of a
@@ -1576,6 +1602,9 @@ pub struct Fabric {
     /// How each round replayed: the round counters of [`ReplayWork`]
     /// (its other fields are filled in by [`Fabric::replay_work`]).
     replay: ReplayWork,
+    /// The driver's rows of [`ReplayProfile`] (the lanes keep theirs;
+    /// [`Fabric::replay_profile`] adds them up).
+    profile: ReplayProfile,
     /// Test hook: replay the lanes sequentially in a seeded random order
     /// (a deterministic stand-in for an arbitrary steal interleaving).
     #[cfg(test)]
@@ -1683,6 +1712,7 @@ impl Fabric {
             event_scratch: Vec::new(),
             suspect_scratch: Vec::new(),
             replay: ReplayWork::default(),
+            profile: ReplayProfile::default(),
             #[cfg(test)]
             replay_fuzz: None,
         })
@@ -1729,21 +1759,33 @@ impl Fabric {
         }
     }
 
-    /// Runs the configured number of rounds and returns the report.
-    pub fn run(self) -> FabricReport {
-        self.run_with_work().0
+    /// Where the replay's wall time went so far: each lane's stages
+    /// summed in lane order, plus the driver's partition, dispatch and
+    /// merge (see [`ReplayProfile`]).
+    pub fn replay_profile(&self) -> ReplayProfile {
+        let mut profile = self.profile;
+        for lane in &self.plane.lanes {
+            profile.accumulate(&lane.profile);
+        }
+        profile
     }
 
-    /// [`Fabric::run`], also returning the run's [`ReplayWork`] (which
-    /// the report deliberately does not carry).
-    pub fn run_with_work(mut self) -> (FabricReport, ReplayWork) {
+    /// Runs the configured number of rounds and returns the report.
+    pub fn run(self) -> FabricReport {
+        self.run_with_telemetry().0
+    }
+
+    /// [`Fabric::run`], also returning the run's [`ReplayWork`] and
+    /// [`ReplayProfile`] (which the report deliberately does not
+    /// carry).
+    pub fn run_with_telemetry(mut self) -> (FabricReport, ReplayWork, ReplayProfile) {
         let seed = self.world.config().seed;
         let rounds = self.rounds;
         let mut engine = Engine::new(seed);
         engine.run(&mut self, rounds);
         self.drain_retries();
-        let work = self.replay_work();
-        (self.finish(), work)
+        let (work, profile) = (self.replay_work(), self.replay_profile());
+        (self.finish(), work, profile)
     }
 
     /// Overtime: re-ships and scheduled transfers still pending when
@@ -1777,8 +1819,7 @@ impl Fabric {
             let world = &self.world;
             let shared = &self.plane.shared;
             for lane in &mut self.plane.lanes {
-                lane.process_due_retries(shared, world, r);
-                lane.drain_transfers(shared, world, r);
+                lane.run_overtime_round(shared, world, r);
             }
             self.plane.merge_round();
             r += 1;
@@ -1818,6 +1859,8 @@ impl World for Fabric {
         self.world.round_end(round, rng);
         let r = round.index();
         let audit_due = r.is_multiple_of(self.audit_interval);
+        self.profile.rounds += 1;
+        let mut clock = Instant::now();
 
         // Partition the round's events by owner shard; departures fan
         // out to every lane (any lane may hold bytes the departed peer
@@ -1868,6 +1911,7 @@ impl World for Fabric {
                 .iter()
                 .map(|l| l.queue.len() + l.retries.iter().filter(|x| x.due <= r).count())
                 .sum::<usize>();
+        self.profile.partition += lap(&mut clock);
         if work == 0 && !sweep_due {
             self.replay.rounds_skipped += 1;
             return;
@@ -1886,8 +1930,10 @@ impl World for Fabric {
         let replay = |i: usize, lane: &mut PlaneLane| {
             lane.run_round(shared, world, r);
             if audit_due {
+                let clock = Instant::now();
                 let range = world.shard_slot_range(i);
                 lane.run_audit(shared, world, r, range);
+                lane.profile.audit += clock.elapsed();
             }
         };
         #[cfg(test)]
@@ -1904,6 +1950,7 @@ impl World for Fabric {
                 .worker_pool()
                 .run_tasks(workers, true, &mut self.plane.lanes, replay),
         }
+        self.profile.dispatch += lap(&mut clock);
         self.plane.merge_round();
 
         // Feed this round's integrity failures (challenge misses and
@@ -1919,6 +1966,7 @@ impl World for Fabric {
             suspects.clear();
         }
         self.suspect_scratch = suspects;
+        self.profile.merge += lap(&mut clock);
     }
 }
 
@@ -2022,11 +2070,16 @@ mod tests {
             let (cfg, fcfg) = all_planes(shards);
             let mut fabric = Fabric::new(cfg, fcfg).expect("valid configs");
             fabric.replay_fuzz = fuzz;
-            fabric.run_with_work()
+            fabric.run_with_telemetry()
         };
-        let (base, _) = run(1, None);
+        let (base, _, profile) = run(1, None);
+        // Every lane stage and driver row ran, once per round.
+        assert_eq!(profile.rounds, 200);
+        for (row, secs) in profile.rows() {
+            assert!(secs > 0.0, "{row} never timed: {profile:?}");
+        }
         for (shards, fuzz) in [(2, None), (3, None), (1, Some(0x1a7e))] {
-            let (report, work) = run(shards, fuzz);
+            let (report, work, _) = run(shards, fuzz);
             let tag = format!("{shards} workers, fuzz {fuzz:?}");
             assert_eq!(report.metrics, base.metrics, "{tag}");
             assert_eq!(report.stats, base.stats, "{tag}");

@@ -58,6 +58,7 @@ pub mod audit;
 mod fabric;
 pub mod faults;
 pub mod frame;
+mod profile;
 pub mod store;
 
 pub use audit::{AuditReport, LossRecord};
@@ -67,4 +68,5 @@ pub use fabric::{
 };
 pub use faults::{FaultKind, FaultPlane, FaultProfile, Transit};
 pub use frame::{block_sum, checksum, BlockFrame, FrameError};
+pub use profile::ReplayProfile;
 pub use store::{BlockStore, IngestError, StoredBlock};
