@@ -914,7 +914,7 @@ impl PlaneLane {
             .filter(|&(_, host)| !online_only || world.peer_online(host))
             .filter_map(|(_, host)| store.block(host, owner, archive))
             .filter(|b| b.intact())
-            .map(|b| (b.shard_index as usize, b.bytes.as_slice()))
+            .map(|b| (b.shard_index as usize, b.bytes))
             .collect()
     }
 
@@ -1103,6 +1103,9 @@ impl PlaneLane {
                 self.note(format!(
                     "unexpected duplicate at {host} for {owner}/{archive}"
                 ));
+            }
+            Err(e @ IngestError::WrongLength { .. }) => {
+                self.note(format!("{host} refused {owner}/{archive}: {e}"));
             }
         }
         if transit.duplicated {

@@ -212,7 +212,8 @@ impl BlockFrame {
         Self::encode(self.owner, self.archive, self.shard_index, &self.payload)
     }
 
-    /// Decodes and verifies a frame.
+    /// Decodes and verifies a frame in place: the payload stays a slice
+    /// of `bytes` (the store copies it straight into its slab).
     ///
     /// # Errors
     ///
@@ -220,7 +221,7 @@ impl BlockFrame {
     /// bad magic, hostile length prefixes, trailing bytes);
     /// [`FrameError::ChecksumMismatch`] when the structure survives but
     /// any bit of header or payload changed in flight.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
+    pub fn parse(bytes: &[u8]) -> Result<FrameRef<'_>, FrameError> {
         let mut r = Reader::new(bytes);
         if r.get_raw(4)? != MAGIC {
             return Err(WireError::BadHeader.into());
@@ -228,19 +229,55 @@ impl BlockFrame {
         let owner = r.get_u32()?;
         let archive = r.get_u8()?;
         let shard_index = r.get_u32()?;
-        let payload = r.get_bytes()?.to_vec();
+        let payload = r.get_bytes()?;
         let expected = r.get_u64()?;
         r.finish()?;
         let actual = block_sum(&bytes[..bytes.len() - 8]);
         if actual != expected {
             return Err(FrameError::ChecksumMismatch { expected, actual });
         }
-        Ok(BlockFrame {
+        Ok(FrameRef {
             owner,
             archive,
             shard_index,
             payload,
         })
+    }
+
+    /// Decodes and verifies a frame into an owned copy (see
+    /// [`BlockFrame::parse`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockFrame::parse`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
+        Self::parse(bytes).map(|frame| frame.to_owned())
+    }
+}
+
+/// A verified frame borrowed from its wire bytes (what
+/// [`BlockFrame::parse`] returns).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef<'a> {
+    /// Owning peer slot.
+    pub owner: PeerId,
+    /// Archive index within the owner.
+    pub archive: u8,
+    /// Shard index within the code word (`0..n`).
+    pub shard_index: u32,
+    /// The coded shard bytes, in place in the frame.
+    pub payload: &'a [u8],
+}
+
+impl FrameRef<'_> {
+    /// An owned copy of the frame.
+    pub fn to_owned(&self) -> BlockFrame {
+        BlockFrame {
+            owner: self.owner,
+            archive: self.archive,
+            shard_index: self.shard_index,
+            payload: self.payload.to_vec(),
+        }
     }
 }
 

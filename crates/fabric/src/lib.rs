@@ -67,6 +67,6 @@ pub use fabric::{
     FabricReport, FabricStats, ReplayWork, ScheduleConfig,
 };
 pub use faults::{FaultKind, FaultPlane, FaultProfile, Transit};
-pub use frame::{block_sum, checksum, BlockFrame, FrameError};
+pub use frame::{block_sum, checksum, BlockFrame, FrameError, FrameRef};
 pub use profile::ReplayProfile;
-pub use store::{BlockStore, IngestError, StoredBlock};
+pub use store::{BlockStore, IngestError, StoredBlock, StoredBlockMut};
