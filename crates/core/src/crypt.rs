@@ -73,26 +73,31 @@ impl XorKeystream {
     /// once per 8 input bytes and xors little-endian, so byte `i` meets
     /// keystream byte `i` on any host.
     ///
-    /// The output is grown by appending to an empty `Vec`, not
-    /// pre-sized: that reproduces the doubling capacities `collect()`
-    /// gave the byte iterator this replaced, and `byte_plane/setup_s`
-    /// depends on the sizes this path frees staying the same (ROADMAP
-    /// 1B; `with_capacity` here doubles that set-up time).
+    /// The input is copied once into a buffer allocated at the capacity
+    /// the byte iterator this replaced grew to by doubling from 8 —
+    /// `max(8, len.next_power_of_two())`, none for empty input — and
+    /// xored there in place. `byte_plane/setup_s` depends on the sizes
+    /// this path frees staying the same (ROADMAP 1B; an exact-length
+    /// buffer doubles that set-up time).
     fn apply(&self, data: &[u8]) -> Vec<u8> {
         let mut s = self.key;
-        let mut out = Vec::new();
-        let mut words = data.chunks_exact(8);
+        let capacity = if data.is_empty() {
+            0
+        } else {
+            data.len().next_power_of_two().max(8)
+        };
+        let mut out = Vec::with_capacity(capacity);
+        out.extend_from_slice(data);
+        let mut words = out.chunks_exact_mut(8);
         for chunk in &mut words {
-            let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-            out.extend_from_slice(&(word ^ next_word(&mut s)).to_le_bytes());
+            let word = u64::from_le_bytes((&*chunk).try_into().expect("chunks_exact_mut(8)"));
+            chunk.copy_from_slice(&(word ^ next_word(&mut s)).to_le_bytes());
         }
         // The tail meets the leading bytes of one more keystream word.
-        let tail = words.remainder();
-        let mut last = next_word(&mut s).to_le_bytes();
-        for (k, &b) in last.iter_mut().zip(tail) {
-            *k ^= b;
+        let last = next_word(&mut s).to_le_bytes();
+        for (b, k) in words.into_remainder().iter_mut().zip(last) {
+            *b ^= k;
         }
-        out.extend_from_slice(&last[..tail.len()]);
         out
     }
 
