@@ -351,7 +351,8 @@ pub struct FabricStats {
     /// Scrub-originated re-ships that landed an intact replacement.
     pub scrub_repaired: u64,
     /// Scrub repairs that became moot before shipping: churn removed
-    /// the placement, or a fresh block already arrived.
+    /// the placement, or a fresh block already arrived — before the
+    /// re-ship was due, or while the scheduler was streaming it.
     pub scrub_obsolete: u64,
     /// Shipments that entered the transfer scheduler's queue (zero on
     /// unscheduled runs — the instant path never queues).
@@ -863,19 +864,20 @@ impl PlaneLane {
         }
         // The placement may have been dropped, displaced, or refilled
         // while the bytes were streaming; re-locate the slot by host,
-        // exactly like the retry path does.
+        // exactly like the retry path does. A cancelled scrub re-ship
+        // is moot, as it is on that path.
         let slot = self
             .owners
             .get(&(t.owner, t.archive))
             .and_then(|oa| oa.slots.iter().position(|&s| s == Some(t.host)));
-        let Some(slot) = slot else {
-            self.stats.transfers_cancelled += 1;
-            return;
+        let slot = match slot {
+            Some(slot) if self.store.block(t.host, t.owner, t.archive).is_none() => slot,
+            _ => {
+                self.stats.transfers_cancelled += 1;
+                self.stats.scrub_obsolete += u64::from(t.scrub);
+                return;
+            }
         };
-        if self.store.block(t.host, t.owner, t.archive).is_some() {
-            self.stats.transfers_cancelled += 1;
-            return;
-        }
         let job = ShipJob {
             owner: t.owner,
             archive: t.archive,

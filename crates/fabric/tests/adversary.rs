@@ -100,6 +100,33 @@ fn rotters_feed_scrub_detections_into_the_ledger() {
     assert!(report.metrics.diag.hosts_quarantined > 0);
 }
 
+/// A scheduled scrub re-ship whose placement is dropped while its bytes
+/// stream is cancelled, and the detection is moot — counted obsolete,
+/// exactly as on the unscheduled retry path, never left unrepaired.
+#[test]
+fn scheduled_scrub_repairs_of_rotten_blocks_all_resolve() {
+    let cfg = sim_config(120, 23, 300).with_quarantine_threshold(3);
+    let fabric_cfg = FabricConfig {
+        scrub_interval: 6,
+        schedule: Some(ScheduleConfig {
+            link_cap: Some(40),
+            ..ScheduleConfig::default()
+        }),
+        adversary: AdversaryConfig {
+            rot_fraction: 0.15,
+            ..AdversaryConfig::default()
+        },
+        ..FabricConfig::default()
+    };
+    let report = run_fabric(cfg, fabric_cfg).expect("valid configs");
+    let s = &report.stats;
+    assert!(s.scrub_detected > 0, "{s:?}");
+    assert!(s.transfers_cancelled > 0, "{s:?}");
+    assert!(s.scrub_obsolete > 0, "{s:?}");
+    assert_eq!(s.scrub_unrepaired(), 0, "{s:?}");
+    assert_eq!(report.audit.mismatches, 0, "{:?}", report.audit.notes);
+}
+
 #[test]
 fn honest_runs_pass_every_challenge_and_stay_unperturbed() {
     let probed_cfg = FabricConfig {
