@@ -18,6 +18,12 @@
 //! byte-plane headline numbers (`gf256_backend`, `encode_mib_s`,
 //! `scrub_detected`, `scrub_repaired`).
 //!
+//! Both modes' `--json` telemetry header carries `replay_work` (how the
+//! rounds replayed, what the decodes read) and `stages`, the replay
+//! profile ([`Fabric::replay_profile`]): seconds of wall time per lane
+//! stage and driver step, summed over the cells. Neither appears under
+//! `--stable-json`.
+//!
 //! ```text
 //! cargo run --release -p peerback-bench --bin scenario_fabric -- --peers 64 --rounds 50 --json
 //! cargo run --release -p peerback-bench --bin scenario_fabric -- --paper-scale --json

@@ -60,7 +60,7 @@ impl StoredBlock<'_> {
 }
 
 /// One stored shard, mutably borrowed (the fault plane's bitrot path).
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct StoredBlockMut<'a> {
     /// Shard index within the code word.
     pub shard_index: u32,
@@ -321,7 +321,7 @@ impl BlockStore {
     /// free slots once each, and every page still has the capacity it
     /// was allocated with.
     #[cfg(test)]
-    pub(crate) fn check_invariants(&self) {
+    fn check_invariants(&self) {
         for (&key, &slot) in &self.index {
             assert_eq!(
                 self.meta[slot].map(|m| m.key),
