@@ -61,28 +61,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Differences of consecutive values: turns a cumulative series into a
-/// per-interval series. The output has `len - 1` elements.
-pub fn diff(series: &[f64]) -> Vec<f64> {
-    series.windows(2).map(|w| w[1] - w[0]).collect()
-}
-
-/// Centred moving average with the given window (window is clipped at
-/// the edges).
-pub fn moving_average(series: &[f64], window: usize) -> Vec<f64> {
-    if series.is_empty() || window == 0 {
-        return Vec::new();
-    }
-    let half = window / 2;
-    (0..series.len())
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(series.len());
-            series[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,27 +97,5 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn percentile_of_empty_panics() {
         let _ = percentile_sorted(&[], 50.0);
-    }
-
-    #[test]
-    fn diff_turns_cumulative_into_rate() {
-        assert_eq!(diff(&[0.0, 3.0, 3.0, 10.0]), vec![3.0, 0.0, 7.0]);
-        assert!(diff(&[5.0]).is_empty());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let ma = moving_average(&[0.0, 10.0, 0.0, 10.0, 0.0], 3);
-        assert_eq!(ma.len(), 5);
-        // Interior points average their neighbourhood.
-        assert!((ma[2] - 20.0 / 3.0).abs() < 1e-12);
-        // Edges use clipped windows.
-        assert!((ma[0] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moving_average_degenerate_inputs() {
-        assert!(moving_average(&[], 3).is_empty());
-        assert!(moving_average(&[1.0], 0).is_empty());
     }
 }

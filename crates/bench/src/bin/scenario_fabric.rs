@@ -89,6 +89,14 @@ struct Cell {
     profile: ReplayProfile,
 }
 
+/// Prints the audit notes of a failing cell to stderr, one per line
+/// under the cell's label, so a failure names its first mismatches.
+fn print_notes(label: &str, notes: &[String]) {
+    for note in notes {
+        eprintln!("  {label}: {note}");
+    }
+}
+
 /// The `replay_work` object of the unstable header: how the rounds
 /// replayed and what the decodes read, summed over `runs`. Execution
 /// telemetry — the round split depends on `--shards`.
@@ -324,6 +332,7 @@ fn run_paper_scale(args: &HarnessArgs) {
              {scrub_unrepaired} scrub detection(s) never repaired",
             audit.mismatches
         );
+        print_notes("paper scale", &audit.notes);
         std::process::exit(1);
     }
 }
@@ -413,6 +422,10 @@ fn main() {
              {scrub_unrepaired} scrub detection(s) never repaired — the byte plane and the \
              simulator disagree"
         );
+        for cell in &cells {
+            let label = format!("{} @ {:.0}%", cell.policy, cell.fault_rate * 100.0);
+            print_notes(&label, &cell.report.audit.notes);
+        }
         std::process::exit(1);
     }
 }

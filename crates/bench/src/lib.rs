@@ -522,7 +522,6 @@ impl HarnessArgs {
             link_cap: (self.link_cap > 0).then_some(self.link_cap),
             flash_restore: (self.flash_restore > 0).then_some(self.flash_restore),
             escalate_margin: self.escalate_margin,
-            ..peerback_fabric::ScheduleConfig::default()
         })
     }
 

@@ -47,11 +47,6 @@ impl SessionSampler {
         }
     }
 
-    /// The availability this sampler was built for.
-    pub fn target_availability(&self) -> f64 {
-        self.availability
-    }
-
     /// Exact long-run availability of the generated process,
     /// `mean_on / (mean_on + mean_off)`.
     pub fn realized_availability(&self) -> f64 {

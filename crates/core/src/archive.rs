@@ -167,11 +167,6 @@ impl ArchiveBuilder {
         }
     }
 
-    /// Bytes accumulated in the open archive.
-    pub fn pending_bytes(&self) -> usize {
-        self.current_bytes
-    }
-
     /// Adds an entry; returns any archives sealed as a result. Entries
     /// larger than the capacity occupy an archive of their own.
     pub fn push(&mut self, name: impl Into<String>, data: impl Into<Bytes>) -> Vec<Archive> {

@@ -1,7 +1,6 @@
 //! Simulation configuration (paper §4.1 parameters).
 
 use peerback_churn::{paper_profiles, ProfileMix};
-pub use peerback_estimate::EstimateParams;
 
 use crate::accept::PAPER_CLAMP_ROUNDS;
 use crate::observer::ObserverSpec;
@@ -256,25 +255,13 @@ pub struct SimConfig {
     pub acceptance_enabled: bool,
     /// Partner ranking strategy.
     pub strategy: SelectionStrategy,
-    /// Mean on+off availability cycle in rounds (24 = daily rhythm).
-    pub availability_cycle: f64,
     /// Profile mix peers are drawn from.
     pub profiles: ProfileMix,
     /// Rounds over which the initial population ramps in (0 = everyone
     /// joins at round 0, matching the paper's same-age start).
     pub growth_rounds: u64,
-    /// Candidate-sampling budget per needed partner when building a pool.
-    pub pool_attempt_factor: u32,
-    /// Pool size target as a multiple of `d` (the pool is "big enough"
-    /// at `pool_target_factor * d` candidates).
-    pub pool_target_factor: f64,
     /// Observers to inject (frozen-age measurement peers, §4.2.2).
     pub observers: Vec<ObserverSpec>,
-    /// Rounds between metric samples for time series.
-    pub sample_interval: u64,
-    /// Whether to sample the instant-restorability series (an O(blocks)
-    /// scan every 10th sample; negligible at default scales).
-    pub measure_restorability: bool,
     /// Worker threads for the intra-run parallel stages (event firing,
     /// teardown delivery, candidate-pool proposals, the two-phase
     /// commit). **Purely an execution knob**: the peer table's logical
@@ -292,25 +279,17 @@ pub struct SimConfig {
     /// (more stealable tasks, more worker fan-out) at the price of more
     /// per-stage routing/merge bookkeeping.
     pub shard_slots: usize,
-    /// Tuning of the online survival model behind
-    /// [`SelectionStrategy::LearnedAge`] (bin grid, observation window,
-    /// fallback thresholds, refresh cadence). Only consulted when that
-    /// strategy runs; the estimator is a *deterministic* part of the
-    /// run, so these are semantic knobs.
-    pub estimator: EstimateParams,
     /// Scenario axis: round at which newly spawned peers' churn
     /// profiles flip (the sampled profile index is mirrored), shifting
     /// the population's behaviour mid-run — the regime change the
     /// learned estimator must track. `0` disables the shift.
     pub shift_profiles_at: u64,
     /// Scenario axis: fraction of peers (drawn at spawn) that
-    /// *misreport* their age during negotiation, claiming
-    /// `misreport_inflation ×` their true age. Adversarial input for
-    /// age-trusting strategies; `0.0` disables (and keeps the RNG
-    /// streams of misreport-free runs unchanged).
+    /// *misreport* their age during negotiation, claiming eight times
+    /// their true age. Adversarial input for age-trusting strategies;
+    /// `0.0` disables (and keeps the RNG streams of misreport-free runs
+    /// unchanged).
     pub misreport_fraction: f64,
-    /// Multiplier a misreporting peer applies to its claimed age.
-    pub misreport_inflation: u64,
     /// Per-archive adaptive redundancy control loop (disabled by
     /// default; see [`AdaptiveRedundancy`]).
     pub adaptive_n: AdaptiveRedundancy,
@@ -343,20 +322,13 @@ impl SimConfig {
             mutual_acceptance: true,
             acceptance_enabled: true,
             strategy: SelectionStrategy::AgeBased,
-            availability_cycle: 24.0,
             profiles: paper_profiles(),
             growth_rounds: 0,
-            pool_attempt_factor: 6,
-            pool_target_factor: 2.0,
             observers: Vec::new(),
-            sample_interval: 24,
-            measure_restorability: true,
             shards: 1,
             shard_slots: 64,
-            estimator: EstimateParams::default(),
             shift_profiles_at: 0,
             misreport_fraction: 0.0,
-            misreport_inflation: 8,
             adaptive_n: AdaptiveRedundancy::default(),
             failure_domains: FailureDomainConfig::default(),
             quarantine_threshold: 0,
@@ -497,18 +469,6 @@ impl SimConfig {
         if self.acceptance_clamp == 0 {
             return Err("acceptance clamp must be positive".into());
         }
-        if self.availability_cycle <= 0.0 {
-            return Err("availability cycle must be positive".into());
-        }
-        if self.pool_attempt_factor == 0 {
-            return Err("pool attempt factor must be positive".into());
-        }
-        if self.pool_target_factor < 1.0 {
-            return Err("pool target factor must be at least 1".into());
-        }
-        if self.sample_interval == 0 {
-            return Err("sample interval must be positive".into());
-        }
         if self.archives_per_peer == 0 {
             return Err("peers must back up at least one archive".into());
         }
@@ -523,21 +483,6 @@ impl SimConfig {
                 "misreport fraction {} is not a probability",
                 self.misreport_fraction
             ));
-        }
-        if self.misreport_inflation == 0 {
-            return Err("misreport inflation must be at least 1".into());
-        }
-        if self.estimator.bin_rounds == 0 {
-            return Err("estimator age bins must have positive width".into());
-        }
-        if self.estimator.max_bins < 2 {
-            return Err("estimator needs at least two age bins".into());
-        }
-        if self.estimator.sample_cap == 0 {
-            return Err("estimator observation window cannot be empty".into());
-        }
-        if self.estimator.refresh_interval == 0 {
-            return Err("estimator refresh interval must be positive".into());
         }
         if self.adaptive_n.enabled {
             let ar = &self.adaptive_n;
@@ -667,12 +612,8 @@ mod tests {
         c.quota = 100; // cannot host an archive
         assert!(c.validate().is_err());
 
-        let mut c = base.clone();
-        c.maintenance = MaintenancePolicy::Proactive { tick_rounds: 0 };
-        assert!(c.validate().is_err());
-
         let mut c = base;
-        c.pool_target_factor = 0.5;
+        c.maintenance = MaintenancePolicy::Proactive { tick_rounds: 0 };
         assert!(c.validate().is_err());
     }
 
@@ -686,31 +627,10 @@ mod tests {
         assert!(c.validate().unwrap_err().contains("not a probability"));
         let c = base.clone().with_misreport(-0.1);
         assert!(c.validate().is_err());
-        let c = base.clone().with_misreport(0.25).with_shift_profiles_at(5);
+        let c = base.with_misreport(0.25).with_shift_profiles_at(5);
         assert!(c.validate().is_ok());
         assert_eq!(c.misreport_fraction, 0.25);
         assert_eq!(c.shift_profiles_at, 5);
-
-        let mut c = base.clone();
-        c.misreport_inflation = 0;
-        assert!(c.validate().unwrap_err().contains("inflation"));
-    }
-
-    #[test]
-    fn estimator_params_validation() {
-        let base = SimConfig::paper(10, 10, 0);
-        let mut c = base.clone();
-        c.estimator.bin_rounds = 0;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.estimator.max_bins = 1;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.estimator.sample_cap = 0;
-        assert!(c.validate().is_err());
-        let mut c = base;
-        c.estimator.refresh_interval = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -56,9 +56,7 @@ pub use accept::{acceptance_probability, accepts, PAPER_CLAMP_ROUNDS};
 pub use age::AgeCategory;
 pub use archive::{Archive, ArchiveBuilder, ArchiveId};
 pub use backup::{BackupPipeline, PlacedBlock, PlacementPlan};
-pub use config::{
-    AdaptiveRedundancy, EstimateParams, FailureDomainConfig, MaintenancePolicy, SimConfig,
-};
+pub use config::{AdaptiveRedundancy, FailureDomainConfig, MaintenancePolicy, SimConfig};
 pub use crypt::{Cipher, NoCipher, XorKeystream};
 pub use master::{ArchiveDescriptor, MasterBlock};
 pub use metrics::{CategorySample, Diagnostics, Metrics, ObserverSeries};
@@ -68,6 +66,6 @@ pub use restore::{RestoreError, RestorePipeline};
 pub use runner::{run_simulation, run_sweep, run_sweep_with_threads};
 pub use select::{Candidate, SelectionStrategy};
 pub use world::{
-    BackupWorld, FabricObserver, MemoryBreakdown, ObserverState, PeerId, PlacementWork,
-    RedundancyWork, RoundProfile, WorldEvent, WorldSnapshot,
+    BackupWorld, MemoryBreakdown, ObserverState, PeerId, PlacementWork, RedundancyWork,
+    RoundProfile, WorldEvent, WorldSnapshot,
 };

@@ -101,7 +101,7 @@ pub struct Metrics {
     pub losses: ByCategory<u64>,
     /// Sum over rounds of the per-category census (peer-rounds).
     pub peer_rounds: ByCategory<u64>,
-    /// Time series (sampled every `sample_interval` rounds).
+    /// Time series (sampled every 24 rounds).
     pub samples: Vec<CategorySample>,
     /// Per-observer series.
     pub observers: Vec<ObserverSeries>,

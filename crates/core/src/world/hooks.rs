@@ -5,10 +5,10 @@
 //! the `peerback-fabric` crate moves *real bytes* along those
 //! decisions. The coupling is one-directional and observational: the
 //! world emits a [`WorldEvent`] at every block-level state change, and
-//! a [`FabricObserver`] drains the log once per round, replaying the
-//! changes against a real block store. The observer also gets read
-//! access to the world so the two halves can cross-check each other
-//! (see the `peerback-fabric` auditor).
+//! the fabric drains the log once per round with
+//! [`BackupWorld::swap_event_buf`], replaying the changes against a
+//! real block store. The read accessors below let the two halves
+//! cross-check each other (see the `peerback-fabric` auditor).
 //!
 //! Recording is off by default and costs one branch per mutation; no
 //! allocation happens unless [`BackupWorld::set_event_recording`] has
@@ -27,8 +27,6 @@
 //!    partner entries of the lost archive are dropped, so an observer
 //!    can attempt a real decode with exactly the blocks the simulator
 //!    saw at loss time (necessarily fewer than `k`).
-
-use crate::age::AgeCategory;
 
 use super::peers::PeerId;
 use super::BackupWorld;
@@ -92,12 +90,15 @@ pub enum WorldEvent {
         /// Host whose copy vanished.
         host: PeerId,
     },
-    /// An archive finished its initial upload (all `n` blocks placed).
+    /// An archive finished its initial upload: all `target_n` blocks
+    /// placed (`n` unless adaptive redundancy trimmed the archive).
     JoinCompleted {
         /// Owning peer slot.
         owner: PeerId,
         /// Archive index within the owner.
         archive: u8,
+        /// Blocks placed at join time.
+        blocks: u32,
     },
     /// A repair episode opened: the owner pays the `k`-block decode.
     EpisodeStarted {
@@ -136,17 +137,6 @@ pub enum WorldEvent {
     },
 }
 
-/// Receives the world's event stream, in emission order.
-///
-/// Implementors get read access to the world *as of the end of the
-/// round being drained* — sufficient for the fabric's needs (profile
-/// lookups, online checks, cross-checks) because block-level causality
-/// within a round is already captured by the event order itself.
-pub trait FabricObserver {
-    /// Called once per drained event.
-    fn on_world_event(&mut self, world: &BackupWorld, event: &WorldEvent);
-}
-
 impl BackupWorld {
     /// Enables or disables event recording. While disabled (the
     /// default), emission is a single predicted branch per mutation.
@@ -157,38 +147,9 @@ impl BackupWorld {
         }
     }
 
-    /// Whether events are currently being recorded.
-    pub fn event_recording(&self) -> bool {
-        self.record_events
-    }
-
-    /// Number of events currently buffered (drained by
-    /// [`BackupWorld::dispatch_events`]).
-    pub fn pending_events(&self) -> usize {
-        self.event_log.len()
-    }
-
-    /// Drains the buffered events into `observer`, in emission order.
-    pub fn dispatch_events(&mut self, observer: &mut impl FabricObserver) {
-        let mut log = core::mem::take(&mut self.event_log);
-        for event in log.drain(..) {
-            observer.on_world_event(self, &event);
-        }
-        // Hand the allocation back for reuse.
-        self.event_log = log;
-    }
-
-    /// Takes the buffered events wholesale, in emission order — for
-    /// observers (like the sharded fabric) that orchestrate their own
-    /// parallel replay instead of consuming one event at a time.
-    pub fn take_events(&mut self) -> Vec<WorldEvent> {
-        core::mem::take(&mut self.event_log)
-    }
-
-    /// Swaps the buffered events into `buf` (cleared first), handing
-    /// the world `buf`'s old allocation for the next round — the
-    /// zero-allocation form of [`BackupWorld::take_events`] for
-    /// observers that drain every round.
+    /// Swaps the buffered events into `buf` (cleared first), in
+    /// emission order, handing the world `buf`'s old allocation for the
+    /// next round — the world's one event drain.
     pub fn swap_event_buf(&mut self, buf: &mut Vec<WorldEvent>) {
         buf.clear();
         core::mem::swap(buf, &mut self.event_log);
@@ -304,12 +265,6 @@ impl BackupWorld {
         }
     }
 
-    /// Current state of the learned survival model (`None` unless the
-    /// run uses [`crate::select::SelectionStrategy::LearnedAge`]).
-    pub fn estimator_report(&self) -> Option<peerback_estimate::EstimatorReport> {
-        self.estimator.as_ref().map(|m| m.report())
-    }
-
     // (Event emission lives on the stage lanes — `ShardLane::emit` /
     // `WorkLane::emit` — whose buffers merge in shard order; the world
     // itself only stores the merged log.)
@@ -336,12 +291,6 @@ impl BackupWorld {
             .profiles
             .profile(self.peers.profile(slot) as usize)
             .availability
-    }
-
-    /// The peer's age category at `round` (observers report their
-    /// frozen age's category).
-    pub fn peer_category(&self, slot: PeerId, round: u64) -> AgeCategory {
-        AgeCategory::of_age(self.negotiation_age(slot, round))
     }
 
     /// Whether `(owner, archive)` finished its initial upload.
@@ -419,16 +368,5 @@ impl BackupWorld {
     /// Whether the peer in `slot` is currently quarantined.
     pub fn peer_quarantined(&self, slot: PeerId) -> bool {
         self.peers.quarantined(slot)
-    }
-
-    /// The failure domain of peer `slot` (always `0` when
-    /// `SimConfig::failure_domains.domains == 0`).
-    pub fn peer_domain(&self, slot: PeerId) -> u16 {
-        self.peers.domain(slot)
-    }
-
-    /// Whether failure domain `d` is currently in a forced outage.
-    pub fn domain_in_outage(&self, d: u16, round: u64) -> bool {
-        self.outages.get(d as usize).is_some_and(|&end| end > round)
     }
 }

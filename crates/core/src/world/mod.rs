@@ -89,10 +89,17 @@ use shard::{Proposal, Scratch, ShardLane, ShardLayout};
 use table::PeerTable;
 
 pub use exec::PlacementWork;
-pub use hooks::{FabricObserver, MemoryBreakdown, WorldEvent};
+pub use hooks::{MemoryBreakdown, WorldEvent};
 pub use peers::{ObserverState, PeerId, WorldSnapshot};
 pub use profile::RoundProfile;
 pub use redundancy::RedundancyWork;
+
+/// Mean on+off availability cycle of every session sampler, in rounds
+/// (a daily rhythm).
+const AVAILABILITY_CYCLE: f64 = 24.0;
+
+/// Rounds between metric samples of the time series.
+const SAMPLE_INTERVAL: u64 = 24;
 
 /// Sub-seed stream offset for shard RNGs, so shard streams never
 /// collide with other derived streams of the same master seed.
@@ -226,7 +233,7 @@ pub struct BackupWorld {
 
     /// Whether block-level events are recorded for a fabric observer.
     pub(in crate::world) record_events: bool,
-    /// Buffered events awaiting [`BackupWorld::dispatch_events`].
+    /// Buffered events awaiting [`BackupWorld::swap_event_buf`].
     pub(in crate::world) event_log: Vec<WorldEvent>,
 }
 
@@ -247,7 +254,7 @@ impl BackupWorld {
             .profiles
             .profiles()
             .iter()
-            .map(|p| SessionSampler::new(p.availability, cfg.availability_cycle))
+            .map(|p| SessionSampler::new(p.availability, AVAILABILITY_CYCLE))
             .collect();
         let observer_count = cfg.observers.len();
         let capacity = cfg.n_peers + observer_count;
@@ -287,7 +294,7 @@ impl BackupWorld {
                 .collect(),
             estimator: (cfg.strategy == crate::select::SelectionStrategy::LearnedAge).then(|| {
                 Box::new(peerback_estimate::OnlineSurvivalModel::new(
-                    cfg.estimator.clone(),
+                    peerback_estimate::EstimateParams::default(),
                 ))
             }),
             obs: (0..layout.count).map(|_| Vec::new()).collect(),
@@ -720,7 +727,7 @@ impl World for BackupWorld {
         for cat in 0..AgeCategory::COUNT {
             self.metrics.peer_rounds[cat] += self.census[cat];
         }
-        if round.index().is_multiple_of(self.cfg.sample_interval) {
+        if round.index().is_multiple_of(SAMPLE_INTERVAL) {
             let mut cum_repairs = [0u64; 4];
             cum_repairs.copy_from_slice(&self.metrics.repairs);
             let mut cum_losses = [0u64; 4];
@@ -737,7 +744,7 @@ impl World for BackupWorld {
                     .points
                     .push((round.index(), repairs));
             }
-            if self.cfg.measure_restorability && self.metrics.samples.len().is_multiple_of(10) {
+            if self.metrics.samples.len().is_multiple_of(10) {
                 let f = self.instant_restorability();
                 self.metrics.restorability.push((round.index(), f));
             }

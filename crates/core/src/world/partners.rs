@@ -55,11 +55,21 @@ use super::peers::{ArchiveIdx, PeerId};
 use super::shard::{ActionKind, Scratch};
 use super::BackupWorld;
 
+/// Candidate-sampling budget per needed partner when building a pool.
+pub(in crate::world) const POOL_ATTEMPT_FACTOR: u32 = 6;
+
+/// Pool size target as a multiple of `d`: the pool is "big enough" at
+/// `POOL_TARGET_FACTOR · d` candidates.
+pub(in crate::world) const POOL_TARGET_FACTOR: f64 = 2.0;
+
+/// Multiplier a misreporting peer applies to its claimed age.
+pub(in crate::world) const MISREPORT_INFLATION: u64 = 8;
+
 impl BackupWorld {
     /// The age another peer perceives for acceptance and ranking.
     /// Observers present their frozen age; misreporting peers
-    /// (`SimConfig::misreport_fraction`) inflate their true age by the
-    /// configured factor. Death scheduling, uptime and loss accounting
+    /// (`SimConfig::misreport_fraction`) inflate their true age by
+    /// [`MISREPORT_INFLATION`]. Death scheduling, uptime and loss accounting
     /// all stay keyed to the true age — only negotiation sees the lie.
     pub(in crate::world) fn negotiation_age(&self, id: PeerId, round: u64) -> u64 {
         match self.peers.observer(id) {
@@ -67,7 +77,7 @@ impl BackupWorld {
             None => {
                 let age = self.peers.age_at(id, round);
                 if self.peers.misreports(id) {
-                    age.saturating_mul(self.cfg.misreport_inflation)
+                    age.saturating_mul(MISREPORT_INFLATION)
                 } else {
                     age
                 }
@@ -143,7 +153,7 @@ impl BackupWorld {
     /// of that state; the pool vector comes from (and, after the commit
     /// consumes it, returns to) the shard's recycled free list `pools`.
     ///
-    /// The pool holds up to `pool_target_factor · d` ids so the commit
+    /// The pool holds up to `POOL_TARGET_FACTOR · d` ids so the commit
     /// can skip entries whose quota filled in the meantime without
     /// voiding the step. Ranking happens *within* the random sample
     /// (see the module doc for why chasing globally optimal keys
@@ -183,8 +193,8 @@ impl BackupWorld {
         let owner_age = self.negotiation_age(owner_id, round);
         let clamp = self.cfg.acceptance_clamp;
         let quota = self.cfg.quota;
-        let target = ((d as f64 * self.cfg.pool_target_factor).ceil() as usize).max(d as usize);
-        let attempts = (d * self.cfg.pool_attempt_factor).max(16);
+        let target = ((d as f64 * POOL_TARGET_FACTOR).ceil() as usize).max(d as usize);
+        let attempts = (d * POOL_ATTEMPT_FACTOR).max(16);
         let learned = self.cfg.strategy == SelectionStrategy::LearnedAge;
         let keyed = learned || self.cfg.strategy == SelectionStrategy::AgeBased;
         let mut sampled = 0u64;
@@ -218,7 +228,7 @@ impl BackupWorld {
             // screened out above).
             let true_age = self.peers.age_at(c, round);
             let cand_age = if self.peers.misreports(c) {
-                true_age.saturating_mul(self.cfg.misreport_inflation)
+                true_age.saturating_mul(MISREPORT_INFLATION)
             } else {
                 true_age
             };

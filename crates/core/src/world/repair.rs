@@ -123,6 +123,7 @@ impl WorkLane<'_> {
             self.emit(WorldEvent::JoinCompleted {
                 owner: id,
                 archive: aidx,
+                blocks: self.peers.present(id, a),
             });
         } else {
             if attached < d {

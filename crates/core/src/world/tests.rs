@@ -3,6 +3,7 @@
 
 use peerback_sim::{sim_rng, Engine};
 
+use super::partners::{MISREPORT_INFLATION, POOL_ATTEMPT_FACTOR, POOL_TARGET_FACTOR};
 use super::peers::ArchiveIdx;
 use super::*;
 use crate::config::MaintenancePolicy;
@@ -793,8 +794,8 @@ struct MirrorObserver {
     violations: Vec<String>,
 }
 
-impl FabricObserver for MirrorObserver {
-    fn on_world_event(&mut self, _world: &BackupWorld, event: &WorldEvent) {
+impl MirrorObserver {
+    fn apply(&mut self, event: &WorldEvent) {
         match event {
             WorldEvent::BlocksPlaced {
                 owner,
@@ -876,9 +877,8 @@ fn event_stream_replays_to_a_consistent_mirror() {
     let mut world = BackupWorld::new(cfg);
     world.set_event_recording(true);
     let mut engine = Engine::new(11);
-    for _ in 0..rounds {
-        engine.step(&mut world);
-        world.dispatch_events(&mut observer);
+    for event in &drain_rounds(&mut world, &mut engine, rounds) {
+        observer.apply(event);
     }
     assert!(
         observer.violations.is_empty(),
@@ -887,7 +887,7 @@ fn event_stream_replays_to_a_consistent_mirror() {
     );
     assert!(observer.placements > 0, "no placements observed");
     assert!(observer.drops > 0, "no drops observed (expected churn)");
-    assert_eq!(world.pending_events(), 0);
+    assert!(world.event_log.is_empty());
 
     // The mirror must agree with the world, block for block.
     for slot in 0..world.peer_slots() as PeerId {
@@ -922,25 +922,39 @@ fn sharded_config(peers: usize, rounds: u64, seed: u64) -> SimConfig {
     cfg
 }
 
-/// Runs a config to completion, recording the full event stream.
-fn run_recorded(cfg: SimConfig) -> (Metrics, Vec<WorldEvent>) {
-    struct Collector(Vec<WorldEvent>);
-    impl FabricObserver for Collector {
-        fn on_world_event(&mut self, _world: &BackupWorld, event: &WorldEvent) {
-            self.0.push(event.clone());
-        }
+/// Steps `world` for `rounds` rounds, draining its event log once per
+/// round through [`BackupWorld::swap_event_buf`], and returns the
+/// whole stream in emission order.
+fn drain_rounds(world: &mut BackupWorld, engine: &mut Engine, rounds: u64) -> Vec<WorldEvent> {
+    let mut events = Vec::new();
+    let mut buf = Vec::new();
+    for _ in 0..rounds {
+        engine.step(world);
+        world.swap_event_buf(&mut buf);
+        events.append(&mut buf);
     }
+    events
+}
+
+/// Runs a config to completion, recording the full event stream;
+/// `setup` adjusts the world before its first round.
+fn run_recorded_with(
+    cfg: SimConfig,
+    setup: impl FnOnce(&mut BackupWorld),
+) -> (Metrics, Vec<WorldEvent>) {
     let rounds = cfg.rounds;
     let seed = cfg.seed;
     let mut world = BackupWorld::new(cfg);
     world.set_event_recording(true);
+    setup(&mut world);
     let mut engine = Engine::new(seed);
-    let mut collector = Collector(Vec::new());
-    for _ in 0..rounds {
-        engine.step(&mut world);
-        world.dispatch_events(&mut collector);
-    }
-    (world.into_metrics(), collector.0)
+    let events = drain_rounds(&mut world, &mut engine, rounds);
+    (world.into_metrics(), events)
+}
+
+/// Runs a config to completion, recording the full event stream.
+fn run_recorded(cfg: SimConfig) -> (Metrics, Vec<WorldEvent>) {
+    run_recorded_with(cfg, |_| {})
 }
 
 #[test]
@@ -1001,29 +1015,23 @@ proptest::proptest! {
         let mut world = BackupWorld::new(cfg);
         world.set_event_recording(true);
         let mut engine = Engine::new(seed);
-        struct OrderCheck {
-            last: Option<(PeerId, u8)>,
-            placements: u64,
-        }
-        impl FabricObserver for OrderCheck {
-            fn on_world_event(&mut self, _world: &BackupWorld, event: &WorldEvent) {
+        let mut buf = Vec::new();
+        for _ in 0..rounds {
+            engine.step(&mut world);
+            world.swap_event_buf(&mut buf);
+            let mut last: Option<(PeerId, u8)> = None;
+            for event in &buf {
                 if let WorldEvent::BlocksPlaced { owner, archive, .. } = event {
                     let key = (*owner, *archive);
-                    if let Some(last) = self.last {
+                    if let Some(last) = last {
                         assert!(
                             last < key,
                             "placement for {key:?} committed after {last:?}"
                         );
                     }
-                    self.last = Some(key);
-                    self.placements += 1;
+                    last = Some(key);
                 }
             }
-        }
-        for _ in 0..rounds {
-            engine.step(&mut world);
-            let mut check = OrderCheck { last: None, placements: 0 };
-            world.dispatch_events(&mut check);
         }
         let placed = world.metrics.diag.blocks_uploaded;
         proptest::prop_assert!(placed > 0, "no placements at all");
@@ -1084,24 +1092,7 @@ fn cross_shard_episode_records_the_loss_exactly_once() {
 /// sequentially in a seeded random order — the deterministic stand-in
 /// for an arbitrary work-steal interleaving.
 fn run_recorded_fuzzed(cfg: SimConfig, fuzz: u64) -> (Metrics, Vec<WorldEvent>) {
-    struct Collector(Vec<WorldEvent>);
-    impl FabricObserver for Collector {
-        fn on_world_event(&mut self, _world: &BackupWorld, event: &WorldEvent) {
-            self.0.push(event.clone());
-        }
-    }
-    let rounds = cfg.rounds;
-    let seed = cfg.seed;
-    let mut world = BackupWorld::new(cfg);
-    world.set_event_recording(true);
-    world.set_exec_fuzz(Some(fuzz));
-    let mut engine = Engine::new(seed);
-    let mut collector = Collector(Vec::new());
-    for _ in 0..rounds {
-        engine.step(&mut world);
-        world.dispatch_events(&mut collector);
-    }
-    (world.into_metrics(), collector.0)
+    run_recorded_with(cfg, |world| world.set_exec_fuzz(Some(fuzz)))
 }
 
 proptest::proptest! {
@@ -1257,24 +1248,7 @@ fn contended_partner_slot_commits_to_the_lower_owner() {
 /// As [`run_recorded`], with cross-round arena recycling disabled:
 /// every round rebuilds its buffers from fresh vectors.
 fn run_recorded_fresh_arenas(cfg: SimConfig) -> (Metrics, Vec<WorldEvent>) {
-    struct Collector(Vec<WorldEvent>);
-    impl FabricObserver for Collector {
-        fn on_world_event(&mut self, _world: &BackupWorld, event: &WorldEvent) {
-            self.0.push(event.clone());
-        }
-    }
-    let rounds = cfg.rounds;
-    let seed = cfg.seed;
-    let mut world = BackupWorld::new(cfg);
-    world.set_event_recording(true);
-    world.set_arena_recycling(false);
-    let mut engine = Engine::new(seed);
-    let mut collector = Collector(Vec::new());
-    for _ in 0..rounds {
-        engine.step(&mut world);
-        world.dispatch_events(&mut collector);
-    }
-    (world.into_metrics(), collector.0)
+    run_recorded_with(cfg, |world| world.set_arena_recycling(false))
 }
 
 #[test]
@@ -1456,8 +1430,7 @@ fn learned_age_ranks_pools_differently_from_age_based_once_active() {
 
 #[test]
 fn misreporting_peers_inflate_negotiation_age_only() {
-    let mut cfg = sharded_config(300, 5, 3).with_misreport(1.0);
-    cfg.misreport_inflation = 8;
+    let cfg = sharded_config(300, 5, 3).with_misreport(1.0);
     let rounds = cfg.rounds;
     let mut world = BackupWorld::new(cfg);
     let mut engine = Engine::new(3);
@@ -1489,8 +1462,8 @@ fn event_recording_off_buffers_nothing() {
     let mut world = BackupWorld::new(cfg);
     let mut engine = Engine::new(3);
     engine.run(&mut world, rounds);
-    assert_eq!(world.pending_events(), 0);
-    assert!(!world.event_recording());
+    assert!(world.event_log.is_empty());
+    assert!(!world.record_events);
 }
 
 #[test]
@@ -1500,18 +1473,10 @@ fn event_recording_does_not_perturb_the_simulation() {
 
     let plain = run(tiny_config(19));
 
-    struct Sink;
-    impl FabricObserver for Sink {
-        fn on_world_event(&mut self, _world: &BackupWorld, _event: &WorldEvent) {}
-    }
     let mut world = BackupWorld::new(cfg);
     world.set_event_recording(true);
     let mut engine = Engine::new(19);
-    let mut sink = Sink;
-    for _ in 0..rounds {
-        engine.step(&mut world);
-        world.dispatch_events(&mut sink);
-    }
+    drain_rounds(&mut world, &mut engine, rounds);
     let recorded = world.into_metrics();
     assert_eq!(plain.repairs, recorded.repairs);
     assert_eq!(plain.losses, recorded.losses);
@@ -1883,8 +1848,8 @@ fn build_pool_reference(
     }
     let cfg = &world.cfg;
     let owner_age = world.negotiation_age(owner_id, round);
-    let target = ((d as f64 * cfg.pool_target_factor).ceil() as usize).max(d as usize);
-    let attempts = (d * cfg.pool_attempt_factor).max(16);
+    let target = ((d as f64 * POOL_TARGET_FACTOR).ceil() as usize).max(d as usize);
+    let attempts = (d * POOL_ATTEMPT_FACTOR).max(16);
     let learned = cfg.strategy == SelectionStrategy::LearnedAge;
     let mut index = (learned || cfg.strategy == SelectionStrategy::AgeBased)
         .then(|| AgeOrderedIndex::new(target));
@@ -1907,7 +1872,7 @@ fn build_pool_reference(
         }
         let true_age = world.peers.age_at(c, round);
         let cand_age = if world.peers.misreports(c) {
-            true_age.saturating_mul(cfg.misreport_inflation)
+            true_age.saturating_mul(MISREPORT_INFLATION)
         } else {
             true_age
         };
@@ -2591,13 +2556,15 @@ fn quarantine_feedback_stays_bit_identical_across_shards() {
         world.set_exec_fuzz(fuzz);
         let mut engine = Engine::new(seed);
         let mut events = Vec::new();
+        let mut buf = Vec::new();
         for _ in 0..rounds {
             engine.step(&mut world);
             let r = engine.current_round().index();
             if r.is_multiple_of(10) {
                 strike_lowest_online(&mut world, r);
             }
-            events.extend(world.take_events());
+            world.swap_event_buf(&mut buf);
+            events.append(&mut buf);
         }
         let log = world.quarantine_log().to_vec();
         (world.into_metrics(), events, log)

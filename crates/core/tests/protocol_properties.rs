@@ -104,7 +104,6 @@ fn fuzzed_configurations_never_panic() {
         cfg.archives_per_peer = archives;
         cfg.quota = n * archives as u32 + pick(0..64, 17) as u32;
         cfg.offline_timeout = pick(0..48, 19);
-        cfg.availability_cycle = pick(2..72, 23) as f64;
         cfg.mutual_acceptance = pick(0..2, 29) == 0;
         cfg.acceptance_enabled = pick(0..2, 31) == 0;
         cfg.refresh_on_repair = pick(0..2, 37) == 0;

@@ -196,13 +196,19 @@ pub enum AdversaryRole {
 /// this cannot pay for the barrier.
 const PARALLEL_WORK_MIN: usize = 128;
 
+/// Access-link model behind the transfer-time accounting and the
+/// scheduler's per-round byte budgets.
+const LINK: LinkModel = LinkModel::DSL_MODERN;
+
+/// Seconds of wall time one simulated round represents: the paper's
+/// rounds are hours.
+const ROUND_SECS: f64 = 3600.0;
+
 /// Configuration of the byte-level half.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// Fault probabilities on the transfer path.
     pub faults: FaultProfile,
-    /// Access-link model for transfer accounting.
-    pub link: LinkModel,
     /// Synthetic archive payload size per peer archive, in bytes.
     pub payload_bytes: usize,
     /// Rounds between restorability audits (1 = every round).
@@ -232,7 +238,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             faults: FaultProfile::NONE,
-            link: LinkModel::DSL_MODERN,
             payload_bytes: 256,
             audit_interval: 1,
             audit_sample_period: 1,
@@ -247,17 +252,14 @@ impl Default for FabricConfig {
 ///
 /// With a schedule attached, every shard shipment enters a per-lane
 /// queue instead of completing instantly. Each round every peer gets a
-/// byte budget derived from the [`LinkModel`] (or capped explicitly),
-/// and its queued transfers drain in strict priority order — restores
-/// before repairs before fresh backups, oldest deadline first within a
-/// class. A transfer that exhausts the round's budget keeps its
+/// byte budget of one hour (`ROUND_SECS`) at the modern-DSL
+/// [`LinkModel`], or an explicit cap, and its queued transfers drain in
+/// strict priority order — restores before repairs before fresh
+/// backups, oldest deadline first within a class. A transfer that exhausts the round's budget keeps its
 /// remaining bytes and carries over; the frame ships (exactly once)
 /// the round the last byte clears.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScheduleConfig {
-    /// Seconds of wall time one simulated round represents. The paper's
-    /// rounds are hours, so the default is 3600.
-    pub round_secs: f64,
     /// Explicit per-peer per-round byte budget (both directions),
     /// overriding the link-derived value. `Some(small)` is how tests
     /// force a transfer to straddle many rounds.
@@ -273,17 +275,6 @@ pub struct ScheduleConfig {
     /// cliff get the link first. With the margin at 0 the drain order
     /// is exactly the classic `(class, deadline, seq)`.
     pub escalate_margin: u32,
-}
-
-impl Default for ScheduleConfig {
-    fn default() -> Self {
-        ScheduleConfig {
-            round_secs: 3600.0,
-            link_cap: None,
-            flash_restore: None,
-            escalate_margin: 0,
-        }
-    }
 }
 
 /// [`ScheduleConfig`] with the per-round byte budgets already resolved
@@ -465,7 +456,6 @@ pub(crate) struct PlaneShared {
     pub(crate) k: usize,
     m: usize,
     payload_bytes: usize,
-    link: LinkModel,
     pub(crate) faults_enabled: bool,
     faults: FaultPlane,
     master_seed: u64,
@@ -850,7 +840,7 @@ impl PlaneLane {
             // reports on.
             self.restore_durations.push(round - t.deadline);
             let found = self.restore_survivors(shared, world, t.owner, t.archive, true, 0);
-            self.stats.download_secs += shared.link.download_secs(found.download_bytes as f64);
+            self.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
             if !found.restored {
                 self.stats.flash_restore_failures += 1;
             }
@@ -1027,7 +1017,7 @@ impl PlaneLane {
             self.stats.transfers_retried += 1;
         }
         self.stats.bytes_shipped += frame_len as u64;
-        self.stats.upload_secs += shared.link.upload_secs(frame_len as f64);
+        self.stats.upload_secs += LINK.upload_secs(frame_len as f64);
 
         // A free-riding host acks the transfer and drops the bytes: the
         // sender has paid the link and believes the placement stands —
@@ -1117,7 +1107,7 @@ impl PlaneLane {
             // sender pays the link a second time.
             self.stats.duplicate_frames += 1;
             self.stats.bytes_shipped += frame_len as u64;
-            self.stats.upload_secs += shared.link.upload_secs(frame_len as f64);
+            self.stats.upload_secs += LINK.upload_secs(frame_len as f64);
             if matches!(self.store.ingest(host, &bytes), Ok(())) && transit.damage.is_none() {
                 self.note(format!(
                     "duplicate frame for {owner}/{archive} accepted twice by {host}"
@@ -1274,7 +1264,7 @@ impl PlaneLane {
         // The paper's k-block download, replayed for real: reconstruct
         // the archive from the shards that actually survive on disk.
         let found = self.restore_survivors(shared, world, owner, archive, false, 0);
-        self.stats.download_secs += shared.link.download_secs(found.download_bytes as f64);
+        self.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
         if found.restored {
             self.stats.repair_decodes += 1;
         } else {
@@ -1420,12 +1410,20 @@ impl PlaneLane {
                     archive,
                     host,
                 } => self.on_block_dropped(*owner, *archive, *host),
-                WorldEvent::JoinCompleted { owner, archive } => {
+                WorldEvent::JoinCompleted {
+                    owner,
+                    archive,
+                    blocks,
+                } => {
                     self.stats.joins += 1;
                     if let Some(oa) = self.owners.get_mut(&(*owner, *archive)) {
                         oa.joined = true;
-                        if oa.slots.iter().any(Option::is_none) {
-                            self.note(format!("join of {owner}/{archive} with empty shard slots"));
+                        let filled = oa.slots.iter().flatten().count();
+                        if filled != *blocks as usize {
+                            self.note(format!(
+                                "join of {owner}/{archive} with {filled} filled shard slots, \
+                                 {blocks} placed"
+                            ));
                         }
                     } else {
                         self.note(format!("join of unknown archive {owner}/{archive}"));
@@ -1657,14 +1655,11 @@ impl Fabric {
         let schedule = match fabric_cfg.schedule {
             None => None,
             Some(s) => {
-                if !(s.round_secs.is_finite() && s.round_secs > 0.0) {
-                    return Err(format!("round_secs must be positive, got {}", s.round_secs));
-                }
                 if s.link_cap == Some(0) {
                     return Err("link cap of 0 bytes per round would stall every transfer".into());
                 }
-                let up = (fabric_cfg.link.up_bytes_per_sec * s.round_secs) as u64;
-                let down = (fabric_cfg.link.down_bytes_per_sec * s.round_secs) as u64;
+                let up = (LINK.up_bytes_per_sec * ROUND_SECS) as u64;
+                let down = (LINK.down_bytes_per_sec * ROUND_SECS) as u64;
                 Some(ResolvedSchedule {
                     up_budget: s.link_cap.unwrap_or(up).max(1),
                     down_budget: s.link_cap.unwrap_or(down).max(1),
@@ -1683,7 +1678,6 @@ impl Fabric {
             k: cfg.k as usize,
             m: cfg.m as usize,
             payload_bytes: fabric_cfg.payload_bytes,
-            link: fabric_cfg.link,
             faults_enabled: fabric_cfg.faults.any_enabled(),
             faults: FaultPlane::new(fabric_cfg.faults),
             master_seed: seed,
@@ -1739,20 +1733,6 @@ impl Fabric {
     /// round).
     pub fn stats(&self) -> &FabricStats {
         &self.plane.stats
-    }
-
-    /// Audit ledger so far (merged through the last completed round).
-    pub fn audit_report(&self) -> &AuditReport {
-        &self.plane.audit
-    }
-
-    /// Blocks currently stored across all hosts.
-    pub fn stored_blocks(&self) -> usize {
-        self.plane
-            .lanes
-            .iter()
-            .map(|l| l.store.total_blocks())
-            .sum()
     }
 
     /// Replay work so far (through the last completed round).
@@ -2064,7 +2044,6 @@ mod tests {
                 challenge_interval: 8,
                 challenge_sample_period: 2,
             },
-            ..FabricConfig::default()
         };
         (cfg, fabric)
     }

@@ -293,7 +293,6 @@ fn adversarial_combined_mode_is_byte_identical_across_shards() {
                 link_cap: Some(40),
                 flash_restore: Some(100),
                 escalate_margin: 1,
-                ..ScheduleConfig::default()
             }),
             ..FabricConfig::default()
         };

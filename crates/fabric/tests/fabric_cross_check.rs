@@ -8,7 +8,10 @@
 //!   from a decode attempt with fewer than `k` intact shards, and the
 //!   whole run is deterministic under a fixed seed.
 
-use peerback_core::{run_simulation, MaintenancePolicy, SelectionStrategy, SimConfig};
+use peerback_core::{
+    run_simulation, AdaptiveRedundancy, FailureDomainConfig, MaintenancePolicy, SelectionStrategy,
+    SimConfig,
+};
 use peerback_fabric::{run_fabric, FabricConfig, FabricReport, FaultProfile};
 
 /// A small but churn-rich world: 48 peers, 4+4 blocks, tight threshold.
@@ -408,6 +411,43 @@ fn adaptive_and_proactive_policies_also_cross_check_cleanly() {
         );
         assert!(report.stats.transfers_delivered > 0);
     }
+}
+
+#[test]
+fn trimmed_archives_rejoin_at_their_target_width() {
+    // Adaptive redundancy trims archives below `n`; one that loses its
+    // copy in the regional outage re-joins at its trimmed `target_n`,
+    // so the fabric's mirror holds fewer than `n` filled slots at join
+    // time. The join check must compare against the placed count the
+    // simulator reports, not against `n`.
+    let mut cfg = SimConfig::paper(256, 400, 7)
+        .with_adaptive_n(AdaptiveRedundancy::tuned(4))
+        .with_failure_domains(FailureDomainConfig {
+            domains: 8,
+            outage_rate: 0.002,
+            outage_rounds: 20,
+            outage_at: 150,
+            ..FailureDomainConfig::default()
+        });
+    cfg.k = 8;
+    cfg.m = 8;
+    cfg.quota = 48;
+    cfg.maintenance = MaintenancePolicy::Proactive { tick_rounds: 24 };
+    let fabric_cfg = FabricConfig {
+        audit_interval: 2,
+        scrub_interval: 16,
+        ..FabricConfig::default()
+    };
+    let report = run_fabric(cfg, fabric_cfg).expect("valid configs");
+    assert!(
+        report.metrics.diag.redundancy_narrowed > 0,
+        "nothing trimmed"
+    );
+    assert_eq!(
+        report.audit.mismatches, 0,
+        "notes: {:#?}",
+        report.audit.notes
+    );
 }
 
 #[test]

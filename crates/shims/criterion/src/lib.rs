@@ -8,20 +8,11 @@
 //!
 //! Measurement is deliberately simple — min/median/max over several
 //! timed batches after a short warm-up, printed as `ns/iter` with the
-//! observed range plus derived throughput. There is no statistical
-//! regression analysis or HTML report, but the shim *does* keep a
-//! minimal noise model: baseline deltas only print as changes when
-//! they exceed the wider of a 2% floor and the run's own sample
-//! spread. Per-bench medians persist to
-//! `<target>/bench-baseline.json` and prints a delta against the saved
-//! baseline on the next run, so perf regressions show up without
-//! eyeballing raw numbers across runs. The file merges across bench
-//! binaries (running one binary never forgets another's baselines) and
-//! is overwritten with fresh medians at the end of each run.
+//! observed range, its half-width as a share of the median, and derived
+//! throughput. The shim only reports: there is no statistical
+//! regression analysis, no saved baseline and no HTML report.
 
 use std::time::{Duration, Instant};
-
-pub mod baseline;
 
 pub use std::hint::black_box;
 
@@ -55,13 +46,13 @@ pub enum BatchSize {
 /// Per-iteration timing summary over the measured batches: the minimal
 /// noise model the shim keeps instead of criterion's full distribution.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Stats {
+struct Stats {
     /// Fastest batch, ns/iter.
-    pub(crate) min: f64,
+    min: f64,
     /// Median batch, ns/iter — the headline number.
-    pub(crate) median: f64,
+    median: f64,
     /// Slowest batch, ns/iter.
-    pub(crate) max: f64,
+    max: f64,
 }
 
 impl Stats {
@@ -74,9 +65,8 @@ impl Stats {
     }
 
     /// Observed run-to-run spread as a percentage of the median — the
-    /// half-width of the min..max range. A jittery bench widens its own
-    /// noise band instead of tripping the baseline delta.
-    pub(crate) fn spread_percent(&self) -> f64 {
+    /// half-width of the min..max range.
+    fn spread_percent(&self) -> f64 {
         if self.median > 0.0 {
             (self.max - self.min) / (2.0 * self.median) * 100.0
         } else {
@@ -193,8 +183,8 @@ fn report(name: &str, stats: Stats, throughput: Option<Throughput>) {
         }
         None => String::new(),
     };
-    let delta = baseline::record(name, ns_per_iter, stats.spread_percent());
-    println!("bench: {name:<52} {time:>12}/iter {range:<28}{extra}{delta}");
+    let spread = stats.spread_percent();
+    println!("bench: {name:<52} {time:>12}/iter {range:<28} ±{spread:.1}%{extra}");
 }
 
 /// The benchmark harness entry point.
@@ -276,14 +266,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Emits `main` running the listed groups, then persisting the medians
-/// as the new baseline.
+/// Emits `main` running the listed groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $( $group(); )+
-            $crate::baseline::persist();
         }
     };
 }
