@@ -4,11 +4,13 @@
 //! Each report prints a text table (and an ASCII chart where the paper
 //! has a figure) and writes its TSV file(s), named after the report,
 //! under `--out-dir`. `all` runs every report; Figures 1 and 2 share
-//! their threshold sweep.
+//! their threshold sweep. `--check` exits 1 on a failed report check.
 //!
 //! ```text
 //! cargo run --release -p peerback-bench --bin paper_report -- fig3_observers
 //! cargo run --release -p peerback-bench --bin paper_report -- all --smoke --out-dir out
+//! cargo run --release -p peerback-bench --bin paper_report -- \
+//!     ablation_learned ablation_width --peers 4096 --rounds 2000 --shards 8 --check
 //! ```
 
 use std::process::ExitCode;
@@ -22,8 +24,9 @@ const CLI: Cli = Cli {
   reports: fig1_repairs_by_threshold fig2_loss_by_threshold fig3_observers
            fig4_cumulative_loss table_params table_profiles table_repair_cost
            ablation_strategies ablation_acceptance ablation_proactive
-           ablation_adaptive ablation_archives ext_restorability",
-    groups: &["scale", "sweep", "output", "execution", "world"],
+           ablation_adaptive ablation_archives ablation_learned ablation_width
+           ext_restorability",
+    groups: &["scale", "sweep", "output", "execution", "world", "check"],
 };
 
 /// The reports the leading operands name.
@@ -52,8 +55,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut first = true;
-    reports::run(selected, &args, |_, rendered| {
+    let (mut first, mut failed) = (true, false);
+    reports::run(selected, &args, |report, runs| {
+        let rendered = (report.render)(runs);
         if !std::mem::take(&mut first) {
             println!();
         }
@@ -66,6 +70,12 @@ fn main() -> ExitCode {
             peerback_analysis::write_tsv(&path, &tsv.header, &tsv.rows).expect("write TSV");
             println!("wrote {}", path.display());
         }
+        if args.check {
+            for violation in (report.check)(runs) {
+                eprintln!("FAIL {}: {violation}", report.slug);
+                failed = true;
+            }
+        }
     });
-    ExitCode::SUCCESS
+    ExitCode::from(u8::from(failed))
 }

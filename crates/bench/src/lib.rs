@@ -2,16 +2,14 @@
 //! pieces the probes share.
 //!
 //! * [`reports`] — every figure, table and ablation of the evaluation
-//!   as data (slug, variants, renderer), run by the one `paper_report`
-//!   binary; README "Reproducing the paper's figures and tables" is the
-//!   index.
+//!   as data (slug, variants, renderer, check), run by the one
+//!   `paper_report` binary; README "Reproducing the paper's figures and
+//!   tables" is the index.
 //! * [`HarnessArgs`] — the only flag parser. Its usage text lists every
 //!   flag under a group name; each binary declares, in a [`Cli`], which
 //!   groups it reads, and anything else on its command line is an error
 //!   naming the flag and the binary.
 //! * [`Scale`] — the population/duration presets.
-//! * [`gated_churn_config`] — the churn-rich scenario both headline
-//!   gates (`estimate_probe`, `adaptive_probe`) run in.
 //! * [`HarnessArgs::report_head`] — the opening of every `--json`
 //!   report, and the one place that decides what `--stable-json` omits.
 //! * [`json`], [`rs_bench`], [`alloc_probe`], [`peak_rss_bytes`] — the
@@ -20,7 +18,6 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use peerback_churn::{LifetimeSpec, Profile, ProfileMix};
 use peerback_core::{SelectionStrategy, SimConfig};
 
 pub mod reports;
@@ -137,8 +134,8 @@ impl Scale {
 
 /// Every flag, under the name of its group: the usage text and, through
 /// [`groups_listing`], the table of which flag belongs to which group.
-/// A binary's [`Cli`] names the groups it reads; the `*-gates` groups
-/// are the acceptance gates of the one probe they are named after.
+/// A binary's [`Cli`] names the groups it reads; `check` belongs to
+/// `paper_report`, `adversary-gates` to `adversary_probe`.
 /// (`tests/command_lines.rs` pins the two scale lines to [`Scale`].)
 const USAGE: &str = "\
 scale
@@ -193,18 +190,9 @@ fabric
                     (free-rider fraction, rotter fraction, challenge
                     sweep interval, challenge coverage divisor;
                     default: all off)
-estimate-gates
-  --max-loss-factor F
-                    fail if learned losses exceed F x oracle losses
-                    (oracle floored at one loss)
-  --require-beat-uniform
-                    fail unless learned losses are strictly below
-                    uniform selection's
-adaptive-gates
-  --max-upload-ratio F
-                    fail if adaptive uploads exceed F x static uploads
-  --require-no-extra-loss
-                    fail if adaptive losses exceed static losses
+check
+  --check           print every failed report check and exit 1 if any
+                    failed (ablation_learned, ablation_width)
 adversary-gates
   --min-quarantine-rate F
                     fail unless this share of the targeted free riders
@@ -237,8 +225,8 @@ pub struct Cli {
     pub synopsis: &'static str,
     /// The groups of flags it reads: `"scale"`, `"sweep"` (`--threads`),
     /// `"output"` (`--out-dir`), `"execution"`, `"json"`,
-    /// `"stable-json"`, `"world"`, `"fabric"`, and a probe's own
-    /// `"…-gates"`.
+    /// `"stable-json"`, `"world"`, `"fabric"`, `"check"` and
+    /// `"adversary-gates"`.
     pub groups: &'static [&'static str],
 }
 
@@ -325,15 +313,11 @@ pub struct HarnessArgs {
     /// repair transfers of archives under `k + margin` placed blocks
     /// jump the class-priority queue (`0` = off).
     pub escalate_margin: u32,
-    /// `estimate_probe` / `adversary_probe` gate: the loss factor the
-    /// arm under test may reach over its baseline (at least 1).
+    /// `paper_report`: exit 1 if a selected report's check fails.
+    pub check: bool,
+    /// `adversary_probe` gate: the loss factor the attacked arm may
+    /// reach over the clean one (at least 1).
     pub max_loss_factor: Option<f64>,
-    /// `estimate_probe` gate: learned must strictly beat uniform.
-    pub require_beat_uniform: bool,
-    /// `adaptive_probe` gate: adaptive over static uploads (positive).
-    pub max_upload_ratio: Option<f64>,
-    /// `adaptive_probe` gate: adaptive losses must not exceed static.
-    pub require_no_extra_loss: bool,
     /// `adversary_probe` gate: the share of targeted free riders to be
     /// quarantined before half the run (a fraction).
     pub min_quarantine_rate: Option<f64>,
@@ -407,10 +391,8 @@ impl HarnessArgs {
             failure_domains: peerback_core::FailureDomainConfig::default(),
             quarantine_threshold: 0,
             escalate_margin: 0,
+            check: false,
             max_loss_factor: None,
-            require_beat_uniform: false,
-            max_upload_ratio: None,
-            require_no_extra_loss: false,
             min_quarantine_rate: None,
         };
 
@@ -474,10 +456,8 @@ impl HarnessArgs {
                     a.quarantine_threshold = parse_num(&value(), flag, &usage)
                 }
                 "--escalate-margin" => a.escalate_margin = parse_num(&value(), flag, &usage),
+                "--check" => a.check = true,
                 "--max-loss-factor" => a.max_loss_factor = Some(number(value(), AT_LEAST_ONE)),
-                "--require-beat-uniform" => a.require_beat_uniform = true,
-                "--max-upload-ratio" => a.max_upload_ratio = Some(number(value(), POSITIVE)),
-                "--require-no-extra-loss" => a.require_no_extra_loss = true,
                 "--min-quarantine-rate" => a.min_quarantine_rate = Some(number(value(), FRACTION)),
                 other => unreachable!("{other} is in the usage table but not parsed"),
             }
@@ -619,41 +599,10 @@ type Range = (&'static str, fn(f64) -> bool);
 
 const FRACTION: Range = ("a fraction in [0, 1]", |f| (0.0..=1.0).contains(&f));
 const AT_LEAST_ONE: Range = ("a number of at least 1", |f| f >= 1.0);
-const POSITIVE: Range = ("a positive number", |f| f > 0.0);
 
 fn parse_float(s: &str, flag: &str, (expects, accepts): Range, usage: &str) -> f64 {
     let valid = s.parse().ok().filter(|&v| accepts(v));
     valid.unwrap_or_else(|| panic!("flag {flag} expects {expects}, got {s:?}\n{usage}"))
-}
-
-/// The churn-rich scenario both headline gates run in (`estimate_probe`
-/// and `adaptive_probe`): the paper's geometry scaled to a 16+16 code
-/// with a heavy-tailed short-lifetime mix, so deaths (the survival
-/// model's training signal) and losses (the metric under test) both
-/// occur by the hundreds within a 2,000-round run; at the paper's real
-/// lifetime laws such a window is shorter than almost every peer's
-/// life. The reactive threshold sits two blocks above `k`: that thin
-/// repair margin is what makes partner *survival* — the quantity
-/// estimation improves — decide the loss count, rather than raw repair
-/// throughput.
-pub fn gated_churn_config(args: &HarnessArgs, strategy: SelectionStrategy) -> SimConfig {
-    let mut cfg = args.base_config().with_strategy(strategy);
-    cfg.k = 16;
-    cfg.m = 16;
-    cfg.quota = 72;
-    cfg.maintenance = peerback_core::MaintenancePolicy::Reactive { threshold: 18 };
-    // All three laws are Pareto — the paper's measured reality, and the
-    // regime where its core claim (age predicts remaining lifetime)
-    // actually holds. A bounded law in the mix would make old peers of
-    // that class the *worst* partners and punish any age-trusting
-    // strategy for reasons unrelated to estimation quality.
-    let pareto = |x_min, alpha| LifetimeSpec::Pareto { x_min, alpha };
-    cfg.profiles = ProfileMix::new(vec![
-        (Profile::new("Flash", pareto(30.0, 1.5), 0.33), 0.5),
-        (Profile::new("Transient", pareto(120.0, 1.9), 0.75), 0.3),
-        (Profile::new("Seasonal", pareto(400.0, 2.4), 0.9), 0.2),
-    ]);
-    cfg
 }
 
 /// Peak resident set size of this process in bytes: `VmHWM` from

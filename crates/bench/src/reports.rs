@@ -1,19 +1,23 @@
 //! The paper's evaluation as data: every figure, table and ablation is
 //! a [`Report`] — a slug, a set of configuration variants over the one
-//! simulator, and a renderer from the finished runs to a text table, an
-//! ASCII chart and TSV files (for gnuplot). [`run`] executes any
-//! selection of them; the `paper_report` binary is its command line and
-//! `tests/paper_reports.rs` pins its output against golden files.
+//! simulator, a renderer from the finished runs to a text table, an
+//! ASCII chart and TSV files (for gnuplot), and a check of the claim
+//! the runs must bear out. [`run`] executes any selection of them; the
+//! `paper_report` binary is its command line (`--check` turns a failed
+//! check into exit status 1) and `tests/paper_reports.rs` pins its
+//! output against golden files.
 //!
 //! Each renderer's doc comment states the shape the paper reports for
 //! it (§4.2) — with `PAPER.md` carrying only the abstract, these are
 //! the in-tree reference for what a figure should look like.
 
-use peerback_analysis::{render_table, AsciiChart, Scale, Series, TableBuilder};
-use peerback_churn::{paper_profiles, LifetimeSpec, SessionSampler};
+use peerback_analysis::{
+    render_table, AsciiChart, ObservedTraffic, PricedTraffic, Scale, Series, TableBuilder,
+};
+use peerback_churn::{paper_profiles, LifetimeSpec, Profile, ProfileMix, SessionSampler};
 use peerback_core::{
-    run_sweep_with_threads, AgeCategory, MaintenancePolicy, Metrics, ObserverSpec,
-    SelectionStrategy, SimConfig,
+    run_sweep_with_threads, AdaptiveRedundancy, AgeCategory, EstimatorReport, MaintenancePolicy,
+    Metrics, ObserverSpec, SelectionStrategy, SimConfig,
 };
 use peerback_net::{ArchiveGeometry, LinkModel, RepairCostModel};
 use peerback_sim::sim_rng;
@@ -67,19 +71,28 @@ pub struct Report {
     pub variants: Variants,
     /// From the finished runs (in `variants` order) to the output.
     pub render: fn(&[Run]) -> Rendered,
+    /// From the same runs to the claim's violations, one sentence each;
+    /// empty when the claim holds or the report makes none.
+    pub check: fn(&[Run]) -> Vec<String>,
 }
 
+/// A report that checks no claim.
 const fn report(slug: &'static str, variants: Variants, render: fn(&[Run]) -> Rendered) -> Report {
     Report {
         slug,
         variants,
         render,
+        check: no_check,
     }
+}
+
+fn no_check(_: &[Run]) -> Vec<String> {
+    Vec::new()
 }
 
 /// Every report, in the order `paper_report all` runs them: the paper's
 /// four figures, its tables, then the ablations and the extension.
-pub static ALL: [Report; 13] = [
+pub static ALL: [Report; 15] = [
     report("fig1_repairs_by_threshold", threshold_sweep, fig1),
     report("fig2_loss_by_threshold", threshold_sweep, fig2),
     report("fig3_observers", focus_with_observers, fig3),
@@ -100,6 +113,18 @@ pub static ALL: [Report; 13] = [
     ),
     report("ablation_adaptive", threshold_policies, ablation_adaptive),
     report("ablation_archives", archive_counts, ablation_archives),
+    Report {
+        slug: "ablation_learned",
+        variants: learned_arms,
+        render: ablation_learned,
+        check: learned_check,
+    },
+    Report {
+        slug: "ablation_width",
+        variants: width_arms,
+        render: ablation_width,
+        check: width_check,
+    },
     report(
         "ext_restorability",
         restorability_policies,
@@ -108,13 +133,13 @@ pub static ALL: [Report; 13] = [
 ];
 
 /// Runs `reports` in order at `args`' scale and seed, handing each
-/// rendering to `sink` as soon as its runs are done; returns the number
-/// of simulations run. Reports that name the same [`Variants`] function
-/// (Figures 1 and 2) share one sweep.
+/// report and its finished runs to `sink` as soon as they are done;
+/// returns the number of simulations run. Reports that name the same
+/// [`Variants`] function (Figures 1 and 2) share one sweep.
 pub fn run<'a>(
     reports: impl IntoIterator<Item = &'a Report>,
     args: &HarnessArgs,
-    mut sink: impl FnMut(&Report, Rendered),
+    mut sink: impl FnMut(&Report, &[Run]),
 ) -> usize {
     let mut sweeps: Vec<(Variants, Vec<Run>)> = Vec::new();
     for report in reports {
@@ -140,7 +165,7 @@ pub fn run<'a>(
             sweeps.push((report.variants, runs.collect()));
             sweeps.len() - 1
         });
-        sink(report, (report.render)(&sweeps[sweep].1));
+        sink(report, &sweeps[sweep].1);
     }
     sweeps.iter().map(|(_, runs)| runs.len()).sum()
 }
@@ -200,6 +225,10 @@ fn uploads(run: &Run) -> String {
     run.metrics.diag.blocks_uploaded.to_string()
 }
 
+fn downloads(run: &Run) -> String {
+    run.metrics.diag.blocks_downloaded.to_string()
+}
+
 /// The four age categories' TSV column names, in `AgeCategory::ALL`
 /// order (the text tables and legends use `AgeCategory::name`).
 const CATEGORY_COLUMNS: [&str; 4] = ["newcomers", "young", "old", "elder"];
@@ -238,6 +267,42 @@ fn tabulate(slug: &str, title: &str, columns: &[&[Column]], runs: &[Run]) -> Ren
             rows,
         }],
     }
+}
+
+/// [`tabulate`] plus a last column: each run's `count` over the first
+/// run's, the baseline the report measures the others against.
+fn tabulate_against_first(
+    slug: &str,
+    title: &str,
+    columns: &[Column],
+    (heading, name, count): (&'static str, &'static str, fn(&Metrics) -> u64),
+    runs: &[Run],
+) -> Rendered {
+    let mut out = tabulate(slug, title, &[columns], runs);
+    let baseline = count(&runs[0].metrics);
+    let tsv = &mut out.tsvs[0];
+    tsv.header.push(name);
+    for (row, run) in tsv.rows.iter_mut().zip(runs) {
+        row.push(fixed(floored_ratio(count(&run.metrics), baseline)));
+    }
+    let headings: Vec<&str> = columns.iter().map(|c| c.0).chain([heading]).collect();
+    out.table = format!("{title}\n\n{}", table_of(&headings, &tsv.rows));
+    out
+}
+
+/// A float cell at six decimals; `n/a` for NaN.
+fn fixed(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.6}")
+    } else {
+        "n/a".to_string()
+    }
+}
+
+/// `numerator / max(denominator, 1)`: a perfect baseline must not
+/// demand perfection of the arm under test.
+fn floored_ratio(numerator: u64, denominator: u64) -> f64 {
+    numerator as f64 / denominator.max(1) as f64
 }
 
 /// A report that is text only.
@@ -722,7 +787,7 @@ fn every_strategy(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
 /// Expected: age-based beats random on elder-peer maintenance cost and
 /// approaches the oracle; youngest-first is the worst; learned-age
 /// lands between age-based and the oracle once the model has data (see
-/// `estimate_probe` for the dedicated oracle/learned/uniform ablation).
+/// `ablation_learned` for the checked oracle/learned/uniform ablation).
 fn ablation_strategies(runs: &[Run]) -> Rendered {
     tabulate(
         "ablation_strategies",
@@ -815,9 +880,6 @@ fn maintenance_policies(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
 /// repairs for a higher redundancy floor; reactive batches work but
 /// rides closer to the threshold.
 fn ablation_proactive(runs: &[Run]) -> Rendered {
-    fn downloads(run: &Run) -> String {
-        run.metrics.diag.blocks_downloaded.to_string()
-    }
     tabulate(
         "ablation_proactive",
         "Ablation A3: maintenance policy comparison",
@@ -937,6 +999,247 @@ fn ablation_archives(runs: &[Run]) -> Rendered {
     out
 }
 
+// ---------------------------------------------------------------------
+// The checked ablations: the churn-rich scenario CI holds to a claim.
+
+/// The churn-rich scenario both checked ablations run in: the paper's
+/// geometry scaled to a 16+16 code with a heavy-tailed short-lifetime
+/// mix, so deaths (the survival model's training signal) and losses
+/// (the metric under test) both occur by the hundreds within a
+/// 2,000-round run; at the paper's real lifetime laws such a window is
+/// shorter than almost every peer's life. The reactive threshold sits
+/// two blocks above `k`: that thin repair margin is what makes partner
+/// *survival* — the quantity estimation improves — decide the loss
+/// count, rather than raw repair throughput.
+fn gated_churn_config(args: &HarnessArgs, strategy: SelectionStrategy) -> SimConfig {
+    let mut cfg = args.base_config().with_strategy(strategy);
+    cfg.k = 16;
+    cfg.m = 16;
+    cfg.quota = 72;
+    cfg.maintenance = MaintenancePolicy::Reactive { threshold: 18 };
+    // All three laws are Pareto — the paper's measured reality, and the
+    // regime where its core claim (age predicts remaining lifetime)
+    // actually holds. A bounded law in the mix would make old peers of
+    // that class the *worst* partners and punish any age-trusting
+    // strategy for reasons unrelated to estimation quality.
+    let pareto = |x_min, alpha| LifetimeSpec::Pareto { x_min, alpha };
+    cfg.profiles = ProfileMix::new(vec![
+        (Profile::new("Flash", pareto(30.0, 1.5), 0.33), 0.5),
+        (Profile::new("Transient", pareto(120.0, 1.9), 0.75), 0.3),
+        (Profile::new("Seasonal", pareto(400.0, 2.4), 0.9), 0.2),
+    ]);
+    cfg
+}
+
+fn restorability(run: &Run) -> String {
+    fixed(run.metrics.mean_restorability().unwrap_or(f64::NAN))
+}
+
+/// The most the learned arm may lose, as a multiple of the oracle's
+/// losses (floored at one).
+const LEARNED_MAX_LOSS_FACTOR: f64 = 3.0;
+
+fn learned_arms(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+    let arms = [
+        ("oracle", SelectionStrategy::OracleLifetime),
+        ("learned", SelectionStrategy::LearnedAge),
+        ("uniform", SelectionStrategy::Random),
+    ];
+    let arm = |(label, s): (&str, _)| (label.to_string(), gated_churn_config(args, s));
+    arms.map(arm).into()
+}
+
+/// A learned-model cell of `run`; `n/a` for an arm without a model.
+fn model(run: &Run, cell: impl FnOnce(&EstimatorReport) -> String) -> String {
+    run.metrics.estimator.as_ref().map_or("n/a".into(), cell)
+}
+
+/// **Ablation A6** — the paper's core claim, closed-loop: three runs of
+/// [`gated_churn_config`] differing only in partner selection. The
+/// oracle ranks by true remaining lifetime (the bound no estimator can
+/// beat), learned by the online survival model trained on the deaths
+/// the run itself observed, uniform by nothing (the paper's strawman).
+/// The columns from `model` on describe the learned model;
+/// `class_curves` reads which of the reliable/diurnal/flaky classes
+/// answer from their own curve.
+///
+/// Expected ([`learned_check`]): learned loses at most
+/// [`LEARNED_MAX_LOSS_FACTOR`] times the oracle's losses and strictly
+/// fewer than uniform. At a few hundred peers the model sees too few
+/// deaths to act and the ordering is noise.
+fn ablation_learned(runs: &[Run]) -> Rendered {
+    tabulate_against_first(
+        "ablation_learned",
+        "Ablation A6: oracle / learned / uniform selection (churn-rich 16+16 scenario)",
+        &[
+            Column("strategy", "strategy", label),
+            Column("losses", "losses", losses),
+            Column("repairs", "repairs", repairs),
+            Column("uploads", "uploads", uploads),
+            Column("downloads", "downloads", downloads),
+            Column("departures", "departures", |r| {
+                r.metrics.diag.departures.to_string()
+            }),
+            Column("timeouts", "partner_timeouts", |r| {
+                r.metrics.diag.partner_timeouts.to_string()
+            }),
+            Column("shortfalls", "pool_shortfalls", |r| {
+                r.metrics.diag.pool_shortfalls.to_string()
+            }),
+            Column("restorability", "mean_restorability", restorability),
+            Column("model", "model_active", |r| {
+                model(r, |m| u8::from(m.active).to_string())
+            }),
+            Column("deaths", "deaths_observed", |r| {
+                model(r, |m| m.deaths_observed.to_string())
+            }),
+            Column("refreshes", "refreshes", |r| {
+                model(r, |m| m.refreshes.to_string())
+            }),
+            Column("MAE", "calibration_mae", |r| {
+                model(r, |m| fixed(m.calibration_mae))
+            }),
+            Column("legacy MAE", "legacy_mae", |r| {
+                model(r, |m| fixed(m.legacy_mae))
+            }),
+            Column("back-tests", "calibration_samples", |r| {
+                model(r, |m| m.calibration_samples.to_string())
+            }),
+            Column("class curves", "class_curves", |r| {
+                model(r, |m| {
+                    m.class_curve_active
+                        .map(|on| u8::from(on).to_string())
+                        .join("/")
+                })
+            }),
+        ],
+        ("x oracle", "loss_factor_vs_oracle", Metrics::total_losses),
+        runs,
+    )
+}
+
+/// [`ablation_learned`]'s claim.
+fn learned_check(runs: &[Run]) -> Vec<String> {
+    let [oracle, learned, uniform] = [0, 1, 2].map(|i| runs[i].metrics.total_losses());
+    let factor = floored_ratio(learned, oracle);
+    let mut violations = Vec::new();
+    if factor > LEARNED_MAX_LOSS_FACTOR {
+        violations.push(format!(
+            "learned losses ({learned}) exceed {LEARNED_MAX_LOSS_FACTOR:.1}x oracle losses \
+             ({oracle}): loss factor {factor:.2}"
+        ));
+    }
+    if learned >= uniform {
+        violations.push(format!(
+            "learned losses ({learned}) do not beat uniform selection ({uniform})"
+        ));
+    }
+    violations
+}
+
+/// Width the adaptive arm may trim: 8 blocks off a 16+16 code leaves a
+/// floor of 24 placements, comfortably above the reactive threshold of
+/// 18 so a freshly narrowed archive is never already due for repair.
+const MAX_TRIM: u16 = 8;
+
+/// The most the adaptive arm may upload, as a share of the static
+/// arm's uploads.
+const WIDTH_MAX_UPLOAD_RATIO: f64 = 0.9;
+
+fn width_arms(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+    let stat = gated_churn_config(args, SelectionStrategy::LearnedAge);
+    let trimmed = AdaptiveRedundancy::tuned(MAX_TRIM);
+    let adaptive = stat.clone().with_adaptive_n(trimmed);
+    vec![("static".into(), stat), ("adaptive".into(), adaptive)]
+}
+
+/// A run's block traffic priced through the §2.2.4 cost model: the
+/// gated 16+16 geometry at the paper's archive size, over the paper's
+/// DSL line.
+fn priced(run: &Run) -> PricedTraffic {
+    let geometry = ArchiveGeometry::new(128.0 * 1024.0 * 1024.0, 16, 16);
+    let traffic = ObservedTraffic {
+        blocks_uploaded: run.metrics.diag.blocks_uploaded,
+        blocks_downloaded: run.metrics.diag.blocks_downloaded,
+        peers: run.config.n_peers as u64,
+        rounds: run.config.rounds,
+    };
+    traffic.price(&RepairCostModel::new(LinkModel::DSL_2009, geometry))
+}
+
+/// **Ablation A7** — static vs adaptive per-archive width: two runs of
+/// [`gated_churn_config`] under learned selection, differing only in
+/// whether [`AdaptiveRedundancy::tuned`] may trim up to [`MAX_TRIM`]
+/// blocks off archives the model predicts durable (and widen, with a
+/// preemptive repair, those whose prediction sags). Both runs are also
+/// priced through the §2.2.4 link-cost model: maintenance seconds per
+/// peer per day on the paper's DSL line, and the same in worst-case
+/// repairs.
+///
+/// Expected ([`width_check`]): adaptive uploads at most
+/// [`WIDTH_MAX_UPLOAD_RATIO`] of the static uploads, at no more
+/// losses.
+fn ablation_width(runs: &[Run]) -> Rendered {
+    tabulate_against_first(
+        "ablation_width",
+        "Ablation A7: static vs adaptive redundancy width, learned selection (churn-rich 16+16)",
+        &[
+            Column("policy", "policy", label),
+            Column("max trim", "max_trim", |r| {
+                r.config.adaptive_n.max_trim.to_string()
+            }),
+            Column("losses", "losses", losses),
+            Column("repairs", "repairs", repairs),
+            Column("uploads", "uploads", uploads),
+            Column("downloads", "downloads", downloads),
+            Column("widened", "widened", |r| {
+                r.metrics.diag.redundancy_widened.to_string()
+            }),
+            Column("narrowed", "narrowed", |r| {
+                r.metrics.diag.redundancy_narrowed.to_string()
+            }),
+            Column("preemptive", "preemptive_repairs", |r| {
+                r.metrics.diag.preemptive_repairs.to_string()
+            }),
+            Column("released", "placements_released", |r| {
+                r.metrics.diag.placements_released.to_string()
+            }),
+            Column("restorability", "mean_restorability", restorability),
+            Column("s/peer/day", "maintenance_secs_per_peer_day", |r| {
+                fixed(priced(r).secs_per_peer_day)
+            }),
+            Column("repairs/peer/day", "repairs_equiv_per_peer_day", |r| {
+                fixed(priced(r).repairs_equiv_per_peer_day)
+            }),
+        ],
+        ("x static uploads", "upload_ratio_vs_static", |m| {
+            m.diag.blocks_uploaded
+        }),
+        runs,
+    )
+}
+
+/// [`ablation_width`]'s claim.
+fn width_check(runs: &[Run]) -> Vec<String> {
+    let [stat, adaptive] = [0, 1].map(|i| &runs[i].metrics);
+    let [uploads, adaptive_uploads] = [stat, adaptive].map(|m| m.diag.blocks_uploaded);
+    let [losses, adaptive_losses] = [stat, adaptive].map(Metrics::total_losses);
+    let ratio = floored_ratio(adaptive_uploads, uploads);
+    let mut violations = Vec::new();
+    if ratio > WIDTH_MAX_UPLOAD_RATIO {
+        violations.push(format!(
+            "adaptive uploads ({adaptive_uploads}) exceed {WIDTH_MAX_UPLOAD_RATIO:.2}x static \
+             uploads ({uploads}): ratio {ratio:.3}"
+        ));
+    }
+    if adaptive_losses > losses {
+        violations.push(format!(
+            "adaptive losses ({adaptive_losses}) exceed the static baseline ({losses})"
+        ));
+    }
+    violations
+}
+
 fn restorability_policies(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
     vec![
         variant(args, "reactive k'=132", reactive(132)),
@@ -1007,5 +1310,59 @@ mod tests {
         let labels: Vec<String> = ages.map(frozen_age_label).collect();
         assert_eq!(labels, ["3 months", "1 month", "1 week", "1 day", "1 hour"]);
         assert_eq!(frozen_age_label(5), "5 rounds");
+    }
+
+    /// A finished run with only the totals the checks read.
+    fn run(label: &str, losses: u64, uploads: u64) -> Run {
+        let mut metrics = Metrics::default();
+        (metrics.losses[0], metrics.diag.blocks_uploaded) = (losses, uploads);
+        let (label, config) = (label.to_string(), SimConfig::paper(300, 10, 1));
+        Run {
+            label,
+            config,
+            metrics,
+        }
+    }
+
+    fn learned(oracle: u64, learned: u64, uniform: u64) -> Vec<String> {
+        let runs = [
+            ("oracle", oracle),
+            ("learned", learned),
+            ("uniform", uniform),
+        ];
+        learned_check(&runs.map(|(label, losses)| run(label, losses, 0)))
+    }
+
+    fn width(stat: (u64, u64), adaptive: (u64, u64)) -> Vec<String> {
+        let runs = [("static", stat), ("adaptive", adaptive)];
+        width_check(&runs.map(|(label, (losses, uploads))| run(label, losses, uploads)))
+    }
+
+    #[test]
+    fn learned_check_holds_learned_between_oracle_and_uniform() {
+        assert!(learned(162, 446, 476).is_empty());
+        let both = [
+            "learned losses (301) exceed 3.0x oracle losses (100): loss factor 3.01",
+            "learned losses (301) do not beat uniform selection (300)",
+        ];
+        assert_eq!(learned(100, 301, 300), both);
+        assert_eq!(learned(10, 20, 20).len(), 1, "a tie does not beat uniform");
+        // A perfect oracle counts as one loss.
+        assert!(learned(0, 3, 4).is_empty());
+        assert_eq!(learned(0, 4, 5).len(), 1);
+    }
+
+    #[test]
+    fn width_check_holds_uploads_down_at_no_extra_loss() {
+        assert!(width((446, 2_039_754), (261, 1_763_581)).is_empty());
+        let both = [
+            "adaptive uploads (91) exceed 0.90x static uploads (100): ratio 0.910",
+            "adaptive losses (11) exceed the static baseline (10)",
+        ];
+        assert_eq!(width((10, 100), (11, 91)), both);
+        assert!(width((10, 100), (10, 90)).is_empty());
+        // No static uploads count as one.
+        assert!(width((0, 0), (0, 0)).is_empty());
+        assert_eq!(width((0, 0), (0, 1)).len(), 1);
     }
 }

@@ -1,4 +1,4 @@
-//! The command lines of the eight binaries: `HarnessArgs` is the only
+//! The command lines of the six binaries: `HarnessArgs` is the only
 //! flag parser, every binary declares what it reads, and anything else
 //! is refused by name. The parser is tested through the public API; the
 //! binaries' own declarations by running them — a refused command line
@@ -9,11 +9,11 @@ use std::process::Command;
 use peerback_bench::{Cli, HarnessArgs, Scale};
 
 /// A binary that reads the scale flags, `--json` (without
-/// `--stable-json`) and `estimate_probe`'s gates.
+/// `--stable-json`) and `adversary_probe`'s gates.
 const NARROW: Cli = Cli {
     binary: "narrow",
     synopsis: "[options]",
-    groups: &["scale", "json", "estimate-gates"],
+    groups: &["scale", "json", "adversary-gates"],
 };
 
 const EVERYTHING: Cli = Cli {
@@ -28,8 +28,7 @@ const EVERYTHING: Cli = Cli {
         "stable-json",
         "world",
         "fabric",
-        "estimate-gates",
-        "adaptive-gates",
+        "check",
         "adversary-gates",
     ],
 };
@@ -58,8 +57,8 @@ fn listed_flags(usage: &str) -> Vec<(&str, bool)> {
 fn every_flag_the_usage_lists_parses() {
     let usage = EVERYTHING.usage();
     let flags = listed_flags(&usage);
-    // 25 shared flags, 6 gate entries (`--max-loss-factor` twice).
-    assert_eq!(flags.len(), 25 + 6, "{usage}");
+    // 25 shared flags, `--check`, and the adversary probe's two gates.
+    assert_eq!(flags.len(), 25 + 1 + 2, "{usage}");
     for (flag, takes_value) in flags {
         // An entry of the usage table without a parser arm would panic.
         let sample = match flag {
@@ -88,9 +87,9 @@ fn json_does_not_admit_stable_json() {
 }
 
 #[test]
-#[should_panic(expected = "flag --max-upload-ratio is not read by narrow")]
+#[should_panic(expected = "flag --check is not read by narrow")]
 fn another_probes_gate_is_refused() {
-    parse(&NARROW, &["--max-upload-ratio", "0.9"]);
+    parse(&NARROW, &["--check"]);
 }
 
 #[test]
@@ -114,8 +113,8 @@ fn usage_lists_only_what_the_binary_reads() {
         "--rounds",
         "--seed",
         "--json",
+        "--min-quarantine-rate",
         "--max-loss-factor",
-        "--require-beat-uniform",
     ];
     assert_eq!(listed, reads);
     // Group names are the table's keys, not part of the help.
@@ -123,7 +122,7 @@ fn usage_lists_only_what_the_binary_reads() {
         usage.lines().skip(1).all(|l| l.starts_with("  ")),
         "{usage}"
     );
-    assert!(usage.contains("F x oracle losses") && !usage.contains("the clean run"));
+    assert!(usage.contains("the clean run") && !usage.contains("--check"));
 }
 
 /// `--smoke` was once documented as "800 peers, 8k rounds" while
@@ -154,8 +153,7 @@ fn scale_usage_lines_state_the_presets() {
 #[test]
 fn gate_flags_parse_through_the_shared_path() {
     let a = parse(&NARROW, &["--peers", "100", "--seed", "7"]);
-    assert_eq!(a.max_loss_factor, None);
-    assert!(!a.require_beat_uniform);
+    assert_eq!((a.max_loss_factor, a.min_quarantine_rate), (None, None));
     let a = parse(
         &NARROW,
         &[
@@ -163,7 +161,8 @@ fn gate_flags_parse_through_the_shared_path() {
             "100",
             "--max-loss-factor",
             "3",
-            "--require-beat-uniform",
+            "--min-quarantine-rate",
+            "0",
             "--seed",
             "7",
             "--max-loss-factor",
@@ -172,15 +171,9 @@ fn gate_flags_parse_through_the_shared_path() {
     );
     assert_eq!((a.peers, a.seed), (100, 7));
     assert_eq!(a.max_loss_factor, Some(4.5));
-    assert!(a.require_beat_uniform);
-    let a = parse(
-        &EVERYTHING,
-        &["--max-upload-ratio", "0.9", "--require-no-extra-loss"],
-    );
-    assert_eq!(a.max_upload_ratio, Some(0.9));
-    assert!(a.require_no_extra_loss);
-    let a = parse(&EVERYTHING, &["--min-quarantine-rate", "0"]);
     assert_eq!(a.min_quarantine_rate, Some(0.0));
+    assert!(!parse(&EVERYTHING, &[]).check);
+    assert!(parse(&EVERYTHING, &["--peers", "100", "--check"]).check);
 }
 
 #[test]
@@ -253,14 +246,28 @@ fn report_head_decides_what_the_stable_form_omits() {
     assert_eq!(full, format!(r#"{head}"host_cpus":{cpus},{tail}"#));
 }
 
+/// The two checked reports run in one churn-rich 16+16 scenario, one
+/// arm per strategy or width they compare.
 #[test]
 fn gated_churn_scenario_is_valid_at_every_strategy() {
+    use peerback_core::SelectionStrategy::{LearnedAge, OracleLifetime, Random};
     let args = parse(&EVERYTHING, &[]);
-    for strategy in peerback_core::SelectionStrategy::ALL {
-        let cfg = peerback_bench::gated_churn_config(&args, strategy);
-        assert_eq!(cfg.strategy, strategy);
-        assert_eq!((cfg.k, cfg.m, cfg.profiles.len()), (16, 16, 3));
-        assert!(cfg.validate().is_ok());
+    let variants = |slug| {
+        let report = peerback_bench::reports::ALL.iter().find(|r| r.slug == slug);
+        (report.expect("a checked report").variants)(&args)
+    };
+    let learned = variants("ablation_learned");
+    let strategies: Vec<_> = learned.iter().map(|(_, cfg)| cfg.strategy).collect();
+    assert_eq!(strategies, [OracleLifetime, LearnedAge, Random]);
+    let width = variants("ablation_width");
+    let (stat, adaptive) = (&width[0].1, &width[1].1);
+    assert!(!stat.adaptive_n.enabled && adaptive.adaptive_n.enabled);
+    // The narrowed floor must stay above the reactive threshold so a
+    // freshly trimmed archive is not instantly due for repair.
+    assert!(adaptive.n_blocks() - u32::from(adaptive.adaptive_n.max_trim) > 18);
+    for (label, cfg) in learned.iter().chain(&width) {
+        assert_eq!((cfg.k, cfg.m, cfg.profiles.len()), (16, 16, 3), "{label}");
+        assert!(cfg.validate().is_ok(), "{label}");
     }
 }
 
@@ -317,20 +324,21 @@ fn each_binary_refuses_the_shared_flags_it_would_ignore() {
             &["--out-dir", "x"],
         ),
         (
+            env!("CARGO_BIN_EXE_paper_report"),
+            "paper_report",
+            &["ablation_learned", "--max-loss-factor", "3"],
+        ),
+        (
             env!("CARGO_BIN_EXE_adversary_probe"),
             "adversary_probe",
             &["--threads", "2"],
         ),
         (
-            env!("CARGO_BIN_EXE_adaptive_probe"),
-            "adaptive_probe",
-            &["--flash-restore", "20"],
+            env!("CARGO_BIN_EXE_adversary_probe"),
+            "adversary_probe",
+            &["--check"],
         ),
-        (
-            env!("CARGO_BIN_EXE_estimate_probe"),
-            "estimate_probe",
-            &["--link-cap", "4096"],
-        ),
+        (env!("CARGO_BIN_EXE_perf_probe"), "perf_probe", &["--check"]),
     ];
     for (binary, name, args) in refused {
         let flag = args.iter().rfind(|a| a.starts_with("--")).expect("a flag");
@@ -347,18 +355,6 @@ fn each_binary_refuses_the_shared_flags_it_would_ignore() {
 #[test]
 fn the_probes_gate_flags_keep_their_range_checks() {
     let refused = [
-        (
-            env!("CARGO_BIN_EXE_estimate_probe"),
-            "--max-loss-factor",
-            "0.5",
-            "a number of at least 1",
-        ),
-        (
-            env!("CARGO_BIN_EXE_adaptive_probe"),
-            "--max-upload-ratio",
-            "0",
-            "a positive number",
-        ),
         (
             env!("CARGO_BIN_EXE_adversary_probe"),
             "--min-quarantine-rate",
@@ -411,21 +407,21 @@ fn the_binaries_refuse_numbers_their_fields_would_wrap() {
 
 #[test]
 fn help_lists_what_each_binary_reads_and_its_own_flags() {
-    let (ok, help) = run(env!("CARGO_BIN_EXE_adaptive_probe"), &["--help"]);
+    let (ok, help) = run(env!("CARGO_BIN_EXE_adversary_probe"), &["--help"]);
     assert!(
-        ok && help.starts_with("usage: adaptive_probe [options]\n"),
+        ok && help.starts_with("usage: adversary_probe [options]\n"),
         "{help}"
     );
     for listed in [
-        "--threads N",
+        "--link-cap N",
         "--stable-json",
-        "--max-upload-ratio F",
-        "--require-no-extra-loss",
+        "--min-quarantine-rate F",
+        "--max-loss-factor F",
     ] {
         assert!(help.contains(&format!("\n  {listed}")), "{listed}: {help}");
     }
     assert!(
-        !help.contains("--link-cap") && !help.contains("--out-dir"),
+        !help.contains("--threads") && !help.contains("--check"),
         "{help}"
     );
 
@@ -459,17 +455,47 @@ fn help_lists_what_each_binary_reads_and_its_own_flags() {
 #[test]
 fn a_gated_probe_runs_with_its_gate_flags_beside_the_shared_ones() {
     let (ok, report) = run(
-        env!("CARGO_BIN_EXE_adaptive_probe"),
+        env!("CARGO_BIN_EXE_adversary_probe"),
         &[
             "--peers",
-            "200",
-            "--max-upload-ratio",
-            "1000",
+            "64",
+            "--min-quarantine-rate",
+            "0",
             "--rounds",
-            "60",
+            "40",
+            "--max-loss-factor",
+            "1000000",
             "--json",
             "--stable-json",
         ],
     );
-    assert!(ok && report.starts_with(r#"{"probe":"adaptive_probe","peers":200,"rounds":60,"seed":42,"max_trim":8,"policies":["#), "{report}");
+    let head = r#"{"probe":"adversary_probe","peers":64,"rounds":40,"seed":42,"#;
+    assert!(ok && report.starts_with(head), "{report}");
+}
+
+/// At 200 peers x 60 rounds the learned model never activates and
+/// nothing is lost: learned ties uniform at 0 losses and adaptive width
+/// saves no uploads, so both checks fail — and only `--check` turns
+/// that into the exit status.
+#[test]
+fn check_fails_paper_report_and_names_each_violated_report() {
+    let out_dir = std::env::temp_dir().join(format!("peerback-check-{}", std::process::id()));
+    let out_dir = out_dir.to_str().expect("a UTF-8 temp dir");
+    let reports = ["ablation_learned", "ablation_width"];
+    let scale = ["--peers", "200", "--rounds", "60", "--out-dir", out_dir];
+    let args = [&reports[..], &scale].concat();
+    let (ok, text) = run(env!("CARGO_BIN_EXE_paper_report"), &args);
+    assert!(ok && !text.contains("FAIL"), "{text}");
+    let (ok, text) = run(
+        env!("CARGO_BIN_EXE_paper_report"),
+        &[&args[..], &["--check"]].concat(),
+    );
+    assert!(!ok, "{text}");
+    for violation in [
+        "FAIL ablation_learned: learned losses (0) do not beat uniform selection (0)",
+        "FAIL ablation_width: adaptive uploads",
+    ] {
+        assert!(text.contains(violation), "{violation}: {text}");
+    }
+    std::fs::remove_dir_all(out_dir).expect("remove the report directory");
 }

@@ -27,7 +27,7 @@
 //! 35 simulated days. Seed 5 is one where that short window already
 //! holds archive losses (at `k' = 132`, 136 and in Figure 4's stressed
 //! `k' = 133` run), so Figures 2 and 4 pin more than a page of zeros.
-//! The ablations and the extension cost another 28 runs; tier-1 only
+//! The ablations and the extension cost another 33 runs; tier-1 only
 //! checks their shape (below), CI runs them in a release build.
 
 use std::path::Path;
@@ -39,7 +39,7 @@ use peerback_bench::{Cli, HarnessArgs};
 const CLI: Cli = Cli {
     binary: "paper_report",
     synopsis: "",
-    groups: &["scale", "sweep", "output", "execution", "world"],
+    groups: &["scale", "sweep", "output", "execution", "world", "check"],
 };
 
 fn golden(file: &str) -> String {
@@ -61,7 +61,8 @@ fn assert_golden(reports: Vec<&'static Report>, execution: &[&str]) -> usize {
     let scale = ["--peers", "300", "--rounds", "840", "--seed", "5"];
     let flags = scale.iter().chain(execution).map(|s| s.to_string());
     let args = HarnessArgs::parse_from(&CLI, flags);
-    reports::run(reports, &args, |report, rendered| {
+    reports::run(reports, &args, |report, runs| {
+        let rendered = (report.render)(runs);
         assert!(!rendered.tsvs.is_empty(), "{} wrote nothing", report.slug);
         for tsv in &rendered.tsvs {
             assert!(tsv.file.starts_with(report.slug), "{}", tsv.file);
@@ -100,13 +101,14 @@ fn figures_do_not_depend_on_sweep_threads_or_shard_workers() {
 
 /// Shape, not values: every report beyond the paper declares valid,
 /// distinctly labelled variants and renders them into one TSV named
-/// after it whose rows all have the header's width — checked on one
-/// real run standing in for every variant, so it costs one simulation.
+/// after it whose rows all have the header's width, and checks them
+/// without panicking — on one real run standing in for every variant,
+/// so it costs one simulation.
 #[test]
 fn ablations_and_extension_render_one_well_formed_tsv_each() {
     let mut beyond = reports_named("ablation_");
     beyond.extend(reports_named("ext_"));
-    assert_eq!(beyond.len(), 6);
+    assert_eq!(beyond.len(), 8);
     let flags = ["--peers", "300", "--rounds", "240"].map(String::from);
     let args = HarnessArgs::parse_from(&CLI, flags);
     let metrics = peerback_core::run_simulation(args.base_config());
@@ -132,6 +134,7 @@ fn ablations_and_extension_render_one_well_formed_tsv_each() {
             report.slug
         );
 
+        (report.check)(&runs);
         let rendered = (report.render)(&runs);
         assert!(rendered.table.contains(&runs[0].label), "{}", report.slug);
         let [tsv] = &rendered.tsvs[..] else {
@@ -155,7 +158,8 @@ fn static_tables_match_their_goldens() {
     let tables = reports_named("table_");
     assert_eq!(tables.len(), 3);
     let args = HarnessArgs::parse_from(&CLI, []);
-    let simulations = reports::run(tables, &args, |table, out| {
+    let simulations = reports::run(tables, &args, |table, runs| {
+        let out = (table.render)(runs);
         assert!(out.tsvs.is_empty() && out.chart.is_empty());
         // `paper_report <slug>` prints the text and a newline.
         assert!(

@@ -11,7 +11,7 @@
 //! blocks and erasure-coded) and parses back into its entries on
 //! restore.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::wire::{Reader, WireError, Writer};
 
@@ -25,8 +25,8 @@ const MAGIC: &[u8; 4] = b"PBA1";
 pub struct Entry {
     /// Path or logical name.
     pub name: String,
-    /// Contents.
-    pub data: Bytes,
+    /// Contents, shared between clones.
+    pub data: Arc<[u8]>,
 }
 
 /// A sealed archive.
@@ -94,7 +94,7 @@ impl Archive {
         let mut entries = Vec::with_capacity(count.min(4096) as usize);
         for _ in 0..count {
             let name = r.get_str()?.to_owned();
-            let data = Bytes::copy_from_slice(r.get_bytes()?);
+            let data = Arc::from(r.get_bytes()?);
             entries.push(Entry { name, data });
         }
         r.finish()?;
@@ -169,7 +169,7 @@ impl ArchiveBuilder {
 
     /// Adds an entry; returns any archives sealed as a result. Entries
     /// larger than the capacity occupy an archive of their own.
-    pub fn push(&mut self, name: impl Into<String>, data: impl Into<Bytes>) -> Vec<Archive> {
+    pub fn push(&mut self, name: impl Into<String>, data: impl Into<Arc<[u8]>>) -> Vec<Archive> {
         let entry = Entry {
             name: name.into(),
             data: data.into(),
@@ -209,8 +209,8 @@ impl ArchiveBuilder {
 mod tests {
     use super::*;
 
-    fn entry(name: &str, len: usize, fill: u8) -> (String, Bytes) {
-        (name.to_string(), Bytes::from(vec![fill; len]))
+    fn entry(name: &str, len: usize, fill: u8) -> (String, Vec<u8>) {
+        (name.to_string(), vec![fill; len])
     }
 
     #[test]
@@ -221,11 +221,11 @@ mod tests {
             vec![
                 Entry {
                     name: "photos/cat.jpg".into(),
-                    data: Bytes::from_static(b"meow"),
+                    data: b"meow".as_slice().into(),
                 },
                 Entry {
                     name: "empty".into(),
-                    data: Bytes::new(),
+                    data: Arc::from([]),
                 },
             ],
         );
@@ -248,7 +248,7 @@ mod tests {
             false,
             vec![Entry {
                 name: "f".into(),
-                data: Bytes::from_static(&[1, 2, 3]),
+                data: Arc::from([1, 2, 3]),
             }],
         )
         .to_bytes();
@@ -338,7 +338,7 @@ mod tests {
             false,
             vec![Entry {
                 name: "abc".into(),
-                data: Bytes::from_static(&[1, 2]),
+                data: Arc::from([1, 2]),
             }],
         );
         assert_eq!(a.payload_len(), 5);

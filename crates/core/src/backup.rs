@@ -147,7 +147,6 @@ mod tests {
     use super::*;
     use crate::archive::Entry;
     use crate::crypt::{NoCipher, XorKeystream};
-    use bytes::Bytes;
 
     fn archive() -> Archive {
         Archive::from_entries(
@@ -156,11 +155,11 @@ mod tests {
             vec![
                 Entry {
                     name: "a.txt".into(),
-                    data: Bytes::from(vec![7u8; 100]),
+                    data: vec![7u8; 100].into(),
                 },
                 Entry {
                     name: "b.bin".into(),
-                    data: Bytes::from((0..=255u8).collect::<Vec<u8>>()),
+                    data: (0..=255u8).collect(),
                 },
             ],
         )

@@ -144,7 +144,6 @@ mod tests {
     use crate::archive::Entry;
     use crate::backup::BackupPipeline;
     use crate::crypt::{NoCipher, XorKeystream};
-    use bytes::Bytes;
 
     fn archive(id: u64) -> Archive {
         Archive::from_entries(
@@ -152,7 +151,7 @@ mod tests {
             false,
             vec![Entry {
                 name: "data".into(),
-                data: Bytes::from((0..200u8).collect::<Vec<u8>>()),
+                data: (0..200u8).collect(),
             }],
         )
     }

@@ -45,7 +45,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use bytes::Bytes;
 use peerback_core::archive::Entry;
 use peerback_core::{
     Archive, ArchiveDescriptor, BackupPipeline, BackupWorld, Metrics, PeerId, RestorePipeline,
@@ -975,7 +974,7 @@ impl PlaneLane {
                 false,
                 vec![Entry {
                     name: "payload".into(),
-                    data: Bytes::from(payload),
+                    data: payload.into(),
                 }],
             );
             let pipeline =

@@ -6,7 +6,6 @@
 //! cargo run --release --example backup_restore
 //! ```
 
-use bytes::Bytes;
 use peerback::core::archive::ArchiveBuilder;
 use peerback::core::{Archive, BackupPipeline, MasterBlock, RestorePipeline, XorKeystream};
 use peerback::ReedSolomon;
@@ -19,7 +18,7 @@ fn main() {
     for i in 0..8 {
         let name = format!("photos/trip/{i:03}.jpg");
         let data: Vec<u8> = (0..1500).map(|j| ((i * 131 + j * 7) % 251) as u8).collect();
-        archives.extend(builder.push(name, Bytes::from(data)));
+        archives.extend(builder.push(name, data));
     }
     archives.extend(builder.finish());
     println!("built {} archives from 8 files", archives.len());

@@ -49,11 +49,10 @@
 //! use peerback::core::{Archive, BackupPipeline, RestorePipeline, XorKeystream};
 //! use peerback::erasure::ReedSolomon;
 //! use peerback::core::archive::Entry;
-//! use bytes::Bytes;
 //!
 //! let archive = Archive::from_entries(0, false, vec![Entry {
 //!     name: "notes.txt".into(),
-//!     data: Bytes::from_static(b"don't lose this"),
+//!     data: b"don't lose this".as_slice().into(),
 //! }]);
 //!
 //! let rs = ReedSolomon::new(4, 2).unwrap();

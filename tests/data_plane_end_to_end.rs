@@ -2,7 +2,6 @@
 //! loss, repair and the master-block round trip — across geometries and
 //! ciphers.
 
-use bytes::Bytes;
 use peerback::core::archive::{ArchiveBuilder, Entry};
 use peerback::core::{
     Archive, BackupPipeline, MasterBlock, NoCipher, RestorePipeline, XorKeystream,
@@ -17,11 +16,11 @@ fn sample_archive(id: u64, payload: usize) -> Archive {
         vec![
             Entry {
                 name: "a/b/c.dat".into(),
-                data: Bytes::from((0..payload).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
+                data: (0..payload).map(|i| (i % 251) as u8).collect(),
             },
             Entry {
                 name: "empty".into(),
-                data: Bytes::new(),
+                data: Vec::new().into(),
             },
         ],
     )
@@ -132,7 +131,7 @@ fn archive_builder_pipeline_round_trips_every_entry() {
         let name = format!("file-{i}");
         let data: Vec<u8> = (0..(i * 37) % 300).map(|j| (i + j) as u8).collect();
         originals.push((name.clone(), data.clone()));
-        archives.extend(builder.push(name, Bytes::from(data)));
+        archives.extend(builder.push(name, data));
     }
     archives.extend(builder.finish());
     assert!(archives.len() > 1, "capacity should have split the stream");

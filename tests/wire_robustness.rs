@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 
-use bytes::Bytes;
 use peerback::core::archive::Entry;
 use peerback::core::master::{ArchiveDescriptor, BlockPlacement};
 use peerback::core::{Archive, MasterBlock};
@@ -86,7 +85,7 @@ proptest! {
             is_metadata,
             entries
                 .into_iter()
-                .map(|(name, data)| Entry { name, data: Bytes::from(data) })
+                .map(|(name, data)| Entry { name, data: data.into() })
                 .collect(),
         );
         let back = Archive::from_bytes(&archive.to_bytes()).unwrap();
