@@ -1338,6 +1338,41 @@ mod tests {
         width_check(&runs.map(|(label, (losses, uploads))| run(label, losses, uploads)))
     }
 
+    /// The arguments every report run takes by default.
+    fn default_args() -> HarnessArgs {
+        let cli = crate::Cli {
+            binary: "paper_report",
+            synopsis: "",
+            groups: &["scale"],
+        };
+        HarnessArgs::parse_from(&cli, [])
+    }
+
+    #[test]
+    fn learned_arms_are_valid_and_strategy_specific() {
+        use SelectionStrategy::{LearnedAge, OracleLifetime, Random};
+        let arms = learned_arms(&default_args());
+        let strategies: Vec<_> = arms.iter().map(|(_, cfg)| cfg.strategy).collect();
+        assert_eq!(strategies, [OracleLifetime, LearnedAge, Random]);
+        for (label, cfg) in &arms {
+            assert!(cfg.validate().is_ok(), "{label}");
+        }
+    }
+
+    #[test]
+    fn width_arms_are_valid_and_arm_specific() {
+        let arms = width_arms(&default_args());
+        let (stat, adaptive) = (&arms[0].1, &arms[1].1);
+        assert!(stat.validate().is_ok() && adaptive.validate().is_ok());
+        assert!(!stat.adaptive_n.enabled);
+        assert!(adaptive.adaptive_n.enabled);
+        assert_eq!(adaptive.adaptive_n.max_trim, MAX_TRIM);
+        assert_eq!(adaptive.strategy, stat.strategy);
+        // The narrowed floor must stay above the reactive threshold so a
+        // freshly trimmed archive is not instantly due for repair.
+        assert!(adaptive.n_blocks() - u32::from(MAX_TRIM) > 18);
+    }
+
     #[test]
     fn learned_check_holds_learned_between_oracle_and_uniform() {
         assert!(learned(162, 446, 476).is_empty());

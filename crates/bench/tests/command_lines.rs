@@ -247,24 +247,16 @@ fn report_head_decides_what_the_stable_form_omits() {
 }
 
 /// The two checked reports run in one churn-rich 16+16 scenario, one
-/// arm per strategy or width they compare.
+/// arm per strategy or width they compare (each report's own arms are
+/// checked beside it in `reports.rs`).
 #[test]
 fn gated_churn_scenario_is_valid_at_every_strategy() {
-    use peerback_core::SelectionStrategy::{LearnedAge, OracleLifetime, Random};
     let args = parse(&EVERYTHING, &[]);
     let variants = |slug| {
         let report = peerback_bench::reports::ALL.iter().find(|r| r.slug == slug);
         (report.expect("a checked report").variants)(&args)
     };
-    let learned = variants("ablation_learned");
-    let strategies: Vec<_> = learned.iter().map(|(_, cfg)| cfg.strategy).collect();
-    assert_eq!(strategies, [OracleLifetime, LearnedAge, Random]);
-    let width = variants("ablation_width");
-    let (stat, adaptive) = (&width[0].1, &width[1].1);
-    assert!(!stat.adaptive_n.enabled && adaptive.adaptive_n.enabled);
-    // The narrowed floor must stay above the reactive threshold so a
-    // freshly trimmed archive is not instantly due for repair.
-    assert!(adaptive.n_blocks() - u32::from(adaptive.adaptive_n.max_trim) > 18);
+    let (learned, width) = (variants("ablation_learned"), variants("ablation_width"));
     for (label, cfg) in learned.iter().chain(&width) {
         assert_eq!((cfg.k, cfg.m, cfg.profiles.len()), (16, 16, 3), "{label}");
         assert!(cfg.validate().is_ok(), "{label}");
