@@ -244,8 +244,8 @@ fn wheel_touches(c: &mut Criterion) {
 /// population stepped round by round. After the warm-up ramp the
 /// measured loop is exactly what the zero-allocation rebuild targets —
 /// recycled arenas instead of per-round `Vec::new()`s, pool epoch
-/// bumps instead of thread spawns, claim runs instead of per-rank
-/// messages. The printed dispatch rate is the pool's own counter;
+/// bumps instead of thread spawns, claims staged per owner shard
+/// instead of per-rank messages. The printed dispatch rate is the pool's own counter;
 /// build with `--features count-allocs` to see the allocation rate via
 /// `perf_probe` instead (a global allocator cannot be swapped per
 /// bench).

@@ -258,7 +258,7 @@ fn check_peak_rss(samples: &[String], budget: Option<f64>) -> Result<bool, Strin
         println!(
             "::error::join-transient regression: the run peaked at {rss:.0} bytes of resident \
              memory per peer, above the {b:.0}-byte budget — a round buffer (candidate pools, \
-             message inboxes, claim runs) grew or stopped being recycled."
+             message inboxes, staged claims) grew or stopped being recycled."
         );
         return Ok(false);
     }

@@ -9,7 +9,10 @@
 //! integration check — byte-level restorability must equal the
 //! simulator's prediction exactly, so the process exits non-zero if
 //! any cell reports an audit mismatch, **or** if a scrubbing sweep
-//! detected at-rest corruption that was never repaired by run end.
+//! detected at-rest corruption that was never repaired by run end. A
+//! scrub re-ship damaged in flight on every attempt is given up at the
+//! attempt cap like any other retry; it is reported as
+//! `scrub_abandoned` and does not fail the run.
 //!
 //! With `--paper-scale` the sweep is replaced by **one** combined-mode
 //! run at the paper's §4.1 geometry, with the sampled auditor and
@@ -220,7 +223,8 @@ fn cell_json(cell: &Cell) -> String {
         .num("scrub_checked", stats.scrub_checked)
         .num("scrub_detected", stats.scrub_detected)
         .num("scrub_repaired", stats.scrub_repaired)
-        .num("scrub_obsolete", stats.scrub_obsolete);
+        .num("scrub_obsolete", stats.scrub_obsolete)
+        .num("scrub_abandoned", stats.scrub_abandoned);
     scheduler_and_audit(cell_stats, &cell.report).render()
 }
 
@@ -291,6 +295,7 @@ fn run_paper_scale(args: &HarnessArgs) {
             .num("scrub_detected", stats.scrub_detected)
             .num("scrub_repaired", stats.scrub_repaired)
             .num("scrub_obsolete", stats.scrub_obsolete)
+            .num("scrub_abandoned", stats.scrub_abandoned)
             .num("scrub_unrepaired", scrub_unrepaired);
         let out = scheduler_and_audit(out, &report)
             .num("unverified_losses", unverified_losses as u64)
@@ -310,9 +315,13 @@ fn run_paper_scale(args: &HarnessArgs) {
             stats.transfers_attempted, stats.transfers_delivered, stats.bitrot_events
         );
         println!(
-            "  scrub: {} checked, {} detected, {} repaired, {} obsolete, {scrub_unrepaired} \
-             unrepaired",
-            stats.scrub_checked, stats.scrub_detected, stats.scrub_repaired, stats.scrub_obsolete
+            "  scrub: {} checked, {} detected, {} repaired, {} obsolete, {} abandoned, \
+             {scrub_unrepaired} unrepaired",
+            stats.scrub_checked,
+            stats.scrub_detected,
+            stats.scrub_repaired,
+            stats.scrub_obsolete,
+            stats.scrub_abandoned
         );
         if !report.restore_durations.is_empty() {
             println!(
@@ -364,6 +373,7 @@ fn main() {
         .iter()
         .map(|c| c.report.stats.scrub_unrepaired())
         .sum();
+    let scrub_abandoned: u64 = cells.iter().map(|c| c.report.stats.scrub_abandoned).sum();
 
     if args.json {
         // Timing and host facts stay out of the stable form so shard
@@ -381,6 +391,7 @@ fn main() {
             .raw("cells", json::array(cells.iter().map(cell_json)))
             .num("audit_mismatches", mismatches)
             .num("unverified_losses", unverified_losses as u64)
+            .num("scrub_abandoned", scrub_abandoned)
             .num("scrub_unrepaired", scrub_unrepaired)
             .render();
         println!("{report}");
@@ -414,6 +425,7 @@ fn main() {
             );
         }
         println!("total audit mismatches: {mismatches}");
+        println!("scrub re-ships abandoned at the attempt cap: {scrub_abandoned}");
     }
 
     if mismatches > 0 || unverified_losses > 0 || scrub_unrepaired > 0 {

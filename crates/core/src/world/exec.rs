@@ -1,6 +1,6 @@
 //! The staged round executor: persistent-pool dispatch, recycled round
 //! arenas, shard-addressed messages, and the two-phase parallel commit
-//! with run-length-encoded claim traffic.
+//! whose claim/grant exchange never passes through the driver thread.
 //!
 //! PR 4 made the round a fully parallel staged pipeline; this module's
 //! current form removes the steady-state overheads that pipeline still
@@ -16,14 +16,16 @@
 //!   capacities high-water-marked by earlier rounds. Recycling is
 //!   observationally invisible; [`RoundArena::set_recycle`] is the
 //!   debug knob the determinism tests flip to prove it.
-//! * **Run-length-encoded claims** — the commit's claim wave no longer
-//!   materialises one message per `(owner, archive, rank)` placement.
-//!   A [`ClaimRun`] names a proposal plus a contiguous rank range whose
-//!   hosts share a destination shard; the grant side reads the hosts
-//!   straight out of the (shared, frozen) proposal pool. Round 0 at
-//!   paper scale routes a few thousand runs instead of `~n·d` claims,
-//!   and no claim sort is needed at all: runs are *generated* in global
-//!   commit order, and per-destination routing preserves it.
+//! * **A driver-free claim/grant exchange** — each owner shard stages
+//!   its own claims as [`ClaimGroups`] (grouped by host shard,
+//!   `(proposal, rank)` order within a group) inside the dispatch that
+//!   built its proposals. Host shard `h` reads group `h` of owner
+//!   shards `0..S` in order — global `(owner, archive, rank)` commit
+//!   order, with no concatenation — and writes one grant/deny flag per
+//!   claim into its [`GrantLog`], in reading order. The owner stage
+//!   rebuilds each proposal's granted hosts by walking its ranks and
+//!   taking the next flag from the log of `shard_of(pool[rank])`, one
+//!   cursor per host shard: no routing, no sort.
 //!
 //! ## The round, stage by stage
 //!
@@ -41,17 +43,21 @@
 //! 3. **Proposals** (parallel): frozen-state candidate pools — ranked
 //!    lists of host ids, all the commit needs of a candidate — drawn
 //!    from recycled per-shard pool buffers.
-//! 4. **Commit, two-phase** (parallel): wave-A [`ClaimRun`]s are staged
-//!    in commit order; host shards **grant** against shard-local
-//!    quota, and each grant records its hosted entry and charges the
-//!    quota on the spot (every grant is used), emitting [`GrantRun`]s;
-//!    denied owners get one fallback claim wave; owner shards then run
+//!    Each owner shard then stages its wave-A claims, ranks `0..d` of
+//!    every proposal.
+//! 4. **Commit, two-phase** (parallel): host shards **grant** the
+//!    claims against shard-local quota, and each grant records its
+//!    hosted entry and charges the quota on the spot (every grant is
+//!    used); when wave A denied anything, owner shards stage one
+//!    fallback wave and host shards grant it; owner shards then run
 //!    the protocol step with exactly the granted partners, writing
 //!    partner entries and events; host shards sort and apply the
 //!    [`Msg::Release`]s of the partners that step displaced.
 //!
 //! [`WorldEvent`]: super::hooks::WorldEvent
 
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -155,10 +161,9 @@ impl PlacementWork {
 /// A cross-shard effect, addressed to the logical shard that owns the
 /// state it touches. All block-drop *events* are emitted on the owner
 /// side at the moment the partner entry leaves the owner's archive;
-/// `Release` is pure host-side bookkeeping. (Claim and grant traffic
-/// travels run-length-encoded as [`ClaimRun`]/[`GrantRun`], and a
-/// grant writes its hosted entry in place, so placements send no
-/// message at all.)
+/// `Release` is pure host-side bookkeeping. (Claims and grants travel
+/// through [`ClaimGroups`] and [`GrantLog`]s, and a grant writes its
+/// hosted entry in place, so placements send no message at all.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(in crate::world) enum Msg {
     /// → `shard_of(host)`: forget the hosted entry for `(owner, aidx)`
@@ -201,39 +206,133 @@ impl Msg {
     }
 }
 
-/// One run of consecutive wave ranks of a single proposal whose hosts
-/// all live in one destination shard. The grant side resolves hosts by
-/// indexing the (shared, frozen) proposal pool, so the run itself is
-/// four words — the join wave's claim traffic collapses from `~n·d`
-/// messages to a few runs per proposal.
-///
-/// Runs are generated in `(owner shard, proposal index, rank)` order —
-/// which *is* global `(owner, archive, rank)` commit order, because
-/// proposals are built per shard in owner order — and per-destination
-/// routing preserves relative order, so grant inboxes need no sort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(in crate::world) struct ClaimRun {
-    /// Owner shard (index into the per-shard proposal lists).
-    pub(in crate::world) oshard: u32,
-    /// Proposal index within the owner shard's list.
-    pub(in crate::world) prop: u32,
-    /// First pool rank of the run.
-    pub(in crate::world) start: u16,
-    /// Ranks `start..start + len` (hosts contiguous in the dest shard).
-    pub(in crate::world) len: u16,
+/// One claimed pool rank: the host it names and the claiming
+/// proposal's index within its owner shard's list (the host shard
+/// reads the owner, archive and observer flag from the proposal).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(in crate::world) struct Claim {
+    host: PeerId,
+    prop: u32,
 }
 
-/// A run of consecutively granted ranks, addressed back to the owner
-/// shard. Sorted by `(prop, start)` per owner shard before the owner
-/// stage walks it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(in crate::world) struct GrantRun {
-    /// Proposal index within the owner shard's list.
-    pub(in crate::world) prop: u32,
-    /// First granted pool rank of the run.
-    pub(in crate::world) start: u16,
-    /// Granted ranks `start..start + len`.
-    pub(in crate::world) len: u16,
+/// One owner shard's claims of one commit wave, grouped by host shard:
+/// `claims[starts[h]..starts[h + 1]]` are the claims on host shard `h`,
+/// in `(proposal, rank)` order. Host shard `h` reads group `h` of owner
+/// shards `0..S` in turn, which is global `(owner, archive, rank)`
+/// commit order, because proposals are built per shard in owner order
+/// and shard ranges are contiguous.
+#[derive(Debug, Default)]
+pub(in crate::world) struct ClaimGroups {
+    claims: Vec<Claim>,
+    /// `count + 1` group offsets; unset while `claims` is empty.
+    starts: Vec<u32>,
+}
+
+impl ClaimGroups {
+    /// Stages the claims of `props` over the pool ranks `ranks(prop)`,
+    /// replacing the previous wave's: a counting sort by host shard.
+    pub(in crate::world) fn stage(
+        &mut self,
+        layout: &ShardLayout,
+        props: &[Proposal],
+        ranks: fn(&Proposal) -> Range<usize>,
+    ) {
+        self.claims.clear();
+        self.starts.clear();
+        self.starts.resize(layout.count + 1, 0);
+        for prop in props {
+            for &host in &prop.pool[ranks(prop)] {
+                self.starts[layout.shard_of(host) + 1] += 1;
+            }
+        }
+        for h in 0..layout.count {
+            self.starts[h + 1] += self.starts[h];
+        }
+        // Scatter with `starts[h]` as group `h`'s write cursor; it ends
+        // at the group's end, which is where group `h + 1` starts.
+        self.claims
+            .resize(self.starts[layout.count] as usize, Claim::default());
+        for (pi, prop) in props.iter().enumerate() {
+            for &host in &prop.pool[ranks(prop)] {
+                let at = &mut self.starts[layout.shard_of(host)];
+                self.claims[*at as usize] = Claim {
+                    host,
+                    prop: pi as u32,
+                };
+                *at += 1;
+            }
+        }
+        self.starts.copy_within(0..layout.count, 1);
+        self.starts[0] = 0;
+    }
+
+    /// The claims on host shard `h`, in commit order.
+    fn group(&self, h: usize) -> &[Claim] {
+        if self.claims.is_empty() {
+            return &[];
+        }
+        &self.claims[self.starts[h] as usize..self.starts[h + 1] as usize]
+    }
+}
+
+/// Pool ranks a proposal claims in wave A: the first `d`.
+pub(in crate::world) fn wave_a_ranks(prop: &Proposal) -> Range<usize> {
+    0..(prop.d as usize).min(prop.pool.len())
+}
+
+/// Pool ranks a proposal claims in wave B: one fallback rank beyond the
+/// wave-A window per wave-A denial (empty when nothing was denied or
+/// the pool has no rank left).
+fn wave_b_ranks(prop: &Proposal) -> Range<usize> {
+    let denied = prop.wave_a_denied.load(Ordering::Relaxed) as usize;
+    let start = (prop.d as usize).min(prop.pool.len());
+    start..(prop.d as usize + denied).min(prop.pool.len())
+}
+
+/// One host shard's verdicts for one commit wave: a grant flag per
+/// claim, in the order the shard read the claims, and where each owner
+/// shard's group begins among them.
+#[derive(Debug, Default)]
+pub(in crate::world) struct GrantLog {
+    granted: Vec<bool>,
+    /// `granted[from_owner[o]..]` starts owner shard `o`'s verdicts.
+    from_owner: Vec<u32>,
+}
+
+impl GrantLog {
+    /// Appends to `hosts` the granted hosts among `pool_ranks`, taking
+    /// each verdict from the log of the rank's host shard at that
+    /// shard's cursor (`u32::MAX` = not yet positioned at `owner`'s
+    /// group).
+    fn take_granted(
+        logs: &[GrantLog],
+        layout: &ShardLayout,
+        owner: usize,
+        cursors: &mut [u32],
+        pool_ranks: &[PeerId],
+        hosts: &mut Vec<PeerId>,
+    ) {
+        for &host in pool_ranks {
+            let h = layout.shard_of(host);
+            let at = &mut cursors[h];
+            if *at == u32::MAX {
+                *at = logs[h].from_owner[owner];
+            }
+            if logs[h].granted[*at as usize] {
+                hosts.push(host);
+            }
+            *at += 1;
+        }
+    }
+
+    /// Whether every cursor `take_granted` positioned for `owner` ended
+    /// exactly at the end of that owner shard's group.
+    fn consumed(logs: &[GrantLog], owner: usize, cursors: &[u32]) -> bool {
+        cursors.iter().zip(logs).all(|(&at, log)| {
+            let end = log.from_owner.get(owner + 1).copied();
+            at == u32::MAX || at == end.unwrap_or(log.granted.len() as u32)
+        })
+    }
 }
 
 /// How the stages are dispatched: worker count, the persistent pool
@@ -332,14 +431,13 @@ pub(in crate::world) struct RoundArena {
     pub(in crate::world) event_bufs: Vec<Vec<WorldEvent>>,
     /// Per-shard departed-peer lists of the current round.
     pub(in crate::world) departed: Vec<Vec<PeerId>>,
-    /// Per-host-shard claim-run inboxes (both commit waves).
-    pub(in crate::world) claim_inboxes: Vec<Vec<ClaimRun>>,
-    /// Per-owner-shard granted runs (wave A, then merged with B).
-    pub(in crate::world) grant_inboxes: Vec<Vec<GrantRun>>,
-    /// Per-owner-shard wave-B grants awaiting the merge.
-    pub(in crate::world) grants_b: Vec<Vec<GrantRun>>,
-    /// Per-host-shard grant routing scratch (`(owner shard, run)`).
-    pub(in crate::world) grant_outs: Vec<Vec<(u32, GrantRun)>>,
+    /// Per-owner-shard staged claims (wave A, then wave B).
+    pub(in crate::world) claims: Vec<ClaimGroups>,
+    /// Per-host-shard verdicts of wave A and of wave B.
+    pub(in crate::world) grant_logs: [Vec<GrantLog>; 2],
+    /// Per-owner-shard verdict cursors of the owner stage: one per
+    /// host shard and wave.
+    pub(in crate::world) cursors: Vec<Vec<u32>>,
     /// Per-owner-shard proposal lists.
     pub(in crate::world) proposals: Vec<Vec<Proposal>>,
     /// Per-shard actor lists (the drained pending queues).
@@ -362,6 +460,10 @@ pub(in crate::world) struct RoundArena {
     pub(in crate::world) grant_task_store: Vec<GrantTask<'static>>,
     pub(in crate::world) commit_task_store: Vec<CommitTask<'static>>,
     pub(in crate::world) propose_task_store: Vec<ProposeTask<'static>>,
+    /// Test builds: each proposal's granted hosts per the straight-line
+    /// reference exchange, which the owner stage checks against.
+    #[cfg(test)]
+    pub(in crate::world) expected_hosts: Vec<Vec<Vec<PeerId>>>,
 }
 
 impl RoundArena {
@@ -375,10 +477,9 @@ impl RoundArena {
             outboxes: slots(shards),
             event_bufs: slots(shards),
             departed: slots(shards),
-            claim_inboxes: slots(shards),
-            grant_inboxes: slots(shards),
-            grants_b: slots(shards),
-            grant_outs: slots(shards),
+            claims: (0..shards).map(|_| ClaimGroups::default()).collect(),
+            grant_logs: [0, 1].map(|_| (0..shards).map(|_| GrantLog::default()).collect()),
+            cursors: slots(shards),
             proposals: slots(shards),
             actors: slots(shards),
             hosts_bufs: slots(shards),
@@ -389,6 +490,8 @@ impl RoundArena {
             grant_task_store: Vec::new(),
             commit_task_store: Vec::new(),
             propose_task_store: Vec::new(),
+            #[cfg(test)]
+            expected_hosts: Vec::new(),
         }
     }
 
@@ -415,7 +518,7 @@ impl RoundArena {
         }
         debug_assert!(self.outboxes.iter().all(Vec::is_empty));
         debug_assert!(self.msg_inboxes.iter().all(Vec::is_empty));
-        debug_assert!(self.claim_inboxes.iter().all(Vec::is_empty));
+        debug_assert!(self.proposals.iter().all(Vec::is_empty));
     }
 
     fn wipe(&mut self) {
@@ -431,16 +534,13 @@ impl RoundArena {
         for buf in &mut self.departed {
             *buf = Vec::new();
         }
-        for buf in &mut self.claim_inboxes {
-            *buf = Vec::new();
+        for buf in &mut self.claims {
+            *buf = ClaimGroups::default();
         }
-        for buf in &mut self.grant_inboxes {
-            *buf = Vec::new();
+        for log in self.grant_logs.iter_mut().flatten() {
+            *log = GrantLog::default();
         }
-        for buf in &mut self.grants_b {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.grant_outs {
+        for buf in &mut self.cursors {
             *buf = Vec::new();
         }
         for buf in &mut self.proposals {
@@ -518,31 +618,34 @@ impl WorkLane<'_> {
 }
 
 /// A grant-stage task: one host shard's columns of the peer table (its
-/// hosted ledgers and quota counters), its claim runs in, grant runs
-/// out.
+/// hosted ledgers and quota counters) and its verdict log, plus the
+/// counts the driver sums.
 pub(in crate::world) struct GrantTask<'a> {
     peers: PeerView<'a>,
-    inbox: Vec<ClaimRun>,
-    out: Vec<(u32, GrantRun)>,
+    log: GrantLog,
+    granted: u64,
+    denied: u64,
 }
 
-/// An owner-stage task: one owner shard's proposals, its sorted grant
-/// runs, and the recycled scratch the step uses.
+/// An owner-stage task: one owner shard's proposals, its verdict
+/// cursors, and the recycled scratch the step uses.
 pub(in crate::world) struct CommitTask<'a> {
     lane: WorkLane<'a>,
     props: Vec<Proposal>,
-    grants: Vec<GrantRun>,
+    cursors: Vec<u32>,
     hosts: Vec<PeerId>,
     pools: BufPool<PeerId>,
 }
 
 /// A proposal-stage task: one owner shard's drained actor list and RNG
-/// stream, plus the recycled output buffers the pools build into.
+/// stream, plus the recycled output buffers the pools and the wave-A
+/// claims build into.
 pub(in crate::world) struct ProposeTask<'a> {
     pub(in crate::world) rng: &'a mut SimRng,
     pub(in crate::world) actors: &'a [PeerId],
     pub(in crate::world) proposals: Vec<Proposal>,
     pub(in crate::world) pools: BufPool<PeerId>,
+    pub(in crate::world) claims: ClaimGroups,
 }
 
 impl BackupWorld {
@@ -645,24 +748,27 @@ impl BackupWorld {
         );
     }
 
-    /// Stages 4–7: the two-phase commit over the proposals staged in
-    /// the arena (`arena.proposals`, filled by the proposal stage).
+    /// Stages 4–7: the two-phase commit over the proposals and wave-A
+    /// claims the proposal stage left in the arena (`arena.proposals`,
+    /// `arena.claims`).
     pub(in crate::world) fn commit_proposals(&mut self, round: u64) {
         if self.arena.proposals.iter().all(Vec::is_empty) {
             return;
         }
+        #[cfg(test)]
+        {
+            self.arena.expected_hosts = self.reference_grants();
+        }
 
-        // Phase 1 (propose): stage the wave-A claim runs in commit
-        // order, let host shards grant them, and top denied owners up
-        // with one fallback wave.
+        // Phase 1 (propose): host shards grant the staged wave-A
+        // claims; if they denied any, owner shards top the denied
+        // proposals up with one fallback wave.
         let mut clock = Instant::now();
-        self.stage_wave_a_claims();
-        self.profile.commit_wave_a += lap(&mut clock);
-        self.grant_stage(round * 16 + 4, false);
+        let denied = self.grant_stage(round * 16 + 4, 0);
         self.profile.commit_grant += lap(&mut clock);
-        if self.stage_wave_b_claims() {
-            self.grant_stage(round * 16 + 5, true);
-            self.merge_wave_b_grants();
+        if denied > 0 {
+            self.stage_wave_b_claims(round * 16 + 9, denied);
+            self.grant_stage(round * 16 + 5, 1);
         }
         self.profile.commit_wave_b += lap(&mut clock);
 
@@ -679,79 +785,34 @@ impl BackupWorld {
         );
     }
 
-    /// Builds the wave-A claim runs: ranks `0..d` of every proposal,
-    /// segmented by destination shard, appended per destination in
-    /// global `(owner, archive, rank)` commit order — so the grant
-    /// inboxes need no sort.
-    fn stage_wave_a_claims(&mut self) {
+    /// Stages the wave-B claims in every owner shard: for each proposal
+    /// wave A denied `j` ranks, the next `j` pool ranks beyond the
+    /// wave-A window ([`wave_b_ranks`]). `denied` (the wave-A denial
+    /// total, an upper bound on the claims) sizes the dispatch.
+    fn stage_wave_b_claims(&mut self, salt: u64, denied: u64) {
         let layout = self.layout;
+        let policy = self.exec.narrowed(layout.count, denied as usize);
         let RoundArena {
-            proposals,
-            claim_inboxes,
-            ..
+            proposals, claims, ..
         } = &mut self.arena;
-        for (s, props) in proposals.iter().enumerate() {
-            for (pi, prop) in props.iter().enumerate() {
-                let end = (prop.d as usize).min(prop.pool.len());
-                push_claim_runs(&layout, s as u32, pi as u32, prop, 0, end, claim_inboxes);
-            }
-        }
+        let proposals = &*proposals;
+        policy.dispatch(salt, claims, |o, groups| {
+            groups.stage(&layout, &proposals[o], wave_b_ranks);
+        });
     }
 
-    /// Computes the fallback (wave B) claim runs: for each proposal
-    /// granted fewer than `d` placements, claim the next `d − granted`
-    /// pool ranks beyond the wave-A window. Returns whether any were
-    /// staged.
-    fn stage_wave_b_claims(&mut self) -> bool {
-        let layout = self.layout;
-        let RoundArena {
-            proposals,
-            grant_inboxes,
-            claim_inboxes,
-            ..
-        } = &mut self.arena;
-        let mut any = false;
-        for (s, props) in proposals.iter().enumerate() {
-            let grants = &grant_inboxes[s];
-            let mut cursor = 0usize;
-            for (pi, prop) in props.iter().enumerate() {
-                let mut granted = 0u32;
-                while cursor < grants.len() && grants[cursor].prop as usize == pi {
-                    granted += grants[cursor].len as u32;
-                    cursor += 1;
-                }
-                let wave_a = (prop.d as usize).min(prop.pool.len());
-                let missing = (prop.d - granted) as usize;
-                if missing == 0 || wave_a >= prop.pool.len() {
-                    continue;
-                }
-                let end = (wave_a + missing).min(prop.pool.len());
-                push_claim_runs(
-                    &layout,
-                    s as u32,
-                    pi as u32,
-                    prop,
-                    wave_a,
-                    end,
-                    claim_inboxes,
-                );
-                any = true;
-            }
-            debug_assert_eq!(cursor, grants.len(), "grants without a proposal");
-        }
-        any
-    }
-
-    /// One grant stage over the staged claim runs: each host shard
-    /// grants in commit order against its live quota. Every grant is
-    /// used (a proposal is never granted more than its `d`), so the
-    /// grant itself is the host-side half of the placement: it records
-    /// the hosted entry and charges the quota (observer-owned blocks
-    /// are exempt, §4.2.2) — the charge is what later claims of the
-    /// same round, wave B included, are checked against. Grant runs are
-    /// routed back per owner shard (into `grant_inboxes` for wave A,
-    /// `grants_b` for wave B).
-    fn grant_stage(&mut self, salt: u64, wave_b: bool) {
+    /// One grant stage over the staged claims of `wave` (0 = A,
+    /// 1 = B): each host shard reads its group of every owner shard's
+    /// claims, in owner-shard order, and grants against its live
+    /// quota. Every grant is used (a proposal is never granted more
+    /// than its `d`), so the grant itself is the host-side half of the
+    /// placement: it records the hosted entry and charges the quota
+    /// (observer-owned blocks are exempt, §4.2.2) — the charge is what
+    /// later claims of the same round, wave B included, are checked
+    /// against. Each verdict lands in the host shard's [`GrantLog`];
+    /// wave-A denials also count on their proposal, which sizes its
+    /// wave-B window. Returns the number of claims denied.
+    fn grant_stage(&mut self, salt: u64, wave: usize) -> u64 {
         let layout = self.layout;
         let quota = self.cfg.quota;
         let BackupWorld {
@@ -761,117 +822,71 @@ impl BackupWorld {
             placement,
             ..
         } = self;
-        let recycle = arena.recycle;
+        let work: usize = arena.claims.iter().map(|c| c.claims.len()).sum();
+        placement.claims += work as u64;
         let mut tasks: Vec<GrantTask<'_>> =
             retype_empty(core::mem::take(&mut arena.grant_task_store));
         let mut split = peers.splitter();
-        for s in 0..layout.count {
+        for log in &mut arena.grant_logs[wave] {
             tasks.push(GrantTask {
                 peers: split.take(layout.shard_size),
-                inbox: core::mem::take(&mut arena.claim_inboxes[s]),
-                out: take_slot(&mut arena.grant_outs[s], recycle),
+                log: core::mem::take(log),
+                granted: 0,
+                denied: 0,
             });
         }
-        let busy = tasks.iter().filter(|t| !t.inbox.is_empty()).count();
-        let work: usize = tasks
-            .iter()
-            .flat_map(|t| t.inbox.iter())
-            .map(|run| run.len as usize)
-            .sum();
-        placement.claims += work as u64;
-        let policy = exec.narrowed(busy, work);
+        let policy = exec.narrowed(layout.count, work);
         let proposals = &arena.proposals;
-        policy.dispatch(salt, &mut tasks, |shard, task| {
-            for run in &task.inbox {
-                let prop = &proposals[run.oshard as usize][run.prop as usize];
-                // Contiguous granted ranks merge into one output run.
-                let mut open: Option<GrantRun> = None;
-                for rank in run.start..run.start + run.len {
-                    let host = prop.pool[rank as usize];
-                    debug_assert_eq!(layout.shard_of(host), shard, "misrouted claim run");
+        let claims = &arena.claims;
+        policy.dispatch(salt, &mut tasks, |h, task| {
+            let log = &mut task.log;
+            log.granted.clear();
+            log.from_owner.clear();
+            for (o, groups) in claims.iter().enumerate() {
+                log.from_owner.push(log.granted.len() as u32);
+                for claim in groups.group(h) {
+                    let prop = &proposals[o][claim.prop as usize];
+                    let host = claim.host;
+                    debug_assert_eq!(layout.shard_of(host), h, "misgrouped claim");
                     debug_assert!(
                         task.peers.online(host),
                         "claims target frozen-online candidates"
                     );
                     let used = task.peers.quota_used(host);
-                    if used >= quota {
-                        // Full, counting this round's earlier grants.
-                        if let Some(done) = open.take() {
-                            task.out.push((run.oshard, done));
+                    // Full, counting this round's earlier grants.
+                    let grant = used < quota;
+                    log.granted.push(grant);
+                    if !grant {
+                        task.denied += 1;
+                        if wave == 0 {
+                            prop.wave_a_denied.fetch_add(1, Ordering::Relaxed);
                         }
                         continue;
                     }
+                    task.granted += 1;
                     task.peers.push_hosted(host, prop.owner, prop.aidx);
                     if !prop.owner_observer {
                         task.peers.set_quota_used(host, used + 1);
                     }
-                    match &mut open {
-                        // An open run always ends right before `rank`:
-                        // ranks advance by one and denials flush it.
-                        Some(g) => {
-                            debug_assert_eq!(g.start + g.len, rank, "non-contiguous grant run");
-                            g.len += 1;
-                        }
-                        None => {
-                            open = Some(GrantRun {
-                                prop: run.prop,
-                                start: rank,
-                                len: 1,
-                            });
-                        }
-                    }
-                }
-                if let Some(done) = open.take() {
-                    task.out.push((run.oshard, done));
                 }
             }
         });
-        // Route the grant runs to their owner shards (host shards
-        // interleave, so each destination list needs one small sort
-        // over runs — not ranks — to restore commit order).
-        let dest = if wave_b {
-            &mut arena.grants_b
-        } else {
-            &mut arena.grant_inboxes
-        };
-        for (s, task) in tasks.drain(..).enumerate() {
-            let GrantTask {
-                mut inbox, mut out, ..
-            } = task;
-            for (oshard, grant) in out.drain(..) {
-                dest[oshard as usize].push(grant);
-            }
-            inbox.clear();
-            put_slot(&mut arena.claim_inboxes[s], inbox, recycle);
-            put_slot(&mut arena.grant_outs[s], out, recycle);
+        let mut denied = 0;
+        for (task, log) in tasks.drain(..).zip(&mut arena.grant_logs[wave]) {
+            *log = task.log;
+            placement.grants += task.granted;
+            denied += task.denied;
         }
         arena.grant_task_store = retype_empty(tasks);
-        for list in dest.iter_mut() {
-            list.sort_unstable_by_key(|g| (g.prop, g.start));
-        }
-    }
-
-    /// Folds the wave-B grants into the wave-A lists, restoring commit
-    /// order per owner shard.
-    fn merge_wave_b_grants(&mut self) {
-        let RoundArena {
-            grant_inboxes,
-            grants_b,
-            ..
-        } = &mut self.arena;
-        for (dst, src) in grant_inboxes.iter_mut().zip(grants_b.iter_mut()) {
-            if !src.is_empty() {
-                dst.append(src);
-                dst.sort_unstable_by_key(|g| (g.prop, g.start));
-            }
-        }
+        denied
     }
 
     /// The owner half of phase 2: each owner shard walks its proposals
-    /// with a cursor over the sorted grant runs, resolves the granted
-    /// hosts from the proposal pool, and runs the protocol step. Pool
-    /// buffers return to the shard's free list; releases of displaced
-    /// partners land in the outboxes for the apply stage.
+    /// and rebuilds each one's granted hosts from the grant logs — rank
+    /// by rank, wave A then wave B, the next verdict of the rank's host
+    /// shard — then runs the protocol step. Pool buffers return to the
+    /// shard's free list; releases of displaced partners land in the
+    /// outboxes for the apply stage.
     fn commit_owner_stage(&mut self, round: u64) {
         let busy = self
             .arena
@@ -881,15 +896,7 @@ impl BackupWorld {
             .count();
         // Owner steps are much heavier per item than bookkeeping
         // messages; weight them accordingly.
-        let granted = self
-            .arena
-            .grant_inboxes
-            .iter()
-            .flat_map(|g| g.iter())
-            .map(|g| g.len as usize)
-            .sum::<usize>();
-        self.placement.grants += granted as u64;
-        let work = self.arena.proposals.iter().map(Vec::len).sum::<usize>() * 64 + granted;
+        let work = self.arena.proposals.iter().map(Vec::len).sum::<usize>() * 64;
         let policy = self.exec.narrowed(busy, work);
         let layout = self.layout;
         let recycle = self.arena.recycle;
@@ -911,81 +918,66 @@ impl BackupWorld {
             tasks.push(CommitTask {
                 lane,
                 props: core::mem::take(&mut arena.proposals[s]),
-                grants: core::mem::take(&mut arena.grant_inboxes[s]),
+                cursors: take_slot(&mut arena.cursors[s], recycle),
                 hosts: take_slot(&mut arena.hosts_bufs[s], recycle),
                 pools: core::mem::take(&mut arena.cand_pools[s]),
             });
         }
         arena.lane_store = retype_empty(lanes);
-        policy.dispatch(round * 16 + 6, &mut tasks, |_, task| {
+        let [logs_a, logs_b] = &arena.grant_logs;
+        #[cfg(test)]
+        let expected = &arena.expected_hosts;
+        policy.dispatch(round * 16 + 6, &mut tasks, |o, task| {
             let CommitTask {
                 lane,
                 props,
-                grants,
+                cursors,
                 hosts,
                 pools,
             } = task;
-            let mut cursor = 0usize;
-            for (pi, prop) in props.drain(..).enumerate() {
+            if props.is_empty() {
+                return;
+            }
+            cursors.clear();
+            cursors.resize(2 * layout.count, u32::MAX);
+            let (cursors_a, cursors_b) = cursors.split_at_mut(layout.count);
+            for (_pi, prop) in props.drain(..).enumerate() {
                 hosts.clear();
-                while cursor < grants.len() && grants[cursor].prop as usize == pi {
-                    let g = grants[cursor];
-                    let ranks = g.start as usize..(g.start + g.len) as usize;
-                    hosts.extend_from_slice(&prop.pool[ranks]);
-                    cursor += 1;
-                }
+                let (a, b) = (wave_a_ranks(&prop), wave_b_ranks(&prop));
+                GrantLog::take_granted(logs_a, &layout, o, cursors_a, &prop.pool[a], hosts);
+                GrantLog::take_granted(logs_b, &layout, o, cursors_b, &prop.pool[b], hosts);
+                #[cfg(test)]
+                assert_eq!(
+                    hosts, &expected[o][_pi],
+                    "owner {} archive {}: granted hosts differ from the reference",
+                    prop.owner, prop.aidx
+                );
                 lane.commit_step(cfg, &prop, hosts, round);
                 pools.put(prop.pool);
             }
-            debug_assert_eq!(cursor, grants.len(), "grants without a proposal");
+            debug_assert!(
+                GrantLog::consumed(logs_a, o, cursors_a)
+                    && GrantLog::consumed(logs_b, o, cursors_b),
+                "owner shard {o} left verdicts unread"
+            );
         });
         let mut delta = MetricsDelta::default();
         for (s, task) in tasks.drain(..).enumerate() {
             let CommitTask {
                 lane,
                 props,
-                mut grants,
+                cursors,
                 hosts,
                 pools,
             } = task;
             merge_lane_core(event_log, &mut delta, arena, s, lane);
             put_slot(&mut arena.proposals[s], props, recycle);
-            grants.clear();
-            put_slot(&mut arena.grant_inboxes[s], grants, recycle);
+            put_slot(&mut arena.cursors[s], cursors, recycle);
             put_slot(&mut arena.hosts_bufs[s], hosts, recycle);
             arena.cand_pools[s] = pools;
         }
         arena.commit_task_store = retype_empty(tasks);
         delta.apply(metrics);
-    }
-}
-
-/// Appends the claim runs of `prop.pool[start..end]` to the per-shard
-/// inboxes, one run per maximal rank range whose hosts share a
-/// destination shard.
-fn push_claim_runs(
-    layout: &ShardLayout,
-    oshard: u32,
-    prop_idx: u32,
-    prop: &Proposal,
-    start: usize,
-    end: usize,
-    inboxes: &mut [Vec<ClaimRun>],
-) {
-    let mut run_start = start;
-    while run_start < end {
-        let dest = layout.shard_of(prop.pool[run_start]);
-        let mut run_end = run_start + 1;
-        while run_end < end && layout.shard_of(prop.pool[run_end]) == dest {
-            run_end += 1;
-        }
-        inboxes[dest].push(ClaimRun {
-            oshard,
-            prop: prop_idx,
-            start: run_start as u16,
-            len: (run_end - run_start) as u16,
-        });
-        run_start = run_end;
     }
 }
 

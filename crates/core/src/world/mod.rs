@@ -417,21 +417,19 @@ impl BackupWorld {
         }
     }
 
-    /// Stage 1: shard-local events plus teardown hop 1, one stealable
-    /// task per shard. Cross-shard messages land in the arena outboxes;
-    /// departed peers in the arena departed lists.
-    fn run_local_events(&mut self, round: u64) {
+    /// Builds one [`ShardLane`] per logical shard over split borrows of
+    /// the world, runs `f` over them, and merges the lanes back in shard
+    /// order: events into the log, outboxes and departed lists into the
+    /// arena, metric and census deltas into the world. The entry to the
+    /// lane-based handlers for the local-events stage and the
+    /// population ramp.
+    pub(in crate::world) fn with_shard_lanes(
+        &mut self,
+        f: impl FnOnce(&mut [ShardLane<'_>], &SimConfig, &[SessionSampler]),
+    ) {
         let layout = self.layout;
         let sz = layout.shard_size;
-        let workers = self.exec.workers.min(layout.count).max(1);
-        let policy = self.exec.clone();
         let recycle = self.arena.recycle;
-        let mut fire_bufs = core::mem::take(&mut self.arena.fire_bufs);
-        if fire_bufs.len() < workers {
-            fire_bufs.resize_with(workers, Vec::new);
-        }
-        let cfg = &self.cfg;
-        let samplers = &self.samplers;
         let events_on = self.record_events;
         let estimates_on = self.estimator.is_some();
         let outages: &[u64] = &self.outages;
@@ -473,14 +471,7 @@ impl BackupWorld {
             }
         }
 
-        policy.dispatch_with(
-            round * 16 + 1,
-            &mut fire_bufs[..workers],
-            &mut lanes,
-            |buf, _, lane| {
-                lane.run_local_events(round, cfg, samplers, buf);
-            },
-        );
+        f(&mut lanes, &self.cfg, &self.samplers);
 
         // Merge the per-shard buffers in shard order (deterministic).
         let mut delta = MetricsDelta::default();
@@ -496,11 +487,33 @@ impl BackupWorld {
             }
         }
         self.arena.shard_lane_store = peerback_sim::arena::retype_empty(lanes);
-        self.arena.fire_bufs = fire_bufs;
         delta.apply(&mut self.metrics);
         for (c, &d) in census_delta.iter().enumerate() {
             self.census[c] = (self.census[c] as i64 + d) as u64;
         }
+    }
+
+    /// Stage 1: shard-local events plus teardown hop 1, one stealable
+    /// task per shard. Cross-shard messages land in the arena outboxes;
+    /// departed peers in the arena departed lists.
+    fn run_local_events(&mut self, round: u64) {
+        let workers = self.exec.workers.min(self.layout.count).max(1);
+        let policy = self.exec.clone();
+        let mut fire_bufs = core::mem::take(&mut self.arena.fire_bufs);
+        if fire_bufs.len() < workers {
+            fire_bufs.resize_with(workers, Vec::new);
+        }
+        self.with_shard_lanes(|lanes, cfg, samplers| {
+            policy.dispatch_with(
+                round * 16 + 1,
+                &mut fire_bufs[..workers],
+                lanes,
+                |buf, _, lane| {
+                    lane.run_local_events(round, cfg, samplers, buf);
+                },
+            );
+        });
+        self.arena.fire_bufs = fire_bufs;
         // Feed the round's completed lifetimes to the survival model in
         // shard order — the sequential merge that keeps the model (and
         // everything ranked through it) independent of worker count.
@@ -581,7 +594,8 @@ impl BackupWorld {
 
     /// Phase 4b: builds candidate-pool proposals against the frozen
     /// end-of-event-phase state, one stealable task per shard, into the
-    /// arena's per-shard proposal lists.
+    /// arena's per-shard proposal lists, and stages each shard's wave-A
+    /// claims (`arena.claims`) in the same task.
     fn build_proposals(&mut self, round: u64) {
         if self.arena.actors.iter().all(Vec::is_empty) {
             return; // a quiet round: nothing to freeze, stage or dispatch
@@ -605,6 +619,7 @@ impl BackupWorld {
                 actors: ids,
                 proposals: core::mem::take(&mut self.arena.proposals[s]),
                 pools: core::mem::take(&mut self.arena.cand_pools[s]),
+                claims: core::mem::take(&mut self.arena.claims[s]),
             });
         }
         {
@@ -627,12 +642,15 @@ impl BackupWorld {
                         &mut task.proposals,
                         round,
                     );
+                    task.claims
+                        .stage(&world.layout, &task.proposals, exec::wave_a_ranks);
                 },
             );
         }
         for (s, task) in tasks.drain(..).enumerate() {
             self.arena.proposals[s] = task.proposals;
             self.arena.cand_pools[s] = task.pools;
+            self.arena.claims[s] = task.claims;
         }
         self.arena.propose_task_store = peerback_sim::arena::retype_empty(tasks);
         let mut actors = actors;
@@ -672,6 +690,7 @@ fn propose_shard(
                     d,
                     owner_observer: world.peers.observer(id).is_some(),
                     pool,
+                    wave_a_denied: Default::default(),
                 });
             }
         }

@@ -190,10 +190,13 @@ impl BackupWorld {
     // ----- population lifecycle --------------------------------------------
 
     /// Spawns observers (round 0 only) and ramps the regular population.
-    /// Sequential: slot ids are handed out in order, so the per-shard
-    /// RNG draws happen in a fixed order at any worker count. Growing a
-    /// slot appends one default entry to every column — no per-peer
-    /// allocation (the columns' capacity is reserved at construction).
+    /// Slots are pushed sequentially — growing a slot appends one
+    /// default entry to every column, no per-peer allocation (the
+    /// columns' capacity is reserved at construction) — then each
+    /// shard initialises its own new ids, in id order, from its own
+    /// RNG stream, in one dispatch. `shard_of` is monotone, so every
+    /// shard's draw order, and the shard-order merge, equal those of a
+    /// one-by-one ramp at any worker count.
     pub(in crate::world) fn ensure_population(&mut self, round: u64) {
         if round == 0 {
             for i in 0..self.observer_count {
@@ -206,61 +209,27 @@ impl BackupWorld {
             // Linear ramp over the growth phase.
             (self.cfg.n_peers as u64 * (round + 1) / self.cfg.growth_rounds) as usize
         };
+        let first = self.peers.len() as PeerId;
         while self.spawned < target {
             self.peers.push_slot();
             self.online_pos.push(OFFLINE);
             self.spawned += 1;
-            let id = (self.peers.len() - 1) as PeerId;
-            let shard = self.layout.shard_of(id);
-            self.with_shard_lane(shard, |lane, cfg, samplers| {
-                lane.init_regular_peer(id, round, cfg, samplers);
+        }
+        let fresh = first..self.peers.len() as PeerId;
+        if fresh.is_empty() {
+            return;
+        }
+        let busy = self.layout.shard_of(fresh.end - 1) - self.layout.shard_of(first) + 1;
+        let policy = self.exec.narrowed(busy, fresh.len());
+        self.with_shard_lanes(|lanes, cfg, samplers| {
+            policy.dispatch(round * 16, lanes, |_, lane| {
+                let base = lane.peers.base;
+                let end = base + lane.peers.slots() as PeerId;
+                for id in fresh.start.max(base)..fresh.end.min(end) {
+                    lane.init_regular_peer(id, round, cfg, samplers);
+                }
             });
-        }
-    }
-
-    /// Builds a [`ShardLane`] over shard `s` and runs `f` with it,
-    /// merging the lane's census/metric deltas back afterwards. The
-    /// sequential entry to the lane-based handlers (population ramp,
-    /// white-box tests); the round driver builds all lanes at once
-    /// instead.
-    pub(in crate::world) fn with_shard_lane<R>(
-        &mut self,
-        s: usize,
-        f: impl FnOnce(&mut ShardLane<'_>, &SimConfig, &[SessionSampler]) -> R,
-    ) -> R {
-        let sz = self.layout.shard_size;
-        let base = s * sz;
-        let end = (base + sz).min(self.peers.len());
-        let mut lane = ShardLane {
-            peers: self.peers.view_range(base, end),
-            pos: &mut self.online_pos[base..end],
-            online: &mut self.online[s],
-            wheel: &mut self.wheels[s],
-            pending: &mut self.pendings[s],
-            rng: &mut self.rngs[s],
-            events_on: self.record_events,
-            estimates_on: self.estimator.is_some(),
-            outages: &self.outages,
-            outage_starts: &self.outage_starts,
-            events: Vec::new(),
-            obs: &mut self.obs[s],
-            out: Vec::new(),
-            departed: Vec::new(),
-            delta: super::exec::MetricsDelta::default(),
-            census_delta: [0; AgeCategory::COUNT],
-        };
-        let r = f(&mut lane, &self.cfg, &self.samplers);
-        debug_assert!(lane.out.is_empty(), "with_shard_lane cannot route messages");
-        debug_assert!(lane.departed.is_empty(), "departures need the full driver");
-        let events = core::mem::take(&mut lane.events);
-        let mut delta = lane.delta;
-        let census_delta = lane.census_delta;
-        self.event_log.extend(events);
-        delta.apply(&mut self.metrics);
-        for (c, &d) in census_delta.iter().enumerate() {
-            self.census[c] = (self.census[c] as i64 + d) as u64;
-        }
-        r
+        });
     }
 
     pub(in crate::world) fn spawn_observer(&mut self, index: u8) {
@@ -329,8 +298,8 @@ impl ShardLane<'_> {
     /// (Re)initialises a regular peer in its slot: samples profile,
     /// lifetime and initial session from the shard's RNG stream,
     /// schedules its events on the shard's wheel segment. Shared by the
-    /// sequential population ramp and the parallel death-replacement
-    /// path.
+    /// population ramp and the death-replacement path of the
+    /// local-events stage.
     pub(in crate::world) fn init_regular_peer(
         &mut self,
         id: PeerId,

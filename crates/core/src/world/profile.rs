@@ -34,16 +34,15 @@ pub struct RoundProfile {
     pub drain_actors: Duration,
     /// The learned survival model's refresh.
     pub estimator_refresh: Duration,
-    /// Candidate-pool proposals.
+    /// Candidate-pool proposals, each shard's wave-A claims staged in
+    /// the same task.
     pub proposals: Duration,
     /// The whole two-phase commit.
     pub commit: Duration,
-    /// Wave-A claim runs staged in commit order (serial, on the
-    /// driver thread).
-    pub commit_wave_a: Duration,
-    /// The wave-A grant stage, routing of its grant runs included.
+    /// The wave-A grant stage.
     pub commit_grant: Duration,
-    /// Wave B: fallback claims staged, granted and merged.
+    /// Wave B: fallback claims staged and granted (nothing when wave A
+    /// denied nothing).
     pub commit_wave_b: Duration,
     /// The owner-side protocol step.
     pub commit_owner: Duration,
@@ -54,7 +53,7 @@ pub struct RoundProfile {
 impl RoundProfile {
     /// `(name, seconds)` for every stage, in pipeline order; the
     /// `commit.*` rows break down `commit`.
-    pub fn rows(&self) -> [(&'static str, f64); 14] {
+    pub fn rows(&self) -> [(&'static str, f64); 13] {
         [
             ("ramp", self.ramp),
             ("local_events", self.local_events),
@@ -65,7 +64,6 @@ impl RoundProfile {
             ("estimator_refresh", self.estimator_refresh),
             ("proposals", self.proposals),
             ("commit", self.commit),
-            ("commit.wave_a", self.commit_wave_a),
             ("commit.grant", self.commit_grant),
             ("commit.wave_b", self.commit_wave_b),
             ("commit.owner", self.commit_owner),

@@ -337,9 +337,22 @@ impl super::BackupWorld {
             d,
             owner_observer: self.peers.observer(id).is_some(),
             pool,
+            wave_a_denied: Default::default(),
         };
         let shard = self.layout.shard_of(id);
         self.arena.proposals[shard].push(prop);
+        self.commit_pushed_proposals(round);
+    }
+
+    /// Commits the proposals pushed straight into `arena.proposals`:
+    /// stages their wave-A claims (the proposal stage's job on the
+    /// round path), runs the two-phase commit and ends the round.
+    pub(in crate::world) fn commit_pushed_proposals(&mut self, round: u64) {
+        let layout = self.layout;
+        let arena = &mut self.arena;
+        for (claims, props) in arena.claims.iter_mut().zip(&arena.proposals) {
+            claims.stage(&layout, props, super::exec::wave_a_ranks);
+        }
         self.commit_proposals(round);
         self.arena.end_round();
     }

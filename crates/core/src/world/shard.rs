@@ -25,14 +25,15 @@
 //!
 //! [`BackupWorld`](super::BackupWorld) executes one round as the staged
 //! pipeline [`super::exec`] documents stage by stage. The driver
-//! thread runs the population ramp, the routing and merges between
-//! stages, and the small control steps (failure-domain schedule,
-//! estimator refresh, applying adaptive-redundancy decisions); every
-//! stage that touches per-shard state is one dispatch of per-shard
-//! tasks on the persistent worker pool:
+//! thread runs the merges between stages and the small control steps
+//! (failure-domain schedule, estimator refresh, applying
+//! adaptive-redundancy decisions); every stage that touches per-shard
+//! state is one dispatch of per-shard tasks on the persistent worker
+//! pool:
 //!
-//! 1. **Spawn** (sequential): population ramp; peer initialisation
-//!    draws from the owning shard's stream.
+//! 1. **Spawn** (parallel on rounds that spawn): the population ramp
+//!    pushes the new slots in order, then each shard initialises its
+//!    own, drawing from its own stream.
 //! 2. **Local events + teardown hop 1** (parallel, [`ShardLane`]): each
 //!    shard advances its wheel segment, sorts the due events by
 //!    `(peer, kind)`, and handles *every* kind shard-locally. A death or
@@ -44,13 +45,15 @@
 //!    release-only wave.
 //! 4. **Proposals** (parallel): pending owners build acceptance-gated,
 //!    ranked pools of host ids against the *frozen* post-teardown
-//!    state, drawing from their shard's stream.
+//!    state, drawing from their shard's stream; each shard then stages
+//!    its wave-A claims grouped by host shard.
 //! 5. **Commit, two-phase** (parallel): host shards grant the claimed
 //!    pool ranks against shard-local quota in global
 //!    `(owner, archive, rank)` order, each grant recording its hosted
 //!    entry in place; owner shards run the protocol step with exactly
-//!    the granted hosts; host shards sort and apply the releases of
-//!    the partners those steps displaced.
+//!    the granted hosts, read back from the host shards' grant logs;
+//!    host shards sort and apply the releases of the partners those
+//!    steps displaced.
 //!
 //! [`WorldEvent`]s are buffered per lane in every stage and merged into
 //! the world's log in shard order, so the stream is independent of how
@@ -58,6 +61,8 @@
 //!
 //! [`Metrics`]: crate::metrics::Metrics
 //! [`WorldEvent`]: super::hooks::WorldEvent
+
+use std::sync::atomic::AtomicU32;
 
 use peerback_churn::SessionSampler;
 use peerback_estimate::DeathRecord;
@@ -143,6 +148,11 @@ pub(in crate::world) struct Proposal {
     /// for denied claims, so earlier grants filling a candidate's quota
     /// degrade the pool instead of voiding the step.
     pub(in crate::world) pool: Vec<PeerId>,
+    /// Wave-A claims the host shards denied; each earns one fallback
+    /// rank in wave B. Host shards of the grant stage count into it
+    /// concurrently — a sum, so its value is independent of their
+    /// interleaving.
+    pub(in crate::world) wave_a_denied: AtomicU32,
 }
 
 /// The protocol step a [`Proposal`] belongs to. The commit phase

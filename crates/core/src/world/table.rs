@@ -863,15 +863,6 @@ impl PeerTable {
         }
     }
 
-    /// A view over the allocated slots `base..end` (the sequential
-    /// single-shard entry; parallel stages use [`PeerTable::splitter`]).
-    pub(in crate::world) fn view_range(&mut self, base: usize, end: usize) -> PeerView<'_> {
-        debug_assert!(base <= end && end <= self.len);
-        let mut split = self.splitter();
-        split.take(base);
-        split.take(end - base)
-    }
-
     /// Heap bytes of the scalar (hot + cold) columns.
     pub(in crate::world) fn scalar_column_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {

@@ -5,6 +5,7 @@ use peerback_sim::{sim_rng, Engine};
 
 use super::partners::{MISREPORT_INFLATION, POOL_ATTEMPT_FACTOR, POOL_TARGET_FACTOR};
 use super::peers::ArchiveIdx;
+use super::shard::Proposal;
 use super::*;
 use crate::config::MaintenancePolicy;
 use crate::select::SelectionStrategy;
@@ -213,6 +214,62 @@ impl BackupWorld {
                 mark[key] = u32::MAX;
             }
         }
+    }
+}
+
+impl BackupWorld {
+    /// The two-phase exchange written straight-line: every proposal in
+    /// global `(owner shard, proposal, rank)` order claims ranks `0..d`
+    /// against live quotas, then every proposal granted `g < d` claims
+    /// the next `d − g` ranks beyond that window, in the same order,
+    /// against the quotas wave A left. Returns each proposal's granted
+    /// hosts (wave A's in rank order, then wave B's), per owner shard.
+    /// `commit_proposals` computes it every round in every test build
+    /// and the owner stage asserts the hosts it rebuilt from the grant
+    /// logs equal it.
+    pub(super) fn reference_grants(&self) -> Vec<Vec<Vec<PeerId>>> {
+        let quota = self.cfg.quota;
+        let mut used = std::collections::HashMap::new();
+        let mut claim = |host: PeerId, observer: bool| {
+            let used = used
+                .entry(host)
+                .or_insert_with(|| self.peers.quota_used(host));
+            let grant = *used < quota;
+            if grant && !observer {
+                *used += 1;
+            }
+            grant
+        };
+        let props = &self.arena.proposals;
+        let window = |p: &Proposal| (p.d as usize).min(p.pool.len());
+        let mut granted: Vec<Vec<Vec<PeerId>>> = props
+            .iter()
+            .map(|shard| {
+                shard
+                    .iter()
+                    .map(|p| {
+                        let ranks = &p.pool[..window(p)];
+                        ranks
+                            .iter()
+                            .copied()
+                            .filter(|&h| claim(h, p.owner_observer))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        for (shard, hosts) in props.iter().zip(&mut granted) {
+            for (p, hosts) in shard.iter().zip(hosts) {
+                let missing = p.d as usize - hosts.len();
+                let end = (window(p) + missing).min(p.pool.len());
+                for &h in &p.pool[window(p)..end] {
+                    if claim(h, p.owner_observer) {
+                        hosts.push(h);
+                    }
+                }
+            }
+        }
+        granted
     }
 }
 
@@ -1128,8 +1185,30 @@ fn contended_partner_slot_commits_to_the_lower_owner() {
     // has exactly one free quota slot. The two-phase grant exchange
     // must resolve the conflict deterministically — global commit
     // order, i.e. the lower owner id — and the loser records a
-    // shortfall instead of over-committing the host.
-    use super::shard::{ActionKind, Proposal};
+    // shortfall instead of over-committing the host. When the loser's
+    // pool reaches past its wave-A window, the denial earns it one
+    // fallback rank in wave B, which is granted or denied in turn.
+    for fallback in [None, Some(Fallback::Full), Some(Fallback::Free)] {
+        contend_for_one_slot(fallback);
+    }
+}
+
+/// The host beyond the higher owner's wave-A window in
+/// [`contend_for_one_slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fallback {
+    /// Its quota is full: wave B is denied too.
+    Full,
+    /// It has one free slot: wave B is granted.
+    Free,
+}
+
+/// One case of [`contended_partner_slot_commits_to_the_lower_owner`]:
+/// with no fallback, both pools are the contended candidate alone;
+/// with one, the higher owner's pool is the candidate, `d − 1` free
+/// hosts and the fallback host.
+fn contend_for_one_slot(fallback: Option<Fallback>) {
+    use super::shard::ActionKind;
 
     let mut cfg = sharded_config(300, 120, 33);
     cfg.refresh_on_repair = false; // repairs top up only missing blocks
@@ -1204,16 +1283,47 @@ fn contended_partner_slot_commits_to_the_lower_owner() {
             d,
             owner_observer: false,
             pool: vec![c],
+            wave_a_denied: Default::default(),
         }
     };
+    let (prop_a, mut prop_b) = (mk(&world, a), mk(&world, b));
+    // b's fillers and fallback: online hosts with room that hold
+    // nothing of b's and are none of a, b, c.
+    let mut spare = (0..world.peers.len() as PeerId).filter(|&i| {
+        world.peers.observer(i).is_none()
+            && world.peers.online(i)
+            && ![a, b, c].contains(&i)
+            && world.peers.partner_position(b, 0, i).is_none()
+            && world.peers.quota_used(i) + 1 < quota
+    });
+    let fallback_host = fallback.map(|kind| {
+        prop_b
+            .pool
+            .extend(spare.by_ref().take(prop_b.d as usize - 1));
+        let x = spare.next().expect("a fallback host exists");
+        prop_b.pool.push(x);
+        assert_eq!(
+            prop_b.pool.len(),
+            prop_b.d as usize + 1,
+            "too few spare hosts"
+        );
+        let used = if kind == Fallback::Full {
+            quota
+        } else {
+            quota - 1
+        };
+        (x, kind, used)
+    });
+    let fillers = prop_b.pool[1..prop_b.pool.len() - usize::from(fallback.is_some())].to_vec();
+    if let Some((x, _, used)) = fallback_host {
+        world.peers.set_quota_used(x, used);
+    }
     let shortfalls_before = world.metrics.diag.pool_shortfalls;
-    for owner in [a, b] {
-        let prop = mk(&world, owner);
-        let shard = world.layout.shard_of(owner);
+    for prop in [prop_a, prop_b] {
+        let shard = world.layout.shard_of(prop.owner);
         world.arena.proposals[shard].push(prop);
     }
-    world.commit_proposals(round);
-    world.arena.end_round();
+    world.commit_pushed_proposals(round);
 
     // The lower owner id wins the slot; the loser took nothing.
     assert!(
@@ -1235,14 +1345,30 @@ fn contended_partner_slot_commits_to_the_lower_owner() {
         1,
         "exactly one hosted entry for the contended slot"
     );
-    assert!(
-        world.metrics.diag.pool_shortfalls > shortfalls_before,
-        "the denied owner must record a shortfall"
-    );
-    assert!(
-        world.peers.repairing(b, 0),
-        "the denied owner's episode stays open"
-    );
+    for &f in &fillers {
+        assert!(
+            world.peers.partner_position(b, 0, f).is_some(),
+            "wave A must grant the uncontended ranks"
+        );
+    }
+    if let Some((x, kind, _)) = fallback_host {
+        assert_eq!(
+            world.peers.partner_position(b, 0, x).is_some(),
+            kind == Fallback::Free,
+            "wave B must grant the fallback exactly when it has room"
+        );
+        assert_eq!(world.peers.quota_used(x), quota);
+    }
+    if fallback != Some(Fallback::Free) {
+        assert!(
+            world.metrics.diag.pool_shortfalls > shortfalls_before,
+            "the denied owner must record a shortfall"
+        );
+        assert!(
+            world.peers.repairing(b, 0),
+            "the denied owner's episode stays open"
+        );
+    }
 }
 
 /// As [`run_recorded`], with cross-round arena recycling disabled:

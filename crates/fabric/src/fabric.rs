@@ -344,6 +344,9 @@ pub struct FabricStats {
     /// the placement, or a fresh block already arrived — before the
     /// re-ship was due, or while the scheduler was streaming it.
     pub scrub_obsolete: u64,
+    /// Scrub re-ships whose every attempt was damaged in flight, given
+    /// up at the attempt cap (each also counts in `retries_abandoned`).
+    pub scrub_abandoned: u64,
     /// Shipments that entered the transfer scheduler's queue (zero on
     /// unscheduled runs — the instant path never queues).
     pub transfers_queued: u64,
@@ -404,6 +407,7 @@ impl FabricStats {
         self.scrub_detected += other.scrub_detected;
         self.scrub_repaired += other.scrub_repaired;
         self.scrub_obsolete += other.scrub_obsolete;
+        self.scrub_abandoned += other.scrub_abandoned;
         self.transfers_queued += other.transfers_queued;
         self.transfers_carried += other.transfers_carried;
         self.transfers_cancelled += other.transfers_cancelled;
@@ -416,12 +420,13 @@ impl FabricStats {
         self.escalated_transfer_rounds += other.escalated_transfer_rounds;
     }
 
-    /// Scrub detections neither repaired nor rendered moot by the end
-    /// of the run — corruption the fabric knew about and left standing.
-    /// Zero on a run that finished its repair backlog.
+    /// Scrub detections neither repaired, rendered moot nor abandoned
+    /// at the attempt cap by the end of the run — corruption the fabric
+    /// knew about and left standing. Zero on a run that finished its
+    /// repair backlog.
     pub fn scrub_unrepaired(&self) -> u64 {
         self.scrub_detected
-            .saturating_sub(self.scrub_repaired + self.scrub_obsolete)
+            .saturating_sub(self.scrub_repaired + self.scrub_obsolete + self.scrub_abandoned)
     }
 }
 
@@ -1087,6 +1092,7 @@ impl PlaneLane {
                         });
                     } else {
                         self.stats.retries_abandoned += 1;
+                        self.stats.scrub_abandoned += u64::from(scrub);
                     }
                 }
             }

@@ -500,3 +500,37 @@ fn invalid_configurations_are_refused() {
         .unwrap_err()
         .contains("sample period"));
 }
+
+#[test]
+fn scrub_reships_abandoned_at_the_attempt_cap_are_not_unrepaired() {
+    // Heavy in-flight damage: some scrub re-ships are damaged on every
+    // attempt and given up at the attempt cap, like any other retry.
+    // Each such detection counts as `scrub_abandoned`, which closes it:
+    // every detection ends repaired, moot or abandoned by run end.
+    let mk = |shards: usize| {
+        let mut cfg = SimConfig::paper(96, 240, 11);
+        cfg.k = 4;
+        cfg.m = 4;
+        cfg.quota = 24;
+        cfg.maintenance = MaintenancePolicy::Reactive { threshold: 5 };
+        cfg.shards = shards;
+        let fabric_cfg = FabricConfig {
+            faults: FaultProfile {
+                corrupt_rate: 0.3,
+                truncate_rate: 0.3,
+                bitrot_rate: 0.05,
+                ..FaultProfile::NONE
+            },
+            scrub_interval: 4,
+            ..FabricConfig::default()
+        };
+        run_fabric(cfg, fabric_cfg).expect("valid configs")
+    };
+    let report = mk(1);
+    let s = &report.stats;
+    assert!(s.scrub_abandoned > 0, "no scrub re-ship hit the cap: {s:?}");
+    assert!(s.scrub_abandoned <= s.retries_abandoned, "{s:?}");
+    assert_eq!(s.scrub_unrepaired(), 0, "{s:?}");
+    assert_eq!(report.audit.mismatches, 0, "{:?}", report.audit.notes);
+    assert_eq!(report.stats, mk(4).stats);
+}
