@@ -764,6 +764,7 @@ impl BackupWorld {
         // claims; if they denied any, owner shards top the denied
         // proposals up with one fallback wave.
         let mut clock = Instant::now();
+        let grants_before = self.placement.grants;
         let denied = self.grant_stage(round * 16 + 4, 0);
         self.profile.commit_grant += lap(&mut clock);
         if denied > 0 {
@@ -775,7 +776,7 @@ impl BackupWorld {
         // Phase 2 (ack/apply): owner shards run the protocol step with
         // exactly the granted partners, then host shards apply the
         // releases of the partners those steps displaced.
-        self.commit_owner_stage(round);
+        self.commit_owner_stage(round, self.placement.grants - grants_before);
         self.profile.commit_owner += lap(&mut clock);
         self.run_msg_stage(round * 16 + 7, round);
         self.profile.commit_apply += lap(&mut clock);
@@ -886,8 +887,9 @@ impl BackupWorld {
     /// by rank, wave A then wave B, the next verdict of the rank's host
     /// shard — then runs the protocol step. Pool buffers return to the
     /// shard's free list; releases of displaced partners land in the
-    /// outboxes for the apply stage.
-    fn commit_owner_stage(&mut self, round: u64) {
+    /// outboxes for the apply stage. `granted` is the round's grant
+    /// count (both waves).
+    fn commit_owner_stage(&mut self, round: u64, granted: u64) {
         let busy = self
             .arena
             .proposals
@@ -896,7 +898,7 @@ impl BackupWorld {
             .count();
         // Owner steps are much heavier per item than bookkeeping
         // messages; weight them accordingly.
-        let work = self.arena.proposals.iter().map(Vec::len).sum::<usize>() * 64;
+        let work = self.arena.proposals.iter().map(Vec::len).sum::<usize>() * 64 + granted as usize;
         let policy = self.exec.narrowed(busy, work);
         let layout = self.layout;
         let recycle = self.arena.recycle;

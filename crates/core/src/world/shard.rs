@@ -151,7 +151,8 @@ pub(in crate::world) struct Proposal {
     /// Wave-A claims the host shards denied; each earns one fallback
     /// rank in wave B. Host shards of the grant stage count into it
     /// concurrently — a sum, so its value is independent of their
-    /// interleaving.
+    /// interleaving. `Relaxed` suffices: the count publishes no other
+    /// data, and it is read only after the stage's dispatch returned.
     pub(in crate::world) wave_a_denied: AtomicU32,
 }
 
