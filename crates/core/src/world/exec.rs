@@ -239,6 +239,9 @@ impl ClaimGroups {
     ) {
         self.claims.clear();
         self.starts.clear();
+        if props.iter().all(|prop| ranks(prop).is_empty()) {
+            return;
+        }
         self.starts.resize(layout.count + 1, 0);
         for prop in props {
             for &host in &prop.pool[ranks(prop)] {
@@ -266,11 +269,9 @@ impl ClaimGroups {
         self.starts[0] = 0;
     }
 
-    /// The claims on host shard `h`, in commit order.
+    /// The claims on host shard `h`, in commit order (only for staged,
+    /// non-empty groups: `starts` is unset otherwise).
     fn group(&self, h: usize) -> &[Claim] {
-        if self.claims.is_empty() {
-            return &[];
-        }
         &self.claims[self.starts[h] as usize..self.starts[h + 1] as usize]
     }
 }
@@ -295,7 +296,8 @@ fn wave_b_ranks(prop: &Proposal) -> Range<usize> {
 #[derive(Debug, Default)]
 pub(in crate::world) struct GrantLog {
     granted: Vec<bool>,
-    /// `granted[from_owner[o]..]` starts owner shard `o`'s verdicts.
+    /// `granted[from_owner[o]..]` starts owner shard `o`'s verdicts;
+    /// stale for an owner shard that staged no claim this wave.
     from_owner: Vec<u32>,
 }
 
@@ -323,15 +325,6 @@ impl GrantLog {
             }
             *at += 1;
         }
-    }
-
-    /// Whether every cursor `take_granted` positioned for `owner` ended
-    /// exactly at the end of that owner shard's group.
-    fn consumed(logs: &[GrantLog], owner: usize, cursors: &[u32]) -> bool {
-        cursors.iter().zip(logs).all(|(&at, log)| {
-            let end = log.from_owner.get(owner + 1).copied();
-            at == u32::MAX || at == end.unwrap_or(log.granted.len() as u32)
-        })
     }
 }
 
@@ -433,6 +426,9 @@ pub(in crate::world) struct RoundArena {
     pub(in crate::world) departed: Vec<Vec<PeerId>>,
     /// Per-owner-shard staged claims (wave A, then wave B).
     pub(in crate::world) claims: Vec<ClaimGroups>,
+    /// The owner shards with claims in the wave being granted, in
+    /// order: what each host shard walks.
+    pub(in crate::world) active: Vec<u32>,
     /// Per-host-shard verdicts of wave A and of wave B.
     pub(in crate::world) grant_logs: [Vec<GrantLog>; 2],
     /// Per-owner-shard verdict cursors of the owner stage: one per
@@ -478,6 +474,7 @@ impl RoundArena {
             event_bufs: slots(shards),
             departed: slots(shards),
             claims: (0..shards).map(|_| ClaimGroups::default()).collect(),
+            active: Vec::new(),
             grant_logs: [0, 1].map(|_| (0..shards).map(|_| GrantLog::default()).collect()),
             cursors: slots(shards),
             proposals: slots(shards),
@@ -537,6 +534,7 @@ impl RoundArena {
         for buf in &mut self.claims {
             *buf = ClaimGroups::default();
         }
+        self.active = Vec::new();
         for log in self.grant_logs.iter_mut().flatten() {
             *log = GrantLog::default();
         }
@@ -823,7 +821,14 @@ impl BackupWorld {
             placement,
             ..
         } = self;
-        let work: usize = arena.claims.iter().map(|c| c.claims.len()).sum();
+        arena.active.clear();
+        let mut work = 0;
+        for (o, groups) in arena.claims.iter().enumerate() {
+            if !groups.claims.is_empty() {
+                arena.active.push(o as u32);
+                work += groups.claims.len();
+            }
+        }
         placement.claims += work as u64;
         let mut tasks: Vec<GrantTask<'_>> =
             retype_empty(core::mem::take(&mut arena.grant_task_store));
@@ -839,13 +844,15 @@ impl BackupWorld {
         let policy = exec.narrowed(layout.count, work);
         let proposals = &arena.proposals;
         let claims = &arena.claims;
+        let active = &arena.active;
         policy.dispatch(salt, &mut tasks, |h, task| {
             let log = &mut task.log;
             log.granted.clear();
-            log.from_owner.clear();
-            for (o, groups) in claims.iter().enumerate() {
-                log.from_owner.push(log.granted.len() as u32);
-                for claim in groups.group(h) {
+            log.from_owner.resize(layout.count, 0);
+            for &o in active {
+                let o = o as usize;
+                log.from_owner[o] = log.granted.len() as u32;
+                for claim in claims[o].group(h) {
                     let prop = &proposals[o][claim.prop as usize];
                     let host = claim.host;
                     debug_assert_eq!(layout.shard_of(host), h, "misgrouped claim");
@@ -943,25 +950,24 @@ impl BackupWorld {
             cursors.clear();
             cursors.resize(2 * layout.count, u32::MAX);
             let (cursors_a, cursors_b) = cursors.split_at_mut(layout.count);
-            for (_pi, prop) in props.drain(..).enumerate() {
+            #[cfg(test)]
+            let mut expected = expected[o].iter();
+            for prop in props.drain(..) {
                 hosts.clear();
                 let (a, b) = (wave_a_ranks(&prop), wave_b_ranks(&prop));
                 GrantLog::take_granted(logs_a, &layout, o, cursors_a, &prop.pool[a], hosts);
                 GrantLog::take_granted(logs_b, &layout, o, cursors_b, &prop.pool[b], hosts);
                 #[cfg(test)]
                 assert_eq!(
-                    hosts, &expected[o][_pi],
+                    Some(&*hosts),
+                    expected.next(),
                     "owner {} archive {}: granted hosts differ from the reference",
-                    prop.owner, prop.aidx
+                    prop.owner,
+                    prop.aidx
                 );
                 lane.commit_step(cfg, &prop, hosts, round);
                 pools.put(prop.pool);
             }
-            debug_assert!(
-                GrantLog::consumed(logs_a, o, cursors_a)
-                    && GrantLog::consumed(logs_b, o, cursors_b),
-                "owner shard {o} left verdicts unread"
-            );
         });
         let mut delta = MetricsDelta::default();
         for (s, task) in tasks.drain(..).enumerate() {
