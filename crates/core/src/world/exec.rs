@@ -209,7 +209,7 @@ impl Msg {
 /// One claimed pool rank: the host it names and the claiming
 /// proposal's index within its owner shard's list (the host shard
 /// reads the owner, archive and observer flag from the proposal).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(in crate::world) struct Claim {
     host: PeerId,
     prop: u32,
