@@ -55,7 +55,24 @@
 //! Last in the telemetry block, `stages` is the round profile
 //! ([`BackupWorld::round_profile`]): seconds of wall time per stage of
 //! the staged round over the whole run, in pipeline order, with the
-//! `commit.*` rows breaking down `commit`.
+//! `commit.*` rows breaking down `commit`. After it, `stage_work` has
+//! one object per dispatched stage, named after the `stages` row it
+//! runs in ([`RoundProfile::work_rows`](peerback_core::RoundProfile::work_rows)):
+//!
+//! * `items` — what the stage's width rule was given: peers
+//!   initialised (`ramp`), messages applied (`deliver`,
+//!   `commit.apply`), slots scanned (`redundancy`, two stages a pass),
+//!   actors (`proposals`), claims (`commit.grant`, and `commit.wave_b`
+//!   with its staging counted by wave-A denials) and proposals
+//!   (`commit.owner`); `local_events` is always wide and counts none;
+//! * `busy_s` — seconds its workers spent inside it, summed over
+//!   workers, so `busy_s / items` is the measured cost per item and
+//!   `busy_s` over the row's wall time is how many workers were busy;
+//! * `inline` / `wide` — dispatches that ran on the calling thread
+//!   alone or woke the worker pool.
+//!
+//! Wide dispatches summed over the whole run differ from
+//! `stage_dispatches_per_round`, which covers the second half only.
 
 use std::time::Instant;
 
@@ -154,7 +171,20 @@ fn main() {
                     .fold(json::Object::new(), |obj, (name, secs)| {
                         obj.float(name, secs)
                     });
-                telemetry.raw("stages", stages.render())
+                let stage_work = profile.work_rows().into_iter().fold(
+                    json::Object::new(),
+                    |obj, (name, work)| {
+                        let row = json::Object::new()
+                            .num("items", work.items)
+                            .float("busy_s", work.busy.as_secs_f64())
+                            .num("inline", work.inline)
+                            .num("wide", work.wide);
+                        obj.raw(name, row.render())
+                    },
+                );
+                telemetry
+                    .raw("stages", stages.render())
+                    .raw("stage_work", stage_work.render())
             })
             .nums("repairs", metrics.repairs)
             .nums("losses", metrics.losses)

@@ -70,7 +70,7 @@ use crate::metrics::Metrics;
 use super::events::Event;
 use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
-use super::profile::lap;
+use super::profile::{lap, StageWork};
 use super::shard::{Proposal, ShardLane, ShardLayout};
 use super::table::{PeerTable, PeerView};
 use super::BackupWorld;
@@ -342,40 +342,114 @@ pub(in crate::world) struct ExecPolicy {
     /// The world's persistent worker pool (width `workers`); stages are
     /// epoch bumps on its barrier, never thread spawns.
     pub(in crate::world) pool: Arc<WorkerPool>,
+    /// The items the policy was narrowed for (0 before narrowing),
+    /// reported in each dispatch's [`StageWork`].
+    items: u64,
 }
 
-/// Below this many queued messages a stage runs on one worker: waking
-/// the pool costs more than the work. Scheduling only — results are
-/// identical either way.
-const PARALLEL_MSG_MIN: usize = 2048;
+/// The kinds of item the width rule prices, each at its measured
+/// serial cost: a stage's busy time over its items ([`StageWork`]) with
+/// every stage inline (`--shards 1`), over seeds 42 and 7 at 8192 peers
+/// × 1900 rounds, and for redundancy scoring at 4096 peers × 2480
+/// rounds under `learned-age` with `--adaptive-n 8`.
+#[derive(Debug, Clone, Copy)]
+pub(in crate::world) enum Item {
+    /// A fresh peer initialised by the population ramp (370–560 ns).
+    PeerInit,
+    /// A release or drop, sorted and applied (250–310 ns).
+    Msg,
+    /// A peer slot evaluated by redundancy scoring's fill stage
+    /// (30–37 ns).
+    SlotFill,
+    /// A peer slot whose archives the gather stage scores (≈ 330 ns).
+    SlotScore,
+    /// An actor whose candidate pools the proposal stage builds
+    /// (23–32 µs).
+    Actor,
+    /// A claim staged (≈ 20 ns), or granted or denied (25–50 ns).
+    Claim,
+    /// A proposal the owner stage commits (3.0–3.5 µs).
+    Proposal,
+}
+
+impl Item {
+    /// Serial nanoseconds per item.
+    const fn ns(self) -> u64 {
+        match self {
+            Item::PeerInit => 500,
+            Item::Msg => 300,
+            Item::SlotFill => 35,
+            Item::SlotScore => 330,
+            Item::Actor => 25_000,
+            Item::Claim => 30,
+            Item::Proposal => 3_500,
+        }
+    }
+}
+
+/// A stage whose estimated serial time is at most this runs inline:
+/// about four times the ≈ 47 µs a wide dispatch costs between real
+/// stages (16 µs back to back, `sim.exec.dispatch.us`). Split over two
+/// workers each item runs ≈ 1.5× slower (cross-core cache traffic: a
+/// message's 313 ns inline becomes 474 ns of busy time wide), so a
+/// stage of serial time `t` finishes in ≈ `0.75 t` plus the dispatch,
+/// which pays once `t / 4` exceeds the dispatch. Scheduling only —
+/// results are identical either way.
+const BREAK_EVEN_NS: u64 = 200_000;
 
 impl ExecPolicy {
-    /// Narrows the worker count for a stage with `busy` non-empty tasks
-    /// and `work` total queued messages: light stages run inline, and no
-    /// stage is wider than its non-empty tasks.
-    pub(in crate::world) fn narrowed(&self, busy: usize, work: usize) -> ExecPolicy {
-        let workers = if work < PARALLEL_MSG_MIN {
+    pub(in crate::world) fn new(workers: usize) -> ExecPolicy {
+        ExecPolicy {
+            workers,
+            fuzz: None,
+            pool: Arc::new(WorkerPool::new(workers)),
+            items: 0,
+        }
+    }
+
+    /// Narrows the worker count for a stage of `items` items of kind
+    /// `item` over `busy` non-empty tasks: a stage goes wide when its
+    /// estimated serial time exceeds [`BREAK_EVEN_NS`], and no stage is
+    /// wider than its non-empty tasks.
+    pub(in crate::world) fn narrowed(&self, item: Item, busy: usize, items: usize) -> ExecPolicy {
+        let serial_ns = (items as u64).saturating_mul(item.ns());
+        let workers = if serial_ns <= BREAK_EVEN_NS {
             1
         } else {
             self.workers.min(busy.max(1))
         };
         ExecPolicy {
             workers,
+            items: items as u64,
             ..self.clone()
+        }
+    }
+
+    /// What one dispatch cost, from the pool's counters around it
+    /// (fuzzed dispatches bypass the pool and record no busy time).
+    fn measured(&self, run: impl FnOnce()) -> StageWork {
+        let (busy, dispatches) = (self.pool.busy(), self.pool.dispatches());
+        run();
+        let wide = self.pool.dispatches() > dispatches;
+        StageWork {
+            items: self.items,
+            busy: self.pool.busy() - busy,
+            inline: u64::from(!wide),
+            wide: u64::from(wide),
         }
     }
 
     /// Runs one stage: `f(i, &mut states[i])` exactly once per task.
     /// `salt` decorrelates fuzzed interleavings across stages/rounds.
-    pub(in crate::world) fn dispatch<S, F>(&self, salt: u64, states: &mut [S], f: F)
+    pub(in crate::world) fn dispatch<S, F>(&self, salt: u64, states: &mut [S], f: F) -> StageWork
     where
         S: Send,
         F: Fn(usize, &mut S) + Sync,
     {
-        match self.fuzz {
+        self.measured(|| match self.fuzz {
             Some(seed) => peerback_sim::exec::run_tasks_fuzzed(derive_seed(seed, salt), states, f),
             None => self.pool.run_tasks(self.workers, true, states, f),
-        }
+        })
     }
 
     /// As [`ExecPolicy::dispatch`] with per-worker scratch state.
@@ -385,12 +459,13 @@ impl ExecPolicy {
         worker_states: &mut [W],
         states: &mut [S],
         f: F,
-    ) where
+    ) -> StageWork
+    where
         W: Send,
         S: Send,
         F: Fn(&mut W, usize, &mut S) + Sync,
     {
-        match self.fuzz {
+        self.measured(|| match self.fuzz {
             Some(seed) => {
                 let scratch = worker_states.first_mut().expect("one worker state");
                 peerback_sim::exec::run_tasks_fuzzed(derive_seed(seed, salt), states, |i, s| {
@@ -404,7 +479,7 @@ impl ExecPolicy {
                 self.pool
                     .run_tasks_with(true, &mut worker_states[..take], states, f);
             }
-        }
+        })
     }
 }
 
@@ -677,12 +752,12 @@ impl BackupWorld {
 
     /// Routes the pending outboxes and runs one message-apply stage
     /// over them: a deliver wave (releases and drops) or the commit's
-    /// apply stage (releases only). Returns how many messages were
-    /// applied (0 = the stage was skipped).
-    fn run_msg_stage(&mut self, salt: u64, round: u64) -> usize {
+    /// apply stage (releases only). Returns the stage's work, whose
+    /// items are the messages applied (0 = the stage was skipped).
+    fn run_msg_stage(&mut self, salt: u64, round: u64) -> StageWork {
         let total = self.route_outboxes();
         if total == 0 {
-            return 0;
+            return StageWork::default();
         }
         let busy = self
             .arena
@@ -690,7 +765,7 @@ impl BackupWorld {
             .iter()
             .filter(|i| !i.is_empty())
             .count();
-        let policy = self.exec.narrowed(busy, total);
+        let policy = self.exec.narrowed(Item::Msg, busy, total);
         let layout = self.layout;
         let BackupWorld {
             peers,
@@ -704,7 +779,7 @@ impl BackupWorld {
         } = self;
         let cfg: &crate::config::SimConfig = cfg;
         let mut lanes = build_work_lanes(layout, *record_events, peers, pendings, arena, true);
-        policy.dispatch(salt, &mut lanes, |_, lane| {
+        let work = policy.dispatch(salt, &mut lanes, |_, lane| {
             let mut inbox = core::mem::take(&mut lane.inbox);
             // The deterministic in-shard application order. Sorting
             // here, not while routing, puts the sort on the stage's
@@ -726,7 +801,7 @@ impl BackupWorld {
             lane.inbox = inbox;
         });
         merge_work_lanes(event_log, metrics, arena, lanes);
-        total
+        work
     }
 
     /// Stage 2 (+3): applies the deliver waves — releases and drops, in
@@ -736,9 +811,11 @@ impl BackupWorld {
     /// accounting).
     pub(in crate::world) fn run_deliver(&mut self, round: u64) {
         for salt in 0..2u64 {
-            if self.run_msg_stage(round * 16 + 2 + salt, round) == 0 {
+            let work = self.run_msg_stage(round * 16 + 2 + salt, round);
+            if work.items == 0 {
                 return;
             }
+            self.profile.deliver_work += work;
         }
         debug_assert!(
             self.arena.outboxes.iter().all(Vec::is_empty),
@@ -762,7 +839,6 @@ impl BackupWorld {
         // claims; if they denied any, owner shards top the denied
         // proposals up with one fallback wave.
         let mut clock = Instant::now();
-        let grants_before = self.placement.grants;
         let denied = self.grant_stage(round * 16 + 4, 0);
         self.profile.commit_grant += lap(&mut clock);
         if denied > 0 {
@@ -774,9 +850,10 @@ impl BackupWorld {
         // Phase 2 (ack/apply): owner shards run the protocol step with
         // exactly the granted partners, then host shards apply the
         // releases of the partners those steps displaced.
-        self.commit_owner_stage(round, self.placement.grants - grants_before);
+        self.commit_owner_stage(round);
         self.profile.commit_owner += lap(&mut clock);
-        self.run_msg_stage(round * 16 + 7, round);
+        let work = self.run_msg_stage(round * 16 + 7, round);
+        self.profile.apply_work += work;
         self.profile.commit_apply += lap(&mut clock);
         debug_assert!(
             self.arena.outboxes.iter().all(Vec::is_empty),
@@ -790,12 +867,14 @@ impl BackupWorld {
     /// total, an upper bound on the claims) sizes the dispatch.
     fn stage_wave_b_claims(&mut self, salt: u64, denied: u64) {
         let layout = self.layout;
-        let policy = self.exec.narrowed(layout.count, denied as usize);
+        let policy = self
+            .exec
+            .narrowed(Item::Claim, layout.count, denied as usize);
         let RoundArena {
             proposals, claims, ..
         } = &mut self.arena;
         let proposals = &*proposals;
-        policy.dispatch(salt, claims, |o, groups| {
+        self.profile.wave_b_work += policy.dispatch(salt, claims, |o, groups| {
             groups.stage(&layout, &proposals[o], wave_b_ranks);
         });
     }
@@ -819,6 +898,7 @@ impl BackupWorld {
             arena,
             exec,
             placement,
+            profile,
             ..
         } = self;
         arena.active.clear();
@@ -841,11 +921,11 @@ impl BackupWorld {
                 denied: 0,
             });
         }
-        let policy = exec.narrowed(layout.count, work);
+        let policy = exec.narrowed(Item::Claim, layout.count, work);
         let proposals = &arena.proposals;
         let claims = &arena.claims;
         let active = &arena.active;
-        policy.dispatch(salt, &mut tasks, |h, task| {
+        let stage_work = policy.dispatch(salt, &mut tasks, |h, task| {
             let log = &mut task.log;
             log.granted.clear();
             log.from_owner.resize(layout.count, 0);
@@ -879,6 +959,11 @@ impl BackupWorld {
                 }
             }
         });
+        if wave == 0 {
+            profile.grant_work += stage_work;
+        } else {
+            profile.wave_b_work += stage_work;
+        }
         let mut denied = 0;
         for (task, log) in tasks.drain(..).zip(&mut arena.grant_logs[wave]) {
             *log = task.log;
@@ -894,19 +979,16 @@ impl BackupWorld {
     /// by rank, wave A then wave B, the next verdict of the rank's host
     /// shard — then runs the protocol step. Pool buffers return to the
     /// shard's free list; releases of displaced partners land in the
-    /// outboxes for the apply stage. `granted` is the round's grant
-    /// count (both waves).
-    fn commit_owner_stage(&mut self, round: u64, granted: u64) {
+    /// outboxes for the apply stage.
+    fn commit_owner_stage(&mut self, round: u64) {
         let busy = self
             .arena
             .proposals
             .iter()
             .filter(|p| !p.is_empty())
             .count();
-        // Owner steps are much heavier per item than bookkeeping
-        // messages; weight them accordingly.
-        let work = self.arena.proposals.iter().map(Vec::len).sum::<usize>() * 64 + granted as usize;
-        let policy = self.exec.narrowed(busy, work);
+        let items = self.arena.proposals.iter().map(Vec::len).sum();
+        let policy = self.exec.narrowed(Item::Proposal, busy, items);
         let layout = self.layout;
         let recycle = self.arena.recycle;
         let BackupWorld {
@@ -917,6 +999,7 @@ impl BackupWorld {
             metrics,
             record_events,
             arena,
+            profile,
             ..
         } = self;
         let cfg: &crate::config::SimConfig = cfg;
@@ -936,7 +1019,7 @@ impl BackupWorld {
         let [logs_a, logs_b] = &arena.grant_logs;
         #[cfg(test)]
         let expected = &arena.expected_hosts;
-        policy.dispatch(round * 16 + 6, &mut tasks, |o, task| {
+        profile.owner_work += policy.dispatch(round * 16 + 6, &mut tasks, |o, task| {
             let CommitTask {
                 lane,
                 props,
@@ -1084,4 +1167,31 @@ pub(in crate::world) fn merge_delta(dst: &mut MetricsDelta, src: &MetricsDelta) 
     dst.threshold_adjustments += src.threshold_adjustments;
     dst.outage_disconnects += src.outage_disconnects;
     dst.quarantine_evictions += src.quarantine_evictions;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stages_go_wide_past_the_break_even() {
+        let exec = ExecPolicy::new(4);
+        for item in [
+            Item::PeerInit,
+            Item::Msg,
+            Item::SlotFill,
+            Item::SlotScore,
+            Item::Actor,
+            Item::Claim,
+            Item::Proposal,
+        ] {
+            // The most items whose serial time is within the break-even.
+            let inline = (BREAK_EVEN_NS / item.ns()) as usize;
+            assert_eq!(exec.narrowed(item, 8, inline).workers, 1, "{item:?}");
+            assert_eq!(exec.narrowed(item, 8, inline + 1).workers, 4, "{item:?}");
+            // Never wider than the non-empty tasks.
+            assert_eq!(exec.narrowed(item, 3, inline + 1).workers, 3, "{item:?}");
+            assert_eq!(exec.narrowed(item, 1, inline + 1).workers, 1, "{item:?}");
+        }
+    }
 }

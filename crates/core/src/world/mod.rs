@@ -69,11 +69,10 @@ mod table;
 #[cfg(test)]
 mod tests;
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use peerback_churn::SessionSampler;
-use peerback_sim::{derive_seed, HierarchicalWheel, Round, SimRng, WorkerPool, World};
+use peerback_sim::{derive_seed, HierarchicalWheel, Round, SimRng, World};
 use rand::SeedableRng;
 
 use crate::age::AgeCategory;
@@ -81,7 +80,7 @@ use crate::config::SimConfig;
 use crate::metrics::{CategorySample, Metrics, ObserverSeries};
 
 use events::Event;
-use exec::{ExecPolicy, MetricsDelta, RoundArena};
+use exec::{ExecPolicy, Item, MetricsDelta, RoundArena};
 use peerback_sim::BufPool;
 use peers::ArchiveIdx;
 use profile::lap;
@@ -91,7 +90,7 @@ use table::PeerTable;
 pub use exec::PlacementWork;
 pub use hooks::{MemoryBreakdown, WorldEvent};
 pub use peers::{ObserverState, PeerId, WorldSnapshot};
-pub use profile::RoundProfile;
+pub use profile::{RoundProfile, StageWork};
 pub use redundancy::RedundancyWork;
 
 /// Mean on+off availability cycle of every session sampler, in rounds
@@ -260,11 +259,7 @@ impl BackupWorld {
         let capacity = cfg.n_peers + observer_count;
         let layout = ShardLayout::for_capacity(capacity, cfg.shard_slots);
         let workers = cfg.shards.clamp(1, layout.count);
-        let exec = ExecPolicy {
-            workers,
-            fuzz: None,
-            pool: Arc::new(WorkerPool::new(workers)),
-        };
+        let exec = ExecPolicy::new(workers);
         // Slab strides are fixed by the config: a partner slab holds at
         // most `n` entries per archive (fresh + displaced stale share
         // the width — displacement happens before attachment), a hosted
@@ -503,8 +498,9 @@ impl BackupWorld {
         if fire_bufs.len() < workers {
             fire_bufs.resize_with(workers, Vec::new);
         }
+        let mut work = StageWork::default();
         self.with_shard_lanes(|lanes, cfg, samplers| {
-            policy.dispatch_with(
+            work = policy.dispatch_with(
                 round * 16 + 1,
                 &mut fire_bufs[..workers],
                 lanes,
@@ -513,6 +509,7 @@ impl BackupWorld {
                 },
             );
         });
+        self.profile.local_events_work += work;
         self.arena.fire_bufs = fire_bufs;
         // Feed the round's completed lifetimes to the survival model in
         // shard order — the sequential merge that keeps the model (and
@@ -622,12 +619,11 @@ impl BackupWorld {
                 claims: core::mem::take(&mut self.arena.claims[s]),
             });
         }
-        {
+        let work = {
             let world: &BackupWorld = self;
             let busy = actors.iter().filter(|a| !a.is_empty()).count();
-            // Pool building is expensive per actor; weight accordingly.
-            let work = actors.iter().map(Vec::len).sum::<usize>() * 64;
-            let policy = world.exec.narrowed(busy, work);
+            let items = actors.iter().map(Vec::len).sum();
+            let policy = world.exec.narrowed(Item::Actor, busy, items);
             policy.dispatch_with(
                 round * 16 + 8,
                 &mut scratch[..workers],
@@ -645,8 +641,9 @@ impl BackupWorld {
                     task.claims
                         .stage(&world.layout, &task.proposals, exec::wave_a_ranks);
                 },
-            );
-        }
+            )
+        };
+        self.profile.proposals_work += work;
         for (s, task) in tasks.drain(..).enumerate() {
             self.arena.proposals[s] = task.proposals;
             self.arena.cand_pools[s] = task.pools;
@@ -728,7 +725,7 @@ impl World for BackupWorld {
         self.profile.rounds += 1;
         #[cfg(test)]
         if r % 16 == 15 {
-            self.check_ledgers();
+            self.check_invariants();
         }
     }
 

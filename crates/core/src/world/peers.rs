@@ -19,6 +19,8 @@ use crate::config::SimConfig;
 use crate::metrics::ObserverSeries;
 
 use super::events::Event;
+use super::exec::Item;
+use super::profile::StageWork;
 use super::shard::ShardLane;
 use super::BackupWorld;
 
@@ -220,9 +222,10 @@ impl BackupWorld {
             return;
         }
         let busy = self.layout.shard_of(fresh.end - 1) - self.layout.shard_of(first) + 1;
-        let policy = self.exec.narrowed(busy, fresh.len());
+        let policy = self.exec.narrowed(Item::PeerInit, busy, fresh.len());
+        let mut work = StageWork::default();
         self.with_shard_lanes(|lanes, cfg, samplers| {
-            policy.dispatch(round * 16, lanes, |_, lane| {
+            work = policy.dispatch(round * 16, lanes, |_, lane| {
                 let base = lane.peers.base;
                 let end = base + lane.peers.slots() as PeerId;
                 for id in fresh.start.max(base)..fresh.end.min(end) {
@@ -230,6 +233,7 @@ impl BackupWorld {
                 }
             });
         });
+        self.profile.ramp_work += work;
     }
 
     pub(in crate::world) fn spawn_observer(&mut self, index: u8) {

@@ -7,15 +7,49 @@
 //! always on. It is execution telemetry — wall times vary from run to
 //! run — so it lives beside [`PlacementWork`](super::PlacementWork),
 //! never in [`Metrics`](crate::metrics::Metrics) or a stable report.
+//!
+//! Beside the wall times, every dispatched stage records a
+//! [`StageWork`]: the items its width rule was given, its workers'
+//! summed busy time and how often it ran inline or woke the pool.
+//! Busy time over items is the stage's measured cost per item — the
+//! figure the width rule's constants were read from.
 
+use std::ops::AddAssign;
 use std::time::{Duration, Instant};
+
+/// One kind of dispatched stage, summed over the run: its items, its
+/// workers' time and its dispatches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageWork {
+    /// Items the stage's width rule was given: peers initialised,
+    /// messages, slots, actors, claims or proposals (see
+    /// [`RoundProfile::work_rows`]).
+    pub items: u64,
+    /// Time the stage's workers spent inside it, summed over workers
+    /// ([`peerback_sim::WorkerPool::busy`]).
+    pub busy: Duration,
+    /// Dispatches run on the calling thread alone.
+    pub inline: u64,
+    /// Dispatches that woke the worker pool.
+    pub wide: u64,
+}
+
+impl AddAssign for StageWork {
+    fn add_assign(&mut self, other: StageWork) {
+        self.items += other.items;
+        self.busy += other.busy;
+        self.inline += other.inline;
+        self.wide += other.wide;
+    }
+}
 
 /// Accumulated wall time of each stage of the staged round (see
 /// ARCHITECTURE.md "The round"), read through
 /// [`BackupWorld::round_profile`](super::BackupWorld::round_profile).
 ///
 /// The fields from `ramp` to `commit` partition `round_start`; the
-/// `commit_*` fields break `commit` down.
+/// `commit_*` fields break `commit` down. The `*_work` fields count the
+/// dispatched stages inside those rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundProfile {
     /// `round_start` calls profiled.
@@ -48,6 +82,27 @@ pub struct RoundProfile {
     pub commit_owner: Duration,
     /// Routing and applying the owner step's releases.
     pub commit_apply: Duration,
+    /// Population ramp; items are the peers initialised.
+    pub ramp_work: StageWork,
+    /// Shard-local events; always as wide as the pool, so it is given
+    /// no items (its events are only known once the wheels fire).
+    pub local_events_work: StageWork,
+    /// The deliver waves; items are the messages applied.
+    pub deliver_work: StageWork,
+    /// The fill and gather stages of redundancy scoring; items are the
+    /// peer slots each one scans.
+    pub redundancy_work: StageWork,
+    /// Proposals; items are the actors.
+    pub proposals_work: StageWork,
+    /// The wave-A grant stage; items are the claims.
+    pub grant_work: StageWork,
+    /// Wave B's claim staging (items: the wave-A denials, which bound
+    /// its claims) and grant stage (items: the claims).
+    pub wave_b_work: StageWork,
+    /// The owner stage; items are the proposals.
+    pub owner_work: StageWork,
+    /// The apply stage; items are the messages applied.
+    pub apply_work: StageWork,
 }
 
 impl RoundProfile {
@@ -70,6 +125,22 @@ impl RoundProfile {
             ("commit.apply", self.commit_apply),
         ]
         .map(|(name, d)| (name, d.as_secs_f64()))
+    }
+
+    /// `(name, work)` for every dispatched stage, named after the row
+    /// of [`RoundProfile::rows`] whose wall time it falls in.
+    pub fn work_rows(&self) -> [(&'static str, StageWork); 9] {
+        [
+            ("ramp", self.ramp_work),
+            ("local_events", self.local_events_work),
+            ("deliver", self.deliver_work),
+            ("redundancy", self.redundancy_work),
+            ("proposals", self.proposals_work),
+            ("commit.grant", self.grant_work),
+            ("commit.wave_b", self.wave_b_work),
+            ("commit.owner", self.owner_work),
+            ("commit.apply", self.apply_work),
+        ]
     }
 }
 

@@ -47,6 +47,7 @@
 use peerback_estimate::AvailabilityClass;
 use peerback_sim::arena::retype_empty;
 
+use super::exec::Item;
 use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
 use super::BackupWorld;
@@ -155,26 +156,27 @@ impl BackupWorld {
             st.est = vec![0; capacity];
             st.scores.resize_with(count, ShardScore::default);
         }
-        {
+        let work = {
             let world: &BackupWorld = self;
-            // Both stages are cheap linear scans per peer; weight them
-            // like message traffic so small worlds stay on one worker.
-            let policy = world.exec.narrowed(count, slots);
             let shard_size = world.layout.shard_size;
             let mut tasks: Vec<FillTask<'_>> = retype_empty(core::mem::take(&mut st.fill_store));
             let windows = st.p[..slots]
                 .chunks_mut(shard_size)
                 .zip(st.est[..slots].chunks_mut(shard_size));
             tasks.extend(windows.map(|(p, est)| FillTask { p, est }));
-            policy.dispatch(round * 16 + 10, &mut tasks, |s, task| {
+            let fill = world.exec.narrowed(Item::SlotFill, count, slots);
+            let mut work = fill.dispatch(round * 16 + 10, &mut tasks, |s, task| {
                 fill_shard(world, round, s, task);
             });
             st.fill_store = retype_empty(tasks);
             let (p, est) = (&st.p[..slots], &st.est[..slots]);
-            policy.dispatch(round * 16 + 9, &mut st.scores, |s, out| {
+            let score = world.exec.narrowed(Item::SlotScore, count, slots);
+            work += score.dispatch(round * 16 + 9, &mut st.scores, |s, out| {
                 score_shard(world, p, est, s, out);
             });
-        }
+            work
+        };
+        self.profile.redundancy_work += work;
         #[cfg(test)]
         super::tests::check_scores_against_per_pair_oracle(self, round, &st.scores);
         st.work.passes += 1;

@@ -4,7 +4,7 @@
 use peerback_sim::{sim_rng, Engine};
 
 use super::partners::{MISREPORT_INFLATION, POOL_ATTEMPT_FACTOR, POOL_TARGET_FACTOR};
-use super::peers::ArchiveIdx;
+use super::peers::{ArchiveIdx, OFFLINE};
 use super::shard::Proposal;
 use super::*;
 use crate::config::MaintenancePolicy;
@@ -139,13 +139,87 @@ fn joined_archives_stay_above_k_or_get_lost() {
 }
 
 impl BackupWorld {
+    /// The world's structural invariants. `round_start` calls it every
+    /// 16th round in every test build, so every world-level test checks
+    /// them:
+    ///
+    /// * every archive's `present` and `target` are at most `n`;
+    /// * a quarantined host holds nothing (its eviction fires the round
+    ///   after the strike that quarantined it, before any check);
+    /// * a peer is online exactly when it sits in its shard's online
+    ///   list, at the position `online_pos` records (`OFFLINE` when
+    ///   offline);
+    /// * a peer is `queued` exactly when it sits, once, in its shard's
+    ///   pending queue;
+    /// * the ledgers ([`BackupWorld::check_ledgers`]).
+    ///
+    /// Wheel entries are not checked against live epochs: stale entries
+    /// are dropped when they fire, by design (`events.rs`).
+    pub(super) fn check_invariants(&self) {
+        let peers = &self.peers;
+        let n = self.n_blocks();
+        let mut pending = vec![false; peers.len()];
+        for (s, queue) in self.pendings.iter().enumerate() {
+            for &id in queue {
+                assert_eq!(self.layout.shard_of(id), s, "peer {id} queued on shard {s}");
+                assert!(!pending[id as usize], "peer {id} queued twice");
+                pending[id as usize] = true;
+            }
+        }
+        let mut online = 0;
+        for id in 0..peers.len() as PeerId {
+            for a in 0..peers.archives_per_peer() {
+                assert!(
+                    peers.present(id, a) <= n,
+                    "peer {id} archive {a}: present > n"
+                );
+                assert!(
+                    peers.target(id, a) <= n,
+                    "peer {id} archive {a}: target > n"
+                );
+            }
+            if peers.quarantined(id) {
+                assert_eq!(
+                    peers.hosted_len(id),
+                    0,
+                    "quarantined host {id} holds blocks"
+                );
+            }
+            let pos = self.online_pos[id as usize];
+            if peers.online(id) {
+                online += 1;
+                let list = &self.online[self.layout.shard_of(id)];
+                assert_eq!(
+                    list.get(pos as usize),
+                    Some(&id),
+                    "peer {id}: online_pos stale"
+                );
+            } else {
+                assert_eq!(pos, OFFLINE, "offline peer {id} has an online position");
+            }
+            assert_eq!(
+                peers.queued(id),
+                pending[id as usize],
+                "peer {id}: queued flag"
+            );
+        }
+        // Every online peer owns a distinct list slot, so equal totals
+        // leave no offline or duplicate entry in the lists.
+        let listed: usize = self.online.iter().map(Vec::len).sum();
+        assert_eq!(
+            listed, online,
+            "online lists hold offline or duplicate peers"
+        );
+        self.check_ledgers();
+    }
+
     /// The ledger invariant: the multiset of `(host, owner, archive)`
     /// over every fresh and stale partner entry equals the multiset
     /// over every hosted ledger, no host stores one `(owner, archive)`
     /// twice, and each host's `quota_used` is its count of non-observer
-    /// entries, at most `quota`. `round_start` calls it every 16th round
-    /// in every test build, so every world-level test checks the grant
-    /// stage's in-place ledger writes.
+    /// entries, at most `quota`. Part of
+    /// [`BackupWorld::check_invariants`], so every world-level test
+    /// checks the grant stage's in-place ledger writes.
     ///
     /// O(E + slots) in the placed blocks `E`: a counting sort buckets
     /// the partner entries by host, and a stamp per `(owner, archive)`
@@ -283,7 +357,7 @@ fn quota_accounting_is_consistent() {
     let mut engine = Engine::new(6);
     for _ in 0..rounds {
         engine.step(&mut world);
-        world.check_ledgers();
+        world.check_invariants();
         for i in 0..world.peers.len() as PeerId {
             let counted = (0..world.peers.hosted_len(i))
                 .filter(|&x| {
@@ -306,7 +380,7 @@ fn hosted_and_partner_lists_are_mutually_consistent() {
     let mut engine = Engine::new(8);
     for _ in 0..rounds {
         engine.step(&mut world);
-        world.check_ledgers();
+        world.check_invariants();
     }
     for i in 0..world.peers.len() as PeerId {
         for ai in 0..world.peers.archives_per_peer() {
@@ -1037,6 +1111,38 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
     assert_eq!(m1, m8, "metrics diverged between 1 and 8 workers");
     assert_eq!(e1, e2, "event streams diverged between 1 and 2 workers");
     assert_eq!(e1, e8, "event streams diverged between 1 and 8 workers");
+}
+
+#[test]
+fn steady_state_teardown_and_proposal_stages_go_wide() {
+    // Past the join wave and the first offline write-offs (18 rounds),
+    // a 4096-peer round's releases and drops and its repair proposals
+    // cost more on one worker than waking the pool, so the width rule
+    // spreads them over both workers — and the run stays identical to
+    // one worker's.
+    const WARMUP: u64 = 25;
+    const ROUNDS: u64 = 45;
+    let cfg = SimConfig::paper(4096, ROUNDS, 13).with_paper_observers();
+    let (m1, e1) = run_recorded(cfg.clone().with_shards(1));
+    let mut world = BackupWorld::new(cfg.with_shards(2));
+    world.set_event_recording(true);
+    let mut engine = Engine::new(13);
+    let mut e2 = drain_rounds(&mut world, &mut engine, WARMUP);
+    let before = world.round_profile();
+    e2.extend(drain_rounds(&mut world, &mut engine, ROUNDS - WARMUP));
+    let after = world.round_profile();
+    let wide = |work: fn(&RoundProfile) -> StageWork| work(&after).wide - work(&before).wide;
+    assert!(wide(|p| p.deliver_work) > 0, "no deliver wave went wide");
+    assert!(
+        wide(|p| p.proposals_work) > 0,
+        "no proposal stage went wide"
+    );
+    assert_eq!(
+        world.into_metrics(),
+        m1,
+        "metrics diverged between 1 and 2 workers"
+    );
+    assert_eq!(e2, e1, "event streams diverged between 1 and 2 workers");
 }
 
 #[test]

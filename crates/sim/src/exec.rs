@@ -38,7 +38,9 @@
 //! Single-worker stages bypass the pool entirely and run inline on the
 //! caller, so a world that never runs a wide stage never owns a thread.
 //! [`WorkerPool::dispatches`] counts the real wake-ups, which the bench
-//! layer reports as `stage_dispatches_per_round`.
+//! layer reports as `stage_dispatches_per_round`, and
+//! [`WorkerPool::busy`] sums the time workers spent inside stages: two
+//! clock reads per worker per stage, inline stages included.
 //!
 //! On its first stage each helper moves itself off the dispatcher's CPU
 //! once (see the crate-private `place` module): left to the kernel's
@@ -59,6 +61,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use rand::Rng;
 
@@ -219,10 +222,24 @@ struct PoolState {
 
 struct PoolShared {
     state: Mutex<PoolState>,
+    /// Nanoseconds workers spent inside stages, summed over workers and
+    /// stages (a statistic: it publishes no other data).
+    busy_ns: AtomicU64,
     /// Wakes helpers on a new epoch (or shutdown).
     work: Condvar,
     /// Wakes the dispatching caller once every helper checked in.
     done: Condvar,
+}
+
+impl PoolShared {
+    /// Runs one worker's share of a stage, adding its duration to the
+    /// pool's busy time.
+    fn timed(&self, share: impl FnOnce()) {
+        let start = Instant::now();
+        share();
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
+    }
 }
 
 /// What the dispatch gate guards: one stage in flight means one claim
@@ -282,6 +299,7 @@ impl WorkerPool {
                     panic_payload: None,
                     shutdown: false,
                 }),
+                busy_ns: AtomicU64::new(0),
                 work: Condvar::new(),
                 done: Condvar::new(),
             }),
@@ -300,6 +318,15 @@ impl WorkerPool {
     /// stages are not counted — they cost no wake-up).
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
+    }
+
+    /// Time workers spent inside stages so far, summed over workers:
+    /// each worker's share of every wide stage, plus the whole of every
+    /// inline stage. Over one stage, busy time divided by the stage's
+    /// task count is its measured cost per task, and busy time divided
+    /// by wall time × width is how busy its workers were.
+    pub fn busy(&self) -> Duration {
+        Duration::from_nanos(self.shared.busy_ns.load(Ordering::Relaxed))
     }
 
     /// Claims the dispatch gate (serializing whole stages) for a stage
@@ -367,7 +394,7 @@ impl WorkerPool {
         // The caller is worker 0. Catch its panic so the barrier wait
         // below always happens — otherwise the erased job could dangle
         // while a helper still runs it.
-        let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
+        let caller = catch_unwind(AssertUnwindSafe(|| self.shared.timed(|| f(0))));
         let helper_panic = {
             let mut g = self.shared.state.lock().expect("pool state poisoned");
             while g.remaining != 0 {
@@ -401,9 +428,11 @@ impl WorkerPool {
         }
         let width = workers.min(len).min(self.width()).max(1);
         if width == 1 {
-            for (i, state) in states.iter_mut().enumerate() {
-                f(i, state);
-            }
+            self.shared.timed(|| {
+                for (i, state) in states.iter_mut().enumerate() {
+                    f(i, state);
+                }
+            });
             return;
         }
         let gate = self.claim_gate(len);
@@ -442,9 +471,11 @@ impl WorkerPool {
             let scratch = worker_states
                 .first_mut()
                 .expect("at least one worker state");
-            for (i, state) in states.iter_mut().enumerate() {
-                f(scratch, i, state);
-            }
+            self.shared.timed(|| {
+                for (i, state) in states.iter_mut().enumerate() {
+                    f(scratch, i, state);
+                }
+            });
             return;
         }
         let gate = self.claim_gate(len);
@@ -525,7 +556,7 @@ fn helper_loop(shared: &PoolShared, index: usize) {
                 crate::place::hop_from(cpu, index);
             }
         }
-        let result = catch_unwind(AssertUnwindSafe(|| job(index)));
+        let result = catch_unwind(AssertUnwindSafe(|| shared.timed(|| job(index))));
         let mut g = shared.state.lock().expect("pool state poisoned");
         if let Err(payload) = result {
             // Keep the first payload; the dispatcher re-raises it.
@@ -664,6 +695,29 @@ mod tests {
         pool.run_tasks(4, true, &mut states, |_, s| *s += 1);
         assert_eq!(pool.dispatches(), 1);
         assert!(states.iter().all(|&s| s == 2));
+    }
+
+    #[test]
+    fn pool_sums_busy_time_over_workers_and_stages() {
+        let pool = WorkerPool::new(2);
+        let nap = std::time::Duration::from_millis(3);
+        let mut states = vec![(); 4];
+        pool.run_tasks(1, true, &mut states, |_, _| std::thread::sleep(nap));
+        let inline = pool.busy();
+        assert!(inline >= 4 * nap, "inline stage: {inline:?}");
+        // Both workers hold a task at once, so both shares are timed.
+        let rendezvous = std::sync::Barrier::new(2);
+        let mut states = vec![(); 2];
+        pool.run_tasks(2, true, &mut states, |_, _| {
+            rendezvous.wait();
+            std::thread::sleep(nap);
+        });
+        assert_eq!(pool.dispatches(), 1);
+        assert!(
+            pool.busy() - inline >= 2 * nap,
+            "wide stage: {:?}",
+            pool.busy()
+        );
     }
 
     #[test]
