@@ -415,13 +415,13 @@ impl BackupWorld {
     /// Builds one [`ShardLane`] per logical shard over split borrows of
     /// the world, runs `f` over them, and merges the lanes back in shard
     /// order: events into the log, outboxes and departed lists into the
-    /// arena, metric and census deltas into the world. The entry to the
-    /// lane-based handlers for the local-events stage and the
-    /// population ramp.
-    pub(in crate::world) fn with_shard_lanes(
+    /// arena, metric and census deltas into the world. Returns what `f`
+    /// returns. The entry to the lane-based handlers for the
+    /// local-events stage and the population ramp.
+    pub(in crate::world) fn with_shard_lanes<R>(
         &mut self,
-        f: impl FnOnce(&mut [ShardLane<'_>], &SimConfig, &[SessionSampler]),
-    ) {
+        f: impl FnOnce(&mut [ShardLane<'_>], &SimConfig, &[SessionSampler]) -> R,
+    ) -> R {
         let layout = self.layout;
         let sz = layout.shard_size;
         let recycle = self.arena.recycle;
@@ -466,7 +466,7 @@ impl BackupWorld {
             }
         }
 
-        f(&mut lanes, &self.cfg, &self.samplers);
+        let out = f(&mut lanes, &self.cfg, &self.samplers);
 
         // Merge the per-shard buffers in shard order (deterministic).
         let mut delta = MetricsDelta::default();
@@ -486,6 +486,7 @@ impl BackupWorld {
         for (c, &d) in census_delta.iter().enumerate() {
             self.census[c] = (self.census[c] as i64 + d) as u64;
         }
+        out
     }
 
     /// Stage 1: shard-local events plus teardown hop 1, one stealable
@@ -498,16 +499,15 @@ impl BackupWorld {
         if fire_bufs.len() < workers {
             fire_bufs.resize_with(workers, Vec::new);
         }
-        let mut work = StageWork::default();
-        self.with_shard_lanes(|lanes, cfg, samplers| {
-            work = policy.dispatch_with(
+        let work = self.with_shard_lanes(|lanes, cfg, samplers| {
+            policy.dispatch_with(
                 round * 16 + 1,
                 &mut fire_bufs[..workers],
                 lanes,
                 |buf, _, lane| {
                     lane.run_local_events(round, cfg, samplers, buf);
                 },
-            );
+            )
         });
         self.profile.local_events_work += work;
         self.arena.fire_bufs = fire_bufs;

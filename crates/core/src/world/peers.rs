@@ -20,7 +20,6 @@ use crate::metrics::ObserverSeries;
 
 use super::events::Event;
 use super::exec::Item;
-use super::profile::StageWork;
 use super::shard::ShardLane;
 use super::BackupWorld;
 
@@ -223,15 +222,14 @@ impl BackupWorld {
         }
         let busy = self.layout.shard_of(fresh.end - 1) - self.layout.shard_of(first) + 1;
         let policy = self.exec.narrowed(Item::PeerInit, busy, fresh.len());
-        let mut work = StageWork::default();
-        self.with_shard_lanes(|lanes, cfg, samplers| {
-            work = policy.dispatch(round * 16, lanes, |_, lane| {
+        let work = self.with_shard_lanes(|lanes, cfg, samplers| {
+            policy.dispatch(round * 16, lanes, |_, lane| {
                 let base = lane.peers.base;
                 let end = base + lane.peers.slots() as PeerId;
                 for id in fresh.start.max(base)..fresh.end.min(end) {
                     lane.init_regular_peer(id, round, cfg, samplers);
                 }
-            });
+            })
         });
         self.profile.ramp_work += work;
     }
