@@ -171,17 +171,7 @@ fn main() {
                     .fold(json::Object::new(), |obj, (name, secs)| {
                         obj.float(name, secs)
                     });
-                let stage_work = profile.work_rows().into_iter().fold(
-                    json::Object::new(),
-                    |obj, (name, work)| {
-                        let row = json::Object::new()
-                            .num("items", work.items)
-                            .float("busy_s", work.busy.as_secs_f64())
-                            .num("inline", work.inline)
-                            .num("wide", work.wide);
-                        obj.raw(name, row.render())
-                    },
-                );
+                let stage_work = json::Object::new().stage_work(profile.work_rows());
                 telemetry
                     .raw("stages", stages.render())
                     .raw("stage_work", stage_work.render())

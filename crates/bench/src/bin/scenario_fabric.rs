@@ -21,11 +21,13 @@
 //! byte-plane headline numbers (`gf256_backend`, `encode_mib_s`,
 //! `scrub_detected`, `scrub_repaired`).
 //!
-//! Both modes' `--json` telemetry header carries `replay_work` (how the
-//! rounds replayed, what the decodes read) and `stages`, the replay
-//! profile ([`Fabric::replay_profile`]): seconds of wall time per lane
-//! stage and driver step, summed over the cells. Neither appears under
-//! `--stable-json`.
+//! Both modes' `--json` telemetry header carries, summed over the
+//! cells and never under `--stable-json`, `replay_work`
+//! ([`Fabric::replay_work`]: rounds skipped, decodes, blocks gathered,
+//! and the `plain` and `sweep` rounds' rows in `perf_probe`'s
+//! `stage_work` shape) and `stages`, the replay profile
+//! ([`Fabric::replay_profile`]): seconds of wall time per lane stage
+//! and driver step.
 //!
 //! ```text
 //! cargo run --release -p peerback-bench --bin scenario_fabric -- --peers 64 --rounds 50 --json
@@ -100,22 +102,20 @@ fn print_notes(label: &str, notes: &[String]) {
     }
 }
 
-/// The `replay_work` object of the unstable header: how the rounds
-/// replayed and what the decodes read, summed over `runs`. Execution
-/// telemetry — the round split depends on `--shards`.
+/// The `replay_work` object of the unstable header, summed over
+/// `runs`. Execution telemetry — the rows depend on `--shards`.
 fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> String {
     let mut total = ReplayWork::default();
     for w in runs {
         total.rounds_skipped += w.rounds_skipped;
-        total.rounds_inline += w.rounds_inline;
-        total.rounds_wide += w.rounds_wide;
+        total.plain += w.plain;
+        total.sweep += w.sweep;
         total.decodes += w.decodes;
         total.survivor_blocks_gathered += w.survivor_blocks_gathered;
     }
     json::Object::new()
         .num("rounds_skipped", total.rounds_skipped)
-        .num("rounds_inline", total.rounds_inline)
-        .num("rounds_wide", total.rounds_wide)
+        .stage_work([("plain", total.plain), ("sweep", total.sweep)])
         .num("decodes", total.decodes)
         .num("survivor_blocks_gathered", total.survivor_blocks_gathered)
         .render()

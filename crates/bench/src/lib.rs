@@ -1028,6 +1028,23 @@ pub mod json {
             self.raw(key, format!("[{}]", inner.join(",")))
         }
 
+        /// Adds one `{items, busy_s, inline, wide}` object per
+        /// dispatched stage, keyed by the stage's name: `perf_probe`'s
+        /// `stage_work` rows and `scenario_fabric`'s replay rows.
+        pub fn stage_work<'a>(
+            self,
+            rows: impl IntoIterator<Item = (&'a str, peerback_core::StageWork)>,
+        ) -> Self {
+            rows.into_iter().fold(self, |obj, (name, work)| {
+                let row = Object::new()
+                    .num("items", work.items)
+                    .float("busy_s", work.busy.as_secs_f64())
+                    .num("inline", work.inline)
+                    .num("wide", work.wide);
+                obj.raw(name, row.render())
+            })
+        }
+
         /// Renders the object.
         pub fn render(&self) -> String {
             let inner: Vec<String> = self

@@ -7,7 +7,8 @@
 //! paid per round:
 //!
 //! * **Zero thread spawns** — stages dispatch through the persistent
-//!   [`peerback_sim::WorkerPool`] owned by the world: an epoch bump on
+//!   [`peerback_sim::WorkerPool`] owned by the world, as wide as
+//!   [`peerback_sim::ExecPolicy`]'s width rule allows: an epoch bump on
 //!   a barrier the workers park on, not a `thread::scope` spawn.
 //! * **Near-zero allocation** — every per-round buffer (per-shard
 //!   inboxes and outboxes, event buffers, proposal lists, candidate
@@ -58,11 +59,11 @@
 
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use peerback_sim::arena::{put_slot, retype_empty, take_slot};
-use peerback_sim::{derive_seed, BufPool, SimRng, WorkerPool};
+use peerback_sim::exec::lap;
+use peerback_sim::{BufPool, SimRng, StageWork};
 
 use crate::age::AgeCategory;
 use crate::metrics::Metrics;
@@ -70,7 +71,6 @@ use crate::metrics::Metrics;
 use super::events::Event;
 use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
-use super::profile::{lap, StageWork};
 use super::shard::{Proposal, ShardLane, ShardLayout};
 use super::table::{PeerTable, PeerView};
 use super::BackupWorld;
@@ -328,25 +328,6 @@ impl GrantLog {
     }
 }
 
-/// How the stages are dispatched: worker count, the persistent pool
-/// dispatch runs on, and (under test) a seed forcing a random
-/// sequential interleaving instead of real threads. Workers that finish
-/// their own shard range always steal from the stragglers.
-#[derive(Debug, Clone)]
-pub(in crate::world) struct ExecPolicy {
-    pub(in crate::world) workers: usize,
-    /// Test hook: execute stage tasks sequentially in a seeded random
-    /// order (a deterministic stand-in for an arbitrary steal
-    /// interleaving). `None` in production.
-    pub(in crate::world) fuzz: Option<u64>,
-    /// The world's persistent worker pool (width `workers`); stages are
-    /// epoch bumps on its barrier, never thread spawns.
-    pub(in crate::world) pool: Arc<WorkerPool>,
-    /// The items the policy was narrowed for (0 before narrowing),
-    /// reported in each dispatch's [`StageWork`].
-    items: u64,
-}
-
 /// The kinds of item the width rule prices, each at its measured
 /// serial cost: a stage's busy time over its items ([`StageWork`]) with
 /// every stage inline (`--shards 1`), over seeds 42 and 7 at 8192 peers
@@ -374,7 +355,7 @@ pub(in crate::world) enum Item {
 
 impl Item {
     /// Serial nanoseconds per item.
-    const fn ns(self) -> u64 {
+    pub(in crate::world) const fn ns(self) -> u64 {
         match self {
             Item::PeerInit => 500,
             Item::Msg => 300,
@@ -384,102 +365,6 @@ impl Item {
             Item::Claim => 30,
             Item::Proposal => 3_500,
         }
-    }
-}
-
-/// A stage whose estimated serial time is at most this runs inline:
-/// about four times the ≈ 47 µs a wide dispatch costs between real
-/// stages (16 µs back to back, `sim.exec.dispatch.us`). Split over two
-/// workers each item runs ≈ 1.5× slower (cross-core cache traffic: a
-/// message's 313 ns inline becomes 474 ns of busy time wide), so a
-/// stage of serial time `t` finishes in ≈ `0.75 t` plus the dispatch,
-/// which pays once `t / 4` exceeds the dispatch. Scheduling only —
-/// results are identical either way.
-const BREAK_EVEN_NS: u64 = 200_000;
-
-impl ExecPolicy {
-    pub(in crate::world) fn new(workers: usize) -> ExecPolicy {
-        ExecPolicy {
-            workers,
-            fuzz: None,
-            pool: Arc::new(WorkerPool::new(workers)),
-            items: 0,
-        }
-    }
-
-    /// Narrows the worker count for a stage of `items` items of kind
-    /// `item` over `busy` non-empty tasks: a stage goes wide when its
-    /// estimated serial time exceeds [`BREAK_EVEN_NS`], and no stage is
-    /// wider than its non-empty tasks.
-    pub(in crate::world) fn narrowed(&self, item: Item, busy: usize, items: usize) -> ExecPolicy {
-        let serial_ns = (items as u64).saturating_mul(item.ns());
-        let workers = if serial_ns <= BREAK_EVEN_NS {
-            1
-        } else {
-            self.workers.min(busy.max(1))
-        };
-        ExecPolicy {
-            workers,
-            items: items as u64,
-            ..self.clone()
-        }
-    }
-
-    /// What one dispatch cost, from the pool's counters around it
-    /// (fuzzed dispatches bypass the pool and record no busy time).
-    fn measured(&self, run: impl FnOnce()) -> StageWork {
-        let (busy, dispatches) = (self.pool.busy(), self.pool.dispatches());
-        run();
-        let wide = self.pool.dispatches() > dispatches;
-        StageWork {
-            items: self.items,
-            busy: self.pool.busy() - busy,
-            inline: u64::from(!wide),
-            wide: u64::from(wide),
-        }
-    }
-
-    /// Runs one stage: `f(i, &mut states[i])` exactly once per task.
-    /// `salt` decorrelates fuzzed interleavings across stages/rounds.
-    pub(in crate::world) fn dispatch<S, F>(&self, salt: u64, states: &mut [S], f: F) -> StageWork
-    where
-        S: Send,
-        F: Fn(usize, &mut S) + Sync,
-    {
-        self.measured(|| match self.fuzz {
-            Some(seed) => peerback_sim::exec::run_tasks_fuzzed(derive_seed(seed, salt), states, f),
-            None => self.pool.run_tasks(self.workers, true, states, f),
-        })
-    }
-
-    /// As [`ExecPolicy::dispatch`] with per-worker scratch state.
-    pub(in crate::world) fn dispatch_with<W, S, F>(
-        &self,
-        salt: u64,
-        worker_states: &mut [W],
-        states: &mut [S],
-        f: F,
-    ) -> StageWork
-    where
-        W: Send,
-        S: Send,
-        F: Fn(&mut W, usize, &mut S) + Sync,
-    {
-        self.measured(|| match self.fuzz {
-            Some(seed) => {
-                let scratch = worker_states.first_mut().expect("one worker state");
-                peerback_sim::exec::run_tasks_fuzzed(derive_seed(seed, salt), states, |i, s| {
-                    f(scratch, i, s);
-                });
-            }
-            None => {
-                // Honour the (possibly narrowed) worker count: the pool
-                // derives the stage width from the scratch slice.
-                let take = self.workers.clamp(1, worker_states.len());
-                self.pool
-                    .run_tasks_with(true, &mut worker_states[..take], states, f);
-            }
-        })
     }
 }
 
@@ -765,7 +650,7 @@ impl BackupWorld {
             .iter()
             .filter(|i| !i.is_empty())
             .count();
-        let policy = self.exec.narrowed(Item::Msg, busy, total);
+        let policy = self.exec.narrowed(Item::Msg.ns(), busy, total);
         let layout = self.layout;
         let BackupWorld {
             peers,
@@ -869,7 +754,7 @@ impl BackupWorld {
         let layout = self.layout;
         let policy = self
             .exec
-            .narrowed(Item::Claim, layout.count, denied as usize);
+            .narrowed(Item::Claim.ns(), layout.count, denied as usize);
         let RoundArena {
             proposals, claims, ..
         } = &mut self.arena;
@@ -921,7 +806,7 @@ impl BackupWorld {
                 denied: 0,
             });
         }
-        let policy = exec.narrowed(Item::Claim, layout.count, work);
+        let policy = exec.narrowed(Item::Claim.ns(), layout.count, work);
         let proposals = &arena.proposals;
         let claims = &arena.claims;
         let active = &arena.active;
@@ -988,7 +873,7 @@ impl BackupWorld {
             .filter(|p| !p.is_empty())
             .count();
         let items = self.arena.proposals.iter().map(Vec::len).sum();
-        let policy = self.exec.narrowed(Item::Proposal, busy, items);
+        let policy = self.exec.narrowed(Item::Proposal.ns(), busy, items);
         let layout = self.layout;
         let recycle = self.arena.recycle;
         let BackupWorld {
@@ -1171,6 +1056,9 @@ pub(in crate::world) fn merge_delta(dst: &mut MetricsDelta, src: &MetricsDelta) 
 
 #[cfg(test)]
 mod tests {
+    use peerback_sim::exec::BREAK_EVEN_NS;
+    use peerback_sim::ExecPolicy;
+
     use super::*;
 
     #[test]
@@ -1187,11 +1075,8 @@ mod tests {
         ] {
             // The most items whose serial time is within the break-even.
             let inline = (BREAK_EVEN_NS / item.ns()) as usize;
-            assert_eq!(exec.narrowed(item, 8, inline).workers, 1, "{item:?}");
-            assert_eq!(exec.narrowed(item, 8, inline + 1).workers, 4, "{item:?}");
-            // Never wider than the non-empty tasks.
-            assert_eq!(exec.narrowed(item, 3, inline + 1).workers, 3, "{item:?}");
-            assert_eq!(exec.narrowed(item, 1, inline + 1).workers, 1, "{item:?}");
+            let width = |items| exec.narrowed(item.ns(), 8, items).workers();
+            assert_eq!((width(inline), width(inline + 1)), (1, 4), "{item:?}");
         }
     }
 }

@@ -155,11 +155,19 @@ impl BackupWorld {
         core::mem::swap(buf, &mut self.event_log);
     }
 
-    /// The persistent worker pool the round stages dispatch on. Shared
-    /// so the fabric's lane replay rides the same parked threads
-    /// instead of spawning its own.
-    pub fn worker_pool(&self) -> &std::sync::Arc<peerback_sim::WorkerPool> {
-        &self.exec.pool
+    /// The width policy and persistent worker pool the round stages
+    /// dispatch through. Shared so the fabric's lane replay rides the
+    /// same parked threads, priced by the same rule.
+    pub fn exec(&self) -> &peerback_sim::ExecPolicy {
+        &self.exec
+    }
+
+    /// Test hook: forces every stage dispatch — the world's and any
+    /// replay through [`exec`](Self::exec) — to execute its tasks
+    /// sequentially in a seeded random order
+    /// ([`ExecPolicy::set_fuzz`](peerback_sim::ExecPolicy::set_fuzz)).
+    pub fn set_exec_fuzz(&mut self, seed: Option<u64>) {
+        self.exec.set_fuzz(seed);
     }
 
     /// Stage dispatches that actually woke the worker pool so far
@@ -167,7 +175,7 @@ impl BackupWorld {
     /// counted). Execution telemetry — varies with `shards`, never part
     /// of the determinism contract.
     pub fn stage_dispatches(&self) -> u64 {
-        self.exec.pool.dispatches()
+        self.exec.pool().dispatches()
     }
 
     /// Exact work counters of the adaptive-redundancy scoring stage
@@ -227,12 +235,6 @@ impl BackupWorld {
         let start = (shard * sz).min(self.peers.len());
         let end = ((shard + 1) * sz).min(self.peers.len());
         start as PeerId..end as PeerId
-    }
-
-    /// Worker threads the parallel stages run on (`SimConfig::shards`
-    /// clamped to the logical shard count).
-    pub fn worker_threads(&self) -> usize {
-        self.exec.workers
     }
 
     /// Heap footprint per allocated peer slot, in bytes: the peer

@@ -72,7 +72,8 @@ mod tests;
 use std::time::Instant;
 
 use peerback_churn::SessionSampler;
-use peerback_sim::{derive_seed, HierarchicalWheel, Round, SimRng, World};
+use peerback_sim::exec::lap;
+use peerback_sim::{derive_seed, ExecPolicy, HierarchicalWheel, Round, SimRng, World};
 use rand::SeedableRng;
 
 use crate::age::AgeCategory;
@@ -80,17 +81,17 @@ use crate::config::SimConfig;
 use crate::metrics::{CategorySample, Metrics, ObserverSeries};
 
 use events::Event;
-use exec::{ExecPolicy, Item, MetricsDelta, RoundArena};
+use exec::{Item, MetricsDelta, RoundArena};
 use peerback_sim::BufPool;
 use peers::ArchiveIdx;
-use profile::lap;
 use shard::{Proposal, Scratch, ShardLane, ShardLayout};
 use table::PeerTable;
 
 pub use exec::PlacementWork;
 pub use hooks::{MemoryBreakdown, WorldEvent};
+pub use peerback_sim::StageWork;
 pub use peers::{ObserverState, PeerId, WorldSnapshot};
-pub use profile::{RoundProfile, StageWork};
+pub use profile::RoundProfile;
 pub use redundancy::RedundancyWork;
 
 /// Mean on+off availability cycle of every session sampler, in rounds
@@ -363,14 +364,6 @@ impl BackupWorld {
         self.wheels[s].schedule(due, event);
     }
 
-    /// Installs a seed forcing every stage dispatch to execute its
-    /// tasks sequentially in a random order — the steal-interleaving
-    /// test hook (`exec` module docs).
-    #[cfg(test)]
-    pub(in crate::world) fn set_exec_fuzz(&mut self, seed: Option<u64>) {
-        self.exec.fuzz = seed;
-    }
-
     // ----- the staged round ------------------------------------------------
 
     /// Stage 0: advances the failure-domain incident schedule. Runs
@@ -493,8 +486,8 @@ impl BackupWorld {
     /// task per shard. Cross-shard messages land in the arena outboxes;
     /// departed peers in the arena departed lists.
     fn run_local_events(&mut self, round: u64) {
-        let workers = self.exec.workers.min(self.layout.count).max(1);
-        let policy = self.exec.clone();
+        let policy = self.exec.full_width(self.layout.count);
+        let workers = policy.workers();
         let mut fire_bufs = core::mem::take(&mut self.arena.fire_bufs);
         if fire_bufs.len() < workers {
             fire_bufs.resize_with(workers, Vec::new);
@@ -598,7 +591,7 @@ impl BackupWorld {
             return; // a quiet round: nothing to freeze, stage or dispatch
         }
         let count = self.layout.count;
-        let workers = self.exec.workers.min(count).max(1);
+        let workers = self.exec.workers().min(count).max(1);
         if self.scratch.len() < workers {
             self.scratch.resize_with(workers, Scratch::default);
         }
@@ -623,7 +616,7 @@ impl BackupWorld {
             let world: &BackupWorld = self;
             let busy = actors.iter().filter(|a| !a.is_empty()).count();
             let items = actors.iter().map(Vec::len).sum();
-            let policy = world.exec.narrowed(Item::Actor, busy, items);
+            let policy = world.exec.narrowed(Item::Actor.ns(), busy, items);
             policy.dispatch_with(
                 round * 16 + 8,
                 &mut scratch[..workers],

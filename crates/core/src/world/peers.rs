@@ -221,7 +221,7 @@ impl BackupWorld {
             return;
         }
         let busy = self.layout.shard_of(fresh.end - 1) - self.layout.shard_of(first) + 1;
-        let policy = self.exec.narrowed(Item::PeerInit, busy, fresh.len());
+        let policy = self.exec.narrowed(Item::PeerInit.ns(), busy, fresh.len());
         let work = self.with_shard_lanes(|lanes, cfg, samplers| {
             policy.dispatch(round * 16, lanes, |_, lane| {
                 let base = lane.peers.base;

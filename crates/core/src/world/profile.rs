@@ -14,34 +14,9 @@
 //! Busy time over items is the stage's measured cost per item — the
 //! figure the width rule's constants were read from.
 
-use std::ops::AddAssign;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One kind of dispatched stage, summed over the run: its items, its
-/// workers' time and its dispatches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageWork {
-    /// Items the stage's width rule was given: peers initialised,
-    /// messages, slots, actors, claims or proposals (see
-    /// [`RoundProfile::work_rows`]).
-    pub items: u64,
-    /// Time the stage's workers spent inside it, summed over workers
-    /// ([`peerback_sim::WorkerPool::busy`]).
-    pub busy: Duration,
-    /// Dispatches run on the calling thread alone.
-    pub inline: u64,
-    /// Dispatches that woke the worker pool.
-    pub wide: u64,
-}
-
-impl AddAssign for StageWork {
-    fn add_assign(&mut self, other: StageWork) {
-        self.items += other.items;
-        self.busy += other.busy;
-        self.inline += other.inline;
-        self.wide += other.wide;
-    }
-}
+use peerback_sim::StageWork;
 
 /// Accumulated wall time of each stage of the staged round (see
 /// ARCHITECTURE.md "The round"), read through
@@ -142,12 +117,4 @@ impl RoundProfile {
             ("commit.apply", self.apply_work),
         ]
     }
-}
-
-/// The time since `*clock`, restarting the clock at now.
-pub(in crate::world) fn lap(clock: &mut Instant) -> Duration {
-    let now = Instant::now();
-    let elapsed = now - *clock;
-    *clock = now;
-    elapsed
 }

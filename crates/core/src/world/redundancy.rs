@@ -164,13 +164,13 @@ impl BackupWorld {
                 .chunks_mut(shard_size)
                 .zip(st.est[..slots].chunks_mut(shard_size));
             tasks.extend(windows.map(|(p, est)| FillTask { p, est }));
-            let fill = world.exec.narrowed(Item::SlotFill, count, slots);
+            let fill = world.exec.narrowed(Item::SlotFill.ns(), count, slots);
             let mut work = fill.dispatch(round * 16 + 10, &mut tasks, |s, task| {
                 fill_shard(world, round, s, task);
             });
             st.fill_store = retype_empty(tasks);
             let (p, est) = (&st.p[..slots], &st.est[..slots]);
-            let score = world.exec.narrowed(Item::SlotScore, count, slots);
+            let score = world.exec.narrowed(Item::SlotScore.ns(), count, slots);
             work += score.dispatch(round * 16 + 9, &mut st.scores, |s, out| {
                 score_shard(world, p, est, s, out);
             });

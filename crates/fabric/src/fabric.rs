@@ -30,8 +30,8 @@
 //! the stream partitions cleanly: each lane owns the block stores,
 //! code-word cache, counters, audit ledger and retry queue of its
 //! owners, and the lanes replay their subsequences concurrently on the
-//! same work-stealing pool as the simulator
-//! ([`peerback_sim::WorkerPool::run_tasks`]). Departures fan out to
+//! same work-stealing pool as the simulator, as wide as the same width
+//! rule allows ([`peerback_sim::ExecPolicy`]). Departures fan out to
 //! every lane (any lane may store bytes *hosted* by the departed peer).
 //! Per-lane buffers merge in lane order once per round, and fault
 //! draws come from per-transfer RNGs derived from
@@ -52,13 +52,14 @@ use peerback_core::{
 };
 use peerback_erasure::ReedSolomon;
 use peerback_net::LinkModel;
-use peerback_sim::{derive_seed, sim_rng, Engine, Round, SimRng, World};
+use peerback_sim::exec::lap;
+use peerback_sim::{derive_seed, sim_rng, Engine, Round, SimRng, StageWork, World};
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::audit::{AuditReport, LossRecord};
 use crate::faults::{FaultKind, FaultPlane, FaultProfile};
 use crate::frame::BlockFrame;
-use crate::profile::{lap, ReplayProfile};
+use crate::profile::ReplayProfile;
 use crate::store::{BlockStore, IngestError};
 
 /// Sub-seed stream id for the fault plane (any fixed constant); each
@@ -188,12 +189,12 @@ pub enum AdversaryRole {
     Rotter,
 }
 
-/// Below this many work items — queued events, transfers pending in
-/// the lanes' scheduler queues, retries due — a round with no sweep due
-/// replays on one worker: a wide dispatch costs ≈ 47 µs
-/// (`sim.exec.dispatch.us`) and an item ≈ 1–2 µs, so fewer items than
-/// this cannot pay for the barrier.
-const PARALLEL_WORK_MIN: usize = 128;
+/// Serial nanoseconds the width rule prices a plain round's item at —
+/// a queued event, a transfer pending in a lane's scheduler queue or a
+/// retry due: [`ReplayWork::plain`]'s busy time over its items at
+/// `--shards 1`, 1.5–2.6 µs (median 2.3) over eight runs of
+/// `combined_bytes` and CI's every-plane command.
+const REPLAY_ITEM_NS: u64 = 2_300;
 
 /// Access-link model behind the transfer-time accounting and the
 /// scheduler's per-round byte budgets.
@@ -1607,31 +1608,29 @@ pub struct Fabric {
     /// round (in lane order) before the world's reputation ledger sees
     /// them.
     suspect_scratch: Vec<PeerId>,
-    /// How each round replayed: the round counters of [`ReplayWork`]
-    /// (its other fields are filled in by [`Fabric::replay_work`]).
+    /// How each round replayed: the round rows of [`ReplayWork`] (its
+    /// other fields are filled in by [`Fabric::replay_work`]).
     replay: ReplayWork,
     /// The driver's rows of [`ReplayProfile`] (the lanes keep theirs;
     /// [`Fabric::replay_profile`] adds them up).
     profile: ReplayProfile,
-    /// Test hook: replay the lanes sequentially in a seeded random order
-    /// (a deterministic stand-in for an arbitrary steal interleaving).
-    #[cfg(test)]
-    replay_fuzz: Option<u64>,
 }
 
-/// Exact execution-side counters of the lane replay, read through
-/// [`Fabric::replay_work`] beside the world's `redundancy_work()` /
-/// `placement_work()`. Telemetry: the round counts depend on the worker
-/// count, so none of this is part of [`FabricStats`] or
+/// Execution-side counters of the lane replay, read through
+/// [`Fabric::replay_work`] beside the world's `round_profile()`.
+/// Telemetry: the dispatch rows depend on the worker count and hold
+/// wall times, so none of this is part of [`FabricStats`] or
 /// [`FabricReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplayWork {
     /// Rounds with nothing to replay and no sweep due.
     pub rounds_skipped: u64,
-    /// Rounds replayed on the calling thread alone.
-    pub rounds_inline: u64,
-    /// Rounds replayed on two or more workers.
-    pub rounds_wide: u64,
+    /// Plain rounds: items are the queued events, pending transfers
+    /// and retries due the width rule priced each one on.
+    pub plain: StageWork,
+    /// Rounds with an audit, scrub, challenge or flash-restore wave
+    /// due, replayed full width and given no items.
+    pub sweep: StageWork,
     /// Restore decodes attempted (audits, episode starts, loss
     /// verifications, flash restores).
     pub decodes: u64,
@@ -1717,8 +1716,6 @@ impl Fabric {
             suspect_scratch: Vec::new(),
             replay: ReplayWork::default(),
             profile: ReplayProfile::default(),
-            #[cfg(test)]
-            replay_fuzz: None,
         })
     }
 
@@ -1880,12 +1877,11 @@ impl World for Fabric {
         }
         self.event_scratch = events;
 
-        // Replay on the simulator's worker pool, as wide as the round
-        // has work for (scheduling only; results are identical either
-        // way). Carried transfers stream bytes every round even when no
-        // new events arrive, so they count beside the events and the
-        // retries due; a sweep over everything at rest (audit, scrub,
-        // challenge) or a flash-restore wave is wide by rule.
+        // Replay through the simulator's width rule and worker pool. A
+        // plain round is priced on its items: carried transfers stream
+        // bytes every round even when no new events arrive, so they
+        // count beside the events and the retries due. A sweep or a
+        // flash-restore wave is the rule's full-width exception.
         let shared = &self.plane.shared;
         let sweep_due = audit_due
             || shared.scrub_due(r)
@@ -1906,18 +1902,15 @@ impl World for Fabric {
             self.replay.rounds_skipped += 1;
             return;
         }
-        let workers = if sweep_due || work >= PARALLEL_WORK_MIN {
-            self.world.worker_threads()
-        } else {
-            1
-        };
-        if workers > 1 {
-            self.replay.rounds_wide += 1;
-        } else {
-            self.replay.rounds_inline += 1;
-        }
         let world = &self.world;
-        let replay = |i: usize, lane: &mut PlaneLane| {
+        let lanes = self.plane.lanes.len();
+        let (policy, row) = if sweep_due {
+            (world.exec().full_width(lanes), &mut self.replay.sweep)
+        } else {
+            let policy = world.exec().narrowed(REPLAY_ITEM_NS, lanes, work);
+            (policy, &mut self.replay.plain)
+        };
+        *row += policy.dispatch(r * 16 + 15, &mut self.plane.lanes, |i, lane| {
             lane.run_round(shared, world, r);
             if audit_due {
                 let clock = Instant::now();
@@ -1925,21 +1918,7 @@ impl World for Fabric {
                 lane.run_audit(shared, world, r, range);
                 lane.profile.audit += clock.elapsed();
             }
-        };
-        #[cfg(test)]
-        let fuzz = self.replay_fuzz;
-        #[cfg(not(test))]
-        let fuzz: Option<u64> = None;
-        match fuzz {
-            Some(seed) => {
-                peerback_sim::run_tasks_fuzzed(derive_seed(seed, r), &mut self.plane.lanes, replay)
-            }
-            // The replay rides the simulator's persistent pool: an epoch
-            // bump on its barrier, never a thread spawn.
-            None => world
-                .worker_pool()
-                .run_tasks(workers, true, &mut self.plane.lanes, replay),
-        }
+        });
         self.profile.dispatch += lap(&mut clock);
         self.plane.merge_round();
 
@@ -2058,15 +2037,18 @@ mod tests {
         let run = |shards: usize, fuzz: Option<u64>| {
             let (cfg, fcfg) = all_planes(shards);
             let mut fabric = Fabric::new(cfg, fcfg).expect("valid configs");
-            fabric.replay_fuzz = fuzz;
+            fabric.world.set_exec_fuzz(fuzz);
             fabric.run_with_telemetry()
         };
-        let (base, _, profile) = run(1, None);
+        let (base, base_work, profile) = run(1, None);
         // Every lane stage and driver row ran, once per round.
         assert_eq!(profile.rounds, 200);
         for (row, secs) in profile.rows() {
             assert!(secs > 0.0, "{row} never timed: {profile:?}");
         }
+        // The plain rounds' row carries what their pricing reads.
+        let plain = base_work.plain;
+        assert!(plain.items > 0 && !plain.busy.is_zero(), "{plain:?}");
         for (shards, fuzz) in [(2, None), (3, None), (1, Some(0x1a7e))] {
             let (report, work, _) = run(shards, fuzz);
             let tag = format!("{shards} workers, fuzz {fuzz:?}");
@@ -2079,8 +2061,9 @@ mod tests {
             assert_eq!(report.free_riders_targeted, base.free_riders_targeted);
             // Not vacuous: the rule sent rounds both ways, and more of
             // them wide than the 25 audit rounds alone.
-            assert!(work.rounds_inline > 0, "{work:?}");
-            assert!(shards == 1 || work.rounds_wide > 200 / 8, "{work:?}");
+            let (plain, sweep) = (work.plain, work.sweep);
+            assert!(plain.inline + sweep.inline > 0, "{work:?}");
+            assert!(shards == 1 || plain.wide + sweep.wide > 200 / 8, "{work:?}");
             assert_eq!(work.decodes, report.audit.decode_attempts);
             assert!(
                 work.survivor_blocks_gathered >= work.decodes * 8,
@@ -2115,16 +2098,17 @@ mod tests {
             engine.step(&mut fabric);
             let after = fabric.replay_work();
             if r % 8 == 0 || r % 12 == 0 || r % 6 == 0 {
-                assert_eq!(after.rounds_wide, before.rounds_wide + 1, "round {r}");
+                assert_eq!(after.sweep.wide, before.sweep.wide + 1, "round {r}");
             }
+            let (plain, sweep) = (after.plain, after.sweep);
             assert_eq!(
-                after.rounds_skipped + after.rounds_inline + after.rounds_wide,
+                after.rounds_skipped + plain.inline + plain.wide + sweep.inline + sweep.wide,
                 r + 1
             );
         }
         // The rule is not simply "always wide" at this scale.
         let work = fabric.replay_work();
-        assert!(work.rounds_inline + work.rounds_skipped > 0, "{work:?}");
+        assert!(work.plain.inline + work.rounds_skipped > 0, "{work:?}");
     }
 
     #[test]

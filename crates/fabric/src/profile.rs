@@ -9,7 +9,7 @@
 //! part of [`FabricStats`](crate::FabricStats) or
 //! [`FabricReport`](crate::FabricReport).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Accumulated wall time of the lane replay, read through
 /// [`Fabric::replay_profile`](crate::Fabric::replay_profile).
@@ -85,12 +85,4 @@ impl ReplayProfile {
         self.dispatch += other.dispatch;
         self.merge += other.merge;
     }
-}
-
-/// The time since `*clock`, restarting the clock at now.
-pub(crate) fn lap(clock: &mut Instant) -> Duration {
-    let now = Instant::now();
-    let elapsed = now - *clock;
-    *clock = now;
-    elapsed
 }

@@ -20,7 +20,7 @@
 //! many workers race for it — against a claim table the pool recycles
 //! across stages (no per-dispatch slot vector).
 //!
-//! The world and the fabric always pass `steal = true`. The parameter
+//! [`ExecPolicy`] always passes `steal = true`. The parameter
 //! stays on [`WorkerPool::run_tasks`] and [`WorkerPool::run_tasks_with`]
 //! because the repository's benchmark harness (`benchmark/`) calls
 //! `run_tasks` with it; with `steal` disabled the executor degrades to
@@ -48,14 +48,29 @@
 //! the first second or two of a process, so how fast a run goes would
 //! depend on what the machine did before it.
 //!
+//! ## The width rule
+//!
+//! [`ExecPolicy`] sizes every stage of the world's round and of the
+//! fabric's lane replay. A stage is priced ([`ExecPolicy::narrowed`])
+//! at its items times the serial cost of one item of its kind, which
+//! each crate measures as a [`StageWork`] row's busy time ÷ items at
+//! `--shards 1`. Above [`BREAK_EVEN_NS`] it goes as wide as its
+//! non-empty tasks allow; otherwise it runs inline on the caller. The
+//! one exception ([`ExecPolicy::full_width`]): a stage whose work is
+//! only known inside its tasks goes full width — the world's local
+//! events, known once the wheels fire, and a fabric round with an
+//! audit, scrub, challenge or flash-restore wave due. Width is
+//! scheduling only: no result depends on it.
+//!
 //! ## Testing interleavings
 //!
-//! [`run_tasks_fuzzed`] executes the same task set sequentially in a
-//! seeded random order. Because tasks share no mutable state, any
-//! parallel interleaving is observationally equivalent to *some*
-//! sequential permutation — so driving random permutations through the
-//! full pipeline and asserting unchanged results is an effective (and
-//! deterministic) test of the independence contract.
+//! Under a fuzz seed ([`ExecPolicy::set_fuzz`]) every dispatch
+//! executes its task set sequentially in a seeded random order instead.
+//! Because tasks share no mutable state, any parallel interleaving is
+//! observationally equivalent to *some* sequential permutation — so
+//! driving random permutations through the full pipeline and asserting
+//! unchanged results is an effective (and deterministic) test of the
+//! independence contract.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use crate::rng::sim_rng;
+use crate::rng::{derive_seed, sim_rng};
 
 /// The claim table: one flag per task, flipped exactly once. A claim is
 /// a single relaxed swap — atomicity alone guarantees a unique winner,
@@ -422,27 +437,8 @@ impl WorkerPool {
         S: Send,
         F: Fn(usize, &mut S) + Sync,
     {
-        let len = states.len();
-        if len == 0 {
-            return;
-        }
-        let width = workers.min(len).min(self.width()).max(1);
-        if width == 1 {
-            self.shared.timed(|| {
-                for (i, state) in states.iter_mut().enumerate() {
-                    f(i, state);
-                }
-            });
-            return;
-        }
-        let gate = self.claim_gate(len);
-        let claims = &gate.claims;
-        let base = TaskBase::new(states);
-        let base = &base;
-        let f = &f;
-        self.dispatch(width, &move |w| {
-            drain_worker(claims, base, len, width, w, steal, |i, s: &mut S| f(i, s));
-        });
+        let mut no_scratch = vec![(); workers.max(1)];
+        self.run_tasks_with(steal, &mut no_scratch, states, |_, i, s| f(i, s));
     }
 
     /// As [`WorkerPool::run_tasks`], with one mutable **worker-local**
@@ -571,8 +567,8 @@ fn helper_loop(shared: &PoolShared, index: usize) {
 
 /// Executes the same task set sequentially in a seeded random order — a
 /// deterministic stand-in for an arbitrary steal interleaving (see the
-/// module docs). Intended for tests.
-pub fn run_tasks_fuzzed<S, F>(seed: u64, states: &mut [S], mut f: F)
+/// module docs).
+fn run_tasks_fuzzed<S, F>(seed: u64, states: &mut [S], mut f: F)
 where
     F: FnMut(usize, &mut S),
 {
@@ -586,6 +582,162 @@ where
     }
     for i in order {
         f(i, &mut states[i]);
+    }
+}
+
+/// A priced stage whose estimated serial time is at most this runs
+/// inline: about four times the ≈ 47 µs a wide dispatch costs between
+/// real stages (16 µs back to back, `sim.exec.dispatch.us`). Split over
+/// two workers each item runs ≈ 1.5× slower (cross-core cache traffic:
+/// a world message's 313 ns inline becomes 474 ns of busy time wide),
+/// so a stage of serial time `t` finishes in ≈ `0.75 t` plus the
+/// dispatch, which pays once `t / 4` exceeds the dispatch.
+pub const BREAK_EVEN_NS: u64 = 200_000;
+
+/// One kind of dispatched stage, summed over a run: its items, its
+/// workers' time and its dispatches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageWork {
+    /// Items the stage's width rule was priced on (none for a
+    /// full-width stage).
+    pub items: u64,
+    /// Time the stage's workers spent inside it, summed over workers
+    /// ([`WorkerPool::busy`]).
+    pub busy: Duration,
+    /// Dispatches run on the calling thread alone.
+    pub inline: u64,
+    /// Dispatches that woke the worker pool.
+    pub wide: u64,
+}
+
+impl std::ops::AddAssign for StageWork {
+    fn add_assign(&mut self, other: StageWork) {
+        self.items += other.items;
+        self.busy += other.busy;
+        self.inline += other.inline;
+        self.wide += other.wide;
+    }
+}
+
+/// The time since `*clock`, restarting the clock at now: one lap of a
+/// stage profile.
+pub fn lap(clock: &mut Instant) -> Duration {
+    let now = Instant::now();
+    let elapsed = now - *clock;
+    *clock = now;
+    elapsed
+}
+
+/// How a stage is dispatched: its width (the module docs' width rule),
+/// the persistent pool it runs on, and the test hook's fuzz seed.
+#[derive(Debug, Clone)]
+pub struct ExecPolicy {
+    workers: usize,
+    fuzz: Option<u64>,
+    pool: Arc<WorkerPool>,
+    /// The items the policy was priced on, for [`StageWork::items`].
+    items: u64,
+}
+
+impl ExecPolicy {
+    /// A policy over a fresh pool of `workers` workers.
+    pub fn new(workers: usize) -> ExecPolicy {
+        ExecPolicy {
+            workers,
+            fuzz: None,
+            pool: Arc::new(WorkerPool::new(workers)),
+            items: 0,
+        }
+    }
+
+    /// Workers a dispatch under this policy may use.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// The pool every policy narrowed from this one dispatches on.
+    pub fn pool(&self) -> &WorkerPool {
+        &self.pool
+    }
+
+    /// Test hook: with a seed, every dispatch executes its tasks
+    /// sequentially in a seeded random order (see the module docs).
+    pub fn set_fuzz(&mut self, seed: Option<u64>) {
+        self.fuzz = seed;
+    }
+
+    /// Prices a stage of `items` items at `ns_per_item` serial
+    /// nanoseconds each over `busy` non-empty tasks: it goes as wide as
+    /// [`ExecPolicy::full_width`] allows when its estimated serial time
+    /// exceeds [`BREAK_EVEN_NS`], and runs inline otherwise.
+    pub fn narrowed(&self, ns_per_item: u64, busy: usize, items: usize) -> ExecPolicy {
+        let mut policy = self.full_width(busy);
+        if (items as u64).saturating_mul(ns_per_item) <= BREAK_EVEN_NS {
+            policy.workers = 1;
+        }
+        policy.items = items as u64;
+        policy
+    }
+
+    /// The rule's one exception, for a stage whose work is only known
+    /// inside its tasks: as wide as the pool, but no wider than `busy`
+    /// non-empty tasks. Priced on no items.
+    pub fn full_width(&self, busy: usize) -> ExecPolicy {
+        ExecPolicy {
+            workers: self.workers.min(busy.max(1)),
+            items: 0,
+            ..self.clone()
+        }
+    }
+
+    /// Runs one stage: `f(i, &mut states[i])` exactly once per task.
+    /// `salt` decorrelates fuzzed interleavings across stages and
+    /// rounds.
+    pub fn dispatch<S, F>(&self, salt: u64, states: &mut [S], f: F) -> StageWork
+    where
+        S: Send,
+        F: Fn(usize, &mut S) + Sync,
+    {
+        let mut no_scratch = vec![(); self.workers.max(1)];
+        self.dispatch_with(salt, &mut no_scratch, states, |_, i, s| f(i, s))
+    }
+
+    /// As [`ExecPolicy::dispatch`] with per-worker scratch state
+    /// ([`WorkerPool::run_tasks_with`]). The cost is read off the pool's
+    /// counters, so a fuzzed dispatch records no busy time.
+    pub fn dispatch_with<W, S, F>(
+        &self,
+        salt: u64,
+        worker_states: &mut [W],
+        states: &mut [S],
+        f: F,
+    ) -> StageWork
+    where
+        W: Send,
+        S: Send,
+        F: Fn(&mut W, usize, &mut S) + Sync,
+    {
+        let (busy, dispatches) = (self.pool.busy(), self.pool.dispatches());
+        match self.fuzz {
+            Some(seed) => {
+                let scratch = worker_states.first_mut().expect("one worker state");
+                run_tasks_fuzzed(derive_seed(seed, salt), states, |i, s| f(scratch, i, s));
+            }
+            None => {
+                // Honour the (possibly narrowed) worker count: the pool
+                // derives the stage width from the scratch slice.
+                let take = self.workers.clamp(1, worker_states.len());
+                self.pool
+                    .run_tasks_with(true, &mut worker_states[..take], states, f);
+            }
+        }
+        let wide = self.pool.dispatches() > dispatches;
+        StageWork {
+            items: self.items,
+            busy: self.pool.busy() - busy,
+            inline: u64::from(!wide),
+            wide: u64::from(wide),
+        }
     }
 }
 
@@ -855,6 +1007,21 @@ mod tests {
         };
         assert_eq!(order_of(5), order_of(5));
         assert_ne!(order_of(5), order_of(6));
+    }
+
+    #[test]
+    fn stages_go_wide_past_the_break_even() {
+        let exec = ExecPolicy::new(4);
+        // At 300 ns an item, 666 items are the most within the break-even.
+        let width = |busy, items| exec.narrowed(300, busy, items).workers();
+        assert_eq!((width(8, 666), width(8, 667)), (1, 4));
+        assert_eq!(exec.narrowed(300, 8, 667).items, 667);
+        // Never wider than the non-empty tasks.
+        assert_eq!((width(3, 667), width(1, 667)), (3, 1));
+        // The exception: full width whatever the items, capped likewise.
+        let full = exec.full_width(8);
+        assert_eq!((full.workers(), full.items), (4, 0));
+        assert_eq!(exec.full_width(3).workers(), 3);
     }
 
     #[test]

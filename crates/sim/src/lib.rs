@@ -15,6 +15,8 @@
 //!   and availability transitions.
 //! * [`rng`] has seed-derivation helpers so that sub-streams (per peer,
 //!   per experiment arm) are independent but reproducible.
+//! * [`WorkerPool`] runs a round's stages on parked threads, as wide as
+//!   [`ExecPolicy`]'s width rule allows.
 
 pub mod arena;
 pub mod clock;
@@ -27,6 +29,6 @@ pub mod wheel;
 pub use arena::BufPool;
 pub use clock::Round;
 pub use engine::{Engine, RoundReport, World};
-pub use exec::{run_tasks_fuzzed, WorkerPool};
+pub use exec::{ExecPolicy, StageWork, WorkerPool};
 pub use rng::{derive_seed, sim_rng, SimRng};
 pub use wheel::{HierarchicalWheel, TimingWheel};
