@@ -65,7 +65,7 @@ const CLI: Cli = Cli {
 /// The shared world both arms run in: the fabric integration tests'
 /// churn-rich 4+4 geometry, tight reactive threshold.
 fn base_config(args: &HarnessArgs) -> SimConfig {
-    let mut cfg = args.base_config();
+    let mut cfg = args.sim.clone();
     cfg.k = 4;
     cfg.m = 4;
     cfg.quota = 24;
@@ -79,8 +79,9 @@ fn base_config(args: &HarnessArgs) -> SimConfig {
 /// (so detection and repair both face it before the deadline), two
 /// integrity strikes to quarantine.
 fn adversary_of(args: &HarnessArgs) -> AdversaryConfig {
-    if args.adversary.any_hostile() || args.adversary.challenge_interval > 0 {
-        args.adversary
+    let given = args.fabric.adversary;
+    if given.any_hostile() || given.challenge_interval > 0 {
+        given
     } else {
         AdversaryConfig {
             free_rider_fraction: 0.10,
@@ -95,18 +96,18 @@ fn adversary_of(args: &HarnessArgs) -> AdversaryConfig {
 /// outage, and the quarantine threshold (inert without integrity
 /// failures, so it changes nothing in the clean arm).
 fn scenario_config(args: &HarnessArgs) -> SimConfig {
-    let domains = if args.failure_domains.domains > 0 {
-        args.failure_domains
+    let domains = if args.sim.failure_domains.domains > 0 {
+        args.sim.failure_domains
     } else {
         FailureDomainConfig {
             domains: 8,
-            outage_at: args.rounds / 4,
+            outage_at: args.sim.rounds / 4,
             outage_rounds: 50,
             ..FailureDomainConfig::default()
         }
     };
-    let threshold = if args.quarantine_threshold > 0 {
-        args.quarantine_threshold
+    let threshold = if args.sim.quarantine_threshold > 0 {
+        args.sim.quarantine_threshold
     } else {
         2
     };
@@ -115,19 +116,20 @@ fn scenario_config(args: &HarnessArgs) -> SimConfig {
         .with_quarantine_threshold(threshold)
 }
 
-/// The fabric side of one arm; the clean arm passes the inert default
-/// adversary.
+/// The fabric side of one arm: the command line's, with this probe's
+/// audit and scrub intervals and `adversary` (the clean arm passes the
+/// inert default).
 fn fabric_config(args: &HarnessArgs, adversary: AdversaryConfig) -> FabricConfig {
+    let rounds = args.sim.rounds;
     FabricConfig {
-        audit_interval: (args.rounds / 200).max(1),
+        audit_interval: (rounds / 200).max(1),
         scrub_interval: if adversary.rot_fraction > 0.0 {
-            (args.rounds / 100).max(4)
+            (rounds / 100).max(4)
         } else {
             0
         },
-        schedule: args.schedule(),
         adversary,
-        ..FabricConfig::default()
+        ..args.fabric
     }
 }
 
@@ -153,7 +155,7 @@ fn main() -> ExitCode {
     if !args.json {
         eprintln!(
             "adversary probe: clean vs attacked at {} peers x {} rounds (seed {}) ...",
-            args.peers, args.rounds, args.seed
+            args.sim.n_peers, args.sim.rounds, args.sim.seed
         );
     }
     let start = Instant::now();
@@ -167,7 +169,7 @@ fn main() -> ExitCode {
         .expect("adversarial config is valid");
     let elapsed = start.elapsed();
 
-    let half = args.rounds / 2;
+    let half = args.sim.rounds / 2;
     let targeted = attacked.free_riders_targeted.len();
     let caught_by_half = quarantined_by(&attacked, half);
     let quarantine_rate = caught_by_half as f64 / targeted.max(1) as f64;
@@ -276,7 +278,8 @@ mod tests {
         ]);
         assert_eq!(args.min_quarantine_rate, Some(0.8));
         assert_eq!(args.max_loss_factor, Some(3.0));
-        assert_eq!((args.peers, args.escalate_margin), (128, 1));
+        let margin = args.fabric.schedule.map(|s| s.escalate_margin);
+        assert_eq!((args.sim.n_peers, margin), (128, Some(1)));
     }
 
     #[test]

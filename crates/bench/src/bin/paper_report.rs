@@ -56,7 +56,7 @@ fn main() -> ExitCode {
     };
 
     let (mut first, mut failed) = (true, false);
-    reports::run(selected, &args, |report, runs| {
+    reports::run(selected, &args.sim, args.thread_count(), |report, runs| {
         let rendered = (report.render)(runs);
         if !std::mem::take(&mut first) {
             println!();

@@ -89,15 +89,14 @@ const CLI: Cli = Cli {
 
 fn main() {
     let args = HarnessArgs::parse(&CLI);
-    let cfg = args.base_config().with_paper_observers();
+    let cfg = args.sim.clone().with_paper_observers();
+    let (peers, rounds, seed) = (cfg.n_peers, cfg.rounds, cfg.seed);
     if !args.json {
         println!(
-            "running {} peers x {} rounds (seed {}, {} shard workers) ...",
-            args.peers, args.rounds, args.seed, args.shards,
+            "running {peers} peers x {rounds} rounds (seed {seed}, {} shard workers) ...",
+            cfg.shards,
         );
     }
-    let seed = cfg.seed;
-    let rounds = cfg.rounds;
     let mut world = BackupWorld::new(cfg);
     let mut engine = Engine::new(seed);
     let start = Instant::now();
@@ -132,7 +131,7 @@ fn main() {
                     .str("gf256_backend", peerback_gf256::active_backend().name())
                     .float(
                         "peer_rounds_per_sec",
-                        (args.peers as f64 * args.rounds as f64) / elapsed.as_secs_f64(),
+                        (peers as f64 * rounds as f64) / elapsed.as_secs_f64(),
                     )
                     .float("stage_dispatches_per_round", dispatches_per_round)
                     .float("bytes_per_peer", bytes_per_peer)
@@ -196,7 +195,7 @@ fn main() {
     println!(
         "done in {:.2}s  ({:.0} peer-rounds/s)",
         elapsed.as_secs_f64(),
-        (args.peers as f64 * args.rounds as f64) / elapsed.as_secs_f64()
+        (peers as f64 * rounds as f64) / elapsed.as_secs_f64()
     );
     println!(
         "steady state: {dispatches_per_round:.2} pool dispatches/round{}, \

@@ -18,7 +18,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use peerback_core::{SelectionStrategy, SimConfig};
+use peerback_core::{AdaptiveRedundancy, SelectionStrategy, SimConfig};
+use peerback_fabric::{AdversaryConfig, FabricConfig, ScheduleConfig};
 
 pub mod reports;
 
@@ -247,16 +248,24 @@ impl Cli {
     }
 }
 
-/// Parsed command line of a harness binary: the flags its [`Cli`] reads;
-/// the rest stay at their defaults.
+/// Parsed command line of a harness binary: the scenario its flags
+/// wrote, and the flags that are not part of a scenario. A binary's
+/// [`Cli`] decides which flags it reads; the rest leave their fields at
+/// the defaults.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
-    /// Population (overrides the scale preset when set).
-    pub peers: usize,
-    /// Rounds (overrides the scale preset when set).
-    pub rounds: u64,
-    /// Master seed.
-    pub seed: u64,
+    /// The simulation the scale, seed, `--shards` and world flags
+    /// describe: [`SimConfig::paper`] with every given flag written
+    /// into its field. Not validated here — `BackupWorld::new` and
+    /// `Fabric::new` do that, so a flag the run could not honour (an
+    /// outage rate without `--domains`) fails there with its reason.
+    pub sim: SimConfig,
+    /// The byte plane the fabric flags describe: the default
+    /// [`FabricConfig`] with `--adversary` and, when any of
+    /// `--link-cap`, `--flash-restore` or `--escalate-margin` is
+    /// non-zero, a schedule. The fabric binaries set their own
+    /// intervals and faults over it.
+    pub fabric: FabricConfig,
     /// Output directory for TSVs.
     pub out_dir: PathBuf,
     /// Worker threads for sweeps (0 = all cores).
@@ -265,54 +274,15 @@ pub struct HarnessArgs {
     /// the human-readable report, so perf and audit trajectories can be
     /// tracked across runs and PRs.
     pub json: bool,
-    /// Worker threads for the intra-run parallel phases
-    /// (`SimConfig::shards`). Results are bit-identical at every value;
-    /// only wall-clock changes.
-    pub shards: usize,
     /// With `--json`: omit timing fields (elapsed seconds, throughput)
     /// and host facts (CPU count, worker knobs) so two runs of the same
     /// seed diff byte-for-byte — the CI determinism gate compares
     /// `--shards 1` against `--shards 8` this way.
     pub stable_json: bool,
-    /// Whether `--paper-scale` was passed. Binaries with a dedicated
-    /// paper-scale mode (scenario_fabric's single combined-mode run
-    /// with sampled audit + scrubbing) switch on this rather than
-    /// guessing from the numbers.
+    /// Whether `--paper-scale` was passed: `scenario_fabric` then runs
+    /// its one paper-scale cell instead of the sweep, whatever
+    /// `--peers`/`--rounds` say.
     pub paper_scale: bool,
-    /// Partner-selection strategy override (`None` keeps the config
-    /// default, the paper's age-based rule).
-    pub strategy: Option<SelectionStrategy>,
-    /// Fraction of peers that misreport (inflate) their age during
-    /// negotiation. `0.0` disables the adversarial axis.
-    pub misreport: f64,
-    /// Round at which hidden churn profiles flip to the mirrored mix
-    /// for newly spawned peers (`0` disables the behaviour shift).
-    pub shift_round: u64,
-    /// Adaptive per-archive redundancy: maximum blocks the policy may
-    /// trim below `n` (`SimConfig::adaptive_n`, tuned defaults). `0`
-    /// disables the loop (the static-width baseline).
-    pub adaptive_n: u16,
-    /// Per-peer per-round transfer byte budget for the fabric's
-    /// bandwidth-aware scheduler (`0` = instant shipping, the classic
-    /// path).
-    pub link_cap: u64,
-    /// Round at which every joined archive's owner starts a full
-    /// restore through the scheduler (`0` = no wave). Implies nothing
-    /// without a `--link-cap`-enabled schedule.
-    pub flash_restore: u64,
-    /// Adversarial host behaviour for the fabric (`--adversary SPEC`,
-    /// e.g. `free=0.1,rot=0.02,challenge=16,sample=4`). Inert by
-    /// default.
-    pub adversary: peerback_fabric::AdversaryConfig,
-    /// Correlated failure domains (`--domains` plus the `--outage-*` /
-    /// `--partition-*` knobs). `domains == 0` disables the axis.
-    pub failure_domains: peerback_core::FailureDomainConfig,
-    /// Integrity strikes before a host is quarantined (`0` = never).
-    pub quarantine_threshold: u8,
-    /// Loss-deadline escalation margin for the transfer scheduler:
-    /// repair transfers of archives under `k + margin` placed blocks
-    /// jump the class-priority queue (`0` = off).
-    pub escalate_margin: u32,
     /// `paper_report`: exit 1 if a selected report's check fails.
     pub check: bool,
     /// `adversary_probe` gate: the loss factor the attacked arm may
@@ -328,9 +298,9 @@ pub struct HarnessArgs {
 /// `challenge` (challenge-sweep interval in rounds), `sample`
 /// (challenge coverage divisor, 1 = every placement). Panics on
 /// malformed or unknown keys, and on values
-/// [`peerback_fabric::AdversaryConfig::validate`] rejects.
-fn parse_adversary_spec(spec: &str, usage: &str) -> peerback_fabric::AdversaryConfig {
-    let mut cfg = peerback_fabric::AdversaryConfig::default();
+/// [`AdversaryConfig::validate`] rejects.
+fn parse_adversary_spec(spec: &str, usage: &str) -> AdversaryConfig {
+    let mut cfg = AdversaryConfig::default();
     for pair in spec.split(',').filter(|p| !p.is_empty()) {
         let (key, value) = pair.split_once('=').unwrap_or_else(|| {
             panic!("--adversary expects key=value pairs, got {pair:?}\n{usage}")
@@ -372,25 +342,13 @@ impl HarnessArgs {
         let mut scale = Scale::Default;
         let (mut peers, mut rounds) = (None, None);
         let mut a = HarnessArgs {
-            peers: 0,
-            rounds: 0,
-            seed: 42,
+            sim: SimConfig::paper(0, 0, 42),
+            fabric: FabricConfig::default(),
             out_dir: PathBuf::from("results"),
             threads: 0,
             json: false,
-            shards: 1,
             stable_json: false,
             paper_scale: false,
-            strategy: None,
-            misreport: 0.0,
-            shift_round: 0,
-            adaptive_n: 0,
-            link_cap: 0,
-            flash_restore: 0,
-            adversary: peerback_fabric::AdversaryConfig::default(),
-            failure_domains: peerback_core::FailureDomainConfig::default(),
-            quarantine_threshold: 0,
-            escalate_margin: 0,
             check: false,
             max_loss_factor: None,
             min_quarantine_rate: None,
@@ -414,95 +372,80 @@ impl HarnessArgs {
                 }
             }
             let number = |s: String, range| parse_float(&s, flag, range, &usage);
+            let sim = &mut a.sim;
+            let schedule = &mut a.fabric.schedule;
             match flag {
                 "--smoke" => scale = Scale::Smoke,
                 "--paper-scale" => scale = Scale::Paper,
                 "--peers" => peers = Some(parse_num(&value(), flag, &usage)),
                 "--rounds" => rounds = Some(parse_num(&value(), flag, &usage)),
-                "--seed" => a.seed = parse_num(&value(), flag, &usage),
+                "--seed" => sim.seed = parse_num(&value(), flag, &usage),
                 "--out-dir" => a.out_dir = PathBuf::from(value()),
                 "--threads" => a.threads = parse_num(&value(), flag, &usage),
-                "--shards" => a.shards = parse_num(&value(), flag, &usage),
+                "--shards" => sim.shards = parse_num(&value(), flag, &usage),
                 "--json" => a.json = true,
                 "--stable-json" => a.stable_json = true,
                 "--strategy" => {
                     let name = value();
-                    a.strategy = Some(SelectionStrategy::from_name(&name).unwrap_or_else(|| {
+                    sim.strategy = SelectionStrategy::from_name(&name).unwrap_or_else(|| {
                         let known: Vec<&str> =
                             SelectionStrategy::ALL.iter().map(|s| s.name()).collect();
                         panic!(
                             "unknown strategy {name:?}; expected one of {}\n{usage}",
                             known.join(", ")
                         )
-                    }));
+                    });
                 }
-                "--misreport" => a.misreport = number(value(), FRACTION),
-                "--shift-round" => a.shift_round = parse_num(&value(), flag, &usage),
-                "--adaptive-n" => a.adaptive_n = parse_num(&value(), flag, &usage),
-                "--link-cap" => a.link_cap = parse_num(&value(), flag, &usage),
-                "--flash-restore" => a.flash_restore = parse_num(&value(), flag, &usage),
-                "--adversary" => a.adversary = parse_adversary_spec(&value(), &usage),
-                "--domains" => a.failure_domains.domains = parse_num(&value(), flag, &usage),
-                "--outage-rate" => a.failure_domains.outage_rate = number(value(), FRACTION),
+                "--misreport" => sim.misreport_fraction = number(value(), FRACTION),
+                "--shift-round" => sim.shift_profiles_at = parse_num(&value(), flag, &usage),
+                "--adaptive-n" => {
+                    sim.adaptive_n = match parse_num(&value(), flag, &usage) {
+                        0 => AdaptiveRedundancy::default(),
+                        max_trim => AdaptiveRedundancy::tuned(max_trim),
+                    }
+                }
+                "--domains" => sim.failure_domains.domains = parse_num(&value(), flag, &usage),
+                "--outage-rate" => sim.failure_domains.outage_rate = number(value(), FRACTION),
                 "--outage-rounds" => {
-                    a.failure_domains.outage_rounds = parse_num(&value(), flag, &usage)
+                    sim.failure_domains.outage_rounds = parse_num(&value(), flag, &usage)
                 }
-                "--outage-at" => a.failure_domains.outage_at = parse_num(&value(), flag, &usage),
-                "--partition-rate" => a.failure_domains.partition_rate = number(value(), FRACTION),
+                "--outage-at" => sim.failure_domains.outage_at = parse_num(&value(), flag, &usage),
+                "--partition-rate" => {
+                    sim.failure_domains.partition_rate = number(value(), FRACTION)
+                }
                 "--partition-rounds" => {
-                    a.failure_domains.partition_rounds = parse_num(&value(), flag, &usage)
+                    sim.failure_domains.partition_rounds = parse_num(&value(), flag, &usage)
                 }
                 "--quarantine-threshold" => {
-                    a.quarantine_threshold = parse_num(&value(), flag, &usage)
+                    sim.quarantine_threshold = parse_num(&value(), flag, &usage)
                 }
-                "--escalate-margin" => a.escalate_margin = parse_num(&value(), flag, &usage),
+                "--link-cap" => {
+                    let cap = parse_num(&value(), flag, &usage);
+                    schedule.get_or_insert_default().link_cap = (cap > 0).then_some(cap);
+                }
+                "--flash-restore" => {
+                    let round = parse_num(&value(), flag, &usage);
+                    schedule.get_or_insert_default().flash_restore = (round > 0).then_some(round);
+                }
+                "--escalate-margin" => {
+                    schedule.get_or_insert_default().escalate_margin =
+                        parse_num(&value(), flag, &usage)
+                }
+                "--adversary" => a.fabric.adversary = parse_adversary_spec(&value(), &usage),
                 "--check" => a.check = true,
                 "--max-loss-factor" => a.max_loss_factor = Some(number(value(), AT_LEAST_ONE)),
                 "--min-quarantine-rate" => a.min_quarantine_rate = Some(number(value(), FRACTION)),
                 other => unreachable!("{other} is in the usage table but not parsed"),
             }
         }
-        a.peers = peers.unwrap_or(scale.peers());
-        a.rounds = rounds.unwrap_or(scale.rounds());
+        a.sim.n_peers = peers.unwrap_or(scale.peers());
+        a.sim.rounds = rounds.unwrap_or(scale.rounds());
         a.paper_scale = scale == Scale::Paper;
+        // The three schedule flags all at 0 mean the instant path.
+        if a.fabric.schedule == Some(ScheduleConfig::default()) {
+            a.fabric.schedule = None;
+        }
         a
-    }
-
-    /// Base paper configuration at this scale.
-    pub fn base_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::paper(self.peers, self.rounds, self.seed).with_shards(self.shards);
-        if let Some(strategy) = self.strategy {
-            cfg = cfg.with_strategy(strategy);
-        }
-        if self.misreport > 0.0 {
-            cfg = cfg.with_misreport(self.misreport);
-        }
-        if self.shift_round > 0 {
-            cfg = cfg.with_shift_profiles_at(self.shift_round);
-        }
-        if self.adaptive_n > 0 {
-            cfg = cfg.with_adaptive_n(peerback_core::AdaptiveRedundancy::tuned(self.adaptive_n));
-        }
-        if self.failure_domains.domains > 0 {
-            cfg = cfg.with_failure_domains(self.failure_domains);
-        }
-        if self.quarantine_threshold > 0 {
-            cfg = cfg.with_quarantine_threshold(self.quarantine_threshold);
-        }
-        cfg
-    }
-
-    /// The fabric schedule requested by `--link-cap`/`--flash-restore`
-    /// (`None` when neither axis is engaged — the instant path).
-    pub fn schedule(&self) -> Option<peerback_fabric::ScheduleConfig> {
-        if self.link_cap == 0 && self.flash_restore == 0 && self.escalate_margin == 0 {
-            return None;
-        }
-        Some(peerback_fabric::ScheduleConfig {
-            link_cap: (self.link_cap > 0).then_some(self.link_cap),
-            flash_restore: (self.flash_restore > 0).then_some(self.flash_restore),
-            escalate_margin: self.escalate_margin,
-        })
     }
 
     /// CPUs visible to this process. Recorded in perf reports:
@@ -548,14 +491,14 @@ impl HarnessArgs {
     ) -> json::Object {
         let head = json::Object::new()
             .str(key, name)
-            .num("peers", self.peers as u64)
-            .num("rounds", self.rounds)
-            .num("seed", self.seed);
+            .num("peers", self.sim.n_peers as u64)
+            .num("rounds", self.sim.rounds)
+            .num("seed", self.sim.seed);
         if self.stable_json {
             return head;
         }
         telemetry(
-            head.num("shards", self.shards as u64)
+            head.num("shards", self.sim.shards as u64)
                 .num("host_cpus", Self::host_cpus())
                 .float("elapsed_secs", elapsed.as_secs_f64()),
         )
@@ -662,17 +605,17 @@ mod tests {
     #[test]
     fn defaults_are_the_default_scale() {
         let a = parse(&[]);
-        assert_eq!(a.peers, 8_000);
-        assert_eq!(a.rounds, 25_000);
-        assert_eq!(a.seed, 42);
+        assert_eq!(a.sim.n_peers, 8_000);
+        assert_eq!(a.sim.rounds, 25_000);
+        assert_eq!(a.sim.seed, 42);
         assert_eq!(a.out_dir, PathBuf::from("results"));
     }
 
     #[test]
     fn paper_scale_flag() {
         let a = parse(&["--paper-scale"]);
-        assert_eq!(a.peers, 25_000);
-        assert_eq!(a.rounds, 50_000);
+        assert_eq!(a.sim.n_peers, 25_000);
+        assert_eq!(a.sim.rounds, 50_000);
     }
 
     #[test]
@@ -683,10 +626,8 @@ mod tests {
 
     #[test]
     fn shards_flag_reaches_the_config() {
-        assert_eq!(parse(&[]).shards, 1);
-        let a = parse(&["--shards", "8"]);
-        assert_eq!(a.shards, 8);
-        assert_eq!(a.base_config().shards, 8);
+        assert_eq!(parse(&[]).sim.shards, 1);
+        assert_eq!(parse(&["--shards", "8"]).sim.shards, 8);
     }
 
     #[test]
@@ -706,26 +647,26 @@ mod tests {
             "--seed",
             "7",
         ]);
-        assert_eq!(a.peers, 1000);
-        assert_eq!(a.rounds, 5000);
-        assert_eq!(a.seed, 7);
+        assert_eq!(a.sim.n_peers, 1000);
+        assert_eq!(a.sim.rounds, 5000);
+        assert_eq!(a.sim.seed, 7);
     }
 
     #[test]
     fn scenario_axis_flags_reach_the_config() {
-        let a = parse(&[]);
-        assert_eq!(a.strategy, None);
-        assert_eq!(a.misreport, 0.0);
-        assert_eq!(a.shift_round, 0);
-        let a = parse(&[
+        let cfg = parse(&[]).sim;
+        assert_eq!(cfg.strategy, SelectionStrategy::AgeBased);
+        assert_eq!(cfg.misreport_fraction, 0.0);
+        assert_eq!(cfg.shift_profiles_at, 0);
+        let cfg = parse(&[
             "--strategy",
             "learned-age",
             "--misreport",
             "0.25",
             "--shift-round",
             "1200",
-        ]);
-        let cfg = a.base_config();
+        ])
+        .sim;
         assert_eq!(cfg.strategy, SelectionStrategy::LearnedAge);
         assert_eq!(cfg.misreport_fraction, 0.25);
         assert_eq!(cfg.shift_profiles_at, 1200);
@@ -735,9 +676,8 @@ mod tests {
     #[test]
     fn adaptive_and_scheduler_flags_resolve() {
         let a = parse(&[]);
-        assert_eq!(a.adaptive_n, 0);
-        assert!(!a.base_config().adaptive_n.enabled);
-        assert!(a.schedule().is_none());
+        assert!(!a.sim.adaptive_n.enabled);
+        assert!(a.fabric.schedule.is_none());
 
         let a = parse(&[
             "--adaptive-n",
@@ -747,28 +687,37 @@ mod tests {
             "--flash-restore",
             "900",
         ]);
-        let cfg = a.base_config();
-        assert!(cfg.adaptive_n.enabled);
-        assert_eq!(cfg.adaptive_n.max_trim, 8);
-        assert!(cfg.validate().is_ok());
-        let sched = a.schedule().expect("link cap engages the scheduler");
+        assert!(a.sim.adaptive_n.enabled);
+        assert_eq!(a.sim.adaptive_n.max_trim, 8);
+        assert!(a.sim.validate().is_ok());
+        let sched = a.fabric.schedule.expect("link cap engages the scheduler");
         assert_eq!(sched.link_cap, Some(4096));
         assert_eq!(sched.flash_restore, Some(900));
 
         // A flash wave alone still builds a schedule (link-derived
         // budgets, no explicit cap).
         let a = parse(&["--flash-restore", "900"]);
-        let sched = a.schedule().expect("wave engages the scheduler");
+        let sched = a.fabric.schedule.expect("wave engages the scheduler");
         assert_eq!(sched.link_cap, None);
+
+        // 0 keeps meaning "off".
+        let a = parse(&[
+            "--adaptive-n",
+            "0",
+            "--link-cap",
+            "0",
+            "--flash-restore",
+            "0",
+        ]);
+        assert!(!a.sim.adaptive_n.enabled && a.fabric.schedule.is_none());
     }
 
     #[test]
     fn adversary_and_failure_domain_flags_resolve() {
         let a = parse(&[]);
-        assert!(!a.adversary.any_hostile());
-        assert_eq!(a.failure_domains.domains, 0);
-        assert_eq!(a.quarantine_threshold, 0);
-        assert_eq!(a.escalate_margin, 0);
+        assert!(!a.fabric.adversary.any_hostile());
+        assert_eq!(a.sim.failure_domains.domains, 0);
+        assert_eq!(a.sim.quarantine_threshold, 0);
 
         let a = parse(&[
             "--adversary",
@@ -790,11 +739,12 @@ mod tests {
             "--escalate-margin",
             "3",
         ]);
-        assert_eq!(a.adversary.free_rider_fraction, 0.1);
-        assert_eq!(a.adversary.rot_fraction, 0.02);
-        assert_eq!(a.adversary.challenge_interval, 16);
-        assert_eq!(a.adversary.challenge_sample_period, 4);
-        let cfg = a.base_config();
+        let adversary = a.fabric.adversary;
+        assert_eq!(adversary.free_rider_fraction, 0.1);
+        assert_eq!(adversary.rot_fraction, 0.02);
+        assert_eq!(adversary.challenge_interval, 16);
+        assert_eq!(adversary.challenge_sample_period, 4);
+        let cfg = a.sim;
         assert_eq!(cfg.failure_domains.domains, 12);
         assert_eq!(cfg.failure_domains.outage_rate, 0.001);
         assert_eq!(cfg.failure_domains.outage_rounds, 40);
@@ -803,11 +753,22 @@ mod tests {
         assert_eq!(cfg.failure_domains.partition_rounds, 25);
         assert_eq!(cfg.quarantine_threshold, 2);
         assert!(cfg.validate().is_ok());
+        assert_eq!(a.fabric.schedule.map(|s| s.escalate_margin), Some(3));
         // An escalation margin alone engages the scheduler.
         let a = parse(&["--escalate-margin", "2"]);
-        let sched = a.schedule().expect("margin engages the scheduler");
+        let sched = a.fabric.schedule.expect("margin engages the scheduler");
         assert_eq!(sched.link_cap, None);
         assert_eq!(sched.escalate_margin, 2);
+    }
+
+    /// An outage flag without `--domains` reaches the config, whose
+    /// validation refuses it, instead of vanishing.
+    #[test]
+    fn outage_flags_without_domains_fail_validation() {
+        let a = parse(&["--outage-rate", "0.5", "--outage-rounds", "5"]);
+        assert_eq!(a.sim.failure_domains.outage_rate, 0.5);
+        let e = a.sim.validate().expect_err("no domain to black out");
+        assert!(e.contains("failure domain"), "{e}");
     }
 
     #[test]
@@ -862,8 +823,7 @@ mod tests {
 
     #[test]
     fn base_config_is_valid() {
-        let a = parse(&["--smoke"]);
-        assert!(a.base_config().validate().is_ok());
+        assert!(parse(&["--smoke"]).sim.validate().is_ok());
     }
 }
 

@@ -22,11 +22,12 @@ use peerback_core::{
 use peerback_net::{ArchiveGeometry, LinkModel, RepairCostModel};
 use peerback_sim::sim_rng;
 
-use crate::{fmt_rate, HarnessArgs};
+use crate::fmt_rate;
 
-/// The labelled configurations one report compares, as deltas over
-/// [`HarnessArgs::base_config`]. Empty for the static tables.
-pub type Variants = fn(&HarnessArgs) -> Vec<(String, SimConfig)>;
+/// The labelled configurations one report compares, as deltas over the
+/// command line's scenario ([`HarnessArgs::sim`](crate::HarnessArgs::sim)).
+/// Empty for the static tables.
+pub type Variants = fn(&SimConfig) -> Vec<(String, SimConfig)>;
 
 /// One finished variant.
 #[derive(Debug, Clone)]
@@ -132,13 +133,14 @@ pub static ALL: [Report; 15] = [
     ),
 ];
 
-/// Runs `reports` in order at `args`' scale and seed, handing each
-/// report and its finished runs to `sink` as soon as they are done;
-/// returns the number of simulations run. Reports that name the same
-/// [`Variants`] function (Figures 1 and 2) share one sweep.
+/// Runs `reports` in order over `base` on `threads` sweep workers,
+/// handing each report and its finished runs to `sink` as soon as they
+/// are done; returns the number of simulations run. Reports that name
+/// the same [`Variants`] function (Figures 1 and 2) share one sweep.
 pub fn run<'a>(
     reports: impl IntoIterator<Item = &'a Report>,
-    args: &HarnessArgs,
+    base: &SimConfig,
+    threads: usize,
     mut sink: impl FnMut(&Report, &[Run]),
 ) -> usize {
     let mut sweeps: Vec<(Variants, Vec<Run>)> = Vec::new();
@@ -149,13 +151,13 @@ pub fn run<'a>(
         let same = |(v, _): &(Variants, _)| std::ptr::fn_addr_eq(*v, report.variants);
         let sweep = sweeps.iter().position(same).unwrap_or_else(|| {
             let (labels, configs): (Vec<String>, Vec<SimConfig>) =
-                (report.variants)(args).into_iter().unzip();
+                (report.variants)(base).into_iter().unzip();
             if !configs.is_empty() {
-                let (n, peers, rounds) = (configs.len(), args.peers, args.rounds);
+                let (n, peers, rounds) = (configs.len(), base.n_peers, base.rounds);
                 let slug = report.slug;
                 eprintln!("{slug}: {n} simulation(s) at {peers} peers x {rounds} rounds ...");
             }
-            let metrics = run_sweep_with_threads(configs.clone(), args.thread_count());
+            let metrics = run_sweep_with_threads(configs.clone(), threads);
             let runs = labels.into_iter().zip(configs).zip(metrics);
             let runs = runs.map(|((label, config), metrics)| Run {
                 label,
@@ -173,13 +175,13 @@ pub fn run<'a>(
 // ---------------------------------------------------------------------
 // Shared pieces.
 
-/// `base_config()` with `tweak` applied, labelled.
+/// `base` with `tweak` applied, labelled.
 fn variant(
-    args: &HarnessArgs,
+    base: &SimConfig,
     label: impl Into<String>,
     tweak: impl FnOnce(&mut SimConfig),
 ) -> (String, SimConfig) {
-    let mut cfg = args.base_config();
+    let mut cfg = base.clone();
     tweak(&mut cfg);
     (label.into(), cfg)
 }
@@ -192,7 +194,7 @@ fn proactive(tick_rounds: u64) -> impl Fn(&mut SimConfig) {
     move |c| c.maintenance = MaintenancePolicy::Proactive { tick_rounds }
 }
 
-fn no_simulation(_: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn no_simulation(_: &SimConfig) -> Vec<(String, SimConfig)> {
     Vec::new()
 }
 
@@ -344,8 +346,8 @@ fn frozen_age_label(rounds: u64) -> String {
 
 /// The paper's §4.2.1 sweep: one simulation per threshold from 132 to
 /// 180 in steps of 4, identical parameters otherwise.
-fn threshold_sweep(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
-    let labelled = |t: u16| variant(args, t.to_string(), reactive(t));
+fn threshold_sweep(base: &SimConfig) -> Vec<(String, SimConfig)> {
+    let labelled = |t: u16| variant(base, t.to_string(), reactive(t));
     (132..=180).step_by(4).map(labelled).collect()
 }
 
@@ -428,9 +430,9 @@ fn fig2(runs: &[Run]) -> Rendered {
 // ---------------------------------------------------------------------
 // Figures 3 and 4: the focus threshold over time.
 
-fn focus_with_observers(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn focus_with_observers(base: &SimConfig) -> Vec<(String, SimConfig)> {
     let observed = |c: &mut SimConfig| c.observers = ObserverSpec::paper_set();
-    vec![variant(args, "k'=148", observed)]
+    vec![variant(base, "k'=148", observed)]
 }
 
 /// **Figure 3** — "Total number of repairs done by observers."
@@ -487,9 +489,9 @@ fn fig3(runs: &[Run]) -> Rendered {
     }
 }
 
-fn focus_and_stressed(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn focus_and_stressed(base: &SimConfig) -> Vec<(String, SimConfig)> {
     [148, 133]
-        .map(|t| variant(args, t.to_string(), reactive(t)))
+        .map(|t| variant(base, t.to_string(), reactive(t)))
         .into()
 }
 
@@ -769,8 +771,8 @@ fn table_repair_cost(_: &[Run]) -> Rendered {
 // ---------------------------------------------------------------------
 // Ablations and extensions beyond the paper.
 
-fn every_strategy(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
-    let with = |&s: &SelectionStrategy| variant(args, s.name(), |c| c.strategy = s);
+fn every_strategy(base: &SimConfig) -> Vec<(String, SimConfig)> {
+    let with = |&s: &SelectionStrategy| variant(base, s.name(), |c| c.strategy = s);
     SelectionStrategy::ALL.iter().map(with).collect()
 }
 
@@ -805,14 +807,14 @@ fn ablation_strategies(runs: &[Run]) -> Rendered {
     )
 }
 
-fn acceptance_variants(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn acceptance_variants(base: &SimConfig) -> Vec<(String, SimConfig)> {
     vec![
-        variant(args, "mutual L=90d (paper)", |_| {}),
-        variant(args, "one-sided", |c| c.mutual_acceptance = false),
-        variant(args, "disabled", |c| c.acceptance_enabled = false),
-        variant(args, "mutual L=30d", |c| c.acceptance_clamp = 30 * 24),
-        variant(args, "mutual L=180d", |c| c.acceptance_clamp = 180 * 24),
-        variant(args, "no refresh (ratchet)", |c| {
+        variant(base, "mutual L=90d (paper)", |_| {}),
+        variant(base, "one-sided", |c| c.mutual_acceptance = false),
+        variant(base, "disabled", |c| c.acceptance_enabled = false),
+        variant(base, "mutual L=30d", |c| c.acceptance_clamp = 30 * 24),
+        variant(base, "mutual L=180d", |c| c.acceptance_clamp = 180 * 24),
+        variant(base, "no refresh (ratchet)", |c| {
             c.refresh_on_repair = false
         }),
     ]
@@ -858,13 +860,13 @@ fn ablation_acceptance(runs: &[Run]) -> Rendered {
     )
 }
 
-fn maintenance_policies(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn maintenance_policies(base: &SimConfig) -> Vec<(String, SimConfig)> {
     vec![
-        variant(args, "reactive k'=148 (paper)", |_| {}),
-        variant(args, "reactive k'=164", reactive(164)),
-        variant(args, "proactive tick=24h", proactive(24)),
-        variant(args, "proactive tick=72h", proactive(72)),
-        variant(args, "proactive tick=1wk", proactive(168)),
+        variant(base, "reactive k'=148 (paper)", |_| {}),
+        variant(base, "reactive k'=164", reactive(164)),
+        variant(base, "proactive tick=24h", proactive(24)),
+        variant(base, "proactive tick=72h", proactive(72)),
+        variant(base, "proactive tick=1wk", proactive(168)),
     ]
 }
 
@@ -894,17 +896,17 @@ fn ablation_proactive(runs: &[Run]) -> Rendered {
     )
 }
 
-fn threshold_policies(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn threshold_policies(base: &SimConfig) -> Vec<(String, SimConfig)> {
     let adaptive = MaintenancePolicy::Adaptive {
         base: 148,
         floor_margin: 4,
         step: 2,
     };
     vec![
-        variant(args, "fixed 148, quota 384", |_| {}),
-        variant(args, "adaptive, quota 384", |c| c.maintenance = adaptive),
-        variant(args, "fixed 148, quota 256 (starved)", |c| c.quota = 256),
-        variant(args, "adaptive, quota 256 (starved)", |c| {
+        variant(base, "fixed 148, quota 384", |_| {}),
+        variant(base, "adaptive, quota 384", |c| c.maintenance = adaptive),
+        variant(base, "fixed 148, quota 256 (starved)", |c| c.quota = 256),
+        variant(base, "adaptive, quota 256 (starved)", |c| {
             c.quota = 256;
             c.maintenance = adaptive;
         }),
@@ -943,9 +945,9 @@ fn ablation_adaptive(runs: &[Run]) -> Rendered {
     )
 }
 
-fn archive_counts(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn archive_counts(base: &SimConfig) -> Vec<(String, SimConfig)> {
     let with_archives = |a: u16| {
-        variant(args, a.to_string(), |c| {
+        variant(base, a.to_string(), |c| {
             c.archives_per_peer = a;
             c.quota = 384 * a as u32; // the paper's 3x-own-volume rule
         })
@@ -1011,8 +1013,8 @@ fn ablation_archives(runs: &[Run]) -> Rendered {
 /// two blocks above `k`: that thin repair margin is what makes partner
 /// *survival* — the quantity estimation improves — decide the loss
 /// count, rather than raw repair throughput.
-fn gated_churn_config(args: &HarnessArgs, strategy: SelectionStrategy) -> SimConfig {
-    let mut cfg = args.base_config().with_strategy(strategy);
+fn gated_churn_config(base: &SimConfig, strategy: SelectionStrategy) -> SimConfig {
+    let mut cfg = base.clone().with_strategy(strategy);
     cfg.k = 16;
     cfg.m = 16;
     cfg.quota = 72;
@@ -1039,13 +1041,13 @@ fn restorability(run: &Run) -> String {
 /// losses (floored at one).
 const LEARNED_MAX_LOSS_FACTOR: f64 = 3.0;
 
-fn learned_arms(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn learned_arms(base: &SimConfig) -> Vec<(String, SimConfig)> {
     let arms = [
         ("oracle", SelectionStrategy::OracleLifetime),
         ("learned", SelectionStrategy::LearnedAge),
         ("uniform", SelectionStrategy::Random),
     ];
-    let arm = |(label, s): (&str, _)| (label.to_string(), gated_churn_config(args, s));
+    let arm = |(label, s): (&str, _)| (label.to_string(), gated_churn_config(base, s));
     arms.map(arm).into()
 }
 
@@ -1146,8 +1148,8 @@ const MAX_TRIM: u16 = 8;
 /// arm's uploads.
 const WIDTH_MAX_UPLOAD_RATIO: f64 = 0.9;
 
-fn width_arms(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
-    let stat = gated_churn_config(args, SelectionStrategy::LearnedAge);
+fn width_arms(base: &SimConfig) -> Vec<(String, SimConfig)> {
+    let stat = gated_churn_config(base, SelectionStrategy::LearnedAge);
     let trimmed = AdaptiveRedundancy::tuned(MAX_TRIM);
     let adaptive = stat.clone().with_adaptive_n(trimmed);
     vec![("static".into(), stat), ("adaptive".into(), adaptive)]
@@ -1240,12 +1242,12 @@ fn width_check(runs: &[Run]) -> Vec<String> {
     violations
 }
 
-fn restorability_policies(args: &HarnessArgs) -> Vec<(String, SimConfig)> {
+fn restorability_policies(base: &SimConfig) -> Vec<(String, SimConfig)> {
     vec![
-        variant(args, "reactive k'=132", reactive(132)),
-        variant(args, "reactive k'=148", |_| {}),
-        variant(args, "reactive k'=180", reactive(180)),
-        variant(args, "proactive tick=24h", proactive(24)),
+        variant(base, "reactive k'=132", reactive(132)),
+        variant(base, "reactive k'=148", |_| {}),
+        variant(base, "reactive k'=180", reactive(180)),
+        variant(base, "proactive tick=24h", proactive(24)),
     ]
 }
 
@@ -1338,20 +1340,20 @@ mod tests {
         width_check(&runs.map(|(label, (losses, uploads))| run(label, losses, uploads)))
     }
 
-    /// The arguments every report run takes by default.
-    fn default_args() -> HarnessArgs {
+    /// The scenario every report runs over by default.
+    fn default_base() -> SimConfig {
         let cli = crate::Cli {
             binary: "paper_report",
             synopsis: "",
             groups: &["scale"],
         };
-        HarnessArgs::parse_from(&cli, [])
+        crate::HarnessArgs::parse_from(&cli, []).sim
     }
 
     #[test]
     fn learned_arms_are_valid_and_strategy_specific() {
         use SelectionStrategy::{LearnedAge, OracleLifetime, Random};
-        let arms = learned_arms(&default_args());
+        let arms = learned_arms(&default_base());
         let strategies: Vec<_> = arms.iter().map(|(_, cfg)| cfg.strategy).collect();
         assert_eq!(strategies, [OracleLifetime, LearnedAge, Random]);
         for (label, cfg) in &arms {
@@ -1361,7 +1363,7 @@ mod tests {
 
     #[test]
     fn width_arms_are_valid_and_arm_specific() {
-        let arms = width_arms(&default_args());
+        let arms = width_arms(&default_base());
         let (stat, adaptive) = (&arms[0].1, &arms[1].1);
         assert!(stat.validate().is_ok() && adaptive.validate().is_ok());
         assert!(!stat.adaptive_n.enabled);

@@ -53,12 +53,25 @@ fn listed_flags(usage: &str) -> Vec<(&str, bool)> {
         .collect()
 }
 
+/// Every flag parses, and every flag of the scenario groups (`world`,
+/// `fabric`) writes the scenario: given a value other than its default,
+/// it changes the parsed `SimConfig` or `FabricConfig`, the configs the
+/// binaries run. A flag that is parsed and then kept aside fails here.
 #[test]
 fn every_flag_the_usage_lists_parses() {
     let usage = EVERYTHING.usage();
     let flags = listed_flags(&usage);
     // 25 shared flags, `--check`, and the adversary probe's two gates.
     assert_eq!(flags.len(), 25 + 1 + 2, "{usage}");
+    let scenario = |a: HarnessArgs| format!("{:?}", (a.sim, a.fabric));
+    let default = scenario(parse(&EVERYTHING, &[]));
+    let scenario_usage = Cli {
+        groups: &["world", "fabric"],
+        ..EVERYTHING
+    }
+    .usage();
+    let scenario_flags = listed_flags(&scenario_usage);
+    assert_eq!(scenario_flags.len(), 15, "{scenario_usage}");
     for (flag, takes_value) in flags {
         // An entry of the usage table without a parser arm would panic.
         let sample = match flag {
@@ -66,10 +79,13 @@ fn every_flag_the_usage_lists_parses() {
             "--adversary" => "free=0.1",
             _ => "1",
         };
-        if takes_value {
-            parse(&EVERYTHING, &[flag, sample]);
+        let parsed = if takes_value {
+            parse(&EVERYTHING, &[flag, sample])
         } else {
-            parse(&EVERYTHING, &[flag]);
+            parse(&EVERYTHING, &[flag])
+        };
+        if scenario_flags.contains(&(flag, takes_value)) {
+            assert_ne!(scenario(parsed), default, "{flag} {sample} changes nothing");
         }
     }
 }
@@ -140,7 +156,7 @@ fn scale_usage_lines_state_the_presets() {
     for (flag, scale) in [("--smoke", Scale::Smoke), ("--paper-scale", Scale::Paper)] {
         let parsed = parse(&EVERYTHING, &[flag]);
         assert_eq!(
-            (parsed.peers, parsed.rounds),
+            (parsed.sim.n_peers, parsed.sim.rounds),
             (scale.peers(), scale.rounds())
         );
         let (peers, rounds) = (thousands(scale.peers() as u64), thousands(scale.rounds()));
@@ -169,7 +185,7 @@ fn gate_flags_parse_through_the_shared_path() {
             "4.5",
         ],
     );
-    assert_eq!((a.peers, a.seed), (100, 7));
+    assert_eq!((a.sim.n_peers, a.sim.seed), (100, 7));
     assert_eq!(a.max_loss_factor, Some(4.5));
     assert_eq!(a.min_quarantine_rate, Some(0.0));
     assert!(!parse(&EVERYTHING, &[]).check);
@@ -215,9 +231,9 @@ fn numbers_parse_up_to_the_width_of_their_field() {
     );
     assert_eq!(
         (
-            a.adaptive_n,
-            a.quarantine_threshold,
-            a.failure_domains.domains
+            a.sim.adaptive_n.max_trim,
+            a.sim.quarantine_threshold,
+            a.sim.failure_domains.domains
         ),
         (u16::MAX, u8::MAX, u32::MAX)
     );
@@ -254,7 +270,7 @@ fn gated_churn_scenario_is_valid_at_every_strategy() {
     let args = parse(&EVERYTHING, &[]);
     let variants = |slug| {
         let report = peerback_bench::reports::ALL.iter().find(|r| r.slug == slug);
-        (report.expect("a checked report").variants)(&args)
+        (report.expect("a checked report").variants)(&args.sim)
     };
     let (learned, width) = (variants("ablation_learned"), variants("ablation_width"));
     for (label, cfg) in learned.iter().chain(&width) {
@@ -342,6 +358,52 @@ fn each_binary_refuses_the_shared_flags_it_would_ignore() {
             "{name} lists {flag}: {text}"
         );
     }
+}
+
+/// `scenario_fabric --paper-scale` once built its own fabric and
+/// dropped `--adversary`: the attacked run printed the clean run's
+/// report byte for byte.
+#[test]
+fn paper_scale_runs_the_adversary_it_is_given() {
+    let scale = [
+        "--paper-scale",
+        "--peers",
+        "256",
+        "--rounds",
+        "60",
+        "--seed",
+        "5",
+        "--json",
+        "--stable-json",
+    ];
+    let attack = ["--adversary", "free=0.3,challenge=4,sample=1"];
+    let binary = env!("CARGO_BIN_EXE_scenario_fabric");
+    let (clean_ok, clean) = run(binary, &scale);
+    let (attacked_ok, attacked) = run(binary, &[&scale[..], &attack].concat());
+    assert!(clean_ok && attacked_ok, "{clean}\n{attacked}");
+    assert!(
+        clean.starts_with(r#"{"scenario":"fabric-paper-scale","peers":256,"#),
+        "{clean}"
+    );
+    assert_ne!(clean, attacked, "--adversary changed nothing");
+}
+
+/// Outage and partition flags act only on failure domains; without
+/// `--domains` the run is refused instead of silently ignoring them.
+#[test]
+fn outage_flags_without_domains_are_refused() {
+    let args = [
+        "--peers",
+        "300",
+        "--rounds",
+        "10",
+        "--outage-rate",
+        "0.5",
+        "--outage-rounds",
+        "5",
+    ];
+    let (ok, text) = run(env!("CARGO_BIN_EXE_perf_probe"), &args);
+    assert!(!ok && text.contains("failure domain"), "{text}");
 }
 
 #[test]

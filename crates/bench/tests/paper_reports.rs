@@ -61,7 +61,7 @@ fn assert_golden(reports: Vec<&'static Report>, execution: &[&str]) -> usize {
     let scale = ["--peers", "300", "--rounds", "840", "--seed", "5"];
     let flags = scale.iter().chain(execution).map(|s| s.to_string());
     let args = HarnessArgs::parse_from(&CLI, flags);
-    reports::run(reports, &args, |report, runs| {
+    reports::run(reports, &args.sim, args.thread_count(), |report, runs| {
         let rendered = (report.render)(runs);
         assert!(!rendered.tsvs.is_empty(), "{} wrote nothing", report.slug);
         for tsv in &rendered.tsvs {
@@ -111,7 +111,7 @@ fn ablations_and_extension_render_one_well_formed_tsv_each() {
     assert_eq!(beyond.len(), 8);
     let flags = ["--peers", "300", "--rounds", "240"].map(String::from);
     let args = HarnessArgs::parse_from(&CLI, flags);
-    let metrics = peerback_core::run_simulation(args.base_config());
+    let metrics = peerback_core::run_simulation(args.sim.clone());
     for report in beyond {
         let as_run = |(label, config): (String, peerback_core::SimConfig)| {
             let valid = config.validate();
@@ -123,7 +123,10 @@ fn ablations_and_extension_render_one_well_formed_tsv_each() {
                 metrics,
             }
         };
-        let runs: Vec<Run> = (report.variants)(&args).into_iter().map(as_run).collect();
+        let runs: Vec<Run> = (report.variants)(&args.sim)
+            .into_iter()
+            .map(as_run)
+            .collect();
         let mut labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
         labels.sort_unstable();
         labels.dedup();
@@ -158,7 +161,7 @@ fn static_tables_match_their_goldens() {
     let tables = reports_named("table_");
     assert_eq!(tables.len(), 3);
     let args = HarnessArgs::parse_from(&CLI, []);
-    let simulations = reports::run(tables, &args, |table, runs| {
+    let simulations = reports::run(tables, &args.sim, args.thread_count(), |table, runs| {
         let out = (table.render)(runs);
         assert!(out.tsvs.is_empty() && out.chart.is_empty());
         // `paper_report <slug>` prints the text and a newline.

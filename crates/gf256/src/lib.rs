@@ -33,6 +33,7 @@
 
 mod field;
 mod matrix;
+#[cfg(test)]
 mod poly;
 pub mod simd;
 mod slice;
@@ -40,7 +41,6 @@ mod tables;
 
 pub use field::Gf256;
 pub use matrix::mul_matrix;
-pub use poly::Poly;
 pub use simd::{active_backend, set_backend, Backend, BACKEND_ENV};
 pub use slice::{add_assign_slice, mul_add_slice, mul_slice, mul_slice_in_place};
 pub use tables::{EXP_TABLE, LOG_TABLE, PRIMITIVE_POLY};

@@ -1,8 +1,6 @@
-//! Dense polynomials over GF(2^8).
-//!
-//! Used by the erasure crate's tests as an independent oracle (evaluating
-//! the interpolation polynomial) and exposed publicly because polynomial
-//! arithmetic over the field is generally useful to downstream users.
+//! Dense polynomials over GF(2^8), compiled only into this crate's
+//! tests: nothing in the system evaluates or interpolates a polynomial
+//! (the codec works with matrices).
 
 use core::fmt;
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the GF(2^8) field axioms and slice kernels.
 
-use peerback_gf256::{add_assign_slice, mul_add_slice, mul_slice, Gf256, Poly};
+use peerback_gf256::{add_assign_slice, mul_add_slice, mul_slice, Gf256};
 use proptest::prelude::*;
 
 fn gf() -> impl Strategy<Value = Gf256> {
@@ -74,17 +74,5 @@ proptest! {
                 Gf256::new(base[i]) + Gf256::new(src[i]) * Gf256::new(c)
             );
         }
-    }
-
-    #[test]
-    fn interpolation_round_trips_random_polynomials(
-        coeffs in proptest::collection::vec(any::<u8>(), 1..8),
-    ) {
-        let poly = Poly::from_coeffs(coeffs.iter().map(|&c| Gf256::new(c)).collect());
-        let needed = poly.coeffs().len().max(1);
-        let points: Vec<(Gf256, Gf256)> = (1..=needed as u8)
-            .map(|x| (Gf256::new(x), poly.eval(Gf256::new(x))))
-            .collect();
-        prop_assert_eq!(Poly::interpolate(&points), poly);
     }
 }
