@@ -18,10 +18,10 @@
 //!   into a [`Msg`]: a [`Msg::Release`] to each partner that hosted one
 //!   of the dying peer's blocks, a [`Msg::Drop`] to the owner of each
 //!   block the peer hosted.
-//! * **Hop 2** ([`WorkLane::apply_drop`] / `apply_release`, parallel by
-//!   destination shard): prune the remote ends, count losses the
-//!   instant `present < k`, and re-enqueue owners that fell below their
-//!   threshold. Entries already torn down by the *other* end's hop 1 in
+//! * **Hop 2** ([`ShardLane::apply_drop`] / `apply_release`, on the
+//!   destination shard's lane, parallel): prune the remote ends, count
+//!   losses the instant `present < k`, and re-enqueue owners that fell
+//!   below their threshold. Entries already torn down by the *other* end's hop 1 in
 //!   the same round are skipped silently — the block-drop event was (or
 //!   will be) emitted exactly once, always on the owner side.
 
@@ -123,7 +123,7 @@ impl ShardLane<'_> {
                 uptime: self.peers.uptime_at(id, round),
                 sessions: self.peers.session_seq(id),
             };
-            self.obs.push(rec);
+            self.shard.obs.push(rec);
         }
         if self.peers.online(id) {
             self.set_online(id, false);
@@ -145,7 +145,7 @@ impl ShardLane<'_> {
                     archive: aidx as ArchiveIdx,
                     host,
                 });
-                self.out.push(Msg::Release {
+                self.shard.out.push(Msg::Release {
                     host,
                     owner: id,
                     aidx: aidx as ArchiveIdx,
@@ -158,7 +158,7 @@ impl ShardLane<'_> {
         // Its hosted blocks disappear with it; the owners learn in hop 2.
         for i in 0..self.peers.hosted_len(id) {
             let (owner, aidx) = self.peers.hosted_at(id, i);
-            self.out.push(Msg::Drop {
+            self.shard.out.push(Msg::Drop {
                 owner,
                 aidx,
                 host: id,
@@ -169,7 +169,7 @@ impl ShardLane<'_> {
 
         // `PeerDeparted` is emitted by the driver once every drop of
         // this round has been delivered (the observer contract).
-        self.departed.push(id);
+        self.shard.departed.push(id);
 
         // Immediate replacement in the same slot, bumped epoch.
         self.peers.bump_epoch(id);
@@ -189,7 +189,7 @@ impl ShardLane<'_> {
         self.delta.quarantine_evictions += 1;
         for i in 0..self.peers.hosted_len(id) {
             let (owner, aidx) = self.peers.hosted_at(id, i);
-            self.out.push(Msg::Drop {
+            self.shard.out.push(Msg::Drop {
                 owner,
                 aidx,
                 host: id,
@@ -210,7 +210,7 @@ impl ShardLane<'_> {
         // when the peer reconnects and hosts again.
         for i in 0..self.peers.hosted_len(id) {
             let (owner, aidx) = self.peers.hosted_at(id, i);
-            self.out.push(Msg::Drop {
+            self.shard.out.push(Msg::Drop {
                 owner,
                 aidx,
                 host: id,
@@ -219,9 +219,7 @@ impl ShardLane<'_> {
         self.peers.clear_hosted(id);
         self.peers.set_quota_used(id, 0);
     }
-}
 
-impl super::exec::WorkLane<'_> {
     /// Hop 2 of a teardown, owner side: `host`'s copy of one
     /// `(owner, aidx)` block vanished. Prunes the partner entry, emits
     /// the drop, and runs the §3.2 consequences — loss the instant
@@ -288,7 +286,7 @@ impl BackupWorld {
         let shard = self.layout.shard_of(host);
         for i in 0..self.peers.hosted_len(host) {
             let (owner, aidx) = self.peers.hosted_at(host, i);
-            self.arena.outboxes[shard].push(Msg::Drop { owner, aidx, host });
+            self.shards[shard].out.push(Msg::Drop { owner, aidx, host });
         }
         self.peers.clear_hosted(host);
         self.peers.set_quota_used(host, 0);

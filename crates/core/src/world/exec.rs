@@ -1,22 +1,29 @@
-//! The staged round executor: persistent-pool dispatch, recycled round
-//! arenas, shard-addressed messages, and the two-phase parallel commit
-//! whose claim/grant exchange never passes through the driver thread.
+//! The staged round executor: persistent-pool dispatch, one lane per
+//! logical shard, shard-addressed messages, and the two-phase parallel
+//! commit whose claim/grant exchange never passes through the driver
+//! thread.
 //!
-//! PR 4 made the round a fully parallel staged pipeline; this module's
-//! current form removes the steady-state overheads that pipeline still
-//! paid per round:
+//! Its shape removes the steady-state overheads a staged pipeline would
+//! otherwise pay per round:
 //!
 //! * **Zero thread spawns** — stages dispatch through the persistent
 //!   [`peerback_sim::WorkerPool`] owned by the world, as wide as
 //!   [`peerback_sim::ExecPolicy`]'s width rule allows: an epoch bump on
 //!   a barrier the workers park on, not a `thread::scope` spawn.
-//! * **Near-zero allocation** — every per-round buffer (per-shard
-//!   inboxes and outboxes, event buffers, proposal lists, candidate
-//!   pools, actor lists, wheel-fire scratch) lives in a [`RoundArena`]
-//!   whose vectors are cleared and reused across rounds, their
-//!   capacities high-water-marked by earlier rounds. Recycling is
-//!   observationally invisible; [`RoundArena::set_recycle`] is the
-//!   debug knob the determinism tests flip to prove it.
+//! * **One lane per shard** — each logical shard's state and round
+//!   buffers (inbox, outbox, event buffer, actors, proposals, claims,
+//!   candidate pools) live on its own
+//!   [`Shard`](super::shard::Shard); every stage that mutates them
+//!   runs over one [`ShardLane`] per shard and merges the lanes back in
+//!   shard order (`BackupWorld::with_shard_lanes`). Only the grant logs,
+//!   written by host shards and read across shards by owners, and the
+//!   per-worker wheel-fire scratch sit beside the shards, in the
+//!   [`RoundArena`].
+//! * **Near-zero allocation** — every round buffer is cleared and
+//!   reused across rounds, its capacity high-water-marked by earlier
+//!   rounds. Recycling is observationally invisible;
+//!   [`BackupWorld::set_arena_recycling`] is the debug knob the
+//!   determinism tests flip to prove it.
 //! * **A driver-free claim/grant exchange** — each owner shard stages
 //!   its own claims as [`ClaimGroups`] (grouped by host shard,
 //!   `(proposal, rank)` order within a group) inside the dispatch that
@@ -61,18 +68,18 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use peerback_sim::arena::{put_slot, retype_empty, take_slot};
+use peerback_sim::arena::retype_empty;
 use peerback_sim::exec::lap;
-use peerback_sim::{BufPool, SimRng, StageWork};
+use peerback_sim::StageWork;
 
 use crate::age::AgeCategory;
+use crate::config::SimConfig;
 use crate::metrics::Metrics;
 
 use super::events::Event;
-use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
 use super::shard::{Proposal, ShardLane, ShardLayout};
-use super::table::{PeerTable, PeerView};
+use super::table::PeerView;
 use super::BackupWorld;
 
 /// Per-lane accumulator for the metric counters a stage may bump;
@@ -368,210 +375,53 @@ impl Item {
     }
 }
 
-/// The recycled per-round buffers: one slot per logical shard for every
-/// buffer family the staged round uses, plus per-shard candidate-pool
-/// free lists and per-worker wheel-fire scratch. Cleared-and-reused
-/// across rounds with capacities high-water-marked; with recycling off
-/// ([`RoundArena::set_recycle`]) every round starts from fresh vectors
-/// — the knob the determinism tests flip.
+/// The round buffers that belong to no one shard (each shard's own live
+/// on its [`Shard`](super::shard::Shard)): the grant logs, which host
+/// shards write and owner shards read across shards, the per-worker
+/// wheel-fire scratch and the parked backing storage of the stage lane
+/// vectors. Cleared-and-reused across rounds; with recycling off
+/// ([`BackupWorld::set_arena_recycling`]) every round starts from fresh
+/// vectors — the knob the determinism tests flip.
 pub(in crate::world) struct RoundArena {
     pub(in crate::world) recycle: bool,
-    /// Routed per-shard [`Msg`] inboxes (deliver + commit apply).
-    pub(in crate::world) msg_inboxes: Vec<Vec<Msg>>,
-    /// Per-shard lane outboxes (the next wave's input).
-    pub(in crate::world) outboxes: Vec<Vec<Msg>>,
-    /// Per-shard lane event buffers.
-    pub(in crate::world) event_bufs: Vec<Vec<WorldEvent>>,
-    /// Per-shard departed-peer lists of the current round.
-    pub(in crate::world) departed: Vec<Vec<PeerId>>,
-    /// Per-owner-shard staged claims (wave A, then wave B).
-    pub(in crate::world) claims: Vec<ClaimGroups>,
     /// The owner shards with claims in the wave being granted, in
     /// order: what each host shard walks.
     pub(in crate::world) active: Vec<u32>,
     /// Per-host-shard verdicts of wave A and of wave B.
     pub(in crate::world) grant_logs: [Vec<GrantLog>; 2],
-    /// Per-owner-shard verdict cursors of the owner stage: one per
-    /// host shard and wave.
-    pub(in crate::world) cursors: Vec<Vec<u32>>,
-    /// Per-owner-shard proposal lists.
-    pub(in crate::world) proposals: Vec<Vec<Proposal>>,
-    /// Per-shard actor lists (the drained pending queues).
-    pub(in crate::world) actors: Vec<Vec<PeerId>>,
-    /// Per-owner-shard granted-hosts scratch for the owner stage.
-    pub(in crate::world) hosts_bufs: Vec<Vec<PeerId>>,
-    /// Per-owner-shard candidate-pool free lists (proposal pools cycle
-    /// propose → commit → free list).
-    pub(in crate::world) cand_pools: Vec<BufPool<PeerId>>,
     /// Per-worker wheel-fire scratch for the local-events stage.
     pub(in crate::world) fire_bufs: Vec<Vec<Event>>,
-    /// Recycled backing storage for the per-stage task vectors. The
+    /// Recycled backing storage for the per-stage lane vectors. The
     /// element types borrow round-local state, so the capacity is
     /// parked between rounds under a `'static` instantiation and
     /// re-typed for each round's borrows
     /// ([`peerback_sim::arena::retype_empty`]); the vectors themselves
     /// are always empty here.
-    pub(in crate::world) lane_store: Vec<WorkLane<'static>>,
-    pub(in crate::world) shard_lane_store: Vec<ShardLane<'static>>,
+    pub(in crate::world) lane_store: Vec<ShardLane<'static>>,
     pub(in crate::world) grant_task_store: Vec<GrantTask<'static>>,
-    pub(in crate::world) commit_task_store: Vec<CommitTask<'static>>,
-    pub(in crate::world) propose_task_store: Vec<ProposeTask<'static>>,
-    /// Test builds: each proposal's granted hosts per the straight-line
-    /// reference exchange, which the owner stage checks against.
-    #[cfg(test)]
-    pub(in crate::world) expected_hosts: Vec<Vec<Vec<PeerId>>>,
 }
 
 impl RoundArena {
     pub(in crate::world) fn new(shards: usize) -> Self {
-        fn slots<T>(shards: usize) -> Vec<Vec<T>> {
-            (0..shards).map(|_| Vec::new()).collect()
-        }
         RoundArena {
             recycle: true,
-            msg_inboxes: slots(shards),
-            outboxes: slots(shards),
-            event_bufs: slots(shards),
-            departed: slots(shards),
-            claims: (0..shards).map(|_| ClaimGroups::default()).collect(),
             active: Vec::new(),
             grant_logs: [0, 1].map(|_| (0..shards).map(|_| GrantLog::default()).collect()),
-            cursors: slots(shards),
-            proposals: slots(shards),
-            actors: slots(shards),
-            hosts_bufs: slots(shards),
-            cand_pools: (0..shards).map(|_| BufPool::new()).collect(),
             fire_bufs: Vec::new(),
             lane_store: Vec::new(),
-            shard_lane_store: Vec::new(),
             grant_task_store: Vec::new(),
-            commit_task_store: Vec::new(),
-            propose_task_store: Vec::new(),
-            #[cfg(test)]
-            expected_hosts: Vec::new(),
         }
     }
 
-    /// Enables or disables cross-round buffer recycling (the debug knob
-    /// behind `BackupWorld::set_arena_recycling`). Disabling wipes all
-    /// retained capacity so the next round starts from fresh vectors.
-    pub(in crate::world) fn set_recycle(&mut self, on: bool) {
-        self.recycle = on;
-        for pool in &mut self.cand_pools {
-            pool.set_recycle(on);
-        }
-        if !on {
-            self.wipe();
-        }
-    }
-
-    /// Called at the end of every round: with recycling off, drop every
-    /// retained buffer so rounds cannot share capacity (let alone
-    /// contents); with recycling on this is a no-op — the buffers are
-    /// already cleared by their return paths.
-    pub(in crate::world) fn end_round(&mut self) {
-        if !self.recycle {
-            self.wipe();
-        }
-        debug_assert!(self.outboxes.iter().all(Vec::is_empty));
-        debug_assert!(self.msg_inboxes.iter().all(Vec::is_empty));
-        debug_assert!(self.proposals.iter().all(Vec::is_empty));
-    }
-
+    /// Drops every retained buffer's capacity.
     fn wipe(&mut self) {
-        for buf in &mut self.msg_inboxes {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.outboxes {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.event_bufs {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.departed {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.claims {
-            *buf = ClaimGroups::default();
-        }
         self.active = Vec::new();
         for log in self.grant_logs.iter_mut().flatten() {
             *log = GrantLog::default();
         }
-        for buf in &mut self.cursors {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.proposals {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.actors {
-            *buf = Vec::new();
-        }
-        for buf in &mut self.hosts_bufs {
-            *buf = Vec::new();
-        }
         self.fire_bufs = Vec::new();
         self.lane_store = Vec::new();
-        self.shard_lane_store = Vec::new();
         self.grant_task_store = Vec::new();
-        self.commit_task_store = Vec::new();
-        self.propose_task_store = Vec::new();
-    }
-}
-
-/// Everything one shard may touch during a deliver/commit stage, plus
-/// the task-local buffers whose merge order is fixed by shard index.
-pub(in crate::world) struct WorkLane<'a> {
-    /// This shard's columns of the peer table (the view carries the
-    /// shard's base slot id).
-    pub(in crate::world) peers: PeerView<'a>,
-    /// This shard's pending-activation queue.
-    pub(in crate::world) pending: &'a mut Vec<PeerId>,
-    /// Whether to record events.
-    pub(in crate::world) events_on: bool,
-    /// Events emitted by this lane, merged in shard order.
-    pub(in crate::world) events: Vec<WorldEvent>,
-    /// Metric counters bumped by this lane.
-    pub(in crate::world) delta: MetricsDelta,
-    /// Cross-shard effects for the next stage.
-    pub(in crate::world) out: Vec<Msg>,
-    /// Messages addressed to this shard, in routing order; the stage
-    /// sorts them by [`Msg::sort_key`] before applying.
-    pub(in crate::world) inbox: Vec<Msg>,
-}
-
-impl WorkLane<'_> {
-    pub(in crate::world) fn enqueue(&mut self, id: PeerId) {
-        self.peers.enqueue_pending(id, self.pending);
-    }
-
-    #[inline]
-    pub(in crate::world) fn emit(&mut self, event: WorldEvent) {
-        if self.events_on {
-            self.events.push(event);
-        }
-    }
-
-    /// Emits one `BlocksPlaced` for the partners attached beyond index
-    /// `before` (the lane mirror of `BackupWorld::emit_placements`).
-    pub(in crate::world) fn emit_placements(
-        &mut self,
-        owner: PeerId,
-        aidx: ArchiveIdx,
-        before: usize,
-    ) {
-        if !self.events_on {
-            return;
-        }
-        let partners = self.peers.partners(owner, aidx as usize);
-        if partners.len() > before {
-            let hosts = partners[before..].to_vec();
-            self.events.push(WorldEvent::BlocksPlaced {
-                owner,
-                archive: aidx,
-                hosts,
-            });
-        }
     }
 }
 
@@ -580,56 +430,110 @@ impl WorkLane<'_> {
 /// counts the driver sums.
 pub(in crate::world) struct GrantTask<'a> {
     peers: PeerView<'a>,
-    log: GrantLog,
+    log: &'a mut GrantLog,
     granted: u64,
     denied: u64,
 }
 
-/// An owner-stage task: one owner shard's proposals, its verdict
-/// cursors, and the recycled scratch the step uses.
-pub(in crate::world) struct CommitTask<'a> {
-    lane: WorkLane<'a>,
-    props: Vec<Proposal>,
-    cursors: Vec<u32>,
-    hosts: Vec<PeerId>,
-    pools: BufPool<PeerId>,
-}
+impl ShardLane<'_> {
+    /// Sorts the shard's inbox into the deterministic in-shard order and
+    /// applies it. Sorting here, not while routing, puts the sort on
+    /// the stage's workers instead of the driver thread.
+    fn apply_inbox(&mut self, cfg: &SimConfig, round: u64) {
+        let mut inbox = core::mem::take(&mut self.shard.inbox);
+        inbox.sort_unstable_by_key(Msg::sort_key);
+        for msg in inbox.drain(..) {
+            match msg {
+                Msg::Release {
+                    host,
+                    owner,
+                    aidx,
+                    owner_observer,
+                } => self.apply_release(host, owner, aidx, owner_observer),
+                Msg::Drop { owner, aidx, host } => self.apply_drop(cfg, owner, aidx, host, round),
+            }
+        }
+        self.shard.inbox = inbox;
+    }
 
-/// A proposal-stage task: one owner shard's drained actor list and RNG
-/// stream, plus the recycled output buffers the pools and the wave-A
-/// claims build into.
-pub(in crate::world) struct ProposeTask<'a> {
-    pub(in crate::world) rng: &'a mut SimRng,
-    pub(in crate::world) actors: &'a [PeerId],
-    pub(in crate::world) proposals: Vec<Proposal>,
-    pub(in crate::world) pools: BufPool<PeerId>,
-    pub(in crate::world) claims: ClaimGroups,
+    /// The owner stage on owner shard `o`: walks the shard's proposals
+    /// and rebuilds each one's granted hosts from the grant logs — rank
+    /// by rank, wave A then wave B, the next verdict of the rank's host
+    /// shard — then runs the protocol step and returns the pool to the
+    /// shard's free list.
+    fn commit_owned(
+        &mut self,
+        o: usize,
+        cfg: &SimConfig,
+        layout: &ShardLayout,
+        [logs_a, logs_b]: &[Vec<GrantLog>; 2],
+        round: u64,
+    ) {
+        if self.shard.proposals.is_empty() {
+            return;
+        }
+        let mut props = core::mem::take(&mut self.shard.proposals);
+        let mut hosts = core::mem::take(&mut self.shard.hosts);
+        self.shard.cursors.clear();
+        self.shard.cursors.resize(2 * layout.count, u32::MAX);
+        #[cfg(test)]
+        let expected = core::mem::take(&mut self.shard.expected_hosts);
+        #[cfg(test)]
+        let mut expected = expected.iter();
+        for prop in props.drain(..) {
+            hosts.clear();
+            let (cursors_a, cursors_b) = self.shard.cursors.split_at_mut(layout.count);
+            let (a, b) = (wave_a_ranks(&prop), wave_b_ranks(&prop));
+            GrantLog::take_granted(logs_a, layout, o, cursors_a, &prop.pool[a], &mut hosts);
+            GrantLog::take_granted(logs_b, layout, o, cursors_b, &prop.pool[b], &mut hosts);
+            #[cfg(test)]
+            assert_eq!(
+                Some(&hosts),
+                expected.next(),
+                "owner {} archive {}: granted hosts differ from the reference",
+                prop.owner,
+                prop.aidx
+            );
+            self.commit_step(cfg, &prop, &hosts, round);
+            self.shard.pools.put(prop.pool);
+        }
+        self.shard.proposals = props;
+        self.shard.hosts = hosts;
+    }
 }
 
 impl BackupWorld {
-    /// Drains every shard's outbox into the per-destination inboxes (in
-    /// shard order, preserving per-destination emission order) and
+    /// Called at the end of every round: with recycling off, drop every
+    /// retained round buffer so rounds cannot share capacity (let alone
+    /// contents); with recycling on this is a no-op — the buffers were
+    /// emptied by the stages that consumed them.
+    pub(in crate::world) fn end_round(&mut self) {
+        if !self.arena.recycle {
+            self.arena.wipe();
+            for shard in &mut self.shards {
+                shard.drop_round_buffers();
+            }
+        }
+    }
+
+    /// Drains every shard's outbox into the destination shards' inboxes
+    /// (in shard order, preserving per-destination emission order) and
     /// returns the number of messages routed. The inboxes are left
     /// unsorted: each lane sorts its own inside the dispatched stage.
-    /// All buffers are arena slots — no allocation in the steady state.
+    /// No allocation in the steady state.
     fn route_outboxes(&mut self) -> usize {
         let layout = self.layout;
-        let RoundArena {
-            outboxes,
-            msg_inboxes,
-            ..
-        } = &mut self.arena;
         let mut total = 0usize;
-        for slot in outboxes.iter_mut().take(layout.count) {
-            if slot.is_empty() {
+        for s in 0..layout.count {
+            if self.shards[s].out.is_empty() {
                 continue;
             }
-            let mut out = core::mem::take(slot);
+            let mut out = core::mem::take(&mut self.shards[s].out);
             total += out.len();
             for msg in out.drain(..) {
-                msg_inboxes[msg.dest(&layout)].push(msg);
+                self.shards[msg.dest(&layout)].inbox.push(msg);
             }
-            *slot = out;
+            self.shards[s].out = out;
         }
         self.placement.msgs_routed += total as u64;
         total
@@ -644,55 +548,17 @@ impl BackupWorld {
         if total == 0 {
             return StageWork::default();
         }
-        let busy = self
-            .arena
-            .msg_inboxes
-            .iter()
-            .filter(|i| !i.is_empty())
-            .count();
+        let busy = self.shards.iter().filter(|s| !s.inbox.is_empty()).count();
         let policy = self.exec.narrowed(Item::Msg.ns(), busy, total);
-        let layout = self.layout;
-        let BackupWorld {
-            peers,
-            pendings,
-            cfg,
-            event_log,
-            metrics,
-            record_events,
-            arena,
-            ..
-        } = self;
-        let cfg: &crate::config::SimConfig = cfg;
-        let mut lanes = build_work_lanes(layout, *record_events, peers, pendings, arena, true);
-        let work = policy.dispatch(salt, &mut lanes, |_, lane| {
-            let mut inbox = core::mem::take(&mut lane.inbox);
-            // The deterministic in-shard application order. Sorting
-            // here, not while routing, puts the sort on the stage's
-            // workers instead of the driver thread.
-            inbox.sort_unstable_by_key(Msg::sort_key);
-            for msg in &inbox {
-                match *msg {
-                    Msg::Release {
-                        host,
-                        owner,
-                        aidx,
-                        owner_observer,
-                    } => lane.apply_release(host, owner, aidx, owner_observer),
-                    Msg::Drop { owner, aidx, host } => {
-                        lane.apply_drop(cfg, owner, aidx, host, round);
-                    }
-                }
-            }
-            lane.inbox = inbox;
-        });
-        merge_work_lanes(event_log, metrics, arena, lanes);
-        work
+        self.with_shard_lanes(|lanes, cfg, _| {
+            policy.dispatch(salt, lanes, |_, lane| lane.apply_inbox(cfg, round))
+        })
     }
 
     /// Stage 2 (+3): applies the deliver waves — releases and drops, in
     /// sorted order per shard — then the release-only survivor wave a
     /// loss may generate. Input is whatever the local-events stage left
-    /// in the arena outboxes; `round` is the current round (loss
+    /// in the shards' outboxes; `round` is the current round (loss
     /// accounting).
     pub(in crate::world) fn run_deliver(&mut self, round: u64) {
         for salt in 0..2u64 {
@@ -703,21 +569,20 @@ impl BackupWorld {
             self.profile.deliver_work += work;
         }
         debug_assert!(
-            self.arena.outboxes.iter().all(Vec::is_empty),
+            self.shards.iter().all(|s| s.out.is_empty()),
             "survivor releases generated further messages"
         );
     }
 
     /// Stages 4–7: the two-phase commit over the proposals and wave-A
-    /// claims the proposal stage left in the arena (`arena.proposals`,
-    /// `arena.claims`).
+    /// claims the proposal stage left in the shards.
     pub(in crate::world) fn commit_proposals(&mut self, round: u64) {
-        if self.arena.proposals.iter().all(Vec::is_empty) {
+        if self.shards.iter().all(|s| s.proposals.is_empty()) {
             return;
         }
         #[cfg(test)]
-        {
-            self.arena.expected_hosts = self.reference_grants();
+        for (hosts, shard) in self.reference_grants().into_iter().zip(&mut self.shards) {
+            shard.expected_hosts = hosts;
         }
 
         // Phase 1 (propose): host shards grant the staged wave-A
@@ -741,7 +606,7 @@ impl BackupWorld {
         self.profile.apply_work += work;
         self.profile.commit_apply += lap(&mut clock);
         debug_assert!(
-            self.arena.outboxes.iter().all(Vec::is_empty),
+            self.shards.iter().all(|s| s.out.is_empty()),
             "apply stage generated messages"
         );
     }
@@ -755,12 +620,8 @@ impl BackupWorld {
         let policy = self
             .exec
             .narrowed(Item::Claim.ns(), layout.count, denied as usize);
-        let RoundArena {
-            proposals, claims, ..
-        } = &mut self.arena;
-        let proposals = &*proposals;
-        self.profile.wave_b_work += policy.dispatch(salt, claims, |o, groups| {
-            groups.stage(&layout, &proposals[o], wave_b_ranks);
+        self.profile.wave_b_work += policy.dispatch(salt, &mut self.shards, |_, shard| {
+            shard.claims.stage(&layout, &shard.proposals, wave_b_ranks);
         });
     }
 
@@ -780,6 +641,7 @@ impl BackupWorld {
         let quota = self.cfg.quota;
         let BackupWorld {
             peers,
+            shards,
             arena,
             exec,
             placement,
@@ -788,10 +650,10 @@ impl BackupWorld {
         } = self;
         arena.active.clear();
         let mut work = 0;
-        for (o, groups) in arena.claims.iter().enumerate() {
-            if !groups.claims.is_empty() {
+        for (o, shard) in shards.iter().enumerate() {
+            if !shard.claims.claims.is_empty() {
                 arena.active.push(o as u32);
-                work += groups.claims.len();
+                work += shard.claims.claims.len();
             }
         }
         placement.claims += work as u64;
@@ -801,24 +663,23 @@ impl BackupWorld {
         for log in &mut arena.grant_logs[wave] {
             tasks.push(GrantTask {
                 peers: split.take(layout.shard_size),
-                log: core::mem::take(log),
+                log,
                 granted: 0,
                 denied: 0,
             });
         }
         let policy = exec.narrowed(Item::Claim.ns(), layout.count, work);
-        let proposals = &arena.proposals;
-        let claims = &arena.claims;
+        let shards = &*shards;
         let active = &arena.active;
         let stage_work = policy.dispatch(salt, &mut tasks, |h, task| {
-            let log = &mut task.log;
+            let log = &mut *task.log;
             log.granted.clear();
             log.from_owner.resize(layout.count, 0);
             for &o in active {
-                let o = o as usize;
-                log.from_owner[o] = log.granted.len() as u32;
-                for claim in claims[o].group(h) {
-                    let prop = &proposals[o][claim.prop as usize];
+                let owner = &shards[o as usize];
+                log.from_owner[o as usize] = log.granted.len() as u32;
+                for claim in owner.claims.group(h) {
+                    let prop = &owner.proposals[claim.prop as usize];
                     let host = claim.host;
                     debug_assert_eq!(layout.shard_of(host), h, "misgrouped claim");
                     debug_assert!(
@@ -850,8 +711,7 @@ impl BackupWorld {
             profile.wave_b_work += stage_work;
         }
         let mut denied = 0;
-        for (task, log) in tasks.drain(..).zip(&mut arena.grant_logs[wave]) {
-            *log = task.log;
+        for task in tasks.drain(..) {
             placement.grants += task.granted;
             denied += task.denied;
         }
@@ -859,181 +719,30 @@ impl BackupWorld {
         denied
     }
 
-    /// The owner half of phase 2: each owner shard walks its proposals
-    /// and rebuilds each one's granted hosts from the grant logs — rank
-    /// by rank, wave A then wave B, the next verdict of the rank's host
-    /// shard — then runs the protocol step. Pool buffers return to the
-    /// shard's free list; releases of displaced partners land in the
-    /// outboxes for the apply stage.
+    /// The owner half of phase 2: every owner shard commits its
+    /// proposals with the hosts the grant logs awarded them
+    /// ([`ShardLane::commit_owned`]); releases of displaced partners
+    /// land in the outboxes for the apply stage.
     fn commit_owner_stage(&mut self, round: u64) {
         let busy = self
-            .arena
-            .proposals
+            .shards
             .iter()
-            .filter(|p| !p.is_empty())
+            .filter(|s| !s.proposals.is_empty())
             .count();
-        let items = self.arena.proposals.iter().map(Vec::len).sum();
+        let items = self.shards.iter().map(|s| s.proposals.len()).sum();
         let policy = self.exec.narrowed(Item::Proposal.ns(), busy, items);
         let layout = self.layout;
-        let recycle = self.arena.recycle;
-        let BackupWorld {
-            peers,
-            pendings,
-            cfg,
-            event_log,
-            metrics,
-            record_events,
-            arena,
-            profile,
-            ..
-        } = self;
-        let cfg: &crate::config::SimConfig = cfg;
-        let mut lanes = build_work_lanes(layout, *record_events, peers, pendings, arena, false);
-        let mut tasks: Vec<CommitTask<'_>> =
-            retype_empty(core::mem::take(&mut arena.commit_task_store));
-        for (s, lane) in lanes.drain(..).enumerate() {
-            tasks.push(CommitTask {
-                lane,
-                props: core::mem::take(&mut arena.proposals[s]),
-                cursors: take_slot(&mut arena.cursors[s], recycle),
-                hosts: take_slot(&mut arena.hosts_bufs[s], recycle),
-                pools: core::mem::take(&mut arena.cand_pools[s]),
-            });
-        }
-        arena.lane_store = retype_empty(lanes);
-        let [logs_a, logs_b] = &arena.grant_logs;
-        #[cfg(test)]
-        let expected = &arena.expected_hosts;
-        profile.owner_work += policy.dispatch(round * 16 + 6, &mut tasks, |o, task| {
-            let CommitTask {
-                lane,
-                props,
-                cursors,
-                hosts,
-                pools,
-            } = task;
-            if props.is_empty() {
-                return;
-            }
-            cursors.clear();
-            cursors.resize(2 * layout.count, u32::MAX);
-            let (cursors_a, cursors_b) = cursors.split_at_mut(layout.count);
-            #[cfg(test)]
-            let mut expected = expected[o].iter();
-            for prop in props.drain(..) {
-                hosts.clear();
-                let (a, b) = (wave_a_ranks(&prop), wave_b_ranks(&prop));
-                GrantLog::take_granted(logs_a, &layout, o, cursors_a, &prop.pool[a], hosts);
-                GrantLog::take_granted(logs_b, &layout, o, cursors_b, &prop.pool[b], hosts);
-                #[cfg(test)]
-                assert_eq!(
-                    Some(&*hosts),
-                    expected.next(),
-                    "owner {} archive {}: granted hosts differ from the reference",
-                    prop.owner,
-                    prop.aidx
-                );
-                lane.commit_step(cfg, &prop, hosts, round);
-                pools.put(prop.pool);
-            }
+        // The lanes borrow the world mutably; the logs they read
+        // leave it for the stage.
+        let logs = core::mem::take(&mut self.arena.grant_logs);
+        let work = self.with_shard_lanes(|lanes, cfg, _| {
+            policy.dispatch(round * 16 + 6, lanes, |o, lane| {
+                lane.commit_owned(o, cfg, &layout, &logs, round);
+            })
         });
-        let mut delta = MetricsDelta::default();
-        for (s, task) in tasks.drain(..).enumerate() {
-            let CommitTask {
-                lane,
-                props,
-                cursors,
-                hosts,
-                pools,
-            } = task;
-            merge_lane_core(event_log, &mut delta, arena, s, lane);
-            put_slot(&mut arena.proposals[s], props, recycle);
-            put_slot(&mut arena.cursors[s], cursors, recycle);
-            put_slot(&mut arena.hosts_bufs[s], hosts, recycle);
-            arena.cand_pools[s] = pools;
-        }
-        arena.commit_task_store = retype_empty(tasks);
-        delta.apply(metrics);
+        self.profile.owner_work += work;
+        self.arena.grant_logs = logs;
     }
-}
-
-/// Builds one [`WorkLane`] per logical shard over split borrows of the
-/// peer-table columns and pending queues, drawing every lane buffer
-/// from the arena (inboxes carry the routed messages when
-/// `with_inboxes`). Allocation-free in the steady state: the column
-/// splitter carves slices, it never copies.
-fn build_work_lanes<'a>(
-    layout: ShardLayout,
-    events_on: bool,
-    peers: &'a mut PeerTable,
-    pendings: &'a mut [Vec<PeerId>],
-    arena: &mut RoundArena,
-    with_inboxes: bool,
-) -> Vec<WorkLane<'a>> {
-    let sz = layout.shard_size;
-    let recycle = arena.recycle;
-    let mut lanes: Vec<WorkLane<'a>> = retype_empty(core::mem::take(&mut arena.lane_store));
-    let mut split = peers.splitter();
-    let mut pendings = pendings.iter_mut();
-    for s in 0..layout.count {
-        debug_assert!(
-            arena.outboxes[s].is_empty(),
-            "outbox not routed before stage"
-        );
-        lanes.push(WorkLane {
-            peers: split.take(sz),
-            pending: pendings.next().expect("pending per shard"),
-            events_on,
-            events: take_slot(&mut arena.event_bufs[s], recycle),
-            delta: MetricsDelta::default(),
-            out: core::mem::take(&mut arena.outboxes[s]),
-            inbox: if with_inboxes {
-                core::mem::take(&mut arena.msg_inboxes[s])
-            } else {
-                Vec::new()
-            },
-        });
-    }
-    lanes
-}
-
-/// The per-lane half of every stage merge: events into the log, delta
-/// accumulated, the outbox (with its contents — the next wave's input)
-/// restored to its arena slot. Returns the lane's inbox for the caller
-/// to recycle (stages that routed one) or drop (stages that didn't —
-/// it is an empty `Vec::new()` there, which must *not* overwrite the
-/// retained inbox slot).
-fn merge_lane_core(
-    event_log: &mut Vec<WorldEvent>,
-    delta: &mut MetricsDelta,
-    arena: &mut RoundArena,
-    s: usize,
-    mut lane: WorkLane<'_>,
-) -> Vec<Msg> {
-    event_log.append(&mut lane.events);
-    put_slot(&mut arena.event_bufs[s], lane.events, arena.recycle);
-    merge_delta(delta, &lane.delta);
-    arena.outboxes[s] = lane.out;
-    lane.inbox
-}
-
-/// Merges lane buffers back into the world in shard order: events into
-/// the log, deltas into the metrics, outboxes (with their contents —
-/// the next wave's input) and cleared inboxes back into the arena.
-fn merge_work_lanes(
-    event_log: &mut Vec<WorldEvent>,
-    metrics: &mut Metrics,
-    arena: &mut RoundArena,
-    mut lanes: Vec<WorkLane<'_>>,
-) {
-    let recycle = arena.recycle;
-    let mut delta = MetricsDelta::default();
-    for (s, lane) in lanes.drain(..).enumerate() {
-        let inbox = merge_lane_core(event_log, &mut delta, arena, s, lane);
-        put_slot(&mut arena.msg_inboxes[s], inbox, recycle);
-    }
-    arena.lane_store = retype_empty(lanes);
-    delta.apply(metrics);
 }
 
 /// Accumulates `src` into `dst` field by field.

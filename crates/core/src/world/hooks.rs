@@ -207,12 +207,20 @@ impl BackupWorld {
     }
 
     /// Enables or disables cross-round arena recycling (on by
-    /// default). Recycling is observationally invisible — this knob
+    /// default). Disabling drops every retained round buffer now and at
+    /// the end of every later round, so each round starts from fresh
+    /// vectors. Recycling is observationally invisible — this knob
     /// exists so tests can run the same seed both ways and assert
     /// bit-identical results, proving no state leaks between rounds
     /// through the recycled buffers.
     pub fn set_arena_recycling(&mut self, on: bool) {
-        self.arena.set_recycle(on);
+        self.arena.recycle = on;
+        for shard in &mut self.shards {
+            shard.pools.set_recycle(on);
+        }
+        if !on {
+            self.end_round();
+        }
     }
 
     /// Number of logical shards the peer table is partitioned into (a
@@ -267,9 +275,9 @@ impl BackupWorld {
         }
     }
 
-    // (Event emission lives on the stage lanes — `ShardLane::emit` /
-    // `WorkLane::emit` — whose buffers merge in shard order; the world
-    // itself only stores the merged log.)
+    // (Event emission lives on the stage lanes — `ShardLane::emit` —
+    // whose per-shard buffers merge in shard order; the world itself
+    // only stores the merged log.)
 
     // ----- read accessors for fabric cross-checks --------------------------
 

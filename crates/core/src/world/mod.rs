@@ -72,9 +72,9 @@ mod tests;
 use std::time::Instant;
 
 use peerback_churn::SessionSampler;
+use peerback_sim::arena::retype_empty;
 use peerback_sim::exec::lap;
-use peerback_sim::{derive_seed, ExecPolicy, HierarchicalWheel, Round, SimRng, World};
-use rand::SeedableRng;
+use peerback_sim::{derive_seed, ExecPolicy, Round, SimRng, World};
 
 use crate::age::AgeCategory;
 use crate::config::SimConfig;
@@ -82,9 +82,8 @@ use crate::metrics::{CategorySample, Metrics, ObserverSeries};
 
 use events::Event;
 use exec::{Item, MetricsDelta, RoundArena};
-use peerback_sim::BufPool;
 use peers::ArchiveIdx;
-use shard::{Proposal, Scratch, ShardLane, ShardLayout};
+use shard::{Proposal, Scratch, Shard, ShardLane, ShardLayout};
 use table::PeerTable;
 
 pub use exec::PlacementWork;
@@ -100,10 +99,6 @@ const AVAILABILITY_CYCLE: f64 = 24.0;
 
 /// Rounds between metric samples of the time series.
 const SAMPLE_INTERVAL: u64 = 24;
-
-/// Sub-seed stream offset for shard RNGs, so shard streams never
-/// collide with other derived streams of the same master seed.
-const SHARD_STREAM_BASE: u64 = 0x5ad_0000;
 
 /// Sub-seed stream for the failure-domain hash of each peer slot.
 const DOMAIN_STREAM: u64 = 0xd0_3a17;
@@ -162,18 +157,12 @@ pub struct BackupWorld {
     /// How the parallel stages are dispatched (worker threads from
     /// `cfg.shards`, the persistent pool the stages run on).
     pub(in crate::world) exec: ExecPolicy,
-    /// Per-shard online peers, for O(1) uniform candidate sampling.
-    pub(in crate::world) online: Vec<Vec<PeerId>>,
+    /// One [`Shard`] per logical shard, in shard order: wheel segment,
+    /// online list, pending queue, RNG stream and round buffers.
+    pub(in crate::world) shards: Vec<Shard>,
     /// Position of each peer in its shard's online list (`OFFLINE` when
     /// offline).
     pub(in crate::world) online_pos: Vec<u32>,
-    /// Per-shard timing-wheel segments (two-level: multi-year events
-    /// stop recirculating).
-    pub(in crate::world) wheels: Vec<HierarchicalWheel<Event>>,
-    /// Per-shard queues of peers waiting for activation.
-    pub(in crate::world) pendings: Vec<Vec<PeerId>>,
-    /// Per-shard RNG streams (forked from the run seed + shard index).
-    pub(in crate::world) rngs: Vec<SimRng>,
     /// Online survival model driving [`SelectionStrategy::LearnedAge`]
     /// (attached only under that strategy; every other strategy carries
     /// `None` and pays nothing). Fed sequentially in shard order, read
@@ -181,9 +170,6 @@ pub struct BackupWorld {
     ///
     /// [`SelectionStrategy::LearnedAge`]: crate::select::SelectionStrategy::LearnedAge
     pub(in crate::world) estimator: Option<Box<peerback_estimate::OnlineSurvivalModel>>,
-    /// Per-shard death-observation buffers, filled by the parallel
-    /// event phase and drained into the model in shard order.
-    pub(in crate::world) obs: Vec<Vec<peerback_estimate::DeathRecord>>,
     /// Recycled state of the adaptive-redundancy stage ([`redundancy`]):
     /// the per-host survival column, the per-shard decision buffers and
     /// the stage's work tally. Allocated on the first scoring pass, so
@@ -191,7 +177,8 @@ pub struct BackupWorld {
     pub(in crate::world) redundancy: redundancy::RedundancyState,
     /// Per-worker pool-building scratch (execution-only state).
     pub(in crate::world) scratch: Vec<Scratch>,
-    /// The recycled per-round buffers (see [`exec::RoundArena`]).
+    /// The round buffers that belong to no one shard (see
+    /// [`exec::RoundArena`]).
     pub(in crate::world) arena: RoundArena,
     /// The per-shard online lists concatenated in shard order, frozen
     /// for the proposal stage (rebuilt into the same buffer on every
@@ -207,6 +194,11 @@ pub struct BackupWorld {
     /// Scratch for the direct (white-box / single-call) pool path.
     #[cfg(test)]
     pub(in crate::world) direct_scratch: Scratch,
+    /// Test builds: the per-shard online lists `online_flat` was
+    /// frozen from, which the reference pool build samples through
+    /// (the shards themselves leave the world for the proposal stage).
+    #[cfg(test)]
+    pub(in crate::world) frozen_online: Vec<Vec<PeerId>>,
     /// Per-domain round at which the current regional outage ends
     /// (`0` = no outage; a domain is down while `outages[d] > round`).
     /// Maintained sequentially by [`advance_failure_domains`] as a pure
@@ -279,21 +271,13 @@ impl BackupWorld {
             peers,
             layout,
             exec,
-            online: (0..layout.count).map(|_| Vec::new()).collect(),
+            shards: (0..layout.count).map(|s| Shard::new(cfg.seed, s)).collect(),
             online_pos: Vec::with_capacity(capacity),
-            wheels: (0..layout.count)
-                .map(|_| shard::new_shard_wheel())
-                .collect(),
-            pendings: (0..layout.count).map(|_| Vec::new()).collect(),
-            rngs: (0..layout.count)
-                .map(|s| SimRng::seed_from_u64(derive_seed(cfg.seed, SHARD_STREAM_BASE + s as u64)))
-                .collect(),
             estimator: (cfg.strategy == crate::select::SelectionStrategy::LearnedAge).then(|| {
                 Box::new(peerback_estimate::OnlineSurvivalModel::new(
                     peerback_estimate::EstimateParams::default(),
                 ))
             }),
-            obs: (0..layout.count).map(|_| Vec::new()).collect(),
             redundancy: redundancy::RedundancyState::default(),
             scratch: Vec::new(),
             arena: RoundArena::new(layout.count),
@@ -302,6 +286,8 @@ impl BackupWorld {
             profile: RoundProfile::default(),
             #[cfg(test)]
             direct_scratch: Scratch::default(),
+            #[cfg(test)]
+            frozen_online: Vec::new(),
             outages: vec![0; cfg.failure_domains.domains as usize],
             partitions: vec![0; cfg.failure_domains.domains as usize],
             outage_starts: Vec::new(),
@@ -361,7 +347,7 @@ impl BackupWorld {
     /// Schedules `event` for `id` on its shard's wheel segment.
     pub(in crate::world) fn schedule_for(&mut self, id: PeerId, due: Round, event: Event) {
         let s = self.layout.shard_of(id);
-        self.wheels[s].schedule(due, event);
+        self.shards[s].wheel.schedule(due, event);
     }
 
     // ----- the staged round ------------------------------------------------
@@ -405,76 +391,52 @@ impl BackupWorld {
         }
     }
 
-    /// Builds one [`ShardLane`] per logical shard over split borrows of
-    /// the world, runs `f` over them, and merges the lanes back in shard
-    /// order: events into the log, outboxes and departed lists into the
-    /// arena, metric and census deltas into the world. Returns what `f`
-    /// returns. The entry to the lane-based handlers for the
-    /// local-events stage and the population ramp.
+    /// Builds one [`ShardLane`] per logical shard — its peer-table
+    /// columns, its online positions and the [`Shard`] itself — runs `f`
+    /// over them, and merges the lanes back in shard order: events into
+    /// the log, metric and census deltas into the world. Returns what
+    /// `f` returns. Every stage that mutates shard state runs here: the
+    /// population ramp, local events, the message stages and the owner
+    /// stage.
     pub(in crate::world) fn with_shard_lanes<R>(
         &mut self,
         f: impl FnOnce(&mut [ShardLane<'_>], &SimConfig, &[SessionSampler]) -> R,
     ) -> R {
-        let layout = self.layout;
-        let sz = layout.shard_size;
-        let recycle = self.arena.recycle;
-        let events_on = self.record_events;
-        let estimates_on = self.estimator.is_some();
-        let outages: &[u64] = &self.outages;
-        let outage_starts: &[u16] = &self.outage_starts;
-        let arena = &mut self.arena;
-        let mut lanes: Vec<ShardLane> =
-            peerback_sim::arena::retype_empty(core::mem::take(&mut arena.shard_lane_store));
-        {
-            let mut split = self.peers.splitter();
-            let mut pos_rest: &mut [u32] = &mut self.online_pos;
-            let mut wheels = self.wheels.iter_mut();
-            let mut online = self.online.iter_mut();
-            let mut pendings = self.pendings.iter_mut();
-            let mut rngs = self.rngs.iter_mut();
-            let mut obs = self.obs.iter_mut();
-            for s in 0..layout.count {
-                let view = split.take(sz);
-                let take = view.slots();
-                let (pos_chunk, rest) = pos_rest.split_at_mut(take);
-                pos_rest = rest;
-                lanes.push(ShardLane {
-                    peers: view,
-                    pos: pos_chunk,
-                    online: online.next().expect("online per shard"),
-                    wheel: wheels.next().expect("wheel per shard"),
-                    pending: pendings.next().expect("pending per shard"),
-                    rng: rngs.next().expect("rng per shard"),
-                    events_on,
-                    estimates_on,
-                    outages,
-                    outage_starts,
-                    events: peerback_sim::arena::take_slot(&mut arena.event_bufs[s], recycle),
-                    obs: obs.next().expect("obs per shard"),
-                    out: core::mem::take(&mut arena.outboxes[s]),
-                    departed: peerback_sim::arena::take_slot(&mut arena.departed[s], recycle),
-                    delta: MetricsDelta::default(),
-                    census_delta: [0; AgeCategory::COUNT],
-                });
-            }
+        let sz = self.layout.shard_size;
+        let mut lanes: Vec<ShardLane> = retype_empty(core::mem::take(&mut self.arena.lane_store));
+        let mut split = self.peers.splitter();
+        let mut pos_rest: &mut [u32] = &mut self.online_pos;
+        for shard in &mut self.shards {
+            debug_assert!(shard.out.is_empty(), "outbox not routed before stage");
+            let peers = split.take(sz);
+            let (pos, rest) = pos_rest.split_at_mut(peers.slots());
+            pos_rest = rest;
+            lanes.push(ShardLane {
+                peers,
+                pos,
+                shard,
+                events_on: self.record_events,
+                estimates_on: self.estimator.is_some(),
+                outages: &self.outages,
+                outage_starts: &self.outage_starts,
+                delta: MetricsDelta::default(),
+                census_delta: [0; AgeCategory::COUNT],
+            });
         }
 
         let out = f(&mut lanes, &self.cfg, &self.samplers);
 
-        // Merge the per-shard buffers in shard order (deterministic).
+        // Merge in shard order (deterministic).
         let mut delta = MetricsDelta::default();
         let mut census_delta = [0i64; AgeCategory::COUNT];
-        for (s, mut lane) in lanes.drain(..).enumerate() {
-            self.event_log.append(&mut lane.events);
-            peerback_sim::arena::put_slot(&mut arena.event_bufs[s], lane.events, recycle);
-            arena.outboxes[s] = lane.out;
-            arena.departed[s] = lane.departed;
+        for lane in lanes.drain(..) {
+            self.event_log.append(&mut lane.shard.events);
             exec::merge_delta(&mut delta, &lane.delta);
             for (c, &d) in lane.census_delta.iter().enumerate() {
                 census_delta[c] += d;
             }
         }
-        self.arena.shard_lane_store = peerback_sim::arena::retype_empty(lanes);
+        self.arena.lane_store = retype_empty(lanes);
         delta.apply(&mut self.metrics);
         for (c, &d) in census_delta.iter().enumerate() {
             self.census[c] = (self.census[c] as i64 + d) as u64;
@@ -483,8 +445,8 @@ impl BackupWorld {
     }
 
     /// Stage 1: shard-local events plus teardown hop 1, one stealable
-    /// task per shard. Cross-shard messages land in the arena outboxes;
-    /// departed peers in the arena departed lists.
+    /// task per shard. Cross-shard messages land in the shards'
+    /// outboxes; departed peers in their departed lists.
     fn run_local_events(&mut self, round: u64) {
         let policy = self.exec.full_width(self.layout.count);
         let workers = policy.workers();
@@ -508,8 +470,8 @@ impl BackupWorld {
         // shard order — the sequential merge that keeps the model (and
         // everything ranked through it) independent of worker count.
         if let Some(model) = &mut self.estimator {
-            for shard_obs in &mut self.obs {
-                for rec in shard_obs.drain(..) {
+            for shard in &mut self.shards {
+                for rec in shard.obs.drain(..) {
                     model.observe_death(rec);
                 }
             }
@@ -545,110 +507,69 @@ impl BackupWorld {
     /// teardown has been delivered — the hooks.rs observer contract)
     /// and clears the departed lists either way.
     fn flush_departed(&mut self) {
-        for s in 0..self.layout.count {
-            if self.record_events && !self.arena.departed[s].is_empty() {
-                let mut departed = core::mem::take(&mut self.arena.departed[s]);
-                for id in departed.drain(..) {
+        for shard in &mut self.shards {
+            if self.record_events {
+                for id in shard.departed.drain(..) {
                     self.event_log.push(WorldEvent::PeerDeparted { peer: id });
                 }
-                self.arena.departed[s] = departed;
             } else {
-                self.arena.departed[s].clear();
+                shard.departed.clear();
             }
         }
     }
 
-    /// Phase 4a: drains the per-shard pending queues into sorted actor
-    /// lists (arena-recycled; the buffers ping-pong between the pending
-    /// queues and the actor slots, so the steady state allocates
+    /// Phase 4a: drains each shard's pending queue into its sorted actor
+    /// list (the two buffers swap, so the steady state allocates
     /// nothing). Sorting per shard yields global peer-id order because
     /// shard ranges are contiguous and visited in order.
     fn drain_actors(&mut self) {
-        let recycle = self.arena.recycle;
-        for s in 0..self.layout.count {
-            let mut actors = peerback_sim::arena::take_slot(&mut self.arena.actors[s], recycle);
-            debug_assert!(actors.is_empty());
-            core::mem::swap(&mut actors, &mut self.pendings[s]);
-            for &id in &actors {
+        for shard in &mut self.shards {
+            debug_assert!(shard.actors.is_empty());
+            core::mem::swap(&mut shard.actors, &mut shard.pending);
+            for &id in &shard.actors {
                 self.peers.set_queued(id, false);
             }
             // Offline owners activate nothing; reconnection re-enqueues
             // them (stale entries for recycled slots simply act for the
             // replacement peer, as the engine-driven path always did).
             let peers = &self.peers;
-            actors.retain(|&id| peers.online(id));
-            actors.sort_unstable();
-            self.arena.actors[s] = actors;
+            shard.actors.retain(|&id| peers.online(id));
+            shard.actors.sort_unstable();
         }
     }
 
     /// Phase 4b: builds candidate-pool proposals against the frozen
-    /// end-of-event-phase state, one stealable task per shard, into the
-    /// arena's per-shard proposal lists, and stages each shard's wave-A
-    /// claims (`arena.claims`) in the same task.
+    /// end-of-event-phase state, one stealable task per shard, into each
+    /// shard's proposal list, and stages the shard's wave-A claims in
+    /// the same task. The shards are moved out of the world for the
+    /// stage, so their tasks mutate them while reading the world shared.
     fn build_proposals(&mut self, round: u64) {
-        if self.arena.actors.iter().all(Vec::is_empty) {
+        if self.shards.iter().all(|s| s.actors.is_empty()) {
             return; // a quiet round: nothing to freeze, stage or dispatch
         }
-        let count = self.layout.count;
-        let workers = self.exec.workers().min(count).max(1);
+        let workers = self.exec.workers().min(self.layout.count).max(1);
         if self.scratch.len() < workers {
             self.scratch.resize_with(workers, Scratch::default);
         }
-        let mut rngs = core::mem::take(&mut self.rngs);
-        let mut scratch = core::mem::take(&mut self.scratch);
         // The online lists are frozen for the whole stage: one
         // concatenation pass into the world's persistent buffer.
         self.freeze_online_flat();
-        let actors = core::mem::take(&mut self.arena.actors);
-        let mut tasks: Vec<exec::ProposeTask<'_>> =
-            peerback_sim::arena::retype_empty(core::mem::take(&mut self.arena.propose_task_store));
-        for (s, (rng, ids)) in rngs.iter_mut().zip(&actors).enumerate() {
-            tasks.push(exec::ProposeTask {
-                rng,
-                actors: ids,
-                proposals: core::mem::take(&mut self.arena.proposals[s]),
-                pools: core::mem::take(&mut self.arena.cand_pools[s]),
-                claims: core::mem::take(&mut self.arena.claims[s]),
-            });
-        }
+        let mut shards = core::mem::take(&mut self.shards);
+        let mut scratch = core::mem::take(&mut self.scratch);
         let work = {
             let world: &BackupWorld = self;
-            let busy = actors.iter().filter(|a| !a.is_empty()).count();
-            let items = actors.iter().map(Vec::len).sum();
+            let busy = shards.iter().filter(|s| !s.actors.is_empty()).count();
+            let items = shards.iter().map(|s| s.actors.len()).sum();
             let policy = world.exec.narrowed(Item::Actor.ns(), busy, items);
             policy.dispatch_with(
                 round * 16 + 8,
                 &mut scratch[..workers],
-                &mut tasks,
-                |scr, _, task| {
-                    propose_shard(
-                        world,
-                        task.actors,
-                        task.rng,
-                        scr,
-                        &mut task.pools,
-                        &mut task.proposals,
-                        round,
-                    );
-                    task.claims
-                        .stage(&world.layout, &task.proposals, exec::wave_a_ranks);
-                },
+                &mut shards,
+                |scr, _, shard| propose_shard(world, shard, scr, round),
             )
         };
         self.profile.proposals_work += work;
-        for (s, task) in tasks.drain(..).enumerate() {
-            self.arena.proposals[s] = task.proposals;
-            self.arena.cand_pools[s] = task.pools;
-            self.arena.claims[s] = task.claims;
-        }
-        self.arena.propose_task_store = peerback_sim::arena::retype_empty(tasks);
-        let mut actors = actors;
-        for a in &mut actors {
-            a.clear();
-        }
-        self.arena.actors = actors;
-        self.rngs = rngs;
+        self.shards = shards;
         for scr in &mut scratch {
             self.placement.absorb(core::mem::take(&mut scr.work));
         }
@@ -656,24 +577,25 @@ impl BackupWorld {
     }
 }
 
-/// Builds the proposals of one shard: pending owners in slot order,
+/// Builds the proposals of one shard — its actors in slot order,
 /// archives in index order, pools drawn from the shard's RNG stream
-/// into the shard's recycled pool buffers.
-fn propose_shard(
-    world: &BackupWorld,
-    actors: &[PeerId],
-    rng: &mut SimRng,
-    scratch: &mut Scratch,
-    pools: &mut BufPool<PeerId>,
-    out: &mut Vec<Proposal>,
-    round: u64,
-) {
-    for &id in actors {
+/// into its recycled pool buffers — then stages their wave-A claims and
+/// clears the actor list.
+fn propose_shard(world: &BackupWorld, shard: &mut Shard, scratch: &mut Scratch, round: u64) {
+    for &id in &shard.actors {
         for aidx in 0..world.peers.archives_per_peer() {
             let aidx = aidx as ArchiveIdx;
             if let Some((kind, d)) = world.plan_archive(id, aidx) {
-                let pool = world.build_pool(scratch, pools, rng, id, aidx, d, round);
-                out.push(Proposal {
+                let pool = world.build_pool(
+                    scratch,
+                    &mut shard.pools,
+                    &mut shard.rng,
+                    id,
+                    aidx,
+                    d,
+                    round,
+                );
+                shard.proposals.push(Proposal {
                     owner: id,
                     aidx,
                     kind,
@@ -685,6 +607,10 @@ fn propose_shard(
             }
         }
     }
+    shard
+        .claims
+        .stage(&world.layout, &shard.proposals, exec::wave_a_ranks);
+    shard.actors.clear();
 }
 
 impl World for BackupWorld {
@@ -713,7 +639,7 @@ impl World for BackupWorld {
         self.build_proposals(r);
         self.profile.proposals += lap(&mut clock);
         self.commit_proposals(r);
-        self.arena.end_round();
+        self.end_round();
         self.profile.commit += lap(&mut clock);
         self.profile.rounds += 1;
         #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   owner's shard RNG), so it can run in parallel across shards.
 //! * The two-phase commit grants ranks of that pool against host quota;
 //!   each grant records the hosted entry on the host's side, and
-//!   [`WorkLane::attach_partners`](super::exec::WorkLane::attach_partners)
+//!   [`ShardLane::attach_partners`](super::shard::ShardLane::attach_partners)
 //!   then appends the granted hosts, in rank order, to the owner's
 //!   partner list.
 //!
@@ -142,8 +142,12 @@ impl BackupWorld {
     /// worker reads it shared. Round scratch, 4 bytes per online peer.
     pub(in crate::world) fn freeze_online_flat(&mut self) {
         self.online_flat.clear();
-        for list in &self.online {
-            self.online_flat.extend_from_slice(list);
+        for shard in &self.shards {
+            self.online_flat.extend_from_slice(&shard.online);
+        }
+        #[cfg(test)]
+        {
+            self.frozen_online = self.shards.iter().map(|s| s.online.clone()).collect();
         }
     }
 
@@ -312,7 +316,7 @@ impl BackupWorld {
     }
 }
 
-impl super::exec::WorkLane<'_> {
+impl super::shard::ShardLane<'_> {
     /// Host-side bookkeeping of a released block: forget the hosted
     /// entry and refund quota. Skips silently when the host's own
     /// teardown already cleared its ledger this round — the owner-side

@@ -127,7 +127,7 @@ impl BackupWorld {
     /// Coarse structural snapshot for diagnostics and tests.
     pub fn snapshot(&self) -> WorldSnapshot {
         let mut snap = WorldSnapshot {
-            online_count: self.online.iter().map(Vec::len).sum(),
+            online_count: self.shards.iter().map(|s| s.online.len()).sum(),
             ..WorldSnapshot::default()
         };
         let apap = self.peers.archives_per_peer();
@@ -267,15 +267,21 @@ impl BackupWorld {
     /// list (delegates to the table's `update_online`).
     pub(in crate::world) fn set_online(&mut self, id: PeerId, online: bool) {
         let shard = self.layout.shard_of(id);
-        self.peers
-            .update_online(id, &mut self.online[shard], &mut self.online_pos, 0, online);
+        self.peers.update_online(
+            id,
+            &mut self.shards[shard].online,
+            &mut self.online_pos,
+            0,
+            online,
+        );
     }
 
     /// Queues the peer for activation (delegates to the table's
     /// `enqueue_pending`).
     pub(in crate::world) fn enqueue(&mut self, id: PeerId) {
         let shard = self.layout.shard_of(id);
-        self.peers.enqueue_pending(id, &mut self.pendings[shard]);
+        self.peers
+            .enqueue_pending(id, &mut self.shards[shard].pending);
     }
 }
 
@@ -309,15 +315,19 @@ impl ShardLane<'_> {
         cfg: &SimConfig,
         samplers: &[SessionSampler],
     ) {
-        let profile_id = assign_profile(cfg, round, self.rng);
-        let lifetime = cfg.profiles.profile(profile_id).lifetime.sample(self.rng);
+        let profile_id = assign_profile(cfg, round, &mut self.shard.rng);
+        let lifetime = cfg
+            .profiles
+            .profile(profile_id)
+            .lifetime
+            .sample(&mut self.shard.rng);
         let sampler = samplers[profile_id];
-        let online = sampler.initial_online(self.rng);
+        let online = sampler.initial_online(&mut self.shard.rng);
         // Gated on the fraction so the axis being off leaves every
         // existing seed's draw sequence untouched.
         let misreports = cfg.misreport_fraction > 0.0 && {
             use rand::Rng;
-            self.rng.gen_bool(cfg.misreport_fraction)
+            self.shard.rng.gen_bool(cfg.misreport_fraction)
         };
 
         self.peers.set_profile(id, profile_id as u8);
@@ -359,11 +369,12 @@ impl ShardLane<'_> {
         self.census_delta[AgeCategory::Newcomer.index()] += 1;
 
         if death != u64::MAX {
-            self.wheel
+            self.shard
+                .wheel
                 .schedule(Round(death), Event::Death { peer: id, epoch });
         }
         // First category boundary.
-        self.wheel.schedule(
+        self.shard.wheel.schedule(
             Round(round + AgeCategory::BOUNDARIES[0]),
             Event::CatAdvance { peer: id, epoch },
         );
@@ -374,7 +385,7 @@ impl ShardLane<'_> {
         if sampler.always_offline() {
             // Stays offline forever; it can never act.
         } else if let Some(end) = outage {
-            self.wheel.schedule(
+            self.shard.wheel.schedule(
                 Round(end),
                 Event::Toggle {
                     peer: id,
@@ -383,7 +394,7 @@ impl ShardLane<'_> {
                 },
             );
             if cfg.offline_timeout > 0 {
-                self.wheel.schedule(
+                self.shard.wheel.schedule(
                     Round(round + cfg.offline_timeout),
                     Event::OfflineTimeout {
                         peer: id,
@@ -396,8 +407,8 @@ impl ShardLane<'_> {
             self.set_online(id, true);
         } else if online {
             self.set_online(id, true);
-            let dur = sampler.online_duration(self.rng);
-            self.wheel.schedule(
+            let dur = sampler.online_duration(&mut self.shard.rng);
+            self.shard.wheel.schedule(
                 Round(round + dur),
                 Event::Toggle {
                     peer: id,
@@ -406,8 +417,8 @@ impl ShardLane<'_> {
                 },
             );
         } else {
-            let dur = sampler.offline_duration(self.rng);
-            self.wheel.schedule(
+            let dur = sampler.offline_duration(&mut self.shard.rng);
+            self.shard.wheel.schedule(
                 Round(round + dur),
                 Event::Toggle {
                     peer: id,
@@ -419,7 +430,7 @@ impl ShardLane<'_> {
             // offline run; arm its write-off timer too (no-op before
             // it hosts anything, but keeps the mechanism uniform).
             if cfg.offline_timeout > 0 {
-                self.wheel.schedule(
+                self.shard.wheel.schedule(
                     Round(round + cfg.offline_timeout),
                     Event::OfflineTimeout {
                         peer: id,
@@ -430,7 +441,7 @@ impl ShardLane<'_> {
             }
         }
         if let crate::config::MaintenancePolicy::Proactive { tick_rounds } = cfg.maintenance {
-            self.wheel.schedule(
+            self.shard.wheel.schedule(
                 Round(round + tick_rounds),
                 Event::ProactiveTick { peer: id, epoch },
             );

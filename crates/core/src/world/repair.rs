@@ -9,7 +9,7 @@
 //! itself, continuing — without paying the decode again — on its next
 //! online activation.
 //!
-//! Every function here runs on a [`WorkLane`] during the owner-side
+//! Every function here runs on a [`ShardLane`] during the owner-side
 //! half of the parallel commit: it may mutate the **owner's** state,
 //! buffer events and metric deltas, and address host-side bookkeeping
 //! as [`Msg`]s — never touch another shard directly. The hosts it is
@@ -21,12 +21,12 @@
 
 use crate::config::{MaintenancePolicy, SimConfig};
 
-use super::exec::{Msg, WorkLane};
+use super::exec::Msg;
 use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
-use super::shard::{ActionKind, Proposal};
+use super::shard::{ActionKind, Proposal, ShardLane};
 
-impl WorkLane<'_> {
+impl ShardLane<'_> {
     /// Applies one committed proposal with the `hosts` the two-phase
     /// grant exchange awarded it (rank order, at most `d`).
     pub(in crate::world) fn commit_step(
@@ -81,7 +81,7 @@ impl WorkLane<'_> {
                 archive: aidx,
                 host,
             });
-            self.out.push(Msg::Release {
+            self.shard.out.push(Msg::Release {
                 host,
                 owner,
                 aidx,
@@ -226,7 +226,7 @@ impl WorkLane<'_> {
                 archive: aidx,
                 host: stale,
             });
-            self.out.push(Msg::Release {
+            self.shard.out.push(Msg::Release {
                 host: stale,
                 owner: id,
                 aidx,
@@ -340,20 +340,21 @@ impl super::BackupWorld {
             wave_a_denied: Default::default(),
         };
         let shard = self.layout.shard_of(id);
-        self.arena.proposals[shard].push(prop);
+        self.shards[shard].proposals.push(prop);
         self.commit_pushed_proposals(round);
     }
 
-    /// Commits the proposals pushed straight into `arena.proposals`:
-    /// stages their wave-A claims (the proposal stage's job on the
-    /// round path), runs the two-phase commit and ends the round.
+    /// Commits the proposals pushed straight into the shards'
+    /// `proposals`: stages their wave-A claims (the proposal stage's job
+    /// on the round path), runs the two-phase commit and ends the round.
     pub(in crate::world) fn commit_pushed_proposals(&mut self, round: u64) {
         let layout = self.layout;
-        let arena = &mut self.arena;
-        for (claims, props) in arena.claims.iter_mut().zip(&arena.proposals) {
-            claims.stage(&layout, props, super::exec::wave_a_ranks);
+        for shard in &mut self.shards {
+            shard
+                .claims
+                .stage(&layout, &shard.proposals, super::exec::wave_a_ranks);
         }
         self.commit_proposals(round);
-        self.arena.end_round();
+        self.end_round();
     }
 }

@@ -14,9 +14,10 @@
 //!   `SimConfig::shard_slots` defaulting to 64). `shard_slots` is a
 //!   **semantic** knob — it changes the partition and the per-shard RNG
 //!   streams — unlike `shards`, which only picks the worker count.
-//! * Each logical shard owns its own timing-wheel segment, online
-//!   index, pending-activation queue, and an RNG stream forked from the
-//!   run seed + the shard's index ([`peerback_sim::derive_seed`]).
+//! * Each logical shard is one [`Shard`]: its own timing-wheel segment,
+//!   online index, pending-activation queue, an RNG stream forked from
+//!   the run seed + the shard's index ([`peerback_sim::derive_seed`]),
+//!   and the round buffers its stages fill and drain.
 //! * Within a round, each phase visits shards in index order and peers
 //!   in slot order, so every shard stream sees a fixed draw sequence no
 //!   matter how many threads raced through the parallel phases.
@@ -55,9 +56,9 @@
 //!    host shards sort and apply the releases of the partners those
 //!    steps displaced.
 //!
-//! [`WorldEvent`]s are buffered per lane in every stage and merged into
-//! the world's log in shard order, so the stream is independent of how
-//! the tasks were scheduled.
+//! [`WorldEvent`]s are buffered per shard in every stage and merged
+//! into the world's log in shard order, so the stream is independent of
+//! how the tasks were scheduled.
 //!
 //! [`Metrics`]: crate::metrics::Metrics
 //! [`WorldEvent`]: super::hooks::WorldEvent
@@ -66,14 +67,15 @@ use std::sync::atomic::AtomicU32;
 
 use peerback_churn::SessionSampler;
 use peerback_estimate::DeathRecord;
-use peerback_sim::{HierarchicalWheel, Round, SimRng};
+use peerback_sim::{derive_seed, BufPool, HierarchicalWheel, Round, SimRng};
+use rand::SeedableRng;
 
 use crate::age::AgeCategory;
 use crate::config::SimConfig;
 use crate::select::{Candidate, KeyedSample};
 
 use super::events::Event;
-use super::exec::{MetricsDelta, Msg};
+use super::exec::{ClaimGroups, MetricsDelta, Msg};
 use super::hooks::WorldEvent;
 use super::peers::{ArchiveIdx, PeerId};
 use super::table::PeerView;
@@ -82,6 +84,10 @@ use super::table::PeerView;
 /// threads). A million-peer table at the default 64 slots per shard
 /// saturates this, feeding hundreds of workers.
 pub(in crate::world) const MAX_SHARDS: usize = 512;
+
+/// Sub-seed stream offset for shard RNGs, so shard streams never
+/// collide with other derived streams of the same master seed.
+const SHARD_STREAM_BASE: u64 = 0x5ad_0000;
 
 /// Inner (one bucket per round) level of the per-shard hierarchical
 /// timing wheel.
@@ -239,45 +245,127 @@ pub(in crate::world) fn event_sort_key(event: &Event) -> (PeerId, u8, u32) {
     (peer, kind_rank(event), seq)
 }
 
-/// Everything one logical shard owns mutably during the parallel local
-/// phases, plus the task-local buffers merged back in shard order.
+/// One logical shard's own state: its wheel segment, online list,
+/// pending queue, RNG stream and death observations, plus the round
+/// buffers its stages fill and drain. The world holds one per logical
+/// shard, in shard order; during a stage only the task that claimed a
+/// shard mutates it. The round buffers are empty between rounds
+/// (`check_invariants`) and keep their capacity for the next round
+/// unless recycling is off ([`Shard::drop_round_buffers`]).
+pub(in crate::world) struct Shard {
+    /// This shard's timing-wheel segment (two-level: multi-year events
+    /// stop recirculating).
+    pub(in crate::world) wheel: HierarchicalWheel<Event>,
+    /// Online peers of this shard (order is part of the semantics: pool
+    /// sampling indexes into it).
+    pub(in crate::world) online: Vec<PeerId>,
+    /// Peers of this shard awaiting activation.
+    pub(in crate::world) pending: Vec<PeerId>,
+    /// This shard's RNG stream (forked from the run seed + the shard's
+    /// index).
+    pub(in crate::world) rng: SimRng,
+    /// Completed-lifetime observations from this shard's deaths, drained
+    /// into the global survival model in shard order after the
+    /// local-events stage.
+    pub(in crate::world) obs: Vec<DeathRecord>,
+    /// Events emitted by this shard's handlers, appended to the world's
+    /// log in shard order after every stage.
+    pub(in crate::world) events: Vec<WorldEvent>,
+    /// Cross-shard effects for the next message stage.
+    pub(in crate::world) out: Vec<Msg>,
+    /// Messages routed to this shard, in routing order; the stage sorts
+    /// them by `Msg::sort_key` before applying.
+    pub(in crate::world) inbox: Vec<Msg>,
+    /// Peers that departed this round (slot recycled in place).
+    pub(in crate::world) departed: Vec<PeerId>,
+    /// This round's acting owners: the drained pending queue, online
+    /// only, sorted.
+    pub(in crate::world) actors: Vec<PeerId>,
+    /// Proposals of this shard's actors, built in the proposal stage and
+    /// consumed by the owner stage.
+    pub(in crate::world) proposals: Vec<Proposal>,
+    /// The current wave's claims of those proposals, grouped by host
+    /// shard.
+    pub(in crate::world) claims: ClaimGroups,
+    /// The owner stage's verdict cursors: one per host shard and wave.
+    pub(in crate::world) cursors: Vec<u32>,
+    /// The owner stage's granted-hosts scratch.
+    pub(in crate::world) hosts: Vec<PeerId>,
+    /// Candidate-pool free list: pools cycle propose → commit → here.
+    pub(in crate::world) pools: BufPool<PeerId>,
+    /// Test builds: each proposal's granted hosts per the straight-line
+    /// reference exchange, which the owner stage checks against.
+    #[cfg(test)]
+    pub(in crate::world) expected_hosts: Vec<Vec<PeerId>>,
+}
+
+impl Shard {
+    /// Logical shard `index` of a run seeded with `seed`.
+    pub(in crate::world) fn new(seed: u64, index: usize) -> Self {
+        Shard {
+            wheel: HierarchicalWheel::new(SHARD_WHEEL_INNER, SHARD_WHEEL_OUTER),
+            online: Vec::new(),
+            pending: Vec::new(),
+            rng: SimRng::seed_from_u64(derive_seed(seed, SHARD_STREAM_BASE + index as u64)),
+            obs: Vec::new(),
+            events: Vec::new(),
+            out: Vec::new(),
+            inbox: Vec::new(),
+            departed: Vec::new(),
+            actors: Vec::new(),
+            proposals: Vec::new(),
+            claims: ClaimGroups::default(),
+            cursors: Vec::new(),
+            hosts: Vec::new(),
+            pools: BufPool::new(),
+            #[cfg(test)]
+            expected_hosts: Vec::new(),
+        }
+    }
+
+    /// Drops the capacity of every round buffer, so the next round
+    /// starts from fresh vectors: what every round ends with while
+    /// recycling is off.
+    pub(in crate::world) fn drop_round_buffers(&mut self) {
+        self.obs = Vec::new();
+        self.events = Vec::new();
+        self.out = Vec::new();
+        self.inbox = Vec::new();
+        self.departed = Vec::new();
+        self.actors = Vec::new();
+        self.proposals = Vec::new();
+        self.claims = ClaimGroups::default();
+        self.cursors = Vec::new();
+        self.hosts = Vec::new();
+    }
+}
+
+/// One shard's view for a stage that mutates it: the shard's columns of
+/// the peer table, its chunk of the online-position table and the
+/// [`Shard`] itself, plus what the stage reads shared and the counters
+/// it merges back in shard order. Every mutating stage — ramp, local
+/// events, deliver, the owner stage and apply — runs on these lanes
+/// (`BackupWorld::with_shard_lanes`).
 pub(in crate::world) struct ShardLane<'a> {
     /// This shard's window into the peer-table columns (may cover zero
     /// slots during the growth ramp). Carries the shard's base id.
     pub(in crate::world) peers: PeerView<'a>,
     /// This shard's slice of the global online-position table.
     pub(in crate::world) pos: &'a mut [u32],
-    /// Online peers of this shard (order is part of the semantics: pool
-    /// sampling indexes into it).
-    pub(in crate::world) online: &'a mut Vec<PeerId>,
-    /// This shard's timing-wheel segment.
-    pub(in crate::world) wheel: &'a mut HierarchicalWheel<Event>,
-    /// Peers of this shard awaiting activation.
-    pub(in crate::world) pending: &'a mut Vec<PeerId>,
-    /// This shard's RNG stream.
-    pub(in crate::world) rng: &'a mut SimRng,
+    /// The shard's own state.
+    pub(in crate::world) shard: &'a mut Shard,
     /// Whether the world records events.
     pub(in crate::world) events_on: bool,
     /// Whether a survival estimator is attached (strategy `LearnedAge`);
     /// gates the death-observation pushes so every other strategy pays
     /// nothing.
     pub(in crate::world) estimates_on: bool,
-    /// Events emitted by this shard's handlers (merged in shard order).
-    pub(in crate::world) events: Vec<WorldEvent>,
-    /// Completed-lifetime observations from this shard's deaths, drained
-    /// into the global survival model in shard order after the phase.
-    pub(in crate::world) obs: &'a mut Vec<DeathRecord>,
     /// Per-domain outage end rounds (empty when failure domains are
     /// off; `end > round` means the domain is down this round).
     pub(in crate::world) outages: &'a [u64],
     /// Domains whose outage starts this round (their online peers are
     /// forced offline before the wheel fires).
     pub(in crate::world) outage_starts: &'a [u16],
-    /// Cross-shard effects of this shard's deaths/timeouts, delivered
-    /// in the next stage.
-    pub(in crate::world) out: Vec<Msg>,
-    /// Peers that departed this round (slot recycled in place).
-    pub(in crate::world) departed: Vec<PeerId>,
     /// Metric counters bumped by this shard's handlers.
     pub(in crate::world) delta: MetricsDelta,
     /// Census movement between age categories.
@@ -289,18 +377,40 @@ impl ShardLane<'_> {
     pub(in crate::world) fn set_online(&mut self, id: PeerId, online: bool) {
         let base = self.peers.base;
         self.peers
-            .update_online(id, self.online, self.pos, base, online);
+            .update_online(id, &mut self.shard.online, self.pos, base, online);
     }
 
     /// Shard-local entry to the shared pending-queue invariant.
     pub(in crate::world) fn enqueue(&mut self, id: PeerId) {
-        self.peers.enqueue_pending(id, self.pending);
+        self.peers.enqueue_pending(id, &mut self.shard.pending);
     }
 
     #[inline]
     pub(in crate::world) fn emit(&mut self, event: WorldEvent) {
         if self.events_on {
-            self.events.push(event);
+            self.shard.events.push(event);
+        }
+    }
+
+    /// Emits one `BlocksPlaced` for the partners attached beyond index
+    /// `before`.
+    pub(in crate::world) fn emit_placements(
+        &mut self,
+        owner: PeerId,
+        aidx: ArchiveIdx,
+        before: usize,
+    ) {
+        if !self.events_on {
+            return;
+        }
+        let partners = self.peers.partners(owner, aidx as usize);
+        if partners.len() > before {
+            let hosts = partners[before..].to_vec();
+            self.shard.events.push(WorldEvent::BlocksPlaced {
+                owner,
+                archive: aidx,
+                hosts,
+            });
         }
     }
 
@@ -323,7 +433,7 @@ impl ShardLane<'_> {
             self.force_domain_outages(round, cfg);
         }
         buf.clear();
-        self.wheel.advance(Round(round), |e| buf.push(e));
+        self.shard.wheel.advance(Round(round), |e| buf.push(e));
         buf.sort_unstable_by_key(event_sort_key);
         for event in buf.drain(..) {
             match event {
@@ -400,7 +510,7 @@ impl ShardLane<'_> {
             self.set_online(id, false);
             let (epoch, seq) = (self.peers.epoch(id), self.peers.session_seq(id));
             let end = self.outages[dom as usize];
-            self.wheel.schedule(
+            self.shard.wheel.schedule(
                 Round(end),
                 Event::Toggle {
                     peer: id,
@@ -409,7 +519,7 @@ impl ShardLane<'_> {
                 },
             );
             if cfg.offline_timeout > 0 {
-                self.wheel.schedule(
+                self.shard.wheel.schedule(
                     Round(round + cfg.offline_timeout),
                     Event::OfflineTimeout {
                         peer: id,
@@ -439,7 +549,7 @@ impl ShardLane<'_> {
                 // pure function of the seed, so this stays identical at
                 // every worker count.
                 let (epoch, seq) = (self.peers.epoch(id), self.peers.session_seq(id));
-                self.wheel.schedule(
+                self.shard.wheel.schedule(
                     Round(end),
                     Event::Toggle {
                         peer: id,
@@ -468,11 +578,11 @@ impl ShardLane<'_> {
         let sampler = samplers[self.peers.profile(id) as usize];
         if !(going_online && sampler.always_online()) {
             let dur = if going_online {
-                sampler.online_duration(self.rng)
+                sampler.online_duration(&mut self.shard.rng)
             } else {
-                sampler.offline_duration(self.rng)
+                sampler.offline_duration(&mut self.shard.rng)
             };
-            self.wheel.schedule(
+            self.shard.wheel.schedule(
                 Round(round + dur),
                 Event::Toggle {
                     peer: id,
@@ -502,7 +612,7 @@ impl ShardLane<'_> {
         } else if cfg.offline_timeout > 0 {
             // Arm the write-off timer for this offline run.
             let seq = self.peers.session_seq(id);
-            self.wheel.schedule(
+            self.shard.wheel.schedule(
                 Round(round + cfg.offline_timeout),
                 Event::OfflineTimeout {
                     peer: id,
@@ -524,7 +634,7 @@ impl ShardLane<'_> {
         self.census_delta[prev_cat.index()] -= 1;
         self.census_delta[new_cat.index()] += 1;
         if let Some((_, next_age)) = new_cat.next_boundary() {
-            self.wheel.schedule(
+            self.shard.wheel.schedule(
                 Round(birth + next_age),
                 Event::CatAdvance { peer: id, epoch },
             );
@@ -535,7 +645,7 @@ impl ShardLane<'_> {
     fn process_proactive_tick(&mut self, id: PeerId, round: u64, cfg: &SimConfig) {
         if let crate::config::MaintenancePolicy::Proactive { tick_rounds } = cfg.maintenance {
             let epoch = self.peers.epoch(id);
-            self.wheel.schedule(
+            self.shard.wheel.schedule(
                 Round(round + tick_rounds),
                 Event::ProactiveTick { peer: id, epoch },
             );
@@ -544,11 +654,6 @@ impl ShardLane<'_> {
             }
         }
     }
-}
-
-/// Builds a fresh per-shard timing wheel.
-pub(in crate::world) fn new_shard_wheel() -> HierarchicalWheel<Event> {
-    HierarchicalWheel::new(SHARD_WHEEL_INNER, SHARD_WHEEL_OUTER)
 }
 
 #[cfg(test)]

@@ -151,6 +151,8 @@ impl BackupWorld {
     ///   offline);
     /// * a peer is `queued` exactly when it sits, once, in its shard's
     ///   pending queue;
+    /// * every shard's round buffers — outbox, inbox, proposals, actors,
+    ///   departed list, event buffer — are empty between rounds;
     /// * the ledgers ([`BackupWorld::check_ledgers`]).
     ///
     /// Wheel entries are not checked against live epochs: stale entries
@@ -159,8 +161,18 @@ impl BackupWorld {
         let peers = &self.peers;
         let n = self.n_blocks();
         let mut pending = vec![false; peers.len()];
-        for (s, queue) in self.pendings.iter().enumerate() {
-            for &id in queue {
+        for (s, shard) in self.shards.iter().enumerate() {
+            for (buffer, len) in [
+                ("outbox", shard.out.len()),
+                ("inbox", shard.inbox.len()),
+                ("proposals", shard.proposals.len()),
+                ("actors", shard.actors.len()),
+                ("departed list", shard.departed.len()),
+                ("event buffer", shard.events.len()),
+            ] {
+                assert_eq!(len, 0, "shard {s}: {buffer} not empty between rounds");
+            }
+            for &id in &shard.pending {
                 assert_eq!(self.layout.shard_of(id), s, "peer {id} queued on shard {s}");
                 assert!(!pending[id as usize], "peer {id} queued twice");
                 pending[id as usize] = true;
@@ -188,7 +200,7 @@ impl BackupWorld {
             let pos = self.online_pos[id as usize];
             if peers.online(id) {
                 online += 1;
-                let list = &self.online[self.layout.shard_of(id)];
+                let list = &self.shards[self.layout.shard_of(id)].online;
                 assert_eq!(
                     list.get(pos as usize),
                     Some(&id),
@@ -205,7 +217,7 @@ impl BackupWorld {
         }
         // Every online peer owns a distinct list slot, so equal totals
         // leave no offline or duplicate entry in the lists.
-        let listed: usize = self.online.iter().map(Vec::len).sum();
+        let listed: usize = self.shards.iter().map(|s| s.online.len()).sum();
         assert_eq!(
             listed, online,
             "online lists hold offline or duplicate peers"
@@ -314,12 +326,13 @@ impl BackupWorld {
             }
             grant
         };
-        let props = &self.arena.proposals;
         let window = |p: &Proposal| (p.d as usize).min(p.pool.len());
-        let mut granted: Vec<Vec<Vec<PeerId>>> = props
+        let mut granted: Vec<Vec<Vec<PeerId>>> = self
+            .shards
             .iter()
             .map(|shard| {
                 shard
+                    .proposals
                     .iter()
                     .map(|p| {
                         let ranks = &p.pool[..window(p)];
@@ -332,8 +345,8 @@ impl BackupWorld {
                     .collect()
             })
             .collect();
-        for (shard, hosts) in props.iter().zip(&mut granted) {
-            for (p, hosts) in shard.iter().zip(hosts) {
+        for (shard, hosts) in self.shards.iter().zip(&mut granted) {
+            for (p, hosts) in shard.proposals.iter().zip(hosts) {
                 let missing = p.d as usize - hosts.len();
                 let end = (window(p) + missing).min(p.pool.len());
                 for &h in &p.pool[window(p)..end] {
@@ -1427,7 +1440,7 @@ fn contend_for_one_slot(fallback: Option<Fallback>) {
     let shortfalls_before = world.metrics.diag.pool_shortfalls;
     for prop in [prop_a, prop_b] {
         let shard = world.layout.shard_of(prop.owner);
-        world.arena.proposals[shard].push(prop);
+        world.shards[shard].proposals.push(prop);
     }
     world.commit_pushed_proposals(round);
 
@@ -1504,6 +1517,50 @@ fn arena_recycling_is_invisible() {
         e_recycled, e_fresh,
         "event stream diverged under arena recycling"
     );
+}
+
+#[test]
+fn shard_round_buffers_keep_capacity_only_while_recycling() {
+    // Every round buffer of a shard is empty between rounds; recycling
+    // keeps its capacity for the next round, and with recycling off
+    // the round ends by dropping it, so no round reuses another's.
+    let mut world = BackupWorld::new(sharded_config(600, 40, 9));
+    let mut engine = Engine::new(9);
+    let capacities = |world: &BackupWorld| {
+        world
+            .shards
+            .iter()
+            .map(|s| {
+                assert!(s.actors.is_empty() && s.proposals.is_empty());
+                s.actors.capacity()
+                    + s.proposals.capacity()
+                    + s.cursors.capacity()
+                    + s.hosts.capacity()
+            })
+            .sum::<usize>()
+    };
+    engine.run(&mut world, 2);
+    assert!(
+        capacities(&world) > 0,
+        "recycling must keep the round's capacity"
+    );
+    assert!(world.shards.iter().any(|s| s.pools.idle() > 0));
+
+    world.set_arena_recycling(false);
+    assert_eq!(capacities(&world), 0, "fresh mode must not reuse a buffer");
+    assert!(world.shards.iter().all(|s| s.pools.idle() == 0));
+    let joins = world.metrics().diag.joins_completed;
+    engine.run(&mut world, 2);
+    assert!(
+        world.metrics().diag.joins_completed > joins,
+        "the rounds did no work"
+    );
+    assert_eq!(
+        capacities(&world),
+        0,
+        "fresh mode must drop the round's buffers"
+    );
+    assert!(world.shards.iter().all(|s| s.pools.idle() == 0));
 }
 
 #[test]
@@ -2065,7 +2122,7 @@ fn build_pool_reference(
     use rand::Rng;
 
     let mut prefix = vec![0usize];
-    for list in &world.online {
+    for list in &world.frozen_online {
         prefix.push(prefix[prefix.len() - 1] + list.len());
     }
     let total_online = prefix[prefix.len() - 1];
@@ -2092,7 +2149,7 @@ fn build_pool_reference(
         }
         let j = rng.gen_range(0..total_online);
         let shard = prefix.partition_point(|&p| p <= j) - 1;
-        let c = world.online[shard][j - prefix[shard]];
+        let c = world.frozen_online[shard][j - prefix[shard]];
         if excluded[c as usize]
             || world.peers.observer(c).is_some()
             || world.peers.quota_used(c) >= cfg.quota

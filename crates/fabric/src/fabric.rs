@@ -1829,8 +1829,67 @@ impl Fabric {
     }
 }
 
+#[cfg(test)]
+impl Fabric {
+    /// The data plane's structural invariants, between rounds (every
+    /// event replayed, nothing mid-stage). `round_start` calls it every
+    /// 16th round in every fabric test build. For every lane:
+    ///
+    /// * its store passes [`BlockStore::check_invariants`];
+    /// * every block at rest belongs to an owner of the lane's shard and
+    ///   sits on a host the archive's mirror names (a drop clears the
+    ///   mirror and the block in the same step, so no drop is pending
+    ///   here);
+    /// * every queued transfer and retry names an owner of the lane's
+    ///   shard, and the in-flight counts are the queue's shipments;
+    /// * a joined archive with nothing in flight mirrors as many
+    ///   placements as the simulator holds for it.
+    fn check_invariants(&self) {
+        let world = &self.world;
+        for lane in &self.plane.lanes {
+            let i = lane.index;
+            let here = |owner: PeerId| world.shard_of_peer(owner) == i;
+            lane.store.check_invariants();
+            for (host, owner, archive) in lane.store.keys() {
+                assert!(here(owner), "lane {i}: stores a block of {owner}");
+                assert!(
+                    lane.owners
+                        .get(&(owner, archive))
+                        .is_some_and(|oa| oa.slots.contains(&Some(host))),
+                    "lane {i}: block {owner}/{archive}@{host} at rest without a mirrored slot"
+                );
+            }
+            let mut in_flight = BTreeMap::new();
+            for t in &lane.queue {
+                assert!(here(t.owner), "lane {i}: queues a transfer of {}", t.owner);
+                if t.class != TransferClass::Restore {
+                    *in_flight.entry((t.owner, t.archive)).or_insert(0) += 1;
+                }
+            }
+            assert_eq!(in_flight, lane.in_flight, "lane {i}: in-flight counts");
+            for r in &lane.retries {
+                assert!(here(r.owner), "lane {i}: retries a transfer of {}", r.owner);
+            }
+            for (&(owner, archive), oa) in &lane.owners {
+                assert!(here(owner), "lane {i}: mirrors an archive of {owner}");
+                if oa.joined && !lane.has_in_flight(owner, archive) {
+                    assert_eq!(
+                        oa.hosts().count(),
+                        world.archive_hosts(owner, archive).len(),
+                        "lane {i}: {owner}/{archive} mirrors another placement count"
+                    );
+                }
+            }
+        }
+    }
+}
+
 impl World for Fabric {
     fn round_start(&mut self, round: Round, rng: &mut SimRng) {
+        #[cfg(test)]
+        if round.index() % 16 == 15 {
+            self.check_invariants();
+        }
         self.world.round_start(round, rng);
     }
 

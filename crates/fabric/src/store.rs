@@ -315,13 +315,19 @@ impl BlockStore {
         self.host_range(host).count()
     }
 
+    /// Every stored block's `(host, owner, archive)`, in index order.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
+        self.index.keys().copied()
+    }
+
     /// Panics unless the index, the slot metadata, the free list and
     /// the pages agree: every index entry names a live slot holding its
     /// key, every live slot is indexed, the free list holds exactly the
     /// free slots once each, and every page still has the capacity it
     /// was allocated with.
     #[cfg(test)]
-    fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         for (&key, &slot) in &self.index {
             assert_eq!(
                 self.meta[slot].map(|m| m.key),

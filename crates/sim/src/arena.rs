@@ -1,19 +1,20 @@
 //! Recycled buffer pools for (near-)zero-allocation steady states.
 //!
 //! Round-based hot loops tend to rebuild the same scratch vectors every
-//! round — inboxes, outboxes, event buffers, candidate pools — paying a
-//! heap round-trip for memory whose size distribution is stationary.
-//! [`BufPool`] is the small primitive behind the executor's *round
-//! arenas*: a free list of cleared `Vec`s whose capacities are
-//! high-water-marked by previous rounds, so a steady-state round reuses
-//! yesterday's allocations instead of making new ones.
+//! round — candidate pools, staging lists — paying a heap round-trip for
+//! memory whose size distribution is stationary. [`BufPool`] is a free
+//! list of cleared `Vec`s whose capacities are high-water-marked by
+//! earlier use, so a steady-state round reuses yesterday's allocations
+//! instead of making new ones. [`retype_empty`] carries the capacity of
+//! a vector whose element type borrows round-local state from one round
+//! to the next.
 //!
 //! Recycling is **observationally invisible**: a vector taken from the
 //! pool is always empty, so the only difference from `Vec::new()` is
 //! the retained capacity. The `recycle` switch turns the pool into a
 //! pass-through (`take` returns fresh vectors, `put` drops) — the debug
-//! knob the determinism tests use to prove no state leaks through the
-//! arena between rounds.
+//! knob the determinism tests use to prove no state leaks through a
+//! pool between rounds.
 
 /// A free list of cleared, capacity-retaining vectors.
 #[derive(Debug, Clone)]
@@ -53,11 +54,6 @@ impl<T> BufPool<T> {
             self.free.clear();
             self.cap_mark = 0;
         }
-    }
-
-    /// Whether recycling is enabled.
-    pub fn recycling(&self) -> bool {
-        self.recycle
     }
 
     /// Takes an empty vector — recycled (pre-grown to the pool's
@@ -126,29 +122,6 @@ pub fn retype_empty<A, B>(mut v: Vec<A>) -> Vec<B> {
     }
 }
 
-/// Takes the buffer stored in `slot`, leaving an empty one behind.
-/// With `recycle` false a fresh vector is handed out instead, so the
-/// caller sees `Vec::new()` semantics — the per-slot counterpart of
-/// [`BufPool::take`] for arenas that keep one buffer per shard.
-pub fn take_slot<T>(slot: &mut Vec<T>, recycle: bool) -> Vec<T> {
-    if recycle {
-        core::mem::take(slot)
-    } else {
-        Vec::new()
-    }
-}
-
-/// Stores `buf` (cleared) back into `slot` for the next round; with
-/// `recycle` false the buffer is dropped and the slot left empty.
-pub fn put_slot<T>(slot: &mut Vec<T>, mut buf: Vec<T>, recycle: bool) {
-    if recycle {
-        buf.clear();
-        *slot = buf;
-    } else {
-        *slot = Vec::new();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,21 +164,5 @@ mod tests {
         pool.put(v);
         assert_eq!(pool.idle(), 0, "disabled pool must not retain buffers");
         assert_eq!(pool.take().capacity(), 0);
-    }
-
-    #[test]
-    fn slot_helpers_mirror_the_pool_semantics() {
-        let mut slot: Vec<u32> = Vec::new();
-        let mut buf = take_slot(&mut slot, true);
-        buf.extend(0..64);
-        let cap = buf.capacity();
-        put_slot(&mut slot, buf, true);
-        assert!(slot.is_empty());
-        assert_eq!(slot.capacity(), cap);
-
-        let buf = take_slot(&mut slot, false);
-        assert_eq!(buf.capacity(), 0, "fresh mode must not reuse the slot");
-        put_slot(&mut slot, vec![1, 2, 3], false);
-        assert_eq!(slot.capacity(), 0, "fresh mode must drop returned buffers");
     }
 }
