@@ -788,4 +788,74 @@ mod tests {
             assert_eq!((width(inline), width(inline + 1)), (1, 4), "{item:?}");
         }
     }
+
+    /// A delta with every field distinct and non-zero. Exhaustive, so a
+    /// new field does not compile until it is listed here.
+    fn distinct_delta() -> MetricsDelta {
+        MetricsDelta {
+            repairs: [1, 2, 3, 4],
+            losses: [5, 6, 7, 8],
+            departures: 9,
+            session_toggles: 10,
+            partner_timeouts: 11,
+            joins_completed: 12,
+            pool_shortfalls: 13,
+            blocks_uploaded: 14,
+            blocks_downloaded: 15,
+            threshold_adjustments: 16,
+            outage_disconnects: 17,
+            quarantine_evictions: 18,
+        }
+    }
+
+    #[test]
+    fn merge_delta_carries_every_field() {
+        let delta = distinct_delta();
+        let mut merged = MetricsDelta::default();
+        merge_delta(&mut merged, &delta);
+        assert_eq!(format!("{merged:?}"), format!("{delta:?}"));
+    }
+
+    #[test]
+    fn metrics_delta_lands_each_field_in_its_metric() {
+        let mut delta = distinct_delta();
+        let mut metrics = Metrics::new();
+        delta.apply(&mut metrics);
+        let mut expected = Metrics::new();
+        for c in 0..AgeCategory::COUNT {
+            expected.repairs[c] = 1 + c as u64;
+            expected.losses[c] = 5 + c as u64;
+        }
+        let d = &mut expected.diag;
+        d.departures = 9;
+        d.session_toggles = 10;
+        d.partner_timeouts = 11;
+        d.joins_completed = 12;
+        d.pool_shortfalls = 13;
+        d.blocks_uploaded = 14;
+        d.blocks_downloaded = 15;
+        d.threshold_adjustments = 16;
+        d.outage_disconnects = 17;
+        d.quarantine_evictions = 18;
+        assert_eq!(metrics, expected);
+        assert_eq!(
+            format!("{delta:?}"),
+            format!("{:?}", MetricsDelta::default())
+        );
+    }
+
+    #[test]
+    fn placement_work_absorb_carries_every_field() {
+        let work = PlacementWork {
+            pool_builds: 1,
+            candidates_sampled: 2,
+            candidates_accepted: 3,
+            claims: 4,
+            grants: 5,
+            msgs_routed: 6,
+        };
+        let mut total = PlacementWork::default();
+        total.absorb(work);
+        assert_eq!(total, work);
+    }
 }

@@ -74,7 +74,7 @@ use std::time::Instant;
 use peerback_churn::SessionSampler;
 use peerback_sim::arena::retype_empty;
 use peerback_sim::exec::lap;
-use peerback_sim::{derive_seed, ExecPolicy, Round, SimRng, World};
+use peerback_sim::{derive_seed, unit_draw, ExecPolicy, Round, SimRng, World};
 
 use crate::age::AgeCategory;
 use crate::config::SimConfig;
@@ -112,13 +112,6 @@ const PARTITION_STREAM: u64 = 0x9a_7117;
 /// domain, and the assignment is identical at every worker count).
 pub(in crate::world) fn domain_of(seed: u64, domains: u32, id: PeerId) -> u16 {
     (derive_seed(derive_seed(seed, DOMAIN_STREAM), id as u64) % domains as u64) as u16
-}
-
-/// Maps a derived seed to a uniform draw in `[0, 1)` without touching
-/// any RNG stream (the incident schedule must be a pure function of
-/// `(seed, domain, round)`).
-fn unit_draw(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The backup network world; implements [`peerback_sim::World`].

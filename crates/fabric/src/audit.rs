@@ -78,6 +78,20 @@ pub struct AuditReport {
 impl AuditReport {
     /// Cap on retained mismatch descriptions.
     pub const MAX_NOTES: usize = 16;
+
+    /// Adds `other`'s counters to this ledger and appends its notes,
+    /// keeping at most [`AuditReport::MAX_NOTES`].
+    pub(crate) fn absorb(&mut self, other: AuditReport) {
+        self.checks += other.checks;
+        self.consistent += other.consistent;
+        self.fault_induced_losses += other.fault_induced_losses;
+        self.mismatches += other.mismatches;
+        self.skipped_in_flight += other.skipped_in_flight;
+        self.decode_attempts += other.decode_attempts;
+        self.decode_successes += other.decode_successes;
+        let room = Self::MAX_NOTES.saturating_sub(self.notes.len());
+        self.notes.extend(other.notes.into_iter().take(room));
+    }
 }
 
 impl PlaneLane {
@@ -107,7 +121,7 @@ impl PlaneLane {
                 // Blocks still streaming: bookkeeping and bytes
                 // legitimately disagree until the transfer completes.
                 if self.has_in_flight(slot, aidx) {
-                    self.audit.skipped_in_flight += 1;
+                    self.out.audit.skipped_in_flight += 1;
                     continue;
                 }
                 self.audit_archive(shared, world, round, slot, aidx);
@@ -123,7 +137,7 @@ impl PlaneLane {
         owner: PeerId,
         archive: u8,
     ) {
-        self.audit.checks += 1;
+        self.out.audit.checks += 1;
 
         // Structural cross-check: the replayed placement map must hold
         // exactly the hosts the simulator believes hold blocks.
@@ -155,15 +169,15 @@ impl PlaneLane {
         }
 
         // Prediction vs byte truth.
-        let k = shared.k as u32;
+        let k = shared.k() as u32;
         let predicted = world.archive_online_present(owner, archive) >= k;
         // Fewer than k intact shards cannot decode, so none is tried.
-        let found = self.restore_survivors(shared, world, owner, archive, true, shared.k);
+        let found = self.restore_survivors(shared, world, owner, archive, true, shared.k());
         let (intact, restorable) = (found.intact, found.restored);
 
         match (predicted, restorable) {
             (true, true) | (false, false) => {
-                self.audit.consistent += 1;
+                self.out.audit.consistent += 1;
                 self.divergent.remove(&(owner, archive));
             }
             (true, false) => {
@@ -171,16 +185,16 @@ impl PlaneLane {
                     self.note(format!(
                         "decode of {owner}/{archive} failed with {intact} intact shards >= k"
                     ));
-                } else if !shared.faults_enabled && !shared.adversary_enabled {
+                } else if !shared.damage_expected() {
                     self.note(format!(
                         "restorability mismatch for {owner}/{archive} without faults: \
                          predicted restorable, {intact} intact shards"
                     ));
                 } else {
-                    self.audit.fault_induced_losses += 1;
+                    self.out.audit.fault_induced_losses += 1;
                     // Record the loss once per divergence spell.
                     if self.divergent.insert((owner, archive)) {
-                        self.losses.push(LossRecord {
+                        self.out.losses.push(LossRecord {
                             round,
                             owner,
                             archive,

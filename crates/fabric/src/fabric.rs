@@ -22,6 +22,14 @@
 //!   exponential backoff and seeded jitter, instead of staying missing
 //!   until churn or repair replaces it.
 //!
+//! Every shipment, re-ship and restore download is one `Transfer`
+//! record. It is queued as a `PendingTransfer` when a schedule is
+//! attached and waits out its backoff as a `Retry`. `PlaneLane::send`
+//! is the one place that chooses between shipping now and queueing.
+//! `PlaneLane::live_slot` is the one test of whether the placement a
+//! transfer ships to still stands, shared by due retries and completed
+//! downloads.
+//!
 //! ## Sharded replay
 //!
 //! The plane is split into one [`PlaneLane`] per **logical owner
@@ -33,7 +41,9 @@
 //! same work-stealing pool as the simulator, as wide as the same width
 //! rule allows ([`peerback_sim::ExecPolicy`]). Departures fan out to
 //! every lane (any lane may store bytes *hosted* by the departed peer).
-//! Per-lane buffers merge in lane order once per round, and fault
+//! Each lane's report-bound `Output` (counters, audit ledger, losses,
+//! restore durations, free riders hit) folds into the plane's in lane
+//! order once per round, and fault
 //! draws come from per-transfer RNGs derived from
 //! `(seed, lane, transfer sequence)` — so every counter, note and loss
 //! record is bit-identical at every worker count.
@@ -53,7 +63,7 @@ use peerback_core::{
 use peerback_erasure::ReedSolomon;
 use peerback_net::LinkModel;
 use peerback_sim::exec::lap;
-use peerback_sim::{derive_seed, sim_rng, Engine, Round, SimRng, StageWork, World};
+use peerback_sim::{derive_seed, sim_rng, unit_draw, Engine, Round, SimRng, StageWork, World};
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::audit::{AuditReport, LossRecord};
@@ -78,13 +88,6 @@ const CHALLENGE_STREAM: u64 = 0xC7_A11E;
 /// Retries per placement before the fabric gives up on it (the
 /// simulator's churn/repair machinery takes over from there).
 const MAX_TRANSFER_ATTEMPTS: u32 = 5;
-
-/// Maps a derived seed to a uniform draw in `[0, 1)` without touching
-/// any RNG stream (role assignment and coverage sampling must be pure
-/// functions, identical at every worker and shard count).
-fn unit_draw(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Declarative adversarial host behaviour on the data plane.
 ///
@@ -456,85 +459,89 @@ impl OwnerArchive {
     }
 }
 
-/// Immutable per-run parameters shared by every lane.
+/// Immutable per-run state shared by every lane: the fabric's config,
+/// and what the run builds from its two configs once. Lanes read the
+/// simulator's config through the world.
 pub(crate) struct PlaneShared {
-    pub(crate) k: usize,
-    m: usize,
-    payload_bytes: usize,
-    pub(crate) faults_enabled: bool,
+    /// The fabric's config. Lanes read its schedule only as
+    /// `schedule`, resolved.
+    cfg: FabricConfig,
+    /// The fault plane of `cfg.faults`.
     faults: FaultPlane,
-    master_seed: u64,
     /// The run's one codec: every encode and decode of the geometry
     /// shares it (a clone is two `Arc` bumps, no matrix rebuild).
     codec: ReedSolomon,
-    /// Sampled-audit divisor (1 = full scan).
-    audit_sample_period: u64,
-    /// Seed of the audit coverage hash, derived once from the master
-    /// seed.
-    audit_seed: u64,
-    /// Rounds between scrubbing sweeps (0 = off). A final-round sweep
-    /// still pays off: its re-ships complete in the end-of-run retry
-    /// drain.
-    scrub_interval: u64,
     /// Bandwidth-aware scheduling, budgets resolved (`None` = instant
     /// shipping).
     pub(crate) schedule: Option<ResolvedSchedule>,
-    /// Adversarial host behaviour (inert by default).
-    adversary: AdversaryConfig,
-    /// Whether any slot behaves adversarially — gates the expected-
-    /// degradation paths exactly like `faults_enabled` does for the
-    /// fault plane.
-    pub(crate) adversary_enabled: bool,
+    /// Seed of the audit coverage hash, derived once from the run seed.
+    audit_seed: u64,
     /// Seed of the challenge coverage hash.
     challenge_seed: u64,
-    /// Leading observer slots (always honest).
-    observer_count: usize,
+}
+
+/// Whether the coverage hash under `seed` covers `(owner, archive)` at
+/// `round`: roughly one cell in `period` (every cell at 1). A pure
+/// function of the cell — independent of lane partition and worker
+/// count.
+fn cell_sampled(seed: u64, period: u64, round: u64, owner: PeerId, archive: u8) -> bool {
+    if period <= 1 {
+        return true;
+    }
+    let cell = derive_seed(
+        derive_seed(seed, round),
+        ((owner as u64) << 8) | archive as u64,
+    );
+    cell.is_multiple_of(period)
 }
 
 impl PlaneShared {
-    /// Whether the sampled auditor covers `(owner, archive)` at
-    /// `round`. A pure function of the cell and the audit seed —
-    /// independent of lane partition and worker count.
-    pub(crate) fn audit_sampled(&self, round: u64, owner: PeerId, archive: u8) -> bool {
-        if self.audit_sample_period <= 1 {
-            return true;
-        }
-        let cell = derive_seed(
-            derive_seed(self.audit_seed, round),
-            ((owner as u64) << 8) | archive as u64,
-        );
-        cell.is_multiple_of(self.audit_sample_period)
+    /// The geometry's `k`: data shards per code word.
+    pub(crate) fn k(&self) -> usize {
+        self.codec.data_shards()
     }
 
-    /// Whether a scrubbing sweep runs at `round`.
+    /// Whether injected faults or adversarial hosts may damage bytes,
+    /// so that a failed decode is an expected degradation, not a bug.
+    pub(crate) fn damage_expected(&self) -> bool {
+        self.cfg.faults.any_enabled() || self.cfg.adversary.any_hostile()
+    }
+
+    /// Whether the sampled auditor covers `(owner, archive)` at
+    /// `round`.
+    pub(crate) fn audit_sampled(&self, round: u64, owner: PeerId, archive: u8) -> bool {
+        let period = self.cfg.audit_sample_period;
+        cell_sampled(self.audit_seed, period, round, owner, archive)
+    }
+
+    /// Whether a scrubbing sweep runs at `round`. A final-round sweep
+    /// still pays off: its re-ships complete in the end-of-run retry
+    /// drain.
     fn scrub_due(&self, round: u64) -> bool {
-        self.scrub_interval > 0 && round.is_multiple_of(self.scrub_interval)
+        let interval = self.cfg.scrub_interval;
+        interval > 0 && round.is_multiple_of(interval)
     }
 
     /// Whether a challenge sweep runs at `round`.
     fn challenge_due(&self, round: u64) -> bool {
-        self.adversary.challenge_interval > 0
-            && round.is_multiple_of(self.adversary.challenge_interval)
+        let interval = self.cfg.adversary.challenge_interval;
+        interval > 0 && round.is_multiple_of(interval)
     }
 
     /// Whether the challenge sweep covers `(owner, archive)` at
-    /// `round`. Pure, like [`PlaneShared::audit_sampled`].
+    /// `round`.
     fn challenge_sampled(&self, round: u64, owner: PeerId, archive: u8) -> bool {
-        if self.adversary.challenge_sample_period <= 1 {
-            return true;
-        }
-        let cell = derive_seed(
-            derive_seed(self.challenge_seed, round),
-            ((owner as u64) << 8) | archive as u64,
-        );
-        cell.is_multiple_of(self.adversary.challenge_sample_period)
+        let period = self.cfg.adversary.challenge_sample_period;
+        cell_sampled(self.challenge_seed, period, round, owner, archive)
     }
 
     /// The adversary role of `slot` (pure; see
     /// [`AdversaryConfig::role_of`]).
-    fn role_of(&self, slot: PeerId) -> AdversaryRole {
-        self.adversary
-            .role_of(self.master_seed, self.observer_count, slot)
+    fn role_of(&self, world: &BackupWorld, slot: PeerId) -> AdversaryRole {
+        let cfg = world.config();
+        self.cfg
+            .adversary
+            .role_of(cfg.seed, cfg.observers.len(), slot)
     }
 }
 
@@ -549,18 +556,21 @@ pub(crate) struct Survivors {
     pub(crate) restored: bool,
 }
 
-/// One shard transfer to execute: which block, to whom, which slot of
-/// the code word, and how many attempts preceded it.
-#[derive(Debug, Clone, Copy)]
-struct ShipJob {
+/// One transfer of a lane: whose block, to which host, and how many
+/// attempts preceded it. The same record is shipped, queued and
+/// retried; only its wrapper changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Transfer {
     owner: PeerId,
     archive: u8,
+    /// Receiving host; the owner itself for restores.
     host: PeerId,
-    slot: usize,
-    /// 0 for the original transfer; retries count up.
+    /// 0 for the original transfer; retries count up. A scrub re-ship
+    /// starts again at 0: it is a fresh transfer, not a retry of a
+    /// failed one.
     attempt: u32,
     /// True when a scrubbing sweep originated the transfer (a delivery
-    /// then counts as a scrub repair).
+    /// then counts as a scrub repair); kept across backoff re-enqueues.
     scrub: bool,
 }
 
@@ -578,8 +588,8 @@ enum TransferClass {
     Backup = 2,
 }
 
-/// One queued transfer: bytes still to move, and everything needed to
-/// execute the shipment (or restore decode) once the last byte clears.
+/// A transfer in the scheduler's queue: bytes still to move; the
+/// shipment (or restore decode) runs once the last byte clears.
 #[derive(Debug, Clone, Copy)]
 struct PendingTransfer {
     class: TransferClass,
@@ -589,29 +599,47 @@ struct PendingTransfer {
     /// Lane-local enqueue sequence, the final tiebreaker (total order,
     /// so the drain is deterministic at any worker count).
     seq: u64,
-    owner: PeerId,
-    archive: u8,
-    /// Receiving host; the owner itself for restores.
-    host: PeerId,
-    attempt: u32,
-    scrub: bool,
     bytes_left: u64,
+    t: Transfer,
 }
 
-/// A damaged placement waiting for its re-ship round.
+/// A transfer waiting for its re-ship round: a damaged shipment, or a
+/// block a scrubbing sweep found rotten. Due retries run in derived
+/// order, `(due, owner, archive, host, attempt, scrub)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Retry {
     /// Round the retry becomes due.
     due: u64,
-    owner: PeerId,
-    archive: u8,
-    host: PeerId,
-    /// 1-based retry attempt (the original transfer was attempt 0) —
-    /// except scrub repairs, which enter the queue at attempt 0 (the
-    /// re-ship is a fresh transfer, not a retry of a failed one).
-    attempt: u32,
-    /// Scrub-repair provenance, carried across backoff re-enqueues.
-    scrub: bool,
+    t: Transfer,
+}
+
+/// What the replay reports, in one value: each lane fills its own over
+/// a round, and the plane folds them into its own in lane order.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Output {
+    pub(crate) stats: FabricStats,
+    pub(crate) audit: AuditReport,
+    /// Verified data losses, in the order they were observed.
+    pub(crate) losses: Vec<LossRecord>,
+    /// Rounds-to-completion of each finished flash-restore download,
+    /// in completion order; percentiles come out in the report.
+    restore_durations: Vec<u64>,
+    /// Free-riding hosts that received at least one shipment — the
+    /// denominator of the adversary probe's detection-coverage gate.
+    riders_hit: BTreeSet<PeerId>,
+}
+
+impl Output {
+    /// Moves everything `lane` holds into this output and leaves `lane`
+    /// empty: counters add, notes append up to the cap, the loss and
+    /// restore series append, the rider sets unite.
+    fn absorb(&mut self, lane: &mut Output) {
+        self.stats.accumulate(&core::mem::take(&mut lane.stats));
+        self.audit.absorb(core::mem::take(&mut lane.audit));
+        self.losses.append(&mut lane.losses);
+        self.restore_durations.append(&mut lane.restore_durations);
+        self.riders_hit.append(&mut lane.riders_hit);
+    }
 }
 
 /// One logical shard's slice of the data plane: the block stores,
@@ -628,9 +656,8 @@ pub(crate) struct PlaneLane {
     epochs: BTreeMap<PeerId, u32>,
     pub(crate) owners: BTreeMap<(PeerId, u8), OwnerArchive>,
     pub(crate) store: BlockStore,
-    pub(crate) stats: FabricStats,
-    pub(crate) audit: AuditReport,
-    pub(crate) losses: Vec<LossRecord>,
+    /// This round's report-bound output, emptied by the merge.
+    pub(crate) out: Output,
     /// Archives currently byte-unrestorable while the simulator still
     /// predicts them restorable (dedups audit loss records).
     pub(crate) divergent: BTreeSet<(PeerId, u8)>,
@@ -672,13 +699,6 @@ pub(crate) struct PlaneLane {
     /// Recycled `(owner, archive, host)` worklist of one challenge
     /// sweep.
     challenge_scratch: Vec<(PeerId, u8, PeerId)>,
-    /// Free-riding hosts that received at least one shipment — the
-    /// denominator of the adversary probe's detection-coverage gate.
-    riders_hit: BTreeSet<PeerId>,
-    /// Rounds-to-completion of each finished flash-restore download,
-    /// in completion order. Merged in lane order; percentiles come out
-    /// in the report.
-    restore_durations: Vec<u64>,
     /// Wall time of this lane's stages over the whole run (execution
     /// telemetry for [`ReplayProfile`]; never merged into the report).
     profile: ReplayProfile,
@@ -693,9 +713,7 @@ impl PlaneLane {
             epochs: BTreeMap::new(),
             owners: BTreeMap::new(),
             store: BlockStore::new(),
-            stats: FabricStats::default(),
-            audit: AuditReport::default(),
-            losses: Vec::new(),
+            out: Output::default(),
             divergent: BTreeSet::new(),
             retries: Vec::new(),
             due_scratch: Vec::new(),
@@ -711,8 +729,6 @@ impl PlaneLane {
             down_spent: BTreeMap::new(),
             suspects: Vec::new(),
             challenge_scratch: Vec::new(),
-            riders_hit: BTreeSet::new(),
-            restore_durations: Vec::new(),
             profile: ReplayProfile::default(),
         }
     }
@@ -723,22 +739,12 @@ impl PlaneLane {
         self.in_flight.get(&(owner, archive)).copied().unwrap_or(0) > 0
     }
 
-    /// Queues a transfer for the scheduler's drain.
-    #[allow(clippy::too_many_arguments)] // plain data, mirrors ShipJob
-    fn enqueue_transfer(
-        &mut self,
-        class: TransferClass,
-        owner: PeerId,
-        archive: u8,
-        host: PeerId,
-        attempt: u32,
-        scrub: bool,
-        bytes: u64,
-        round: u64,
-    ) {
-        self.stats.transfers_queued += 1;
+    /// Queues `t` for the scheduler's drain: `bytes` to move at
+    /// `class` priority, its deadline anchored at `round`.
+    fn enqueue_transfer(&mut self, class: TransferClass, t: Transfer, bytes: u64, round: u64) {
+        self.out.stats.transfers_queued += 1;
         if class != TransferClass::Restore {
-            *self.in_flight.entry((owner, archive)).or_insert(0) += 1;
+            *self.in_flight.entry((t.owner, t.archive)).or_insert(0) += 1;
         }
         let seq = self.queue_seq;
         self.queue_seq += 1;
@@ -746,13 +752,42 @@ impl PlaneLane {
             class,
             deadline: round,
             seq,
-            owner,
-            archive,
-            host,
-            attempt,
-            scrub,
             bytes_left: bytes.max(1),
+            t,
         });
+    }
+
+    /// Sends shipment `t` of code-word slot `slot`: through the fault
+    /// plane now on the instant path, or into the scheduler's queue at
+    /// `class` priority when a schedule is attached. The one place
+    /// that chooses between the two.
+    fn send(
+        &mut self,
+        shared: &PlaneShared,
+        world: &BackupWorld,
+        class: TransferClass,
+        t: Transfer,
+        slot: usize,
+        round: u64,
+    ) {
+        if shared.schedule.is_some() {
+            let bytes = self.frame_bytes(t.owner, t.archive);
+            self.enqueue_transfer(class, t, bytes, round);
+        } else {
+            self.ship_slot(shared, world, t, slot, round);
+        }
+    }
+
+    /// The mirrored slot that still holds `t.host` for `t`'s archive
+    /// while the host has no block of it at rest: the placement `t`
+    /// ships to still stands and still needs the bytes. `None` once
+    /// churn dropped or displaced the placement, or a block arrived
+    /// another way.
+    fn live_slot(&self, t: &Transfer) -> Option<usize> {
+        let oa = self.owners.get(&(t.owner, t.archive))?;
+        let slot = oa.slots.iter().position(|&s| s == Some(t.host))?;
+        let missing = self.store.block(t.host, t.owner, t.archive).is_none();
+        missing.then_some(slot)
     }
 
     /// Wire length of one shard frame of `(owner, archive)` (the unit
@@ -781,47 +816,45 @@ impl PlaneLane {
         // order — and every byte of the report — is exactly the
         // classic `(class, deadline, seq)` drain.
         let margin = sched.escalate_margin;
-        let cliff = shared.k as u32 + margin;
+        let cliff = shared.k() as u32 + margin;
         let owners = &self.owners;
-        let rank_of = |t: &PendingTransfer| -> u8 {
-            if margin > 0 && t.class == TransferClass::Repair {
+        let rank_of = |p: &PendingTransfer| -> u8 {
+            if margin > 0 && p.class == TransferClass::Repair {
                 let present = owners
-                    .get(&(t.owner, t.archive))
+                    .get(&(p.t.owner, p.t.archive))
                     .map_or(0, |oa| oa.hosts().count() as u32);
                 if present < cliff {
                     return 0;
                 }
             }
-            1 + t.class as u8
+            1 + p.class as u8
         };
         if margin > 0 {
-            self.stats.escalated_transfer_rounds +=
-                self.queue.iter().filter(|t| rank_of(t) == 0).count() as u64;
+            self.out.stats.escalated_transfer_rounds +=
+                self.queue.iter().filter(|p| rank_of(p) == 0).count() as u64;
         }
         self.queue
-            .sort_unstable_by_key(|t| (rank_of(t), t.deadline, t.seq));
+            .sort_unstable_by_key(|p| (rank_of(p), p.deadline, p.seq));
         self.up_spent.clear();
         self.down_spent.clear();
         let mut pending = core::mem::take(&mut self.queue);
         let mut kept = core::mem::take(&mut self.queue_scratch);
         debug_assert!(kept.is_empty(), "queue scratch returned dirty");
-        for mut t in pending.drain(..) {
-            let (budget, spent) = if t.class == TransferClass::Restore {
-                (
-                    sched.down_budget,
-                    self.down_spent.entry(t.owner).or_insert(0),
-                )
+        for mut p in pending.drain(..) {
+            let (budget, spent) = if p.class == TransferClass::Restore {
+                (sched.down_budget, &mut self.down_spent)
             } else {
-                (sched.up_budget, self.up_spent.entry(t.owner).or_insert(0))
+                (sched.up_budget, &mut self.up_spent)
             };
-            let send = budget.saturating_sub(*spent).min(t.bytes_left);
+            let spent = spent.entry(p.t.owner).or_insert(0);
+            let send = budget.saturating_sub(*spent).min(p.bytes_left);
             *spent += send;
-            t.bytes_left -= send;
-            if t.bytes_left > 0 {
-                self.stats.transfers_carried += 1;
-                kept.push(t);
+            p.bytes_left -= send;
+            if p.bytes_left > 0 {
+                self.out.stats.transfers_carried += 1;
+                kept.push(p);
             } else {
-                self.complete_transfer(shared, world, t, round);
+                self.complete_transfer(shared, world, p, round);
             }
         }
         self.queue_scratch = pending;
@@ -835,54 +868,42 @@ impl PlaneLane {
         &mut self,
         shared: &PlaneShared,
         world: &BackupWorld,
-        t: PendingTransfer,
+        p: PendingTransfer,
         round: u64,
     ) {
-        if t.class == TransferClass::Restore {
-            self.stats.flash_restores += 1;
+        let PendingTransfer {
+            class, deadline, t, ..
+        } = p;
+        let key = (t.owner, t.archive);
+        if class == TransferClass::Restore {
+            self.out.stats.flash_restores += 1;
             // `deadline` is the enqueue round: the difference is the
             // user-visible rounds-to-restore this percentile series
             // reports on.
-            self.restore_durations.push(round - t.deadline);
+            self.out.restore_durations.push(round - deadline);
             let found = self.restore_survivors(shared, world, t.owner, t.archive, true, 0);
-            self.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
+            self.out.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
             if !found.restored {
-                self.stats.flash_restore_failures += 1;
+                self.out.stats.flash_restore_failures += 1;
             }
             return;
         }
-        if let Some(count) = self.in_flight.get_mut(&(t.owner, t.archive)) {
+        if let Some(count) = self.in_flight.get_mut(&key) {
             *count -= 1;
             if *count == 0 {
-                self.in_flight.remove(&(t.owner, t.archive));
+                self.in_flight.remove(&key);
             }
         }
         // The placement may have been dropped, displaced, or refilled
-        // while the bytes were streaming; re-locate the slot by host,
-        // exactly like the retry path does. A cancelled scrub re-ship
-        // is moot, as it is on that path.
-        let slot = self
-            .owners
-            .get(&(t.owner, t.archive))
-            .and_then(|oa| oa.slots.iter().position(|&s| s == Some(t.host)));
-        let slot = match slot {
-            Some(slot) if self.store.block(t.host, t.owner, t.archive).is_none() => slot,
-            _ => {
-                self.stats.transfers_cancelled += 1;
-                self.stats.scrub_obsolete += u64::from(t.scrub);
-                return;
-            }
-        };
-        let job = ShipJob {
-            owner: t.owner,
-            archive: t.archive,
-            host: t.host,
-            slot,
-            attempt: t.attempt,
-            scrub: t.scrub,
+        // while the bytes were streaming. A cancelled scrub re-ship is
+        // moot, as it is on the retry path.
+        let Some(slot) = self.live_slot(&t) else {
+            self.out.stats.transfers_cancelled += 1;
+            self.out.stats.scrub_obsolete += u64::from(t.scrub);
+            return;
         };
         let clock = Instant::now();
-        self.ship_slot(shared, world, job, round);
+        self.ship_slot(shared, world, t, slot, round);
         self.profile.drain_ship += clock.elapsed();
     }
 
@@ -937,23 +958,23 @@ impl PlaneLane {
         let blocks = Self::surviving_blocks(oa, &self.store, world, owner, archive, online_only);
         self.survivors_gathered += blocks.len() as u64;
         found.intact = blocks.len() as u32;
-        found.download_bytes = blocks.iter().take(shared.k).map(|(_, b)| b.len()).sum();
+        found.download_bytes = blocks.iter().take(shared.k()).map(|(_, b)| b.len()).sum();
         if blocks.len() >= need {
-            self.audit.decode_attempts += 1;
+            self.out.audit.decode_attempts += 1;
             let restore = RestorePipeline::new(XorKeystream::new(oa.codeword.cipher_key));
             let (descriptor, scratch) = (&oa.codeword.descriptor, &mut self.data_scratch);
             let decoded = restore.restore_with(&shared.codec, descriptor, &blocks, scratch);
             found.restored = decoded.is_ok_and(|decoded| decoded == oa.codeword.archive);
-            self.audit.decode_successes += u64::from(found.restored);
+            self.out.audit.decode_successes += u64::from(found.restored);
         }
         self.profile.decode += clock.elapsed();
         found
     }
 
     pub(crate) fn note(&mut self, message: String) {
-        self.audit.mismatches += 1;
-        if self.audit.notes.len() < AuditReport::MAX_NOTES {
-            self.audit.notes.push(message);
+        self.out.audit.mismatches += 1;
+        if self.out.audit.notes.len() < AuditReport::MAX_NOTES {
+            self.out.audit.notes.push(message);
         }
     }
 
@@ -961,13 +982,13 @@ impl PlaneLane {
     fn owner_archive(
         &mut self,
         shared: &PlaneShared,
+        world: &BackupWorld,
         owner: PeerId,
         archive: u8,
     ) -> &mut OwnerArchive {
         let epoch = self.epochs.get(&owner).copied().unwrap_or(0);
-        let (k, m, payload_bytes, master_seed) =
-            (shared.k, shared.m, shared.payload_bytes, shared.master_seed);
-        let codec = shared.codec.clone();
+        let (master_seed, payload_bytes) = (world.config().seed, shared.cfg.payload_bytes);
+        let (shards, codec) = (shared.codec.total_shards(), shared.codec.clone());
         self.owners.entry((owner, archive)).or_insert_with(|| {
             let slot_seed = derive_seed(master_seed, CONTENT_STREAM ^ owner as u64);
             let content_seed = derive_seed(slot_seed, ((epoch as u64) << 8) | archive as u64);
@@ -985,7 +1006,7 @@ impl PlaneLane {
             );
             let pipeline =
                 BackupPipeline::new(codec, XorKeystream::new(content_seed), content_seed);
-            let placeholder_partners: Vec<u64> = (0..(k + m) as u64).collect();
+            let placeholder_partners: Vec<u64> = (0..shards as u64).collect();
             let plan = pipeline
                 .backup(&arch, &placeholder_partners)
                 .expect("partner count matches geometry");
@@ -996,33 +1017,39 @@ impl PlaneLane {
                     archive: arch,
                     cipher_key: content_seed,
                 },
-                slots: vec![None; k + m],
+                slots: vec![None; shards],
                 joined: false,
             }
         })
     }
 
-    /// Executes one shard transfer through the fault plane. A damaged
-    /// transfer with budget left re-enqueues itself with exponential
-    /// backoff and seeded jitter.
-    fn ship_slot(&mut self, shared: &PlaneShared, world: &BackupWorld, job: ShipJob, round: u64) {
-        let ShipJob {
+    /// Executes transfer `t` of code-word slot `slot` through the
+    /// fault plane. A damaged transfer with budget left re-enqueues
+    /// itself with exponential backoff and seeded jitter.
+    fn ship_slot(
+        &mut self,
+        shared: &PlaneShared,
+        world: &BackupWorld,
+        t: Transfer,
+        slot: usize,
+        round: u64,
+    ) {
+        let Transfer {
             owner,
             archive,
             host,
-            slot,
             attempt,
             scrub,
-        } = job;
+        } = t;
         let oa = self.owners.get(&(owner, archive)).expect("slot mirrored");
         let mut bytes = BlockFrame::encode(owner, archive, slot as u32, &oa.codeword.shards[slot]);
         let frame_len = bytes.len();
-        self.stats.transfers_attempted += 1;
+        self.out.stats.transfers_attempted += 1;
         if attempt > 0 {
-            self.stats.transfers_retried += 1;
+            self.out.stats.transfers_retried += 1;
         }
-        self.stats.bytes_shipped += frame_len as u64;
-        self.stats.upload_secs += LINK.upload_secs(frame_len as f64);
+        self.out.stats.bytes_shipped += frame_len as u64;
+        self.out.stats.upload_secs += LINK.upload_secs(frame_len as f64);
 
         // A free-riding host acks the transfer and drops the bytes: the
         // sender has paid the link and believes the placement stands —
@@ -1030,9 +1057,9 @@ impl PlaneLane {
         // challenge sweep, scrubbing and the auditor can surface the
         // hole; the simulator's placement map diverges from byte truth
         // by design (expected degradation, like injected faults).
-        if shared.role_of(host) == AdversaryRole::FreeRider {
-            self.stats.adversary_drops += 1;
-            self.riders_hit.insert(host);
+        if shared.role_of(world, host) == AdversaryRole::FreeRider {
+            self.out.stats.adversary_drops += 1;
+            self.out.riders_hit.insert(host);
             return;
         }
 
@@ -1042,36 +1069,37 @@ impl PlaneLane {
         match self.store.ingest(host, &bytes) {
             Ok(()) => {
                 if attempt > 0 {
-                    self.stats.retry_deliveries += 1;
+                    self.out.stats.retry_deliveries += 1;
                 }
                 if scrub {
-                    self.stats.scrub_repaired += 1;
+                    self.out.stats.scrub_repaired += 1;
                 }
-                self.stats.transfers_delivered += 1;
+                self.out.stats.transfers_delivered += 1;
                 if let Some(block) = self.store.block_mut(host, owner, archive) {
                     if let Some((byte, bit)) = shared.faults.bitrot(&mut rng, block.bytes.len()) {
                         block.bytes[byte] ^= 1 << bit;
-                        self.stats.bitrot_events += 1;
+                        self.out.stats.bitrot_events += 1;
                     }
                 }
                 // A selectively honest host stores the frame, then
                 // corrupts roughly half of what it accepts — bitrot
                 // with intent, drawn from the same per-transfer stream
                 // so the damage pattern is deterministic.
-                if shared.role_of(host) == AdversaryRole::Rotter && rng.gen_range(0..2u32) == 1 {
+                let rotter = shared.role_of(world, host) == AdversaryRole::Rotter;
+                if rotter && rng.gen_range(0..2u32) == 1 {
                     if let Some(block) = self.store.block_mut(host, owner, archive) {
                         let byte = rng.gen_range(0..block.bytes.len());
                         let bit = rng.gen_range(0..8u32);
                         block.bytes[byte] ^= 1 << bit;
-                        self.stats.adversary_corruptions += 1;
+                        self.out.stats.adversary_corruptions += 1;
                     }
                 }
             }
             Err(IngestError::Frame(_)) => {
                 match transit.damage {
-                    Some(FaultKind::Corruption) => self.stats.transfers_corrupted += 1,
-                    Some(FaultKind::Truncation) => self.stats.transfers_truncated += 1,
-                    Some(FaultKind::LinkFlap) => self.stats.transfers_flapped += 1,
+                    Some(FaultKind::Corruption) => self.out.stats.transfers_corrupted += 1,
+                    Some(FaultKind::Truncation) => self.out.stats.transfers_truncated += 1,
+                    Some(FaultKind::LinkFlap) => self.out.stats.transfers_flapped += 1,
                     None => self.note(format!(
                         "undamaged frame for {owner}/{archive} refused by {host}"
                     )),
@@ -1085,15 +1113,11 @@ impl PlaneLane {
                         let jitter = rng.gen_range(0..base);
                         self.retries.push(Retry {
                             due: round + base + jitter,
-                            owner,
-                            archive,
-                            host,
-                            attempt: a,
-                            scrub,
+                            t: Transfer { attempt: a, ..t },
                         });
                     } else {
-                        self.stats.retries_abandoned += 1;
-                        self.stats.scrub_abandoned += u64::from(scrub);
+                        self.out.stats.retries_abandoned += 1;
+                        self.out.stats.scrub_abandoned += u64::from(scrub);
                     }
                 }
             }
@@ -1111,9 +1135,9 @@ impl PlaneLane {
             // frame again; an intact copy must be refused as a
             // duplicate, never silently merged or double-stored. The
             // sender pays the link a second time.
-            self.stats.duplicate_frames += 1;
-            self.stats.bytes_shipped += frame_len as u64;
-            self.stats.upload_secs += LINK.upload_secs(frame_len as f64);
+            self.out.stats.duplicate_frames += 1;
+            self.out.stats.bytes_shipped += frame_len as u64;
+            self.out.stats.upload_secs += LINK.upload_secs(frame_len as f64);
             if matches!(self.store.ingest(host, &bytes), Ok(())) && transit.damage.is_none() {
                 self.note(format!(
                     "duplicate frame for {owner}/{archive} accepted twice by {host}"
@@ -1136,7 +1160,7 @@ impl PlaneLane {
         // if the transfer fails (the simulator believes it succeeded —
         // the divergence is what the auditor measures, and what the
         // retry path repairs).
-        let oa = self.owner_archive(shared, owner, archive);
+        let oa = self.owner_archive(shared, world, owner, archive);
         let Some(slot) = oa.slots.iter().position(Option::is_none) else {
             self.note(format!(
                 "placement for {owner}/{archive} with no free shard slot"
@@ -1144,35 +1168,27 @@ impl PlaneLane {
             return;
         };
         oa.slots[slot] = Some(host);
-        let joined = oa.joined;
-        if shared.schedule.is_some() {
-            // Scheduled path: the slot is mirrored now, the bytes move
-            // when the link budget allows. A placement for an archive
-            // that already joined is repair traffic; first-time uploads
-            // are backups.
-            let class = if joined {
-                TransferClass::Repair
-            } else {
-                TransferClass::Backup
-            };
-            let bytes = self.frame_bytes(owner, archive);
-            self.enqueue_transfer(class, owner, archive, host, 0, false, bytes, round);
-            return;
-        }
-        let job = ShipJob {
+        // A placement for an archive that already joined is repair
+        // traffic; first-time uploads are backups.
+        let class = if oa.joined {
+            TransferClass::Repair
+        } else {
+            TransferClass::Backup
+        };
+        let t = Transfer {
             owner,
             archive,
             host,
-            slot,
             attempt: 0,
             scrub: false,
         };
-        self.ship_slot(shared, world, job, round);
+        self.send(shared, world, class, t, slot, round);
     }
 
-    /// Re-ships the retries due at `round`, in deterministic order.
-    /// A retry whose placement vanished (or whose block arrived some
-    /// other way) is abandoned.
+    /// Re-ships the retries due at `round`, in deterministic order, at
+    /// repair priority when scheduled. A retry whose placement vanished
+    /// (or whose block arrived some other way) is abandoned, or counted
+    /// obsolete for a scrub re-ship.
     fn process_due_retries(&mut self, shared: &PlaneShared, world: &BackupWorld, round: u64) {
         if self.retries.is_empty() {
             return;
@@ -1190,55 +1206,12 @@ impl PlaneLane {
             }
         });
         due.sort_unstable();
-        for r in due.drain(..) {
-            let placement_live = self
-                .owners
-                .get(&(r.owner, r.archive))
-                .and_then(|oa| oa.slots.iter().position(|&s| s == Some(r.host)));
-            let Some(slot) = placement_live else {
-                // Dropped/displaced since the failure (or the scrub).
-                if r.scrub {
-                    self.stats.scrub_obsolete += 1;
-                } else {
-                    self.stats.retries_abandoned += 1;
-                }
-                continue;
-            };
-            if self.store.block(r.host, r.owner, r.archive).is_some() {
-                // A fresh placement already delivered bytes.
-                if r.scrub {
-                    self.stats.scrub_obsolete += 1;
-                } else {
-                    self.stats.retries_abandoned += 1;
-                }
-                continue;
+        for Retry { t, .. } in due.drain(..) {
+            match self.live_slot(&t) {
+                Some(slot) => self.send(shared, world, TransferClass::Repair, t, slot, round),
+                None if t.scrub => self.out.stats.scrub_obsolete += 1,
+                None => self.out.stats.retries_abandoned += 1,
             }
-            if shared.schedule.is_some() {
-                // Re-ships compete for the link like everything else,
-                // at repair priority, keeping their attempt budget and
-                // scrub provenance.
-                let bytes = self.frame_bytes(r.owner, r.archive);
-                self.enqueue_transfer(
-                    TransferClass::Repair,
-                    r.owner,
-                    r.archive,
-                    r.host,
-                    r.attempt,
-                    r.scrub,
-                    bytes,
-                    round,
-                );
-                continue;
-            }
-            let job = ShipJob {
-                owner: r.owner,
-                archive: r.archive,
-                host: r.host,
-                slot,
-                attempt: r.attempt,
-                scrub: r.scrub,
-            };
-            self.ship_slot(shared, world, job, round);
         }
         self.due_scratch = due;
     }
@@ -1263,29 +1236,26 @@ impl PlaneLane {
         archive: u8,
         refresh: bool,
     ) {
-        self.stats.episodes += 1;
+        self.out.stats.episodes += 1;
         if refresh {
-            self.stats.episode_refreshes += 1;
+            self.out.stats.episode_refreshes += 1;
         }
         // The paper's k-block download, replayed for real: reconstruct
         // the archive from the shards that actually survive on disk.
         let found = self.restore_survivors(shared, world, owner, archive, false, 0);
-        self.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
+        self.out.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
         if found.restored {
-            self.stats.repair_decodes += 1;
+            self.out.stats.repair_decodes += 1;
         } else {
             // Fewer than k intact shards survive (possible only under
             // fault injection): the owner re-encodes from its local
             // copy, exactly like the paper's loss-and-rejoin path.
-            self.stats.repair_decode_fallbacks += 1;
+            self.out.stats.repair_decode_fallbacks += 1;
             // With the scheduler on, an episode can legitimately start
             // while earlier placements are still streaming — the local
             // fallback is bandwidth, not corruption. Adversarial hosts
             // make the fallback expected too, exactly like faults.
-            if !shared.faults_enabled
-                && !shared.adversary_enabled
-                && !self.has_in_flight(owner, archive)
-            {
+            if !shared.damage_expected() && !self.has_in_flight(owner, archive) {
                 self.note(format!(
                     "episode decode failed without faults for {owner}/{archive}"
                 ));
@@ -1301,7 +1271,7 @@ impl PlaneLane {
         archive: u8,
         round: u64,
     ) {
-        self.stats.losses_observed += 1;
+        self.out.stats.losses_observed += 1;
         // Replay the failing restore with the blocks present at loss
         // time (the event fires before the survivors are dropped).
         let found = self.restore_survivors(shared, world, owner, archive, false, 0);
@@ -1311,17 +1281,18 @@ impl PlaneLane {
                 "simulator lost {owner}/{archive} but bytes decoded from {intact} shards"
             ));
         }
-        if intact >= shared.k as u32 {
+        let k = shared.k() as u32;
+        if intact >= k {
             self.note(format!(
                 "loss of {owner}/{archive} with {intact} intact shards >= k"
             ));
         }
-        self.losses.push(LossRecord {
+        self.out.losses.push(LossRecord {
             round,
             owner,
             archive,
             intact_shards: intact,
-            k: shared.k as u32,
+            k,
         });
         if let Some(oa) = self.owners.get_mut(&(owner, archive)) {
             oa.joined = false;
@@ -1369,10 +1340,10 @@ impl PlaneLane {
     fn scrub_sweep(&mut self, round: u64) {
         let mut rotten = core::mem::take(&mut self.scrub_scratch);
         debug_assert!(rotten.is_empty(), "scrub scratch returned dirty");
-        self.stats.scrub_checked += self.store.collect_rotten(&mut rotten) as u64;
+        self.out.stats.scrub_checked += self.store.collect_rotten(&mut rotten) as u64;
         for &(host, owner, archive) in &rotten {
             self.store.drop_block(host, owner, archive);
-            self.stats.scrub_detected += 1;
+            self.out.stats.scrub_detected += 1;
             // A scrub detection is an integrity failure attributable to
             // the storing host; it feeds the same reputation ledger the
             // challenge sweep does (inert while the world's quarantine
@@ -1380,11 +1351,13 @@ impl PlaneLane {
             self.suspects.push(host);
             self.retries.push(Retry {
                 due: round + 1,
-                owner,
-                archive,
-                host,
-                attempt: 0,
-                scrub: true,
+                t: Transfer {
+                    owner,
+                    archive,
+                    host,
+                    attempt: 0,
+                    scrub: true,
+                },
             });
         }
         rotten.clear();
@@ -1421,7 +1394,7 @@ impl PlaneLane {
                     archive,
                     blocks,
                 } => {
-                    self.stats.joins += 1;
+                    self.out.stats.joins += 1;
                     if let Some(oa) = self.owners.get_mut(&(*owner, *archive)) {
                         oa.joined = true;
                         let filled = oa.slots.iter().flatten().count();
@@ -1504,17 +1477,17 @@ impl PlaneLane {
             if self
                 .retries
                 .iter()
-                .any(|r| r.owner == owner && r.archive == archive && r.host == host)
+                .any(|r| (r.t.owner, r.t.archive, r.t.host) == (owner, archive, host))
             {
                 continue; // known damage, re-ship already scheduled
             }
-            self.stats.challenges_issued += 1;
+            self.out.stats.challenges_issued += 1;
             let intact = self
                 .store
                 .block(host, owner, archive)
                 .is_some_and(|b| b.intact());
             if !intact {
-                self.stats.challenge_failures += 1;
+                self.out.stats.challenge_failures += 1;
                 self.suspects.push(host);
             }
         }
@@ -1533,36 +1506,26 @@ impl PlaneLane {
             .map(|(&key, _)| key)
             .collect();
         for (owner, archive) in wave {
-            let bytes = shared.k as u64 * self.frame_bytes(owner, archive);
-            self.enqueue_transfer(
-                TransferClass::Restore,
+            let bytes = shared.k() as u64 * self.frame_bytes(owner, archive);
+            let t = Transfer {
                 owner,
                 archive,
-                owner,
-                0,
-                false,
-                bytes,
-                round,
-            );
+                host: owner,
+                attempt: 0,
+                scrub: false,
+            };
+            self.enqueue_transfer(TransferClass::Restore, t, bytes, round);
         }
     }
 }
 
 /// The sharded data plane: one lane per logical owner shard plus the
 /// merged report state.
-pub(crate) struct Plane {
-    pub(crate) shared: PlaneShared,
-    pub(crate) lanes: Vec<PlaneLane>,
-    /// Counters merged from the lanes, in lane order, once per round.
-    pub(crate) stats: FabricStats,
-    pub(crate) audit: AuditReport,
-    pub(crate) losses: Vec<LossRecord>,
-    /// Completed restore durations (rounds past each transfer's
-    /// deadline), merged in lane order.
-    pub(crate) restore_durations: Vec<u64>,
-    /// Free-rider hosts that intercepted at least one shipment, union
-    /// over lanes (the denominator of the detection-coverage gate).
-    pub(crate) riders_hit: BTreeSet<PeerId>,
+struct Plane {
+    shared: PlaneShared,
+    lanes: Vec<PlaneLane>,
+    /// The lanes' output, merged in lane order once per round.
+    out: Output,
 }
 
 impl Plane {
@@ -1571,26 +1534,7 @@ impl Plane {
     /// chronological order because the merge happens every round).
     fn merge_round(&mut self) {
         for lane in &mut self.lanes {
-            let stats = core::mem::take(&mut lane.stats);
-            self.stats.accumulate(&stats);
-            let audit = core::mem::take(&mut lane.audit);
-            self.audit.checks += audit.checks;
-            self.audit.consistent += audit.consistent;
-            self.audit.fault_induced_losses += audit.fault_induced_losses;
-            self.audit.mismatches += audit.mismatches;
-            self.audit.skipped_in_flight += audit.skipped_in_flight;
-            self.audit.decode_attempts += audit.decode_attempts;
-            self.audit.decode_successes += audit.decode_successes;
-            for note in audit.notes {
-                if self.audit.notes.len() < AuditReport::MAX_NOTES {
-                    self.audit.notes.push(note);
-                }
-            }
-            self.losses.append(&mut lane.losses);
-            self.restore_durations.append(&mut lane.restore_durations);
-            if !lane.riders_hit.is_empty() {
-                self.riders_hit.append(&mut lane.riders_hit);
-            }
+            self.out.absorb(&mut lane.out);
         }
     }
 }
@@ -1599,8 +1543,6 @@ impl Plane {
 pub struct Fabric {
     world: BackupWorld,
     plane: Plane,
-    audit_interval: u64,
-    rounds: u64,
     /// Recycled buffer the world's per-round event log swaps through
     /// (zero steady-state allocation on the replay path).
     event_scratch: Vec<WorldEvent>,
@@ -1675,25 +1617,15 @@ impl Fabric {
         let codec = ReedSolomon::new(cfg.k as usize, cfg.m as usize)
             .map_err(|e| format!("erasure geometry k={} m={}: {e}", cfg.k, cfg.m))?;
         let seed = cfg.seed;
-        let rounds = cfg.rounds;
-        let mut world = BackupWorld::new(cfg.clone());
+        let mut world = BackupWorld::new(cfg);
         world.set_event_recording(true);
         let shared = PlaneShared {
-            k: cfg.k as usize,
-            m: cfg.m as usize,
-            payload_bytes: fabric_cfg.payload_bytes,
-            faults_enabled: fabric_cfg.faults.any_enabled(),
+            cfg: fabric_cfg,
             faults: FaultPlane::new(fabric_cfg.faults),
-            master_seed: seed,
             codec,
-            audit_sample_period: fabric_cfg.audit_sample_period,
-            audit_seed: derive_seed(seed, AUDIT_STREAM),
-            scrub_interval: fabric_cfg.scrub_interval,
             schedule,
-            adversary_enabled: fabric_cfg.adversary.any_hostile(),
+            audit_seed: derive_seed(seed, AUDIT_STREAM),
             challenge_seed: derive_seed(seed, CHALLENGE_STREAM),
-            observer_count: cfg.observers.len(),
-            adversary: fabric_cfg.adversary,
         };
         let lanes = (0..world.logical_shards())
             .map(|i| PlaneLane::new(i, seed))
@@ -1701,17 +1633,11 @@ impl Fabric {
         let plane = Plane {
             shared,
             lanes,
-            stats: FabricStats::default(),
-            audit: AuditReport::default(),
-            losses: Vec::new(),
-            restore_durations: Vec::new(),
-            riders_hit: BTreeSet::new(),
+            out: Output::default(),
         };
         Ok(Fabric {
             world,
             plane,
-            audit_interval: fabric_cfg.audit_interval,
-            rounds,
             event_scratch: Vec::new(),
             suspect_scratch: Vec::new(),
             replay: ReplayWork::default(),
@@ -1734,13 +1660,13 @@ impl Fabric {
     /// Byte-plane counters so far (merged through the last completed
     /// round).
     pub fn stats(&self) -> &FabricStats {
-        &self.plane.stats
+        &self.plane.out.stats
     }
 
     /// Replay work so far (through the last completed round).
     pub fn replay_work(&self) -> ReplayWork {
         ReplayWork {
-            decodes: self.plane.audit.decode_attempts,
+            decodes: self.plane.out.audit.decode_attempts,
             survivor_blocks_gathered: self.plane.lanes.iter().map(|l| l.survivors_gathered).sum(),
             ..self.replay
         }
@@ -1766,8 +1692,7 @@ impl Fabric {
     /// [`ReplayProfile`] (which the report deliberately does not
     /// carry).
     pub fn run_with_telemetry(mut self) -> (FabricReport, ReplayWork, ReplayProfile) {
-        let seed = self.world.config().seed;
-        let rounds = self.rounds;
+        let (seed, rounds) = (self.world.config().seed, self.world.config().rounds);
         let mut engine = Engine::new(seed);
         engine.run(&mut self, rounds);
         self.drain_retries();
@@ -1787,7 +1712,7 @@ impl Fabric {
     /// each peer's head-of-line transfer. Inline and in lane order, so
     /// the result is identical at any worker count.
     fn drain_retries(&mut self) {
-        let mut r = self.rounds;
+        let mut r = self.world.config().rounds;
         loop {
             let queued = self.plane.lanes.iter().any(|l| !l.queue.is_empty());
             let next_due = self
@@ -1817,23 +1742,32 @@ impl Fabric {
     pub fn finish(self) -> FabricReport {
         let Fabric { world, plane, .. } = self;
         let quarantined = world.quarantine_log().to_vec();
+        let Output {
+            stats,
+            audit,
+            losses,
+            restore_durations,
+            riders_hit,
+        } = plane.out;
         FabricReport {
             metrics: world.into_metrics(),
-            stats: plane.stats,
-            audit: plane.audit,
-            losses: plane.losses,
-            restore_durations: plane.restore_durations,
+            stats,
+            audit,
+            losses,
+            restore_durations,
             quarantined,
-            free_riders_targeted: plane.riders_hit.into_iter().collect(),
+            free_riders_targeted: riders_hit.into_iter().collect(),
         }
     }
 }
 
-#[cfg(test)]
+#[cfg(any(test, debug_assertions))]
 impl Fabric {
     /// The data plane's structural invariants, between rounds (every
     /// event replayed, nothing mid-stage). `round_start` calls it every
-    /// 16th round in every fabric test build. For every lane:
+    /// 16th round in every build with debug assertions — the fabric's
+    /// unit tests and every debug build that links it, integration
+    /// tests included; release builds compile it out. For every lane:
     ///
     /// * its store passes [`BlockStore::check_invariants`];
     /// * every block at rest belongs to an owner of the lane's shard and
@@ -1860,15 +1794,17 @@ impl Fabric {
                 );
             }
             let mut in_flight = BTreeMap::new();
-            for t in &lane.queue {
+            for p in &lane.queue {
+                let t = p.t;
                 assert!(here(t.owner), "lane {i}: queues a transfer of {}", t.owner);
-                if t.class != TransferClass::Restore {
+                if p.class != TransferClass::Restore {
                     *in_flight.entry((t.owner, t.archive)).or_insert(0) += 1;
                 }
             }
             assert_eq!(in_flight, lane.in_flight, "lane {i}: in-flight counts");
             for r in &lane.retries {
-                assert!(here(r.owner), "lane {i}: retries a transfer of {}", r.owner);
+                let owner = r.t.owner;
+                assert!(here(owner), "lane {i}: retries a transfer of {owner}");
             }
             for (&(owner, archive), oa) in &lane.owners {
                 assert!(here(owner), "lane {i}: mirrors an archive of {owner}");
@@ -1886,7 +1822,7 @@ impl Fabric {
 
 impl World for Fabric {
     fn round_start(&mut self, round: Round, rng: &mut SimRng) {
-        #[cfg(test)]
+        #[cfg(any(test, debug_assertions))]
         if round.index() % 16 == 15 {
             self.check_invariants();
         }
@@ -1904,7 +1840,7 @@ impl World for Fabric {
     fn round_end(&mut self, round: Round, rng: &mut SimRng) {
         self.world.round_end(round, rng);
         let r = round.index();
-        let audit_due = r.is_multiple_of(self.audit_interval);
+        let audit_due = r.is_multiple_of(self.plane.shared.cfg.audit_interval);
         self.profile.rounds += 1;
         let mut clock = Instant::now();
 
@@ -2089,6 +2025,115 @@ mod tests {
             },
         };
         (cfg, fabric)
+    }
+
+    /// Stats with every field distinct and non-zero. Exhaustive, so a
+    /// new field does not compile until it is listed here.
+    fn distinct_stats() -> FabricStats {
+        FabricStats {
+            transfers_attempted: 1,
+            transfers_delivered: 2,
+            transfers_corrupted: 3,
+            transfers_truncated: 4,
+            transfers_flapped: 5,
+            duplicate_frames: 6,
+            bitrot_events: 7,
+            bytes_shipped: 8,
+            upload_secs: 9.5,
+            download_secs: 10.5,
+            joins: 11,
+            episodes: 12,
+            episode_refreshes: 13,
+            repair_decodes: 14,
+            repair_decode_fallbacks: 15,
+            losses_observed: 16,
+            transfers_retried: 17,
+            retry_deliveries: 18,
+            retries_abandoned: 19,
+            scrub_checked: 20,
+            scrub_detected: 21,
+            scrub_repaired: 22,
+            scrub_obsolete: 23,
+            scrub_abandoned: 24,
+            transfers_queued: 25,
+            transfers_carried: 26,
+            transfers_cancelled: 27,
+            flash_restores: 28,
+            flash_restore_failures: 29,
+            adversary_drops: 30,
+            adversary_corruptions: 31,
+            challenges_issued: 32,
+            challenge_failures: 33,
+            escalated_transfer_rounds: 34,
+        }
+    }
+
+    #[test]
+    fn stats_accumulate_carries_every_field() {
+        let stats = distinct_stats();
+        let mut total = FabricStats::default();
+        total.accumulate(&stats);
+        assert_eq!(total, stats);
+    }
+
+    #[test]
+    fn output_absorb_carries_every_field_and_caps_the_notes() {
+        let notes = |from: usize| (from..from + 10).map(|i| format!("note {i}")).collect();
+        // Exhaustive literals: a new field does not compile until it is
+        // listed here.
+        let lane = |first_note| Output {
+            stats: distinct_stats(),
+            audit: AuditReport {
+                checks: 41,
+                consistent: 42,
+                fault_induced_losses: 43,
+                mismatches: 44,
+                skipped_in_flight: 45,
+                decode_attempts: 46,
+                decode_successes: 47,
+                notes: notes(first_note),
+            },
+            losses: vec![LossRecord {
+                round: 51,
+                owner: 52,
+                archive: 53,
+                intact_shards: 54,
+                k: 55,
+            }],
+            restore_durations: vec![61, 62],
+            riders_hit: BTreeSet::from([71, 72]),
+        };
+        let mut merged = Output::default();
+        let mut first = lane(0);
+        merged.absorb(&mut first);
+        assert_eq!(merged, lane(0));
+        assert_eq!(first, Output::default(), "the lane is left empty");
+
+        // A second lane adds its counters, appends its series after the
+        // first lane's, and fills the notes only up to the cap.
+        let mut second = lane(10);
+        second.riders_hit = BTreeSet::from([72, 73]);
+        merged.absorb(&mut second);
+        assert_eq!(second, Output::default());
+        let mut stats = distinct_stats();
+        stats.accumulate(&distinct_stats());
+        assert_eq!(merged.stats, stats);
+        let audit = &merged.audit;
+        let counters = [
+            audit.checks,
+            audit.consistent,
+            audit.fault_induced_losses,
+            audit.mismatches,
+            audit.skipped_in_flight,
+            audit.decode_attempts,
+            audit.decode_successes,
+        ];
+        assert_eq!(counters, [82, 84, 86, 88, 90, 92, 94]);
+        let kept: Vec<String> = notes(0).into_iter().chain(notes(10)).collect();
+        assert_eq!(audit.notes, kept[..AuditReport::MAX_NOTES]);
+        assert_eq!(merged.losses, [lane(0).losses, lane(0).losses].concat());
+        assert_eq!(merged.restore_durations, [61, 62, 61, 62]);
+        assert_eq!(merged.riders_hit, BTreeSet::from([71, 72, 73]));
     }
 
     #[test]

@@ -86,3 +86,31 @@ impl ReplayProfile {
         self.merge += other.merge;
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accumulate_carries_every_row() {
+        // Exhaustive: a new row does not compile until it is listed.
+        let ms = Duration::from_millis;
+        let profile = ReplayProfile {
+            rounds: 1,
+            retries: ms(2),
+            events: ms(3),
+            drain: ms(4),
+            drain_ship: ms(5),
+            scrub: ms(6),
+            challenge: ms(7),
+            audit: ms(8),
+            decode: ms(9),
+            partition: ms(10),
+            dispatch: ms(11),
+            merge: ms(12),
+        };
+        let mut total = ReplayProfile::default();
+        total.accumulate(&profile);
+        assert_eq!(total, profile);
+    }
+}

@@ -316,7 +316,7 @@ impl BlockStore {
     }
 
     /// Every stored block's `(host, owner, archive)`, in index order.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
         self.index.keys().copied()
     }
@@ -326,7 +326,7 @@ impl BlockStore {
     /// key, every live slot is indexed, the free list holds exactly the
     /// free slots once each, and every page still has the capacity it
     /// was allocated with.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_invariants(&self) {
         for (&key, &slot) in &self.index {
             assert_eq!(

@@ -30,5 +30,5 @@ pub use arena::BufPool;
 pub use clock::Round;
 pub use engine::{Engine, RoundReport, World};
 pub use exec::{ExecPolicy, StageWork, WorkerPool};
-pub use rng::{derive_seed, sim_rng, SimRng};
+pub use rng::{derive_seed, sim_rng, unit_draw, SimRng};
 pub use wheel::{HierarchicalWheel, TimingWheel};

@@ -29,6 +29,14 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Maps a derived seed to a uniform draw in `[0, 1)` from its top 53
+/// bits, without touching any RNG stream: for choices that must be a
+/// pure function of a seed (a slot's adversary role, an incident
+/// schedule), identical at every worker and shard count.
+pub fn unit_draw(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
