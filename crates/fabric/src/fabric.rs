@@ -282,7 +282,7 @@ pub struct ScheduleConfig {
 
 /// [`ScheduleConfig`] with the per-round byte budgets already resolved
 /// against the link model.
-pub(crate) struct ResolvedSchedule {
+struct ResolvedSchedule {
     /// Upload bytes per peer per round.
     up_budget: u64,
     /// Download bytes per peer per round.
@@ -473,7 +473,7 @@ pub(crate) struct PlaneShared {
     codec: ReedSolomon,
     /// Bandwidth-aware scheduling, budgets resolved (`None` = instant
     /// shipping).
-    pub(crate) schedule: Option<ResolvedSchedule>,
+    schedule: Option<ResolvedSchedule>,
     /// Seed of the audit coverage hash, derived once from the run seed.
     audit_seed: u64,
     /// Seed of the challenge coverage hash.
@@ -617,7 +617,7 @@ struct Retry {
 /// a round, and the plane folds them into its own in lane order.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Output {
-    pub(crate) stats: FabricStats,
+    stats: FabricStats,
     pub(crate) audit: AuditReport,
     /// Verified data losses, in the order they were observed.
     pub(crate) losses: Vec<LossRecord>,
