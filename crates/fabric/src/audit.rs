@@ -6,8 +6,41 @@
 //! * **Prediction** — the simulator's view: at least `k` of the
 //!   archive's blocks sit on currently-online partners
 //!   ([`BackupWorld::archive_online_present`]).
-//! * **Byte truth** — a real [`RestorePipeline`] decode from the
-//!   intact shards actually stored on online hosts.
+//! * **Byte truth** — a real reconstruction from `k` intact shards
+//!   actually stored on online hosts.
+//!
+//! ## What an audit proves
+//!
+//! One gather serves every decode: it walks the archive's mirrored
+//! hosts in slot order (online ones only, for an audit or a flash
+//! restore), re-sums each stored block, and stops at the `k`th intact
+//! one — the paper's "reach k partners, download k blocks, decode". The
+//! codec reconstructs the `k` data shards from them, and then one of
+//! two verdicts judges the result (`Verdict`):
+//!
+//! * **Ciphertext** (audits and episode starts): restored means the
+//!   first `payload_len` bytes of the reconstructed data shards equal
+//!   those of the owner's code word — exactly the bytes
+//!   `Archive::join_blocks` keeps. The keystream cipher and the archive
+//!   framing are deterministic functions of those bytes, so equal
+//!   ciphertext decrypts and parses to the archive, and a restore that
+//!   yields the archive had to start from its ciphertext (the keystream
+//!   is a bijection and the archive's encoding canonical): the verdict
+//!   is the full restore's, without the join, the decrypt, the parse or
+//!   a plaintext copy of the archive beside every code word.
+//! * **Full** (loss verifications and flash restores, the restores a
+//!   user sees): a [`RestorePipeline`] join → decrypt → parse, compared
+//!   with the archive regenerated from the code word's content seed.
+//!
+//! Debug builds (`cfg(any(test, debug_assertions))`: the unit and
+//! integration tests, and debug binaries) re-derive the full verdict
+//! beside every ciphertext verdict, from every intact survivor as the
+//! gather did before it stopped at `k`, and assert that the two agree;
+//! release builds compile the check out.
+//!
+//! An audit that does not restore keeps counting the intact blocks past
+//! the gather, so the count its notes and [`LossRecord`]s carry is
+//! exact; one that restores reports the `k` it decoded.
 //!
 //! With fault injection off the two must agree on *every* archive,
 //! *every* round — any disagreement is a bug in one of the halves and
@@ -25,9 +58,12 @@
 //! [`BackupWorld::archive_online_present`]: peerback_core::BackupWorld::archive_online_present
 //! [`RestorePipeline`]: peerback_core::RestorePipeline
 
-use peerback_core::{BackupWorld, PeerId};
+use std::time::Instant;
 
-use crate::fabric::{PlaneLane, PlaneShared};
+use peerback_core::{BackupWorld, PeerId, RestorePipeline, XorKeystream};
+
+use crate::fabric::{CodeWord, OwnerArchive, PlaneLane, PlaneShared};
+use crate::store::BlockStore;
 
 /// One verified data-loss event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +102,13 @@ pub struct AuditReport {
     /// placed, so comparing against bytes mid-flight would report a
     /// false mismatch. Zero on unscheduled runs.
     pub skipped_in_flight: u64,
-    /// Real decode attempts performed (audits, episode starts, loss
-    /// verifications).
+    /// Real decode attempts performed: audits with at least `k` intact
+    /// blocks on online hosts, and every episode start, loss
+    /// verification and completed flash restore (those try with
+    /// whatever survives, fewer than `k` blocks included).
     pub decode_attempts: u64,
-    /// Decode attempts that reproduced the archive bit for bit.
+    /// Decode attempts that restored the archive bit for bit (by the
+    /// ciphertext or the full verdict; see the module docs).
     pub decode_successes: u64,
     /// First few mismatch descriptions, for debugging.
     pub notes: Vec<String>,
@@ -94,7 +133,174 @@ impl AuditReport {
     }
 }
 
+/// How a restore judges the data shards it reconstructed (see the
+/// module docs for why the two agree).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Restored when the first `payload_len` bytes of the data shards
+    /// equal the owner's code word's: audits and episode starts.
+    Ciphertext,
+    /// Restored when join → decrypt → parse yields the archive
+    /// regenerated from the content seed: loss verifications and flash
+    /// restores.
+    Full,
+}
+
+impl Verdict {
+    /// Whether `blocks` restore `codeword` under this verdict; the data
+    /// shards are reconstructed into `scratch`.
+    fn restores(
+        self,
+        shared: &PlaneShared,
+        codeword: &CodeWord,
+        blocks: &[(usize, &[u8])],
+        scratch: &mut Vec<Vec<u8>>,
+    ) -> bool {
+        let descriptor = &codeword.descriptor;
+        match self {
+            Verdict::Ciphertext => {
+                let shard_len = blocks.first().map_or(0, |(_, b)| b.len());
+                let decoded = shared
+                    .codec
+                    .reconstruct_data_into(blocks, shard_len, scratch);
+                let len = descriptor.payload_len as usize;
+                decoded.is_ok() && same_prefix(scratch, &codeword.shards, len)
+            }
+            Verdict::Full => {
+                let restore = RestorePipeline::new(XorKeystream::new(codeword.cipher_key));
+                let decoded = restore.restore_with(&shared.codec, descriptor, blocks, scratch);
+                decoded.is_ok_and(|decoded| decoded == shared.archive_of(codeword))
+            }
+        }
+    }
+}
+
+/// Whether the first `len` bytes of the shards `data` equal those of
+/// `shards`, each list read as one concatenation (what
+/// `Archive::join_blocks` keeps).
+fn same_prefix(data: &[Vec<u8>], shards: &[Vec<u8>], len: usize) -> bool {
+    let mut left = len;
+    let equal = data.iter().zip(shards).all(|(d, s)| {
+        let n = left.min(d.len());
+        left -= n;
+        s.get(..n) == Some(&d[..n])
+    });
+    equal && left == 0
+}
+
+/// What [`PlaneLane::restore_survivors`] found in the stores.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Survivors {
+    /// Intact blocks: the `k` the gather decoded when the archive
+    /// restored, every intact block otherwise.
+    pub(crate) intact: u32,
+    /// Bytes of the (at most `k`) blocks gathered — the paper's k-block
+    /// download.
+    pub(crate) download_bytes: usize,
+    /// Whether a decode ran and restored the archive bit for bit.
+    pub(crate) restored: bool,
+}
+
+/// The intact blocks of `(owner, archive)` at rest on `oa`'s mirrored
+/// hosts, in slot order, as `(shard_index, bytes)` pairs borrowed in
+/// place; `online_only` skips hosts the simulator has offline. Each
+/// block is re-summed as the iterator reaches it, so a gather that
+/// stops early reads no further.
+fn survivors<'a>(
+    oa: &'a OwnerArchive,
+    store: &'a BlockStore,
+    world: &'a BackupWorld,
+    owner: PeerId,
+    archive: u8,
+    online_only: bool,
+) -> impl Iterator<Item = (usize, &'a [u8])> + 'a {
+    oa.hosts()
+        .filter(move |&(_, host)| !online_only || world.peer_online(host))
+        .filter_map(move |(_, host)| store.block(host, owner, archive))
+        .filter(|b| b.intact())
+        .map(|b| (b.shard_index as usize, b.bytes))
+}
+
 impl PlaneLane {
+    /// Gathers up to `k` intact blocks of the archive `(owner,
+    /// archive)` and, given at least `need` of them, attempts a restore
+    /// straight out of the store, judged by `verdict`: through the
+    /// run's shared codec into recycled data-shard scratch — no copy of
+    /// the inputs, no per-decode matrix rebuild, no fresh output
+    /// buffers.
+    pub(crate) fn restore_survivors(
+        &mut self,
+        shared: &PlaneShared,
+        world: &BackupWorld,
+        (owner, archive): (PeerId, u8),
+        online_only: bool,
+        need: usize,
+        verdict: Verdict,
+    ) -> Survivors {
+        let Some(oa) = self.owners.get(&(owner, archive)) else {
+            return Survivors::default();
+        };
+        let clock = Instant::now();
+        let (gathered, attempted, found) = {
+            let mut rest = survivors(oa, &self.store, world, owner, archive, online_only);
+            let blocks: Vec<(usize, &[u8])> = rest.by_ref().take(shared.k()).collect();
+            let attempted = blocks.len() >= need;
+            let scratch = &mut self.data_scratch;
+            let restored = attempted && verdict.restores(shared, &oa.codeword, &blocks, scratch);
+            let uncounted = if restored { 0 } else { rest.count() };
+            let found = Survivors {
+                intact: (blocks.len() + uncounted) as u32,
+                download_bytes: blocks.iter().map(|(_, b)| b.len()).sum(),
+                restored,
+            };
+            (blocks.len(), attempted, found)
+        };
+        self.survivors_gathered += gathered as u64;
+        self.out.audit.decode_attempts += u64::from(attempted);
+        self.out.audit.decode_successes += u64::from(found.restored);
+        #[cfg(any(test, debug_assertions))]
+        if verdict == Verdict::Ciphertext {
+            let ciphertext = (attempted, found);
+            let key = (owner, archive);
+            self.check_ciphertext_verdict(shared, world, key, online_only, need, ciphertext);
+        }
+        self.profile.decode += clock.elapsed();
+        found
+    }
+
+    /// The debug oracle of every ciphertext verdict: the full verdict
+    /// over every intact survivor — the decode as it ran before gathers
+    /// stopped at `k` — must agree on whether a decode ran, whether it
+    /// restored, the download and the intact count.
+    #[cfg(any(test, debug_assertions))]
+    fn check_ciphertext_verdict(
+        &mut self,
+        shared: &PlaneShared,
+        world: &BackupWorld,
+        (owner, archive): (PeerId, u8),
+        online_only: bool,
+        need: usize,
+        ciphertext: (bool, Survivors),
+    ) {
+        let k = shared.k();
+        let oa = &self.owners[&(owner, archive)];
+        let all: Vec<(usize, &[u8])> =
+            survivors(oa, &self.store, world, owner, archive, online_only).collect();
+        let attempted = all.len() >= need;
+        let scratch = &mut self.data_scratch;
+        let restored = attempted && Verdict::Full.restores(shared, &oa.codeword, &all, scratch);
+        let full = Survivors {
+            intact: if restored { k } else { all.len() } as u32,
+            download_bytes: all.iter().take(k).map(|(_, b)| b.len()).sum(),
+            restored,
+        };
+        assert_eq!(
+            ciphertext,
+            (attempted, full),
+            "ciphertext and full verdicts of {owner}/{archive} differ"
+        );
+    }
+
     /// Runs one audit pass over every joined archive whose owner lives
     /// in this lane's shard (`slots` is the shard's slot range, so each
     /// lane audits a disjoint set and the merged counters are
@@ -172,7 +378,9 @@ impl PlaneLane {
         let k = shared.k() as u32;
         let predicted = world.archive_online_present(owner, archive) >= k;
         // Fewer than k intact shards cannot decode, so none is tried.
-        let found = self.restore_survivors(shared, world, owner, archive, true, shared.k());
+        let key = (owner, archive);
+        let found =
+            self.restore_survivors(shared, world, key, true, shared.k(), Verdict::Ciphertext);
         let (intact, restorable) = (found.intact, found.restored);
 
         match (predicted, restorable) {

@@ -13,9 +13,11 @@
 //! * a **drop** (host death, offline write-off, stale displacement)
 //!   deletes the stored bytes;
 //! * an **episode start** replays the paper's `k`-block decode as a
-//!   real [`RestorePipeline`] reconstruction from the surviving shards;
-//! * a **loss** triggers a verification decode that must fail with
-//!   fewer than `k` intact shards;
+//!   real reconstruction from `k` surviving shards, checked against the
+//!   owner's code word (the auditor's ciphertext verdict);
+//! * a **loss** triggers a verification decode — a full
+//!   [`RestorePipeline`](peerback_core::RestorePipeline) restore — that
+//!   must fail with fewer than `k` intact shards;
 //! * a **departure** recycles the slot: hosted bytes vanish and the
 //!   replacement peer gets fresh archive content;
 //! * a transfer the fault plane damaged is **retried** with bounded
@@ -57,8 +59,8 @@ use std::time::Instant;
 
 use peerback_core::archive::Entry;
 use peerback_core::{
-    Archive, ArchiveDescriptor, BackupPipeline, BackupWorld, Metrics, PeerId, RestorePipeline,
-    SimConfig, WorldEvent, XorKeystream,
+    Archive, ArchiveDescriptor, BackupPipeline, BackupWorld, Metrics, PeerId, SimConfig,
+    WorldEvent, XorKeystream,
 };
 use peerback_erasure::ReedSolomon;
 use peerback_net::LinkModel;
@@ -66,7 +68,7 @@ use peerback_sim::exec::lap;
 use peerback_sim::{derive_seed, sim_rng, unit_draw, Engine, Round, SimRng, StageWork, World};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::audit::{AuditReport, LossRecord};
+use crate::audit::{AuditReport, LossRecord, Verdict};
 use crate::faults::{FaultKind, FaultPlane, FaultProfile};
 use crate::frame::BlockFrame;
 use crate::profile::ReplayProfile;
@@ -434,17 +436,38 @@ impl FabricStats {
     }
 }
 
-/// The cached code word of one archive content epoch.
-struct CodeWord {
-    shards: Vec<Vec<u8>>,
-    descriptor: ArchiveDescriptor,
-    archive: Archive,
-    cipher_key: u64,
+/// The cached code word of one archive content epoch. The plaintext
+/// archive is not kept: [`content_archive`] regenerates it from
+/// `cipher_key` for the restores that compare against it.
+pub(crate) struct CodeWord {
+    /// The `k + m` coded shards, data shards first.
+    pub(crate) shards: Vec<Vec<u8>>,
+    pub(crate) descriptor: ArchiveDescriptor,
+    /// The content seed, which is also the session key: it derives
+    /// from the owner slot, its content epoch and the archive index.
+    pub(crate) cipher_key: u64,
+}
+
+/// The archive an owner's content seed stands for: one entry of
+/// `payload_bytes` seeded bytes (at least one). Every code word is
+/// encoded from it, and the full restore verdict regenerates it to
+/// compare against.
+fn content_archive(content_seed: u64, archive_id: u64, payload_bytes: usize) -> Archive {
+    let mut payload = vec![0u8; payload_bytes.max(1)];
+    SimRng::seed_from_u64(content_seed).fill_bytes(&mut payload);
+    Archive::from_entries(
+        archive_id,
+        false,
+        vec![Entry {
+            name: "payload".into(),
+            data: payload.into(),
+        }],
+    )
 }
 
 /// Byte-side state of one owned archive.
 pub(crate) struct OwnerArchive {
-    codeword: CodeWord,
+    pub(crate) codeword: CodeWord,
     /// Mirror of the simulator's placement: shard index → host.
     pub(crate) slots: Vec<Option<PeerId>>,
     pub(crate) joined: bool,
@@ -470,7 +493,7 @@ pub(crate) struct PlaneShared {
     faults: FaultPlane,
     /// The run's one codec: every encode and decode of the geometry
     /// shares it (a clone is two `Arc` bumps, no matrix rebuild).
-    codec: ReedSolomon,
+    pub(crate) codec: ReedSolomon,
     /// Bandwidth-aware scheduling, budgets resolved (`None` = instant
     /// shipping).
     schedule: Option<ResolvedSchedule>,
@@ -499,6 +522,13 @@ impl PlaneShared {
     /// The geometry's `k`: data shards per code word.
     pub(crate) fn k(&self) -> usize {
         self.codec.data_shards()
+    }
+
+    /// The archive `codeword` encodes, regenerated from its content
+    /// seed.
+    pub(crate) fn archive_of(&self, codeword: &CodeWord) -> Archive {
+        let (seed, id) = (codeword.cipher_key, codeword.descriptor.archive_id);
+        content_archive(seed, id, self.cfg.payload_bytes)
     }
 
     /// Whether injected faults or adversarial hosts may damage bytes,
@@ -543,17 +573,6 @@ impl PlaneShared {
             .adversary
             .role_of(cfg.seed, cfg.observers.len(), slot)
     }
-}
-
-/// What [`PlaneLane::restore_survivors`] found in the stores.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Survivors {
-    /// Intact blocks gathered.
-    pub(crate) intact: u32,
-    /// Bytes of the first `k` of them — the paper's k-block download.
-    pub(crate) download_bytes: usize,
-    /// Whether a decode ran and reproduced the archive bit for bit.
-    pub(crate) restored: bool,
 }
 
 /// One transfer of a lane: whose block, to which host, and how many
@@ -669,11 +688,13 @@ pub(crate) struct PlaneLane {
     /// departure). Drained-and-reused every round.
     inbox: Vec<WorldEvent>,
     /// Recycled data-shard output buffers for restore decodes.
-    data_scratch: Vec<Vec<u8>>,
+    pub(crate) data_scratch: Vec<Vec<u8>>,
+    /// Recycled wire buffer each shipment's frame is encoded into.
+    frame_scratch: Vec<u8>,
     /// Blocks [`PlaneLane::restore_survivors`] gathered over the whole
     /// run (execution telemetry for [`ReplayWork`]; never merged into
     /// the report).
-    survivors_gathered: u64,
+    pub(crate) survivors_gathered: u64,
     /// Recycled `(host, owner, archive)` list of rotten blocks found by
     /// a scrubbing sweep.
     scrub_scratch: Vec<(PeerId, PeerId, u8)>,
@@ -701,7 +722,7 @@ pub(crate) struct PlaneLane {
     challenge_scratch: Vec<(PeerId, u8, PeerId)>,
     /// Wall time of this lane's stages over the whole run (execution
     /// telemetry for [`ReplayProfile`]; never merged into the report).
-    profile: ReplayProfile,
+    pub(crate) profile: ReplayProfile,
 }
 
 impl PlaneLane {
@@ -719,6 +740,7 @@ impl PlaneLane {
             due_scratch: Vec::new(),
             inbox: Vec::new(),
             data_scratch: Vec::new(),
+            frame_scratch: Vec::new(),
             survivors_gathered: 0,
             scrub_scratch: Vec::new(),
             queue: Vec::new(),
@@ -881,7 +903,8 @@ impl PlaneLane {
             // user-visible rounds-to-restore this percentile series
             // reports on.
             self.out.restore_durations.push(round - deadline);
-            let found = self.restore_survivors(shared, world, t.owner, t.archive, true, 0);
+            let key = (t.owner, t.archive);
+            let found = self.restore_survivors(shared, world, key, true, 0, Verdict::Full);
             self.out.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
             if !found.restored {
                 self.out.stats.flash_restore_failures += 1;
@@ -916,61 +939,6 @@ impl PlaneLane {
         sim_rng(derive_seed(self.fault_seed, seq))
     }
 
-    /// Gathers the archive's stored blocks as `(shard_index, bytes)`
-    /// pairs borrowed in place from `store`, skipping non-intact
-    /// (rotten) ones. `online_only` restricts to hosts currently online
-    /// per the simulator.
-    fn surviving_blocks<'s>(
-        oa: &OwnerArchive,
-        store: &'s BlockStore,
-        world: &BackupWorld,
-        owner: PeerId,
-        archive: u8,
-        online_only: bool,
-    ) -> Vec<(usize, &'s [u8])> {
-        oa.hosts()
-            .filter(|&(_, host)| !online_only || world.peer_online(host))
-            .filter_map(|(_, host)| store.block(host, owner, archive))
-            .filter(|b| b.intact())
-            .map(|b| (b.shard_index as usize, b.bytes))
-            .collect()
-    }
-
-    /// Gathers the surviving blocks of `(owner, archive)` and, given at
-    /// least `need` of them, attempts a real restore straight out of
-    /// the store: through the run's shared codec into recycled
-    /// data-shard scratch — no copy of the inputs, no per-decode matrix
-    /// rebuild, no fresh output buffers.
-    pub(crate) fn restore_survivors(
-        &mut self,
-        shared: &PlaneShared,
-        world: &BackupWorld,
-        owner: PeerId,
-        archive: u8,
-        online_only: bool,
-        need: usize,
-    ) -> Survivors {
-        let mut found = Survivors::default();
-        let Some(oa) = self.owners.get(&(owner, archive)) else {
-            return found;
-        };
-        let clock = Instant::now();
-        let blocks = Self::surviving_blocks(oa, &self.store, world, owner, archive, online_only);
-        self.survivors_gathered += blocks.len() as u64;
-        found.intact = blocks.len() as u32;
-        found.download_bytes = blocks.iter().take(shared.k()).map(|(_, b)| b.len()).sum();
-        if blocks.len() >= need {
-            self.out.audit.decode_attempts += 1;
-            let restore = RestorePipeline::new(XorKeystream::new(oa.codeword.cipher_key));
-            let (descriptor, scratch) = (&oa.codeword.descriptor, &mut self.data_scratch);
-            let decoded = restore.restore_with(&shared.codec, descriptor, &blocks, scratch);
-            found.restored = decoded.is_ok_and(|decoded| decoded == oa.codeword.archive);
-            self.out.audit.decode_successes += u64::from(found.restored);
-        }
-        self.profile.decode += clock.elapsed();
-        found
-    }
-
     pub(crate) fn note(&mut self, message: String) {
         self.out.audit.mismatches += 1;
         if self.out.audit.notes.len() < AuditReport::MAX_NOTES {
@@ -992,18 +960,8 @@ impl PlaneLane {
         self.owners.entry((owner, archive)).or_insert_with(|| {
             let slot_seed = derive_seed(master_seed, CONTENT_STREAM ^ owner as u64);
             let content_seed = derive_seed(slot_seed, ((epoch as u64) << 8) | archive as u64);
-            let mut content_rng = SimRng::seed_from_u64(content_seed);
-            let mut payload = vec![0u8; payload_bytes.max(1)];
-            content_rng.fill_bytes(&mut payload);
             let archive_id = ((owner as u64) << 8) | archive as u64;
-            let arch = Archive::from_entries(
-                archive_id,
-                false,
-                vec![Entry {
-                    name: "payload".into(),
-                    data: payload.into(),
-                }],
-            );
+            let arch = content_archive(content_seed, archive_id, payload_bytes);
             let pipeline =
                 BackupPipeline::new(codec, XorKeystream::new(content_seed), content_seed);
             let placeholder_partners: Vec<u64> = (0..shards as u64).collect();
@@ -1014,7 +972,6 @@ impl PlaneLane {
                 codeword: CodeWord {
                     shards: plan.blocks.into_iter().map(|b| b.bytes).collect(),
                     descriptor: plan.descriptor,
-                    archive: arch,
                     cipher_key: content_seed,
                 },
                 slots: vec![None; shards],
@@ -1042,7 +999,17 @@ impl PlaneLane {
             scrub,
         } = t;
         let oa = self.owners.get(&(owner, archive)).expect("slot mirrored");
-        let mut bytes = BlockFrame::encode(owner, archive, slot as u32, &oa.codeword.shards[slot]);
+        // The frame is encoded into the lane's recycled buffer and
+        // handed back at the end; the fault plane may damage it in
+        // transit, which is why it is not the slot's own bytes.
+        let mut bytes = core::mem::take(&mut self.frame_scratch);
+        BlockFrame::encode_into(
+            &mut bytes,
+            owner,
+            archive,
+            slot as u32,
+            &oa.codeword.shards[slot],
+        );
         let frame_len = bytes.len();
         self.out.stats.transfers_attempted += 1;
         if attempt > 0 {
@@ -1060,6 +1027,7 @@ impl PlaneLane {
         if shared.role_of(world, host) == AdversaryRole::FreeRider {
             self.out.stats.adversary_drops += 1;
             self.out.riders_hit.insert(host);
+            self.frame_scratch = bytes;
             return;
         }
 
@@ -1144,6 +1112,7 @@ impl PlaneLane {
                 ));
             }
         }
+        self.frame_scratch = bytes;
     }
 
     /// Mirrors a fresh placement and ships its shard.
@@ -1241,8 +1210,9 @@ impl PlaneLane {
             self.out.stats.episode_refreshes += 1;
         }
         // The paper's k-block download, replayed for real: reconstruct
-        // the archive from the shards that actually survive on disk.
-        let found = self.restore_survivors(shared, world, owner, archive, false, 0);
+        // the code word from k shards that actually survive on disk.
+        let key = (owner, archive);
+        let found = self.restore_survivors(shared, world, key, false, 0, Verdict::Ciphertext);
         self.out.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
         if found.restored {
             self.out.stats.repair_decodes += 1;
@@ -1274,7 +1244,8 @@ impl PlaneLane {
         self.out.stats.losses_observed += 1;
         // Replay the failing restore with the blocks present at loss
         // time (the event fires before the survivors are dropped).
-        let found = self.restore_survivors(shared, world, owner, archive, false, 0);
+        let key = (owner, archive);
+        let found = self.restore_survivors(shared, world, key, false, 0, Verdict::Full);
         let intact = found.intact;
         if found.restored {
             self.note(format!(
@@ -1577,7 +1548,9 @@ pub struct ReplayWork {
     /// verifications, flash restores).
     pub decodes: u64,
     /// Intact blocks gathered from the stores as decode inputs, each
-    /// borrowed in place.
+    /// borrowed in place: at most `k` per gather, exactly `k` per
+    /// successful decode (the intact blocks a failed restore counts
+    /// past its gather are not inputs and not counted here).
     pub survivor_blocks_gathered: u64,
 }
 
@@ -1992,6 +1965,7 @@ mod tests {
     use peerback_core::MaintenancePolicy;
 
     use super::*;
+    use crate::audit::Survivors;
     use crate::frame::oracle;
 
     /// The `combined_bytes` shape, small: every plane on, 2 KiB shards.
@@ -2169,10 +2143,148 @@ mod tests {
             assert!(plain.inline + sweep.inline > 0, "{work:?}");
             assert!(shards == 1 || plain.wide + sweep.wide > 200 / 8, "{work:?}");
             assert_eq!(work.decodes, report.audit.decode_attempts);
-            assert!(
-                work.survivor_blocks_gathered >= work.decodes * 8,
-                "{work:?}"
-            );
+            // Every restore gathers at most k blocks and stops there,
+            // so each successful decode gathered exactly k = 8.
+            let successes = report.audit.decode_successes;
+            assert!(successes > 0, "{:?}", report.audit);
+            assert!(work.survivor_blocks_gathered >= successes * 8, "{work:?}");
+        }
+    }
+
+    /// How a stored block of the verdict test differs from its shard.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Stored {
+        Clean,
+        /// A bit flipped at rest: the ingest sum no longer matches.
+        Rotten,
+        /// The shard's last byte — padding past `payload_len` — edited
+        /// before it was framed, so the block is intact by its own sum.
+        Padded,
+    }
+
+    #[test]
+    fn the_ciphertext_verdict_is_the_full_restores() {
+        // k = 4 with a 1001-byte payload: the 1033 serialised bytes
+        // leave 3 bytes of padding at the end of data shard 3.
+        let mut cfg = SimConfig::paper(48, 20, 7);
+        cfg.k = 4;
+        cfg.m = 4;
+        cfg.quota = 24;
+        cfg.maintenance = MaintenancePolicy::Reactive { threshold: 5 };
+        let fcfg = FabricConfig {
+            payload_bytes: 1001,
+            ..FabricConfig::default()
+        };
+        let mut fabric = Fabric::new(cfg, fcfg).expect("valid configs");
+        let mut engine = Engine::new(7);
+        for _ in 0..20 {
+            engine.step(&mut fabric);
+        }
+        let (world, shared) = (&fabric.world, &fabric.plane.shared);
+        let online: Vec<PeerId> = (0..48).filter(|&p| world.peer_online(p)).collect();
+        assert!(online.len() >= 8, "{online:?}");
+        let offline = (0..48)
+            .find(|&p| !world.peer_online(p))
+            .expect("a peer offline");
+        const OWNER: PeerId = 1 << 20;
+
+        // A fresh lane holding OWNER's archive 0 as `(slot, host, how)`.
+        let lane_with = |blocks: &[(usize, PeerId, Stored)]| {
+            let mut lane = PlaneLane::new(0, 7);
+            let oa = lane.owner_archive(shared, world, OWNER, 0);
+            let mut frames = Vec::new();
+            for &(slot, host, how) in blocks {
+                oa.slots[slot] = Some(host);
+                let mut shard = oa.codeword.shards[slot].clone();
+                if how == Stored::Padded {
+                    *shard.last_mut().expect("non-empty shard") ^= 0x5A;
+                }
+                frames.push((host, BlockFrame::encode(OWNER, 0, slot as u32, &shard)));
+            }
+            for (host, frame) in frames {
+                lane.store.ingest(host, &frame).expect("an undamaged frame");
+            }
+            for &(_, host, how) in blocks {
+                if how == Stored::Rotten {
+                    lane.store.block_mut(host, OWNER, 0).expect("stored").bytes[0] ^= 1;
+                }
+            }
+            lane
+        };
+
+        // The code word is the regenerated archive's, and it pads.
+        let lane = lane_with(&[]);
+        let codeword = &lane.owners[&(OWNER, 0)].codeword;
+        let archive = shared.archive_of(codeword);
+        let key = codeword.cipher_key;
+        let codec = ReedSolomon::new(4, 4).expect("valid geometry");
+        let plan = BackupPipeline::new(codec, XorKeystream::new(key), key)
+            .backup(&archive, &[0, 1, 2, 3, 4, 5, 6, 7])
+            .expect("eight partners");
+        let reencoded: Vec<&Vec<u8>> = plan.blocks.iter().map(|b| &b.bytes).collect();
+        assert_eq!(reencoded, codeword.shards.iter().collect::<Vec<_>>());
+        let shard_len = codeword.shards[0].len() as u64;
+        assert!(codeword.descriptor.payload_len < 4 * shard_len);
+
+        let on = |i: usize| online[i];
+        let clean = |slots: &[usize]| -> Vec<(usize, PeerId, Stored)> {
+            slots.iter().map(|&s| (s, on(s), Stored::Clean)).collect()
+        };
+        let mut rotten = clean(&[0, 1, 2, 3, 4]);
+        rotten[1].2 = Stored::Rotten;
+        let mut one_offline = clean(&[0, 1, 2, 3]);
+        one_offline[2].1 = offline;
+        let mut padded = clean(&[0, 1, 2, 3]);
+        padded[3].2 = Stored::Padded;
+        // (shape, survivors, restores for an audit, for an episode).
+        let shapes = [
+            ("the k data shards", clean(&[0, 1, 2, 3]), true, true),
+            ("k with parity", clean(&[1, 3, 5, 6]), true, true),
+            ("k - 1", clean(&[0, 2, 7]), false, false),
+            ("one of k + 1 rotten", rotten, true, true),
+            ("one of k offline", one_offline, false, true),
+            ("padding edited", padded, true, true),
+            ("all n", clean(&[0, 1, 2, 3, 4, 5, 6, 7]), true, true),
+        ];
+        for (shape, blocks, audit_restores, episode_restores) in shapes {
+            for (online_only, need, restores) in
+                [(true, 4, audit_restores), (false, 0, episode_restores)]
+            {
+                let tag = format!("{shape}, online_only {online_only}");
+                // The reference: the full restore over every intact
+                // survivor, with a codec of its own.
+                let lane = lane_with(&blocks);
+                let oa = &lane.owners[&(OWNER, 0)];
+                let all: Vec<(usize, &[u8])> = oa
+                    .hosts()
+                    .filter(|&(_, host)| !online_only || world.peer_online(host))
+                    .filter_map(|(_, host)| lane.store.block(host, OWNER, 0))
+                    .filter(|b| b.intact())
+                    .map(|b| (b.shard_index as usize, b.bytes))
+                    .collect();
+                let attempted = all.len() >= need;
+                let restored = attempted
+                    && peerback_core::RestorePipeline::new(XorKeystream::new(key))
+                        .restore(&oa.codeword.descriptor, &all)
+                        .is_ok_and(|decoded| decoded == archive);
+                assert_eq!(restored, restores, "{tag}");
+                let expected = Survivors {
+                    intact: if restored { 4 } else { all.len() as u32 },
+                    download_bytes: all.iter().take(4).map(|(_, b)| b.len()).sum(),
+                    restored,
+                };
+                for verdict in [Verdict::Ciphertext, Verdict::Full] {
+                    let mut lane = lane_with(&blocks);
+                    let cell = (OWNER, 0);
+                    let found =
+                        lane.restore_survivors(shared, world, cell, online_only, need, verdict);
+                    assert_eq!(found, expected, "{tag}, {verdict:?}");
+                    let audit = &lane.out.audit;
+                    let counters = (audit.decode_attempts, audit.decode_successes);
+                    let want = (u64::from(attempted), u64::from(restored));
+                    assert_eq!(counters, want, "{tag}, {verdict:?}");
+                }
+            }
         }
     }
 

@@ -23,7 +23,7 @@
 
 use core::fmt;
 
-use peerback_core::wire::{Reader, WireError, Writer};
+use peerback_core::wire::{Reader, WireError};
 use peerback_core::PeerId;
 
 /// `PBF2`: the trailer is a [`block_sum`] (`PBF1` carried FNV-1a).
@@ -195,16 +195,39 @@ impl BlockFrame {
     /// preceding byte — written into one buffer of exact capacity, so
     /// shipping a shard costs one copy of it and one allocation.
     pub fn encode(owner: PeerId, archive: u8, shard_index: u32, payload: &[u8]) -> Vec<u8> {
-        let mut w = Writer::with_capacity(payload.len() + Self::OVERHEAD);
-        w.put_raw(MAGIC);
-        w.put_u32(owner);
-        w.put_u8(archive);
-        w.put_u32(shard_index);
-        w.put_bytes(payload);
-        let mut bytes = w.into_bytes();
-        let sum = block_sum(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        let mut bytes = Vec::with_capacity(payload.len() + Self::OVERHEAD);
+        Self::encode_into(&mut bytes, owner, archive, shard_index, payload);
         bytes
+    }
+
+    /// [`BlockFrame::encode`] into `out`, replacing what it held: a
+    /// sender that ships many frames recycles one buffer and allocates
+    /// nothing once its capacity fits a frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is 4 GiB or longer (its length prefix is
+    /// a `u32`).
+    pub fn encode_into(
+        out: &mut Vec<u8>,
+        owner: PeerId,
+        archive: u8,
+        shard_index: u32,
+        payload: &[u8],
+    ) {
+        let len = u32::try_from(payload.len()).expect("payload larger than 4 GiB");
+        out.clear();
+        out.reserve(payload.len() + Self::OVERHEAD);
+        // The layout `Writer` produces: raw magic, little-endian
+        // integers, a `u32`-prefixed payload.
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&owner.to_le_bytes());
+        out.push(archive);
+        out.extend_from_slice(&shard_index.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(payload);
+        let sum = block_sum(out);
+        out.extend_from_slice(&sum.to_le_bytes());
     }
 
     /// Encodes this frame (see [`BlockFrame::encode`]).
@@ -415,6 +438,30 @@ mod tests {
         let bytes = f.to_bytes();
         assert_eq!(bytes.len(), f.payload.len() + BlockFrame::OVERHEAD);
         assert_eq!(BlockFrame::from_bytes(&bytes).unwrap(), f);
+    }
+
+    #[test]
+    fn encode_into_overwrites_a_recycled_buffer_in_the_wire_layout() {
+        let f = frame();
+        // The layout spelled out through the wire codec's writer.
+        let mut w = peerback_core::wire::Writer::new();
+        w.put_raw(MAGIC);
+        w.put_u32(f.owner);
+        w.put_u8(f.archive);
+        w.put_u32(f.shard_index);
+        w.put_bytes(&f.payload);
+        let mut expected = w.into_bytes();
+        expected.extend_from_slice(&block_sum(&expected).to_le_bytes());
+        assert_eq!(f.to_bytes(), expected);
+
+        // A longer frame's leftovers, then a truncated one's: nothing
+        // of either survives into the next encode.
+        let mut buf = BlockFrame::encode(1, 2, 3, &[0xAB; 500]);
+        BlockFrame::encode_into(&mut buf, f.owner, f.archive, f.shard_index, &f.payload);
+        assert_eq!(buf, expected);
+        buf.truncate(7);
+        BlockFrame::encode_into(&mut buf, f.owner, f.archive, f.shard_index, &f.payload);
+        assert_eq!(buf, expected);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   availability) and duplicate delivery, plus at-rest bitrot.
 //! * **The auditor** ([`audit`]): each round it derives restorability
 //!   twice — once from the simulator's bookkeeping, once from real
-//!   [`RestorePipeline`](peerback_core::RestorePipeline) decodes — and
-//!   the two halves must agree exactly whenever faults are off.
+//!   decodes of `k` stored shards, checked against the owner's code
+//!   word — and the two halves must agree exactly whenever faults are
+//!   off. Loss verifications and flash restores run the full
+//!   [`RestorePipeline`](peerback_core::RestorePipeline).
 //!
 //! ```
 //! use peerback_core::{MaintenancePolicy, SimConfig};

@@ -5,9 +5,13 @@
 //! keeps the ingest-time [`block_sum`] of the payload next to the bytes
 //! so at-rest damage (bitrot) is detectable later — an audit or repair
 //! that reads a rotten block sees it as *not intact* rather than
-//! decoding garbage. Scrub sweeps, challenges and audit gathers all
+//! decoding garbage. Scrub sweeps, challenges and restore gathers all
 //! re-sum whole blocks through [`StoredBlock::intact`], which is why
-//! the sum is the fast one (see [`crate::frame`] for the two sums).
+//! the sum is the fast one (see [`crate::frame`] for the two sums). A
+//! restore gather reads an archive's blocks in slot order and stops at
+//! the `k`th intact one, so a restorable archive costs `k` sums however
+//! many blocks it has at rest; only a restore that fails goes on to
+//! count (and re-sum) the rest.
 //!
 //! ## Layout
 //!
