@@ -48,9 +48,11 @@
 //!   `--adaptive-n`).
 //! * `placement_*`, the whole-run work counters of the placement
 //!   pipeline ([`BackupWorld::placement_work`]: pools built, candidates
-//!   sampled and accepted, ranks claimed and granted, messages routed)
-//!   and `candidates_sampled_per_grant`, the measured number of
-//!   candidates scanned per granted partner.
+//!   sampled and accepted, ranks claimed and granted, messages routed),
+//!   `candidates_sampled_per_grant`, the measured number of
+//!   candidates scanned per granted partner, and `ns_per_candidate`,
+//!   the `proposals` stage's busy time (summed over workers) per
+//!   candidate sampled.
 //!
 //! Last in the telemetry block, `stages` is the round profile
 //! ([`BackupWorld::round_profile`]): seconds of wall time per stage of
@@ -157,6 +159,11 @@ fn main() {
                     .float(
                         "candidates_sampled_per_grant",
                         placement.candidates_sampled as f64 / placement.grants.max(1) as f64,
+                    )
+                    .float(
+                        "ns_per_candidate",
+                        profile.proposals_work.busy.as_secs_f64() * 1e9
+                            / placement.candidates_sampled.max(1) as f64,
                     )
                     .num("peak_rss_bytes", peerback_bench::peak_rss_bytes());
                 let telemetry = if alloc_probe::ENABLED {

@@ -25,8 +25,10 @@
 //!
 //! The `--json` telemetry header carries, summed over the cells and
 //! never under `--stable-json`, `replay_work` ([`Fabric::replay_work`]:
-//! rounds skipped, decodes, blocks gathered, and the `plain` and
-//! `sweep` rounds' rows in `perf_probe`'s `stage_work` shape) and
+//! rounds skipped, decodes, blocks gathered, the `plain` and `sweep`
+//! rounds' rows in `perf_probe`'s `stage_work` shape, and the plane's
+//! resident bytes at the end of the run — `owner_bytes`, the
+//! ciphertext owners hold, and `stored_bytes`, the blocks at rest) and
 //! `stages`, the replay profile ([`Fabric::replay_profile`]): seconds
 //! of wall time per lane stage and driver step.
 //!
@@ -113,12 +115,16 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
         total.sweep += w.sweep;
         total.decodes += w.decodes;
         total.survivor_blocks_gathered += w.survivor_blocks_gathered;
+        total.owner_bytes += w.owner_bytes;
+        total.stored_bytes += w.stored_bytes;
     }
     json::Object::new()
         .num("rounds_skipped", total.rounds_skipped)
         .stage_work([("plain", total.plain), ("sweep", total.sweep)])
         .num("decodes", total.decodes)
         .num("survivor_blocks_gathered", total.survivor_blocks_gathered)
+        .num("owner_bytes", total.owner_bytes)
+        .num("stored_bytes", total.stored_bytes)
         .render()
 }
 

@@ -171,6 +171,26 @@ impl ReedSolomon {
         data: &[impl AsRef<[u8]>],
         index: usize,
     ) -> Result<Vec<u8>, ErasureError> {
+        let mut out = vec![0u8; data.first().map_or(0, |d| d.as_ref().len())];
+        self.shard_at_into(data, index, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`shard_at`](Self::shard_at) into `out`, which it overwrites: a
+    /// caller that keeps only the data shards encodes one parity shard
+    /// on demand into a recycled buffer, or straight into place.
+    ///
+    /// # Errors
+    ///
+    /// As [`shard_at`](Self::shard_at), plus
+    /// [`ErasureError::ShardLengthMismatch`] when `out` is not one shard
+    /// long.
+    pub fn shard_at_into(
+        &self,
+        data: &[impl AsRef<[u8]>],
+        index: usize,
+        out: &mut [u8],
+    ) -> Result<(), ErasureError> {
         let len = self.check_data(data)?;
         if index >= self.total_shards() {
             return Err(ErasureError::IndexOutOfRange {
@@ -178,9 +198,11 @@ impl ReedSolomon {
                 total: self.total_shards(),
             });
         }
-        let mut out = vec![0u8; len];
-        mul_matrix(self.row(index), data, std::slice::from_mut(&mut out));
-        Ok(out)
+        if out.len() != len {
+            return Err(ErasureError::ShardLengthMismatch);
+        }
+        mul_matrix(self.row(index), data, &mut [out]);
+        Ok(())
     }
 
     fn validate_survivors(
@@ -901,6 +923,15 @@ mod tests {
         assert!(matches!(
             rs.shard_at(&data, 7),
             Err(ErasureError::IndexOutOfRange { index: 7, total: 7 })
+        ));
+        // `shard_at_into` overwrites whatever the buffer held, and takes
+        // only a buffer one shard long.
+        let mut out = vec![0xA5; 24];
+        rs.shard_at_into(&data, 5, &mut out).unwrap();
+        assert_eq!(out, parity[1]);
+        assert!(matches!(
+            rs.shard_at_into(&data, 5, &mut [0; 23]),
+            Err(ErasureError::ShardLengthMismatch)
         ));
     }
 

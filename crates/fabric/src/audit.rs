@@ -20,7 +20,8 @@
 //!
 //! * **Ciphertext** (audits and episode starts): restored means the
 //!   first `payload_len` bytes of the reconstructed data shards equal
-//!   those of the owner's code word — exactly the bytes
+//!   those of the owner's ciphertext (the data shards it keeps of its
+//!   code word) — exactly the bytes
 //!   `Archive::join_blocks` keeps. The keystream cipher and the archive
 //!   framing are deterministic functions of those bytes, so equal
 //!   ciphertext decrypts and parses to the archive, and a restore that
@@ -138,7 +139,7 @@ impl AuditReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// Restored when the first `payload_len` bytes of the data shards
-    /// equal the owner's code word's: audits and episode starts.
+    /// equal the owner's ciphertext's: audits and episode starts.
     Ciphertext,
     /// Restored when join → decrypt → parse yields the archive
     /// regenerated from the content seed: loss verifications and flash
@@ -164,7 +165,7 @@ impl Verdict {
                     .codec
                     .reconstruct_data_into(blocks, shard_len, scratch);
                 let len = descriptor.payload_len as usize;
-                decoded.is_ok() && same_prefix(scratch, &codeword.shards, len)
+                decoded.is_ok() && same_prefix(scratch, &codeword.ciphertext[..len])
             }
             Verdict::Full => {
                 let restore = RestorePipeline::new(XorKeystream::new(codeword.cipher_key));
@@ -175,17 +176,16 @@ impl Verdict {
     }
 }
 
-/// Whether the first `len` bytes of the shards `data` equal those of
-/// `shards`, each list read as one concatenation (what
-/// `Archive::join_blocks` keeps).
-fn same_prefix(data: &[Vec<u8>], shards: &[Vec<u8>], len: usize) -> bool {
-    let mut left = len;
-    let equal = data.iter().zip(shards).all(|(d, s)| {
-        let n = left.min(d.len());
-        left -= n;
-        s.get(..n) == Some(&d[..n])
+/// Whether the shards `data`, read as one concatenation, begin with
+/// `ciphertext` (the bytes `Archive::join_blocks` keeps).
+fn same_prefix(data: &[Vec<u8>], ciphertext: &[u8]) -> bool {
+    let mut rest = ciphertext;
+    let equal = data.iter().all(|d| {
+        let (head, tail) = rest.split_at(rest.len().min(d.len()));
+        rest = tail;
+        d[..head.len()] == *head
     });
-    equal && left == 0
+    equal && rest.is_empty()
 }
 
 /// What [`PlaneLane::restore_survivors`] found in the stores.
@@ -243,10 +243,18 @@ impl PlaneLane {
         let clock = Instant::now();
         let (gathered, attempted, found) = {
             let mut rest = survivors(oa, &self.store, world, owner, archive, online_only);
-            let blocks: Vec<(usize, &[u8])> = rest.by_ref().take(shared.k()).collect();
+            // On the stack, as the codec's source tables are: a code
+            // word has at most 256 shards.
+            let mut table: [(usize, &[u8]); 256] = [(0, &[]); 256];
+            let mut gathered = 0;
+            for (entry, block) in table.iter_mut().zip(rest.by_ref().take(shared.k())) {
+                *entry = block;
+                gathered += 1;
+            }
+            let blocks = &table[..gathered];
             let attempted = blocks.len() >= need;
             let scratch = &mut self.data_scratch;
-            let restored = attempted && verdict.restores(shared, &oa.codeword, &blocks, scratch);
+            let restored = attempted && verdict.restores(shared, &oa.codeword, blocks, scratch);
             let uncounted = if restored { 0 } else { rest.count() };
             let found = Survivors {
                 intact: (blocks.len() + uncounted) as u32,

@@ -6,15 +6,17 @@
 //! [`WorldEvent`] stream against the data plane:
 //!
 //! * a **placement** encodes the owner's archive through
-//!   [`BackupPipeline`] (once per content epoch, cached) and ships the
-//!   assigned shard as a checksummed [`BlockFrame`](crate::frame::BlockFrame)
+//!   [`BackupPipeline`] (once per content epoch; the owner keeps the
+//!   ciphertext, not the parity) and ships the assigned shard — a
+//!   parity shard encoded as it ships — as a checksummed
+//!   [`BlockFrame`](crate::frame::BlockFrame)
 //!   across the [`FaultPlane`], accounting transfer bytes and seconds
 //!   against a [`LinkModel`];
 //! * a **drop** (host death, offline write-off, stale displacement)
 //!   deletes the stored bytes;
 //! * an **episode start** replays the paper's `k`-block decode as a
 //!   real reconstruction from `k` surviving shards, checked against the
-//!   owner's code word (the auditor's ciphertext verdict);
+//!   owner's ciphertext (the auditor's ciphertext verdict);
 //! * a **loss** triggers a verification decode — a full
 //!   [`RestorePipeline`](peerback_core::RestorePipeline) restore — that
 //!   must fail with fewer than `k` intact shards;
@@ -436,22 +438,99 @@ impl FabricStats {
     }
 }
 
-/// The cached code word of one archive content epoch. The plaintext
-/// archive is not kept: [`content_archive`] regenerates it from
+/// What an owner keeps of one archive content epoch: the ciphertext,
+/// the descriptor and the content key — as the paper's owner keeps its
+/// data and makes a block when it places one. The ciphertext is the `k`
+/// zero-padded data shards of the code word, `k × shard_len` bytes in
+/// one buffer; parity is not kept, and [`CodeWord::shard`] encodes a
+/// parity slot's one row when the slot ships. The plaintext archive is
+/// not kept either: [`content_archive`] regenerates it from
 /// `cipher_key` for the restores that compare against it.
 pub(crate) struct CodeWord {
-    /// The `k + m` coded shards, data shards first.
-    pub(crate) shards: Vec<Vec<u8>>,
+    /// Data shards `0..k`, back to back.
+    pub(crate) ciphertext: Vec<u8>,
     pub(crate) descriptor: ArchiveDescriptor,
     /// The content seed, which is also the session key: it derives
     /// from the owner slot, its content epoch and the archive index.
     pub(crate) cipher_key: u64,
 }
 
+impl CodeWord {
+    /// Backs up the archive `content_seed` stands for through
+    /// [`BackupPipeline::backup`] and keeps its data shards: the `m`
+    /// parity blocks are dropped.
+    ///
+    /// Debug builds (`cfg(any(test, debug_assertions))`) check every
+    /// slot's [`CodeWord::shard`] against the backup's whole code word
+    /// first — once per code word, since a code word never changes once
+    /// made.
+    fn encode(shared: &PlaneShared, content_seed: u64, archive_id: u64) -> CodeWord {
+        let archive = content_archive(content_seed, archive_id, shared.cfg.payload_bytes);
+        let cipher = XorKeystream::new(content_seed);
+        let pipeline = BackupPipeline::new(shared.codec.clone(), cipher, content_seed);
+        let placeholder_partners: Vec<u64> = (0..shared.codec.total_shards() as u64).collect();
+        let plan = pipeline
+            .backup(&archive, &placeholder_partners)
+            .expect("partner count matches geometry");
+        let k = usize::from(plan.descriptor.k);
+        let shard_len = plan.blocks[0].bytes.len();
+        let mut ciphertext = Vec::with_capacity(k * shard_len);
+        for block in &plan.blocks[..k] {
+            ciphertext.extend_from_slice(&block.bytes);
+        }
+        let codeword = CodeWord {
+            ciphertext,
+            descriptor: plan.descriptor,
+            cipher_key: content_seed,
+        };
+        #[cfg(any(test, debug_assertions))]
+        {
+            let mut parity = Vec::new();
+            for (slot, block) in plan.blocks.iter().enumerate() {
+                assert!(
+                    codeword.shard(&shared.codec, slot, &mut parity) == block.bytes,
+                    "slot {slot} of archive {archive_id:#x} is not the backup's block"
+                );
+            }
+        }
+        codeword
+    }
+
+    /// Bytes per shard, data and parity alike.
+    pub(crate) fn shard_len(&self) -> usize {
+        self.ciphertext.len() / usize::from(self.descriptor.k)
+    }
+
+    /// The bytes of code-word slot `slot`, the one source of every
+    /// slot's bytes: a data slot's are a slice of the ciphertext; a
+    /// parity slot's row is encoded by `codec` into `parity` (recycled
+    /// scratch), which is returned.
+    pub(crate) fn shard<'a>(
+        &'a self,
+        codec: &ReedSolomon,
+        slot: usize,
+        parity: &'a mut Vec<u8>,
+    ) -> &'a [u8] {
+        let (k, len) = (usize::from(self.descriptor.k), self.shard_len());
+        if slot < k {
+            return &self.ciphertext[slot * len..(slot + 1) * len];
+        }
+        let mut data: [&[u8]; 256] = [&[]; 256];
+        for (entry, shard) in data.iter_mut().zip(self.ciphertext.chunks_exact(len)) {
+            *entry = shard;
+        }
+        parity.resize(len, 0);
+        codec
+            .shard_at_into(&data[..k], slot, parity)
+            .expect("a slot of the code word's own geometry");
+        parity
+    }
+}
+
 /// The archive an owner's content seed stands for: one entry of
 /// `payload_bytes` seeded bytes (at least one). Every code word is
-/// encoded from it, and the full restore verdict regenerates it to
-/// compare against.
+/// encoded from it ([`CodeWord::encode`]), and the full restore
+/// verdict regenerates it to compare against.
 fn content_archive(content_seed: u64, archive_id: u64, payload_bytes: usize) -> Archive {
     let mut payload = vec![0u8; payload_bytes.max(1)];
     SimRng::seed_from_u64(content_seed).fill_bytes(&mut payload);
@@ -691,6 +770,9 @@ pub(crate) struct PlaneLane {
     pub(crate) data_scratch: Vec<Vec<u8>>,
     /// Recycled wire buffer each shipment's frame is encoded into.
     frame_scratch: Vec<u8>,
+    /// Recycled buffer a shipped parity slot's bytes are encoded into
+    /// ([`CodeWord::shard`]).
+    parity_scratch: Vec<u8>,
     /// Blocks [`PlaneLane::restore_survivors`] gathered over the whole
     /// run (execution telemetry for [`ReplayWork`]; never merged into
     /// the report).
@@ -741,6 +823,7 @@ impl PlaneLane {
             inbox: Vec::new(),
             data_scratch: Vec::new(),
             frame_scratch: Vec::new(),
+            parity_scratch: Vec::new(),
             survivors_gathered: 0,
             scrub_scratch: Vec::new(),
             queue: Vec::new(),
@@ -816,7 +899,7 @@ impl PlaneLane {
     /// the scheduler budgets in). The archive must be mirrored.
     fn frame_bytes(&self, owner: PeerId, archive: u8) -> u64 {
         let oa = self.owners.get(&(owner, archive)).expect("slot mirrored");
-        (oa.codeword.shards[0].len() + BlockFrame::OVERHEAD) as u64
+        (oa.codeword.shard_len() + BlockFrame::OVERHEAD) as u64
     }
 
     /// One round of the scheduler: sort the queue into priority order,
@@ -955,26 +1038,14 @@ impl PlaneLane {
         archive: u8,
     ) -> &mut OwnerArchive {
         let epoch = self.epochs.get(&owner).copied().unwrap_or(0);
-        let (master_seed, payload_bytes) = (world.config().seed, shared.cfg.payload_bytes);
-        let (shards, codec) = (shared.codec.total_shards(), shared.codec.clone());
+        let master_seed = world.config().seed;
         self.owners.entry((owner, archive)).or_insert_with(|| {
             let slot_seed = derive_seed(master_seed, CONTENT_STREAM ^ owner as u64);
             let content_seed = derive_seed(slot_seed, ((epoch as u64) << 8) | archive as u64);
             let archive_id = ((owner as u64) << 8) | archive as u64;
-            let arch = content_archive(content_seed, archive_id, payload_bytes);
-            let pipeline =
-                BackupPipeline::new(codec, XorKeystream::new(content_seed), content_seed);
-            let placeholder_partners: Vec<u64> = (0..shards as u64).collect();
-            let plan = pipeline
-                .backup(&arch, &placeholder_partners)
-                .expect("partner count matches geometry");
             OwnerArchive {
-                codeword: CodeWord {
-                    shards: plan.blocks.into_iter().map(|b| b.bytes).collect(),
-                    descriptor: plan.descriptor,
-                    cipher_key: content_seed,
-                },
-                slots: vec![None; shards],
+                codeword: CodeWord::encode(shared, content_seed, archive_id),
+                slots: vec![None; shared.codec.total_shards()],
                 joined: false,
             }
         })
@@ -1001,15 +1072,13 @@ impl PlaneLane {
         let oa = self.owners.get(&(owner, archive)).expect("slot mirrored");
         // The frame is encoded into the lane's recycled buffer and
         // handed back at the end; the fault plane may damage it in
-        // transit, which is why it is not the slot's own bytes.
+        // transit, which is why it is not the slot's own bytes. A
+        // parity slot's bytes are encoded first, into their own buffer.
         let mut bytes = core::mem::take(&mut self.frame_scratch);
-        BlockFrame::encode_into(
-            &mut bytes,
-            owner,
-            archive,
-            slot as u32,
-            &oa.codeword.shards[slot],
-        );
+        let shard = oa
+            .codeword
+            .shard(&shared.codec, slot, &mut self.parity_scratch);
+        BlockFrame::encode_into(&mut bytes, owner, archive, slot as u32, shard);
         let frame_len = bytes.len();
         self.out.stats.transfers_attempted += 1;
         if attempt > 0 {
@@ -1552,6 +1621,13 @@ pub struct ReplayWork {
     /// successful decode (the intact blocks a failed restore counts
     /// past its gather are not inputs and not counted here).
     pub survivor_blocks_gathered: u64,
+    /// Ciphertext the owners hold at the last completed round: `k` data
+    /// shards per archive they mirror (parity is encoded when a parity
+    /// slot ships, and not kept).
+    pub owner_bytes: u64,
+    /// Bytes of the blocks at rest on the hosts at the last completed
+    /// round: blocks stored × shard length.
+    pub stored_bytes: u64,
 }
 
 impl Fabric {
@@ -1638,9 +1714,13 @@ impl Fabric {
 
     /// Replay work so far (through the last completed round).
     pub fn replay_work(&self) -> ReplayWork {
+        let lanes = &self.plane.lanes;
+        let owned = lanes.iter().flat_map(|l| l.owners.values());
         ReplayWork {
             decodes: self.plane.out.audit.decode_attempts,
-            survivor_blocks_gathered: self.plane.lanes.iter().map(|l| l.survivors_gathered).sum(),
+            survivor_blocks_gathered: lanes.iter().map(|l| l.survivors_gathered).sum(),
+            owner_bytes: owned.map(|oa| oa.codeword.ciphertext.len() as u64).sum(),
+            stored_bytes: lanes.iter().map(|l| l.store.stored_bytes() as u64).sum(),
             ..self.replay
         }
     }
@@ -1751,6 +1831,9 @@ impl Fabric {
     ///   shard, and the in-flight counts are the queue's shipments;
     /// * a joined archive with nothing in flight mirrors as many
     ///   placements as the simulator holds for it.
+    ///
+    /// Every code word is checked once, where it is made
+    /// ([`CodeWord::encode`]).
     fn check_invariants(&self) {
         let world = &self.world;
         for lane in &self.plane.lanes {
@@ -2111,6 +2194,73 @@ mod tests {
     }
 
     #[test]
+    fn every_slot_is_the_backups_block() {
+        for (k, m) in [(1, 1), (3, 2), (4, 4), (8, 8), (16, 16)] {
+            // 1001 and 16385 payload bytes serialise to 1033 and 16417
+            // bytes, which pad the last data shard of every k > 1 here.
+            for payload_bytes in [1, 1001, 16385] {
+                let cfg = FabricConfig {
+                    payload_bytes,
+                    ..FabricConfig::default()
+                };
+                let shared = PlaneShared {
+                    cfg,
+                    faults: FaultPlane::new(cfg.faults),
+                    codec: ReedSolomon::new(k, m).expect("valid geometry"),
+                    schedule: None,
+                    audit_seed: 0,
+                    challenge_seed: 0,
+                };
+                let (seed, id) = (0x5eed ^ payload_bytes as u64, 7 << 8 | 3);
+                let codeword = CodeWord::encode(&shared, seed, id);
+                let archive = content_archive(seed, id, payload_bytes);
+                let codec = ReedSolomon::new(k, m).expect("valid geometry");
+                let partners: Vec<u64> = (0..(k + m) as u64).collect();
+                let plan = BackupPipeline::new(codec, XorKeystream::new(seed), seed)
+                    .backup(&archive, &partners)
+                    .expect("n partners");
+                let tag = format!("k {k}, m {m}, {payload_bytes} bytes");
+                let shard_len = plan.blocks[0].bytes.len();
+                assert_eq!(codeword.shard_len(), shard_len, "{tag}");
+                let pads = (plan.descriptor.payload_len as usize) < k * shard_len;
+                assert!(pads || k == 1 || payload_bytes == 1, "{tag}");
+                // One parity buffer, recycled dirty across the slots.
+                let mut parity = vec![0xA5; 3];
+                for (slot, block) in plan.blocks.iter().enumerate() {
+                    let shard = codeword.shard(&shared.codec, slot, &mut parity);
+                    assert_eq!(shard, &block.bytes[..], "{tag}, slot {slot}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owners_hold_their_ciphertext_and_no_parity() {
+        let (cfg, fcfg) = all_planes(1);
+        let mut fabric = Fabric::new(cfg, fcfg).expect("valid configs");
+        let mut engine = Engine::new(42);
+        for _ in 0..16 {
+            engine.step(&mut fabric);
+        }
+        let (mut archives, mut blocks, mut shard_len) = (0, 0, 0);
+        for lane in &fabric.plane.lanes {
+            for oa in lane.owners.values() {
+                let cw = &oa.codeword;
+                shard_len = cw.shard_len();
+                // Exactly the k = 8 data shards, and no spare capacity.
+                assert_eq!(cw.ciphertext.len(), 8 * shard_len);
+                assert_eq!(cw.ciphertext.capacity(), 8 * shard_len);
+                archives += 1;
+            }
+            blocks += lane.store.total_blocks();
+        }
+        assert!(archives > 0 && blocks > 0 && shard_len > 2048);
+        let work = fabric.replay_work();
+        assert_eq!(work.owner_bytes, (archives * 8 * shard_len) as u64);
+        assert_eq!(work.stored_bytes, (blocks * shard_len) as u64);
+    }
+
+    #[test]
     fn replay_width_is_unobservable_in_the_report() {
         let run = |shards: usize, fuzz: Option<u64>| {
             let (cfg, fcfg) = all_planes(shards);
@@ -2195,7 +2345,10 @@ mod tests {
             let mut frames = Vec::new();
             for &(slot, host, how) in blocks {
                 oa.slots[slot] = Some(host);
-                let mut shard = oa.codeword.shards[slot].clone();
+                let mut shard = oa
+                    .codeword
+                    .shard(&shared.codec, slot, &mut Vec::new())
+                    .to_vec();
                 if how == Stored::Padded {
                     *shard.last_mut().expect("non-empty shard") ^= 0x5A;
                 }
@@ -2221,9 +2374,12 @@ mod tests {
         let plan = BackupPipeline::new(codec, XorKeystream::new(key), key)
             .backup(&archive, &[0, 1, 2, 3, 4, 5, 6, 7])
             .expect("eight partners");
-        let reencoded: Vec<&Vec<u8>> = plan.blocks.iter().map(|b| &b.bytes).collect();
-        assert_eq!(reencoded, codeword.shards.iter().collect::<Vec<_>>());
-        let shard_len = codeword.shards[0].len() as u64;
+        let mut parity = Vec::new();
+        for (slot, block) in plan.blocks.iter().enumerate() {
+            let shard = codeword.shard(&shared.codec, slot, &mut parity);
+            assert_eq!(shard, &block.bytes[..], "slot {slot}");
+        }
+        let shard_len = codeword.shard_len() as u64;
         assert!(codeword.descriptor.payload_len < 4 * shard_len);
 
         let on = |i: usize| online[i];

@@ -314,6 +314,12 @@ impl BlockStore {
         self.index.len()
     }
 
+    /// Bytes of the blocks at rest: blocks stored × the slab's stride
+    /// (free slots not counted).
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.index.len() * self.stride
+    }
+
     /// Blocks `host` currently stores.
     pub fn host_blocks(&self, host: PeerId) -> usize {
         self.host_range(host).count()
