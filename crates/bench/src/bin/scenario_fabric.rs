@@ -25,10 +25,13 @@
 //!
 //! The `--json` telemetry header carries, summed over the cells and
 //! never under `--stable-json`, `replay_work` ([`Fabric::replay_work`]:
-//! rounds skipped, decodes, blocks gathered, the `plain` and `sweep`
-//! rounds' rows in `perf_probe`'s `stage_work` shape, and the plane's
-//! resident bytes at the end of the run — `owner_bytes`, the
-//! ciphertext owners hold, and `stored_bytes`, the blocks at rest) and
+//! rounds skipped, decodes and the decode plans built for them with a
+//! matrix inversion, blocks gathered, the `plain` and `sweep` rounds'
+//! rows in `perf_probe`'s `stage_work` shape, the plane's resident
+//! bytes at the end of the run — `owner_bytes`, the ciphertext owners
+//! hold, and `stored_bytes`, the blocks at rest — and `block_sums`, the
+//! whole-block sums run by site: `shipment`, `scrub`, `challenge`,
+//! `gather` and their `total`) and
 //! `stages`, the replay profile ([`Fabric::replay_profile`]): seconds
 //! of wall time per lane stage and driver step.
 //!
@@ -42,7 +45,7 @@ use std::time::Instant;
 use peerback_bench::{json, rs_bench, Cli, HarnessArgs};
 use peerback_core::{MaintenancePolicy, SimConfig};
 use peerback_fabric::{
-    Fabric, FabricConfig, FabricReport, FaultProfile, ReplayProfile, ReplayWork,
+    BlockSums, Fabric, FabricConfig, FabricReport, FaultProfile, ReplayProfile, ReplayWork,
 };
 
 const CLI: Cli = Cli {
@@ -114,17 +117,33 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
         total.plain += w.plain;
         total.sweep += w.sweep;
         total.decodes += w.decodes;
+        total.decode_plans_built += w.decode_plans_built;
         total.survivor_blocks_gathered += w.survivor_blocks_gathered;
         total.owner_bytes += w.owner_bytes;
         total.stored_bytes += w.stored_bytes;
+        total.block_sums += w.block_sums;
     }
     json::Object::new()
         .num("rounds_skipped", total.rounds_skipped)
         .stage_work([("plain", total.plain), ("sweep", total.sweep)])
         .num("decodes", total.decodes)
+        .num("decode_plans_built", total.decode_plans_built)
         .num("survivor_blocks_gathered", total.survivor_blocks_gathered)
         .num("owner_bytes", total.owner_bytes)
         .num("stored_bytes", total.stored_bytes)
+        .raw("block_sums", block_sums_json(&total.block_sums))
+        .render()
+}
+
+/// The `block_sums` object of `replay_work`: sums by site, then their
+/// total.
+fn block_sums_json(sums: &BlockSums) -> String {
+    json::Object::new()
+        .num("shipment", sums.shipment)
+        .num("scrub", sums.scrub)
+        .num("challenge", sums.challenge)
+        .num("gather", sums.gather)
+        .num("total", sums.total())
         .render()
 }
 

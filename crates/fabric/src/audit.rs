@@ -11,17 +11,21 @@
 //!
 //! ## What an audit proves
 //!
-//! One gather serves every decode: it walks the archive's mirrored
-//! hosts in slot order (online ones only, for an audit or a flash
-//! restore), re-sums each stored block, and stops at the `k`th intact
-//! one — the paper's "reach k partners, download k blocks, decode". The
-//! codec reconstructs the `k` data shards from them, and then one of
-//! two verdicts judges the result (`Verdict`):
+//! One gather serves every decode: it looks up the archive's blocks on
+//! its mirrored hosts in slot order (online ones only, for an audit or
+//! a flash restore), prefetches the first `k`, re-sums them in order,
+//! and stops at the `k`th intact one — the paper's "reach k partners,
+//! download k blocks, decode". The codec reconstructs the `k` data
+//! shards from them, and then one of two verdicts judges the result
+//! (`Verdict`):
 //!
-//! * **Ciphertext** (audits and episode starts): restored means the
-//!   first `payload_len` bytes of the reconstructed data shards equal
-//!   those of the owner's ciphertext (the data shards it keeps of its
-//!   code word) — exactly the bytes
+//! * **Ciphertext** (audits and episode starts): the data shards are
+//!   reconstructed through a decode plan from the lane's `PlanCache`
+//!   (a survivor set that recurs mostly recurs within a few rounds, and
+//!   a plan's `k × k` inversion is about a quarter of a small decode),
+//!   and restored means the first `payload_len` bytes of the
+//!   reconstructed data shards equal those of the owner's ciphertext
+//!   (the data shards it keeps of its code word) — exactly the bytes
 //!   `Archive::join_blocks` keeps. The keystream cipher and the archive
 //!   framing are deterministic functions of those bytes, so equal
 //!   ciphertext decrypts and parses to the archive, and a restore that
@@ -59,12 +63,15 @@
 //! [`BackupWorld::archive_online_present`]: peerback_core::BackupWorld::archive_online_present
 //! [`RestorePipeline`]: peerback_core::RestorePipeline
 
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use peerback_core::{BackupWorld, PeerId, RestorePipeline, XorKeystream};
+use peerback_erasure::{DecodePlan, ErasureError, ReedSolomon};
+use peerback_sim::prefetch;
 
 use crate::fabric::{CodeWord, OwnerArchive, PlaneLane, PlaneShared};
-use crate::store::BlockStore;
+use crate::store::{BlockStore, KeyHasher, StoredBlock};
 
 /// One verified data-loss event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,21 +156,20 @@ pub(crate) enum Verdict {
 
 impl Verdict {
     /// Whether `blocks` restore `codeword` under this verdict; the data
-    /// shards are reconstructed into `scratch`.
+    /// shards are reconstructed into `scratch` (the ciphertext verdict
+    /// through a plan from `plans`).
     fn restores(
         self,
         shared: &PlaneShared,
         codeword: &CodeWord,
         blocks: &[(usize, &[u8])],
         scratch: &mut Vec<Vec<u8>>,
+        plans: &mut PlanCache,
     ) -> bool {
         let descriptor = &codeword.descriptor;
         match self {
             Verdict::Ciphertext => {
-                let shard_len = blocks.first().map_or(0, |(_, b)| b.len());
-                let decoded = shared
-                    .codec
-                    .reconstruct_data_into(blocks, shard_len, scratch);
+                let decoded = plans.reconstruct(&shared.codec, blocks, scratch);
                 let len = descriptor.payload_len as usize;
                 decoded.is_ok() && same_prefix(scratch, &codeword.ciphertext[..len])
             }
@@ -188,6 +194,84 @@ fn same_prefix(data: &[Vec<u8>], ciphertext: &[u8]) -> bool {
     equal && rest.is_empty()
 }
 
+/// Bytes of decode plans one lane keeps: a plan of `combined_bytes`'
+/// (8, 8) geometry takes ≈ 0.2 KiB with its slot, so the cache holds
+/// about eighty; one of the paper's (128, 128) geometry takes 17 KiB,
+/// so one. Survivor sets that recur recur soon (an archive decoded
+/// twice within a few rounds), so a small cache finds most of them.
+const PLAN_CACHE_BYTES: usize = 16 << 10;
+
+/// Bytes a cached plan of `k` sources takes: its slot, its source list
+/// and its `k × k` coefficient rows.
+fn plan_bytes(k: usize) -> usize {
+    core::mem::size_of::<Option<DecodePlan>>() + k * core::mem::size_of::<usize>() + k * k
+}
+
+/// One lane's recently built decode plans, and a count of the plans it
+/// built with a matrix inversion. Direct-mapped: the plan for an
+/// ordered source list lives in the slot its hash names, if anywhere,
+/// and a new plan replaces whatever held its slot — so the cache never
+/// holds more than its slot count of plans, [`PLAN_CACHE_BYTES`] ÷
+/// [`plan_bytes`]. Plans are pure functions of their sources, so what
+/// the cache holds changes no result — only how often a `k × k`
+/// inversion runs.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCache {
+    /// Sized on first use, for the run's one geometry.
+    slots: Vec<Option<DecodePlan>>,
+    /// Plans built with a `k × k` inversion, over the lane's run
+    /// (telemetry for [`ReplayWork`](crate::ReplayWork)).
+    pub(crate) built: u64,
+}
+
+impl PlanCache {
+    /// Reconstructs the `k` data shards from the first `k` of `blocks`
+    /// into `out`, exactly as [`ReedSolomon::reconstruct_data_into`]
+    /// does, through the cached plan for their shard indices in supply
+    /// order (built and cached on a miss).
+    ///
+    /// # Errors
+    ///
+    /// As [`ReedSolomon::reconstruct_data_into`]: fewer than `k` blocks,
+    /// a bad or repeated index, blocks of unequal length.
+    fn reconstruct(
+        &mut self,
+        codec: &ReedSolomon,
+        blocks: &[(usize, &[u8])],
+        out: &mut Vec<Vec<u8>>,
+    ) -> Result<(), ErasureError> {
+        let k = codec.data_shards();
+        if blocks.len() < k {
+            return Err(ErasureError::NotEnoughShards {
+                available: blocks.len(),
+                needed: k,
+            });
+        }
+        let shard_len = blocks[0].1.len();
+        let mut sources = [0usize; 256];
+        for (source, &(index, _)) in sources.iter_mut().zip(blocks) {
+            *source = index;
+        }
+        let sources = &sources[..k];
+        if self.slots.is_empty() {
+            let count = (PLAN_CACHE_BYTES / plan_bytes(k)).max(1);
+            self.slots.resize_with(count, || None);
+        }
+        let mut hasher = KeyHasher::default();
+        sources.hash(&mut hasher);
+        let at = hasher.finish() as usize % self.slots.len();
+        let slot = &mut self.slots[at];
+        if let Some(plan) = slot.as_ref().filter(|plan| plan.sources() == sources) {
+            return plan.reconstruct_into(blocks, shard_len, out);
+        }
+        let plan = codec.decode_plan(sources)?;
+        self.built += u64::from(!plan.is_passthrough());
+        plan.reconstruct_into(blocks, shard_len, out)?;
+        *slot = Some(plan);
+        Ok(())
+    }
+}
+
 /// What [`PlaneLane::restore_survivors`] found in the stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Survivors {
@@ -201,24 +285,36 @@ pub(crate) struct Survivors {
     pub(crate) restored: bool,
 }
 
-/// The intact blocks of `(owner, archive)` at rest on `oa`'s mirrored
-/// hosts, in slot order, as `(shard_index, bytes)` pairs borrowed in
-/// place; `online_only` skips hosts the simulator has offline. Each
-/// block is re-summed as the iterator reaches it, so a gather that
-/// stops early reads no further.
-fn survivors<'a>(
-    oa: &'a OwnerArchive,
+/// A placeholder entry of a [`present`] table.
+const NO_BLOCK: StoredBlock<'static> = StoredBlock {
+    shard_index: 0,
+    bytes: &[],
+    ingest_checksum: 0,
+};
+
+/// Looks up the blocks of `(owner, archive)` at rest on `oa`'s mirrored
+/// hosts, in slot order (borrowed in place, not yet summed);
+/// `online_only` skips hosts the simulator has offline. Returns them in
+/// a table on the stack — a code word has at most 256 slots, and a
+/// host holds at most one block of it — and how many there are.
+fn present<'a>(
+    oa: &OwnerArchive,
     store: &'a BlockStore,
-    world: &'a BackupWorld,
-    owner: PeerId,
-    archive: u8,
+    world: &BackupWorld,
+    (owner, archive): (PeerId, u8),
     online_only: bool,
-) -> impl Iterator<Item = (usize, &'a [u8])> + 'a {
-    oa.hosts()
-        .filter(move |&(_, host)| !online_only || world.peer_online(host))
-        .filter_map(move |(_, host)| store.block(host, owner, archive))
-        .filter(|b| b.intact())
-        .map(|b| (b.shard_index as usize, b.bytes))
+) -> ([StoredBlock<'a>; 256], usize) {
+    let found = oa
+        .hosts()
+        .filter(|&(_, host)| !online_only || world.peer_online(host))
+        .filter_map(|(_, host)| store.block(host, owner, archive));
+    let mut table = [NO_BLOCK; 256];
+    let mut n = 0;
+    for (entry, block) in table.iter_mut().zip(found) {
+        *entry = block;
+        n += 1;
+    }
+    (table, n)
 }
 
 impl PlaneLane {
@@ -241,20 +337,35 @@ impl PlaneLane {
             return Survivors::default();
         };
         let clock = Instant::now();
+        let k = shared.k();
+        let mut summed = 0;
         let (gathered, attempted, found) = {
-            let mut rest = survivors(oa, &self.store, world, owner, archive, online_only);
-            // On the stack, as the codec's source tables are: a code
-            // word has at most 256 shards.
-            let mut table: [(usize, &[u8]); 256] = [(0, &[]); 256];
+            let (table, n) = present(oa, &self.store, world, (owner, archive), online_only);
+            // A restorable archive reads the first `k`: ask for all of
+            // them before summing the first.
+            for block in &table[..n.min(k)] {
+                prefetch(block.bytes);
+            }
+            let mut rest = table[..n]
+                .iter()
+                .inspect(|_| summed += 1)
+                .filter(|b| b.intact())
+                .map(|b| (b.shard_index as usize, b.bytes));
+            let mut blocks: [(usize, &[u8]); 256] = [(0, &[]); 256];
             let mut gathered = 0;
-            for (entry, block) in table.iter_mut().zip(rest.by_ref().take(shared.k())) {
+            for (entry, block) in blocks.iter_mut().zip(rest.by_ref().take(k)) {
                 *entry = block;
                 gathered += 1;
             }
-            let blocks = &table[..gathered];
+            let blocks = &blocks[..gathered];
             let attempted = blocks.len() >= need;
-            let scratch = &mut self.data_scratch;
-            let restored = attempted && verdict.restores(shared, &oa.codeword, blocks, scratch);
+            let (scratch, plans) = (&mut self.data_scratch, &mut self.plans);
+            let restored =
+                attempted && verdict.restores(shared, &oa.codeword, blocks, scratch, plans);
+            if attempted && verdict == Verdict::Full && blocks.len() >= k {
+                // `restore_with` builds its own plan for these sources.
+                plans.built += u64::from(blocks.iter().any(|&(index, _)| index >= k));
+            }
             let uncounted = if restored { 0 } else { rest.count() };
             let found = Survivors {
                 intact: (blocks.len() + uncounted) as u32,
@@ -263,6 +374,7 @@ impl PlaneLane {
             };
             (blocks.len(), attempted, found)
         };
+        self.sums.gather += summed;
         self.survivors_gathered += gathered as u64;
         self.out.audit.decode_attempts += u64::from(attempted);
         self.out.audit.decode_successes += u64::from(found.restored);
@@ -292,11 +404,16 @@ impl PlaneLane {
     ) {
         let k = shared.k();
         let oa = &self.owners[&(owner, archive)];
-        let all: Vec<(usize, &[u8])> =
-            survivors(oa, &self.store, world, owner, archive, online_only).collect();
+        let (table, n) = present(oa, &self.store, world, (owner, archive), online_only);
+        let all: Vec<(usize, &[u8])> = table[..n]
+            .iter()
+            .filter(|b| b.intact())
+            .map(|b| (b.shard_index as usize, b.bytes))
+            .collect();
         let attempted = all.len() >= need;
-        let scratch = &mut self.data_scratch;
-        let restored = attempted && Verdict::Full.restores(shared, &oa.codeword, &all, scratch);
+        let (scratch, plans) = (&mut self.data_scratch, &mut self.plans);
+        let restored =
+            attempted && Verdict::Full.restores(shared, &oa.codeword, &all, scratch, plans);
         let full = Survivors {
             intact: if restored { k } else { all.len() } as u32,
             download_bytes: all.iter().take(k).map(|(_, b)| b.len()).sum(),
@@ -430,5 +547,98 @@ impl PlaneLane {
                 ));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `size`-subset of `0..n`, ascending, as gathers supply them.
+    fn subsets(n: usize, size: usize) -> Vec<Vec<usize>> {
+        (0u32..1 << n)
+            .filter(|mask| mask.count_ones() as usize == size)
+            .map(|mask| (0..n).filter(|&i| mask & 1 << i != 0).collect())
+            .collect()
+    }
+
+    /// A code word of `codec`'s geometry: `k` seeded data shards of
+    /// `len` bytes, then their parity.
+    fn codeword(codec: &ReedSolomon, len: usize) -> Vec<Vec<u8>> {
+        let data: Vec<Vec<u8>> = (0..codec.data_shards())
+            .map(|s| (0..len).map(|i| (i * 7 + s * 31 + 3) as u8).collect())
+            .collect();
+        let parity = codec.encode(&data).unwrap();
+        data.into_iter().chain(parity).collect()
+    }
+
+    #[test]
+    fn a_cached_plan_equals_a_fresh_one_for_every_survivor_set() {
+        let codec = ReedSolomon::new(4, 4).unwrap();
+        let shards = codeword(&codec, 40);
+        let sets = subsets(8, 4);
+        let mut cache = PlanCache::default();
+        let (mut cached, mut fresh) = (Vec::new(), Vec::new());
+        for sources in &sets {
+            let blocks: Vec<(usize, &[u8])> =
+                sources.iter().map(|&i| (i, &shards[i][..])).collect();
+            let plan = codec.decode_plan(sources).unwrap();
+            plan.reconstruct_into(&blocks, 40, &mut fresh).unwrap();
+            assert_eq!(fresh[..], shards[..4], "sources {sources:?}");
+            // The first decode builds the plan, the repeat finds it.
+            for repeat in [false, true] {
+                let built = cache.built;
+                cache.reconstruct(&codec, &blocks, &mut cached).unwrap();
+                assert_eq!(cached, fresh, "sources {sources:?}");
+                if repeat {
+                    assert_eq!(cache.built, built, "sources {sources:?} rebuilt");
+                }
+            }
+        }
+        // Only the all-data set needs no inversion.
+        assert_eq!(cache.built, sets.len() as u64 - 1);
+    }
+
+    #[test]
+    fn the_plan_cache_refuses_what_the_codec_refuses() {
+        let codec = ReedSolomon::new(4, 4).unwrap();
+        let shards = codeword(&codec, 8);
+        let mut out = Vec::new();
+        let mut cache = PlanCache::default();
+        let block = |i: usize| (i, &shards[i][..]);
+        for blocks in [
+            vec![block(0), block(5), block(6)],
+            vec![block(0), block(5), block(5), block(7)],
+            vec![block(0), (1, &shards[1][..4]), block(6), block(7)],
+        ] {
+            assert_eq!(
+                cache.reconstruct(&codec, &blocks, &mut out),
+                codec.reconstruct_data_into(&blocks, 8, &mut out),
+                "{:?}",
+                blocks.iter().map(|b| b.0).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn the_plan_cache_stays_within_its_bound() {
+        // Every survivor set of (8, 8), ≈ 2.8 MB of plans, through a
+        // cache of a few dozen slots.
+        let codec = ReedSolomon::new(8, 8).unwrap();
+        let shards = codeword(&codec, 16);
+        let mut cache = PlanCache::default();
+        let mut out = Vec::new();
+        let sets = subsets(16, 8);
+        for sources in &sets {
+            let blocks: Vec<(usize, &[u8])> =
+                sources.iter().map(|&i| (i, &shards[i][..])).collect();
+            cache.reconstruct(&codec, &blocks, &mut out).unwrap();
+            assert_eq!(out[..], shards[..8]);
+        }
+        assert_eq!(cache.built, sets.len() as u64 - 1);
+        assert_eq!(cache.slots.len(), PLAN_CACHE_BYTES / plan_bytes(8));
+        assert!(cache.slots.len() * plan_bytes(8) <= PLAN_CACHE_BYTES);
+        // One slot at the paper's geometry, whatever the bound's rounding.
+        assert!(plan_bytes(128) > PLAN_CACHE_BYTES / 2);
     }
 }

@@ -67,12 +67,14 @@ use peerback_core::{
 use peerback_erasure::ReedSolomon;
 use peerback_net::LinkModel;
 use peerback_sim::exec::lap;
-use peerback_sim::{derive_seed, sim_rng, unit_draw, Engine, Round, SimRng, StageWork, World};
+use peerback_sim::{
+    derive_seed, prefetch, sim_rng, unit_draw, Engine, Round, SimRng, StageWork, World,
+};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::audit::{AuditReport, LossRecord, Verdict};
+use crate::audit::{AuditReport, LossRecord, PlanCache, Verdict};
 use crate::faults::{FaultKind, FaultPlane, FaultProfile};
-use crate::frame::BlockFrame;
+use crate::frame::{BlockFrame, FrameError};
 use crate::profile::ReplayProfile;
 use crate::store::{BlockStore, IngestError};
 
@@ -727,6 +729,26 @@ pub(crate) struct Output {
     riders_hit: BTreeSet<PeerId>,
 }
 
+/// One probe of a challenge sweep: the challenged host and the store
+/// slot of the block it must produce (`None`: it holds none).
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    host: PeerId,
+    slot: Option<u32>,
+}
+
+/// How many probes ahead a challenge sweep prefetches: far enough for
+/// a cold block to arrive while the blocks before it are summed (a
+/// 2 KiB sum takes about as long as a cold read of it).
+const PROBE_LOOKAHEAD: usize = 2;
+
+/// How many block sums an ingest ran: one, unless the frame's structure
+/// was refused before its payload was summed.
+fn ingest_sums(ingested: &Result<(), IngestError>) -> u64 {
+    let unsummed = matches!(ingested, Err(IngestError::Frame(FrameError::Wire(_))));
+    u64::from(!unsummed)
+}
+
 impl Output {
     /// Moves everything `lane` holds into this output and leaves `lane`
     /// empty: counters add, notes append up to the cap, the loss and
@@ -777,6 +799,12 @@ pub(crate) struct PlaneLane {
     /// run (execution telemetry for [`ReplayWork`]; never merged into
     /// the report).
     pub(crate) survivors_gathered: u64,
+    /// Block sums run over the whole run, by site (telemetry for
+    /// [`ReplayWork`]).
+    pub(crate) sums: BlockSums,
+    /// Decode plans recently built by the ciphertext verdict, and how
+    /// many plans with a matrix inversion the lane built over the run.
+    pub(crate) plans: PlanCache,
     /// Recycled `(host, owner, archive)` list of rotten blocks found by
     /// a scrubbing sweep.
     scrub_scratch: Vec<(PeerId, PeerId, u8)>,
@@ -799,9 +827,8 @@ pub(crate) struct PlaneLane {
     /// found rotten) this round — drained to the world's reputation
     /// ledger in lane order after the merge.
     suspects: Vec<PeerId>,
-    /// Recycled `(owner, archive, host)` worklist of one challenge
-    /// sweep.
-    challenge_scratch: Vec<(PeerId, u8, PeerId)>,
+    /// Recycled worklist of one challenge sweep.
+    challenge_scratch: Vec<Probe>,
     /// Wall time of this lane's stages over the whole run (execution
     /// telemetry for [`ReplayProfile`]; never merged into the report).
     pub(crate) profile: ReplayProfile,
@@ -825,6 +852,8 @@ impl PlaneLane {
             frame_scratch: Vec::new(),
             parity_scratch: Vec::new(),
             survivors_gathered: 0,
+            sums: BlockSums::default(),
+            plans: PlanCache::default(),
             scrub_scratch: Vec::new(),
             queue: Vec::new(),
             queue_scratch: Vec::new(),
@@ -1079,6 +1108,7 @@ impl PlaneLane {
             .codeword
             .shard(&shared.codec, slot, &mut self.parity_scratch);
         BlockFrame::encode_into(&mut bytes, owner, archive, slot as u32, shard);
+        self.sums.shipment += 1;
         let frame_len = bytes.len();
         self.out.stats.transfers_attempted += 1;
         if attempt > 0 {
@@ -1103,7 +1133,9 @@ impl PlaneLane {
         let mut rng = self.transfer_rng();
         let availability = world.peer_availability(host);
         let transit = shared.faults.transit(&mut rng, &mut bytes, availability);
-        match self.store.ingest(host, &bytes) {
+        let ingested = self.store.ingest(host, &bytes);
+        self.sums.shipment += ingest_sums(&ingested);
+        match ingested {
             Ok(()) => {
                 if attempt > 0 {
                     self.out.stats.retry_deliveries += 1;
@@ -1175,7 +1207,9 @@ impl PlaneLane {
             self.out.stats.duplicate_frames += 1;
             self.out.stats.bytes_shipped += frame_len as u64;
             self.out.stats.upload_secs += LINK.upload_secs(frame_len as f64);
-            if matches!(self.store.ingest(host, &bytes), Ok(())) && transit.damage.is_none() {
+            let again = self.store.ingest(host, &bytes);
+            self.sums.shipment += ingest_sums(&again);
+            if again.is_ok() && transit.damage.is_none() {
                 self.note(format!(
                     "duplicate frame for {owner}/{archive} accepted twice by {host}"
                 ));
@@ -1380,7 +1414,9 @@ impl PlaneLane {
     fn scrub_sweep(&mut self, round: u64) {
         let mut rotten = core::mem::take(&mut self.scrub_scratch);
         debug_assert!(rotten.is_empty(), "scrub scratch returned dirty");
-        self.out.stats.scrub_checked += self.store.collect_rotten(&mut rotten) as u64;
+        let checked = self.store.collect_rotten(&mut rotten) as u64;
+        self.out.stats.scrub_checked += checked;
+        self.sums.scrub += checked;
         for &(host, owner, archive) in &rotten {
             self.store.drop_block(host, owner, archive);
             self.out.stats.scrub_detected += 1;
@@ -1499,6 +1535,10 @@ impl PlaneLane {
     /// bytes are in motion, so a miss there is not evidence. Failures
     /// land in the suspect list; the driver feeds them to the world's
     /// reputation ledger in lane order.
+    ///
+    /// The probes' blocks are looked up first, then summed in probe
+    /// order with the block [`PROBE_LOOKAHEAD`] probes ahead prefetched,
+    /// so its bytes arrive while this one is summed.
     fn challenge_sweep(&mut self, shared: &PlaneShared, round: u64) {
         let mut probes = core::mem::take(&mut self.challenge_scratch);
         debug_assert!(probes.is_empty(), "challenge scratch returned dirty");
@@ -1510,25 +1550,29 @@ impl PlaneLane {
                 continue;
             }
             for (_, host) in oa.hosts() {
-                probes.push((owner, archive, host));
+                // A placement with a re-ship pending is known damage.
+                let reshipping = self
+                    .retries
+                    .iter()
+                    .any(|r| (r.t.owner, r.t.archive, r.t.host) == (owner, archive, host));
+                if !reshipping {
+                    let slot = self.store.slot_of(host, owner, archive);
+                    probes.push(Probe { host, slot });
+                }
             }
         }
-        for &(owner, archive, host) in &probes {
-            if self
-                .retries
-                .iter()
-                .any(|r| (r.t.owner, r.t.archive, r.t.host) == (owner, archive, host))
-            {
-                continue; // known damage, re-ship already scheduled
+        self.out.stats.challenges_issued += probes.len() as u64;
+        for (i, probe) in probes.iter().enumerate() {
+            if let Some(ahead) = probes.get(i + PROBE_LOOKAHEAD).and_then(|p| p.slot) {
+                prefetch(self.store.at(ahead).bytes);
             }
-            self.out.stats.challenges_issued += 1;
-            let intact = self
-                .store
-                .block(host, owner, archive)
-                .is_some_and(|b| b.intact());
+            let intact = probe.slot.is_some_and(|slot| {
+                self.sums.challenge += 1;
+                self.store.at(slot).intact()
+            });
             if !intact {
                 self.out.stats.challenge_failures += 1;
-                self.suspects.push(host);
+                self.suspects.push(probe.host);
             }
         }
         probes.clear();
@@ -1628,6 +1672,47 @@ pub struct ReplayWork {
     /// Bytes of the blocks at rest on the hosts at the last completed
     /// round: blocks stored × shard length.
     pub stored_bytes: u64,
+    /// Every [`block_sum`](crate::block_sum) the lanes ran, by site.
+    pub block_sums: BlockSums,
+    /// Decode plans built with a `k × k` matrix inversion: the
+    /// ciphertext verdict's plan-cache misses, plus each full restore
+    /// whose `k` sources are not all data shards (`RestorePipeline`
+    /// builds its own plan). The rest of [`ReplayWork::decodes`] found
+    /// their plan cached, read only data shards, or had fewer than `k`
+    /// blocks to decode from.
+    pub decode_plans_built: u64,
+}
+
+/// [`block_sum`](crate::block_sum) calls of the lane replay, by site:
+/// each is one pass over a whole block (execution telemetry in
+/// [`ReplayWork`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BlockSums {
+    /// Shipments: the sender's seal, and one payload sum per delivery
+    /// (or duplicate delivery) whose frame parsed.
+    pub shipment: u64,
+    /// Scrubbing sweeps: every block at rest, once per sweep.
+    pub scrub: u64,
+    /// Challenge sweeps: every challenged block the host still holds.
+    pub challenge: u64,
+    /// Restore gathers: every block a gather read before it stopped.
+    pub gather: u64,
+}
+
+impl BlockSums {
+    /// All four sites together.
+    pub fn total(&self) -> u64 {
+        self.shipment + self.scrub + self.challenge + self.gather
+    }
+}
+
+impl std::ops::AddAssign for BlockSums {
+    fn add_assign(&mut self, other: BlockSums) {
+        self.shipment += other.shipment;
+        self.scrub += other.scrub;
+        self.challenge += other.challenge;
+        self.gather += other.gather;
+    }
 }
 
 impl Fabric {
@@ -1721,6 +1806,11 @@ impl Fabric {
             survivor_blocks_gathered: lanes.iter().map(|l| l.survivors_gathered).sum(),
             owner_bytes: owned.map(|oa| oa.codeword.ciphertext.len() as u64).sum(),
             stored_bytes: lanes.iter().map(|l| l.store.stored_bytes() as u64).sum(),
+            block_sums: lanes.iter().fold(BlockSums::default(), |mut sums, l| {
+                sums += l.sums;
+                sums
+            }),
+            decode_plans_built: lanes.iter().map(|l| l.plans.built).sum(),
             ..self.replay
         }
     }
@@ -2299,6 +2389,28 @@ mod tests {
             assert!(successes > 0, "{:?}", report.audit);
             assert!(work.survivor_blocks_gathered >= successes * 8, "{work:?}");
         }
+    }
+
+    #[test]
+    fn block_sums_count_every_pass_over_a_block() {
+        // Nothing damaged, refused or dropped in flight: every shipment
+        // is the sender's seal plus one receiver sum, every challenged
+        // block is at rest, and every gather reads only what it keeps.
+        let (cfg, mut fcfg) = all_planes(1);
+        fcfg.faults = FaultProfile::NONE;
+        fcfg.adversary.free_rider_fraction = 0.0;
+        fcfg.adversary.rot_fraction = 0.0;
+        let (report, work, _) = Fabric::new(cfg, fcfg).unwrap().run_with_telemetry();
+        let (stats, sums) = (report.stats, work.block_sums);
+        assert!(stats.transfers_attempted > 0 && stats.challenges_issued > 0);
+        assert_eq!(sums.shipment, 2 * stats.transfers_attempted, "{sums:?}");
+        assert_eq!(sums.scrub, stats.scrub_checked, "{sums:?}");
+        assert_eq!(sums.challenge, stats.challenges_issued, "{sums:?}");
+        assert_eq!(sums.gather, work.survivor_blocks_gathered, "{sums:?}");
+        // Some decodes needed an inversion; the rest read only data
+        // shards or found their plan cached.
+        assert!(work.decode_plans_built > 0, "{work:?}");
+        assert!(work.decode_plans_built < work.decodes, "{work:?}");
     }
 
     /// How a stored block of the verdict test differs from its shard.

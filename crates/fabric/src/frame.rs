@@ -2,20 +2,35 @@
 //!
 //! A frame is what one peer actually ships to another when the
 //! simulator decides a placement: a fixed header naming the block,
-//! the shard payload, and a [`block_sum`] over everything before it.
-//! The codec is built on [`peerback_core::wire`] and inherits its
-//! strictness — truncation, hostile lengths and trailing bytes are
-//! typed errors, never panics — and the trailing sum turns *any*
-//! in-flight bit flip into a typed error as well, so a transfer can
-//! never succeed silently with damaged bytes.
+//! the shard payload, and a trailing seal — the payload's
+//! [`block_sum`] folded with the header's fields. The codec is built
+//! on [`peerback_core::wire`] and inherits its strictness — truncation,
+//! hostile lengths and trailing bytes are typed errors, never panics —
+//! and the seal turns *any* in-flight bit flip into a typed error as
+//! well, so a transfer can never succeed silently with damaged bytes.
+//!
+//! ## The seal
+//!
+//! The seal is `block_sum(payload)` carried through two more `mix`
+//! steps, one per header word (owner and shard index packed into one,
+//! then the archive), so a receiver verifies a frame with one pass over
+//! its payload, and that pass's sum is the one a store keeps beside the
+//! block at rest ([`BlockFrame::parse`] returns it). Every step is a
+//! bijection of the running value for a fixed input and of the input
+//! for a fixed value, so a flipped payload bit changes the payload sum
+//! and with it the seal, a flipped header bit changes one step's input
+//! and with it the seal, and a flipped trailer bit changes the recorded
+//! seal. Magic and length-prefix damage is structural: a wrong magic
+//! is refused as such, and a length that moved leaves the reader short
+//! or with trailing bytes.
 //!
 //! ## Two sums, two jobs
 //!
-//! * [`block_sum`] guards **integrity**: the frame trailer here and the
+//! * [`block_sum`] guards **integrity**: the frame seal here and the
 //!   at-rest blocks of [`crate::store`]. It runs once or more per shard
 //!   per transfer, scrub, challenge and audit gather, so speed matters;
 //!   its value never leaves a run, so the algorithm may change (the
-//!   frame magic names it).
+//!   frame magic names it and how the seal uses it).
 //! * [`checksum`] (FNV-1a) fingerprints **reports**: the benchmark
 //!   digests its results with it and compares them across commits, so
 //!   stability matters and speed does not. Nothing in this crate calls
@@ -26,8 +41,10 @@ use core::fmt;
 use peerback_core::wire::{Reader, WireError};
 use peerback_core::PeerId;
 
-/// `PBF2`: the trailer is a [`block_sum`] (`PBF1` carried FNV-1a).
-const MAGIC: &[u8; 4] = b"PBF2";
+/// `PBF3`: the trailer is the seal of the payload's [`block_sum`] and
+/// the header ([`seal`]). `PBF2` summed header and payload as one run
+/// of bytes; `PBF1` carried FNV-1a.
+const MAGIC: &[u8; 4] = b"PBF3";
 
 /// FNV-1a over `bytes` — the report-digest function.
 ///
@@ -108,6 +125,16 @@ pub fn block_sum(bytes: &[u8]) -> u64 {
     sum
 }
 
+/// The frame trailer: `payload_sum`, the payload's [`block_sum`],
+/// folded with the header through two [`mix`] steps — owner and shard
+/// index packed into one word, then the archive (see the module docs
+/// for why every single-bit flip changes it).
+fn seal(payload_sum: u64, owner: PeerId, archive: u8, shard_index: u32) -> u64 {
+    let header = u64::from(owner) | u64::from(shard_index) << 32;
+    let sum = mix(payload_sum, header, FOLD_MUL);
+    mix(sum, u64::from(archive), FOLD_MUL)
+}
+
 /// Test-only oracle switch: while active on a thread, [`block_sum`]
 /// *is* FNV-1a there, so one build can run a scenario under the sum
 /// this crate used to trust and under the one it trusts now.
@@ -139,12 +166,12 @@ pub(crate) mod oracle {
 pub enum FrameError {
     /// Structural damage: truncation, bad magic, hostile lengths.
     Wire(WireError),
-    /// The frame parsed but its [`block_sum`] does not match —
-    /// in-flight corruption of header or payload.
+    /// The frame parsed but its seal does not match — in-flight
+    /// corruption of header, payload or trailer.
     ChecksumMismatch {
-        /// Sum recorded in the frame.
+        /// Seal recorded in the frame.
         expected: u64,
-        /// Sum recomputed over the received bytes.
+        /// Seal recomputed over the received header and payload.
         actual: u64,
     },
 }
@@ -187,13 +214,14 @@ pub struct BlockFrame {
 
 impl BlockFrame {
     /// Serialised length of the fixed part (magic + header + payload
-    /// length prefix + trailing checksum). Useful for link budgeting.
+    /// length prefix + trailing seal). Useful for link budgeting.
     pub const OVERHEAD: usize = 4 + 4 + 1 + 4 + 4 + 8;
 
     /// Encodes a frame around a borrowed payload: header,
-    /// length-prefixed payload, then a [`block_sum`] over every
-    /// preceding byte — written into one buffer of exact capacity, so
-    /// shipping a shard costs one copy of it and one allocation.
+    /// length-prefixed payload, then the seal of the payload's
+    /// [`block_sum`] and the header — written into one buffer of exact
+    /// capacity, so shipping a shard costs one copy of it, one sum and
+    /// one allocation.
     pub fn encode(owner: PeerId, archive: u8, shard_index: u32, payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(payload.len() + Self::OVERHEAD);
         Self::encode_into(&mut bytes, owner, archive, shard_index, payload);
@@ -226,8 +254,8 @@ impl BlockFrame {
         out.extend_from_slice(&shard_index.to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(payload);
-        let sum = block_sum(out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        let seal = seal(block_sum(payload), owner, archive, shard_index);
+        out.extend_from_slice(&seal.to_le_bytes());
     }
 
     /// Encodes this frame (see [`BlockFrame::encode`]).
@@ -236,14 +264,17 @@ impl BlockFrame {
     }
 
     /// Decodes and verifies a frame in place: the payload stays a slice
-    /// of `bytes` (the store copies it straight into its slab).
+    /// of `bytes` (the store copies it straight into its slab), and the
+    /// one [`block_sum`] of it that verified the seal comes back as
+    /// [`FrameRef::payload_sum`]. No sum runs unless the structure
+    /// parses.
     ///
     /// # Errors
     ///
     /// [`FrameError::Wire`] on structural damage (truncation anywhere,
     /// bad magic, hostile length prefixes, trailing bytes);
     /// [`FrameError::ChecksumMismatch`] when the structure survives but
-    /// any bit of header or payload changed in flight.
+    /// any bit of header, payload or seal changed in flight.
     pub fn parse(bytes: &[u8]) -> Result<FrameRef<'_>, FrameError> {
         let mut r = Reader::new(bytes);
         if r.get_raw(4)? != MAGIC {
@@ -255,7 +286,8 @@ impl BlockFrame {
         let payload = r.get_bytes()?;
         let expected = r.get_u64()?;
         r.finish()?;
-        let actual = block_sum(&bytes[..bytes.len() - 8]);
+        let payload_sum = block_sum(payload);
+        let actual = seal(payload_sum, owner, archive, shard_index);
         if actual != expected {
             return Err(FrameError::ChecksumMismatch { expected, actual });
         }
@@ -264,6 +296,7 @@ impl BlockFrame {
             archive,
             shard_index,
             payload,
+            payload_sum,
         })
     }
 
@@ -290,6 +323,8 @@ pub struct FrameRef<'a> {
     pub shard_index: u32,
     /// The coded shard bytes, in place in the frame.
     pub payload: &'a [u8],
+    /// The payload's [`block_sum`], computed once to verify the seal.
+    pub payload_sum: u64,
 }
 
 impl FrameRef<'_> {
@@ -451,7 +486,12 @@ mod tests {
         w.put_u32(f.shard_index);
         w.put_bytes(&f.payload);
         let mut expected = w.into_bytes();
-        expected.extend_from_slice(&block_sum(&expected).to_le_bytes());
+        // The seal, spelled out: the payload's sum, then one step per
+        // header word.
+        let sum = block_sum(&f.payload);
+        let header = u64::from(f.owner) | u64::from(f.shard_index) << 32;
+        let sealed = mix(mix(sum, header, FOLD_MUL), u64::from(f.archive), FOLD_MUL);
+        expected.extend_from_slice(&sealed.to_le_bytes());
         assert_eq!(f.to_bytes(), expected);
 
         // A longer frame's leftovers, then a truncated one's: nothing
@@ -485,6 +525,72 @@ mod tests {
                     BlockFrame::from_bytes(&damaged).is_err(),
                     "flip of bit {bit} in byte {byte} went unnoticed"
                 );
+            }
+        }
+    }
+
+    /// The `PBF2` encoder the seal replaced: one [`block_sum`] over
+    /// magic, header, length prefix and payload.
+    fn encode_pbf2(f: &BlockFrame) -> Vec<u8> {
+        let mut w = peerback_core::wire::Writer::new();
+        w.put_raw(b"PBF2");
+        w.put_u32(f.owner);
+        w.put_u8(f.archive);
+        w.put_u32(f.shard_index);
+        w.put_bytes(&f.payload);
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(&block_sum(&bytes).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_pbf2_frame_is_refused() {
+        for len in [0, 1, 101] {
+            let f = BlockFrame {
+                payload: filler(len),
+                ..frame()
+            };
+            assert_eq!(
+                BlockFrame::from_bytes(&encode_pbf2(&f)),
+                Err(FrameError::Wire(WireError::BadHeader)),
+                "a {len}-byte PBF2 frame"
+            );
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_refused_at_every_shard_length() {
+        // Empty, tail only, just short of, at and past one stripe, and
+        // a `combined_bytes` block. Magic and length-prefix damage is
+        // structural; any other flipped bit — owner, archive, shard
+        // index, payload or seal — fails the seal.
+        let length_prefix = 13..17;
+        for len in [0, 1, 31, 32, 33, 2052] {
+            let f = BlockFrame {
+                owner: 0x0102_0304,
+                archive: 5,
+                shard_index: 0x0a0b_0c0d,
+                payload: filler(len),
+            };
+            let bytes = f.to_bytes();
+            let parsed = BlockFrame::parse(&bytes).unwrap();
+            assert_eq!(parsed.payload_sum, block_sum(&f.payload));
+            let mut damaged = bytes.clone();
+            for byte in 0..bytes.len() {
+                for bit in 0..8 {
+                    damaged[byte] ^= 1 << bit;
+                    let err = BlockFrame::parse(&damaged)
+                        .expect_err(&format!("len {len}: flip of bit {bit} in byte {byte}"));
+                    if byte < 4 || length_prefix.contains(&byte) {
+                        assert!(matches!(err, FrameError::Wire(_)), "len {len} byte {byte}");
+                    } else {
+                        assert!(
+                            matches!(err, FrameError::ChecksumMismatch { .. }),
+                            "len {len} byte {byte}: {err:?}"
+                        );
+                    }
+                    damaged[byte] ^= 1 << bit;
+                }
             }
         }
     }

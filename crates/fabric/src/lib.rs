@@ -12,9 +12,11 @@
 //! Three pieces compose the subsystem:
 //!
 //! * **The transfer path** ([`frame`], [`store`]): shards travel as
-//!   [`BlockFrame`]s sealed with a [`block_sum`] over the strict wire
-//!   codec and land in per-host [`BlockStore`]s; damage of any kind
-//!   surfaces as a typed error, never a panic or a silent success.
+//!   [`BlockFrame`]s over the strict wire codec, sealed with their
+//!   payload's [`block_sum`] and header, and land in per-host
+//!   [`BlockStore`]s, which keep that sum as the block's at-rest
+//!   checksum; damage of any kind surfaces as a typed error, never a
+//!   panic or a silent success.
 //! * **The fault plane** ([`faults`]): seeded, per-transfer corruption,
 //!   truncation, link flaps (scaled by the host's churn-profile
 //!   availability) and duplicate delivery, plus at-rest bitrot.
@@ -65,8 +67,8 @@ pub mod store;
 
 pub use audit::{AuditReport, LossRecord};
 pub use fabric::{
-    restore_percentiles, run_fabric, AdversaryConfig, AdversaryRole, Fabric, FabricConfig,
-    FabricReport, FabricStats, ReplayWork, ScheduleConfig,
+    restore_percentiles, run_fabric, AdversaryConfig, AdversaryRole, BlockSums, Fabric,
+    FabricConfig, FabricReport, FabricStats, ReplayWork, ScheduleConfig,
 };
 pub use faults::{FaultKind, FaultPlane, FaultProfile, Transit};
 pub use frame::{block_sum, checksum, BlockFrame, FrameError, FrameRef};

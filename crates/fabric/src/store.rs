@@ -5,13 +5,15 @@
 //! keeps the ingest-time [`block_sum`] of the payload next to the bytes
 //! so at-rest damage (bitrot) is detectable later — an audit or repair
 //! that reads a rotten block sees it as *not intact* rather than
-//! decoding garbage. Scrub sweeps, challenges and restore gathers all
-//! re-sum whole blocks through [`StoredBlock::intact`], which is why
-//! the sum is the fast one (see [`crate::frame`] for the two sums). A
-//! restore gather reads an archive's blocks in slot order and stops at
-//! the `k`th intact one, so a restorable archive costs `k` sums however
-//! many blocks it has at rest; only a restore that fails goes on to
-//! count (and re-sum) the rest.
+//! decoding garbage. That sum is the one the frame's seal was verified
+//! with ([`crate::frame`]), so a delivery reads its payload once.
+//! Scrub sweeps, challenges and restore gathers all re-sum whole
+//! blocks through [`StoredBlock::intact`], which is why the sum is the
+//! fast one (see [`crate::frame`] for the two sums). A restore gather
+//! reads an archive's blocks in slot order and stops at the `k`th
+//! intact one, so a restorable archive costs `k` sums however many
+//! blocks it has at rest; only a restore that fails goes on to count
+//! (and re-sum) the rest.
 //!
 //! ## Layout
 //!
@@ -22,27 +24,112 @@
 //! at its full size and filled by appending, so growth never
 //! reallocates or zero-fills. Beside the slab sit a metadata vector
 //! (each slot's `(host, owner, archive)` key, shard index and ingest
-//! sum; `None` for a free slot), one sorted index from key to slot, and
-//! a free list that recycles the slots drops leave behind. A lookup is
-//! one index probe returning a view borrowed from the slab; a scrub
-//! walks the slab in slot order. Every ordered output follows the
-//! sorted index, so the whole fabric stays a pure function of its
-//! seeds.
+//! sum, plus its links in its host's slot list; `None` for a free
+//! slot), a free list that recycles the slots drops leave behind, and
+//! two hash maps under one fixed, seedless hasher (`KeyHasher`):
+//!
+//! * the **index**, `(host, owner, archive)` → slot: a lookup, a
+//!   duplicate check or a drop is one hash probe, not a tree walk;
+//! * the **host lists**, host → the head and length of a doubly linked
+//!   list threaded through its slots' metadata: dropping a departed
+//!   host's blocks walks its own list, so it costs what the host
+//!   stores, never a scan of the store.
+//!
+//! Both grow with the blocks and hosts at rest, never with the
+//! population. A lookup returns a view borrowed from the slab; a scrub
+//! walks the slab in slot order. No map is ever iterated for an
+//! output: every ordered output (the rotten list, `keys`) is sorted by
+//! key, so the whole fabric stays a pure function of its seeds.
+//!
+//! Why these maps rather than handles kept beside each owner's
+//! placement mirror: the handles would make every owner-side change
+//! (drop, departure, re-placement) a second write into the store's
+//! bookkeeping and tie the store's API to the fabric's slots, while a
+//! hash probe already removes the tree walk, and the store stays a
+//! self-contained `(host, owner, archive)` map with its own
+//! oracle tests.
 
-use std::collections::btree_map::{Entry, Range};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use core::fmt;
 
 use peerback_core::PeerId;
+use peerback_sim::prefetch;
 
 use crate::frame::{block_sum, BlockFrame, FrameError};
 
 /// Slots per slab page (64 KiB pages at the fabric's 2 KiB shards).
 const PAGE_SLOTS: usize = 32;
 
+/// How many slots ahead a scrub prefetches (see
+/// [`BlockStore::collect_rotten`]).
+const SCRUB_LOOKAHEAD: usize = 2;
+
 /// Where a block is stored: `(host, owner, archive)`.
 type BlockKey = (PeerId, PeerId, u8);
+
+/// No slot: the end of a host's slot list.
+const NIL: u32 = u32::MAX;
+
+/// A fixed rotate-xor-multiply hasher (the step of rustc's original
+/// FxHash) for the fabric's small integer keys. It has no per-process
+/// seed, so a map's probe sequences — and the time they take — repeat
+/// from run to run, and a key costs a multiply per word where SipHash
+/// runs rounds. The keys are peer slots, archive indices and shard
+/// indices the fabric itself assigns (a frame's header is trusted only
+/// after its seal verifies), not values an adversary picks, so
+/// flooding resistance buys nothing.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// An odd multiplier with well-spread bits (rustc-hash 2's).
+    const MUL: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MUL);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("chunks of 8")));
+        }
+        for &byte in words.remainder() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The multiply leaves its best-mixed bits at the top; the rotation
+    /// brings them down to the bucket bits the table reads first.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` under [`KeyHasher`].
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// One stored shard, borrowed from its store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,6 +221,16 @@ struct SlotMeta {
     key: BlockKey,
     shard_index: u32,
     ingest_checksum: u64,
+    /// The neighbours in the host's slot list ([`NIL`] at its ends).
+    prev: u32,
+    next: u32,
+}
+
+/// One host's slot list: its first slot and its length.
+#[derive(Debug, Clone, Copy)]
+struct HostList {
+    head: u32,
+    len: u32,
 }
 
 /// All blocks, host by host: one slab of fixed-stride slots (see the
@@ -149,9 +246,11 @@ pub struct BlockStore {
     /// Per-slot metadata, `None` while the slot is free.
     meta: Vec<Option<SlotMeta>>,
     /// `(host, owner, archive)` → slot, for every live slot.
-    index: BTreeMap<BlockKey, usize>,
+    index: KeyMap<BlockKey, u32>,
+    /// Host → its slot list, for every host with a block at rest.
+    hosts: KeyMap<PeerId, HostList>,
     /// Free slots, reused last-freed first.
-    free: Vec<usize>,
+    free: Vec<u32>,
 }
 
 impl BlockStore {
@@ -161,8 +260,9 @@ impl BlockStore {
     }
 
     /// Decodes, verifies and stores one received frame on `host`: the
-    /// frame is parsed in place and its payload copied straight into a
-    /// slot.
+    /// frame is parsed in place, its payload copied straight into a
+    /// slot, and the payload sum that verified the frame's seal kept as
+    /// the block's ingest sum — one pass over the payload in all.
     ///
     /// # Errors
     ///
@@ -173,18 +273,19 @@ impl BlockStore {
     pub fn ingest(&mut self, host: PeerId, frame_bytes: &[u8]) -> Result<(), IngestError> {
         let frame = BlockFrame::parse(frame_bytes)?;
         let payload = frame.payload;
-        let vacant = match self.index.entry((host, frame.owner, frame.archive)) {
-            Entry::Occupied(stored) => {
-                return Err(IngestError::DuplicateFrame {
-                    owner: frame.owner,
-                    archive: frame.archive,
-                    stored_shard: self.meta[*stored.get()]
-                        .expect("indexed slots are live")
-                        .shard_index,
-                })
-            }
-            Entry::Vacant(vacant) => vacant,
-        };
+        debug_assert_eq!(
+            frame.payload_sum,
+            block_sum(payload),
+            "a frame's verified sum is its payload's"
+        );
+        let key = (host, frame.owner, frame.archive);
+        if let Some(&stored) = self.index.get(&key) {
+            return Err(IngestError::DuplicateFrame {
+                owner: frame.owner,
+                archive: frame.archive,
+                stored_shard: self.live(stored).shard_index,
+            });
+        }
         if self.meta.is_empty() {
             self.stride = payload.len();
         } else if payload.len() != self.stride {
@@ -193,21 +294,32 @@ impl BlockStore {
                 len: payload.len(),
             });
         }
+        let list = self
+            .hosts
+            .entry(host)
+            .or_insert(HostList { head: NIL, len: 0 });
+        let next = list.head;
         let meta = Some(SlotMeta {
-            key: *vacant.key(),
+            key,
             shard_index: frame.shard_index,
-            ingest_checksum: block_sum(payload),
+            ingest_checksum: frame.payload_sum,
+            prev: NIL,
+            next,
         });
         let slot = match self.free.pop() {
             Some(slot) => {
-                let at = slot % PAGE_SLOTS * self.stride;
-                self.pages[slot / PAGE_SLOTS][at..at + self.stride].copy_from_slice(payload);
-                self.meta[slot] = meta;
+                let at = slot as usize % PAGE_SLOTS * self.stride;
+                self.pages[slot as usize / PAGE_SLOTS][at..at + self.stride]
+                    .copy_from_slice(payload);
+                self.meta[slot as usize] = meta;
                 slot
             }
             None => {
-                let slot = self.meta.len();
-                if slot.is_multiple_of(PAGE_SLOTS) {
+                let slot = u32::try_from(self.meta.len())
+                    .ok()
+                    .filter(|&slot| slot != NIL)
+                    .expect("fewer than 2^32 - 1 slots");
+                if self.meta.len().is_multiple_of(PAGE_SLOTS) {
                     self.pages
                         .push(Vec::with_capacity(PAGE_SLOTS * self.stride));
                 }
@@ -217,19 +329,63 @@ impl BlockStore {
                 slot
             }
         };
-        vacant.insert(slot);
+        list.head = slot;
+        list.len += 1;
+        if next != NIL {
+            self.live_mut(next).prev = slot;
+        }
+        self.index.insert(key, slot);
         Ok(())
     }
 
-    /// The bytes of `slot`.
-    fn slot_bytes(&self, slot: usize) -> &[u8] {
-        let at = slot % PAGE_SLOTS * self.stride;
-        &self.pages[slot / PAGE_SLOTS][at..at + self.stride]
+    /// The metadata of live slot `slot`.
+    fn live(&self, slot: u32) -> &SlotMeta {
+        self.meta[slot as usize]
+            .as_ref()
+            .expect("indexed slots are live")
     }
 
-    /// Marks `slot` free (its key already left the index).
-    fn release(&mut self, slot: usize) {
-        self.meta[slot] = None;
+    /// [`BlockStore::live`], mutably.
+    fn live_mut(&mut self, slot: u32) -> &mut SlotMeta {
+        self.meta[slot as usize]
+            .as_mut()
+            .expect("indexed slots are live")
+    }
+
+    /// The bytes of `slot`.
+    fn slot_bytes(&self, slot: u32) -> &[u8] {
+        let at = slot as usize % PAGE_SLOTS * self.stride;
+        &self.pages[slot as usize / PAGE_SLOTS][at..at + self.stride]
+    }
+
+    /// Unlinks live slot `slot` from its host's list and marks it free
+    /// (its key already left the index).
+    fn release(&mut self, slot: u32) {
+        let SlotMeta {
+            key: (host, ..),
+            prev,
+            next,
+            ..
+        } = self.meta[slot as usize]
+            .take()
+            .expect("released slots are live");
+        if next != NIL {
+            self.live_mut(next).prev = prev;
+        }
+        if prev != NIL {
+            self.live_mut(prev).next = next;
+        }
+        let list = self
+            .hosts
+            .get_mut(&host)
+            .expect("a live slot's host is listed");
+        if prev == NIL {
+            list.head = next;
+        }
+        list.len -= 1;
+        if list.len == 0 {
+            self.hosts.remove(&host);
+        }
         self.free.push(slot);
     }
 
@@ -246,13 +402,24 @@ impl BlockStore {
 
     /// The block `host` holds for `(owner, archive)`, if any.
     pub fn block(&self, host: PeerId, owner: PeerId, archive: u8) -> Option<StoredBlock<'_>> {
-        let slot = *self.index.get(&(host, owner, archive))?;
-        let meta = self.meta[slot].expect("indexed slots are live");
-        Some(StoredBlock {
+        self.slot_of(host, owner, archive).map(|slot| self.at(slot))
+    }
+
+    /// The slot of the block `host` holds for `(owner, archive)`, if
+    /// any: a handle for [`BlockStore::at`] that stays valid until the
+    /// store next changes.
+    pub(crate) fn slot_of(&self, host: PeerId, owner: PeerId, archive: u8) -> Option<u32> {
+        self.index.get(&(host, owner, archive)).copied()
+    }
+
+    /// The block in live slot `slot` (from [`BlockStore::slot_of`]).
+    pub(crate) fn at(&self, slot: u32) -> StoredBlock<'_> {
+        let meta = self.live(slot);
+        StoredBlock {
             shard_index: meta.shard_index,
             bytes: self.slot_bytes(slot),
             ingest_checksum: meta.ingest_checksum,
-        })
+        }
     }
 
     /// Mutable access (the fault plane's bitrot path).
@@ -262,12 +429,12 @@ impl BlockStore {
         owner: PeerId,
         archive: u8,
     ) -> Option<StoredBlockMut<'_>> {
-        let slot = *self.index.get(&(host, owner, archive))?;
-        let meta = self.meta[slot].expect("indexed slots are live");
-        let at = slot % PAGE_SLOTS * self.stride;
+        let slot = self.slot_of(host, owner, archive)?;
+        let meta = *self.live(slot);
+        let at = slot as usize % PAGE_SLOTS * self.stride;
         Some(StoredBlockMut {
             shard_index: meta.shard_index,
-            bytes: &mut self.pages[slot / PAGE_SLOTS][at..at + self.stride],
+            bytes: &mut self.pages[slot as usize / PAGE_SLOTS][at..at + self.stride],
             ingest_checksum: meta.ingest_checksum,
         })
     }
@@ -276,11 +443,19 @@ impl BlockStore {
     /// in slot order, and pushes `(host, owner, archive)` of each rotten
     /// one onto `out`, sorted (host-major, like every other ordered
     /// output of the store). Returns how many blocks were checked.
+    ///
+    /// The slot two ahead (`SCRUB_LOOKAHEAD`) is prefetched while one is
+    /// summed: the walk is sequential, but a hardware prefetcher stops
+    /// at every 4 KiB page boundary, which a 2 KiB stride crosses every
+    /// other slot.
     pub fn collect_rotten(&self, out: &mut Vec<BlockKey>) -> usize {
         let first = out.len();
         for (slot, meta) in self.meta.iter().enumerate() {
+            if slot + SCRUB_LOOKAHEAD < self.meta.len() {
+                prefetch(self.slot_bytes((slot + SCRUB_LOOKAHEAD) as u32));
+            }
             if let Some(meta) = meta {
-                if block_sum(self.slot_bytes(slot)) != meta.ingest_checksum {
+                if block_sum(self.slot_bytes(slot as u32)) != meta.ingest_checksum {
                     out.push(meta.key);
                 }
             }
@@ -289,24 +464,22 @@ impl BlockStore {
         self.index.len()
     }
 
-    /// The index entries of every block `host` stores.
-    fn host_range(&self, host: PeerId) -> Range<'_, BlockKey, usize> {
-        self.index
-            .range((host, 0, 0)..=(host, PeerId::MAX, u8::MAX))
-    }
-
-    /// Drops everything `host` stores (slot recycled). Returns how many
-    /// blocks vanished.
+    /// Drops everything `host` stores (slots recycled), walking the
+    /// host's own slot list. Returns how many blocks vanished.
     pub fn clear_host(&mut self, host: PeerId) -> usize {
-        let hosted: Vec<(BlockKey, usize)> = self
-            .host_range(host)
-            .map(|(&key, &slot)| (key, slot))
-            .collect();
-        for &(key, slot) in &hosted {
-            self.index.remove(&key);
-            self.release(slot);
+        let Some(list) = self.hosts.remove(&host) else {
+            return 0;
+        };
+        let mut slot = list.head;
+        while slot != NIL {
+            let meta = self.meta[slot as usize]
+                .take()
+                .expect("listed slots are live");
+            self.index.remove(&meta.key);
+            self.free.push(slot);
+            slot = meta.next;
         }
-        hosted.len()
+        list.len as usize
     }
 
     /// Total blocks stored across all hosts.
@@ -322,31 +495,50 @@ impl BlockStore {
 
     /// Blocks `host` currently stores.
     pub fn host_blocks(&self, host: PeerId) -> usize {
-        self.host_range(host).count()
+        self.hosts.get(&host).map_or(0, |list| list.len as usize)
     }
 
-    /// Every stored block's `(host, owner, archive)`, in index order.
+    /// Every stored block's `(host, owner, archive)`, sorted.
     #[cfg(any(test, debug_assertions))]
-    pub(crate) fn keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
-        self.index.keys().copied()
+    pub(crate) fn keys(&self) -> impl Iterator<Item = BlockKey> {
+        let mut keys: Vec<BlockKey> = self.index.keys().copied().collect();
+        keys.sort_unstable();
+        keys.into_iter()
     }
 
-    /// Panics unless the index, the slot metadata, the free list and
-    /// the pages agree: every index entry names a live slot holding its
-    /// key, every live slot is indexed, the free list holds exactly the
-    /// free slots once each, and every page still has the capacity it
-    /// was allocated with.
+    /// Panics unless the index, the host lists, the slot metadata, the
+    /// free list and the pages agree: every index entry names a live
+    /// slot holding its key, every live slot is indexed, each host's
+    /// list links exactly that host's live slots (its length and both
+    /// directions of every link right), the free list holds exactly
+    /// the free slots once each, and every page still has the capacity
+    /// it was allocated with.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_invariants(&self) {
         for (&key, &slot) in &self.index {
             assert_eq!(
-                self.meta[slot].map(|m| m.key),
+                self.meta[slot as usize].map(|m| m.key),
                 Some(key),
                 "index entry {key:?} names slot {slot}, which does not hold it"
             );
         }
         let live = self.meta.iter().filter(|m| m.is_some()).count();
         assert_eq!(live, self.index.len(), "live slots missing from the index");
+        let mut listed = 0;
+        for (&host, list) in &self.hosts {
+            assert!(list.len > 0, "host {host} keeps an empty list");
+            let (mut prev, mut slot, mut len) = (NIL, list.head, 0);
+            while slot != NIL {
+                let meta = self.live(slot);
+                assert_eq!(meta.key.0, host, "slot {slot} is on host {host}'s list");
+                assert_eq!(meta.prev, prev, "slot {slot}'s back link");
+                (prev, slot, len) = (slot, meta.next, len + 1);
+                assert!(len <= list.len, "host {host}'s list is longer than it says");
+            }
+            assert_eq!(len, list.len, "host {host}'s list length");
+            listed += len as usize;
+        }
+        assert_eq!(listed, live, "a live slot is on no host's list");
         let mut free = self.free.clone();
         free.sort_unstable();
         free.dedup();
@@ -356,7 +548,7 @@ impl BlockStore {
             "a slot is on the free list twice"
         );
         assert!(
-            free.iter().all(|&slot| self.meta[slot].is_none()),
+            free.iter().all(|&slot| self.meta[slot as usize].is_none()),
             "a live slot is on the free list"
         );
         assert_eq!(live + free.len(), self.meta.len(), "a free slot was lost");
@@ -375,6 +567,8 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use peerback_core::wire::WireError;
     use proptest::prelude::*;
 
@@ -473,6 +667,14 @@ mod tests {
 
         fn host_blocks(&self, host: PeerId) -> usize {
             self.hosts.get(&host).map_or(0, BTreeMap::len)
+        }
+
+        fn keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
+            self.hosts.iter().flat_map(|(&host, shelf)| {
+                shelf
+                    .keys()
+                    .map(move |&(owner, archive)| (host, owner, archive))
+            })
         }
     }
 
@@ -652,6 +854,7 @@ mod tests {
                 }
                 slab.check_invariants();
                 prop_assert_eq!(slab.total_blocks(), oracle.total_blocks());
+                prop_assert!(slab.keys().eq(oracle.keys()), "keys in another order");
                 for h in 0..5 {
                     prop_assert_eq!(slab.host_blocks(h), oracle.host_blocks(h));
                     for o in 0..4 {

@@ -17,12 +17,14 @@
 //!   per experiment arm) are independent but reproducible.
 //! * [`WorkerPool`] runs a round's stages on parked threads, as wide as
 //!   [`ExecPolicy`]'s width rule allows.
+//! * [`prefetch()`] hints bytes about to be read into the cache.
 
 pub mod arena;
 pub mod clock;
 pub mod engine;
 pub mod exec;
 mod place;
+mod prefetch;
 pub mod rng;
 pub mod wheel;
 
@@ -30,5 +32,6 @@ pub use arena::BufPool;
 pub use clock::Round;
 pub use engine::{Engine, RoundReport, World};
 pub use exec::{ExecPolicy, StageWork, WorkerPool};
+pub use prefetch::prefetch;
 pub use rng::{derive_seed, sim_rng, unit_draw, SimRng};
 pub use wheel::{HierarchicalWheel, TimingWheel};
