@@ -25,13 +25,14 @@
 //!
 //! The `--json` telemetry header carries, summed over the cells and
 //! never under `--stable-json`, `replay_work` ([`Fabric::replay_work`]:
-//! rounds skipped, decodes and the decode plans built for them with a
-//! matrix inversion, blocks gathered, the `plain` and `sweep` rounds'
-//! rows in `perf_probe`'s `stage_work` shape, the plane's resident
-//! bytes at the end of the run — `owner_bytes`, the ciphertext owners
-//! hold, and `stored_bytes`, the blocks at rest — and `block_sums`, the
-//! whole-block sums run by site: `shipment`, `scrub`, `challenge`,
-//! `gather` and their `total`) and
+//! rounds skipped, the `plain` and `sweep` rounds' rows in
+//! `perf_probe`'s `stage_work` shape, decodes — loss verifications and
+//! flash restores; audits and episode starts are judged by slot sums —,
+//! blocks gathered, the plane's resident bytes at the end of the run —
+//! `owner_bytes`, the ciphertext owners hold, and `stored_bytes`, the
+//! blocks at rest — and `block_sums`, the whole-block sums run by site:
+//! `encode`, `shipment`, `scrub`, `challenge`, `gather` and their
+//! `total`) and
 //! `stages`, the replay profile ([`Fabric::replay_profile`]): seconds
 //! of wall time per lane stage and driver step.
 //!
@@ -117,7 +118,6 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
         total.plain += w.plain;
         total.sweep += w.sweep;
         total.decodes += w.decodes;
-        total.decode_plans_built += w.decode_plans_built;
         total.survivor_blocks_gathered += w.survivor_blocks_gathered;
         total.owner_bytes += w.owner_bytes;
         total.stored_bytes += w.stored_bytes;
@@ -127,7 +127,6 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
         .num("rounds_skipped", total.rounds_skipped)
         .stage_work([("plain", total.plain), ("sweep", total.sweep)])
         .num("decodes", total.decodes)
-        .num("decode_plans_built", total.decode_plans_built)
         .num("survivor_blocks_gathered", total.survivor_blocks_gathered)
         .num("owner_bytes", total.owner_bytes)
         .num("stored_bytes", total.stored_bytes)
@@ -139,6 +138,7 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
 /// total.
 fn block_sums_json(sums: &BlockSums) -> String {
     json::Object::new()
+        .num("encode", sums.encode)
         .num("shipment", sums.shipment)
         .num("scrub", sums.scrub)
         .num("challenge", sums.challenge)

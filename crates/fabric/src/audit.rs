@@ -6,46 +6,48 @@
 //! * **Prediction** — the simulator's view: at least `k` of the
 //!   archive's blocks sit on currently-online partners
 //!   ([`BackupWorld::archive_online_present`]).
-//! * **Byte truth** — a real reconstruction from `k` intact shards
-//!   actually stored on online hosts.
+//! * **Byte truth** — `k` intact blocks actually stored on online
+//!   hosts, each the owner's block for its slot.
 //!
 //! ## What an audit proves
 //!
-//! One gather serves every decode: it looks up the archive's blocks on
+//! One gather serves every restore: it looks up the archive's blocks on
 //! its mirrored hosts in slot order (online ones only, for an audit or
 //! a flash restore), prefetches the first `k`, re-sums them in order,
 //! and stops at the `k`th intact one — the paper's "reach k partners,
-//! download k blocks, decode". The codec reconstructs the `k` data
-//! shards from them, and then one of two verdicts judges the result
+//! download k blocks". One of two verdicts then judges them
 //! (`Verdict`):
 //!
-//! * **Ciphertext** (audits and episode starts): the data shards are
-//!   reconstructed through a decode plan from the lane's `PlanCache`
-//!   (a survivor set that recurs mostly recurs within a few rounds, and
-//!   a plan's `k × k` inversion is about a quarter of a small decode),
-//!   and restored means the first `payload_len` bytes of the
-//!   reconstructed data shards equal those of the owner's ciphertext
-//!   (the data shards it keeps of its code word) — exactly the bytes
-//!   `Archive::join_blocks` keeps. The keystream cipher and the archive
-//!   framing are deterministic functions of those bytes, so equal
-//!   ciphertext decrypts and parses to the archive, and a restore that
-//!   yields the archive had to start from its ciphertext (the keystream
-//!   is a bijection and the archive's encoding canonical): the verdict
-//!   is the full restore's, without the join, the decrypt, the parse or
-//!   a plaintext copy of the archive beside every code word.
+//! * **Slots** (audits and episode starts): restored when the `k`
+//!   blocks carry distinct shard indices below `n` and each one's ingest
+//!   sum equals the sum of its slot in the owner's code word
+//!   (`CodeWord::slot_sums`, recorded once when the code word is
+//!   encoded). An intact block still sums to its ingest sum, so each of
+//!   the `k` is the owner's block for its slot, and Reed–Solomon is MDS:
+//!   any `k` distinct correct blocks decode to the archive. The verdict
+//!   is the restore's without running one — the per-block tags of a
+//!   proof of retrievability (Juels & Kaliski, CCS 2007), which never
+//!   fetches the file. Distinct indices below `n` are what a decode
+//!   refuses and a sum comparison alone would pass.
 //! * **Full** (loss verifications and flash restores, the restores a
-//!   user sees): a [`RestorePipeline`] join → decrypt → parse, compared
-//!   with the archive regenerated from the code word's content seed.
+//!   user sees): the codec reconstructs the data shards, and a
+//!   [`RestorePipeline`] join → decrypt → parse is compared with the
+//!   archive regenerated from the code word's content seed.
 //!
 //! Debug builds (`cfg(any(test, debug_assertions))`: the unit and
-//! integration tests, and debug binaries) re-derive the full verdict
-//! beside every ciphertext verdict, from every intact survivor as the
-//! gather did before it stopped at `k`, and assert that the two agree;
-//! release builds compile the check out.
+//! integration tests, and debug binaries) judge every slot verdict
+//! twice more and assert that the three agree: the **ciphertext**
+//! verdict decodes the same `k` blocks and compares the first
+//! `payload_len` bytes of the data shards with the owner's ciphertext
+//! (the bytes `Archive::join_blocks` keeps), and the full verdict runs
+//! over every intact survivor, as the gather did before it stopped at
+//! `k`. Release builds compile both out, so audits and episode starts
+//! decode nothing. A block whose bytes differ from its slot's anywhere,
+//! padding included, fails the slot check; no sender ships one.
 //!
 //! An audit that does not restore keeps counting the intact blocks past
 //! the gather, so the count its notes and [`LossRecord`]s carry is
-//! exact; one that restores reports the `k` it decoded.
+//! exact; one that restores reports the `k` it judged.
 //!
 //! With fault injection off the two must agree on *every* archive,
 //! *every* round — any disagreement is a bug in one of the halves and
@@ -53,25 +55,23 @@
 //! fail and stored bytes rot, so byte truth may fall below the
 //! prediction; those divergences are the measurement
 //! ([`AuditReport::fault_induced_losses`]) and each one is verified to
-//! stem from fewer than `k` intact shards — a decode that fails any
+//! stem from fewer than `k` intact shards — a restore that fails any
 //! other way is still a mismatch.
 //!
 //! The auditor also cross-checks the fabric's replayed placement map
 //! against the world's partner lists block by block, so a drifting
-//! event stream cannot hide behind a correct-looking decode.
+//! event stream cannot hide behind a correct-looking restore.
 //!
 //! [`BackupWorld::archive_online_present`]: peerback_core::BackupWorld::archive_online_present
 //! [`RestorePipeline`]: peerback_core::RestorePipeline
 
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use peerback_core::{BackupWorld, PeerId, RestorePipeline, XorKeystream};
-use peerback_erasure::{DecodePlan, ErasureError, ReedSolomon};
 use peerback_sim::prefetch;
 
 use crate::fabric::{CodeWord, OwnerArchive, PlaneLane, PlaneShared};
-use crate::store::{BlockStore, KeyHasher, StoredBlock};
+use crate::store::{BlockStore, StoredBlock};
 
 /// One verified data-loss event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +101,7 @@ pub struct AuditReport {
     /// impossible — and counted as a mismatch — without it).
     pub fault_induced_losses: u64,
     /// Cross-check violations: prediction/byte disagreements not
-    /// explained by an injected fault, placement-map desyncs, decode
+    /// explained by an injected fault, placement-map desyncs, restore
     /// failures with `k` or more intact shards, or any other breach of
     /// the contract between the two halves. Zero on a healthy build.
     pub mismatches: u64,
@@ -110,13 +110,14 @@ pub struct AuditReport {
     /// placed, so comparing against bytes mid-flight would report a
     /// false mismatch. Zero on unscheduled runs.
     pub skipped_in_flight: u64,
-    /// Real decode attempts performed: audits with at least `k` intact
-    /// blocks on online hosts, and every episode start, loss
-    /// verification and completed flash restore (those try with
-    /// whatever survives, fewer than `k` blocks included).
+    /// Restore verdicts given: audits with at least `k` intact blocks
+    /// on online hosts, and every episode start, loss verification and
+    /// completed flash restore (those are judged with whatever
+    /// survives, fewer than `k` blocks included). A count of verdicts,
+    /// not of decodes: audits and episode starts are judged by slot
+    /// sums (see the module docs).
     pub decode_attempts: u64,
-    /// Decode attempts that restored the archive bit for bit (by the
-    /// ciphertext or the full verdict; see the module docs).
+    /// Restore verdicts that found the archive restored bit for bit.
     pub decode_successes: u64,
     /// First few mismatch descriptions, for debugging.
     pub notes: Vec<String>,
@@ -141,12 +142,18 @@ impl AuditReport {
     }
 }
 
-/// How a restore judges the data shards it reconstructed (see the
-/// module docs for why the two agree).
+/// How a restore judges the blocks its gather kept (see the module
+/// docs for why the verdicts agree).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// Restored when the first `payload_len` bytes of the data shards
-    /// equal the owner's ciphertext's: audits and episode starts.
+    /// Restored when `k` blocks with distinct shard indices below `n`
+    /// each carry their slot's sum: audits and episode starts. No
+    /// decode runs.
+    Slots,
+    /// Restored when the first `payload_len` bytes of the decoded data
+    /// shards equal the owner's ciphertext's: the debug oracle of
+    /// [`Verdict::Slots`].
+    #[cfg(any(test, debug_assertions))]
     Ciphertext,
     /// Restored when join → decrypt → parse yields the archive
     /// regenerated from the content seed: loss verifications and flash
@@ -155,27 +162,45 @@ pub(crate) enum Verdict {
 }
 
 impl Verdict {
-    /// Whether `blocks` restore `codeword` under this verdict; the data
-    /// shards are reconstructed into `scratch` (the ciphertext verdict
-    /// through a plan from `plans`).
+    /// Whether `blocks` restore `codeword` under this verdict; the
+    /// decoding verdicts reconstruct the data shards into `scratch`.
     fn restores(
         self,
         shared: &PlaneShared,
         codeword: &CodeWord,
-        blocks: &[(usize, &[u8])],
+        blocks: &[StoredBlock],
         scratch: &mut Vec<Vec<u8>>,
-        plans: &mut PlanCache,
     ) -> bool {
+        let k = shared.k();
+        let pairs = || -> Vec<_> {
+            blocks
+                .iter()
+                .map(|b| (b.shard_index as usize, b.bytes))
+                .collect()
+        };
         let descriptor = &codeword.descriptor;
         match self {
+            Verdict::Slots => {
+                let mut seen = [false; 256];
+                blocks.len() >= k
+                    && blocks[..k].iter().all(|b| {
+                        let slot = b.shard_index as usize;
+                        codeword.slot_sums.get(slot) == Some(&b.ingest_checksum)
+                            && !core::mem::replace(&mut seen[slot], true)
+                    })
+            }
+            #[cfg(any(test, debug_assertions))]
             Verdict::Ciphertext => {
-                let decoded = plans.reconstruct(&shared.codec, blocks, scratch);
+                let shard_len = blocks.first().map_or(0, |b| b.bytes.len());
+                let decoded = shared
+                    .codec
+                    .reconstruct_data_into(&pairs(), shard_len, scratch);
                 let len = descriptor.payload_len as usize;
                 decoded.is_ok() && same_prefix(scratch, &codeword.ciphertext[..len])
             }
             Verdict::Full => {
                 let restore = RestorePipeline::new(XorKeystream::new(codeword.cipher_key));
-                let decoded = restore.restore_with(&shared.codec, descriptor, blocks, scratch);
+                let decoded = restore.restore_with(&shared.codec, descriptor, &pairs(), scratch);
                 decoded.is_ok_and(|decoded| decoded == shared.archive_of(codeword))
             }
         }
@@ -184,6 +209,7 @@ impl Verdict {
 
 /// Whether the shards `data`, read as one concatenation, begin with
 /// `ciphertext` (the bytes `Archive::join_blocks` keeps).
+#[cfg(any(test, debug_assertions))]
 fn same_prefix(data: &[Vec<u8>], ciphertext: &[u8]) -> bool {
     let mut rest = ciphertext;
     let equal = data.iter().all(|d| {
@@ -194,98 +220,20 @@ fn same_prefix(data: &[Vec<u8>], ciphertext: &[u8]) -> bool {
     equal && rest.is_empty()
 }
 
-/// Bytes of decode plans one lane keeps: a plan of `combined_bytes`'
-/// (8, 8) geometry takes ≈ 0.2 KiB with its slot, so the cache holds
-/// about eighty; one of the paper's (128, 128) geometry takes 17 KiB,
-/// so one. Survivor sets that recur recur soon (an archive decoded
-/// twice within a few rounds), so a small cache finds most of them.
-const PLAN_CACHE_BYTES: usize = 16 << 10;
-
-/// Bytes a cached plan of `k` sources takes: its slot, its source list
-/// and its `k × k` coefficient rows.
-fn plan_bytes(k: usize) -> usize {
-    core::mem::size_of::<Option<DecodePlan>>() + k * core::mem::size_of::<usize>() + k * k
-}
-
-/// One lane's recently built decode plans, and a count of the plans it
-/// built with a matrix inversion. Direct-mapped: the plan for an
-/// ordered source list lives in the slot its hash names, if anywhere,
-/// and a new plan replaces whatever held its slot — so the cache never
-/// holds more than its slot count of plans, [`PLAN_CACHE_BYTES`] ÷
-/// [`plan_bytes`]. Plans are pure functions of their sources, so what
-/// the cache holds changes no result — only how often a `k × k`
-/// inversion runs.
-#[derive(Debug, Default)]
-pub(crate) struct PlanCache {
-    /// Sized on first use, for the run's one geometry.
-    slots: Vec<Option<DecodePlan>>,
-    /// Plans built with a `k × k` inversion, over the lane's run
-    /// (telemetry for [`ReplayWork`](crate::ReplayWork)).
-    pub(crate) built: u64,
-}
-
-impl PlanCache {
-    /// Reconstructs the `k` data shards from the first `k` of `blocks`
-    /// into `out`, exactly as [`ReedSolomon::reconstruct_data_into`]
-    /// does, through the cached plan for their shard indices in supply
-    /// order (built and cached on a miss).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReedSolomon::reconstruct_data_into`]: fewer than `k` blocks,
-    /// a bad or repeated index, blocks of unequal length.
-    fn reconstruct(
-        &mut self,
-        codec: &ReedSolomon,
-        blocks: &[(usize, &[u8])],
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<(), ErasureError> {
-        let k = codec.data_shards();
-        if blocks.len() < k {
-            return Err(ErasureError::NotEnoughShards {
-                available: blocks.len(),
-                needed: k,
-            });
-        }
-        let shard_len = blocks[0].1.len();
-        let mut sources = [0usize; 256];
-        for (source, &(index, _)) in sources.iter_mut().zip(blocks) {
-            *source = index;
-        }
-        let sources = &sources[..k];
-        if self.slots.is_empty() {
-            let count = (PLAN_CACHE_BYTES / plan_bytes(k)).max(1);
-            self.slots.resize_with(count, || None);
-        }
-        let mut hasher = KeyHasher::default();
-        sources.hash(&mut hasher);
-        let at = hasher.finish() as usize % self.slots.len();
-        let slot = &mut self.slots[at];
-        if let Some(plan) = slot.as_ref().filter(|plan| plan.sources() == sources) {
-            return plan.reconstruct_into(blocks, shard_len, out);
-        }
-        let plan = codec.decode_plan(sources)?;
-        self.built += u64::from(!plan.is_passthrough());
-        plan.reconstruct_into(blocks, shard_len, out)?;
-        *slot = Some(plan);
-        Ok(())
-    }
-}
-
 /// What [`PlaneLane::restore_survivors`] found in the stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Survivors {
-    /// Intact blocks: the `k` the gather decoded when the archive
+    /// Intact blocks: the `k` the gather kept when the archive
     /// restored, every intact block otherwise.
     pub(crate) intact: u32,
     /// Bytes of the (at most `k`) blocks gathered — the paper's k-block
     /// download.
     pub(crate) download_bytes: usize,
-    /// Whether a decode ran and restored the archive bit for bit.
+    /// Whether the verdict found the archive restored bit for bit.
     pub(crate) restored: bool,
 }
 
-/// A placeholder entry of a [`present`] table.
+/// A placeholder entry of a block table.
 const NO_BLOCK: StoredBlock<'static> = StoredBlock {
     shard_index: 0,
     bytes: &[],
@@ -319,11 +267,11 @@ fn present<'a>(
 
 impl PlaneLane {
     /// Gathers up to `k` intact blocks of the archive `(owner,
-    /// archive)` and, given at least `need` of them, attempts a restore
-    /// straight out of the store, judged by `verdict`: through the
-    /// run's shared codec into recycled data-shard scratch — no copy of
-    /// the inputs, no per-decode matrix rebuild, no fresh output
-    /// buffers.
+    /// archive)` and, given at least `need` of them, judges a restore
+    /// straight out of the store by `verdict`: the slot verdict by
+    /// their sums alone, the full one through the run's shared codec
+    /// into recycled data-shard scratch — no copy of the inputs, no
+    /// fresh output buffers.
     pub(crate) fn restore_survivors(
         &mut self,
         shared: &PlaneShared,
@@ -349,80 +297,73 @@ impl PlaneLane {
             let mut rest = table[..n]
                 .iter()
                 .inspect(|_| summed += 1)
-                .filter(|b| b.intact())
-                .map(|b| (b.shard_index as usize, b.bytes));
-            let mut blocks: [(usize, &[u8]); 256] = [(0, &[]); 256];
+                .filter(|b| b.intact());
+            let mut blocks = [NO_BLOCK; 256];
             let mut gathered = 0;
             for (entry, block) in blocks.iter_mut().zip(rest.by_ref().take(k)) {
-                *entry = block;
+                *entry = *block;
                 gathered += 1;
             }
             let blocks = &blocks[..gathered];
             let attempted = blocks.len() >= need;
-            let (scratch, plans) = (&mut self.data_scratch, &mut self.plans);
-            let restored =
-                attempted && verdict.restores(shared, &oa.codeword, blocks, scratch, plans);
-            if attempted && verdict == Verdict::Full && blocks.len() >= k {
-                // `restore_with` builds its own plan for these sources.
-                plans.built += u64::from(blocks.iter().any(|&(index, _)| index >= k));
-            }
+            let scratch = &mut self.data_scratch;
+            let restored = attempted && verdict.restores(shared, &oa.codeword, blocks, scratch);
             let uncounted = if restored { 0 } else { rest.count() };
             let found = Survivors {
                 intact: (blocks.len() + uncounted) as u32,
-                download_bytes: blocks.iter().map(|(_, b)| b.len()).sum(),
+                download_bytes: blocks.iter().map(|b| b.bytes.len()).sum(),
                 restored,
             };
             (blocks.len(), attempted, found)
         };
         self.sums.gather += summed;
         self.survivors_gathered += gathered as u64;
+        self.decodes += u64::from(attempted && verdict != Verdict::Slots);
         self.out.audit.decode_attempts += u64::from(attempted);
         self.out.audit.decode_successes += u64::from(found.restored);
         #[cfg(any(test, debug_assertions))]
-        if verdict == Verdict::Ciphertext {
-            let ciphertext = (attempted, found);
+        if verdict == Verdict::Slots {
             let key = (owner, archive);
-            self.check_ciphertext_verdict(shared, world, key, online_only, need, ciphertext);
+            self.check_slot_verdict(shared, world, key, online_only, need, (attempted, found));
         }
         self.profile.decode += clock.elapsed();
         found
     }
 
-    /// The debug oracle of every ciphertext verdict: the full verdict
-    /// over every intact survivor — the decode as it ran before gathers
-    /// stopped at `k` — must agree on whether a decode ran, whether it
+    /// The debug oracle of every slot verdict: the ciphertext verdict
+    /// over the same `k` blocks, and the full verdict over every intact
+    /// survivor — the decode as it ran before gathers stopped at `k` —
+    /// must agree with it on whether a restore was judged, whether it
     /// restored, the download and the intact count.
     #[cfg(any(test, debug_assertions))]
-    fn check_ciphertext_verdict(
+    fn check_slot_verdict(
         &mut self,
         shared: &PlaneShared,
         world: &BackupWorld,
         (owner, archive): (PeerId, u8),
         online_only: bool,
         need: usize,
-        ciphertext: (bool, Survivors),
+        slots: (bool, Survivors),
     ) {
         let k = shared.k();
         let oa = &self.owners[&(owner, archive)];
         let (table, n) = present(oa, &self.store, world, (owner, archive), online_only);
-        let all: Vec<(usize, &[u8])> = table[..n]
-            .iter()
-            .filter(|b| b.intact())
-            .map(|b| (b.shard_index as usize, b.bytes))
-            .collect();
+        let all: Vec<StoredBlock> = table[..n].iter().filter(|b| b.intact()).copied().collect();
+        let first_k = &all[..all.len().min(k)];
         let attempted = all.len() >= need;
-        let (scratch, plans) = (&mut self.data_scratch, &mut self.plans);
-        let restored =
-            attempted && Verdict::Full.restores(shared, &oa.codeword, &all, scratch, plans);
+        let (codeword, scratch) = (&oa.codeword, &mut self.data_scratch);
+        let ciphertext =
+            attempted && Verdict::Ciphertext.restores(shared, codeword, first_k, scratch);
+        let restored = attempted && Verdict::Full.restores(shared, codeword, &all, scratch);
         let full = Survivors {
             intact: if restored { k } else { all.len() } as u32,
-            download_bytes: all.iter().take(k).map(|(_, b)| b.len()).sum(),
+            download_bytes: first_k.iter().map(|b| b.bytes.len()).sum(),
             restored,
         };
-        assert_eq!(
-            ciphertext,
-            (attempted, full),
-            "ciphertext and full verdicts of {owner}/{archive} differ"
+        assert!(
+            slots == (attempted, full) && ciphertext == restored,
+            "slot, ciphertext and full verdicts of {owner}/{archive} differ: \
+             slots {slots:?}, ciphertext {ciphertext}, full {full:?}"
         );
     }
 
@@ -502,10 +443,9 @@ impl PlaneLane {
         // Prediction vs byte truth.
         let k = shared.k() as u32;
         let predicted = world.archive_online_present(owner, archive) >= k;
-        // Fewer than k intact shards cannot decode, so none is tried.
+        // Fewer than k intact shards cannot restore, so none is judged.
         let key = (owner, archive);
-        let found =
-            self.restore_survivors(shared, world, key, true, shared.k(), Verdict::Ciphertext);
+        let found = self.restore_survivors(shared, world, key, true, shared.k(), Verdict::Slots);
         let (intact, restorable) = (found.intact, found.restored);
 
         match (predicted, restorable) {
@@ -516,7 +456,7 @@ impl PlaneLane {
             (true, false) => {
                 if intact >= k {
                     self.note(format!(
-                        "decode of {owner}/{archive} failed with {intact} intact shards >= k"
+                        "restore of {owner}/{archive} failed with {intact} intact shards >= k"
                     ));
                 } else if !shared.damage_expected() {
                     self.note(format!(
@@ -538,7 +478,7 @@ impl PlaneLane {
                 }
             }
             (false, true) => {
-                // Structurally impossible: the decode only sees blocks
+                // Structurally impossible: the gather only sees blocks
                 // on online hosts, a subset of what the prediction
                 // counts. Reaching this is a bug in the fabric.
                 self.note(format!(
@@ -547,98 +487,5 @@ impl PlaneLane {
                 ));
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every `size`-subset of `0..n`, ascending, as gathers supply them.
-    fn subsets(n: usize, size: usize) -> Vec<Vec<usize>> {
-        (0u32..1 << n)
-            .filter(|mask| mask.count_ones() as usize == size)
-            .map(|mask| (0..n).filter(|&i| mask & 1 << i != 0).collect())
-            .collect()
-    }
-
-    /// A code word of `codec`'s geometry: `k` seeded data shards of
-    /// `len` bytes, then their parity.
-    fn codeword(codec: &ReedSolomon, len: usize) -> Vec<Vec<u8>> {
-        let data: Vec<Vec<u8>> = (0..codec.data_shards())
-            .map(|s| (0..len).map(|i| (i * 7 + s * 31 + 3) as u8).collect())
-            .collect();
-        let parity = codec.encode(&data).unwrap();
-        data.into_iter().chain(parity).collect()
-    }
-
-    #[test]
-    fn a_cached_plan_equals_a_fresh_one_for_every_survivor_set() {
-        let codec = ReedSolomon::new(4, 4).unwrap();
-        let shards = codeword(&codec, 40);
-        let sets = subsets(8, 4);
-        let mut cache = PlanCache::default();
-        let (mut cached, mut fresh) = (Vec::new(), Vec::new());
-        for sources in &sets {
-            let blocks: Vec<(usize, &[u8])> =
-                sources.iter().map(|&i| (i, &shards[i][..])).collect();
-            let plan = codec.decode_plan(sources).unwrap();
-            plan.reconstruct_into(&blocks, 40, &mut fresh).unwrap();
-            assert_eq!(fresh[..], shards[..4], "sources {sources:?}");
-            // The first decode builds the plan, the repeat finds it.
-            for repeat in [false, true] {
-                let built = cache.built;
-                cache.reconstruct(&codec, &blocks, &mut cached).unwrap();
-                assert_eq!(cached, fresh, "sources {sources:?}");
-                if repeat {
-                    assert_eq!(cache.built, built, "sources {sources:?} rebuilt");
-                }
-            }
-        }
-        // Only the all-data set needs no inversion.
-        assert_eq!(cache.built, sets.len() as u64 - 1);
-    }
-
-    #[test]
-    fn the_plan_cache_refuses_what_the_codec_refuses() {
-        let codec = ReedSolomon::new(4, 4).unwrap();
-        let shards = codeword(&codec, 8);
-        let mut out = Vec::new();
-        let mut cache = PlanCache::default();
-        let block = |i: usize| (i, &shards[i][..]);
-        for blocks in [
-            vec![block(0), block(5), block(6)],
-            vec![block(0), block(5), block(5), block(7)],
-            vec![block(0), (1, &shards[1][..4]), block(6), block(7)],
-        ] {
-            assert_eq!(
-                cache.reconstruct(&codec, &blocks, &mut out),
-                codec.reconstruct_data_into(&blocks, 8, &mut out),
-                "{:?}",
-                blocks.iter().map(|b| b.0).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn the_plan_cache_stays_within_its_bound() {
-        // Every survivor set of (8, 8), ≈ 2.8 MB of plans, through a
-        // cache of a few dozen slots.
-        let codec = ReedSolomon::new(8, 8).unwrap();
-        let shards = codeword(&codec, 16);
-        let mut cache = PlanCache::default();
-        let mut out = Vec::new();
-        let sets = subsets(16, 8);
-        for sources in &sets {
-            let blocks: Vec<(usize, &[u8])> =
-                sources.iter().map(|&i| (i, &shards[i][..])).collect();
-            cache.reconstruct(&codec, &blocks, &mut out).unwrap();
-            assert_eq!(out[..], shards[..8]);
-        }
-        assert_eq!(cache.built, sets.len() as u64 - 1);
-        assert_eq!(cache.slots.len(), PLAN_CACHE_BYTES / plan_bytes(8));
-        assert!(cache.slots.len() * plan_bytes(8) <= PLAN_CACHE_BYTES);
-        // One slot at the paper's geometry, whatever the bound's rounding.
-        assert!(plan_bytes(128) > PLAN_CACHE_BYTES / 2);
     }
 }

@@ -14,9 +14,10 @@
 //!   against a [`LinkModel`];
 //! * a **drop** (host death, offline write-off, stale displacement)
 //!   deletes the stored bytes;
-//! * an **episode start** replays the paper's `k`-block decode as a
-//!   real reconstruction from `k` surviving shards, checked against the
-//!   owner's ciphertext (the auditor's ciphertext verdict);
+//! * an **episode start** replays the paper's `k`-block download from
+//!   the shards that actually survive on disk, and restores when `k`
+//!   of them each carry their slot's sum in the owner's code word (the
+//!   auditor's slot verdict: by MDS, any `k` correct blocks decode);
 //! * a **loss** triggers a verification decode — a full
 //!   [`RestorePipeline`](peerback_core::RestorePipeline) restore — that
 //!   must fail with fewer than `k` intact shards;
@@ -72,9 +73,9 @@ use peerback_sim::{
 };
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::audit::{AuditReport, LossRecord, PlanCache, Verdict};
+use crate::audit::{AuditReport, LossRecord, Verdict};
 use crate::faults::{FaultKind, FaultPlane, FaultProfile};
-use crate::frame::{BlockFrame, FrameError};
+use crate::frame::{block_sum, BlockFrame, FrameError};
 use crate::profile::ReplayProfile;
 use crate::store::{BlockStore, IngestError};
 
@@ -441,16 +442,21 @@ impl FabricStats {
 }
 
 /// What an owner keeps of one archive content epoch: the ciphertext,
-/// the descriptor and the content key — as the paper's owner keeps its
-/// data and makes a block when it places one. The ciphertext is the `k`
-/// zero-padded data shards of the code word, `k × shard_len` bytes in
-/// one buffer; parity is not kept, and [`CodeWord::shard`] encodes a
-/// parity slot's one row when the slot ships. The plaintext archive is
-/// not kept either: [`content_archive`] regenerates it from
-/// `cipher_key` for the restores that compare against it.
+/// one sum per slot, the descriptor and the content key — as the
+/// paper's owner keeps its data and makes a block when it places one.
+/// The ciphertext is the `k` zero-padded data shards of the code word,
+/// `k × shard_len` bytes in one buffer; parity is not kept, and
+/// [`CodeWord::shard`] encodes a parity slot's one row when the slot
+/// ships. The plaintext archive is not kept either: [`content_archive`]
+/// regenerates it from `cipher_key` for the restores that compare
+/// against it.
 pub(crate) struct CodeWord {
     /// Data shards `0..k`, back to back.
     pub(crate) ciphertext: Vec<u8>,
+    /// The [`block_sum`] of every slot `0..n` of the whole code word:
+    /// what the slot verdict checks a stored block's ingest sum
+    /// against.
+    pub(crate) slot_sums: Box<[u64]>,
     pub(crate) descriptor: ArchiveDescriptor,
     /// The content seed, which is also the session key: it derives
     /// from the owner slot, its content epoch and the archive index.
@@ -459,8 +465,8 @@ pub(crate) struct CodeWord {
 
 impl CodeWord {
     /// Backs up the archive `content_seed` stands for through
-    /// [`BackupPipeline::backup`] and keeps its data shards: the `m`
-    /// parity blocks are dropped.
+    /// [`BackupPipeline::backup`], sums each of its `n` blocks and keeps
+    /// its data shards: the `m` parity blocks are dropped.
     ///
     /// Debug builds (`cfg(any(test, debug_assertions))`) check every
     /// slot's [`CodeWord::shard`] against the backup's whole code word
@@ -482,6 +488,7 @@ impl CodeWord {
         }
         let codeword = CodeWord {
             ciphertext,
+            slot_sums: plan.blocks.iter().map(|b| block_sum(&b.bytes)).collect(),
             descriptor: plan.descriptor,
             cipher_key: content_seed,
         };
@@ -788,7 +795,7 @@ pub(crate) struct PlaneLane {
     /// This round's events whose owner lives in this lane (plus every
     /// departure). Drained-and-reused every round.
     inbox: Vec<WorldEvent>,
-    /// Recycled data-shard output buffers for restore decodes.
+    /// Recycled data-shard output buffers for restores that decode.
     pub(crate) data_scratch: Vec<Vec<u8>>,
     /// Recycled wire buffer each shipment's frame is encoded into.
     frame_scratch: Vec<u8>,
@@ -799,12 +806,12 @@ pub(crate) struct PlaneLane {
     /// run (execution telemetry for [`ReplayWork`]; never merged into
     /// the report).
     pub(crate) survivors_gathered: u64,
+    /// Restores judged by decoding over the whole run (telemetry for
+    /// [`ReplayWork::decodes`]).
+    pub(crate) decodes: u64,
     /// Block sums run over the whole run, by site (telemetry for
     /// [`ReplayWork`]).
     pub(crate) sums: BlockSums,
-    /// Decode plans recently built by the ciphertext verdict, and how
-    /// many plans with a matrix inversion the lane built over the run.
-    pub(crate) plans: PlanCache,
     /// Recycled `(host, owner, archive)` list of rotten blocks found by
     /// a scrubbing sweep.
     scrub_scratch: Vec<(PeerId, PeerId, u8)>,
@@ -852,8 +859,8 @@ impl PlaneLane {
             frame_scratch: Vec::new(),
             parity_scratch: Vec::new(),
             survivors_gathered: 0,
+            decodes: 0,
             sums: BlockSums::default(),
-            plans: PlanCache::default(),
             scrub_scratch: Vec::new(),
             queue: Vec::new(),
             queue_scratch: Vec::new(),
@@ -1068,7 +1075,9 @@ impl PlaneLane {
     ) -> &mut OwnerArchive {
         let epoch = self.epochs.get(&owner).copied().unwrap_or(0);
         let master_seed = world.config().seed;
+        let sums = &mut self.sums;
         self.owners.entry((owner, archive)).or_insert_with(|| {
+            sums.encode += shared.codec.total_shards() as u64;
             let slot_seed = derive_seed(master_seed, CONTENT_STREAM ^ owner as u64);
             let content_seed = derive_seed(slot_seed, ((epoch as u64) << 8) | archive as u64);
             let archive_id = ((owner as u64) << 8) | archive as u64;
@@ -1312,10 +1321,10 @@ impl PlaneLane {
         if refresh {
             self.out.stats.episode_refreshes += 1;
         }
-        // The paper's k-block download, replayed for real: reconstruct
-        // the code word from k shards that actually survive on disk.
+        // The paper's k-block download, replayed for real: k shards
+        // that actually survive on disk, each its slot's block.
         let key = (owner, archive);
-        let found = self.restore_survivors(shared, world, key, false, 0, Verdict::Ciphertext);
+        let found = self.restore_survivors(shared, world, key, false, 0, Verdict::Slots);
         self.out.stats.download_secs += LINK.download_secs(found.download_bytes as f64);
         if found.restored {
             self.out.stats.repair_decodes += 1;
@@ -1330,7 +1339,7 @@ impl PlaneLane {
             // make the fallback expected too, exactly like faults.
             if !shared.damage_expected() && !self.has_in_flight(owner, archive) {
                 self.note(format!(
-                    "episode decode failed without faults for {owner}/{archive}"
+                    "episode restore failed without faults for {owner}/{archive}"
                 ));
             }
         }
@@ -1657,12 +1666,14 @@ pub struct ReplayWork {
     /// Rounds with an audit, scrub, challenge or flash-restore wave
     /// due, replayed full width and given no items.
     pub sweep: StageWork,
-    /// Restore decodes attempted (audits, episode starts, loss
-    /// verifications, flash restores).
+    /// Restores judged by decoding: loss verifications and flash
+    /// restores, each attempted with whatever its gather found. Audits
+    /// and episode starts are judged by slot sums and decode nothing
+    /// (debug builds' oracle decodes are not counted).
     pub decodes: u64,
-    /// Intact blocks gathered from the stores as decode inputs, each
+    /// Intact blocks gathered from the stores as restore inputs, each
     /// borrowed in place: at most `k` per gather, exactly `k` per
-    /// successful decode (the intact blocks a failed restore counts
+    /// successful restore (the intact blocks a failed restore counts
     /// past its gather are not inputs and not counted here).
     pub survivor_blocks_gathered: u64,
     /// Ciphertext the owners hold at the last completed round: `k` data
@@ -1672,15 +1683,8 @@ pub struct ReplayWork {
     /// Bytes of the blocks at rest on the hosts at the last completed
     /// round: blocks stored × shard length.
     pub stored_bytes: u64,
-    /// Every [`block_sum`](crate::block_sum) the lanes ran, by site.
+    /// Every [`block_sum`] the lanes ran, by site.
     pub block_sums: BlockSums,
-    /// Decode plans built with a `k × k` matrix inversion: the
-    /// ciphertext verdict's plan-cache misses, plus each full restore
-    /// whose `k` sources are not all data shards (`RestorePipeline`
-    /// builds its own plan). The rest of [`ReplayWork::decodes`] found
-    /// their plan cached, read only data shards, or had fewer than `k`
-    /// blocks to decode from.
-    pub decode_plans_built: u64,
 }
 
 /// [`block_sum`](crate::block_sum) calls of the lane replay, by site:
@@ -1688,6 +1692,9 @@ pub struct ReplayWork {
 /// [`ReplayWork`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockSums {
+    /// Code-word encodes: each of the backup's `n` blocks, once, for
+    /// the slot sums.
+    pub encode: u64,
     /// Shipments: the sender's seal, and one payload sum per delivery
     /// (or duplicate delivery) whose frame parsed.
     pub shipment: u64,
@@ -1700,14 +1707,15 @@ pub struct BlockSums {
 }
 
 impl BlockSums {
-    /// All four sites together.
+    /// All five sites together.
     pub fn total(&self) -> u64 {
-        self.shipment + self.scrub + self.challenge + self.gather
+        self.encode + self.shipment + self.scrub + self.challenge + self.gather
     }
 }
 
 impl std::ops::AddAssign for BlockSums {
     fn add_assign(&mut self, other: BlockSums) {
+        self.encode += other.encode;
         self.shipment += other.shipment;
         self.scrub += other.scrub;
         self.challenge += other.challenge;
@@ -1802,7 +1810,7 @@ impl Fabric {
         let lanes = &self.plane.lanes;
         let owned = lanes.iter().flat_map(|l| l.owners.values());
         ReplayWork {
-            decodes: self.plane.out.audit.decode_attempts,
+            decodes: lanes.iter().map(|l| l.decodes).sum(),
             survivor_blocks_gathered: lanes.iter().map(|l| l.survivors_gathered).sum(),
             owner_bytes: owned.map(|oa| oa.codeword.ciphertext.len() as u64).sum(),
             stored_bytes: lanes.iter().map(|l| l.store.stored_bytes() as u64).sum(),
@@ -1810,7 +1818,6 @@ impl Fabric {
                 sums += l.sums;
                 sums
             }),
-            decode_plans_built: lanes.iter().map(|l| l.plans.built).sum(),
             ..self.replay
         }
     }
@@ -2316,9 +2323,12 @@ mod tests {
                 assert!(pads || k == 1 || payload_bytes == 1, "{tag}");
                 // One parity buffer, recycled dirty across the slots.
                 let mut parity = vec![0xA5; 3];
+                assert_eq!(codeword.slot_sums.len(), k + m, "{tag}");
                 for (slot, block) in plan.blocks.iter().enumerate() {
                     let shard = codeword.shard(&shared.codec, slot, &mut parity);
                     assert_eq!(shard, &block.bytes[..], "{tag}, slot {slot}");
+                    let sum = block_sum(&block.bytes);
+                    assert_eq!(codeword.slot_sums[slot], sum, "{tag}, slot {slot}");
                 }
             }
         }
@@ -2382,9 +2392,12 @@ mod tests {
             let (plain, sweep) = (work.plain, work.sweep);
             assert!(plain.inline + sweep.inline > 0, "{work:?}");
             assert!(shards == 1 || plain.wide + sweep.wide > 200 / 8, "{work:?}");
-            assert_eq!(work.decodes, report.audit.decode_attempts);
+            // Only loss verifications and flash restores decode.
+            let stats = report.stats;
+            assert_eq!(work.decodes, stats.losses_observed + stats.flash_restores);
+            assert!(work.decodes < report.audit.decode_attempts, "{work:?}");
             // Every restore gathers at most k blocks and stops there,
-            // so each successful decode gathered exactly k = 8.
+            // so each successful one gathered exactly k = 8.
             let successes = report.audit.decode_successes;
             assert!(successes > 0, "{:?}", report.audit);
             assert!(work.survivor_blocks_gathered >= successes * 8, "{work:?}");
@@ -2407,13 +2420,11 @@ mod tests {
         assert_eq!(sums.scrub, stats.scrub_checked, "{sums:?}");
         assert_eq!(sums.challenge, stats.challenges_issued, "{sums:?}");
         assert_eq!(sums.gather, work.survivor_blocks_gathered, "{sums:?}");
-        // Some decodes needed an inversion; the rest read only data
-        // shards or found their plan cached.
-        assert!(work.decode_plans_built > 0, "{work:?}");
-        assert!(work.decode_plans_built < work.decodes, "{work:?}");
+        // Each code word sums its n = 16 blocks once, when encoded.
+        assert!(sums.encode > 0 && sums.encode % 16 == 0, "{sums:?}");
     }
 
-    /// How a stored block of the verdict test differs from its shard.
+    /// How a stored block of the verdict test differs from its slot's.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Stored {
         Clean,
@@ -2422,10 +2433,17 @@ mod tests {
         /// The shard's last byte — padding past `payload_len` — edited
         /// before it was framed, so the block is intact by its own sum.
         Padded,
+        /// The correct bytes of slot `bytes_of`, framed under shard
+        /// index `index` — intact, but not the block of `index`, or of
+        /// no slot at all.
+        Framed {
+            bytes_of: usize,
+            index: u32,
+        },
     }
 
     #[test]
-    fn the_ciphertext_verdict_is_the_full_restores() {
+    fn every_verdict_is_the_independent_restores() {
         // k = 4 with a 1001-byte payload: the 1033 serialised bytes
         // leave 3 bytes of padding at the end of data shard 3.
         let mut cfg = SimConfig::paper(48, 20, 7);
@@ -2457,14 +2475,18 @@ mod tests {
             let mut frames = Vec::new();
             for &(slot, host, how) in blocks {
                 oa.slots[slot] = Some(host);
+                let (bytes_of, index) = match how {
+                    Stored::Framed { bytes_of, index } => (bytes_of, index),
+                    _ => (slot, slot as u32),
+                };
                 let mut shard = oa
                     .codeword
-                    .shard(&shared.codec, slot, &mut Vec::new())
+                    .shard(&shared.codec, bytes_of, &mut Vec::new())
                     .to_vec();
                 if how == Stored::Padded {
                     *shard.last_mut().expect("non-empty shard") ^= 0x5A;
                 }
-                frames.push((host, BlockFrame::encode(OWNER, 0, slot as u32, &shard)));
+                frames.push((host, BlockFrame::encode(OWNER, 0, index, &shard)));
             }
             for (host, frame) in frames {
                 lane.store.ingest(host, &frame).expect("an undamaged frame");
@@ -2498,21 +2520,54 @@ mod tests {
         let clean = |slots: &[usize]| -> Vec<(usize, PeerId, Stored)> {
             slots.iter().map(|&s| (s, on(s), Stored::Clean)).collect()
         };
-        let mut rotten = clean(&[0, 1, 2, 3, 4]);
-        rotten[1].2 = Stored::Rotten;
+        let with = |slots: &[usize], at: usize, how: Stored| {
+            let mut blocks = clean(slots);
+            blocks[at].2 = how;
+            blocks
+        };
         let mut one_offline = clean(&[0, 1, 2, 3]);
         one_offline[2].1 = offline;
-        let mut padded = clean(&[0, 1, 2, 3]);
-        padded[3].2 = Stored::Padded;
+        let framed = |bytes_of, index| Stored::Framed { bytes_of, index };
         // (shape, survivors, restores for an audit, for an episode).
+        // The last three are intact blocks that a sum check without
+        // the slot's own sum, distinct indices or the `< n` bound
+        // would take for a restore.
         let shapes = [
             ("the k data shards", clean(&[0, 1, 2, 3]), true, true),
             ("k with parity", clean(&[1, 3, 5, 6]), true, true),
             ("k - 1", clean(&[0, 2, 7]), false, false),
-            ("one of k + 1 rotten", rotten, true, true),
+            (
+                "one of k + 1 rotten",
+                with(&[0, 1, 2, 3, 4], 1, Stored::Rotten),
+                true,
+                true,
+            ),
             ("one of k offline", one_offline, false, true),
-            ("padding edited", padded, true, true),
+            (
+                "padding edited",
+                with(&[0, 1, 2, 3], 3, Stored::Padded),
+                true,
+                true,
+            ),
             ("all n", clean(&[0, 1, 2, 3, 4, 5, 6, 7]), true, true),
+            (
+                "slot 3 framed as 5",
+                with(&[0, 1, 2, 3], 3, framed(3, 5)),
+                false,
+                false,
+            ),
+            (
+                "two hosts hold 2",
+                with(&[0, 1, 2, 3, 4], 3, framed(2, 2)),
+                false,
+                false,
+            ),
+            (
+                "a frame indexed n",
+                with(&[0, 1, 2, 3], 3, framed(3, 8)),
+                false,
+                false,
+            ),
         ];
         for (shape, blocks, audit_restores, episode_restores) in shapes {
             for (online_only, need, restores) in
@@ -2541,16 +2596,28 @@ mod tests {
                     download_bytes: all.iter().take(4).map(|(_, b)| b.len()).sum(),
                     restored,
                 };
-                for verdict in [Verdict::Ciphertext, Verdict::Full] {
+                for verdict in [Verdict::Slots, Verdict::Ciphertext, Verdict::Full] {
                     let mut lane = lane_with(&blocks);
                     let cell = (OWNER, 0);
-                    let found =
-                        lane.restore_survivors(shared, world, cell, online_only, need, verdict);
+                    let judged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        lane.restore_survivors(shared, world, cell, online_only, need, verdict)
+                    }));
+                    let padded = blocks.iter().any(|b| b.2 == Stored::Padded);
+                    if verdict == Verdict::Slots && padded {
+                        // A decode ignores padding; the slot sum does
+                        // not. No sender ships such a block, and the
+                        // debug oracle reports the disagreement.
+                        assert!(judged.is_err(), "{tag}: the oracle let it pass");
+                        continue;
+                    }
+                    let found = judged.expect("the verdicts agree");
                     assert_eq!(found, expected, "{tag}, {verdict:?}");
                     let audit = &lane.out.audit;
                     let counters = (audit.decode_attempts, audit.decode_successes);
                     let want = (u64::from(attempted), u64::from(restored));
                     assert_eq!(counters, want, "{tag}, {verdict:?}");
+                    let decoded = attempted && verdict != Verdict::Slots;
+                    assert_eq!(lane.decodes, u64::from(decoded), "{tag}, {verdict:?}");
                 }
             }
         }

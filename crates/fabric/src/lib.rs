@@ -21,10 +21,10 @@
 //!   truncation, link flaps (scaled by the host's churn-profile
 //!   availability) and duplicate delivery, plus at-rest bitrot.
 //! * **The auditor** ([`audit`]): each round it derives restorability
-//!   twice — once from the simulator's bookkeeping, once from real
-//!   decodes of `k` stored shards, checked against the owner's code
-//!   word — and the two halves must agree exactly whenever faults are
-//!   off. Loss verifications and flash restores run the full
+//!   twice — once from the simulator's bookkeeping, once from `k`
+//!   intact stored shards, each checked against its slot's sum in the
+//!   owner's code word — and the two halves must agree exactly whenever
+//!   faults are off. Loss verifications and flash restores run the full
 //!   [`RestorePipeline`](peerback_core::RestorePipeline).
 //!
 //! ```

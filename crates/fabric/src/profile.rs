@@ -37,7 +37,7 @@ pub struct ReplayProfile {
     pub challenge: Duration,
     /// Lanes: audit passes.
     pub audit: Duration,
-    /// Lanes: every survivor gather and restore decode — audits,
+    /// Lanes: every survivor gather and restore verdict — audits,
     /// episode starts, loss verifications, flash restores.
     pub decode: Duration,
     /// Driver: the round's events partitioned into the lane inboxes.
