@@ -53,6 +53,9 @@
 //!   candidates scanned per granted partner, and `ns_per_candidate`,
 //!   the `proposals` stage's busy time (summed over workers) per
 //!   candidate sampled.
+//! * `wheel_scheduled` / `wheel_fired` / `wheel_stale`, the whole-run
+//!   counters of the shards' timing wheels ([`BackupWorld::wheel_work`]:
+//!   events armed, events fired, and fired events dropped as stale).
 //!
 //! Last in the telemetry block, `stages` is the round profile
 //! ([`BackupWorld::round_profile`]): seconds of wall time per stage of
@@ -120,6 +123,7 @@ fn main() {
     let bytes_per_peer = mem.total();
     let redundancy = world.redundancy_work();
     let placement = world.placement_work();
+    let wheel = world.wheel_work();
     let profile = world.round_profile();
     let metrics = world.into_metrics();
     let elapsed = start.elapsed();
@@ -165,6 +169,9 @@ fn main() {
                         profile.proposals_work.busy.as_secs_f64() * 1e9
                             / placement.candidates_sampled.max(1) as f64,
                     )
+                    .num("wheel_scheduled", wheel.scheduled)
+                    .num("wheel_fired", wheel.fired)
+                    .num("wheel_stale", wheel.stale)
                     .num("peak_rss_bytes", peerback_bench::peak_rss_bytes());
                 let telemetry = if alloc_probe::ENABLED {
                     telemetry.float("allocs_per_round", allocs_per_round)

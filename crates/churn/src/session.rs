@@ -17,6 +17,11 @@ pub struct SessionSampler {
     availability: f64,
     mean_on: f64,
     mean_off: f64,
+    /// `ln(1 − 1/mean_on)`, the geometric law's log continue
+    /// probability, computed once rather than on every draw.
+    ln_q_on: f64,
+    /// `ln(1 − 1/mean_off)`.
+    ln_q_off: f64,
 }
 
 impl SessionSampler {
@@ -44,6 +49,8 @@ impl SessionSampler {
             availability,
             mean_on,
             mean_off,
+            ln_q_on: ln_continue(mean_on),
+            ln_q_off: ln_continue(mean_off),
         }
     }
 
@@ -77,27 +84,33 @@ impl SessionSampler {
 
     /// Length in rounds of the next online session (>= 1).
     pub fn online_duration<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        geometric(rng, self.mean_on)
+        geometric(rng, self.mean_on, self.ln_q_on)
     }
 
     /// Length in rounds of the next offline session (>= 1).
     pub fn offline_duration<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        geometric(rng, self.mean_off)
+        geometric(rng, self.mean_off, self.ln_q_off)
     }
+}
+
+/// `ln(q)` for the geometric law of the given mean, where `q = 1 −
+/// 1/mean` is the probability that a session continues another round.
+/// `-inf` at `mean == 1`, which [`geometric`] never reads.
+fn ln_continue(mean: f64) -> f64 {
+    (1.0 - 1.0 / mean).ln()
 }
 
 /// Geometric sample on `{1, 2, …}` with the given mean (>= 1): the
 /// discrete memoryless session law, so a session "ends this round" with
-/// constant probability `1 / mean`.
-fn geometric<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
+/// constant probability `1 / mean`. `ln_q` is [`ln_continue`]`(mean)`.
+fn geometric<R: Rng + ?Sized>(rng: &mut R, mean: f64, ln_q: f64) -> u64 {
     debug_assert!(mean >= 1.0);
     if mean <= 1.0 {
         return 1;
     }
-    let q = 1.0 - 1.0 / mean; // continue probability
     let u: f64 = rng.gen();
     // Inverse CDF of the geometric: ceil(ln(1-u)/ln(q)) with support >= 1.
-    let d = ((1.0 - u).ln() / q.ln()).ceil();
+    let d = ((1.0 - u).ln() / ln_q).ceil();
     if d.is_finite() && d >= 1.0 {
         d as u64
     } else {
@@ -152,12 +165,68 @@ mod tests {
         }
     }
 
+    /// The per-draw form the sampler replaced: `ln(q)` recomputed from
+    /// the mean on every draw.
+    fn geometric_reference<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
+        if mean <= 1.0 {
+            return 1;
+        }
+        let q = 1.0 - 1.0 / mean;
+        let u: f64 = rng.gen();
+        let d = ((1.0 - u).ln() / q.ln()).ceil();
+        if d.is_finite() && d >= 1.0 {
+            d as u64
+        } else {
+            1
+        }
+    }
+
+    #[test]
+    fn cached_log_draws_are_the_per_draw_formulas() {
+        for mean in [1.0, 1.5, 18.0, 240.0, 1e6] {
+            let ln_q = ln_continue(mean);
+            if mean <= 1.0 {
+                // The early return never reads the cached `ln(0)`.
+                assert_eq!(ln_q, f64::NEG_INFINITY);
+            }
+            let mut fast = SmallRng::seed_from_u64(mean.to_bits());
+            let mut slow = fast.clone();
+            for i in 0..100_000 {
+                assert_eq!(
+                    geometric(&mut fast, mean, ln_q),
+                    geometric_reference(&mut slow, mean),
+                    "mean {mean}, draw {i}"
+                );
+            }
+            // Both consumed the same draws.
+            assert_eq!(fast.gen::<u64>(), slow.gen::<u64>(), "mean {mean}");
+        }
+        // Through the sampler: an availability whose offline mean floors
+        // at one round, and one whose means are both above it.
+        for (a, cycle) in [(0.99, 24.0), (0.25, 24.0)] {
+            let s = SessionSampler::new(a, cycle);
+            let mut fast = SmallRng::seed_from_u64(3);
+            let mut slow = fast.clone();
+            for _ in 0..100_000 {
+                assert_eq!(
+                    s.online_duration(&mut fast),
+                    geometric_reference(&mut slow, s.mean_on)
+                );
+                assert_eq!(
+                    s.offline_duration(&mut fast),
+                    geometric_reference(&mut slow, s.mean_off)
+                );
+            }
+        }
+    }
+
     #[test]
     fn geometric_mean_is_correct() {
         let mut rng = SmallRng::seed_from_u64(7);
         for mean in [1.5, 4.0, 16.0, 100.0] {
             let n = 100_000;
-            let total: u64 = (0..n).map(|_| geometric(&mut rng, mean)).sum();
+            let ln_q = ln_continue(mean);
+            let total: u64 = (0..n).map(|_| geometric(&mut rng, mean, ln_q)).sum();
             let got = total as f64 / n as f64;
             assert!((got - mean).abs() / mean < 0.02, "mean {mean}: got {got}");
         }

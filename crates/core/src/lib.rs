@@ -67,5 +67,5 @@ pub use runner::{run_simulation, run_sweep, run_sweep_with_threads};
 pub use select::{Candidate, SelectionStrategy};
 pub use world::{
     BackupWorld, MemoryBreakdown, ObserverState, PeerId, PlacementWork, RedundancyWork,
-    RoundProfile, StageWork, WorldEvent, WorldSnapshot,
+    RoundProfile, StageWork, WheelWork, WorldEvent, WorldSnapshot,
 };

@@ -8,6 +8,18 @@
 //! run they were armed for, so a reconnection invalidates them without
 //! any queue surgery.
 //!
+//! An offline timeout is armed only when it can fire
+//! ([`ShardLane::arm_offline_timeout`]): when the run's sampled length
+//! exceeds `offline_timeout`, or when failure domains are configured.
+//! Without domains, a run of at most `offline_timeout` rounds ends in a
+//! reconnection that bumps `session_seq` no later than the timer's
+//! round — on that very round the `Toggle` sorts before the timeout —
+//! and nothing else bumps an offline peer's sequence, so such a timer
+//! would only ever fire stale. An outage can defer a reconnection past
+//! its sampled round, so with domains every timer is armed. Test builds
+//! keep the skipped timers on a side wheel and assert that each one
+//! would have fired stale.
+//!
 //! Deaths and offline timeouts used to run in a sequential cross-shard
 //! pass; they now split along the shard boundary:
 //!
@@ -197,6 +209,35 @@ impl ShardLane<'_> {
         }
         self.peers.clear_hosted(id);
         self.peers.set_quota_used(id, 0);
+    }
+
+    /// Arms the write-off timer for the offline run `id` began at
+    /// `round`, expected to last `offline_for` rounds — but only when
+    /// it can fire (see the module doc): the run outlasts the timeout,
+    /// or failure domains are configured, whose outages can defer the
+    /// reconnection. A skipped timer would fire stale.
+    pub(in crate::world) fn arm_offline_timeout(
+        &mut self,
+        id: PeerId,
+        round: u64,
+        offline_for: u64,
+        cfg: &SimConfig,
+    ) {
+        if cfg.offline_timeout == 0 {
+            return;
+        }
+        let due = Round(round + cfg.offline_timeout);
+        let event = Event::OfflineTimeout {
+            peer: id,
+            epoch: self.peers.epoch(id),
+            seq: self.peers.session_seq(id),
+        };
+        if offline_for > cfg.offline_timeout || !self.outages.is_empty() {
+            self.shard.wheel.schedule(due, event);
+        } else {
+            #[cfg(test)]
+            self.shard.skip_timer(due, event);
+        }
     }
 
     /// Hop 1 of an offline write-off (§2.2.3): the network considers the

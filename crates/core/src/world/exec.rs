@@ -165,6 +165,30 @@ impl PlacementWork {
     }
 }
 
+/// Exact work of the shards' timing wheels so far. Execution-side
+/// telemetry read through [`BackupWorld::wheel_work`], never part of
+/// [`Metrics`]; every count is a pure function of the seed, identical
+/// at any `shards` setting.
+///
+/// `stale / fired` is the share of fired events that did nothing: a
+/// toggle or offline timeout superseded by a newer session run, or any
+/// event of a slot recycled since it was armed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WheelWork {
+    /// Events put on a wheel: those fired plus those still pending.
+    pub scheduled: u64,
+    /// Events the wheels fired.
+    pub fired: u64,
+    /// Fired events that failed their epoch, session-sequence or state
+    /// check and were dropped.
+    pub stale: u64,
+}
+
+/// Messages a message stage looks ahead to prefetch the state the next
+/// one touches: far enough to hide a miss behind the current message's
+/// work, near enough that the lines are still cached when it arrives.
+const PREFETCH_AHEAD: usize = 2;
+
 /// A cross-shard effect, addressed to the logical shard that owns the
 /// state it touches. All block-drop *events* are emitted on the owner
 /// side at the moment the partner entry leaves the owner's archive;
@@ -442,8 +466,16 @@ impl ShardLane<'_> {
     fn apply_inbox(&mut self, cfg: &SimConfig, round: u64) {
         let mut inbox = core::mem::take(&mut self.shard.inbox);
         inbox.sort_unstable_by_key(Msg::sort_key);
-        for msg in inbox.drain(..) {
-            match msg {
+        for i in 0..inbox.len() {
+            if let Some(&ahead) = inbox.get(i + PREFETCH_AHEAD) {
+                match ahead {
+                    Msg::Release { host, .. } => self.peers.prefetch_ledger(host),
+                    Msg::Drop { owner, aidx, .. } => {
+                        self.peers.prefetch_partners(owner, aidx as usize)
+                    }
+                }
+            }
+            match inbox[i] {
                 Msg::Release {
                     host,
                     owner,
@@ -453,6 +485,7 @@ impl ShardLane<'_> {
                 Msg::Drop { owner, aidx, host } => self.apply_drop(cfg, owner, aidx, host, round),
             }
         }
+        inbox.clear();
         self.shard.inbox = inbox;
     }
 

@@ -197,6 +197,23 @@ impl BackupWorld {
         self.placement
     }
 
+    /// Exact work counters of the shards' timing wheels — events
+    /// scheduled, fired, and fired stale — summed over shards.
+    /// Execution-side telemetry beside
+    /// [`placement_work`](Self::placement_work): kept out of
+    /// [`Metrics`](crate::metrics::Metrics), a pure function of the
+    /// seed.
+    pub fn wheel_work(&self) -> super::WheelWork {
+        let mut total = super::WheelWork::default();
+        for shard in &self.shards {
+            total.fired += shard.fired;
+            total.stale += shard.stale;
+            // Nothing leaves a wheel but by firing.
+            total.scheduled += shard.fired + shard.wheel.len() as u64;
+        }
+        total
+    }
+
     /// Accumulated wall time of every round stage so far (see
     /// [`RoundProfile`](super::RoundProfile)) — where the rounds' time
     /// went. Always on; execution-side telemetry like

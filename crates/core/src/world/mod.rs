@@ -86,7 +86,7 @@ use peers::ArchiveIdx;
 use shard::{Proposal, Scratch, Shard, ShardLane, ShardLayout};
 use table::PeerTable;
 
-pub use exec::PlacementWork;
+pub use exec::{PlacementWork, WheelWork};
 pub use hooks::{MemoryBreakdown, WorldEvent};
 pub use peerback_sim::StageWork;
 pub use peers::{ObserverState, PeerId, WorldSnapshot};

@@ -393,16 +393,7 @@ impl ShardLane<'_> {
                     seq,
                 },
             );
-            if cfg.offline_timeout > 0 {
-                self.shard.wheel.schedule(
-                    Round(round + cfg.offline_timeout),
-                    Event::OfflineTimeout {
-                        peer: id,
-                        epoch,
-                        seq,
-                    },
-                );
-            }
+            self.arm_offline_timeout(id, round, end - round, cfg);
         } else if sampler.always_online() {
             self.set_online(id, true);
         } else if online {
@@ -427,18 +418,9 @@ impl ShardLane<'_> {
                 },
             );
             // A freshly spawned offline peer is mid-way through an
-            // offline run; arm its write-off timer too (no-op before
-            // it hosts anything, but keeps the mechanism uniform).
-            if cfg.offline_timeout > 0 {
-                self.shard.wheel.schedule(
-                    Round(round + cfg.offline_timeout),
-                    Event::OfflineTimeout {
-                        peer: id,
-                        epoch,
-                        seq,
-                    },
-                );
-            }
+            // offline run; its write-off timer follows the same rule as
+            // a toggle's (no-op before it hosts anything).
+            self.arm_offline_timeout(id, round, dur, cfg);
         }
         if let crate::config::MaintenancePolicy::Proactive { tick_rounds } = cfg.maintenance {
             self.shard.wheel.schedule(

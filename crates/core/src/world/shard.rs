@@ -293,10 +293,21 @@ pub(in crate::world) struct Shard {
     pub(in crate::world) hosts: Vec<PeerId>,
     /// Candidate-pool free list: pools cycle propose → commit → here.
     pub(in crate::world) pools: BufPool<PeerId>,
+    /// Events this shard's wheel fired, and how many of them were stale.
+    pub(in crate::world) fired: u64,
+    pub(in crate::world) stale: u64,
     /// Test builds: each proposal's granted hosts per the straight-line
     /// reference exchange, which the owner stage checks against.
     #[cfg(test)]
     pub(in crate::world) expected_hosts: Vec<Vec<PeerId>>,
+    /// Test builds: the offline timeouts the arming rule skipped, which
+    /// the local-events stage asserts stale on their round.
+    #[cfg(test)]
+    pub(in crate::world) skipped: HierarchicalWheel<Event>,
+    /// Test builds: arm every offline timeout on the wheel, as before
+    /// the arming rule — the reference the rule is compared against.
+    #[cfg(test)]
+    pub(in crate::world) arm_every_timeout: bool,
 }
 
 impl Shard {
@@ -318,8 +329,26 @@ impl Shard {
             cursors: Vec::new(),
             hosts: Vec::new(),
             pools: BufPool::new(),
+            fired: 0,
+            stale: 0,
             #[cfg(test)]
             expected_hosts: Vec::new(),
+            #[cfg(test)]
+            skipped: HierarchicalWheel::new(SHARD_WHEEL_INNER, 1),
+            #[cfg(test)]
+            arm_every_timeout: false,
+        }
+    }
+
+    /// Test builds: files an offline timeout the arming rule skipped —
+    /// on the wheel itself under `arm_every_timeout`, else on the side
+    /// wheel that checks it fires stale.
+    #[cfg(test)]
+    pub(in crate::world) fn skip_timer(&mut self, due: Round, event: Event) {
+        if self.arm_every_timeout {
+            self.wheel.schedule(due, event);
+        } else {
+            self.skipped.schedule(due, event);
         }
     }
 
@@ -435,42 +464,56 @@ impl ShardLane<'_> {
         buf.clear();
         self.shard.wheel.advance(Round(round), |e| buf.push(e));
         buf.sort_unstable_by_key(event_sort_key);
+        self.shard.fired += buf.len() as u64;
         for event in buf.drain(..) {
-            match event {
-                Event::Toggle { peer, epoch, seq } => {
-                    if self.peers.epoch(peer) == epoch && self.peers.session_seq(peer) == seq {
-                        self.process_toggle(peer, round, cfg, samplers);
-                    }
-                }
-                Event::CatAdvance { peer, epoch } => {
-                    if self.peers.epoch(peer) == epoch {
-                        self.process_cat_advance(peer, round);
-                    }
-                }
-                Event::ProactiveTick { peer, epoch } => {
-                    if self.peers.epoch(peer) == epoch {
-                        self.process_proactive_tick(peer, round, cfg);
-                    }
-                }
-                Event::Death { peer, epoch } => {
-                    if self.peers.epoch(peer) == epoch {
-                        self.process_death_local(peer, round, cfg, samplers);
-                    }
-                }
-                Event::OfflineTimeout { peer, epoch, seq } => {
-                    if self.peers.epoch(peer) == epoch
-                        && self.peers.session_seq(peer) == seq
-                        && !self.peers.online(peer)
-                    {
-                        self.process_timeout_local(peer);
-                    }
-                }
-                Event::Quarantine { peer, epoch } => {
-                    if self.peers.epoch(peer) == epoch && self.peers.quarantined(peer) {
-                        self.process_quarantine_local(peer);
-                    }
-                }
+            if !self.is_live(&event) {
+                self.shard.stale += 1;
+                continue;
             }
+            match event {
+                Event::Toggle { peer, .. } => self.process_toggle(peer, round, cfg, samplers),
+                Event::CatAdvance { peer, .. } => self.process_cat_advance(peer, round),
+                Event::ProactiveTick { peer, .. } => self.process_proactive_tick(peer, round, cfg),
+                Event::Death { peer, .. } => self.process_death_local(peer, round, cfg, samplers),
+                Event::OfflineTimeout { peer, .. } => self.process_timeout_local(peer),
+                Event::Quarantine { peer, .. } => self.process_quarantine_local(peer),
+            }
+        }
+        // Every timer the arming rule skipped is due after the events
+        // that could have made it live: it must find its run ended.
+        #[cfg(test)]
+        {
+            self.shard.skipped.advance(Round(round), |e| buf.push(e));
+            for event in buf.drain(..) {
+                assert!(
+                    !self.is_live(&event),
+                    "a skipped offline timeout would have fired live: {event:?} at round {round}"
+                );
+            }
+        }
+    }
+
+    /// Whether `event` still applies when it fires: the slot was not
+    /// recycled since it was armed, a toggle or timeout's session run
+    /// is still the current one (and a timeout's peer still offline),
+    /// and a quarantine's host is still quarantined. A stale event is
+    /// dropped.
+    fn is_live(&self, event: &Event) -> bool {
+        match *event {
+            Event::Toggle { peer, epoch, seq } => {
+                self.peers.epoch(peer) == epoch && self.peers.session_seq(peer) == seq
+            }
+            Event::OfflineTimeout { peer, epoch, seq } => {
+                self.peers.epoch(peer) == epoch
+                    && self.peers.session_seq(peer) == seq
+                    && !self.peers.online(peer)
+            }
+            Event::Quarantine { peer, epoch } => {
+                self.peers.epoch(peer) == epoch && self.peers.quarantined(peer)
+            }
+            Event::CatAdvance { peer, epoch }
+            | Event::ProactiveTick { peer, epoch }
+            | Event::Death { peer, epoch } => self.peers.epoch(peer) == epoch,
         }
     }
 
@@ -518,16 +561,7 @@ impl ShardLane<'_> {
                     seq,
                 },
             );
-            if cfg.offline_timeout > 0 {
-                self.shard.wheel.schedule(
-                    Round(round + cfg.offline_timeout),
-                    Event::OfflineTimeout {
-                        peer: id,
-                        epoch,
-                        seq,
-                    },
-                );
-            }
+            self.arm_offline_timeout(id, round, end - round, cfg);
         }
     }
 
@@ -590,6 +624,11 @@ impl ShardLane<'_> {
                     seq,
                 },
             );
+            if !going_online {
+                // The write-off timer for this offline run, armed only
+                // when the run can outlast it.
+                self.arm_offline_timeout(id, round, dur, cfg);
+            }
         }
 
         if going_online {
@@ -609,17 +648,6 @@ impl ShardLane<'_> {
             if needs_join || needs_repair {
                 self.enqueue(id);
             }
-        } else if cfg.offline_timeout > 0 {
-            // Arm the write-off timer for this offline run.
-            let seq = self.peers.session_seq(id);
-            self.shard.wheel.schedule(
-                Round(round + cfg.offline_timeout),
-                Event::OfflineTimeout {
-                    peer: id,
-                    epoch,
-                    seq,
-                },
-            );
         }
     }
 

@@ -40,6 +40,8 @@
 //! table and the borrowed view by one macro, so sequential and
 //! lane-based code read the same way.
 
+use peerback_sim::prefetch;
+
 use crate::age::AgeCategory;
 
 use super::peers::{ArchiveIdx, PeerId, OFFLINE};
@@ -50,17 +52,23 @@ const NO_OBSERVER: u8 = u8::MAX;
 /// Entries compared per step of the partner and ledger scans.
 const SCAN_LANES: usize = 16;
 
+/// Leading entries of a partner region or hosted ledger a message
+/// stage prefetches ahead of applying a message to it: eight cache
+/// lines.
+const PREFETCH_ENTRIES: usize = 128;
+
 /// `hay.iter().position(|&e| e == needle)`, sixteen entries per step:
-/// a chunk's comparisons are OR-ed into one bit mask (a vector compare
-/// once optimised), so the common miss costs one branch per chunk and
-/// a hit is the mask's lowest set bit. Teardown and release scans of
-/// partner lists and hosted ledgers go through here.
+/// each chunk is first tested for any hit — an OR of its comparisons,
+/// one vector compare once optimised — so the common miss costs one
+/// branch per chunk, and only the chunk that hits builds the bit mask
+/// whose lowest set bit locates the entry. Teardown and release scans
+/// of partner lists and hosted ledgers go through here.
 #[inline]
 pub(in crate::world) fn first_match(hay: &[u32], needle: u32) -> Option<usize> {
     let (chunks, tail) = hay.as_chunks::<SCAN_LANES>();
     for (c, chunk) in chunks.iter().enumerate() {
-        let mask = match_mask(chunk, needle);
-        if mask != 0 {
+        if any_match(chunk, needle) {
+            let mask = match_mask(chunk, needle);
             return Some(c * SCAN_LANES + mask.trailing_zeros() as usize);
         }
     }
@@ -74,13 +82,19 @@ pub(in crate::world) fn first_match(hay: &[u32], needle: u32) -> Option<usize> {
 pub(in crate::world) fn last_match(hay: &[u32], needle: u32) -> Option<usize> {
     let (head, chunks) = hay.as_rchunks::<SCAN_LANES>();
     for (c, chunk) in chunks.iter().enumerate().rev() {
-        let mask = match_mask(chunk, needle);
-        if mask != 0 {
+        if any_match(chunk, needle) {
+            let mask = match_mask(chunk, needle);
             let top = u32::BITS - 1 - mask.leading_zeros();
             return Some(head.len() + c * SCAN_LANES + top as usize);
         }
     }
     head.iter().rposition(|&e| e == needle)
+}
+
+/// Whether any entry of `chunk` equals `needle`.
+#[inline]
+fn any_match(chunk: &[u32; SCAN_LANES], needle: u32) -> bool {
+    chunk.iter().fold(false, |hit, &e| hit | (e == needle))
 }
 
 /// Bit `i` set iff `chunk[i] == needle`.
@@ -956,6 +970,28 @@ impl PeerView<'_> {
     #[inline]
     fn l(&self, id: PeerId) -> usize {
         (id - self.base) as usize
+    }
+
+    /// Hints into the cache what a release to `host` reads: the start
+    /// of its hosted ledger and its length and quota words.
+    #[inline]
+    pub(in crate::world) fn prefetch_ledger(&self, host: PeerId) {
+        let (i, off) = (self.l(host), self.hoff(host));
+        prefetch(&self.hosted_slab[off..off + self.hosted_cap.min(PREFETCH_ENTRIES)]);
+        prefetch(&self.hosted_len[i..=i]);
+        prefetch(&self.quota_used[i..=i]);
+    }
+
+    /// Hints into the cache what a drop to `owner`'s archive `aidx`
+    /// reads: the start of its partner region and its length and flag
+    /// words.
+    #[inline]
+    pub(in crate::world) fn prefetch_partners(&self, owner: PeerId, aidx: usize) {
+        let (a, off) = (self.ai(owner, aidx), self.poff(owner, aidx));
+        prefetch(&self.partner_slab[off..off + self.slab_n.min(PREFETCH_ENTRIES)]);
+        prefetch(&self.part_len[a..=a]);
+        prefetch(&self.stale_len[a..=a]);
+        prefetch(&self.arch_flags[a..=a]);
     }
 
     /// Slots covered by this view.

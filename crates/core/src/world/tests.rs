@@ -2701,6 +2701,62 @@ fn regional_outages_fire_and_stay_bit_identical_across_shards() {
     assert_eq!(e1, e, "events diverged under a fuzzed schedule");
 }
 
+/// Runs a config to completion, recording the event stream, with every
+/// offline timeout armed (`arm_every`) or only those that can fire.
+fn run_timeouts(cfg: SimConfig, arm_every: bool) -> (Metrics, Vec<WorldEvent>, WheelWork) {
+    let (rounds, seed) = (cfg.rounds, cfg.seed);
+    let mut world = BackupWorld::new(cfg);
+    world.set_event_recording(true);
+    for shard in &mut world.shards {
+        shard.arm_every_timeout = arm_every;
+    }
+    let mut engine = Engine::new(seed);
+    let events = drain_rounds(&mut world, &mut engine, rounds);
+    let wheel = world.wheel_work();
+    (world.into_metrics(), events, wheel)
+}
+
+#[test]
+fn offline_timeouts_armed_only_when_they_can_fire_change_nothing() {
+    // The arming rule against the reference that arms every timer:
+    // identical metrics and event streams, with and without failure
+    // domains (whose scheduled outage defers reconnections past their
+    // sampled round), at one and eight workers. Under the rule each
+    // skipped timer is also checked to fire stale (`Shard::skipped`).
+    let churny = churny_config(640, 300, 97).with_shard_slots(8);
+    let domained = domained_config(640, 300, 97).with_shard_slots(8);
+    for (name, cfg) in [("churny", churny), ("domained", domained)] {
+        let (m1, e1, w1) = run_timeouts(cfg.clone().with_shards(1), false);
+        assert!(m1.diag.partner_timeouts > 0, "{name}: no write-off fired");
+        assert!(
+            w1.stale <= w1.fired && w1.fired <= w1.scheduled,
+            "{name}: {w1:?}"
+        );
+        let (m, e, w) = run_timeouts(cfg.clone().with_shards(8), false);
+        assert_eq!(
+            (&m1, &e1, w1),
+            (&m, &e, w),
+            "{name}: rule diverged at shards=8"
+        );
+        for shards in [1, 8] {
+            let (m, e, w) = run_timeouts(cfg.clone().with_shards(shards), true);
+            assert_eq!(m1, m, "{name}: metrics differ from arming every timer");
+            assert_eq!(e1, e, "{name}: events differ from arming every timer");
+            if cfg.failure_domains.domains == 0 {
+                // Every skipped timer is one more event the reference
+                // arms, and every one of them it fires is stale.
+                let (skipped, extra) = (w.scheduled - w1.scheduled, w.fired - w1.fired);
+                assert!(extra > 0, "{name}: the rule skipped no timer");
+                assert!(extra <= skipped, "{name}");
+                assert_eq!(w.stale - w1.stale, extra, "{name}");
+            } else {
+                assert!(m1.diag.outages_started > 0, "{name}: no outage started");
+                assert_eq!(w1, w, "{name}: domains must arm every timer");
+            }
+        }
+    }
+}
+
 #[test]
 fn outages_preserve_census_and_eventually_release_the_domain() {
     // Conservation under forced disconnection: the census never leaks a
