@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-/// Errors returned by the Reed–Solomon codec and shard containers.
+/// Errors returned by the Reed–Solomon codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ErasureError {
     /// `k` must be at least 1.

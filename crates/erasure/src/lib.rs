@@ -17,8 +17,6 @@
 //!   multiplication, Gauss–Jordan inversion with SIMD row operations)
 //!   used to build the encoding matrix and to invert shard subsets
 //!   during reconstruction.
-//! * [`ShardSet`] — a container tracking which shards of an encoded block
-//!   set are present, with helpers used by the repair path.
 //!
 //! # Quickstart
 //!
@@ -44,9 +42,7 @@
 mod error;
 mod matrix;
 mod rs;
-mod shard;
 
 pub use error::ErasureError;
 pub use matrix::Matrix;
 pub use rs::{DecodePlan, ReedSolomon};
-pub use shard::{Shard, ShardIndex, ShardSet};

@@ -1133,6 +1133,15 @@ mod tests {
                 needed: 3
             })
         ));
+        // A repair from the two parity shards alone is refused the same way.
+        let parity_only: Vec<(usize, Vec<u8>)> = vec![(3, vec![0; 4]), (4, vec![0; 4])];
+        assert!(matches!(
+            rs.reconstruct_shards(&parity_only, 4, &[0, 1, 2]),
+            Err(ErasureError::NotEnoughShards {
+                available: 2,
+                needed: 3
+            })
+        ));
         assert!(matches!(
             rs.decode_plan(&[0, 1, 9]),
             Err(ErasureError::IndexOutOfRange { index: 9, total: 5 })

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use peerback_erasure::{ReedSolomon, Shard, ShardSet};
+use peerback_erasure::ReedSolomon;
 
 /// Strategy producing a geometry, payload length and a survivor subset.
 fn geometry() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -58,26 +58,30 @@ proptest! {
         let mut all = data.clone();
         all.extend(rs.encode(&data).unwrap());
 
-        let mut set = ShardSet::from_complete(all.clone()).unwrap();
         // Remove up to m shards, spread by the seed.
         let n = k + m;
+        let mut present = vec![true; n];
         let mut removed = 0usize;
         let mut state = seed | 1;
         while removed < m {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let idx = (state >> 33) as usize % n;
-            if set.remove(idx).is_some() {
+            if present[idx] {
+                present[idx] = false;
                 removed += 1;
             }
         }
+        let survivors: Vec<(usize, &[u8])> =
+            (0..n).filter(|&i| present[i]).map(|i| (i, all[i].as_slice())).collect();
+        let wanted: Vec<usize> = (0..n).filter(|&i| !present[i]).collect();
 
-        let regenerated = set.repair(&rs).unwrap();
-        for Shard { index, bytes } in regenerated {
+        let regenerated = rs.reconstruct_shards(&survivors, len, &wanted).unwrap();
+        let mut repaired = all.clone();
+        for (&index, bytes) in wanted.iter().zip(regenerated) {
             prop_assert_eq!(&bytes, &all[index], "shard {}", index);
+            repaired[index] = bytes;
         }
-        prop_assert!(rs.verify(
-            &set.present_shards().iter().map(|(_, b)| b.to_vec()).collect::<Vec<_>>()
-        ).unwrap());
+        prop_assert!(rs.verify(&repaired).unwrap());
     }
 
     #[test]

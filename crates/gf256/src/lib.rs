@@ -33,8 +33,6 @@
 
 mod field;
 mod matrix;
-#[cfg(test)]
-mod poly;
 pub mod simd;
 mod slice;
 mod tables;

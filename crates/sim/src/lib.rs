@@ -11,8 +11,8 @@
 //!   are reproducible from a single `u64` seed.
 //! * [`Round`] is the simulation clock (1 round = 1 hour in the paper's
 //!   configuration; the engine itself is unit-agnostic).
-//! * [`TimingWheel`] is an O(1) future-event scheduler used for departures
-//!   and availability transitions.
+//! * [`HierarchicalWheel`] is an O(1) future-event scheduler used for
+//!   departures and availability transitions.
 //! * [`rng`] has seed-derivation helpers so that sub-streams (per peer,
 //!   per experiment arm) are independent but reproducible.
 //! * [`WorkerPool`] runs a round's stages on parked threads, as wide as
@@ -34,4 +34,4 @@ pub use engine::{Engine, RoundReport, World};
 pub use exec::{ExecPolicy, StageWork, WorkerPool};
 pub use prefetch::prefetch;
 pub use rng::{derive_seed, sim_rng, unit_draw, SimRng};
-pub use wheel::{HierarchicalWheel, TimingWheel};
+pub use wheel::HierarchicalWheel;
