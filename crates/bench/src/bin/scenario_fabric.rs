@@ -28,11 +28,11 @@
 //! rounds skipped, the `plain` and `sweep` rounds' rows in
 //! `perf_probe`'s `stage_work` shape, decodes — loss verifications and
 //! flash restores; audits and episode starts are judged by slot sums —,
-//! blocks gathered, the plane's resident bytes at the end of the run —
-//! `owner_bytes`, the ciphertext owners hold, and `stored_bytes`, the
-//! blocks at rest — and `block_sums`, the whole-block sums run by site:
-//! `encode`, `shipment`, `scrub`, `challenge`, `gather` and their
-//! `total`) and
+//! blocks gathered, `store_probes`, the store lookups the gathers made,
+//! the plane's resident bytes at the end of the run — `owner_bytes`,
+//! the ciphertext owners hold, and `stored_bytes`, the blocks at rest —
+//! and `block_sums`, the whole-block sums run by site: `encode`,
+//! `shipment`, `damage` and their `total`) and
 //! `stages`, the replay profile ([`Fabric::replay_profile`]): seconds
 //! of wall time per lane stage and driver step.
 //!
@@ -119,6 +119,7 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
         total.sweep += w.sweep;
         total.decodes += w.decodes;
         total.survivor_blocks_gathered += w.survivor_blocks_gathered;
+        total.store_probes += w.store_probes;
         total.owner_bytes += w.owner_bytes;
         total.stored_bytes += w.stored_bytes;
         total.block_sums += w.block_sums;
@@ -128,6 +129,7 @@ fn replay_work_json<'a>(runs: impl IntoIterator<Item = &'a ReplayWork>) -> Strin
         .stage_work([("plain", total.plain), ("sweep", total.sweep)])
         .num("decodes", total.decodes)
         .num("survivor_blocks_gathered", total.survivor_blocks_gathered)
+        .num("store_probes", total.store_probes)
         .num("owner_bytes", total.owner_bytes)
         .num("stored_bytes", total.stored_bytes)
         .raw("block_sums", block_sums_json(&total.block_sums))
@@ -140,9 +142,7 @@ fn block_sums_json(sums: &BlockSums) -> String {
     json::Object::new()
         .num("encode", sums.encode)
         .num("shipment", sums.shipment)
-        .num("scrub", sums.scrub)
-        .num("challenge", sums.challenge)
-        .num("gather", sums.gather)
+        .num("damage", sums.damage)
         .num("total", sums.total())
         .render()
 }

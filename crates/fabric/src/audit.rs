@@ -13,10 +13,10 @@
 //!
 //! One gather serves every restore: it looks up the archive's blocks on
 //! its mirrored hosts in slot order (online ones only, for an audit or
-//! a flash restore), prefetches the first `k`, re-sums them in order,
-//! and stops at the `k`th intact one — the paper's "reach k partners,
-//! download k blocks". One of two verdicts then judges them
-//! (`Verdict`):
+//! a flash restore), reads the verdict the store keeps for each (see
+//! [`crate::store`]; no block is summed), and stops at the `k`th
+//! intact one — the paper's "reach k partners, download k blocks". One
+//! of two verdicts then judges them (`Verdict`):
 //!
 //! * **Slots** (audits and episode starts): restored when the `k`
 //!   blocks carry distinct shard indices below `n` and each one's ingest
@@ -68,10 +68,9 @@
 use std::time::Instant;
 
 use peerback_core::{BackupWorld, PeerId, RestorePipeline, XorKeystream};
-use peerback_sim::prefetch;
 
 use crate::fabric::{CodeWord, OwnerArchive, PlaneLane, PlaneShared};
-use crate::store::{BlockStore, StoredBlock};
+use crate::store::{BlockStore, StoredBlock, NO_BLOCK};
 
 /// One verified data-loss event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,28 +232,23 @@ pub(crate) struct Survivors {
     pub(crate) restored: bool,
 }
 
-/// A placeholder entry of a block table.
-const NO_BLOCK: StoredBlock<'static> = StoredBlock {
-    shard_index: 0,
-    bytes: &[],
-    ingest_checksum: 0,
-};
-
 /// Looks up the blocks of `(owner, archive)` at rest on `oa`'s mirrored
-/// hosts, in slot order (borrowed in place, not yet summed);
-/// `online_only` skips hosts the simulator has offline. Returns them in
-/// a table on the stack — a code word has at most 256 slots, and a
-/// host holds at most one block of it — and how many there are.
+/// hosts, in slot order (borrowed in place); `online_only` skips hosts
+/// the simulator has offline. Returns them in a table on the stack — a
+/// code word has at most 256 slots, and a host holds at most one block
+/// of it — how many there are, and how many store lookups found them.
 fn present<'a>(
     oa: &OwnerArchive,
     store: &'a BlockStore,
     world: &BackupWorld,
     (owner, archive): (PeerId, u8),
     online_only: bool,
-) -> ([StoredBlock<'a>; 256], usize) {
+) -> ([StoredBlock<'a>; 256], usize, u64) {
+    let mut probes = 0;
     let found = oa
         .hosts()
         .filter(|&(_, host)| !online_only || world.peer_online(host))
+        .inspect(|_| probes += 1)
         .filter_map(|(_, host)| store.block(host, owner, archive));
     let mut table = [NO_BLOCK; 256];
     let mut n = 0;
@@ -262,7 +256,7 @@ fn present<'a>(
         *entry = block;
         n += 1;
     }
-    (table, n)
+    (table, n, probes)
 }
 
 impl PlaneLane {
@@ -286,18 +280,9 @@ impl PlaneLane {
         };
         let clock = Instant::now();
         let k = shared.k();
-        let mut summed = 0;
-        let (gathered, attempted, found) = {
-            let (table, n) = present(oa, &self.store, world, (owner, archive), online_only);
-            // A restorable archive reads the first `k`: ask for all of
-            // them before summing the first.
-            for block in &table[..n.min(k)] {
-                prefetch(block.bytes);
-            }
-            let mut rest = table[..n]
-                .iter()
-                .inspect(|_| summed += 1)
-                .filter(|b| b.intact());
+        let (probes, gathered, attempted, found) = {
+            let (table, n, probes) = present(oa, &self.store, world, (owner, archive), online_only);
+            let mut rest = table[..n].iter().filter(|b| b.intact());
             let mut blocks = [NO_BLOCK; 256];
             let mut gathered = 0;
             for (entry, block) in blocks.iter_mut().zip(rest.by_ref().take(k)) {
@@ -314,9 +299,9 @@ impl PlaneLane {
                 download_bytes: blocks.iter().map(|b| b.bytes.len()).sum(),
                 restored,
             };
-            (blocks.len(), attempted, found)
+            (probes, blocks.len(), attempted, found)
         };
-        self.sums.gather += summed;
+        self.store_probes += probes;
         self.survivors_gathered += gathered as u64;
         self.decodes += u64::from(attempted && verdict != Verdict::Slots);
         self.out.audit.decode_attempts += u64::from(attempted);
@@ -347,7 +332,7 @@ impl PlaneLane {
     ) {
         let k = shared.k();
         let oa = &self.owners[&(owner, archive)];
-        let (table, n) = present(oa, &self.store, world, (owner, archive), online_only);
+        let (table, n, _) = present(oa, &self.store, world, (owner, archive), online_only);
         let all: Vec<StoredBlock> = table[..n].iter().filter(|b| b.intact()).copied().collect();
         let first_k = &all[..all.len().min(k)];
         let attempted = all.len() >= need;

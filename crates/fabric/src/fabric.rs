@@ -68,9 +68,7 @@ use peerback_core::{
 use peerback_erasure::ReedSolomon;
 use peerback_net::LinkModel;
 use peerback_sim::exec::lap;
-use peerback_sim::{
-    derive_seed, prefetch, sim_rng, unit_draw, Engine, Round, SimRng, StageWork, World,
-};
+use peerback_sim::{derive_seed, sim_rng, unit_draw, Engine, Round, SimRng, StageWork, World};
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::audit::{AuditReport, LossRecord, Verdict};
@@ -736,19 +734,6 @@ pub(crate) struct Output {
     riders_hit: BTreeSet<PeerId>,
 }
 
-/// One probe of a challenge sweep: the challenged host and the store
-/// slot of the block it must produce (`None`: it holds none).
-#[derive(Debug, Clone, Copy)]
-struct Probe {
-    host: PeerId,
-    slot: Option<u32>,
-}
-
-/// How many probes ahead a challenge sweep prefetches: far enough for
-/// a cold block to arrive while the blocks before it are summed (a
-/// 2 KiB sum takes about as long as a cold read of it).
-const PROBE_LOOKAHEAD: usize = 2;
-
 /// How many block sums an ingest ran: one, unless the frame's structure
 /// was refused before its payload was summed.
 fn ingest_sums(ingested: &Result<(), IngestError>) -> u64 {
@@ -809,6 +794,9 @@ pub(crate) struct PlaneLane {
     /// Restores judged by decoding over the whole run (telemetry for
     /// [`ReplayWork::decodes`]).
     pub(crate) decodes: u64,
+    /// Store lookups the restore gathers made over the whole run
+    /// (telemetry for [`ReplayWork::store_probes`]).
+    pub(crate) store_probes: u64,
     /// Block sums run over the whole run, by site (telemetry for
     /// [`ReplayWork`]).
     pub(crate) sums: BlockSums,
@@ -834,8 +822,6 @@ pub(crate) struct PlaneLane {
     /// found rotten) this round — drained to the world's reputation
     /// ledger in lane order after the merge.
     suspects: Vec<PeerId>,
-    /// Recycled worklist of one challenge sweep.
-    challenge_scratch: Vec<Probe>,
     /// Wall time of this lane's stages over the whole run (execution
     /// telemetry for [`ReplayProfile`]; never merged into the report).
     pub(crate) profile: ReplayProfile,
@@ -860,6 +846,7 @@ impl PlaneLane {
             parity_scratch: Vec::new(),
             survivors_gathered: 0,
             decodes: 0,
+            store_probes: 0,
             sums: BlockSums::default(),
             scrub_scratch: Vec::new(),
             queue: Vec::new(),
@@ -869,7 +856,6 @@ impl PlaneLane {
             up_spent: BTreeMap::new(),
             down_spent: BTreeMap::new(),
             suspects: Vec::new(),
-            challenge_scratch: Vec::new(),
             profile: ReplayProfile::default(),
         }
     }
@@ -1116,6 +1102,7 @@ impl PlaneLane {
         let shard = oa
             .codeword
             .shard(&shared.codec, slot, &mut self.parity_scratch);
+        let shard_len = shard.len();
         BlockFrame::encode_into(&mut bytes, owner, archive, slot as u32, shard);
         self.sums.shipment += 1;
         let frame_len = bytes.len();
@@ -1153,9 +1140,13 @@ impl PlaneLane {
                     self.out.stats.scrub_repaired += 1;
                 }
                 self.out.stats.transfers_delivered += 1;
-                if let Some(block) = self.store.block_mut(host, owner, archive) {
-                    if let Some((byte, bit)) = shared.faults.bitrot(&mut rng, block.bytes.len()) {
-                        block.bytes[byte] ^= 1 << bit;
+                // At-rest damage is decided here, at delivery, and
+                // goes through the store so each flip re-decides the
+                // block's verdict.
+                if let Some((byte, bit)) = shared.faults.bitrot(&mut rng, shard_len) {
+                    let flip = |bytes: &mut [u8]| bytes[byte] ^= 1 << bit;
+                    if self.store.damage(host, owner, archive, flip) {
+                        self.sums.damage += 1;
                         self.out.stats.bitrot_events += 1;
                     }
                 }
@@ -1164,13 +1155,16 @@ impl PlaneLane {
                 // with intent, drawn from the same per-transfer stream
                 // so the damage pattern is deterministic.
                 let rotter = shared.role_of(world, host) == AdversaryRole::Rotter;
-                if rotter && rng.gen_range(0..2u32) == 1 {
-                    if let Some(block) = self.store.block_mut(host, owner, archive) {
-                        let byte = rng.gen_range(0..block.bytes.len());
+                if rotter
+                    && rng.gen_range(0..2u32) == 1
+                    && self.store.damage(host, owner, archive, |bytes| {
+                        let byte = rng.gen_range(0..bytes.len());
                         let bit = rng.gen_range(0..8u32);
-                        block.bytes[byte] ^= 1 << bit;
-                        self.out.stats.adversary_corruptions += 1;
-                    }
+                        bytes[byte] ^= 1 << bit;
+                    })
+                {
+                    self.sums.damage += 1;
+                    self.out.stats.adversary_corruptions += 1;
                 }
             }
             Err(IngestError::Frame(_)) => {
@@ -1415,9 +1409,10 @@ impl PlaneLane {
         *self.epochs.entry(peer).or_insert(0) += 1;
     }
 
-    /// Scrubbing sweep: checksum every at-rest block in this lane's
-    /// store, drop the rotten ones and schedule their re-ship through
-    /// the retry machinery (due next round, attributed to scrubbing).
+    /// Scrubbing sweep: check every at-rest block in this lane's store
+    /// by its verdict, drop the rotten ones and schedule their re-ship
+    /// through the retry machinery (due next round, attributed to
+    /// scrubbing).
     /// The placement mirror stays — the simulator still believes the
     /// block is placed, and the repair restores that belief's bytes.
     fn scrub_sweep(&mut self, round: u64) {
@@ -1425,7 +1420,6 @@ impl PlaneLane {
         debug_assert!(rotten.is_empty(), "scrub scratch returned dirty");
         let checked = self.store.collect_rotten(&mut rotten) as u64;
         self.out.stats.scrub_checked += checked;
-        self.sums.scrub += checked;
         for &(host, owner, archive) in &rotten {
             self.store.drop_block(host, owner, archive);
             self.out.stats.scrub_detected += 1;
@@ -1544,13 +1538,7 @@ impl PlaneLane {
     /// bytes are in motion, so a miss there is not evidence. Failures
     /// land in the suspect list; the driver feeds them to the world's
     /// reputation ledger in lane order.
-    ///
-    /// The probes' blocks are looked up first, then summed in probe
-    /// order with the block [`PROBE_LOOKAHEAD`] probes ahead prefetched,
-    /// so its bytes arrive while this one is summed.
     fn challenge_sweep(&mut self, shared: &PlaneShared, round: u64) {
-        let mut probes = core::mem::take(&mut self.challenge_scratch);
-        debug_assert!(probes.is_empty(), "challenge scratch returned dirty");
         for (&(owner, archive), oa) in &self.owners {
             if !oa.joined || !shared.challenge_sampled(round, owner, archive) {
                 continue;
@@ -1564,28 +1552,17 @@ impl PlaneLane {
                     .retries
                     .iter()
                     .any(|r| (r.t.owner, r.t.archive, r.t.host) == (owner, archive, host));
-                if !reshipping {
-                    let slot = self.store.slot_of(host, owner, archive);
-                    probes.push(Probe { host, slot });
+                if reshipping {
+                    continue;
+                }
+                self.out.stats.challenges_issued += 1;
+                let block = self.store.block(host, owner, archive);
+                if !block.is_some_and(|b| b.intact()) {
+                    self.out.stats.challenge_failures += 1;
+                    self.suspects.push(host);
                 }
             }
         }
-        self.out.stats.challenges_issued += probes.len() as u64;
-        for (i, probe) in probes.iter().enumerate() {
-            if let Some(ahead) = probes.get(i + PROBE_LOOKAHEAD).and_then(|p| p.slot) {
-                prefetch(self.store.at(ahead).bytes);
-            }
-            let intact = probe.slot.is_some_and(|slot| {
-                self.sums.challenge += 1;
-                self.store.at(slot).intact()
-            });
-            if !intact {
-                self.out.stats.challenge_failures += 1;
-                self.suspects.push(probe.host);
-            }
-        }
-        probes.clear();
-        self.challenge_scratch = probes;
     }
 
     /// Queues one full-restore download for every joined archive in
@@ -1683,13 +1660,19 @@ pub struct ReplayWork {
     /// Bytes of the blocks at rest on the hosts at the last completed
     /// round: blocks stored × shard length.
     pub stored_bytes: u64,
+    /// Store lookups the restore gathers made: one per mirrored host
+    /// (online only, where the gather asks for that). They read stored
+    /// verdicts and sum nothing; they are the gathers' remaining cost.
+    pub store_probes: u64,
     /// Every [`block_sum`] the lanes ran, by site.
     pub block_sums: BlockSums,
 }
 
 /// [`block_sum`](crate::block_sum) calls of the lane replay, by site:
 /// each is one pass over a whole block (execution telemetry in
-/// [`ReplayWork`]).
+/// [`ReplayWork`]). Scrubs, challenges and restore gathers read the
+/// verdicts the store keeps and sum nothing; debug builds' re-sums of
+/// those verdicts are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockSums {
     /// Code-word encodes: each of the backup's `n` blocks, once, for
@@ -1698,18 +1681,15 @@ pub struct BlockSums {
     /// Shipments: the sender's seal, and one payload sum per delivery
     /// (or duplicate delivery) whose frame parsed.
     pub shipment: u64,
-    /// Scrubbing sweeps: every block at rest, once per sweep.
-    pub scrub: u64,
-    /// Challenge sweeps: every challenged block the host still holds.
-    pub challenge: u64,
-    /// Restore gathers: every block a gather read before it stopped.
-    pub gather: u64,
+    /// At-rest damage: one re-sum per [`BlockStore::damage`], a bitrot
+    /// or rotter flip at delivery.
+    pub damage: u64,
 }
 
 impl BlockSums {
-    /// All five sites together.
+    /// All three sites together.
     pub fn total(&self) -> u64 {
-        self.encode + self.shipment + self.scrub + self.challenge + self.gather
+        self.encode + self.shipment + self.damage
     }
 }
 
@@ -1717,9 +1697,7 @@ impl std::ops::AddAssign for BlockSums {
     fn add_assign(&mut self, other: BlockSums) {
         self.encode += other.encode;
         self.shipment += other.shipment;
-        self.scrub += other.scrub;
-        self.challenge += other.challenge;
-        self.gather += other.gather;
+        self.damage += other.damage;
     }
 }
 
@@ -1812,6 +1790,7 @@ impl Fabric {
         ReplayWork {
             decodes: lanes.iter().map(|l| l.decodes).sum(),
             survivor_blocks_gathered: lanes.iter().map(|l| l.survivors_gathered).sum(),
+            store_probes: lanes.iter().map(|l| l.store_probes).sum(),
             owner_bytes: owned.map(|oa| oa.codeword.ciphertext.len() as u64).sum(),
             stored_bytes: lanes.iter().map(|l| l.store.stored_bytes() as u64).sum(),
             block_sums: lanes.iter().fold(BlockSums::default(), |mut sums, l| {
@@ -2407,8 +2386,8 @@ mod tests {
     #[test]
     fn block_sums_count_every_pass_over_a_block() {
         // Nothing damaged, refused or dropped in flight: every shipment
-        // is the sender's seal plus one receiver sum, every challenged
-        // block is at rest, and every gather reads only what it keeps.
+        // is the sender's seal plus one receiver sum, and nothing is
+        // damaged at rest.
         let (cfg, mut fcfg) = all_planes(1);
         fcfg.faults = FaultProfile::NONE;
         fcfg.adversary.free_rider_fraction = 0.0;
@@ -2417,11 +2396,18 @@ mod tests {
         let (stats, sums) = (report.stats, work.block_sums);
         assert!(stats.transfers_attempted > 0 && stats.challenges_issued > 0);
         assert_eq!(sums.shipment, 2 * stats.transfers_attempted, "{sums:?}");
-        assert_eq!(sums.scrub, stats.scrub_checked, "{sums:?}");
-        assert_eq!(sums.challenge, stats.challenges_issued, "{sums:?}");
-        assert_eq!(sums.gather, work.survivor_blocks_gathered, "{sums:?}");
+        assert_eq!(sums.damage, 0, "{sums:?}");
         // Each code word sums its n = 16 blocks once, when encoded.
         assert!(sums.encode > 0 && sums.encode % 16 == 0, "{sums:?}");
+        assert!(work.store_probes >= work.survivor_blocks_gathered);
+        // With faults and rotters on, each flip at rest is re-summed
+        // once, and scrubs, challenges and gathers sum nothing.
+        let (cfg, fcfg) = all_planes(1);
+        let (report, work, _) = Fabric::new(cfg, fcfg).unwrap().run_with_telemetry();
+        let (stats, sums) = (report.stats, work.block_sums);
+        let flips = stats.bitrot_events + stats.adversary_corruptions;
+        assert!(flips > 0 && stats.scrub_detected > 0, "{stats:?}");
+        assert_eq!(sums.damage, flips, "{sums:?}");
     }
 
     /// How a stored block of the verdict test differs from its slot's.
@@ -2493,7 +2479,7 @@ mod tests {
             }
             for &(_, host, how) in blocks {
                 if how == Stored::Rotten {
-                    lane.store.block_mut(host, OWNER, 0).expect("stored").bytes[0] ^= 1;
+                    assert!(lane.store.damage(host, OWNER, 0, |bytes| bytes[0] ^= 1));
                 }
             }
             lane

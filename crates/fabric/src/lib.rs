@@ -73,4 +73,4 @@ pub use fabric::{
 pub use faults::{FaultKind, FaultPlane, FaultProfile, Transit};
 pub use frame::{block_sum, checksum, BlockFrame, FrameError, FrameRef};
 pub use profile::ReplayProfile;
-pub use store::{BlockStore, IngestError, StoredBlock, StoredBlockMut};
+pub use store::{BlockStore, IngestError, StoredBlock};

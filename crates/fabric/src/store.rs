@@ -3,17 +3,18 @@
 //! Each simulated peer gets a real store; a block exists here only if
 //! its frame survived the fault plane and decoded cleanly. The store
 //! keeps the ingest-time [`block_sum`] of the payload next to the bytes
-//! so at-rest damage (bitrot) is detectable later — an audit or repair
-//! that reads a rotten block sees it as *not intact* rather than
-//! decoding garbage. That sum is the one the frame's seal was verified
-//! with ([`crate::frame`]), so a delivery reads its payload once.
-//! Scrub sweeps, challenges and restore gathers all re-sum whole
-//! blocks through [`StoredBlock::intact`], which is why the sum is the
-//! fast one (see [`crate::frame`] for the two sums). A restore gather
-//! reads an archive's blocks in slot order and stops at the `k`th
-//! intact one, so a restorable archive costs `k` sums however many
-//! blocks it has at rest; only a restore that fails goes on to count
-//! (and re-sum) the rest.
+//! and, beside it, the block's verdict: whether the bytes still match
+//! that sum. That sum is the one the frame's seal was verified with
+//! ([`crate::frame`]), so a delivery reads its payload once, and
+//! [`BlockStore::ingest`] sets the verdict to intact. Bytes at rest
+//! change only through [`BlockStore::damage`], which runs the damage
+//! and re-sums the block once, so the verdict is decided where the
+//! bytes change: an audit or repair that reads a rotten block sees it
+//! as *not intact* rather than decoding garbage, and scrub sweeps,
+//! challenges and restore gathers read the verdict
+//! ([`StoredBlock::intact`]) without summing. Builds with debug
+//! assertions re-sum the block on every read and panic if the two
+//! disagree.
 //!
 //! ## Layout
 //!
@@ -23,10 +24,10 @@
 //! a page of `PAGE_SLOTS` slots at a time: each page is allocated once
 //! at its full size and filled by appending, so growth never
 //! reallocates or zero-fills. Beside the slab sit a metadata vector
-//! (each slot's `(host, owner, archive)` key, shard index and ingest
-//! sum, plus its links in its host's slot list; `None` for a free
-//! slot), a free list that recycles the slots drops leave behind, and
-//! two hash maps under one fixed, seedless hasher (`KeyHasher`):
+//! (each slot's `(host, owner, archive)` key, shard index, ingest sum
+//! and verdict, plus its links in its host's slot list; `None` for a
+//! free slot), a free list that recycles the slots drops leave behind,
+//! and two hash maps under one fixed, seedless hasher (`KeyHasher`):
 //!
 //! * the **index**, `(host, owner, archive)` → slot: a lookup, a
 //!   duplicate check or a drop is one hash probe, not a tree walk;
@@ -55,16 +56,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 use core::fmt;
 
 use peerback_core::PeerId;
-use peerback_sim::prefetch;
 
 use crate::frame::{block_sum, BlockFrame, FrameError};
 
 /// Slots per slab page (64 KiB pages at the fabric's 2 KiB shards).
 const PAGE_SLOTS: usize = 32;
-
-/// How many slots ahead a scrub prefetches (see
-/// [`BlockStore::collect_rotten`]).
-const SCRUB_LOOKAHEAD: usize = 2;
 
 /// Where a block is stored: `(host, owner, archive)`.
 type BlockKey = (PeerId, PeerId, u8);
@@ -141,24 +137,32 @@ pub struct StoredBlock<'a> {
     /// Payload [`block_sum`] recorded at ingest, before any at-rest
     /// damage.
     pub ingest_checksum: u64,
+    /// Whether `bytes` still sum to `ingest_checksum`, as decided by
+    /// the ingest and by every [`BlockStore::damage`] since.
+    verdict: bool,
 }
+
+/// A placeholder entry of a table of blocks: no bytes, not intact.
+pub(crate) const NO_BLOCK: StoredBlock<'static> = StoredBlock {
+    shard_index: 0,
+    bytes: &[],
+    ingest_checksum: 0,
+    verdict: false,
+};
 
 impl StoredBlock<'_> {
-    /// True if the bytes still match their ingest-time sum.
+    /// True if the bytes still match their ingest-time sum: the verdict
+    /// the store keeps, read without summing. Builds with debug
+    /// assertions re-sum the bytes and panic if the verdict is stale.
     pub fn intact(&self) -> bool {
-        block_sum(self.bytes) == self.ingest_checksum
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            self.verdict,
+            block_sum(self.bytes) == self.ingest_checksum,
+            "a stored block changed without its verdict"
+        );
+        self.verdict
     }
-}
-
-/// One stored shard, mutably borrowed (the fault plane's bitrot path).
-#[derive(Debug)]
-pub struct StoredBlockMut<'a> {
-    /// Shard index within the code word.
-    pub shard_index: u32,
-    /// The shard bytes as they sit on disk.
-    pub bytes: &'a mut [u8],
-    /// Payload [`block_sum`] recorded at ingest.
-    pub ingest_checksum: u64,
 }
 
 /// Why an ingest was refused.
@@ -221,6 +225,8 @@ struct SlotMeta {
     key: BlockKey,
     shard_index: u32,
     ingest_checksum: u64,
+    /// Whether the slot's bytes still sum to `ingest_checksum`.
+    intact: bool,
     /// The neighbours in the host's slot list ([`NIL`] at its ends).
     prev: u32,
     next: u32,
@@ -303,6 +309,7 @@ impl BlockStore {
             key,
             shard_index: frame.shard_index,
             ingest_checksum: frame.payload_sum,
+            intact: true,
             prev: NIL,
             next,
         });
@@ -406,56 +413,56 @@ impl BlockStore {
     }
 
     /// The slot of the block `host` holds for `(owner, archive)`, if
-    /// any: a handle for [`BlockStore::at`] that stays valid until the
-    /// store next changes.
-    pub(crate) fn slot_of(&self, host: PeerId, owner: PeerId, archive: u8) -> Option<u32> {
+    /// any.
+    fn slot_of(&self, host: PeerId, owner: PeerId, archive: u8) -> Option<u32> {
         self.index.get(&(host, owner, archive)).copied()
     }
 
-    /// The block in live slot `slot` (from [`BlockStore::slot_of`]).
-    pub(crate) fn at(&self, slot: u32) -> StoredBlock<'_> {
+    /// The block in live slot `slot`.
+    fn at(&self, slot: u32) -> StoredBlock<'_> {
         let meta = self.live(slot);
         StoredBlock {
             shard_index: meta.shard_index,
             bytes: self.slot_bytes(slot),
             ingest_checksum: meta.ingest_checksum,
+            verdict: meta.intact,
         }
     }
 
-    /// Mutable access (the fault plane's bitrot path).
-    pub fn block_mut(
+    /// Damages the block `host` holds for `(owner, archive)` at rest:
+    /// runs `damage` over its bytes, then re-sums them once to decide
+    /// its verdict. The only way to change a stored block's bytes.
+    /// Returns whether a block was stored (an absent one is left
+    /// alone, and `damage` does not run).
+    pub fn damage(
         &mut self,
         host: PeerId,
         owner: PeerId,
         archive: u8,
-    ) -> Option<StoredBlockMut<'_>> {
-        let slot = self.slot_of(host, owner, archive)?;
-        let meta = *self.live(slot);
+        damage: impl FnOnce(&mut [u8]),
+    ) -> bool {
+        let Some(slot) = self.slot_of(host, owner, archive) else {
+            return false;
+        };
         let at = slot as usize % PAGE_SLOTS * self.stride;
-        Some(StoredBlockMut {
-            shard_index: meta.shard_index,
-            bytes: &mut self.pages[slot as usize / PAGE_SLOTS][at..at + self.stride],
-            ingest_checksum: meta.ingest_checksum,
-        })
+        let bytes = &mut self.pages[slot as usize / PAGE_SLOTS][at..at + self.stride];
+        damage(bytes);
+        let sum = block_sum(bytes);
+        let meta = self.live_mut(slot);
+        meta.intact = sum == meta.ingest_checksum;
+        true
     }
 
-    /// Scrubbing primitive: re-sums every stored block, walking the slab
-    /// in slot order, and pushes `(host, owner, archive)` of each rotten
-    /// one onto `out`, sorted (host-major, like every other ordered
-    /// output of the store). Returns how many blocks were checked.
-    ///
-    /// The slot two ahead (`SCRUB_LOOKAHEAD`) is prefetched while one is
-    /// summed: the walk is sequential, but a hardware prefetcher stops
-    /// at every 4 KiB page boundary, which a 2 KiB stride crosses every
-    /// other slot.
+    /// Scrubbing primitive: reads every stored block's verdict, walking
+    /// the slab in slot order, and pushes `(host, owner, archive)` of
+    /// each rotten one onto `out`, sorted (host-major, like every other
+    /// ordered output of the store). Returns how many blocks were
+    /// checked.
     pub fn collect_rotten(&self, out: &mut Vec<BlockKey>) -> usize {
         let first = out.len();
         for (slot, meta) in self.meta.iter().enumerate() {
-            if slot + SCRUB_LOOKAHEAD < self.meta.len() {
-                prefetch(self.slot_bytes((slot + SCRUB_LOOKAHEAD) as u32));
-            }
             if let Some(meta) = meta {
-                if block_sum(self.slot_bytes(slot as u32)) != meta.ingest_checksum {
+                if !self.at(slot as u32).intact() {
                     out.push(meta.key);
                 }
             }
@@ -511,8 +518,8 @@ impl BlockStore {
     /// slot holding its key, every live slot is indexed, each host's
     /// list links exactly that host's live slots (its length and both
     /// directions of every link right), the free list holds exactly
-    /// the free slots once each, and every page still has the capacity
-    /// it was allocated with.
+    /// the free slots once each, every page still has the capacity it
+    /// was allocated with, and every verdict is its bytes'.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_invariants(&self) {
         for (&key, &slot) in &self.index {
@@ -521,6 +528,8 @@ impl BlockStore {
                 Some(key),
                 "index entry {key:?} names slot {slot}, which does not hold it"
             );
+            // Re-sums the block, and panics if its verdict is stale.
+            self.at(slot).intact();
         }
         let live = self.meta.iter().filter(|m| m.is_some()).count();
         assert_eq!(live, self.index.len(), "live slots missing from the index");
@@ -631,17 +640,14 @@ mod tests {
                 shard_index: *shard_index,
                 bytes,
                 ingest_checksum: *ingest_checksum,
+                verdict: block_sum(bytes) == *ingest_checksum,
             })
         }
 
-        fn flip(&mut self, host: PeerId, owner: PeerId, archive: u8, byte: usize, bit: u32) {
-            if let Some((_, bytes, _)) = self
-                .hosts
-                .get_mut(&host)
-                .and_then(|shelf| shelf.get_mut(&(owner, archive)))
-            {
-                bytes[byte] ^= 1 << bit;
-            }
+        fn flip(&mut self, (host, owner, archive): BlockKey, byte: usize, bit: u32) -> bool {
+            let shelf = self.hosts.get_mut(&host);
+            let block = shelf.and_then(|shelf| shelf.get_mut(&(owner, archive)));
+            block.map(|(_, bytes, _)| bytes[byte] ^= 1 << bit).is_some()
         }
 
         fn collect_rotten(&self, out: &mut Vec<BlockKey>) -> usize {
@@ -758,9 +764,15 @@ mod tests {
     fn bitrot_breaks_intactness() {
         let mut store = BlockStore::new();
         store.ingest(5, &frame_bytes(1, 0, 3)).unwrap();
-        let b = store.block_mut(5, 1, 0).unwrap();
-        b.bytes[7] ^= 0x40;
+        assert!(store.damage(5, 1, 0, |bytes| bytes[7] ^= 0x40));
         assert!(!store.block(5, 1, 0).unwrap().intact());
+        // Bitrot and a rotter may hit one bit: the second flip restores
+        // the bytes, and the verdict follows them back.
+        assert!(store.damage(5, 1, 0, |bytes| bytes[7] ^= 0x40));
+        assert!(store.block(5, 1, 0).unwrap().intact());
+        // An absent block is left alone: the damage never runs.
+        assert!(!store.damage(5, 2, 0, |_| unreachable!("no block to damage")));
+        store.check_invariants();
     }
 
     #[test]
@@ -806,6 +818,8 @@ mod tests {
         /// sequences leave the slab and the nested-map oracle with the
         /// same blocks, the same rotten list in the same order and the
         /// same counts; slots freed by drops are reused along the way.
+        /// The oracle decides each verdict by a fresh sum, so every
+        /// block comparison checks the slab's cached one.
         #[test]
         fn the_slab_matches_the_nested_map_oracle(
             ops in proptest::collection::vec(
@@ -831,10 +845,8 @@ mod tests {
                     ),
                     3 => prop_assert_eq!(slab.clear_host(host), oracle.clear_host(host)),
                     4 => {
-                        if let Some(block) = slab.block_mut(host, owner, archive) {
-                            block.bytes[byte] ^= 1 << bit;
-                        }
-                        oracle.flip(host, owner, archive, byte, bit);
+                        let flipped = slab.damage(host, owner, archive, |b| b[byte] ^= 1 << bit);
+                        prop_assert_eq!(flipped, oracle.flip((host, owner, archive), byte, bit));
                     }
                     5 => {
                         slab_rotten.clear();
