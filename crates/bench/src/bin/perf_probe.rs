@@ -37,7 +37,7 @@
 //! the simulated network:
 //!
 //! * `bytes_per_peer`, the per-slot heap footprint
-//!   ([`BackupWorld::approx_bytes_per_peer`]) with its per-component
+//!   ([`BackupWorld::memory_breakdown`]) with its per-component
 //!   layout. Every component is a fixed-size column or slab, so the
 //!   figure does not depend on the allocator; it feeds the perf gate's
 //!   **hard** memory budget (`perf_gate mem --fail-above 3330`).

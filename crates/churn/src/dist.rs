@@ -103,71 +103,6 @@ impl LifetimeDist for Pareto {
     }
 }
 
-/// Pareto truncated to `[x_min, x_max]` — handy for simulations that must
-/// not draw multi-century lifetimes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
-    x_min: f64,
-    x_max: f64,
-    alpha: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < x_min < x_max` and `alpha > 0`.
-    pub fn new(x_min: f64, x_max: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0, "x_min must be positive");
-        assert!(x_max > x_min, "x_max must exceed x_min");
-        assert!(alpha > 0.0, "alpha must be positive");
-        BoundedPareto {
-            x_min,
-            x_max,
-            alpha,
-        }
-    }
-}
-
-impl LifetimeDist for BoundedPareto {
-    fn cdf(&self, x: f64) -> f64 {
-        if x < self.x_min {
-            return 0.0;
-        }
-        if x >= self.x_max {
-            return 1.0;
-        }
-        let a = self.alpha;
-        let num = 1.0 - (self.x_min / x).powf(a);
-        let den = 1.0 - (self.x_min / self.x_max).powf(a);
-        num / den
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        assert_probability(p);
-        let a = self.alpha;
-        let l = self.x_min.powf(a);
-        let h = self.x_max.powf(a);
-        // Inverse of the truncated CDF.
-        (-(p * h - p * l - h) / (h * l)).powf(-1.0 / a)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        let a = self.alpha;
-        let l = self.x_min;
-        let h = self.x_max;
-        if (a - 1.0).abs() < 1e-12 {
-            // alpha == 1 special case.
-            let c = (h * l) / (h - l);
-            return Some(c * (h / l).ln());
-        }
-        let num = l.powf(a) * a / (a - 1.0) * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0));
-        let den = 1.0 - (l / h).powf(a);
-        Some(num / den)
-    }
-}
-
 /// Exponential distribution (memoryless — the *anti*-Pareto control: age
 /// carries no information about remaining lifetime).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,89 +146,6 @@ impl LifetimeDist for Exponential {
     }
 }
 
-/// Weibull distribution; `shape < 1` gives decreasing hazard (Pareto-like
-/// fidelity), `shape > 1` gives wear-out behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are positive.
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        assert!(shape > 0.0, "shape must be positive");
-        Weibull { scale, shape }
-    }
-}
-
-impl LifetimeDist for Weibull {
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            1.0 - (-(x / self.scale).powf(self.shape)).exp()
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        assert_probability(p);
-        self.scale * (-(1.0 - p).ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.scale * gamma(1.0 + 1.0 / self.shape))
-    }
-}
-
-/// Log-normal distribution (another empirically observed session-time
-/// law).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal with location `mu` and scale `sigma` of the
-    /// underlying normal.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sigma > 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "sigma must be positive");
-        LogNormal { mu, sigma }
-    }
-}
-
-impl LifetimeDist for LogNormal {
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            0.5 * (1.0 + erf((x.ln() - self.mu) / (self.sigma * core::f64::consts::SQRT_2)))
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        assert_probability(p);
-        if p == 0.0 {
-            return 0.0;
-        }
-        (self.mu + self.sigma * core::f64::consts::SQRT_2 * inverse_erf(2.0 * p - 1.0)).exp()
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some((self.mu + self.sigma * self.sigma / 2.0).exp())
-    }
-}
-
 /// Uniform distribution on `[low, high)` — how the paper's profile table
 /// expresses life expectancy ranges ("1.5 – 3.5 years").
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -328,101 +180,6 @@ impl LifetimeDist for UniformRange {
     fn mean(&self) -> Option<f64> {
         Some((self.low + self.high) / 2.0)
     }
-}
-
-/// Degenerate point mass — deterministic lifetimes for tests and for the
-/// "Durable: unlimited" profile (realised as an effectively infinite
-/// constant).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointMass {
-    value: f64,
-}
-
-impl PointMass {
-    /// Creates a point mass at `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value < 0`.
-    pub fn new(value: f64) -> Self {
-        assert!(value >= 0.0, "value must be non-negative");
-        PointMass { value }
-    }
-}
-
-impl LifetimeDist for PointMass {
-    fn cdf(&self, x: f64) -> f64 {
-        if x >= self.value {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        assert_probability(p);
-        self.value
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.value)
-    }
-}
-
-// --- special functions -----------------------------------------------------
-
-/// Lanczos approximation of the gamma function, accurate to ~1e-13 on the
-/// positive reals we need (Weibull means).
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEFFS: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_7,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_1,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        core::f64::consts::PI / ((core::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut acc = COEFFS[0];
-        for (i, &c) in COEFFS.iter().enumerate().skip(1) {
-            acc += c / (x + i as f64);
-        }
-        let t = x + G + 0.5;
-        (2.0 * core::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * acc
-    }
-}
-
-/// Abramowitz & Stegun 7.1.26 rational approximation of `erf`, |err| < 1.5e-7.
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
-/// Winitzki's approximation of the inverse error function (~2e-3 relative
-/// error — more than enough for sampling).
-fn inverse_erf(x: f64) -> f64 {
-    assert!((-1.0..=1.0).contains(&x), "inverse_erf domain is [-1, 1]");
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs().min(1.0 - 1e-16);
-    let a = 0.147;
-    let ln_term = (1.0 - x * x).ln();
-    let first = 2.0 / (core::f64::consts::PI * a) + ln_term / 2.0;
-    sign * ((first * first - ln_term / a).sqrt() - first).sqrt()
 }
 
 #[cfg(test)]
@@ -486,38 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pareto_respects_bounds_and_cdf() {
-        let d = BoundedPareto::new(10.0, 1000.0, 1.2);
-        check_quantile_inverts_cdf(&d);
-        let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((10.0..=1000.0).contains(&x), "sample {x} out of bounds");
-        }
-        assert_eq!(d.cdf(5.0), 0.0);
-        assert_eq!(d.cdf(2000.0), 1.0);
-    }
-
-    #[test]
-    fn bounded_pareto_mean_matches_empirical() {
-        let d = BoundedPareto::new(10.0, 1000.0, 1.5);
-        let expect = d.mean().unwrap();
-        let emp = empirical_mean(&d, 11);
-        assert!(
-            (emp - expect).abs() / expect < 0.03,
-            "empirical {emp} vs closed form {expect}"
-        );
-        // alpha == 1 special case also matches sampling.
-        let d1 = BoundedPareto::new(10.0, 1000.0, 1.0);
-        let emp1 = empirical_mean(&d1, 13);
-        let expect1 = d1.mean().unwrap();
-        assert!(
-            (emp1 - expect1).abs() / expect1 < 0.03,
-            "alpha=1: empirical {emp1} vs {expect1}"
-        );
-    }
-
-    #[test]
     fn exponential_mean_and_memorylessness() {
         let d = Exponential::new(500.0);
         check_quantile_inverts_cdf(&d);
@@ -533,46 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_mean_uses_gamma() {
-        // shape == 1 reduces to exponential.
-        let d = Weibull::new(100.0, 1.0);
-        assert!((d.mean().unwrap() - 100.0).abs() < 1e-9);
-        check_quantile_inverts_cdf(&d);
-        // shape == 2 (Rayleigh): mean = scale * sqrt(pi)/2.
-        let r = Weibull::new(100.0, 2.0);
-        let expect = 100.0 * core::f64::consts::PI.sqrt() / 2.0;
-        assert!((r.mean().unwrap() - expect).abs() < 1e-6);
-        let emp = empirical_mean(&r, 5);
-        assert!((emp - expect).abs() / expect < 0.03);
-    }
-
-    #[test]
-    fn lognormal_mean_and_median() {
-        let d = LogNormal::new(3.0, 0.5);
-        let expect_mean = (3.0f64 + 0.125).exp();
-        assert!((d.mean().unwrap() - expect_mean).abs() < 1e-9);
-        // Median = exp(mu).
-        let median = d.quantile(0.5);
-        assert!(
-            (median - 3.0f64.exp()).abs() / 3.0f64.exp() < 0.01,
-            "median {median}"
-        );
-        let emp = empirical_mean(&d, 9);
-        assert!((emp - expect_mean).abs() / expect_mean < 0.03);
-    }
-
-    #[test]
-    fn lognormal_quantile_roughly_inverts_cdf() {
-        // The erf approximations are only ~1e-3 accurate; allow that.
-        let d = LogNormal::new(2.0, 1.0);
-        for i in 1..20 {
-            let p = i as f64 / 20.0;
-            let back = d.cdf(d.quantile(p));
-            assert!((back - p).abs() < 5e-3, "p={p} back={back}");
-        }
-    }
-
-    #[test]
     fn uniform_range_basics() {
         let d = UniformRange::new(720.0, 2160.0);
         check_quantile_inverts_cdf(&d);
@@ -581,35 +266,6 @@ mod tests {
         for _ in 0..10_000 {
             let x = d.sample(&mut rng);
             assert!((720.0..2160.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn point_mass_is_deterministic() {
-        let d = PointMass::new(777.0);
-        let mut rng = SmallRng::seed_from_u64(0);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 777.0);
-        }
-        assert_eq!(d.mean(), Some(777.0));
-        assert_eq!(d.cdf(776.9), 0.0);
-        assert_eq!(d.cdf(777.0), 1.0);
-    }
-
-    #[test]
-    fn gamma_matches_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-8);
-        assert!((gamma(0.5) - core::f64::consts::PI.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn erf_round_trips_through_inverse() {
-        for i in -9..=9 {
-            let x = i as f64 / 10.0;
-            let back = erf(inverse_erf(x));
-            assert!((back - x).abs() < 5e-3, "x={x} back={back}");
         }
     }
 

@@ -12,10 +12,10 @@
 //!
 //! The crate provides:
 //!
-//! * [`dist`] — lifetime distributions (Pareto, bounded Pareto,
-//!   exponential, Weibull, log-normal, uniform, point mass) with
-//!   inverse-CDF sampling, moments and quantiles, implemented from first
-//!   principles (no external stats dependency).
+//! * [`dist`] — the lifetime laws [`LifetimeSpec`] samples (Pareto,
+//!   exponential, uniform) with inverse-CDF sampling, moments and
+//!   quantiles, implemented from first principles (no external stats
+//!   dependency).
 //! * [`profile`] — the paper's §4.1.1 peer-profile table
 //!   (Durable/Stable/Unstable/Erratic) and weighted profile mixes.
 //! * [`session`] — the on/off availability renewal process realising a
@@ -30,8 +30,6 @@ pub mod dist;
 pub mod profile;
 pub mod session;
 
-pub use dist::{
-    BoundedPareto, Exponential, LifetimeDist, LogNormal, Pareto, PointMass, UniformRange, Weibull,
-};
+pub use dist::{Exponential, LifetimeDist, Pareto, UniformRange};
 pub use profile::{paper_profiles, LifetimeSpec, Profile, ProfileId, ProfileMix};
 pub use session::SessionSampler;

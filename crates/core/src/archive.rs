@@ -149,9 +149,6 @@ pub struct ArchiveBuilder {
 }
 
 impl ArchiveBuilder {
-    /// The paper's archive capacity: 128 MB.
-    pub const PAPER_CAPACITY: usize = 128 * 1024 * 1024;
-
     /// Creates a builder with the given capacity.
     ///
     /// # Panics

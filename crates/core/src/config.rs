@@ -258,9 +258,6 @@ pub struct SimConfig {
     pub strategy: SelectionStrategy,
     /// Profile mix peers are drawn from.
     pub profiles: ProfileMix,
-    /// Rounds over which the initial population ramps in (0 = everyone
-    /// joins at round 0, matching the paper's same-age start).
-    pub growth_rounds: u64,
     /// Observers to inject (frozen-age measurement peers, §4.2.2).
     pub observers: Vec<ObserverSpec>,
     /// Worker threads for the intra-run parallel stages (event firing,
@@ -271,15 +268,6 @@ pub struct SimConfig {
     /// `1` (the default) runs single-threaded; values beyond the
     /// logical shard count are clamped.
     pub shards: usize,
-    /// Minimum peer slots per **logical** shard (default 64). The peer
-    /// table splits into `clamp(capacity / shard_slots, 1, 512)`
-    /// contiguous shards; unlike `shards` (a worker-thread knob) this
-    /// changes the logical partition — and therefore the per-shard RNG
-    /// streams — so two runs only reproduce each other bit-for-bit at
-    /// the *same* `shard_slots`. Lower values expose more parallelism
-    /// (more stealable tasks, more worker fan-out) at the price of more
-    /// per-stage routing/merge bookkeeping.
-    pub shard_slots: usize,
     /// Scenario axis: round at which newly spawned peers' churn
     /// profiles flip (the sampled profile index is mirrored), shifting
     /// the population's behaviour mid-run — the regime change the
@@ -324,10 +312,8 @@ impl SimConfig {
             acceptance_enabled: true,
             strategy: SelectionStrategy::AgeBased,
             profiles: paper_profiles(),
-            growth_rounds: 0,
             observers: Vec::new(),
             shards: 1,
-            shard_slots: 64,
             shift_profiles_at: 0,
             misreport_fraction: 0.0,
             adaptive_n: AdaptiveRedundancy::default(),
@@ -357,14 +343,6 @@ impl SimConfig {
     /// Results are identical at every value (see the `shards` field).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the minimum peer slots per logical shard. **Semantic**, not
-    /// an execution knob: it changes the logical partition and the
-    /// per-shard RNG streams (see the `shard_slots` field).
-    pub fn with_shard_slots(mut self, slots: usize) -> Self {
-        self.shard_slots = slots;
         self
     }
 
@@ -475,9 +453,6 @@ impl SimConfig {
         }
         if self.shards == 0 {
             return Err("shards must be at least 1 (it is a worker-thread count)".into());
-        }
-        if self.shard_slots == 0 {
-            return Err("shard_slots must be at least 1 (slots per logical shard)".into());
         }
         if !(0.0..=1.0).contains(&self.misreport_fraction) {
             return Err(format!(

@@ -66,6 +66,6 @@ pub use restore::{RestoreError, RestorePipeline};
 pub use runner::{run_simulation, run_sweep, run_sweep_with_threads};
 pub use select::{Candidate, SelectionStrategy};
 pub use world::{
-    BackupWorld, MemoryBreakdown, ObserverState, PeerId, PlacementWork, RedundancyWork,
-    RoundProfile, StageWork, WheelWork, WorldEvent, WorldSnapshot,
+    BackupWorld, MemoryBreakdown, PeerId, PlacementWork, RedundancyWork, RoundProfile, StageWork,
+    WheelWork, WorldEvent,
 };

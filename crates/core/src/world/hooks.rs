@@ -56,8 +56,8 @@ pub struct MemoryBreakdown {
 }
 
 impl MemoryBreakdown {
-    /// Sum of all components — what
-    /// [`BackupWorld::approx_bytes_per_peer`] reports.
+    /// Sum of all components: the bytes per peer slot that
+    /// [`BackupWorld::memory_breakdown`] measures.
     pub fn total(&self) -> f64 {
         self.peer_table
             + self.online_index
@@ -254,7 +254,7 @@ impl BackupWorld {
     }
 
     /// The currently allocated slot range of logical shard `shard`
-    /// (empty while the growth ramp has not reached it).
+    /// (empty before round 0 spawns the population).
     pub fn shard_slot_range(&self, shard: usize) -> core::ops::Range<PeerId> {
         let sz = self.layout.shard_size;
         let start = (shard * sz).min(self.peers.len());
@@ -262,22 +262,16 @@ impl BackupWorld {
         start as PeerId..end as PeerId
     }
 
-    /// Heap footprint per allocated peer slot, in bytes: the peer
-    /// table's scalar and per-archive columns plus the fixed-stride
-    /// slabs that scale with `n` and quota — partner/stale lists and
-    /// hosted ledgers — and the online index. Exact: every component
-    /// is a fixed-size column or slab sized by the configuration, so
-    /// the figure does not vary with the allocator. Memory telemetry
-    /// for the perf gate's hard budget (`perf_gate mem --fail-above`);
-    /// never part of the determinism contract.
-    pub fn approx_bytes_per_peer(&self) -> f64 {
-        self.memory_breakdown().total()
-    }
-
-    /// The per-component measurement behind
-    /// [`approx_bytes_per_peer`](Self::approx_bytes_per_peer), so a
-    /// footprint regression points at the collection that grew instead
-    /// of a single opaque total.
+    /// Heap footprint per allocated peer slot, in bytes, by component:
+    /// the peer table's scalar and per-archive columns plus the
+    /// fixed-stride slabs that scale with `n` and quota — partner/stale
+    /// lists and hosted ledgers — and the online index, so a footprint
+    /// regression points at the collection that grew. Exact: every
+    /// component is a fixed-size column or slab sized by the
+    /// configuration, so the figure does not vary with the allocator.
+    /// Memory telemetry for the perf gate's hard budget (`perf_gate mem
+    /// --fail-above`, on [`MemoryBreakdown::total`]); never part of the
+    /// determinism contract.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         if self.peers.is_empty() {
             return MemoryBreakdown::default();
@@ -297,11 +291,6 @@ impl BackupWorld {
     // only stores the merged log.)
 
     // ----- read accessors for fabric cross-checks --------------------------
-
-    /// Number of peer slots currently allocated (observers first).
-    pub fn peer_slots(&self) -> usize {
-        self.peers.len()
-    }
 
     /// Whether the peer in `slot` is currently online.
     pub fn peer_online(&self, slot: PeerId) -> bool {
@@ -390,10 +379,5 @@ impl BackupWorld {
     /// recycled slot can be quarantined again).
     pub fn quarantine_log(&self) -> &[(PeerId, u64)] {
         &self.quarantine_log
-    }
-
-    /// Whether the peer in `slot` is currently quarantined.
-    pub fn peer_quarantined(&self, slot: PeerId) -> bool {
-        self.peers.quarantined(slot)
     }
 }

@@ -89,7 +89,7 @@ use table::PeerTable;
 pub use exec::{PlacementWork, WheelWork};
 pub use hooks::{MemoryBreakdown, WorldEvent};
 pub use peerback_sim::StageWork;
-pub use peers::{ObserverState, PeerId, WorldSnapshot};
+pub use peers::PeerId;
 pub use profile::RoundProfile;
 pub use redundancy::RedundancyWork;
 
@@ -212,8 +212,6 @@ pub struct BackupWorld {
     pub(in crate::world) quarantine_log: Vec<(PeerId, u64)>,
     /// Population census by age category (observers excluded).
     pub(in crate::world) census: [u64; AgeCategory::COUNT],
-    /// Regular peers spawned so far (for the growth ramp).
-    pub(in crate::world) spawned: usize,
     pub(in crate::world) metrics: Metrics,
 
     /// Whether block-level events are recorded for a fabric observer.
@@ -223,10 +221,9 @@ pub struct BackupWorld {
 }
 
 impl BackupWorld {
-    /// Builds the world. Peers spawn during round 0 (or across the
-    /// growth ramp), so the constructor is cheap; the persistent worker
-    /// pool (one parked thread per extra worker) is the only resource
-    /// acquired up front.
+    /// Builds the world. Peers spawn during round 0, so the constructor
+    /// is cheap; the persistent worker pool (one parked thread per extra
+    /// worker) is the only resource acquired up front.
     ///
     /// # Panics
     ///
@@ -243,7 +240,7 @@ impl BackupWorld {
             .collect();
         let observer_count = cfg.observers.len();
         let capacity = cfg.n_peers + observer_count;
-        let layout = ShardLayout::for_capacity(capacity, cfg.shard_slots);
+        let layout = ShardLayout::for_capacity(capacity);
         let workers = cfg.shards.clamp(1, layout.count);
         let exec = ExecPolicy::new(workers);
         // Slab strides are fixed by the config: a partner slab holds at
@@ -286,7 +283,6 @@ impl BackupWorld {
             outage_starts: Vec::new(),
             quarantine_log: Vec::new(),
             census: [0; 4],
-            spawned: 0,
             metrics: Metrics::new(),
             record_events: false,
             event_log: Vec::new(),

@@ -1,5 +1,4 @@
-//! Peer slots, epochs, the online index, population spawning, and
-//! structural snapshots.
+//! Peer slots, epochs, the online index and population spawning.
 //!
 //! Peer slots are **reused**: when a peer departs, its immediate
 //! replacement (§4.1) occupies the same slot with a bumped `epoch`, so
@@ -9,7 +8,7 @@
 //! Per-peer state itself lives in the struct-of-arrays
 //! [`PeerTable`](super::table::PeerTable) (`table.rs`); this module owns
 //! the *lifecycle* — spawning, the shard-lane entry point, and the
-//! world-level snapshot/restorability reads.
+//! world-level restorability read.
 
 use peerback_churn::SessionSampler;
 use peerback_sim::Round;
@@ -32,64 +31,6 @@ pub(in crate::world) const OFFLINE: u32 = u32::MAX;
 
 /// Index of an archive within its owner (`0..archives_per_peer`).
 pub(in crate::world) type ArchiveIdx = u8;
-
-/// One observer's structural state in a [`WorldSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObserverState {
-    /// Observer name.
-    pub name: &'static str,
-    /// Present partner count.
-    pub present: u32,
-    /// Whether a repair episode is open.
-    pub repairing: bool,
-    /// Whether the initial upload finished.
-    pub joined: bool,
-    /// Episodes started so far.
-    pub repairs: u64,
-    /// Partner count per profile id (diagnostic).
-    pub partner_profiles: [u32; 8],
-    /// Mean partner age in rounds (diagnostic).
-    pub partner_mean_age: f64,
-}
-
-/// Coarse structural state of the world (diagnostics and tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorldSnapshot {
-    /// Regular peers with a completed initial upload.
-    pub joined_count: u64,
-    /// Regular peers still joining.
-    pub unjoined_count: u64,
-    /// Regular peers with an open repair episode.
-    pub repairing_count: u64,
-    /// Smallest present-block count among joined peers.
-    pub present_min: u32,
-    /// Mean present-block count among joined peers.
-    pub present_mean: f64,
-    /// Unused hosting capacity across all peers.
-    pub free_quota_total: u64,
-    /// Unused hosting capacity on currently-online peers.
-    pub free_quota_online: u64,
-    /// Online peers (including observers).
-    pub online_count: usize,
-    /// Per-observer states.
-    pub observers: Vec<ObserverState>,
-}
-
-impl Default for WorldSnapshot {
-    fn default() -> Self {
-        WorldSnapshot {
-            joined_count: 0,
-            unjoined_count: 0,
-            repairing_count: 0,
-            present_min: u32::MAX,
-            present_mean: 0.0,
-            free_quota_total: 0,
-            free_quota_online: 0,
-            online_count: 0,
-            observers: Vec::new(),
-        }
-    }
-}
 
 impl BackupWorld {
     /// Fraction of joined (non-observer) archives whose owner could
@@ -124,102 +65,29 @@ impl BackupWorld {
         }
     }
 
-    /// Coarse structural snapshot for diagnostics and tests.
-    pub fn snapshot(&self) -> WorldSnapshot {
-        let mut snap = WorldSnapshot {
-            online_count: self.shards.iter().map(|s| s.online.len()).sum(),
-            ..WorldSnapshot::default()
-        };
-        let apap = self.peers.archives_per_peer();
-        let mut present_sum = 0u64;
-        let mut joined = 0u64;
-        for id in 0..self.peers.len() as PeerId {
-            let total_present: u32 = (0..apap).map(|a| self.peers.present(id, a)).sum();
-            if let Some(obs_index) = self.peers.observer(id) {
-                let mut partner_profiles = [0u32; 8];
-                let mut partner_age_sum = 0u64;
-                for aidx in 0..apap {
-                    for i in 0..self.peers.present(id, aidx) as usize {
-                        let q = self.peers.host_at(id, aidx, i);
-                        partner_profiles[(self.peers.profile(q) as usize).min(7)] += 1;
-                        partner_age_sum += self.peers.age_at(q, self.metrics.rounds);
-                    }
-                }
-                snap.observers.push(ObserverState {
-                    name: self.cfg.observers[obs_index as usize].name,
-                    present: total_present,
-                    repairing: (0..apap).any(|a| self.peers.repairing(id, a)),
-                    joined: self.peers.fully_joined(id),
-                    repairs: self.peers.repairs(id),
-                    partner_profiles,
-                    partner_mean_age: if total_present == 0 {
-                        0.0
-                    } else {
-                        partner_age_sum as f64 / total_present as f64
-                    },
-                });
-                continue;
-            }
-            if self.peers.fully_joined(id) {
-                joined += 1;
-                present_sum += total_present as u64;
-                snap.present_min = snap.present_min.min(total_present);
-            } else {
-                snap.unjoined_count += 1;
-            }
-            if (0..apap).any(|a| self.peers.repairing(id, a)) {
-                snap.repairing_count += 1;
-            }
-            let free = self.cfg.quota.saturating_sub(self.peers.quota_used(id)) as u64;
-            snap.free_quota_total += free;
-            if self.peers.online(id) {
-                snap.free_quota_online += free;
-            }
-        }
-        snap.joined_count = joined;
-        snap.present_mean = if joined > 0 {
-            present_sum as f64 / joined as f64
-        } else {
-            0.0
-        };
-        if joined == 0 {
-            snap.present_min = 0;
-        }
-        snap
-    }
-
     // ----- population lifecycle --------------------------------------------
 
-    /// Spawns observers (round 0 only) and ramps the regular population.
-    /// Slots are pushed sequentially — growing a slot appends one
-    /// default entry to every column, no per-peer allocation (the
-    /// columns' capacity is reserved at construction) — then each
-    /// shard initialises its own new ids, in id order, from its own
-    /// RNG stream, in one dispatch. `shard_of` is monotone, so every
-    /// shard's draw order, and the shard-order merge, equal those of a
-    /// one-by-one ramp at any worker count.
+    /// Spawns the whole population at round 0: observers first, then
+    /// the regular peers. Slots are pushed sequentially — growing a slot
+    /// appends one default entry to every column, no per-peer
+    /// allocation (the columns' capacity is reserved at construction) —
+    /// then each shard initialises its own new ids, in id order, from
+    /// its own RNG stream, in one dispatch. `shard_of` is monotone, so
+    /// every shard's draw order, and the shard-order merge, equal those
+    /// of a one-by-one spawn at any worker count.
     pub(in crate::world) fn ensure_population(&mut self, round: u64) {
-        if round == 0 {
-            for i in 0..self.observer_count {
-                self.spawn_observer(i as u8);
-            }
-        }
-        let target = if self.cfg.growth_rounds == 0 || round + 1 >= self.cfg.growth_rounds {
-            self.cfg.n_peers
-        } else {
-            // Linear ramp over the growth phase.
-            (self.cfg.n_peers as u64 * (round + 1) / self.cfg.growth_rounds) as usize
-        };
-        let first = self.peers.len() as PeerId;
-        while self.spawned < target {
-            self.peers.push_slot();
-            self.online_pos.push(OFFLINE);
-            self.spawned += 1;
-        }
-        let fresh = first..self.peers.len() as PeerId;
-        if fresh.is_empty() {
+        if round != 0 {
             return;
         }
+        for i in 0..self.observer_count {
+            self.spawn_observer(i as u8);
+        }
+        let first = self.peers.len() as PeerId;
+        for _ in 0..self.cfg.n_peers {
+            self.peers.push_slot();
+            self.online_pos.push(OFFLINE);
+        }
+        let fresh = first..self.peers.len() as PeerId;
         let busy = self.layout.shard_of(fresh.end - 1) - self.layout.shard_of(first) + 1;
         let policy = self.exec.narrowed(Item::PeerInit.ns(), busy, fresh.len());
         let work = self.with_shard_lanes(|lanes, cfg, samplers| {

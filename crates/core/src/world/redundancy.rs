@@ -149,8 +149,7 @@ impl BackupWorld {
         let slots = self.peers.len();
         let mut st = core::mem::take(&mut self.redundancy);
         if st.p.is_empty() {
-            // First pass: size everything for the configured capacity,
-            // so the growth ramp never reallocates it.
+            // First pass: size everything for the configured capacity.
             let capacity = self.cfg.n_peers + self.observer_count;
             st.p = vec![0.0; capacity];
             st.est = vec![0; capacity];

@@ -10,10 +10,9 @@
 //! that depends solely on the configured capacity:
 //!
 //! * The peer table is split into [`ShardLayout::count`] contiguous
-//!   slot ranges (`L = clamp(capacity / shard_slots, 1, 512)`, with
-//!   `SimConfig::shard_slots` defaulting to 64). `shard_slots` is a
-//!   **semantic** knob — it changes the partition and the per-shard RNG
-//!   streams — unlike `shards`, which only picks the worker count.
+//!   slot ranges (`L = clamp(capacity / 64, 1, 512)`: at least
+//!   [`SLOTS_PER_SHARD`] slots per shard), so the partition and the
+//!   per-shard RNG streams are fixed by the capacity alone.
 //! * Each logical shard is one [`Shard`]: its own timing-wheel segment,
 //!   online index, pending-activation queue, an RNG stream forked from
 //!   the run seed + the shard's index ([`peerback_sim::derive_seed`]),
@@ -32,9 +31,9 @@
 //! state is one dispatch of per-shard tasks on the persistent worker
 //! pool:
 //!
-//! 1. **Spawn** (parallel on rounds that spawn): the population ramp
-//!    pushes the new slots in order, then each shard initialises its
-//!    own, drawing from its own stream.
+//! 1. **Spawn** (parallel, round 0 only): the whole population's
+//!    slots are pushed in order, then each shard initialises its own,
+//!    drawing from its own stream.
 //! 2. **Local events + teardown hop 1** (parallel, [`ShardLane`]): each
 //!    shard advances its wheel segment, sorts the due events by
 //!    `(peer, kind)`, and handles *every* kind shard-locally. A death or
@@ -81,9 +80,14 @@ use super::peers::{ArchiveIdx, PeerId};
 use super::table::PeerView;
 
 /// Upper bound on logical shards (and therefore on useful worker
-/// threads). A million-peer table at the default 64 slots per shard
-/// saturates this, feeding hundreds of workers.
+/// threads). A million-peer table at 64 slots per shard saturates
+/// this, feeding hundreds of workers.
 pub(in crate::world) const MAX_SHARDS: usize = 512;
+
+/// Minimum peer slots per logical shard. Part of the determinism
+/// contract: it fixes the partition and therefore every shard's RNG
+/// stream, so changing it changes every seeded run.
+pub(in crate::world) const SLOTS_PER_SHARD: usize = 64;
 
 /// Sub-seed stream offset for shard RNGs, so shard streams never
 /// collide with other derived streams of the same master seed.
@@ -112,10 +116,10 @@ pub(in crate::world) struct ShardLayout {
 }
 
 impl ShardLayout {
-    /// Computes the layout for a peer-slot capacity at `shard_slots`
-    /// minimum slots per shard (`SimConfig::shard_slots`, default 64).
-    pub(in crate::world) fn for_capacity(capacity: usize, shard_slots: usize) -> Self {
-        let target = (capacity / shard_slots.max(1)).clamp(1, MAX_SHARDS);
+    /// Computes the layout for a peer-slot capacity at
+    /// [`SLOTS_PER_SHARD`] minimum slots per shard.
+    pub(in crate::world) fn for_capacity(capacity: usize) -> Self {
+        let target = (capacity / SLOTS_PER_SHARD).clamp(1, MAX_SHARDS);
         let shard_size = capacity.div_ceil(target).max(1);
         // Re-derive the count from the rounded-up size so the last
         // shard is never empty (ceil twice can otherwise overshoot).
@@ -376,8 +380,9 @@ impl Shard {
 /// events, deliver, the owner stage and apply — runs on these lanes
 /// (`BackupWorld::with_shard_lanes`).
 pub(in crate::world) struct ShardLane<'a> {
-    /// This shard's window into the peer-table columns (may cover zero
-    /// slots during the growth ramp). Carries the shard's base id.
+    /// This shard's window into the peer-table columns (covers zero
+    /// slots before round 0 spawns the population). Carries the
+    /// shard's base id.
     pub(in crate::world) peers: PeerView<'a>,
     /// This shard's slice of the global online-position table.
     pub(in crate::world) pos: &'a mut [u32],
@@ -690,16 +695,20 @@ mod tests {
 
     #[test]
     fn layout_is_a_pure_function_of_capacity() {
-        let a = ShardLayout::for_capacity(25_000, 64);
-        let b = ShardLayout::for_capacity(25_000, 64);
+        let a = ShardLayout::for_capacity(25_000);
+        let b = ShardLayout::for_capacity(25_000);
         assert_eq!(a, b);
         assert!(a.count <= MAX_SHARDS);
+        assert_eq!(
+            ShardLayout::for_capacity(4096).count,
+            4096 / SLOTS_PER_SHARD
+        );
     }
 
     #[test]
     fn small_capacities_collapse_to_one_shard() {
         for cap in [1, 2, 63, 64, 100] {
-            let l = ShardLayout::for_capacity(cap, 64);
+            let l = ShardLayout::for_capacity(cap);
             assert_eq!(l.count, 1, "capacity {cap}");
             assert!(l.shard_size >= cap);
         }
@@ -707,42 +716,31 @@ mod tests {
 
     #[test]
     fn large_capacities_reach_past_the_old_64_shard_ceiling() {
-        let l = ShardLayout::for_capacity(100_000, 64);
+        let l = ShardLayout::for_capacity(100_000);
         assert!(l.count > 64, "100k slots must split past 64 shards");
-        assert_eq!(ShardLayout::for_capacity(1_000_000, 64).count, MAX_SHARDS);
-    }
-
-    #[test]
-    fn shard_slots_sets_the_granularity() {
-        assert_eq!(ShardLayout::for_capacity(4096, 64).count, 64);
-        assert_eq!(ShardLayout::for_capacity(4096, 256).count, 16);
-        assert_eq!(ShardLayout::for_capacity(4096, 8).count, 512);
-        // Degenerate slot sizes clamp instead of dividing by zero.
-        assert_eq!(ShardLayout::for_capacity(4096, 0).count, MAX_SHARDS);
+        assert_eq!(ShardLayout::for_capacity(1_000_000).count, MAX_SHARDS);
     }
 
     #[test]
     fn ranges_are_contiguous_and_cover_every_slot() {
-        for slots in [8usize, 64, 200] {
-            for cap in [65, 200, 1000, 4096, 100_000, 1_000_000] {
-                let l = ShardLayout::for_capacity(cap, slots);
-                assert!(l.count >= 1 && l.count <= MAX_SHARDS);
-                assert!(l.shard_size * l.count >= cap, "capacity {cap} uncovered");
-                let mut prev = l.shard_of(0);
-                assert_eq!(prev, 0);
-                for id in 1..cap as PeerId {
-                    let s = l.shard_of(id);
-                    assert!(s == prev || s == prev + 1, "gap at slot {id}");
-                    prev = s;
-                }
-                assert_eq!(prev, l.count - 1, "last shard unused at {cap}");
+        for cap in [65, 200, 1000, 4096, 100_000, 1_000_000] {
+            let l = ShardLayout::for_capacity(cap);
+            assert!(l.count >= 1 && l.count <= MAX_SHARDS);
+            assert!(l.shard_size * l.count >= cap, "capacity {cap} uncovered");
+            let mut prev = l.shard_of(0);
+            assert_eq!(prev, 0);
+            for id in 1..cap as PeerId {
+                let s = l.shard_of(id);
+                assert!(s == prev || s == prev + 1, "gap at slot {id}");
+                prev = s;
             }
+            assert_eq!(prev, l.count - 1, "last shard unused at {cap}");
         }
     }
 
     #[test]
     fn shard_of_is_monotone_in_id() {
-        let l = ShardLayout::for_capacity(10_000, 64);
+        let l = ShardLayout::for_capacity(10_000);
         for id in 1..10_000u32 {
             assert!(l.shard_of(id) >= l.shard_of(id - 1));
         }

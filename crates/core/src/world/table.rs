@@ -745,7 +745,7 @@ pub(in crate::world) struct PeerTable {
 
 impl PeerTable {
     /// Builds an empty table with every column's capacity reserved for
-    /// `capacity` slots, so the growth ramp never reallocates.
+    /// `capacity` slots, so spawning the population never reallocates.
     pub(in crate::world) fn with_capacity(
         capacity: usize,
         archives_per_peer: usize,

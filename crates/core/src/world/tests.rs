@@ -519,23 +519,6 @@ fn oracle_strategy_beats_youngest_on_maintenance_work() {
 }
 
 #[test]
-fn growth_phase_ramps_population() {
-    let mut cfg = tiny_config(15);
-    cfg.growth_rounds = 100;
-    cfg.rounds = 150;
-    let mut world = BackupWorld::new(cfg);
-    let mut engine = Engine::new(15);
-    engine.step(&mut world);
-    let early: u64 = world.census.iter().sum();
-    assert!(early < 60, "population should ramp, got {early} at round 0");
-    for _ in 0..120 {
-        engine.step(&mut world);
-    }
-    let late: u64 = world.census.iter().sum();
-    assert_eq!(late, 60);
-}
-
-#[test]
 fn multi_archive_peers_maintain_each_archive_independently() {
     let mut cfg = tiny_config(20);
     cfg.archives_per_peer = 3;
@@ -1034,7 +1017,7 @@ fn event_stream_replays_to_a_consistent_mirror() {
     assert!(world.event_log.is_empty());
 
     // The mirror must agree with the world, block for block.
-    for slot in 0..world.peer_slots() as PeerId {
+    for slot in 0..world.peers.len() as PeerId {
         for aidx in 0..world.peers.archives_per_peer() as u8 {
             let mut expected = world.archive_hosts(slot, aidx);
             expected.sort_unstable();
@@ -1094,6 +1077,17 @@ fn run_recorded_with(
     let mut engine = Engine::new(seed);
     let events = drain_rounds(&mut world, &mut engine, rounds);
     (world.into_metrics(), events)
+}
+
+/// Asserts that `cfg` splits into at least `workers` logical shards,
+/// and at least two, so a test comparing up to `workers` workers runs
+/// each of them on its own shard.
+fn assert_logical_shards(cfg: &SimConfig, workers: usize) {
+    let shards = BackupWorld::new(cfg.clone()).logical_shards();
+    assert!(
+        shards >= workers.max(2),
+        "{shards} logical shards cannot give {workers} workers distinct shards"
+    );
 }
 
 /// Runs a config to completion, recording the full event stream.
@@ -1563,20 +1557,6 @@ fn shard_round_buffers_keep_capacity_only_while_recycling() {
     assert!(world.shards.iter().all(|s| s.pools.idle() == 0));
 }
 
-#[test]
-fn shard_slots_partitions_are_deterministic_per_setting() {
-    // shard_slots is a semantic knob (it changes the logical partition
-    // and the RNG streams), but at any fixed value the worker-count
-    // contract must still hold bit-for-bit.
-    for slots in [16usize, 256] {
-        let base = sharded_config(600, 300, 21).with_shard_slots(slots);
-        let (m1, e1) = run_recorded(base.clone().with_shards(1));
-        let (m8, e8) = run_recorded(base.with_shards(8));
-        assert_eq!(m1, m8, "metrics diverged at shard_slots={slots}");
-        assert_eq!(e1, e8, "events diverged at shard_slots={slots}");
-    }
-}
-
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(6))]
 
@@ -1650,15 +1630,10 @@ fn learned_age_stays_bit_identical_across_shards() {
     // into the model in shard order and the model refreshes
     // sequentially, so LearnedAge runs — estimator state included, via
     // `Metrics::estimator` — must be byte-identical at any worker
-    // count and task interleaving. shard_slots 8 gives 640 slots ≈ 80
-    // logical shards, so shards=64 really runs 64 workers unclamped.
-    let base = churny_config(640, 300, 33)
-        .with_shard_slots(8)
-        .with_strategy(SelectionStrategy::LearnedAge);
-    {
-        let world = BackupWorld::new(base.clone());
-        assert!(world.layout.count >= 64, "need ≥64 logical shards");
-    }
+    // count and task interleaving. 4096 slots make 64 logical shards,
+    // so shards=64 really runs 64 workers unclamped.
+    let base = churny_config(4096, 150, 33).with_strategy(SelectionStrategy::LearnedAge);
+    assert_logical_shards(&base, 64);
     let (m1, e1) = run_recorded(base.clone().with_shards(1));
     let report = m1.estimator.as_ref().expect("LearnedAge attaches a model");
     assert!(report.deaths_observed > 0, "run too quiet: no deaths fed");
@@ -1837,7 +1812,8 @@ fn adaptive_redundancy_keeps_targets_in_band() {
 #[test]
 fn adaptive_redundancy_is_deterministic_across_shards() {
     let mut base = adaptive_config(23);
-    base.shard_slots = 8; // several logical shards even at 60 peers
+    base.n_peers = 256; // four logical shards
+    assert_logical_shards(&base, 4);
     let one = run(base.clone().with_shards(1));
     let four = run(base.clone().with_shards(4));
     let (fuzzed, _) = run_recorded_fuzzed(base.with_shards(4), 0xada7);
@@ -1980,7 +1956,6 @@ fn oracle_config(peers: usize, seed: u64, strategy: SelectionStrategy) -> SimCon
         .with_paper_observers()
         .with_misreport(0.25)
         .with_strategy(strategy);
-    cfg.shard_slots = 16;
     cfg.adaptive_n = crate::config::AdaptiveRedundancy::tuned(4);
     cfg.adaptive_n.check_interval = 8;
     cfg.adaptive_n.horizon = 48;
@@ -1996,10 +1971,11 @@ fn survival_column_scoring_matches_per_pair_oracle() {
     // and the availability-class prior fallback.
     for strategy in [SelectionStrategy::LearnedAge, SelectionStrategy::AgeBased] {
         let mut reference = None;
-        // The last leg replays a seeded random task order per stage:
-        // at 200 peers every stage narrows to one inline worker.
+        // The last leg replays a seeded random task order per stage;
+        // at 512 peers the plain 8-worker leg also wakes the pool.
         for (shards, fuzz) in [(1, None), (8, None), (8, Some(0xf111))] {
-            let cfg = oracle_config(200, 31, strategy).with_shards(shards);
+            let cfg = oracle_config(512, 31, strategy).with_shards(shards);
+            assert_logical_shards(&cfg, 8);
             let rounds = cfg.rounds;
             let interval = cfg.adaptive_n.check_interval;
             let mut world = BackupWorld::new(cfg);
@@ -2043,6 +2019,7 @@ fn survival_column_matches_oracle_on_pool_workers() {
     let run_at = |shards: usize, fuzz: Option<u64>| {
         let mut cfg = oracle_config(2304, 32, SelectionStrategy::LearnedAge).with_shards(shards);
         cfg.rounds = 64;
+        assert_logical_shards(&cfg, 2);
         let mut world = BackupWorld::new(cfg);
         world.set_exec_fuzz(fuzz);
         Engine::new(32).run(&mut world, 64);
@@ -2060,34 +2037,19 @@ fn survival_column_matches_oracle_on_pool_workers() {
 
 #[test]
 fn redundancy_work_counts_evaluations_exactly() {
-    // A growth ramp makes the slot count differ from pass to pass.
-    let mut cfg = adaptive_config(27);
-    cfg.growth_rounds = 100;
+    let cfg = adaptive_config(27);
     let rounds = cfg.rounds;
     let interval = cfg.adaptive_n.check_interval;
     let mut world = BackupWorld::new(cfg);
-    let mut engine = Engine::new(27);
     ORACLE_TALLY.set((0, 0));
-    let mut slots_scored = 0u64;
-    let mut slot_counts = std::collections::BTreeSet::new();
-    for round in 0..rounds {
-        engine.step(&mut world);
-        if round > 0 && round % interval == 0 {
-            // Slots only appear at the top of a round, before scoring.
-            slots_scored += world.peer_slots() as u64;
-            slot_counts.insert(world.peer_slots());
-        }
-    }
-    assert!(
-        slot_counts.len() > 1,
-        "the ramp never changed the slot count"
-    );
+    Engine::new(27).run(&mut world, rounds);
     let (passes, oracle_pairs) = ORACLE_TALLY.get();
     let work = world.redundancy_work();
     assert_eq!(work.passes, (rounds - 1) / interval);
     assert_eq!(work.passes, passes);
     assert_eq!(
-        work.host_evals, slots_scored,
+        work.host_evals,
+        work.passes * world.peers.len() as u64,
         "one evaluation per slot per pass"
     );
     assert_eq!(
@@ -2299,8 +2261,8 @@ fn compact_pools_match_the_reference_build_under_every_screen() {
 fn placement_work_is_exact_at_every_worker_count() {
     // 2304 peers: the join wave's stages really wake the pool.
     let run_at = |shards: usize, fuzz: Option<u64>| {
-        let mut cfg = churny_config(2304, 40, 83).with_shards(shards);
-        cfg.shard_slots = 64;
+        let cfg = churny_config(2304, 40, 83).with_shards(shards);
+        assert_logical_shards(&cfg, 8);
         let mut world = BackupWorld::new(cfg);
         world.set_exec_fuzz(fuzz);
         let mut engine = Engine::new(83);
@@ -2683,7 +2645,8 @@ fn failure_domains_off_is_bit_identical_to_the_seed_behaviour() {
 
 #[test]
 fn regional_outages_fire_and_stay_bit_identical_across_shards() {
-    let base = domained_config(640, 300, 61).with_shard_slots(8);
+    let base = domained_config(4096, 150, 61);
+    assert_logical_shards(&base, 64);
     let (m1, e1) = run_recorded(base.clone().with_shards(1));
     assert!(m1.diag.outages_started > 0, "no outage ever started");
     assert!(
@@ -2723,9 +2686,10 @@ fn offline_timeouts_armed_only_when_they_can_fire_change_nothing() {
     // domains (whose scheduled outage defers reconnections past their
     // sampled round), at one and eight workers. Under the rule each
     // skipped timer is also checked to fire stale (`Shard::skipped`).
-    let churny = churny_config(640, 300, 97).with_shard_slots(8);
-    let domained = domained_config(640, 300, 97).with_shard_slots(8);
+    let churny = churny_config(640, 300, 97);
+    let domained = domained_config(640, 300, 97);
     for (name, cfg) in [("churny", churny), ("domained", domained)] {
+        assert_logical_shards(&cfg, 8);
         let (m1, e1, w1) = run_timeouts(cfg.clone().with_shards(1), false);
         assert!(m1.diag.partner_timeouts > 0, "{name}: no write-off fired");
         assert!(
@@ -2841,11 +2805,11 @@ fn quarantine_evicts_hosted_blocks_and_bars_the_host_from_pools() {
     let r = engine.current_round().index() - 1;
     // One strike: suspicious but still serving.
     world.report_integrity_failures(r, &[victim]);
-    assert!(!world.peer_quarantined(victim));
+    assert!(!world.peers.quarantined(victim));
     assert!(world.quarantine_log().is_empty());
     // Second strike crosses the threshold.
     world.report_integrity_failures(r, &[victim]);
-    assert!(world.peer_quarantined(victim));
+    assert!(world.peers.quarantined(victim));
     assert_eq!(world.quarantine_log(), &[(victim, r)]);
     assert_eq!(world.metrics().diag.hosts_quarantined, 1);
     // Next round the eviction fires: the hosted ledger empties and the

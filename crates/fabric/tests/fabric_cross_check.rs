@@ -451,9 +451,8 @@ fn trimmed_archives_rejoin_at_their_target_width() {
 }
 
 #[test]
-fn observers_and_growth_ramp_cross_check_cleanly() {
-    let mut cfg = sim_config(9, 200).with_paper_observers();
-    cfg.growth_rounds = 50;
+fn observers_cross_check_cleanly() {
+    let cfg = sim_config(9, 200).with_paper_observers();
     let report = run_fabric(cfg, FabricConfig::default()).expect("valid configs");
     assert_eq!(report.audit.mismatches, 0, "{:?}", report.audit.notes);
     assert_eq!(report.metrics.observers.len(), 5);

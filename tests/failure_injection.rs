@@ -111,15 +111,6 @@ fn proactive_policy_full_run() {
 }
 
 #[test]
-fn growth_ramp_with_observers_and_churn() {
-    let mut cfg = base(400, 5_000, 8).with_paper_observers();
-    cfg.growth_rounds = 1_000;
-    let metrics = run_simulation(cfg);
-    assert_eq!(metrics.observers.len(), 5);
-    assert!(metrics.diag.joins_completed >= 400);
-}
-
-#[test]
 fn tiny_population_smaller_than_n_cannot_join_but_never_panics() {
     // 10 peers cannot supply 16 distinct partners each.
     let cfg = base(10, 1_000, 9);
