@@ -56,7 +56,7 @@ impl MaintenancePolicy {
 /// PAPERS.md "Adaptive Redundancy Management for Durable P2P Backup").
 ///
 /// When enabled, every `check_interval` rounds the world scores each
-/// joined archive's predicted durability over the next `horizon` rounds
+/// joined archive's predicted durability over a fixed 96-round horizon
 /// from the live survival estimates of its current hosts (falling back
 /// to availability-class means when no learned model is attached) and
 /// moves its per-archive target width `target_n` inside
@@ -68,7 +68,7 @@ impl MaintenancePolicy {
 ///   episodes re-place only `target_n` blocks, which is where the
 ///   repair-traffic saving comes from.
 /// * **Widen** (predicted survivors close to the repair trigger):
-///   `target_n` rises by `widen_step` (capped at `n`) and a preemptive
+///   `target_n` rises by two blocks (capped at `n`) and a preemptive
 ///   refresh episode opens through the normal repair machinery, paying
 ///   the usual `k`-block decode.
 ///
@@ -105,26 +105,14 @@ pub struct AdaptiveRedundancy {
     pub enabled: bool,
     /// Rounds between scoring sweeps (the loop's control period).
     pub check_interval: u64,
-    /// Prediction horizon in rounds: an archive is judged by the
-    /// expected number of its hosts still alive `horizon` rounds out.
-    pub horizon: u64,
-    /// Widen when the predicted surviving-host count falls below
-    /// `max(k, threshold) + widen_margin`.
-    pub widen_margin: f64,
-    /// Narrow only when the predicted surviving-host count exceeds
-    /// `target_n - narrow_slack` (i.e. nearly every current host is
-    /// expected to outlive the horizon).
-    pub narrow_slack: f64,
     /// Maximum blocks the policy may trim below `n`; the floor
     /// `n - max_trim` must stay at or above the repair threshold or a
     /// narrowed archive would re-trigger its own repair forever.
     pub max_trim: u16,
-    /// Blocks restored per widen decision.
-    pub widen_step: u16,
 }
 
 impl Default for AdaptiveRedundancy {
-    /// Disabled; the tuned parameters are those of [`AdaptiveRedundancy::tuned`].
+    /// Disabled, with the cadence of [`AdaptiveRedundancy::tuned`].
     fn default() -> Self {
         let mut ar = AdaptiveRedundancy::tuned(0);
         ar.enabled = false;
@@ -133,23 +121,14 @@ impl Default for AdaptiveRedundancy {
 }
 
 impl AdaptiveRedundancy {
-    /// An enabled policy with the parameters tuned at the checked
-    /// 4096×2000 ablation scenario (`paper_report ablation_width`):
-    /// score every 8 rounds against a 96-round horizon, trim eagerly (a
-    /// narrow fires while predicted survivors exceed `target_n - 4`),
-    /// and widen back in small, cheap steps of two blocks. At that
-    /// scenario with `max_trim` 8 this combination carries 13.5% (seed
-    /// 42) and 15.4% (seed 7) less upload traffic than the static width
-    /// at 41% and 49% fewer losses.
+    /// An enabled policy that scores every 8 rounds, the cadence tuned
+    /// with the loop's fixed horizon, margins and step at the checked
+    /// `paper_report ablation_width` scenario.
     pub fn tuned(max_trim: u16) -> Self {
         AdaptiveRedundancy {
             enabled: true,
             check_interval: 8,
-            horizon: 96,
-            widen_margin: 1.5,
-            narrow_slack: 4.0,
             max_trim,
-            widen_step: 2,
         }
     }
 }
@@ -352,20 +331,6 @@ impl SimConfig {
         self
     }
 
-    /// Flips newly spawned peers' churn profiles from `round` onward
-    /// (the mid-run behaviour-shift scenario axis; `0` disables).
-    pub fn with_shift_profiles_at(mut self, round: u64) -> Self {
-        self.shift_profiles_at = round;
-        self
-    }
-
-    /// Makes `fraction` of peers misreport their age during
-    /// negotiation (the adversarial scenario axis).
-    pub fn with_misreport(mut self, fraction: f64) -> Self {
-        self.misreport_fraction = fraction;
-        self
-    }
-
     /// Installs an adaptive per-archive redundancy policy (the
     /// `--adaptive-n` scenario axis; see [`AdaptiveRedundancy`]).
     pub fn with_adaptive_n(mut self, adaptive: AdaptiveRedundancy) -> Self {
@@ -464,18 +429,6 @@ impl SimConfig {
             let ar = &self.adaptive_n;
             if ar.check_interval == 0 {
                 return Err("adaptive redundancy check interval must be positive".into());
-            }
-            if ar.horizon == 0 {
-                return Err("adaptive redundancy horizon must be positive".into());
-            }
-            if ar.widen_step == 0 {
-                return Err("adaptive redundancy widen step must be positive".into());
-            }
-            if !(ar.widen_margin.is_finite() && ar.widen_margin >= 0.0) {
-                return Err("adaptive redundancy widen margin must be finite and >= 0".into());
-            }
-            if !(ar.narrow_slack.is_finite() && ar.narrow_slack >= 0.0) {
-                return Err("adaptive redundancy narrow slack must be finite and >= 0".into());
             }
             let floor = self.n_blocks().saturating_sub(ar.max_trim as u32);
             // A target below the repair trigger would re-open an episode
@@ -599,14 +552,15 @@ mod tests {
         assert_eq!(base.shift_profiles_at, 0);
         assert_eq!(base.misreport_fraction, 0.0);
 
-        let c = base.clone().with_misreport(1.5);
+        let mut c = base.clone();
+        c.misreport_fraction = 1.5;
         assert!(c.validate().unwrap_err().contains("not a probability"));
-        let c = base.clone().with_misreport(-0.1);
+        c.misreport_fraction = -0.1;
         assert!(c.validate().is_err());
-        let c = base.with_misreport(0.25).with_shift_profiles_at(5);
+        let mut c = base;
+        c.misreport_fraction = 0.25;
+        c.shift_profiles_at = 5;
         assert!(c.validate().is_ok());
-        assert_eq!(c.misreport_fraction, 0.25);
-        assert_eq!(c.shift_profiles_at, 5);
     }
 
     #[test]
@@ -643,18 +597,6 @@ mod tests {
 
         let mut ar = AdaptiveRedundancy::tuned(8);
         ar.check_interval = 0;
-        assert!(base.clone().with_adaptive_n(ar).validate().is_err());
-        let mut ar = AdaptiveRedundancy::tuned(8);
-        ar.horizon = 0;
-        assert!(base.clone().with_adaptive_n(ar).validate().is_err());
-        let mut ar = AdaptiveRedundancy::tuned(8);
-        ar.widen_step = 0;
-        assert!(base.clone().with_adaptive_n(ar).validate().is_err());
-        let mut ar = AdaptiveRedundancy::tuned(8);
-        ar.widen_margin = f64::NAN;
-        assert!(base.clone().with_adaptive_n(ar).validate().is_err());
-        let mut ar = AdaptiveRedundancy::tuned(8);
-        ar.narrow_slack = -1.0;
         assert!(base.with_adaptive_n(ar).validate().is_err());
     }
 

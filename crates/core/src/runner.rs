@@ -1,6 +1,6 @@
 //! One-call simulation running.
 
-use peerback_sim::Engine;
+use peerback_sim::{Engine, WorkerPool};
 
 use crate::config::SimConfig;
 use crate::metrics::Metrics;
@@ -33,27 +33,20 @@ pub fn run_sweep(configs: Vec<SimConfig>) -> Vec<Metrics> {
 }
 
 /// As [`run_sweep`] with an explicit worker count.
+///
+/// # Panics
+///
+/// Re-raises the panic of a configuration's run, such as one that fails
+/// [`SimConfig::validate`].
 pub fn run_sweep_with_threads(configs: Vec<SimConfig>, threads: usize) -> Vec<Metrics> {
-    let threads = threads.max(1);
-    let jobs: Vec<(usize, SimConfig)> = configs.into_iter().enumerate().collect();
-    let mut results: Vec<Option<Metrics>> = (0..jobs.len()).map(|_| None).collect();
-    let queue = std::sync::Mutex::new(jobs);
-    let sink = std::sync::Mutex::new(&mut results);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = queue.lock().expect("queue lock").pop();
-                let Some((index, cfg)) = job else { break };
-                let metrics = run_simulation(cfg);
-                sink.lock().expect("sink lock")[index] = Some(metrics);
-            });
-        }
+    let mut results: Vec<Option<Metrics>> = configs.iter().map(|_| None).collect();
+    let pool = WorkerPool::new(threads.min(configs.len()));
+    pool.run_tasks(pool.width(), true, &mut results, |i, out| {
+        *out = Some(run_simulation(configs[i].clone()));
     });
-
     results
         .into_iter()
-        .map(|m| m.expect("every job completed"))
+        .map(|m| m.expect("every config ran"))
         .collect()
 }
 
@@ -90,6 +83,14 @@ mod tests {
             assert_eq!(a.losses, b.losses);
             assert_eq!(a.diag, b.diag);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid simulation config")]
+    fn sweep_reraises_a_config_panic() {
+        let mut bad = tiny(1, 100);
+        bad.n_peers = 0;
+        run_sweep_with_threads(vec![tiny(0, 100), bad, tiny(2, 100)], 2);
     }
 
     #[test]

@@ -366,7 +366,8 @@ impl GrantLog {
 /// rounds under `learned-age` with `--adaptive-n 8`.
 #[derive(Debug, Clone, Copy)]
 pub(in crate::world) enum Item {
-    /// A fresh peer initialised by the population ramp (370–560 ns).
+    /// A fresh peer initialised by the round-0 population spawn
+    /// (370–560 ns).
     PeerInit,
     /// A release or drop, sorted and applied (250–310 ns).
     Msg,
@@ -778,24 +779,6 @@ impl BackupWorld {
     }
 }
 
-/// Accumulates `src` into `dst` field by field.
-pub(in crate::world) fn merge_delta(dst: &mut MetricsDelta, src: &MetricsDelta) {
-    for c in 0..AgeCategory::COUNT {
-        dst.repairs[c] += src.repairs[c];
-        dst.losses[c] += src.losses[c];
-    }
-    dst.departures += src.departures;
-    dst.session_toggles += src.session_toggles;
-    dst.partner_timeouts += src.partner_timeouts;
-    dst.joins_completed += src.joins_completed;
-    dst.pool_shortfalls += src.pool_shortfalls;
-    dst.blocks_uploaded += src.blocks_uploaded;
-    dst.blocks_downloaded += src.blocks_downloaded;
-    dst.threshold_adjustments += src.threshold_adjustments;
-    dst.outage_disconnects += src.outage_disconnects;
-    dst.quarantine_evictions += src.quarantine_evictions;
-}
-
 #[cfg(test)]
 mod tests {
     use peerback_sim::exec::BREAK_EVEN_NS;
@@ -839,14 +822,6 @@ mod tests {
             outage_disconnects: 17,
             quarantine_evictions: 18,
         }
-    }
-
-    #[test]
-    fn merge_delta_carries_every_field() {
-        let delta = distinct_delta();
-        let mut merged = MetricsDelta::default();
-        merge_delta(&mut merged, &delta);
-        assert_eq!(format!("{merged:?}"), format!("{delta:?}"));
     }
 
     #[test]

@@ -27,12 +27,12 @@
 //! worker threads execute the parallel stages, and same-seed results
 //! are bit-identical at every value. Each round runs as a pipeline of
 //! parallel stages over a **persistent work-stealing worker pool**
-//! (see `exec`): population ramp → shard-local events + teardown
-//! hop 1 → message delivery (teardown hop 2) → frozen-state proposals →
-//! the two-phase grant/apply commit. Stages are barrier epoch bumps on
-//! the parked pool — a steady-state round spawns no threads — and every
-//! per-round buffer is recycled through the round arena, so the hot
-//! loop's heap traffic is (near) zero.
+//! (see `exec`): the round-0 population spawn → shard-local events +
+//! teardown hop 1 → message delivery (teardown hop 2) → frozen-state
+//! proposals → the two-phase grant/apply commit. Stages are barrier
+//! epoch bumps on the parked pool — a steady-state round spawns no
+//! threads — and every per-round buffer is recycled through the round
+//! arena, so the hot loop's heap traffic is (near) zero.
 //!
 //! ## Layout
 //!
@@ -385,8 +385,8 @@ impl BackupWorld {
     /// over them, and merges the lanes back in shard order: events into
     /// the log, metric and census deltas into the world. Returns what
     /// `f` returns. Every stage that mutates shard state runs here: the
-    /// population ramp, local events, the message stages and the owner
-    /// stage.
+    /// round-0 population spawn, local events, the message stages and
+    /// the owner stage.
     pub(in crate::world) fn with_shard_lanes<R>(
         &mut self,
         f: impl FnOnce(&mut [ShardLane<'_>], &SimConfig, &[SessionSampler]) -> R,
@@ -416,17 +416,15 @@ impl BackupWorld {
         let out = f(&mut lanes, &self.cfg, &self.samplers);
 
         // Merge in shard order (deterministic).
-        let mut delta = MetricsDelta::default();
         let mut census_delta = [0i64; AgeCategory::COUNT];
-        for lane in lanes.drain(..) {
+        for mut lane in lanes.drain(..) {
             self.event_log.append(&mut lane.shard.events);
-            exec::merge_delta(&mut delta, &lane.delta);
+            lane.delta.apply(&mut self.metrics);
             for (c, &d) in lane.census_delta.iter().enumerate() {
                 census_delta[c] += d;
             }
         }
         self.arena.lane_store = retype_empty(lanes);
-        delta.apply(&mut self.metrics);
         for (c, &d) in census_delta.iter().enumerate() {
             self.census[c] = (self.census[c] as i64 + d) as u64;
         }

@@ -126,7 +126,7 @@ impl BackupWorld {
     }
 
     // (Peer initialisation lives on `ShardLane::init_regular_peer`, so
-    // the population ramp and the parallel death-replacement path share
+    // the round-0 spawn and the parallel death-replacement path share
     // one implementation.)
 
     // ----- online index and activation queue -------------------------------
@@ -174,7 +174,7 @@ impl ShardLane<'_> {
     /// (Re)initialises a regular peer in its slot: samples profile,
     /// lifetime and initial session from the shard's RNG stream,
     /// schedules its events on the shard's wheel segment. Shared by the
-    /// population ramp and the death-replacement path of the
+    /// round-0 population spawn and the death-replacement path of the
     /// local-events stage.
     pub(in crate::world) fn init_regular_peer(
         &mut self,

@@ -29,7 +29,7 @@ use peerback_sim::StageWork;
 pub struct RoundProfile {
     /// `round_start` calls profiled.
     pub rounds: u64,
-    /// Failure-domain schedule and population ramp.
+    /// Failure-domain schedule and, at round 0, the population spawn.
     pub ramp: Duration,
     /// Shard-local events and teardown hop 1.
     pub local_events: Duration,
@@ -57,7 +57,7 @@ pub struct RoundProfile {
     pub commit_owner: Duration,
     /// Routing and applying the owner step's releases.
     pub commit_apply: Duration,
-    /// Population ramp; items are the peers initialised.
+    /// The round-0 population spawn; items are the peers initialised.
     pub ramp_work: StageWork,
     /// Shard-local events; always as wide as the pool, so it is given
     /// no items (its events are only known once the wheels fire).

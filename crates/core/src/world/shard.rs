@@ -376,7 +376,7 @@ impl Shard {
 /// One shard's view for a stage that mutates it: the shard's columns of
 /// the peer table, its chunk of the online-position table and the
 /// [`Shard`] itself, plus what the stage reads shared and the counters
-/// it merges back in shard order. Every mutating stage — ramp, local
+/// it merges back in shard order. Every mutating stage — spawn, local
 /// events, deliver, the owner stage and apply — runs on these lanes
 /// (`BackupWorld::with_shard_lanes`).
 pub(in crate::world) struct ShardLane<'a> {

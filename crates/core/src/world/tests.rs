@@ -1652,10 +1652,9 @@ fn learned_age_stays_bit_identical_across_shards() {
 fn scenario_axes_stay_bit_identical_across_shard_counts() {
     // The behaviour-shift and age-misreport axes obey the same
     // contract, alone and combined with the learned strategy.
-    let base = churny_config(600, 300, 29)
-        .with_strategy(SelectionStrategy::LearnedAge)
-        .with_shift_profiles_at(150)
-        .with_misreport(0.25);
+    let mut base = churny_config(600, 300, 29).with_strategy(SelectionStrategy::LearnedAge);
+    base.shift_profiles_at = 150;
+    base.misreport_fraction = 0.25;
     let (m1, e1) = run_recorded(base.clone().with_shards(1));
     assert!(m1.total_repairs() > 0, "run too quiet to be meaningful");
     let (m8, e8) = run_recorded(base.with_shards(8));
@@ -1694,7 +1693,8 @@ fn learned_age_ranks_pools_differently_from_age_based_once_active() {
 
 #[test]
 fn misreporting_peers_inflate_negotiation_age_only() {
-    let cfg = sharded_config(300, 5, 3).with_misreport(1.0);
+    let mut cfg = sharded_config(300, 5, 3);
+    cfg.misreport_fraction = 1.0;
     let rounds = cfg.rounds;
     let mut world = BackupWorld::new(cfg);
     let mut engine = Engine::new(3);
@@ -1755,12 +1755,6 @@ fn adaptive_config(seed: u64) -> SimConfig {
     let mut cfg = tiny_config(seed);
     cfg.rounds = 400;
     cfg.adaptive_n = crate::config::AdaptiveRedundancy::tuned(4);
-    cfg.adaptive_n.check_interval = 8;
-    cfg.adaptive_n.horizon = 48;
-    // Peers in the tiny world are young, so predicted durability never
-    // approaches the full target width; loosen the slack so narrows
-    // actually fire at this scale.
-    cfg.adaptive_n.narrow_slack = 4.0;
     cfg
 }
 
@@ -1835,13 +1829,9 @@ fn adaptive_redundancy_off_leaves_runs_untouched() {
 
 #[test]
 fn adaptive_redundancy_widen_opens_preemptive_episodes() {
-    // A riskier world (shorter horizon margin, deeper trim) must
-    // exercise the widen path too: narrowed archives whose host set
+    // The widen path fires too: narrowed archives whose host set
     // deteriorates re-widen and repair before the threshold trigger.
-    let mut cfg = adaptive_config(25);
-    cfg.adaptive_n.widen_margin = 4.0;
-    cfg.adaptive_n.narrow_slack = 4.0; // narrow eagerly, then re-widen
-    let m = run(cfg);
+    let m = run(adaptive_config(25));
     assert!(m.diag.redundancy_narrowed > 0);
     assert!(
         m.diag.redundancy_widened > 0,
@@ -1885,7 +1875,7 @@ fn score_shard_reference(
             let mut predicted = 0.0f64;
             let mut victim: Option<(u64, PeerId)> = None;
             for &h in world.peers.partners(id, a) {
-                let (p, est) = world.host_survival(h, round, ar.horizon);
+                let (p, est) = world.host_survival(h, round);
                 pairs += 1;
                 predicted += p;
                 if victim.is_none_or(|(best, _)| est < best) {
@@ -1894,11 +1884,11 @@ fn score_shard_reference(
             }
             let owner = id;
             let aidx = a as ArchiveIdx;
-            if predicted < trigger + ar.widen_margin {
+            if predicted < trigger + redundancy::WIDEN_MARGIN {
                 if target < n {
                     out.push(RedundancyDecision::Widen { owner, aidx });
                 }
-            } else if target > floor && predicted >= target as f64 - ar.narrow_slack {
+            } else if target > floor && predicted >= target as f64 - redundancy::NARROW_SLACK {
                 if let Some((_, victim)) = victim {
                     out.push(RedundancyDecision::Narrow {
                         owner,
@@ -1954,13 +1944,9 @@ pub(super) fn check_scores_against_per_pair_oracle(
 fn oracle_config(peers: usize, seed: u64, strategy: SelectionStrategy) -> SimConfig {
     let mut cfg = churny_config(peers, 480, seed)
         .with_paper_observers()
-        .with_misreport(0.25)
         .with_strategy(strategy);
+    cfg.misreport_fraction = 0.25;
     cfg.adaptive_n = crate::config::AdaptiveRedundancy::tuned(4);
-    cfg.adaptive_n.check_interval = 8;
-    cfg.adaptive_n.horizon = 48;
-    cfg.adaptive_n.narrow_slack = 4.0;
-    cfg.adaptive_n.widen_margin = 4.0;
     assert!(cfg.offline_timeout > 0);
     cfg
 }
@@ -2208,12 +2194,12 @@ fn run_every_screen(
     shards: usize,
     fuzz: Option<u64>,
 ) -> (Metrics, PlacementWork) {
-    let cfg = domained_config(400, 300, 61)
+    let mut cfg = domained_config(400, 300, 61)
         .with_paper_observers()
-        .with_misreport(0.25)
         .with_quarantine_threshold(2)
         .with_strategy(strategy)
         .with_shards(shards);
+    cfg.misreport_fraction = 0.25;
     let rounds = cfg.rounds;
     let mut world = BackupWorld::new(cfg);
     world.set_exec_fuzz(fuzz);

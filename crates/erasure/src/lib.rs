@@ -35,7 +35,8 @@
 //!     (0, shards[0].clone()),
 //!     (4, shards[4].clone()),
 //! ];
-//! let recovered = rs.reconstruct_data(&survivors, 16).unwrap();
+//! let mut recovered = Vec::new();
+//! rs.reconstruct_data_into(&survivors, 16, &mut recovered).unwrap();
 //! assert_eq!(recovered, data);
 //! ```
 

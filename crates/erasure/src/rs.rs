@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use peerback_gf256::{mul_matrix, Gf256};
+use peerback_gf256::mul_matrix;
 
 use crate::{ErasureError, Matrix};
 
@@ -84,16 +84,7 @@ impl ReedSolomon {
         self.data_shards + self.parity_shards
     }
 
-    /// The row of the encoding matrix for shard `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= n`.
-    pub fn coefficients(&self, index: usize) -> &[Gf256] {
-        self.encode_matrix.row(index)
-    }
-
-    /// [`coefficients`](Self::coefficients) as raw bytes.
+    /// The row of the encoding matrix for shard `index`, as raw bytes.
     fn row(&self, index: usize) -> &[u8] {
         &self.rows[index * self.data_shards..(index + 1) * self.data_shards]
     }
@@ -237,25 +228,8 @@ impl ReedSolomon {
 
     /// Reconstructs the `k` original data shards from **any** `k` (or
     /// more) surviving shards, supplied as `(shard_index, bytes)` pairs in
-    /// any order. Exactly the first `k` supplied shards are used.
-    ///
-    /// # Errors
-    ///
-    /// [`ErasureError::NotEnoughShards`] when fewer than `k` survive, plus
-    /// the validation errors of [`encode`](Self::encode).
-    pub fn reconstruct_data(
-        &self,
-        shards: &[(usize, impl AsRef<[u8]>)],
-        shard_len: usize,
-    ) -> Result<Vec<Vec<u8>>, ErasureError> {
-        let mut data = Vec::new();
-        self.reconstruct_data_into(shards, shard_len, &mut data)?;
-        Ok(data)
-    }
-
-    /// Streaming reconstruction into caller-supplied buffers (the reuse
-    /// counterpart of [`reconstruct_data`](Self::reconstruct_data), as
-    /// [`encode_into`](Self::encode_into) is to [`encode`](Self::encode)).
+    /// any order, into caller-supplied buffers. Exactly the first `k`
+    /// supplied shards are used.
     ///
     /// `out` is resized to `k` buffers of `shard_len` bytes, reusing
     /// capacity. Equivalent to building a [`DecodePlan`] for these
@@ -265,7 +239,10 @@ impl ReedSolomon {
     ///
     /// # Errors
     ///
-    /// As [`reconstruct_data`](Self::reconstruct_data).
+    /// [`ErasureError::NotEnoughShards`] when fewer than `k` survive,
+    /// [`ErasureError::IndexOutOfRange`] or
+    /// [`ErasureError::DuplicateIndex`] for bad survivor indices, plus
+    /// the validation errors of [`encode`](Self::encode).
     pub fn reconstruct_data_into(
         &self,
         shards: &[(usize, impl AsRef<[u8]>)],
@@ -285,7 +262,7 @@ impl ReedSolomon {
     ///
     /// # Errors
     ///
-    /// As [`reconstruct_data`](Self::reconstruct_data) (not-enough /
+    /// As [`reconstruct_data_into`](Self::reconstruct_data_into) (not-enough /
     /// out-of-range / duplicate indices, a singular decode matrix).
     pub fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, ErasureError> {
         if survivors.len() < self.data_shards {
@@ -355,7 +332,7 @@ impl ReedSolomon {
     ///
     /// # Errors
     ///
-    /// As [`reconstruct_data`](Self::reconstruct_data), plus
+    /// As [`reconstruct_data_into`](Self::reconstruct_data_into), plus
     /// [`ErasureError::IndexOutOfRange`] for bad `wanted` indices.
     pub fn reconstruct_shards(
         &self,
@@ -399,27 +376,6 @@ impl ReedSolomon {
             mul_matrix(&wanted_rows, &decode_rows, &mut outs);
         }
         coeffs
-    }
-
-    /// Verifies that a complete shard set (`n` shards, index order) is
-    /// consistent: every parity shard equals the encoding of the data
-    /// shards.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors as for [`encode`](Self::encode).
-    pub fn verify(&self, shards: &[impl AsRef<[u8]>]) -> Result<bool, ErasureError> {
-        if shards.len() != self.total_shards() {
-            return Err(ErasureError::WrongShardCount {
-                expected: self.total_shards(),
-                actual: shards.len(),
-            });
-        }
-        let parity = self.encode(&shards[..self.data_shards])?;
-        Ok(parity
-            .iter()
-            .zip(&shards[self.data_shards..])
-            .all(|(computed, given)| computed.as_slice() == given.as_ref()))
     }
 }
 
@@ -720,7 +676,6 @@ mod tests {
             let mut decoded = vec![vec![0x5A; len / 3]; self.wanted.len() + 1];
             plan.reconstruct_into(&self.survivors, len, &mut decoded)
                 .unwrap();
-            assert!(rs.verify(&self.all).unwrap());
             Results {
                 parity,
                 shard: rs.shard_at(&self.data, self.index).unwrap(),
@@ -838,8 +793,7 @@ mod tests {
         let rs = ReedSolomon::new(5, 3).unwrap();
         for r in 0..5 {
             for c in 0..5 {
-                let expect = if r == c { Gf256::ONE } else { Gf256::ZERO };
-                assert_eq!(rs.coefficients(r)[c], expect);
+                assert_eq!(rs.row(r)[c], u8::from(r == c));
             }
         }
     }
@@ -849,7 +803,8 @@ mod tests {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let data = sample_data(4, 32);
         let survivors: Vec<(usize, Vec<u8>)> = data.iter().cloned().enumerate().collect();
-        let out = rs.reconstruct_data(&survivors, 32).unwrap();
+        let mut out = Vec::new();
+        rs.reconstruct_data_into(&survivors, 32, &mut out).unwrap();
         assert_eq!(out, data);
     }
 
@@ -864,7 +819,8 @@ mod tests {
             .enumerate()
             .map(|(i, s)| (i + 3, s))
             .collect();
-        let out = rs.reconstruct_data(&survivors, 16).unwrap();
+        let mut out = Vec::new();
+        rs.reconstruct_data_into(&survivors, 16, &mut out).unwrap();
         assert_eq!(out, data);
     }
 
@@ -885,7 +841,8 @@ mod tests {
                         (b, all[b].clone()),
                         (c, all[c].clone()),
                     ];
-                    let out = rs.reconstruct_data(&survivors, 8).unwrap();
+                    let mut out = Vec::new();
+                    rs.reconstruct_data_into(&survivors, 8, &mut out).unwrap();
                     assert_eq!(out, data, "subset {a},{b},{c}");
                 }
             }
@@ -905,7 +862,8 @@ mod tests {
         let survivors: Vec<(usize, Vec<u8>)> =
             (0..256).step_by(2).map(|i| (i, all[i].clone())).collect();
         assert_eq!(survivors.len(), 128);
-        let out = rs.reconstruct_data(&survivors, 4).unwrap();
+        let mut out = Vec::new();
+        rs.reconstruct_data_into(&survivors, 4, &mut out).unwrap();
         assert_eq!(out, data);
     }
 
@@ -957,18 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_detects_corruption() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = sample_data(4, 10);
-        let parity = rs.encode(&data).unwrap();
-        let mut all = data;
-        all.extend(parity);
-        assert!(rs.verify(&all).unwrap());
-        all[5][3] ^= 0x40;
-        assert!(!rs.verify(&all).unwrap());
-    }
-
-    #[test]
     fn input_validation_errors() {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let bad_count = sample_data(3, 8);
@@ -989,7 +935,7 @@ mod tests {
 
         let too_few: Vec<(usize, Vec<u8>)> = vec![(0, vec![0; 8]); 1];
         assert!(matches!(
-            rs.reconstruct_data(&too_few, 8),
+            rs.reconstruct_data_into(&too_few, 8, &mut Vec::new()),
             Err(ErasureError::NotEnoughShards {
                 available: 1,
                 needed: 4
@@ -1003,7 +949,7 @@ mod tests {
             (2, vec![0; 8]),
         ];
         assert!(matches!(
-            rs.reconstruct_data(&dup, 8),
+            rs.reconstruct_data_into(&dup, 8, &mut Vec::new()),
             Err(ErasureError::DuplicateIndex { index: 0 })
         ));
 
@@ -1014,7 +960,7 @@ mod tests {
             (9, vec![0; 8]),
         ];
         assert!(matches!(
-            rs.reconstruct_data(&out_of_range, 8),
+            rs.reconstruct_data_into(&out_of_range, 8, &mut Vec::new()),
             Err(ErasureError::IndexOutOfRange { index: 9, total: 6 })
         ));
     }
@@ -1026,7 +972,8 @@ mod tests {
         let parity = rs.encode(&data).unwrap();
         assert_eq!(parity, vec![Vec::<u8>::new(), Vec::new()]);
         let survivors: Vec<(usize, Vec<u8>)> = vec![(2, vec![]), (3, vec![])];
-        let out = rs.reconstruct_data(&survivors, 0).unwrap();
+        let mut out = Vec::new();
+        rs.reconstruct_data_into(&survivors, 0, &mut out).unwrap();
         assert_eq!(out, data);
     }
 

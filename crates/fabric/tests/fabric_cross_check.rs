@@ -359,9 +359,8 @@ fn age_misreporting_peers_do_not_break_the_restorability_audit() {
     // axis enabled.
     for strategy in [SelectionStrategy::AgeBased, SelectionStrategy::LearnedAge] {
         let mk = |shards: usize| {
-            let mut cfg = SimConfig::paper(300, 120, 17)
-                .with_strategy(strategy)
-                .with_misreport(0.5);
+            let mut cfg = SimConfig::paper(300, 120, 17).with_strategy(strategy);
+            cfg.misreport_fraction = 0.5;
             cfg.k = 4;
             cfg.m = 4;
             cfg.quota = 24;

@@ -34,13 +34,6 @@ impl Round {
     pub fn next(self) -> Round {
         Round(self.0 + 1)
     }
-
-    /// Interprets the round index as whole days for reporting (24 rounds
-    /// per day in the paper's configuration).
-    #[inline]
-    pub fn as_days(self) -> f64 {
-        self.0 as f64 / 24.0
-    }
 }
 
 impl fmt::Display for Round {
@@ -86,7 +79,6 @@ mod tests {
     #[test]
     fn ordering_and_display() {
         assert!(Round(1) < Round(2));
-        assert_eq!(Round(48).as_days(), 2.0);
         assert_eq!(Round(5).to_string(), "r5");
         assert_eq!(Round(7).next(), Round(8));
     }

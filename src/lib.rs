@@ -19,7 +19,7 @@
 //! | [`net`] | `peerback-net` | §2.2.4 bandwidth/repair-cost model |
 //! | [`core`] | `peerback-core` | the backup protocol + simulator + data plane |
 //! | [`fabric`] | `peerback-fabric` | simulator bound to the real data plane, fault injection, restorability audits |
-//! | [`analysis`] | `peerback-analysis` | stats, tables, terminal plots |
+//! | [`analysis`] | `peerback-analysis` | tables, terminal plots |
 //!
 //! The most common entry points are re-exported at the top level.
 //!
