@@ -1,5 +1,9 @@
 //! The backup pipeline: archive bytes → encrypted, erasure-coded,
 //! placed blocks (paper §2.2.1).
+//!
+//! [`BackupPipeline::backup`] serialises the archive once and encrypts
+//! that buffer in place; the only copies of its bytes are the `k` data
+//! blocks split from it, which the parity is encoded from.
 
 use peerback_erasure::{ErasureError, ReedSolomon};
 
@@ -69,10 +73,9 @@ impl<C: Cipher> BackupPipeline<C> {
                 actual: partners.len(),
             });
         }
-        let plaintext = archive.to_bytes();
-        let ciphertext = self.cipher.encrypt(&plaintext);
-        let (data_blocks, payload_len) =
-            Archive::split_into_blocks(&ciphertext, self.rs.data_shards());
+        let mut bytes = archive.to_bytes();
+        self.cipher.encrypt_in_place(&mut bytes);
+        let (data_blocks, payload_len) = Archive::split_into_blocks(&bytes, self.rs.data_shards());
         let parity = self.rs.encode(&data_blocks)?;
 
         let mut blocks = Vec::with_capacity(n);

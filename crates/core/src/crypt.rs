@@ -13,16 +13,41 @@
 //!   real transform (output differs from input, wrong key fails to
 //!   decrypt) without pulling a cryptography dependency. A production
 //!   deployment must plug in an AEAD cipher here.
+//!
+//! A cipher transforms a buffer in place without changing its length,
+//! so a backup encrypts the serialised archive where it was written and
+//! a restore decrypts the decoded bytes where they were decoded.
 
-/// A symmetric transform applied to archives before encoding.
+/// A symmetric, length-preserving transform applied to archives before
+/// encoding.
+///
+/// Implementations provide the in-place pair; the backup and restore
+/// pipelines run it over buffers they already own, so an archive is
+/// never copied to be encrypted or decrypted. [`Cipher::encrypt`] and
+/// [`Cipher::decrypt`] copy first, for callers that keep their input.
 pub trait Cipher {
-    /// Encrypts `plaintext`.
-    fn encrypt(&self, plaintext: &[u8]) -> Vec<u8>;
+    /// Encrypts `data` in place; the ciphertext is as long as the
+    /// plaintext.
+    fn encrypt_in_place(&self, data: &mut [u8]);
 
-    /// Decrypts `ciphertext`. For keystream ciphers this cannot fail;
+    /// Decrypts `data` in place. For keystream ciphers this cannot fail;
     /// implementations with authentication should return garbage-free
     /// errors out-of-band (future work).
-    fn decrypt(&self, ciphertext: &[u8]) -> Vec<u8>;
+    fn decrypt_in_place(&self, data: &mut [u8]);
+
+    /// Encrypts a copy of `plaintext`.
+    fn encrypt(&self, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = plaintext.to_vec();
+        self.encrypt_in_place(&mut out);
+        out
+    }
+
+    /// Decrypts a copy of `ciphertext`.
+    fn decrypt(&self, ciphertext: &[u8]) -> Vec<u8> {
+        let mut out = ciphertext.to_vec();
+        self.decrypt_in_place(&mut out);
+        out
+    }
 
     /// Name for reports.
     fn name(&self) -> &'static str;
@@ -33,13 +58,9 @@ pub trait Cipher {
 pub struct NoCipher;
 
 impl Cipher for NoCipher {
-    fn encrypt(&self, plaintext: &[u8]) -> Vec<u8> {
-        plaintext.to_vec()
-    }
+    fn encrypt_in_place(&self, _data: &mut [u8]) {}
 
-    fn decrypt(&self, ciphertext: &[u8]) -> Vec<u8> {
-        ciphertext.to_vec()
-    }
+    fn decrypt_in_place(&self, _data: &mut [u8]) {}
 
     fn name(&self) -> &'static str {
         "none"
@@ -69,26 +90,12 @@ impl XorKeystream {
         }
     }
 
-    /// The transform, a keystream word at a time: xoshiro256** steps
-    /// once per 8 input bytes and xors little-endian, so byte `i` meets
+    /// The transform in place, a keystream word at a time: xoshiro256**
+    /// steps once per 8 bytes and xors little-endian, so byte `i` meets
     /// keystream byte `i` on any host.
-    ///
-    /// The input is copied once into a buffer allocated at the capacity
-    /// the byte iterator this replaced grew to by doubling from 8 —
-    /// `max(8, len.next_power_of_two())`, none for empty input — and
-    /// xored there in place. `byte_plane/setup_s` depends on the sizes
-    /// this path frees staying the same (ROADMAP 1B; an exact-length
-    /// buffer doubles that set-up time).
-    fn apply(&self, data: &[u8]) -> Vec<u8> {
+    fn apply(&self, data: &mut [u8]) {
         let mut s = self.key;
-        let capacity = if data.is_empty() {
-            0
-        } else {
-            data.len().next_power_of_two().max(8)
-        };
-        let mut out = Vec::with_capacity(capacity);
-        out.extend_from_slice(data);
-        let mut words = out.chunks_exact_mut(8);
+        let mut words = data.chunks_exact_mut(8);
         for chunk in &mut words {
             let word = u64::from_le_bytes((&*chunk).try_into().expect("chunks_exact_mut(8)"));
             chunk.copy_from_slice(&(word ^ next_word(&mut s)).to_le_bytes());
@@ -98,7 +105,6 @@ impl XorKeystream {
         for (b, k) in words.into_remainder().iter_mut().zip(last) {
             *b ^= k;
         }
-        out
     }
 
     /// The byte-at-a-time transform [`XorKeystream::apply`] replaced,
@@ -128,12 +134,12 @@ fn next_word(s: &mut [u64; 4]) -> u64 {
 }
 
 impl Cipher for XorKeystream {
-    fn encrypt(&self, plaintext: &[u8]) -> Vec<u8> {
-        self.apply(plaintext)
+    fn encrypt_in_place(&self, data: &mut [u8]) {
+        self.apply(data);
     }
 
-    fn decrypt(&self, ciphertext: &[u8]) -> Vec<u8> {
-        self.apply(ciphertext)
+    fn decrypt_in_place(&self, data: &mut [u8]) {
+        self.apply(data);
     }
 
     fn name(&self) -> &'static str {
@@ -190,20 +196,45 @@ mod tests {
     }
 
     #[test]
-    fn word_wise_apply_matches_the_byte_iterator_in_bytes_and_capacity() {
+    fn word_wise_apply_matches_the_byte_iterator() {
         let lengths = (0..=4104).chain([(1 << 20) + 3]);
         let data: Vec<u8> = (0..(1 << 20) + 3).map(|i| (i * 31 % 251) as u8).collect();
         for len in lengths {
             for key in [0, 1, 0xdead_beef, u64::MAX] {
                 let c = XorKeystream::new(key);
-                let (new, old) = (c.apply(&data[..len]), c.apply_reference(&data[..len]));
-                assert_eq!(new, old, "key {key:#x}, len {len}");
-                // Allocation parity, relative to the old path: the
-                // benchmark's `byte_plane/setup_s` doubles when the
-                // ciphertext buffer changes size class (ROADMAP 1B), so
-                // pre-sizing `apply` must fail here first.
-                assert_eq!(new.capacity(), old.capacity(), "key {key:#x}, len {len}");
+                let mut new = data[..len].to_vec();
+                c.apply(&mut new);
+                assert_eq!(
+                    new,
+                    c.apply_reference(&data[..len]),
+                    "key {key:#x}, len {len}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn in_place_methods_match_the_reference_and_the_copying_wrappers() {
+        let data: Vec<u8> = (0..4099).map(|i| (i * 7 % 253) as u8).collect();
+        for len in (0..=17).chain([4099]) {
+            let plain = &data[..len];
+            let c = XorKeystream::new(0xfeed);
+            let mut ct = plain.to_vec();
+            c.encrypt_in_place(&mut ct);
+            assert_eq!(ct, c.apply_reference(plain), "len {len}");
+            assert_eq!(ct, c.encrypt(plain), "len {len}");
+            let mut back = ct.clone();
+            c.decrypt_in_place(&mut back);
+            assert_eq!(back, plain, "len {len}");
+            assert_eq!(c.decrypt(&ct), plain, "len {len}");
+
+            let mut same = plain.to_vec();
+            NoCipher.encrypt_in_place(&mut same);
+            assert_eq!(same, plain, "len {len}");
+            NoCipher.decrypt_in_place(&mut same);
+            assert_eq!(same, plain, "len {len}");
+            assert_eq!(NoCipher.encrypt(plain), plain, "len {len}");
+            assert_eq!(NoCipher.decrypt(plain), plain, "len {len}");
         }
     }
 

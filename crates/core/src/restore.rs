@@ -4,6 +4,11 @@
 //! partners for that archive. Once k blocks have been downloaded, the k
 //! original blocks are decoded from these k blocks, and the content of
 //! the archive becomes available."
+//!
+//! [`RestorePipeline::restore_with`] runs those steps over one buffer:
+//! the `k` data shards decode back to back into the caller's recycled
+//! scratch, the archive's bytes are decrypted in place there and parsed,
+//! so a restore allocates only the entries it returns.
 
 use core::fmt;
 
@@ -94,10 +99,13 @@ impl<C: Cipher> RestorePipeline<C> {
         self.restore_with(&rs, descriptor, blocks, &mut Vec::new())
     }
 
-    /// Restores one archive through a caller-shared codec and recycled
-    /// data-shard scratch buffers — the steady-state path: no
-    /// per-code-word Vandermonde rebuild, and decode output lands in
-    /// `data_scratch`'s reused capacity.
+    /// Restores one archive through a caller-shared codec and one
+    /// recycled buffer — the steady-state path: no per-code-word
+    /// Vandermonde rebuild, and no archive-sized allocation but the
+    /// restored entries. The data shards decode back to back into
+    /// `scratch`'s reused capacity, its first `payload_len` bytes are
+    /// decrypted in place there and parsed. `scratch`'s contents are
+    /// unspecified afterwards.
     ///
     /// # Errors
     ///
@@ -112,7 +120,7 @@ impl<C: Cipher> RestorePipeline<C> {
         rs: &ReedSolomon,
         descriptor: &ArchiveDescriptor,
         blocks: &[(usize, impl AsRef<[u8]>)],
-        data_scratch: &mut Vec<Vec<u8>>,
+        scratch: &mut Vec<u8>,
     ) -> Result<Archive, RestoreError> {
         assert!(
             rs.data_shards() == descriptor.k as usize
@@ -124,8 +132,35 @@ impl<C: Cipher> RestorePipeline<C> {
             descriptor.m
         );
         let shard_len = blocks.first().map_or(0, |(_, b)| b.as_ref().len());
-        rs.reconstruct_data_into(blocks, shard_len, data_scratch)?;
-        let ciphertext = Archive::join_blocks(data_scratch, descriptor.payload_len);
+        rs.reconstruct_contiguous_into(blocks, shard_len, scratch)?;
+        let payload_len = usize::try_from(descriptor.payload_len).unwrap_or(usize::MAX);
+        let len = payload_len.min(scratch.len());
+        let plaintext = &mut scratch[..len];
+        self.cipher.decrypt_in_place(plaintext);
+        let archive = Archive::from_bytes(plaintext)?;
+        if archive.id != descriptor.archive_id {
+            return Err(RestoreError::IdMismatch {
+                expected: descriptor.archive_id,
+                actual: archive.id,
+            });
+        }
+        Ok(archive)
+    }
+
+    /// The restore [`restore_with`](Self::restore_with) replaced, kept
+    /// as the oracle its tests compare against: decode into `k` shard
+    /// buffers, join them, decrypt a copy and parse.
+    #[cfg(test)]
+    fn restore_reference(
+        &self,
+        rs: &ReedSolomon,
+        descriptor: &ArchiveDescriptor,
+        blocks: &[(usize, impl AsRef<[u8]>)],
+    ) -> Result<Archive, RestoreError> {
+        let shard_len = blocks.first().map_or(0, |(_, b)| b.as_ref().len());
+        let mut data_scratch = Vec::new();
+        rs.reconstruct_data_into(blocks, shard_len, &mut data_scratch)?;
+        let ciphertext = Archive::join_blocks(&data_scratch, descriptor.payload_len);
         let plaintext = self.cipher.decrypt(&ciphertext);
         let archive = Archive::from_bytes(&plaintext)?;
         if archive.id != descriptor.archive_id {
@@ -243,6 +278,48 @@ mod tests {
             restore.restore(&plan.descriptor, &blocks).unwrap(),
             archive(1)
         );
+    }
+
+    #[test]
+    fn one_dirty_scratch_restores_like_the_copying_path() {
+        let big = Archive::from_entries(
+            8,
+            false,
+            vec![Entry {
+                name: "big".into(),
+                data: (0..5000u32).map(|i| (i * 13 % 251) as u8).collect(),
+            }],
+        );
+        let rs = ReedSolomon::new(4, 4).unwrap();
+        let partners: Vec<u64> = (0..8).collect();
+        let backup = BackupPipeline::new(rs.clone(), XorKeystream::new(77), 77);
+        let big_plan = backup.backup(&big, &partners).unwrap();
+        let small_plan = backup.backup(&archive(9), &partners).unwrap();
+        let restore = RestorePipeline::new(XorKeystream::new(77));
+        let mut scratch = vec![0xEE; 3];
+        // A larger archive, then a smaller one; then passthrough, mixed,
+        // parity-only and too few survivors, all through one scratch.
+        let cases = [
+            (&big_plan, &big, vec![6, 0, 4, 2]),
+            (&small_plan, &archive(9), vec![5, 1, 7, 0]),
+            (&small_plan, &archive(9), vec![3, 1, 0, 2]),
+            (&big_plan, &big, vec![1, 5, 3, 6, 0]),
+            (&small_plan, &archive(9), vec![7, 4, 6, 5]),
+            (&big_plan, &big, vec![4, 5, 6, 7]),
+            (&small_plan, &archive(9), vec![4, 6, 5]),
+        ];
+        for (plan, original, survivors) in cases {
+            let blocks: Vec<(usize, &[u8])> = survivors
+                .iter()
+                .map(|&i| (i, plan.blocks[i].bytes.as_slice()))
+                .collect();
+            let got = restore.restore_with(&rs, &plan.descriptor, &blocks, &mut scratch);
+            let want = restore.restore_reference(&rs, &plan.descriptor, &blocks);
+            assert_eq!(got, want, "survivors {survivors:?}");
+            if survivors.len() >= 4 {
+                assert_eq!(got.as_ref(), Ok(original), "survivors {survivors:?}");
+            }
+        }
     }
 
     #[test]

@@ -251,7 +251,29 @@ impl ReedSolomon {
     ) -> Result<(), ErasureError> {
         self.validate_survivors(shards, shard_len)?;
         let plan = self.decode_plan_validated(shards)?;
-        plan.apply(shards, shard_len, out);
+        plan.apply_to_shards(shards, shard_len, out);
+        Ok(())
+    }
+
+    /// [`reconstruct_data_into`](Self::reconstruct_data_into) with the
+    /// `k` data shards written back to back into one buffer: `out` is
+    /// resized to `k × shard_len` bytes, reusing capacity, and every
+    /// byte of it is overwritten. A caller that joins the data shards
+    /// anyway (a restore) decodes straight into its joined form, and a
+    /// recycled `out` makes the decode allocate nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`reconstruct_data_into`](Self::reconstruct_data_into).
+    pub fn reconstruct_contiguous_into(
+        &self,
+        shards: &[(usize, impl AsRef<[u8]>)],
+        shard_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ErasureError> {
+        self.validate_survivors(shards, shard_len)?;
+        let plan = self.decode_plan_validated(shards)?;
+        plan.apply_contiguous(shards, shard_len, out);
         Ok(())
     }
 
@@ -383,7 +405,8 @@ impl ReedSolomon {
 /// for one fixed survivor set, flattened to raw coefficient bytes.
 ///
 /// Built once by [`ReedSolomon::decode_plan`] (or internally per call by
-/// [`ReedSolomon::reconstruct_data_into`]); applying it is one
+/// [`ReedSolomon::reconstruct_data_into`] and
+/// [`ReedSolomon::reconstruct_contiguous_into`]); applying it is one
 /// [`mul_matrix`] call over the supplied shards — no matrix algebra, no
 /// temporaries, and with recycled output buffers no allocation. Rows for
 /// surviving data shards are unit rows, which the kernel turns into
@@ -445,31 +468,55 @@ impl DecodePlan {
         {
             return Err(ErasureError::ShardLengthMismatch);
         }
-        self.apply(shards, shard_len, out);
+        self.apply_to_shards(shards, shard_len, out);
         Ok(())
     }
 
-    /// The streaming core; inputs are already validated.
-    fn apply(
+    /// [`DecodePlan::apply`] into `k` shard buffers, each resized to
+    /// `shard_len`.
+    fn apply_to_shards(
         &self,
         shards: &[(usize, impl AsRef<[u8]>)],
         shard_len: usize,
         out: &mut Vec<Vec<u8>>,
     ) {
-        let k = self.data_shards;
-        out.resize_with(k, Vec::new);
-        out.truncate(k);
-        if self.passthrough {
-            for (&source, (_, shard)) in self.sources.iter().zip(shards) {
-                out[source].clear();
-                out[source].extend_from_slice(shard.as_ref());
-            }
-            return;
-        }
+        out.resize_with(self.data_shards, Vec::new);
+        out.truncate(self.data_shards);
         for buf in out.iter_mut() {
             buf.resize(shard_len, 0);
         }
-        mul_matrix(&self.rows, &source_table(shards)[..k], out);
+        self.apply(shards, out);
+    }
+
+    /// [`DecodePlan::apply`] into one buffer resized to `k × shard_len`
+    /// bytes, data shard `i` at `i × shard_len`.
+    fn apply_contiguous(
+        &self,
+        shards: &[(usize, impl AsRef<[u8]>)],
+        shard_len: usize,
+        out: &mut Vec<u8>,
+    ) {
+        out.resize(self.data_shards * shard_len, 0);
+        let mut table: [&mut [u8]; 256] = core::array::from_fn(|_| <&mut [u8]>::default());
+        if shard_len > 0 {
+            for (slot, chunk) in table.iter_mut().zip(out.chunks_exact_mut(shard_len)) {
+                *slot = chunk;
+            }
+        }
+        self.apply(shards, &mut table[..self.data_shards]);
+    }
+
+    /// The decode core; inputs are already validated and `outs` holds
+    /// `k` buffers of one shard length each, whose old bytes are all
+    /// overwritten: data shard `i` lands in `outs[i]`.
+    fn apply<O: AsMut<[u8]>>(&self, shards: &[(usize, impl AsRef<[u8]>)], outs: &mut [O]) {
+        if self.passthrough {
+            for (&source, (_, shard)) in self.sources.iter().zip(shards) {
+                outs[source].as_mut().copy_from_slice(shard.as_ref());
+            }
+            return;
+        }
+        mul_matrix(&self.rows, &source_table(shards)[..self.data_shards], outs);
     }
 }
 
@@ -596,6 +643,7 @@ mod tests {
         shard: Vec<u8>,
         plan_rows: Vec<u8>,
         decoded: Vec<Vec<u8>>,
+        joined: Vec<u8>,
         repaired: Vec<Vec<u8>>,
     }
 
@@ -644,10 +692,12 @@ mod tests {
         /// The per-pair oracles (the scalar reference inverse included).
         fn expected(&self) -> Results {
             let plan = plan_reference(&self.rs, &self.sources()[..self.rs.data_shards()]).unwrap();
+            let decoded = apply_reference(&plan, &self.survivors, self.len);
             Results {
                 parity: self.all[self.rs.data_shards()..].to_vec(),
                 shard: shard_at_reference(&self.rs, &self.data, self.index),
-                decoded: apply_reference(&plan, &self.survivors, self.len),
+                joined: decoded.concat(),
+                decoded,
                 repaired: reconstruct_shards_reference(
                     &self.rs,
                     &plan,
@@ -676,11 +726,23 @@ mod tests {
             let mut decoded = vec![vec![0x5A; len / 3]; self.wanted.len() + 1];
             plan.reconstruct_into(&self.survivors, len, &mut decoded)
                 .unwrap();
+            let mut shards = vec![vec![0x3C; len + 1]];
+            rs.reconstruct_data_into(&self.survivors, len, &mut shards)
+                .unwrap();
+            let mut joined = vec![0xC3; 2 * len + 5];
+            rs.reconstruct_contiguous_into(&self.survivors, len, &mut joined)
+                .unwrap();
+            assert_eq!(
+                joined,
+                shards.concat(),
+                "contiguous decode vs reconstruct_data_into"
+            );
             Results {
                 parity,
                 shard: rs.shard_at(&self.data, self.index).unwrap(),
                 plan_rows: plan.rows,
                 decoded,
+                joined,
                 repaired: rs
                     .reconstruct_shards(&self.survivors, len, &self.wanted)
                     .unwrap(),
@@ -975,6 +1037,10 @@ mod tests {
         let mut out = Vec::new();
         rs.reconstruct_data_into(&survivors, 0, &mut out).unwrap();
         assert_eq!(out, data);
+        let mut joined = vec![7u8; 3];
+        rs.reconstruct_contiguous_into(&survivors, 0, &mut joined)
+            .unwrap();
+        assert!(joined.is_empty());
     }
 
     #[test]

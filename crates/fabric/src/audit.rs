@@ -14,9 +14,9 @@
 //! One gather serves every restore: it looks up the archive's blocks on
 //! its mirrored hosts in slot order (online ones only, for an audit or
 //! a flash restore), reads the verdict the store keeps for each (see
-//! [`crate::store`]; no block is summed), and stops at the `k`th
-//! intact one — the paper's "reach k partners, download k blocks". One
-//! of two verdicts then judges them (`Verdict`):
+//! [`crate::store`]; no block is summed), and stops looking at the
+//! `k`th intact one — the paper's "reach k partners, download k
+//! blocks". One of two verdicts then judges them (`Verdict`):
 //!
 //! * **Slots** (audits and episode starts): restored when the `k`
 //!   blocks carry distinct shard indices below `n` and each one's ingest
@@ -30,24 +30,25 @@
 //!   fetches the file. Distinct indices below `n` are what a decode
 //!   refuses and a sum comparison alone would pass.
 //! * **Full** (loss verifications and flash restores, the restores a
-//!   user sees): the codec reconstructs the data shards, and a
-//!   [`RestorePipeline`] join → decrypt → parse is compared with the
-//!   archive regenerated from the code word's content seed.
+//!   user sees): a [`RestorePipeline`] decodes the data shards into the
+//!   lane's recycled scratch, decrypts and parses them there, and the
+//!   result is compared with the archive regenerated from the code
+//!   word's content seed.
 //!
 //! Debug builds (`cfg(any(test, debug_assertions))`: the unit and
 //! integration tests, and debug binaries) judge every slot verdict
 //! twice more and assert that the three agree: the **ciphertext**
-//! verdict decodes the same `k` blocks and compares the first
-//! `payload_len` bytes of the data shards with the owner's ciphertext
-//! (the bytes `Archive::join_blocks` keeps), and the full verdict runs
-//! over every intact survivor, as the gather did before it stopped at
-//! `k`. Release builds compile both out, so audits and episode starts
-//! decode nothing. A block whose bytes differ from its slot's anywhere,
+//! verdict decodes the same `k` blocks back to back and compares their
+//! first `payload_len` bytes with the owner's ciphertext, and the full
+//! verdict runs over every intact survivor, as the gather did before it
+//! stopped at `k`. Release builds compile both out, so audits and
+//! episode starts decode nothing. A block whose bytes differ from its slot's anywhere,
 //! padding included, fails the slot check; no sender ships one.
 //!
-//! An audit that does not restore keeps counting the intact blocks past
-//! the gather, so the count its notes and [`LossRecord`]s carry is
-//! exact; one that restores reports the `k` it judged.
+//! An audit that does not restore keeps looking up and counting the
+//! intact blocks past the gather, so the count its notes and
+//! [`LossRecord`]s carry is exact; one that restores reports the `k` it
+//! judged and looks up no further host.
 //!
 //! With fault injection off the two must agree on *every* archive,
 //! *every* round — any disagreement is a bug in one of the halves and
@@ -154,9 +155,9 @@ pub(crate) enum Verdict {
     /// [`Verdict::Slots`].
     #[cfg(any(test, debug_assertions))]
     Ciphertext,
-    /// Restored when join → decrypt → parse yields the archive
-    /// regenerated from the content seed: loss verifications and flash
-    /// restores.
+    /// Restored when [`RestorePipeline::restore_with`]'s decode →
+    /// decrypt → parse yields the archive regenerated from the content
+    /// seed: loss verifications and flash restores.
     Full,
 }
 
@@ -168,7 +169,7 @@ impl Verdict {
         shared: &PlaneShared,
         codeword: &CodeWord,
         blocks: &[StoredBlock],
-        scratch: &mut Vec<Vec<u8>>,
+        scratch: &mut Vec<u8>,
     ) -> bool {
         let k = shared.k();
         let pairs = || -> Vec<_> {
@@ -191,11 +192,12 @@ impl Verdict {
             #[cfg(any(test, debug_assertions))]
             Verdict::Ciphertext => {
                 let shard_len = blocks.first().map_or(0, |b| b.bytes.len());
-                let decoded = shared
-                    .codec
-                    .reconstruct_data_into(&pairs(), shard_len, scratch);
+                let decoded =
+                    shared
+                        .codec
+                        .reconstruct_contiguous_into(&pairs(), shard_len, scratch);
                 let len = descriptor.payload_len as usize;
-                decoded.is_ok() && same_prefix(scratch, &codeword.ciphertext[..len])
+                decoded.is_ok() && scratch.get(..len) == Some(&codeword.ciphertext[..len])
             }
             Verdict::Full => {
                 let restore = RestorePipeline::new(XorKeystream::new(codeword.cipher_key));
@@ -204,19 +206,6 @@ impl Verdict {
             }
         }
     }
-}
-
-/// Whether the shards `data`, read as one concatenation, begin with
-/// `ciphertext` (the bytes `Archive::join_blocks` keeps).
-#[cfg(any(test, debug_assertions))]
-fn same_prefix(data: &[Vec<u8>], ciphertext: &[u8]) -> bool {
-    let mut rest = ciphertext;
-    let equal = data.iter().all(|d| {
-        let (head, tail) = rest.split_at(rest.len().min(d.len()));
-        rest = tail;
-        d[..head.len()] == *head
-    });
-    equal && rest.is_empty()
 }
 
 /// What [`PlaneLane::restore_survivors`] found in the stores.
@@ -233,30 +222,19 @@ pub(crate) struct Survivors {
 }
 
 /// Looks up the blocks of `(owner, archive)` at rest on `oa`'s mirrored
-/// hosts, in slot order (borrowed in place); `online_only` skips hosts
-/// the simulator has offline. Returns them in a table on the stack — a
-/// code word has at most 256 slots, and a host holds at most one block
-/// of it — how many there are, and how many store lookups found them.
-fn present<'a>(
-    oa: &OwnerArchive,
+/// hosts, in slot order (borrowed in place), lazily: one item per store
+/// lookup, `None` where the host holds no block. `online_only` skips
+/// hosts the simulator has offline without a lookup.
+fn lookups<'a>(
+    oa: &'a OwnerArchive,
     store: &'a BlockStore,
-    world: &BackupWorld,
+    world: &'a BackupWorld,
     (owner, archive): (PeerId, u8),
     online_only: bool,
-) -> ([StoredBlock<'a>; 256], usize, u64) {
-    let mut probes = 0;
-    let found = oa
-        .hosts()
-        .filter(|&(_, host)| !online_only || world.peer_online(host))
-        .inspect(|_| probes += 1)
-        .filter_map(|(_, host)| store.block(host, owner, archive));
-    let mut table = [NO_BLOCK; 256];
-    let mut n = 0;
-    for (entry, block) in table.iter_mut().zip(found) {
-        *entry = block;
-        n += 1;
-    }
-    (table, n, probes)
+) -> impl Iterator<Item = Option<StoredBlock<'a>>> + 'a {
+    oa.hosts()
+        .filter(move |&(_, host)| !online_only || world.peer_online(host))
+        .map(move |(_, host)| store.block(host, owner, archive))
 }
 
 impl PlaneLane {
@@ -264,8 +242,9 @@ impl PlaneLane {
     /// archive)` and, given at least `need` of them, judges a restore
     /// straight out of the store by `verdict`: the slot verdict by
     /// their sums alone, the full one through the run's shared codec
-    /// into recycled data-shard scratch — no copy of the inputs, no
-    /// fresh output buffers.
+    /// into the lane's one recycled buffer — no copy of the inputs, no
+    /// fresh output buffers. A gather that restores looks up no host
+    /// past its `k`th intact block.
     pub(crate) fn restore_survivors(
         &mut self,
         shared: &PlaneShared,
@@ -280,13 +259,16 @@ impl PlaneLane {
         };
         let clock = Instant::now();
         let k = shared.k();
-        let (probes, gathered, attempted, found) = {
-            let (table, n, probes) = present(oa, &self.store, world, (owner, archive), online_only);
-            let mut rest = table[..n].iter().filter(|b| b.intact());
+        let mut probes = 0;
+        let (gathered, attempted, found) = {
+            let mut rest = lookups(oa, &self.store, world, (owner, archive), online_only)
+                .inspect(|_| probes += 1)
+                .flatten()
+                .filter(|b| b.intact());
             let mut blocks = [NO_BLOCK; 256];
             let mut gathered = 0;
             for (entry, block) in blocks.iter_mut().zip(rest.by_ref().take(k)) {
-                *entry = *block;
+                *entry = block;
                 gathered += 1;
             }
             let blocks = &blocks[..gathered];
@@ -299,7 +281,7 @@ impl PlaneLane {
                 download_bytes: blocks.iter().map(|b| b.bytes.len()).sum(),
                 restored,
             };
-            (probes, blocks.len(), attempted, found)
+            (blocks.len(), attempted, found)
         };
         self.store_probes += probes;
         self.survivors_gathered += gathered as u64;
@@ -332,8 +314,10 @@ impl PlaneLane {
     ) {
         let k = shared.k();
         let oa = &self.owners[&(owner, archive)];
-        let (table, n, _) = present(oa, &self.store, world, (owner, archive), online_only);
-        let all: Vec<StoredBlock> = table[..n].iter().filter(|b| b.intact()).copied().collect();
+        let all: Vec<StoredBlock> = lookups(oa, &self.store, world, (owner, archive), online_only)
+            .flatten()
+            .filter(|b| b.intact())
+            .collect();
         let first_k = &all[..all.len().min(k)];
         let attempted = all.len() >= need;
         let (codeword, scratch) = (&oa.codeword, &mut self.data_scratch);

@@ -780,8 +780,9 @@ pub(crate) struct PlaneLane {
     /// This round's events whose owner lives in this lane (plus every
     /// departure). Drained-and-reused every round.
     inbox: Vec<WorldEvent>,
-    /// Recycled data-shard output buffers for restores that decode.
-    pub(crate) data_scratch: Vec<Vec<u8>>,
+    /// Recycled buffer the restores that decode write the data shards
+    /// into, back to back.
+    pub(crate) data_scratch: Vec<u8>,
     /// Recycled wire buffer each shipment's frame is encoded into.
     frame_scratch: Vec<u8>,
     /// Recycled buffer a shipped parity slot's bytes are encoded into
@@ -1661,8 +1662,10 @@ pub struct ReplayWork {
     /// round: blocks stored × shard length.
     pub stored_bytes: u64,
     /// Store lookups the restore gathers made: one per mirrored host
-    /// (online only, where the gather asks for that). They read stored
-    /// verdicts and sum nothing; they are the gathers' remaining cost.
+    /// (online only, where the gather asks for that), in slot order up
+    /// to the `k`th intact block when the archive restores, and to the
+    /// last host when it does not. They read stored verdicts and sum
+    /// nothing; they are the gathers' remaining cost.
     pub store_probes: u64,
     /// Every [`block_sum`] the lanes ran, by site.
     pub block_sums: BlockSums,
